@@ -16,7 +16,6 @@
 //	mmdbench -exp concurrency -clients 8   # multi-client contention ladder
 //	mmdbench -exp priority            # priority-class admission ladder
 //	mmdbench -exp sort -parallel 8    # parallel external sort ladder
-//	mmdbench -exp cachelab            # cache-kernel wall-time ladder (counter-identity gated)
 //	mmdbench -exp chaos               # fault-plane chaos ladder
 //	mmdbench -exp wire -clients 8     # SQL-over-TCP serving ladder
 //	mmdbench -exp repl                # LSN-shipping replication ladder
@@ -33,12 +32,12 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: all|table1|table2|figure1|table3|agg|planner|recovery|checkpoint|ablation|concurrency|priority|sort|cachelab|chaos|wire|repl|failover")
+	exp := flag.String("exp", "all", "experiment: all|table1|table2|figure1|table3|agg|planner|recovery|checkpoint|ablation|concurrency|priority|sort|chaos|wire|repl|failover")
 	full := flag.Bool("full", false, "figure1: execute the operators at full Table 2 scale (minutes of wall time)")
 	dur := flag.Duration("dur", 10*time.Second, "recovery: virtual run length per configuration")
 	par := flag.Int("parallel", 1, "worker goroutines for executed join operators (1 = serial, -1 = GOMAXPROCS); virtual times are identical, wall time shrinks")
 	clients := flag.Int("clients", 8, "concurrency/wire: top of the client ladder (runs 1,2,4,...,N)")
-	tuples := flag.Int("tuples", 0, "sort/cachelab: relation size override (0 = the defaults); use a small value for smoke runs")
+	tuples := flag.Int("tuples", 0, "sort: relation size override (0 = the defaults); use a small value for smoke runs")
 	slots := flag.Int("slots", 8, "concurrency/wire: MaxConcurrentQueries, held fixed across the ladder")
 	queue := flag.Int("queue", 64, "concurrency/wire: admission queue depth")
 	flag.Parse()
@@ -191,26 +190,6 @@ func main() {
 		}
 		if !res.AllIdentical {
 			return fmt.Errorf("sort ladder: virtual counters differed across parallelism widths (see BENCH_sort.json)")
-		}
-		return nil
-	})
-	run("cachelab", func() error {
-		cfg := experiments.DefaultCachelabConfig()
-		if *tuples > 0 {
-			cfg.BuildTuples = *tuples
-			cfg.ProbeTuples = 3 * *tuples
-			cfg.SortTuples = *tuples
-		}
-		res, err := experiments.RunCachelab(cfg)
-		if err != nil {
-			return err
-		}
-		res.Print(os.Stdout)
-		if err := res.WriteJSON("BENCH_cachelab.json"); err != nil {
-			return err
-		}
-		if !res.AllIdentical {
-			return fmt.Errorf("cachelab ladder: virtual counters drifted between kernel on/off or across widths (see BENCH_cachelab.json)")
 		}
 		return nil
 	})

@@ -157,7 +157,7 @@ func aggregate(spec Spec, in *heap.File, access simio.Access, level uint32, res 
 	if capacity < 1 {
 		capacity = 1
 	}
-	hasher := hashjoin.NewHasher(clock, level)
+	hasher := hashjoin.NewFastHasher(clock, level)
 
 	type cell struct {
 		g    Group
@@ -329,7 +329,7 @@ func distinctBytes(in *heap.File, col int, m int, f float64) ([]tuple.Value, err
 	}
 	clock := in.Disk().Clock()
 	schema := in.Schema()
-	hasher := hashjoin.NewHasher(clock, 0)
+	hasher := hashjoin.NewFastHasher(clock, 0)
 	seen := make(map[uint64][][]byte)
 	var out []tuple.Value
 	err := in.Scan(simio.Uncharged, func(t tuple.Tuple) bool {

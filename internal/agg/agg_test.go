@@ -117,6 +117,10 @@ func TestOverflowSpillsAndRecurses(t *testing.T) {
 	if delta.SeqIOs+delta.RandIOs == 0 {
 		t.Fatal("overflow did no IO")
 	}
+	// Pinned to what the stdlib-FNV hasher charged before it was replaced.
+	if want := (cost.Counters{Comps: 2300, Hashes: 101500, Moves: 99200, SeqIOs: 13180}); delta != want || res.Passes != 70 {
+		t.Fatalf("charges moved: passes %d (want 70)\ngot  %+v\nwant %+v", res.Passes, delta, want)
+	}
 	checkGroups(t, res.Groups, rows)
 }
 
@@ -150,6 +154,10 @@ func TestDistinctInt(t *testing.T) {
 	sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
 	if len(got) != 3 || got[0] != 3 || got[1] != 5 || got[2] != 9 {
 		t.Fatalf("distinct = %v", got)
+	}
+	// Pinned to what the stdlib-FNV hasher charged before it was replaced.
+	if c, want := disk.Clock().Counters(), (cost.Counters{Comps: 2, Hashes: 5, Moves: 3}); c != want {
+		t.Fatalf("charges moved:\ngot  %+v\nwant %+v", c, want)
 	}
 }
 

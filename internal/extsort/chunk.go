@@ -63,7 +63,7 @@ func sortChunked(f *heap.File, cfg Config, chunks int) (Stream, Stats, error) {
 			return err
 		}
 		prefix := fmt.Sprintf("%s.c%d", cfg.Prefix, i)
-		runs, sorted, err := replacementSelect(wf, start, end, cfg.Col, slots, prefix, cfg.Input, true, cfg.kernels())
+		runs, sorted, err := replacementSelect(wf, start, end, cfg.Col, slots, prefix, cfg.Input, true)
 		if err != nil {
 			return err
 		}
@@ -75,7 +75,7 @@ func sortChunked(f *heap.File, cfg Config, chunks int) (Stream, Stats, error) {
 		st := Stats{Runs: len(runs)}
 		if chunkFanout > 1 {
 			for len(runs) > chunkFanout {
-				runs, err = mergePass(runs, cfg.Col, chunkFanout, fmt.Sprintf("%s.m%d", prefix, st.MergePasses), cfg.kernels())
+				runs, err = mergePass(runs, cfg.Col, chunkFanout, fmt.Sprintf("%s.m%d", prefix, st.MergePasses))
 				if err != nil {
 					return err
 				}
@@ -134,7 +134,7 @@ func sortChunked(f *heap.File, cfg Config, chunks int) (Stream, Stats, error) {
 			}
 			rehomed[k] = h
 		}
-		ms, err := mergeRuns(rehomed, cfg.Col, cfg.kernels())
+		ms, err := mergeRuns(rehomed, cfg.Col)
 		if err != nil {
 			return fail(err)
 		}
@@ -145,19 +145,13 @@ func sortChunked(f *heap.File, cfg Config, chunks int) (Stream, Stats, error) {
 	// With more than one worker the interior nodes run eagerly on their
 	// own goroutines behind bounded channels; at width 1 the root pulls
 	// them lazily inline. Charges are identical either way — see the
-	// Close/drain contract on Stream. Kernel mode moves tuples through the
-	// pumps in batches so a wide root (high SortChunks) amortizes channel
-	// synchronization instead of paying it per tuple.
+	// Close/drain contract on Stream.
 	if cfg.workers() > 1 {
 		for i := range streams {
-			if cfg.kernels() {
-				streams[i] = newBatchPumpStream(streams[i], pumpBuffer)
-			} else {
-				streams[i] = newPumpStream(streams[i], pumpBuffer)
-			}
+			streams[i] = newBatchPumpStream(streams[i], pumpBuffer)
 		}
 	}
-	root, err := newTreeStream(streams, f.Schema(), cfg.Col, baseClock, cfg.kernels())
+	root, err := newTreeStream(streams, f.Schema(), cfg.Col, baseClock)
 	if err != nil {
 		return fail(err)
 	}

@@ -94,15 +94,7 @@ type Config struct {
 	// execution, a negative value means one worker per CPU. Counters are
 	// identical at every setting for a fixed Chunks.
 	Parallelism int
-	// NoKernel disables the cache-conscious selection-tree layout and the
-	// batched interior pumps, falling back to the classic item-array heap.
-	// The zero value (kernels on) and the fallback charge bit-identical
-	// counters; the knob exists as an escape hatch and for A/B runs.
-	NoKernel bool
 }
-
-// kernels reports whether the cache-kernel layout is in use.
-func (c Config) kernels() bool { return !c.NoKernel }
 
 // Sort sorts file f on column col using at most memTuples tuples of
 // priority-queue memory — the classic serial plan (Chunks=1). Temporary
@@ -140,7 +132,7 @@ func SortWith(f *heap.File, cfg Config) (Stream, Stats, error) {
 
 	if f.NumTuples() <= int64(cfg.MemTuples) {
 		// Fully in-memory: heap-sort via the same counting priority queue.
-		q := newSelTree(clock, kindKey, int(f.NumTuples()), cfg.kernels())
+		q := newKQueue(clock, kindKey, int(f.NumTuples()))
 		err := f.Scan(cfg.Input, func(t tuple.Tuple) bool {
 			q.Push(item{key: schema.KeyBytes(t, cfg.Col), tup: t.Clone()})
 			return true
@@ -151,14 +143,14 @@ func SortWith(f *heap.File, cfg Config) (Stream, Stats, error) {
 		return &memStream{q: q}, Stats{Runs: 1, Chunks: 1, InMemory: true}, nil
 	}
 
-	runs, err := formRuns(f, cfg.Col, cfg.MemTuples, cfg.Prefix, cfg.Input, cfg.kernels())
+	runs, err := formRuns(f, cfg.Col, cfg.MemTuples, cfg.Prefix, cfg.Input)
 	if err != nil {
 		return nil, Stats{}, err
 	}
 	stats := Stats{Runs: len(runs), Chunks: 1}
 	if cfg.MaxFanout > 1 {
 		for len(runs) > cfg.MaxFanout {
-			runs, err = mergePass(runs, cfg.Col, cfg.MaxFanout, fmt.Sprintf("%s.m%d", cfg.Prefix, stats.MergePasses), cfg.kernels())
+			runs, err = mergePass(runs, cfg.Col, cfg.MaxFanout, fmt.Sprintf("%s.m%d", cfg.Prefix, stats.MergePasses))
 			if err != nil {
 				dropAll(runs)
 				return nil, Stats{}, err
@@ -167,7 +159,7 @@ func SortWith(f *heap.File, cfg Config) (Stream, Stats, error) {
 		}
 	}
 	stats.FinalRuns = len(runs)
-	ms, err := mergeRuns(runs, cfg.Col, cfg.kernels())
+	ms, err := mergeRuns(runs, cfg.Col)
 	if err != nil {
 		dropAll(runs)
 		return nil, Stats{}, err
@@ -208,7 +200,7 @@ func dropAll(runs []*heap.File) {
 // mergePass merges groups of up to fanout runs into longer runs, reading
 // run pages with random IO and writing the merged output sequentially.
 // On error every input run and the partial output are dropped.
-func mergePass(runs []*heap.File, col, fanout int, prefix string, kernel bool) ([]*heap.File, error) {
+func mergePass(runs []*heap.File, col, fanout int, prefix string) ([]*heap.File, error) {
 	var next []*heap.File
 	fail := func(ms Stream, out *heap.File, err error) ([]*heap.File, error) {
 		if ms != nil {
@@ -232,7 +224,7 @@ func mergePass(runs []*heap.File, col, fanout int, prefix string, kernel bool) (
 			runs[i] = nil // owned by next now
 			continue
 		}
-		ms, err := mergeRuns(group, col, kernel)
+		ms, err := mergeRuns(group, col)
 		if err != nil {
 			return fail(nil, nil, err)
 		}
@@ -267,8 +259,8 @@ func mergePass(runs []*heap.File, col, fanout int, prefix string, kernel bool) (
 // formRuns performs replacement selection with a queue of memTuples
 // elements, writing each run to its own heap file with sequential IO.
 // Run files are created lazily (on first emit) and dropped on error.
-func formRuns(f *heap.File, col int, memTuples int, prefix string, inputAccess simio.Access, kernel bool) ([]*heap.File, error) {
-	runs, sorted, err := replacementSelect(f, 0, f.NumPages(), col, memTuples, prefix, inputAccess, false, kernel)
+func formRuns(f *heap.File, col int, memTuples int, prefix string, inputAccess simio.Access) ([]*heap.File, error) {
+	runs, sorted, err := replacementSelect(f, 0, f.NumPages(), col, memTuples, prefix, inputAccess, false)
 	if err != nil {
 		return nil, err
 	}
@@ -285,12 +277,12 @@ func formRuns(f *heap.File, col int, memTuples int, prefix string, inputAccess s
 // range fits the queue, no run file is written and the sorted tuples are
 // returned in memory instead — the chunked sort's per-chunk shortcut.
 // On error, every run file created so far is dropped.
-func replacementSelect(f *heap.File, start, end, col, slots int, prefix string, inputAccess simio.Access, allowMem bool, kernel bool) ([]*heap.File, []tuple.Tuple, error) {
+func replacementSelect(f *heap.File, start, end, col, slots int, prefix string, inputAccess simio.Access, allowMem bool) ([]*heap.File, []tuple.Tuple, error) {
 	disk := f.Disk()
 	clock := disk.Clock()
 	schema := f.Schema()
 
-	q := newSelTree(clock, kindRunThenKey, slots, kernel)
+	q := newKQueue(clock, kindRunThenKey, slots)
 	var runs []*heap.File
 	var out *heap.File
 	curRun := 0

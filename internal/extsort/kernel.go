@@ -1,9 +1,9 @@
-// Cache-conscious kernel layout for the sort's selection tree.
-//
-// The charged algorithm is untouched: kqueue is the same binary heap as
-// pqueue — same sift paths, same short-circuit order in siftDown, same one
-// comparison / one swap charges — so the §3 counters are bit-identical by
-// construction. What changes is purely physical:
+// The sort's counting selection tree: a binary min-heap that charges one
+// comparison per key compare and one swap per element movement. The paper's
+// priority-queue terms — (comp+swap) per level per insertion — fall out of
+// counting the actual sift operations. The sift paths, the short-circuit
+// order in siftDown and the charges are pinned by tests against the seed's
+// item-array heap (pqueue_test.go). The physical layout is cache-conscious:
 //
 //   - Heap nodes are flat 16-byte {prefix, run, ref} records instead of
 //     56-byte items carrying two slice headers. A sift swap moves one
@@ -19,12 +19,11 @@
 //     list, so pushing and popping never moves tuple or key headers
 //     through the heap.
 //
-// A d-ary/tournament (loser) tree was evaluated for this role and rejected:
-// it performs exactly ceil(log2 k) comparisons per replacement, while the
+// A tournament (loser) tree was evaluated for this role and rejected: it
+// performs exactly ceil(log2 k) comparisons per replacement, while the
 // paper's binary heap charges a data-dependent number (the actual sift
 // path), so a charged loser tree cannot reproduce the §3 accounting
-// bit-for-bit at plan-identical knobs. It ships in loser.go as a tested,
-// benchmarked reference quantifying what the cost-model fidelity costs.
+// bit-for-bit at plan-identical knobs.
 package extsort
 
 import (
@@ -32,6 +31,23 @@ import (
 	"encoding/binary"
 
 	"mmdb/internal/cost"
+	"mmdb/internal/tuple"
+)
+
+// item is a priority queue element: a tuple, its sort key, and the run it
+// belongs to (run formation) or comes from (merge).
+type item struct {
+	run int
+	key []byte
+	tup tuple.Tuple
+}
+
+// lessKind names the two charged orderings.
+type lessKind int
+
+const (
+	kindRunThenKey lessKind = iota // replacement selection
+	kindKey                        // merge (run breaks ties)
 )
 
 // knode is one heap slot: the key prefix, the run, and the arena index of
@@ -42,8 +58,8 @@ type knode struct {
 	ref    int32
 }
 
-// kqueue is the cache-kernel selection tree. See the file comment for the
-// counter-identity argument.
+// kqueue is the selection tree. See the file comment for the charge
+// discipline and the layout.
 type kqueue struct {
 	clock *cost.Clock
 	byRun bool
@@ -104,8 +120,9 @@ func (q *kqueue) cmp(a, b *knode) int {
 	return bytes.Compare(q.arena[a.ref].key, q.arena[b.ref].key)
 }
 
-// less replicates byRunThenKey / byKey exactly, including when the
-// comparison charge is made.
+// less orders nodes: for replacement selection, current-run elements
+// first, by key within a run (a run mismatch charges nothing); for merges,
+// by key with the run breaking ties for determinism.
 func (q *kqueue) less(a, b *knode) bool {
 	if q.byRun {
 		if a.run != b.run {
@@ -182,9 +199,8 @@ func (q *kqueue) Replace(it item) item {
 	return out
 }
 
-// siftDown mirrors pqueue.siftDown's evaluation order exactly: the
-// right-vs-left probe short-circuits on right < n first, then the
-// child-vs-parent test, so the charged comparison sequence is identical.
+// siftDown's evaluation order is part of the accounting: the right-vs-left
+// probe short-circuits on right < n first, then the child-vs-parent test.
 func (q *kqueue) siftDown(i int) {
 	n := len(q.nodes)
 	for {

@@ -12,16 +12,16 @@ import (
 	"mmdb/internal/tuple"
 )
 
-// TestSortKernelQueueMatchesPQueue drives the classic heap and the kernel
-// queue through an identical randomized op sequence for both orderings and
-// requires identical pop results and bit-identical counters.
+// TestSortKernelQueueMatchesPQueue drives the reference heap and the
+// engine's queue through an identical randomized op sequence for both
+// orderings and requires identical pop results and bit-identical counters.
 func TestSortKernelQueueMatchesPQueue(t *testing.T) {
 	for _, kind := range []lessKind{kindRunThenKey, kindKey} {
 		t.Run(fmt.Sprintf("kind=%d", kind), func(t *testing.T) {
 			pc := cost.NewClock(cost.DefaultParams())
 			kc := cost.NewClock(cost.DefaultParams())
-			pq := newSelTree(pc, kind, 64, false)
-			kq := newSelTree(kc, kind, 64, true)
+			pq := newRefQueue(pc, kind, 64)
+			kq := newKQueue(kc, kind, 64)
 			rng := rand.New(rand.NewSource(7))
 			for step := 0; step < 20000; step++ {
 				switch op := rng.Intn(3); {
@@ -59,8 +59,8 @@ func TestSortKernelQueueMatchesPQueue(t *testing.T) {
 }
 
 // TestSortKernelPrefixFallback exercises keys longer than the 8-byte
-// in-node prefix and keys of mixed lengths, where the kernel queue must
-// fall back to full byte compares without drifting.
+// in-node prefix and keys of mixed lengths, where the queue must fall back
+// to full byte compares without drifting from the reference heap.
 func TestSortKernelPrefixFallback(t *testing.T) {
 	longKey := func(k int) []byte {
 		// 12-byte keys sharing an 8-byte prefix for k in the same bucket.
@@ -71,8 +71,8 @@ func TestSortKernelPrefixFallback(t *testing.T) {
 	}
 	pc := cost.NewClock(cost.DefaultParams())
 	kc := cost.NewClock(cost.DefaultParams())
-	pq := newSelTree(pc, kindKey, 8, false)
-	kq := newSelTree(kc, kindKey, 8, true)
+	pq := newRefQueue(pc, kindKey, 8)
+	kq := newKQueue(kc, kindKey, 8)
 	rng := rand.New(rand.NewSource(11))
 	var keys [][]byte
 	for i := 0; i < 4000; i++ {
@@ -98,168 +98,41 @@ func TestSortKernelPrefixFallback(t *testing.T) {
 	}
 }
 
-// sortBothKernels sorts the same input with the kernel on and off at the
-// given plan/schedule knobs, returning both outputs and counter deltas.
-func sortBothKernels(t *testing.T, n int, chunks, parallelism int) (on, off []int64, onC, offC cost.Counters) {
-	t.Helper()
-	run := func(noKernel bool) ([]int64, cost.Counters) {
-		f := makeFile(t, n, int64(n)*4, 99)
-		clock := f.Disk().Clock()
-		before := clock.Counters()
-		s, _, err := SortWith(f, Config{
-			Col: 0, MemTuples: 64, MaxFanout: 8, Prefix: "t", Input: simio.Uncharged,
-			Chunks: chunks, Parallelism: parallelism, NoKernel: noKernel,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := drain(t, s)
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return out, clock.Counters().Sub(before)
-	}
-	on, onC = run(false)
-	off, offC = run(true)
-	return
-}
-
-// TestSortKernelIdenticalToClassic is the sort half of the cachelab
-// invariant at unit level: same plan knobs ⇒ kernel on/off produce the
-// same tuple sequence and bit-identical counters, across chunked plans and
-// schedule widths, including a SortChunks=64-style wide root.
+// TestSortKernelIdenticalToClassic pins the sort's counters to the values
+// the classic item-array heap and per-tuple pumps charged at the commit
+// that deleted them (where kernel on and off were bit-identical): same plan
+// knobs ⇒ the same charges, across chunked plans and schedule widths,
+// including a SortChunks=64-style wide root. A moved charge fails here.
 func TestSortKernelIdenticalToClassic(t *testing.T) {
 	for _, tc := range []struct {
 		n, chunks, par int
+		want           cost.Counters
 	}{
-		{40, 1, 1},    // in-memory
-		{900, 1, 1},   // classic external
-		{900, 4, 1},   // chunked, serial schedule
-		{900, 4, 4},   // chunked, parallel pumps
-		{2000, 64, 4}, // very wide root (deep-merge satellite rung)
+		{40, 1, 1, cost.Counters{Comps: 320, Swaps: 157}},                                     // in-memory
+		{900, 1, 1, cost.Counters{Comps: 12352, Swaps: 6624, SeqIOs: 79, RandIOs: 79}},        // classic external
+		{900, 4, 1, cost.Counters{Comps: 10491, Swaps: 5329, SeqIOs: 253, RandIOs: 253}},      // chunked, serial schedule
+		{900, 4, 4, cost.Counters{Comps: 10491, Swaps: 5329, SeqIOs: 253, RandIOs: 253}},      // chunked, parallel pumps
+		{2000, 64, 4, cost.Counters{Comps: 30420, Swaps: 14555, SeqIOs: 1297, RandIOs: 1297}}, // very wide root (deep-merge satellite rung)
 	} {
 		t.Run(fmt.Sprintf("n=%d/chunks=%d/par=%d", tc.n, tc.chunks, tc.par), func(t *testing.T) {
-			on, off, onC, offC := sortBothKernels(t, tc.n, tc.chunks, tc.par)
-			if len(on) != len(off) {
-				t.Fatalf("lengths diverge: %d vs %d", len(on), len(off))
+			f := makeFile(t, tc.n, int64(tc.n)*4, 99)
+			clock := f.Disk().Clock()
+			before := clock.Counters()
+			s, _, err := SortWith(f, Config{
+				Col: 0, MemTuples: 64, MaxFanout: 8, Prefix: "t", Input: simio.Uncharged,
+				Chunks: tc.chunks, Parallelism: tc.par,
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-			for i := range on {
-				if on[i] != off[i] {
-					t.Fatalf("output diverges at %d: %d vs %d", i, on[i], off[i])
-				}
+			out := drain(t, s)
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
 			}
-			if onC != offC {
-				t.Fatalf("counters diverge:\nkernel on  %+v\nkernel off %+v", onC, offC)
+			checkSorted(t, f, out)
+			if got := clock.Counters().Sub(before); got != tc.want {
+				t.Fatalf("counters moved:\ngot  %+v\nwant %+v", got, tc.want)
 			}
 		})
-	}
-}
-
-// TestTournamentTreeMergesInOrder checks the loser-tree reference produces
-// the exact merge order byKey realizes (key order, source index breaking
-// ties).
-func TestTournamentTreeMergesInOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	const k = 9 // non-power-of-two: exercises padding leaves
-	srcs := make([][][]byte, k)
-	var all [][]byte
-	for s := 0; s < k; s++ {
-		n := rng.Intn(200)
-		keys := make([][]byte, n)
-		for i := range keys {
-			keys[i] = intKey(rng.Intn(300))
-		}
-		sort.Slice(keys, func(i, j int) bool { return bytes.Compare(keys[i], keys[j]) < 0 })
-		srcs[s] = keys
-		all = append(all, keys...)
-	}
-	sort.SliceStable(all, func(i, j int) bool { return bytes.Compare(all[i], all[j]) < 0 })
-
-	pos := make([]int, k)
-	tt := NewTournamentTree(k, func(src int) ([]byte, bool) {
-		if pos[src] >= len(srcs[src]) {
-			return nil, false
-		}
-		key := srcs[src][pos[src]]
-		pos[src]++
-		return key, true
-	})
-	var got [][]byte
-	lastSrc := -1
-	lastKey := []byte(nil)
-	for {
-		key, src, ok := tt.Next()
-		if !ok {
-			break
-		}
-		if lastKey != nil && bytes.Equal(key, lastKey) && src < lastSrc {
-			t.Fatalf("tie broke toward higher source: %d after %d", src, lastSrc)
-		}
-		lastKey, lastSrc = key, src
-		got = append(got, key)
-	}
-	if len(got) != len(all) {
-		t.Fatalf("merged %d keys, want %d", len(got), len(all))
-	}
-	for i := range all {
-		if !bytes.Equal(got[i], all[i]) {
-			t.Fatalf("order diverges at %d: %v vs %v", i, got[i], all[i])
-		}
-	}
-}
-
-// TestTournamentChargeScheduleDiffersFromHeap documents why the loser tree
-// is a reference, not the charged structure: for the same merge its
-// physical comparison count differs from the heap's charged comparisons,
-// so adopting it as charged would break the §3 accounting.
-func TestTournamentChargeScheduleDiffersFromHeap(t *testing.T) {
-	const k = 5
-	srcs := make([][][]byte, k)
-	for s := 0; s < k; s++ {
-		keys := make([][]byte, 50)
-		for i := range keys {
-			keys[i] = intKey(s + i*k)
-		}
-		srcs[s] = keys
-	}
-
-	clock := cost.NewClock(cost.DefaultParams())
-	q := newSelTree(clock, kindKey, k, false)
-	pos := make([]int, k)
-	for s := 0; s < k; s++ {
-		q.Push(item{run: s, key: srcs[s][0]})
-		pos[s] = 1
-	}
-	for q.Len() > 0 {
-		it := q.Pop()
-		if pos[it.run] < len(srcs[it.run]) {
-			q.Push(item{run: it.run, key: srcs[it.run][pos[it.run]]})
-			pos[it.run]++
-		}
-	}
-	heapComps := clock.Counters().Comps
-
-	treeComps := int64(0)
-	pos = make([]int, k)
-	count := func(x, y []byte) int {
-		treeComps++
-		return bytes.Compare(x, y)
-	}
-	tt := NewTournamentTree(k, func(src int) ([]byte, bool) {
-		if pos[src] >= len(srcs[src]) {
-			return nil, false
-		}
-		key := srcs[src][pos[src]]
-		pos[src]++
-		return key, true
-	})
-	tt.compare = count
-	for {
-		if _, _, ok := tt.Next(); !ok {
-			break
-		}
-	}
-	if heapComps == treeComps {
-		t.Fatalf("expected differing comparison schedules, both %d — revisit the kernel design notes", heapComps)
 	}
 }

@@ -20,7 +20,7 @@ const pumpBuffer = 128
 // memStream drains an in-memory priority queue, charging the heap pops as
 // the consumer pulls — the classic (Chunks=1) in-memory sort.
 type memStream struct {
-	q selTree
+	q *kqueue
 }
 
 func (s *memStream) Next() (tuple.Tuple, bool) {
@@ -120,18 +120,18 @@ type mergeStream struct {
 	col     int
 	schema  *tuple.Schema
 	cursors []*runCursor
-	q       selTree
+	q       *kqueue
 	err     error
 	closed  bool
 }
 
-func mergeRuns(runs []*heap.File, col int, kernel bool) (*mergeStream, error) {
+func mergeRuns(runs []*heap.File, col int) (*mergeStream, error) {
 	if len(runs) == 0 {
 		return nil, fmt.Errorf("extsort: no runs to merge")
 	}
 	clock := runs[0].Disk().Clock()
 	schema := runs[0].Schema()
-	ms := &mergeStream{col: col, schema: schema, q: newSelTree(clock, kindKey, len(runs), kernel)}
+	ms := &mergeStream{col: col, schema: schema, q: newKQueue(clock, kindKey, len(runs))}
 	for i, rf := range runs {
 		c := &runCursor{file: rf}
 		ms.cursors = append(ms.cursors, c)
@@ -174,86 +174,17 @@ func (m *mergeStream) Close() error {
 	return m.err
 }
 
-// pumpStream runs an interior merge node eagerly: a goroutine pulls the
-// inner stream and sends through a bounded channel, so leaf merges make
-// progress while the root is busy elsewhere. On Close (or when the inner
-// stream is exhausted) the pump finishes reading the inner stream before
-// closing it, keeping charges independent of where the consumer stopped
-// and of scheduling.
-type pumpStream struct {
-	ch   chan tuple.Tuple
-	stop chan struct{}
-	done chan struct{}
-	once sync.Once
-	err  error
-}
-
-func newPumpStream(inner Stream, buf int) *pumpStream {
-	p := &pumpStream{
-		ch:   make(chan tuple.Tuple, buf),
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-	}
-	go func() {
-		for {
-			t, ok := inner.Next()
-			if !ok {
-				break
-			}
-			select {
-			case p.ch <- t:
-			case <-p.stop:
-				// Consumer abandoned the stream: finish the inner reads
-				// so the charged counters stay schedule-independent.
-				for {
-					if _, ok := inner.Next(); !ok {
-						break
-					}
-				}
-			}
-		}
-		p.err = inner.Err()
-		inner.Close()
-		close(p.done)
-		close(p.ch)
-	}()
-	return p
-}
-
-func (p *pumpStream) Next() (tuple.Tuple, bool) {
-	t, ok := <-p.ch
-	if !ok {
-		return nil, false
-	}
-	return t, true
-}
-
-// Err reports the inner stream's error once the pump has finished; while
-// the pump is still running there is no error to report yet.
-func (p *pumpStream) Err() error {
-	select {
-	case <-p.done:
-		return p.err
-	default:
-		return nil
-	}
-}
-
-func (p *pumpStream) Close() error {
-	p.once.Do(func() { close(p.stop) })
-	<-p.done
-	return p.err
-}
-
 // pumpBatch is how many tuples a batched pump moves per channel operation.
 const pumpBatch = 32
 
-// batchPumpStream is the kernel-mode interior pump: identical drain/Close
-// contract to pumpStream, but tuples cross the channel in pumpBatch-sized
-// slices, amortizing the per-tuple channel synchronization that dominates
-// a wide merge root's interior nodes. Charges are unchanged — batching
-// only reschedules when the inner stream is pulled, and the Stream
-// contract already guarantees schedule-independent totals.
+// batchPumpStream runs an interior merge node eagerly: a goroutine pulls
+// the inner stream and sends through a bounded channel, so leaf merges make
+// progress while the root is busy elsewhere. Tuples cross the channel in
+// pumpBatch-sized slices, amortizing the per-tuple channel synchronization
+// that would dominate a wide merge root's interior nodes. On Close (or when
+// the inner stream is exhausted) the pump finishes reading the inner stream
+// before closing it, keeping charges independent of where the consumer
+// stopped and of scheduling.
 type batchPumpStream struct {
 	ch   chan []tuple.Tuple
 	cur  []tuple.Tuple
@@ -354,24 +285,24 @@ type treeStream struct {
 	col      int
 	schema   *tuple.Schema
 	children []Stream
-	q        selTree
+	q        *kqueue
 	err      error
 	closed   bool
 }
 
 // newTreeStream builds the root selection tree. The charged structure is
 // always the flat fan-in over all chunk streams (changing it would change
-// plan counters); with the kernel layout the root's nodes are 16-byte
-// prefix records — a 64-chunk root is one KiB of heap, cache-resident even
-// at very high SortChunks — and the interior pumps feeding it are batched
-// (see newBatchPumpStream), which is what keeps a wide root from becoming
-// a per-tuple channel bottleneck.
-func newTreeStream(children []Stream, schema *tuple.Schema, col int, clock *cost.Clock, kernel bool) (*treeStream, error) {
+// plan counters); the root's nodes are 16-byte prefix records — a 64-chunk
+// root is one KiB of heap, cache-resident even at very high SortChunks —
+// and the interior pumps feeding it are batched (see newBatchPumpStream),
+// which is what keeps a wide root from becoming a per-tuple channel
+// bottleneck.
+func newTreeStream(children []Stream, schema *tuple.Schema, col int, clock *cost.Clock) (*treeStream, error) {
 	t := &treeStream{
 		col:      col,
 		schema:   schema,
 		children: children,
-		q:        newSelTree(clock, kindKey, len(children), kernel),
+		q:        newKQueue(clock, kindKey, len(children)),
 	}
 	for i, c := range children {
 		tup, ok := c.Next()

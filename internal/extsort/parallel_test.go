@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"mmdb/internal/cost"
+	"mmdb/internal/fault"
 	"mmdb/internal/heap"
 	"mmdb/internal/simio"
 	"mmdb/internal/tuple"
@@ -232,7 +233,7 @@ func TestErrorPathDropsRunFiles(t *testing.T) {
 	for _, chunks := range []int{1, 4} {
 		for _, failAfter := range []int64{1, 5, 20, 50} {
 			f := makeFile(t, 1500, 1<<40, 41)
-			f.Disk().FailAfter(failAfter)
+			f.Disk().SetInjector(fault.NewInjector(0).PermanentAfter("", failAfter))
 			s, _, err := SortWith(f, Config{Col: 0, MemTuples: 60, MaxFanout: 4,
 				Prefix: "e", Input: simio.Uncharged, Chunks: chunks, Parallelism: 2})
 			if err == nil {

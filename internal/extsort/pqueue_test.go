@@ -1,6 +1,7 @@
 package extsort
 
 import (
+	"bytes"
 	"math/rand"
 	"sort"
 	"testing"
@@ -76,4 +77,114 @@ func TestPQueueReplace(t *testing.T) {
 	if len(order) != 3 || order[0] != 5 || order[1] != 7 || order[2] != 9 {
 		t.Fatalf("after replace: %v", order)
 	}
+}
+
+// The seed's item-array binary heap, kept verbatim as the reference the
+// engine's kqueue is compared against (TestSortKernelQueueMatchesPQueue):
+// identical pops, identical charges.
+
+// lessFunc orders queue items, charging comparisons on the clock as it
+// goes.
+type lessFunc func(a, b *item) bool
+
+// byRunThenKey orders for replacement selection: current-run elements
+// first, by key within a run.
+func byRunThenKey(clock *cost.Clock) lessFunc {
+	return func(a, b *item) bool {
+		if a.run != b.run {
+			return a.run < b.run
+		}
+		clock.Comps(1)
+		return bytes.Compare(a.key, b.key) < 0
+	}
+}
+
+// byKey orders for the final merge (run field breaks ties for determinism).
+func byKey(clock *cost.Clock) lessFunc {
+	return func(a, b *item) bool {
+		clock.Comps(1)
+		if c := bytes.Compare(a.key, b.key); c != 0 {
+			return c < 0
+		}
+		return a.run < b.run
+	}
+}
+
+// pqueue is a binary min-heap that charges one swap per element movement.
+// The paper's priority-queue terms — (comp+swap) per level per insertion —
+// fall out of counting the actual sift operations.
+type pqueue struct {
+	clock *cost.Clock
+	less  lessFunc
+	items []item
+}
+
+func newPQueue(clock *cost.Clock, less lessFunc, capacity int) *pqueue {
+	return &pqueue{clock: clock, less: less, items: make([]item, 0, capacity)}
+}
+
+func (q *pqueue) Len() int { return len(q.items) }
+
+func (q *pqueue) Peek() *item { return &q.items[0] }
+
+func (q *pqueue) Push(it item) {
+	q.items = append(q.items, it)
+	i := len(q.items) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !q.less(&q.items[i], &q.items[parent]) {
+			break
+		}
+		q.clock.Swaps(1)
+		q.items[i], q.items[parent] = q.items[parent], q.items[i]
+		i = parent
+	}
+}
+
+func (q *pqueue) Pop() item {
+	top := q.items[0]
+	last := len(q.items) - 1
+	q.items[0] = q.items[last]
+	q.items = q.items[:last]
+	if last > 0 {
+		q.siftDown(0)
+	}
+	return top
+}
+
+// Replace pops the minimum and pushes it in one sift, the classic
+// replacement-selection step.
+func (q *pqueue) Replace(it item) item {
+	top := q.items[0]
+	q.items[0] = it
+	q.siftDown(0)
+	return top
+}
+
+func (q *pqueue) siftDown(i int) {
+	n := len(q.items)
+	for {
+		left, right := 2*i+1, 2*i+2
+		if left >= n {
+			return
+		}
+		child := left
+		if right < n && q.less(&q.items[right], &q.items[left]) {
+			child = right
+		}
+		if !q.less(&q.items[child], &q.items[i]) {
+			return
+		}
+		q.clock.Swaps(1)
+		q.items[i], q.items[child] = q.items[child], q.items[i]
+		i = child
+	}
+}
+
+// newRefQueue returns the reference heap for the given ordering.
+func newRefQueue(clock *cost.Clock, kind lessKind, capacity int) *pqueue {
+	if kind == kindRunThenKey {
+		return newPQueue(clock, byRunThenKey(clock), capacity)
+	}
+	return newPQueue(clock, byKey(clock), capacity)
 }

@@ -256,31 +256,6 @@ func TestTornWriteExposesChecksummedPrefix(t *testing.T) {
 	}
 }
 
-func TestFailAfterShimStillWorks(t *testing.T) {
-	disk, _ := newDisk()
-	disk.FailAfter(2)
-	sp := disk.MustCreate("t")
-	for i := 0; i < 2; i++ {
-		if _, err := sp.Append([]byte{1}, simio.Seq); err != nil {
-			t.Fatalf("IO %d within budget failed: %v", i, err)
-		}
-	}
-	_, err := sp.Append([]byte{1}, simio.Seq)
-	if !errors.Is(err, simio.ErrInjected) {
-		t.Fatalf("shim failure: %v", err)
-	}
-	// FailAfter errors are not transient: Retry must fail fast.
-	attempts := 0
-	rerr := Retry(nil, 0, func() error { attempts++; _, e := sp.Append([]byte{1}, simio.Seq); return e })
-	if rerr == nil || attempts != 1 {
-		t.Fatalf("FailAfter error retried %d times (err %v)", attempts, rerr)
-	}
-	disk.FailAfter(-1)
-	if _, err := sp.Append([]byte{1}, simio.Seq); err != nil {
-		t.Fatalf("disarm failed: %v", err)
-	}
-}
-
 func TestStatsAccounting(t *testing.T) {
 	disk, _ := newDisk()
 	inj := NewInjector(1).TransientEvery("", 2).StallEvery("", 3, 2)

@@ -9,7 +9,7 @@ import (
 
 func BenchmarkHash(b *testing.B) {
 	clock := cost.NewClock(cost.DefaultParams())
-	h := NewHasher(clock, 0)
+	h := NewFastHasher(clock, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.Hash(key(int64(i)))

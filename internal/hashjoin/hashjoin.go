@@ -1,7 +1,7 @@
 // Package hashjoin provides the shared machinery of the paper's hash-based
 // algorithms (§3.3): a salted hash function, a weighted splitter that
-// realizes "a partition of R compatible with h", a cost-counting chained
-// hash table, and a disk partitioner with one output buffer page per
+// realizes "a partition of R compatible with h", a cost-counting hash
+// table (kernel.go), and a disk partitioner with one output buffer page per
 // partition.
 //
 // Cost discipline: hashing a key is charged exactly once per tuple per pass
@@ -11,9 +11,7 @@
 package hashjoin
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 
 	"mmdb/internal/cost"
 	"mmdb/internal/heap"
@@ -27,27 +25,40 @@ import (
 type Hasher struct {
 	clock *cost.Clock
 	level uint32
-	fast  bool
 }
 
-// NewHasher returns a hasher at the given recursion level.
-func NewHasher(clock *cost.Clock, level uint32) Hasher {
+// NewFastHasher returns a hasher at the given recursion level. (The name
+// dates from when a slower stdlib-FNV hasher sat beside it; bench/ imports
+// it, so it stays.)
+func NewFastHasher(clock *cost.Clock, level uint32) Hasher {
 	return Hasher{clock: clock, level: level}
 }
 
-// Hash returns a 64-bit hash of key, charging one hash operation. The fast
-// (kernel) variant computes the identical value without allocating.
+// Hash returns a 64-bit hash of key, charging one hash operation.
 func (h Hasher) Hash(key []byte) uint64 {
 	h.clock.Hashes(1)
-	if h.fast {
-		return fastHash(h.level, key)
+	return fastHash(h.level, key)
+}
+
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fastHash is FNV-1a over the 4 big-endian salt bytes followed by key,
+// finalized with fmix64 — the values hash/fnv would produce, without
+// allocating its state per call.
+func fastHash(level uint32, key []byte) uint64 {
+	salt := level + 0x9e3779b9
+	h := uint64(fnvOffset64)
+	h = (h ^ uint64(salt>>24&0xff)) * fnvPrime64
+	h = (h ^ uint64(salt>>16&0xff)) * fnvPrime64
+	h = (h ^ uint64(salt>>8&0xff)) * fnvPrime64
+	h = (h ^ uint64(salt&0xff)) * fnvPrime64
+	for _, b := range key {
+		h = (h ^ uint64(b)) * fnvPrime64
 	}
-	f := fnv.New64a()
-	var salt [4]byte
-	binary.BigEndian.PutUint32(salt[:], h.level+0x9e3779b9)
-	f.Write(salt[:])
-	f.Write(key)
-	return fmix64(f.Sum64())
+	return fmix64(h)
 }
 
 // fmix64 is the MurmurHash3 finalizer. FNV alone leaves the high bits
@@ -129,63 +140,6 @@ func (s *Splitter) Partition(h uint64) int {
 	return lo
 }
 
-type entry struct {
-	hash uint64
-	tup  tuple.Tuple
-}
-
-// Table is a chained hash table over tuples keyed by one column. Inserts
-// charge one move; probes charge one comparison per candidate examined
-// (the paper's F*comp expected probe cost).
-type Table struct {
-	clock   *cost.Clock
-	schema  *tuple.Schema
-	col     int
-	buckets [][]entry
-	mask    uint64
-	n       int
-}
-
-// NewTable creates a table sized for the expected number of tuples.
-func NewTable(clock *cost.Clock, schema *tuple.Schema, col int, expected int) *Table {
-	nb := 16
-	for nb < expected {
-		nb <<= 1
-	}
-	return &Table{
-		clock:   clock,
-		schema:  schema,
-		col:     col,
-		buckets: make([][]entry, nb),
-		mask:    uint64(nb - 1),
-	}
-}
-
-// Len returns the number of stored tuples.
-func (t *Table) Len() int { return t.n }
-
-// Insert stores tup (whose key hashed to h), charging one move.
-func (t *Table) Insert(h uint64, tup tuple.Tuple) {
-	t.clock.Moves(1)
-	b := h & t.mask
-	t.buckets[b] = append(t.buckets[b], entry{hash: h, tup: tup})
-	t.n++
-}
-
-// Probe calls fn with every stored tuple whose key equals key (which hashed
-// to h). Each candidate whose full key is compared charges one comparison.
-func (t *Table) Probe(h uint64, key []byte, fn func(tuple.Tuple)) {
-	for _, e := range t.buckets[h&t.mask] {
-		if e.hash != h {
-			continue
-		}
-		t.clock.Comps(1)
-		if keyEqual(t.schema.KeyBytes(e.tup, t.col), key) {
-			fn(e.tup)
-		}
-	}
-}
-
 // Keyed is a pre-hashed tuple, the unit of work the parallel operators
 // route between hash shards: the hash is computed (and charged) once on
 // the scanning goroutine, then carried to whichever worker owns the shard.
@@ -194,31 +148,31 @@ type Keyed struct {
 	Tuple tuple.Tuple
 }
 
-// ShardedTable is a hash table split into 2^k independently owned shards,
-// routed by the top bits of the 64-bit hash — disjoint from the low bits
-// Table uses for bucket selection. Distinct shards may be built and probed
-// concurrently without locks; a single shard must be owned by one
-// goroutine at a time. Cost accounting is identical to one big Table:
-// inserts charge one move and probes one comparison per full-hash match,
-// and since a matching 64-bit hash lands two tuples in the same shard and
-// bucket under any sharding, a parallel run tallies exactly the same
-// counters as a serial one.
+// ShardedTable is a hash table split into 2^k independently owned
+// KernelTable shards, routed by the top bits of the 64-bit hash — disjoint
+// from the bits a KernelTable uses for sub-table and slot selection.
+// Distinct shards may be built and probed concurrently without locks; a
+// single shard must be owned by one goroutine at a time. Cost accounting is
+// identical to one big table: inserts charge one move and probes one
+// comparison per full-hash match, and since a matching 64-bit hash lands
+// two tuples in the same shard under any sharding, a parallel run tallies
+// exactly the same counters as a serial one.
 //
 // The shard index reuses the hash bits a Splitter would consume, so a
 // ShardedTable must not be combined with a Splitter over the same hash
 // values; the operators only use it when the whole relation is
 // memory-resident and no disk partitioning happens (§3.7's q = 1 case).
 type ShardedTable struct {
-	shards []SubTable
+	shards []*KernelTable
 	shift  uint
 }
 
-// NewShardedTable creates a table of nshards shards (rounded up to a power
-// of two) sized for the expected total number of tuples. Per-shard sizing
-// rounds the share up (ceil, not truncate-plus-one) so shards never start
-// undersized; NewShardedKernelTable further rounds up to the
-// open-addressing load-factor target with skew headroom.
-func NewShardedTable(clock *cost.Clock, schema *tuple.Schema, col int, expected, nshards int) *ShardedTable {
+// NewShardedKernelTable creates a table of nshards shards (rounded up to a
+// power of two) sized for the expected total number of tuples. Each shard's
+// sub-tables are sized for its ceil(expected/ns) share rounded up to the
+// load-factor target, plus 1/8 skew headroom, so realistic hash skew does
+// not force a mid-build rehash.
+func NewShardedKernelTable(clock *cost.Clock, schema *tuple.Schema, col int, expected, nshards int) *ShardedTable {
 	ns := 1
 	for ns < nshards {
 		ns <<= 1
@@ -227,10 +181,11 @@ func NewShardedTable(clock *cost.Clock, schema *tuple.Schema, col int, expected,
 	for 1<<k < ns {
 		k++
 	}
-	st := &ShardedTable{shards: make([]SubTable, ns), shift: 64 - k}
+	st := &ShardedTable{shards: make([]*KernelTable, ns), shift: 64 - k}
 	per := ceilDiv(expected, ns)
+	per += ceilDiv(per, 8)
 	for i := range st.shards {
-		st.shards[i] = NewTable(clock, schema, col, per)
+		st.shards[i] = NewKernelTable(clock, schema, col, per)
 	}
 	return st
 }
@@ -242,7 +197,7 @@ func (st *ShardedTable) NumShards() int { return len(st.shards) }
 func (st *ShardedTable) ShardOf(h uint64) int { return int(h >> st.shift) }
 
 // Shard returns shard i for direct single-owner access by a worker.
-func (st *ShardedTable) Shard(i int) SubTable { return st.shards[i] }
+func (st *ShardedTable) Shard(i int) *KernelTable { return st.shards[i] }
 
 // Insert routes tup (whose key hashed to h) to its shard, charging one
 // move. Not safe for concurrent calls that map to the same shard; workers
@@ -264,18 +219,6 @@ func (st *ShardedTable) Len() int {
 		n += s.Len()
 	}
 	return n
-}
-
-func keyEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // PartitionResult describes one disk partition produced by Partition.

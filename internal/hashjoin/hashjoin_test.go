@@ -20,7 +20,7 @@ func key(k int64) []byte {
 
 func TestHasherChargesAndIsDeterministic(t *testing.T) {
 	clock := cost.NewClock(cost.DefaultParams())
-	h := NewHasher(clock, 0)
+	h := NewFastHasher(clock, 0)
 	a := h.Hash(key(42))
 	b := h.Hash(key(42))
 	if a != b {
@@ -29,7 +29,7 @@ func TestHasherChargesAndIsDeterministic(t *testing.T) {
 	if clock.Counters().Hashes != 2 {
 		t.Fatalf("charged %d hashes", clock.Counters().Hashes)
 	}
-	h2 := NewHasher(clock, 1)
+	h2 := NewFastHasher(clock, 1)
 	if h2.Hash(key(42)) == a {
 		t.Fatal("levels must decorrelate the hash")
 	}
@@ -39,7 +39,7 @@ func TestHashHighBitsAreUniform(t *testing.T) {
 	// The Splitter keys on the top 32 bits; sequential integer keys must
 	// spread evenly (this was a real bug: bare FNV does not avalanche).
 	clock := cost.NewClock(cost.DefaultParams())
-	h := NewHasher(clock, 0)
+	h := NewFastHasher(clock, 0)
 	const n = 4000
 	const buckets = 8
 	counts := make([]int, buckets)
@@ -61,7 +61,7 @@ func TestSplitterWeights(t *testing.T) {
 		t.Fatal(err)
 	}
 	clock := cost.NewClock(cost.DefaultParams())
-	h := NewHasher(clock, 3)
+	h := NewFastHasher(clock, 3)
 	const n = 20000
 	counts := make([]int, 3)
 	for i := int64(0); i < n; i++ {
@@ -91,7 +91,7 @@ func TestSplitterValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	clock := cost.NewClock(cost.DefaultParams())
-	h := NewHasher(clock, 0)
+	h := NewFastHasher(clock, 0)
 	for i := int64(0); i < 100; i++ {
 		if sp.Partition(h.Hash(key(i))) != 1 {
 			t.Fatal("zero-weight partition got traffic")
@@ -115,7 +115,7 @@ func TestQuickPartitionIsTotalAndStable(t *testing.T) {
 			return false
 		}
 		clock := cost.NewClock(cost.DefaultParams())
-		h := NewHasher(clock, 0)
+		h := NewFastHasher(clock, 0)
 		p := sp.Partition(h.Hash(key(k)))
 		return p >= 0 && p < sp.NumPartitions() && p == sp.Partition(h.Hash(key(k)))
 	}
@@ -130,8 +130,8 @@ func TestTableInsertProbe(t *testing.T) {
 		tuple.Field{Name: "k", Kind: tuple.Int64},
 		tuple.Field{Name: "v", Kind: tuple.Int64},
 	)
-	tab := NewTable(clock, schema, 0, 16)
-	h := NewHasher(clock, 0)
+	tab := NewKernelTable(clock, schema, 0, 16)
+	h := NewFastHasher(clock, 0)
 	for i := int64(0); i < 50; i++ {
 		tab.Insert(h.Hash(key(i%10)), schema.MustEncode(tuple.IntValue(i%10), tuple.IntValue(i)))
 	}
@@ -174,7 +174,7 @@ func TestPartitionerFlushesAndCharges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := NewHasher(clock, 0)
+	h := NewFastHasher(clock, 0)
 	sp := Uniform(4)
 	src.Scan(simio.Uncharged, func(tp tuple.Tuple) bool {
 		if err := p.Add(sp.Partition(h.Hash(schema.KeyBytes(tp, 0))), tp); err != nil {
@@ -217,7 +217,7 @@ func TestSameKeysColocate(t *testing.T) {
 		}
 		b := int(b8)%7 + 1
 		clock := cost.NewClock(cost.DefaultParams())
-		h := NewHasher(clock, 0)
+		h := NewFastHasher(clock, 0)
 		sp := Uniform(b)
 		for _, k := range keys {
 			pr := sp.Partition(h.Hash(key(k)))

@@ -1,25 +1,23 @@
-// Cache-conscious kernel layout for the hash table: the same §3.3
-// accounting as the chained Table, over a radix-partitioned open-addressing
-// layout that keeps each probed region cache-resident.
+// The hash table: §3.3's accounting over a radix-partitioned
+// open-addressing layout that keeps each probed region cache-resident.
 //
-// Counter identity (the cachelab invariant) is by construction, not by
-// tuning:
+// The charge discipline is the paper's, and is pinned by tests against a
+// chained reference table (reference_test.go):
 //
-//   - Insert charges exactly one move, as Table.Insert does.
+//   - Insert charges exactly one move.
 //   - Probe charges one comparison per stored entry whose full 64-bit hash
-//     equals the probe hash — the same set the chained table charges,
-//     because both skip mismatched hashes without charging.
+//     equals the probe hash; mismatched hashes are skipped without charge.
 //   - Equal-hash entries are visited in insertion order: under linear
 //     probing with no deletions, a later insert with the same home slot
 //     always lands strictly later on the probe path (every earlier slot it
 //     scans is occupied), and rebuilds during growth re-place entries in
-//     insertion order. The chained table's bucket append gives the same
-//     order, so matched tuples reach fn in the same sequence.
+//     insertion order. Matched tuples therefore reach fn in the order a
+//     per-bucket append chain would give.
 //
-// What changes is purely physical: flat 16-byte slots scanned sequentially
-// instead of pointer-chased []entry chains, sub-tables sized to stay inside
-// the cache, and a batched probe path that groups a vector of pre-hashed
-// keys by destination partition so each sub-table is swept while hot.
+// The physical layout is flat 16-byte slots scanned sequentially,
+// sub-tables sized to stay inside the cache, and a batched probe path that
+// groups a vector of pre-hashed keys by destination partition so each
+// sub-table is swept while hot.
 package hashjoin
 
 import (
@@ -28,48 +26,6 @@ import (
 	"mmdb/internal/cost"
 	"mmdb/internal/tuple"
 )
-
-// SubTable is the probe-table surface shared by the chained Table and the
-// cache-kernel KernelTable; join operators pick the layout via this
-// interface without touching their accounting.
-type SubTable interface {
-	Insert(h uint64, tup tuple.Tuple)
-	Probe(h uint64, key []byte, fn func(tuple.Tuple))
-	Len() int
-}
-
-var (
-	_ SubTable = (*Table)(nil)
-	_ SubTable = (*KernelTable)(nil)
-)
-
-// NewFastHasher returns a hasher producing bit-identical values to
-// NewHasher's, computed without the per-call fnv.New64a allocation. Used on
-// the kernel path; the slow path stays byte-for-byte the seed code.
-func NewFastHasher(clock *cost.Clock, level uint32) Hasher {
-	return Hasher{clock: clock, level: level, fast: true}
-}
-
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-// fastHash is FNV-1a over the 4 big-endian salt bytes followed by key,
-// finalized with fmix64 — exactly the sequence Hasher.Hash feeds through
-// hash/fnv, with no allocation.
-func fastHash(level uint32, key []byte) uint64 {
-	salt := level + 0x9e3779b9
-	h := uint64(fnvOffset64)
-	h = (h ^ uint64(salt>>24&0xff)) * fnvPrime64
-	h = (h ^ uint64(salt>>16&0xff)) * fnvPrime64
-	h = (h ^ uint64(salt>>8&0xff)) * fnvPrime64
-	h = (h ^ uint64(salt&0xff)) * fnvPrime64
-	for _, b := range key {
-		h = (h ^ uint64(b)) * fnvPrime64
-	}
-	return fmix64(h)
-}
 
 const (
 	// kernelPartShift selects the radix bits for the sub-table index. The
@@ -111,12 +67,13 @@ type kpart struct {
 	entries []kentry
 }
 
-// KernelTable is the cache-kernel replacement for Table: tuples are
-// radix-partitioned by hash bits into open-addressing sub-tables small
-// enough to stay cache-resident, with flat slot arrays instead of
-// per-bucket chains. Accounting is bit-identical to Table (see the package
-// comment at the top of this file). Like Table, it is single-owner: one
-// goroutine at a time per table.
+// KernelTable is the engine's hash table over tuples keyed by one column:
+// tuples are radix-partitioned by hash bits into open-addressing sub-tables
+// small enough to stay cache-resident, with flat slot arrays instead of
+// per-bucket chains. Inserts charge one move; probes charge one comparison
+// per candidate examined (the paper's F*comp expected probe cost; see the
+// comment at the top of this file). It is single-owner: one goroutine at a
+// time per table.
 type KernelTable struct {
 	clock  *cost.Clock
 	schema *tuple.Schema
@@ -191,8 +148,7 @@ func (t *KernelTable) Grows() int { return t.grows }
 // NumParts returns the number of radix sub-tables.
 func (t *KernelTable) NumParts() int { return len(t.parts) }
 
-// Insert stores tup (whose key hashed to h), charging one move — the same
-// single charge as Table.Insert.
+// Insert stores tup (whose key hashed to h), charging one move.
 func (t *KernelTable) Insert(h uint64, tup tuple.Tuple) {
 	t.clock.Moves(1)
 	p := &t.parts[t.partIndex(h)]
@@ -211,8 +167,7 @@ func (t *KernelTable) Insert(h uint64, tup tuple.Tuple) {
 
 // grow doubles a part's slot array and re-places every entry in insertion
 // order, preserving equal-hash probe order. Growth is physical
-// housekeeping, not a §3 operation: it charges nothing, exactly as the
-// chained table's bucket append growth charges nothing.
+// housekeeping, not a §3 operation: it charges nothing.
 func (t *KernelTable) grow(p *kpart) {
 	t.grows++
 	nslots := len(p.slots) * 2
@@ -227,8 +182,7 @@ func (t *KernelTable) grow(p *kpart) {
 }
 
 // Probe calls fn with every stored tuple whose key equals key (which hashed
-// to h), charging one comparison per full-hash match — identical charges
-// and identical fn order to Table.Probe.
+// to h), charging one comparison per full-hash match, in insertion order.
 func (t *KernelTable) Probe(h uint64, key []byte, fn func(tuple.Tuple)) {
 	p := &t.parts[t.partIndex(h)]
 	for i := h & p.mask; ; i = (i + 1) & p.mask {
@@ -381,6 +335,9 @@ func (t *KernelTable) ProbeBatch(batch []Keyed, keyOf func(tuple.Tuple) []byte, 
 			fn(i, tups[j])
 		}
 	}
+	// Drop the matched build tuples so the scratch does not keep them
+	// reachable until the next batch.
+	clear(tups)
 	t.pbTups = tups[:0]
 }
 
@@ -398,33 +355,4 @@ func grow32(buf *[]int32, n int) []int32 {
 	}
 	*buf = (*buf)[:n]
 	return *buf
-}
-
-// NewShardedKernelTable is NewShardedTable with kernel-layout shards. Each
-// shard's sub-tables are sized for its ceil(expected/ns) share rounded up
-// to the load-factor target, plus 1/8 skew headroom, so realistic hash skew
-// does not force a mid-build rehash.
-func NewShardedKernelTable(clock *cost.Clock, schema *tuple.Schema, col int, expected, nshards int) *ShardedTable {
-	ns := 1
-	for ns < nshards {
-		ns <<= 1
-	}
-	k := uint(0)
-	for 1<<k < ns {
-		k++
-	}
-	st := &ShardedTable{shards: make([]SubTable, ns), shift: 64 - k}
-	per := ceilDiv(expected, ns)
-	per += ceilDiv(per, 8)
-	for i := range st.shards {
-		st.shards[i] = NewKernelTable(clock, schema, col, per)
-	}
-	return st
-}
-
-// KernelShard returns shard i as a *KernelTable when the sharded table was
-// built by NewShardedKernelTable, for batch probing; nil otherwise.
-func (st *ShardedTable) KernelShard(i int) *KernelTable {
-	kt, _ := st.shards[i].(*KernelTable)
-	return kt
 }

@@ -185,10 +185,7 @@ func TestRadixShardedKernelSizingNoRehash(t *testing.T) {
 		t.Fatalf("len = %d", st.Len())
 	}
 	for i := 0; i < st.NumShards(); i++ {
-		ks := st.KernelShard(i)
-		if ks == nil {
-			t.Fatalf("shard %d is not a kernel table", i)
-		}
+		ks := st.Shard(i)
 		if g := ks.Grows(); g != 0 {
 			t.Fatalf("shard %d rehashed %d time(s) mid-build (len %d)", i, g, ks.Len())
 		}

@@ -12,7 +12,7 @@ import (
 // charged IO position of each algorithm's execution and asserts the error
 // surfaces (wrapped, not swallowed, no panic). The schedules come from the
 // fault plane's injector — PermanentAfter(n) lets the first n IOs through
-// and fails the rest, the semantics FailAfter used to hard-code.
+// and fails the rest.
 // Algorithms doing no IO at this memory size are skipped once injection
 // stops triggering.
 func TestIOFaultsPropagateCleanly(t *testing.T) {
@@ -94,22 +94,5 @@ func TestTransientScheduleAbsorbedByWritePath(t *testing.T) {
 		if inj.Stats().Transient == 0 {
 			t.Fatalf("%v: schedule never fired", alg)
 		}
-	}
-}
-
-// TestFailAfterCompatShim keeps the legacy single-shot API working on top
-// of the injector mechanism.
-func TestFailAfterCompatShim(t *testing.T) {
-	disk, _ := testEnv()
-	r := makeRelation(t, disk, "R", 300, 80, 43)
-	s := makeRelation(t, disk, "S", 300, 80, 44)
-	disk.FailAfter(0)
-	_, err := Run(GraceHash, Spec{R: r, S: s, M: 5}, nil)
-	if !errors.Is(err, simio.ErrInjected) {
-		t.Fatalf("shim injection: %v", err)
-	}
-	disk.FailAfter(-1)
-	if _, err := Run(GraceHash, Spec{R: r, S: s, M: 5}, nil); err != nil {
-		t.Fatalf("disarm: %v", err)
 	}
 }

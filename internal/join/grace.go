@@ -51,7 +51,7 @@ func graceHash(spec Spec, emit Emit, res *Result) error {
 	if b == 1 {
 		flush = simio.Seq
 	}
-	hasher := spec.newHasher(clock, 0)
+	hasher := hashjoin.NewFastHasher(clock, 0)
 	splitter := hashjoin.Uniform(b)
 
 	// Phase one: partition R and S. The two scans write to disjoint
@@ -156,8 +156,8 @@ func joinPartitionPair(spec Spec, rf, sf *heap.File, level uint32, emit Emit, re
 	capacity := tableCapacity(spec.liveM(), rf, spec.F)
 
 	if rf.NumTuples() <= int64(capacity) {
-		hasher := spec.newHasher(clock, level)
-		table := spec.newTable(clock, rSchema, spec.RCol, int(rf.NumTuples()))
+		hasher := hashjoin.NewFastHasher(clock, level)
+		table := hashjoin.NewKernelTable(clock, rSchema, spec.RCol, int(rf.NumTuples()))
 		err := rf.Scan(simio.Seq, func(t tuple.Tuple) bool {
 			table.Insert(hasher.Hash(rSchema.KeyBytes(t, spec.RCol)), t.Clone())
 			return true
@@ -197,7 +197,7 @@ func joinPartitionPair(spec Spec, rf, sf *heap.File, level uint32, emit Emit, re
 	if sub == 1 {
 		flush = simio.Seq
 	}
-	hasher := spec.newHasher(clock, level)
+	hasher := hashjoin.NewFastHasher(clock, level)
 	splitter := hashjoin.Uniform(sub)
 	prefix := fmt.Sprintf("%s.ovf%d", rf.Name(), level)
 	rParts, err := partitionFile(rf, spec.RCol, hasher, splitter, prefix+".r", flush, simio.Seq)
@@ -223,12 +223,12 @@ func joinPartitionPair(spec Spec, rf, sf *heap.File, level uint32, emit Emit, re
 func chunkedJoin(spec Spec, rf, sf *heap.File, level uint32, capacity int, emit Emit) error {
 	clock := spec.R.Disk().Clock()
 	rSchema, sSchema := rf.Schema(), sf.Schema()
-	hasher := spec.newHasher(clock, level)
+	hasher := hashjoin.NewFastHasher(clock, level)
 
 	total := rf.NumTuples()
 	for start := int64(0); start < total; start += int64(capacity) {
 		end := start + int64(capacity)
-		table := spec.newTable(clock, rSchema, spec.RCol, capacity)
+		table := hashjoin.NewKernelTable(clock, rSchema, spec.RCol, capacity)
 		var idx int64
 		err := rf.Scan(simio.Seq, func(t tuple.Tuple) bool {
 			if idx >= start && idx < end {

@@ -42,8 +42,8 @@ func hybridHash(spec Spec, emit Emit, res *Result) error {
 		if spec.workers() > 1 {
 			return residentJoinParallel(spec, emit)
 		}
-		hasher := spec.newHasher(clock, 0)
-		table := spec.newTable(clock, rSchema, spec.RCol, int(spec.R.NumTuples()))
+		hasher := hashjoin.NewFastHasher(clock, 0)
+		table := hashjoin.NewKernelTable(clock, rSchema, spec.RCol, int(spec.R.NumTuples()))
 		err := spec.R.Scan(simio.Uncharged, func(t tuple.Tuple) bool {
 			table.Insert(hasher.Hash(rSchema.KeyBytes(t, spec.RCol)), t.Clone())
 			return true
@@ -99,7 +99,7 @@ func hybridHash(spec Spec, emit Emit, res *Result) error {
 	if err != nil {
 		return err
 	}
-	hasher := spec.newHasher(clock, 0)
+	hasher := hashjoin.NewFastHasher(clock, 0)
 
 	flush := simio.Rand
 	if b == 1 {
@@ -113,7 +113,7 @@ func hybridHash(spec Spec, emit Emit, res *Result) error {
 	// the cloned tuples, not copying them) so a mid-query revocation can
 	// spill the resident partition to disk and degrade to pure GRACE.
 	resident := int(q*float64(spec.R.NumTuples())) + 1
-	table := spec.newTable(clock, rSchema, spec.RCol, resident)
+	table := hashjoin.NewKernelTable(clock, rSchema, spec.RCol, resident)
 	var kept []hashjoin.Keyed
 	var spillR, spillS *heap.File
 	perPage := float64(spec.R.TuplesPerPage())
@@ -249,13 +249,13 @@ func residentJoinLive(spec Spec, emit Emit, res *Result) error {
 	clock := disk.Clock()
 	rSchema, sSchema := spec.R.Schema(), spec.S.Schema()
 	prefix := tmpPrefix(HybridHash)
-	hasher := spec.newHasher(clock, 0)
+	hasher := hashjoin.NewFastHasher(clock, 0)
 	perPage := float64(spec.R.TuplesPerPage())
 
-	// Kernel layout for the table, but tuple-at-a-time probing: this path
-	// exists to observe a live grant at every tuple boundary, and batching
-	// would only defer matches across the boundary being tested.
-	table := spec.newTable(clock, rSchema, spec.RCol, int(spec.R.NumTuples()))
+	// Tuple-at-a-time probing, not the batching prober: this path exists
+	// to observe a live grant at every tuple boundary, and batching would
+	// only defer matches across the boundary being tested.
+	table := hashjoin.NewKernelTable(clock, rSchema, spec.RCol, int(spec.R.NumTuples()))
 	var kept []hashjoin.Keyed
 	var spillR, spillS *heap.File
 	shrunk := func() bool {
@@ -344,19 +344,15 @@ func residentJoinLive(spec Spec, emit Emit, res *Result) error {
 // charged per tuple on the scanning goroutine, as in the serial path), and
 // the tuple moves into the table and the probe comparisons — the CPU terms
 // that dominate when no partition IO happens — run on one worker per
-// shard. ShardedTable routes by hash bits disjoint from the bucket bits,
-// so the counters tally exactly as in the single-table serial run.
+// shard. ShardedTable routes by hash bits disjoint from the sub-table and
+// slot bits, so the counters tally exactly as in the single-table serial
+// run.
 func residentJoinParallel(spec Spec, emit Emit) error {
 	clock := spec.R.Disk().Clock()
 	rSchema, sSchema := spec.R.Schema(), spec.S.Schema()
-	hasher := spec.newHasher(clock, 0)
+	hasher := hashjoin.NewFastHasher(clock, 0)
 	workers := spec.workers()
-	var table *hashjoin.ShardedTable
-	if spec.kernels() {
-		table = hashjoin.NewShardedKernelTable(clock, rSchema, spec.RCol, int(spec.R.NumTuples()), workers)
-	} else {
-		table = hashjoin.NewShardedTable(clock, rSchema, spec.RCol, int(spec.R.NumTuples()), workers)
-	}
+	table := hashjoin.NewShardedKernelTable(clock, rSchema, spec.RCol, int(spec.R.NumTuples()), workers)
 	ns := table.NumShards()
 	pool := exec.NewPool(workers)
 	ctx := context.Background()
@@ -395,30 +391,20 @@ func residentJoinParallel(spec Spec, emit Emit) error {
 	}
 	return pool.ForEach(ctx, ns, func(_ context.Context, i int) error {
 		// Each shard's probes are already clustered by hash; sweep them in
-		// kernel-sized batches so the shard's sub-tables stay cache-warm.
+		// BatchSize-long batches so the shard's sub-tables stay cache-warm.
 		// The scratch buffers live per shard table, so shards batch
 		// concurrently without sharing state.
-		if kt := table.KernelShard(i); kt != nil {
-			keyOf := func(t tuple.Tuple) []byte { return sSchema.KeyBytes(t, spec.SCol) }
-			bs := kt.BatchSize()
-			for lo := 0; lo < len(probe[i]); lo += bs {
-				hi := lo + bs
-				if hi > len(probe[i]) {
-					hi = len(probe[i])
-				}
-				batch := probe[i][lo:hi]
-				kt.ProbeBatch(batch, keyOf, func(j int, r tuple.Tuple) {
-					emit(r, batch[j].Tuple)
-				})
+		kt := table.Shard(i)
+		keyOf := func(t tuple.Tuple) []byte { return sSchema.KeyBytes(t, spec.SCol) }
+		bs := kt.BatchSize()
+		for lo := 0; lo < len(probe[i]); lo += bs {
+			hi := lo + bs
+			if hi > len(probe[i]) {
+				hi = len(probe[i])
 			}
-			probe[i] = nil
-			return nil
-		}
-		shard := table.Shard(i)
-		for _, k := range probe[i] {
-			key := sSchema.KeyBytes(k.Tuple, spec.SCol)
-			shard.Probe(k.Hash, key, func(r tuple.Tuple) {
-				emit(r, k.Tuple)
+			batch := probe[i][lo:hi]
+			kt.ProbeBatch(batch, keyOf, func(j int, r tuple.Tuple) {
+				emit(r, batch[j].Tuple)
 			})
 		}
 		probe[i] = nil

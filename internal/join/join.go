@@ -21,7 +21,6 @@ import (
 	"mmdb/internal/cost"
 	"mmdb/internal/exec"
 	"mmdb/internal/extsort"
-	"mmdb/internal/hashjoin"
 	"mmdb/internal/heap"
 	"mmdb/internal/tuple"
 )
@@ -91,14 +90,6 @@ type Spec struct {
 	// concurrently), but their order changes with the schedule when
 	// Parallelism > 1.
 	Parallelism int
-	// NoCacheKernels disables the cache-conscious kernels: the radix
-	// sub-table hash layout with batched probes, the allocation-free
-	// hasher, and (via extsort) the compact selection-tree layout and
-	// batched merge pumps. The kernels are layout changes only — with the
-	// plan knobs (M, F, GraceParts, HybridSkew, SortChunks) fixed, the
-	// virtual counters are bit-identical on and off at every Parallelism —
-	// so this is an escape hatch for measurement, not a plan knob.
-	NoCacheKernels bool
 	// SortChunks is sort-merge's decomposition plan: each relation sort
 	// splits run formation into this many page-range chunks (each with a
 	// proportional share of the queue memory) combined by a merge tree.
@@ -112,29 +103,6 @@ type Spec struct {
 
 // workers returns the effective worker count for the spec.
 func (s Spec) workers() int { return exec.Workers(s.Parallelism) }
-
-// kernels reports whether the cache-conscious kernels are enabled.
-func (s Spec) kernels() bool { return !s.NoCacheKernels }
-
-// newHasher returns the hasher for the spec's kernel setting. Both
-// variants compute identical values and charge identically; the fast one
-// avoids the per-call allocation of the stdlib FNV state.
-func (s Spec) newHasher(clock *cost.Clock, level uint32) hashjoin.Hasher {
-	if s.kernels() {
-		return hashjoin.NewFastHasher(clock, level)
-	}
-	return hashjoin.NewHasher(clock, level)
-}
-
-// newTable returns the build-side hash table for the spec's kernel
-// setting: the radix-partitioned open-addressing layout when kernels are
-// on, the classic chained table otherwise. Charged counters are identical.
-func (s Spec) newTable(clock *cost.Clock, schema *tuple.Schema, col, expected int) hashjoin.SubTable {
-	if s.kernels() {
-		return hashjoin.NewKernelTable(clock, schema, col, expected)
-	}
-	return hashjoin.NewTable(clock, schema, col, expected)
-}
 
 // liveM returns the memory currently granted, in pages: M when no live
 // grant is wired, otherwise LiveM() clamped to the 2-page floor.

@@ -2,21 +2,22 @@ package join
 
 import (
 	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"mmdb/internal/cost"
 	"mmdb/internal/tuple"
 )
 
-// runKernelCase executes one join with the given kernel setting on a fresh
-// disk, returning the ordered emission sequence, the match multiset, the
-// result, and the full clock counters.
-func runKernelCase(t *testing.T, a Algorithm, width int, noKernel bool, mutate func(*Spec)) ([]string, map[string]int, Result, cost.Counters) {
+// runKernelCase executes one join on a fresh disk, returning the ordered
+// emission sequence, the match multiset, the result, and the full clock
+// counters.
+func runKernelCase(t *testing.T, a Algorithm, width int, mutate func(*Spec)) ([]string, map[string]int, Result, cost.Counters) {
 	t.Helper()
 	disk, clock := testEnv()
 	r := makeRelation(t, disk, "R", 600, 150, 77)
 	s := makeRelation(t, disk, "S", 900, 150, 78)
-	spec := Spec{R: r, S: s, M: 12, Parallelism: width, NoCacheKernels: noKernel}
+	spec := Spec{R: r, S: s, M: 12, Parallelism: width}
 	if mutate != nil {
 		mutate(&spec)
 	}
@@ -28,98 +29,108 @@ func runKernelCase(t *testing.T, a Algorithm, width int, noKernel bool, mutate f
 		got[p]++
 	})
 	if err != nil {
-		t.Fatalf("%v kernel=%v width=%d: %v", a, !noKernel, width, err)
+		t.Fatalf("%v width=%d: %v", a, width, err)
 	}
 	return seq, got, res, clock.Counters()
 }
 
-// TestRadixKernelJoinsIdentical is the join half of the cachelab invariant
-// at unit level: with the plan knobs fixed, the cache-conscious kernels
-// must charge bit-identical counters and produce the same matches as the
-// classic layout at every schedule width — and at width 1, the exact same
-// emission sequence.
+// seqDigest folds an emission sequence into one order-sensitive value.
+func seqDigest(seq []string) uint64 {
+	h := fnv.New64a()
+	for _, s := range seq {
+		h.Write([]byte(s))
+		h.Write([]byte{'\n'})
+	}
+	return h.Sum64()
+}
+
+// pinned is what one join shape charged and emitted at the commit that
+// deleted the classic chained-table/stdlib-FNV/per-tuple-probe path, where
+// kernel on and off were bit-identical at every width: the counters, the
+// match count, and the digest of the width-1 emission sequence.
+type pinned struct {
+	counters cost.Counters
+	matches  int64
+	digest   uint64
+}
+
+func checkPinned(t *testing.T, width int, want pinned, seq []string, set, serialSet map[string]int, res Result, c cost.Counters) {
+	t.Helper()
+	if c != want.counters {
+		t.Errorf("counters moved:\ngot  %+v\nwant %+v", c, want.counters)
+	}
+	if res.Matches != want.matches {
+		t.Errorf("matches moved: %d, want %d", res.Matches, want.matches)
+	}
+	if width == 1 {
+		if d := seqDigest(seq); d != want.digest {
+			t.Errorf("emission order moved: digest %#x, want %#x", d, want.digest)
+		}
+	} else if !sameMultiset(set, serialSet) {
+		t.Error("match multiset diverges from the serial run")
+	}
+}
+
+// TestRadixKernelJoinsIdentical pins every join shape to the counters and
+// the serial emission order the classic layout produced: with the plan
+// knobs fixed, the hash table, hasher, prober, selection tree and pumps
+// must charge those exact counters at every schedule width, produce the
+// same matches, and at width 1 the exact same emission sequence.
 func TestRadixKernelJoinsIdentical(t *testing.T) {
 	algos := []struct {
 		a      Algorithm
 		mutate func(*Spec)
+		want   pinned
 	}{
-		{SimpleHash, nil},
-		{GraceHash, nil},
-		{HybridHash, nil},
-		{HybridHash, func(s *Spec) { s.M = 300 }}, // degenerate all-resident path
-		{SortMerge, func(s *Spec) { s.SortChunks = 4 }},
+		{SimpleHash, nil, pinned{cost.Counters{Comps: 3567, Hashes: 4962, Moves: 4062, SeqIOs: 584}, 3567, 0xa6977401cde28229}},
+		{GraceHash, nil, pinned{cost.Counters{Comps: 3567, Hashes: 3000, Moves: 2100, SeqIOs: 136, RandIOs: 136}, 3567, 0xba33da7ec3bdcab1}},
+		{HybridHash, nil, pinned{cost.Counters{Comps: 3567, Hashes: 2883, Moves: 1983, SeqIOs: 121, RandIOs: 121}, 3567, 0x34c478578afa1d55}},
+		{HybridHash, func(s *Spec) { s.M = 300 }, // degenerate all-resident path
+			pinned{cost.Counters{Comps: 3567, Hashes: 1500, Moves: 600}, 3567, 0x529ea9b17826b301}},
+		{SortMerge, func(s *Spec) { s.SortChunks = 4 },
+			pinned{cost.Counters{Comps: 19407, Swaps: 9858, SeqIOs: 343, RandIOs: 343}, 3567, 0xa90cdd3b09501311}},
 	}
 	for ai, tc := range algos {
+		_, serialSet, _, _ := runKernelCase(t, tc.a, 1, tc.mutate)
 		for _, width := range []int{1, 2, 4, 8} {
 			name := fmt.Sprintf("%v.%d/width=%d", tc.a, ai, width)
 			t.Run(name, func(t *testing.T) {
-				onSeq, onSet, onRes, onC := runKernelCase(t, tc.a, width, false, tc.mutate)
-				offSeq, offSet, offRes, offC := runKernelCase(t, tc.a, width, true, tc.mutate)
-				if onC != offC {
-					t.Errorf("counters diverge:\nkernel on  %+v\nkernel off %+v", onC, offC)
-				}
-				if onRes.Matches != offRes.Matches {
-					t.Errorf("matches diverge: %d vs %d", onRes.Matches, offRes.Matches)
-				}
-				if !sameMultiset(onSet, offSet) {
-					t.Error("match multisets diverge")
-				}
-				if width == 1 {
-					for i := range onSeq {
-						if onSeq[i] != offSeq[i] {
-							t.Fatalf("emission order diverges at %d", i)
-						}
-					}
-				}
+				seq, set, res, c := runKernelCase(t, tc.a, width, tc.mutate)
+				checkPinned(t, width, tc.want, seq, set, serialSet, res, c)
 			})
 		}
 	}
 }
 
 // TestRadixKernelDegradeIdentical revokes hybrid's memory grant mid-build
-// (deterministically, by consultation count — identical in both layouts)
-// and requires the batched-probe path to spill at the same tuple boundary:
-// same GRACE fallback, same matches, bit-identical counters, and at width
-// 1 the same emission order.
+// (deterministically, by consultation count) and requires the batched-probe
+// path to spill at the tuple boundary the per-tuple loop did: the GRACE
+// fallback, the pinned counters and matches, and at width 1 the pinned
+// emission order.
 func TestRadixKernelDegradeIdentical(t *testing.T) {
+	want := pinned{cost.Counters{Comps: 3567, Hashes: 5206, Moves: 4327, SeqIOs: 395, RandIOs: 373}, 3567, 0xbbacf4a8c964b851}
+	run := func(width int) ([]string, map[string]int, Result, cost.Counters) {
+		grant := &revocableGrant{full: 12, shrunken: 2, after: 20}
+		return runKernelCase(t, HybridHash, width, func(s *Spec) {
+			s.LiveM = grant.pages
+		})
+	}
+	_, serialSet, _, _ := run(1)
 	for _, width := range []int{1, 4} {
 		t.Run(fmt.Sprintf("width=%d", width), func(t *testing.T) {
-			run := func(noKernel bool) ([]string, map[string]int, Result, cost.Counters) {
-				grant := &revocableGrant{full: 12, shrunken: 2, after: 20}
-				return runKernelCase(t, HybridHash, width, noKernel, func(s *Spec) {
-					s.LiveM = grant.pages
-				})
+			seq, set, res, c := run(width)
+			if !res.GraceFallback {
+				t.Fatal("expected the revocation to force a GRACE fallback")
 			}
-			onSeq, onSet, onRes, onC := run(false)
-			offSeq, offSet, offRes, offC := run(true)
-			if !onRes.GraceFallback || !offRes.GraceFallback {
-				t.Fatalf("expected both layouts to fall back: on=%v off=%v",
-					onRes.GraceFallback, offRes.GraceFallback)
-			}
-			if onC != offC {
-				t.Errorf("counters diverge:\nkernel on  %+v\nkernel off %+v", onC, offC)
-			}
-			if !sameMultiset(onSet, offSet) {
-				t.Error("match multisets diverge")
-			}
-			if width == 1 {
-				if len(onSeq) != len(offSeq) {
-					t.Fatalf("emission lengths diverge: %d vs %d", len(onSeq), len(offSeq))
-				}
-				for i := range onSeq {
-					if onSeq[i] != offSeq[i] {
-						t.Fatalf("emission order diverges at %d", i)
-					}
-				}
-			}
+			checkPinned(t, width, want, seq, set, serialSet, res, c)
 		})
 	}
 }
 
-// TestRadixKernelMatchesOracle runs the full oracle check with kernels
-// explicitly on, across plan shapes that force recursion and chunked
-// fallbacks, so the batched probe path is validated against nested loops
-// and not just against the classic layout.
+// TestRadixKernelMatchesOracle runs the full oracle check across plan
+// shapes that force recursion and chunked fallbacks, so the batched probe
+// path is validated against nested loops and not just against pinned
+// constants.
 func TestRadixKernelMatchesOracle(t *testing.T) {
 	disk, _ := testEnv()
 	r := makeRelation(t, disk, "R", 500, 40, 79) // heavy duplicates

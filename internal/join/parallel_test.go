@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"mmdb/internal/cost"
+	"mmdb/internal/fault"
 	"mmdb/internal/heap"
 	"mmdb/internal/tuple"
 )
@@ -168,8 +169,8 @@ func TestParallelFaultInjectionPropagates(t *testing.T) {
 	disk, _ := testEnv()
 	r := makeRelation(t, disk, "R", 400, 100, 27)
 	s := makeRelation(t, disk, "S", 600, 100, 28)
-	disk.FailAfter(40)
-	defer disk.FailAfter(-1)
+	disk.SetInjector(fault.NewInjector(0).PermanentAfter("", 40))
+	defer disk.SetInjector(nil)
 	_, err := Run(GraceHash, Spec{R: r, S: s, M: 8, GraceParts: 8, Parallelism: 8}, nil)
 	if err == nil {
 		t.Fatal("expected injected device failure to surface")

@@ -5,44 +5,37 @@ import (
 	"mmdb/internal/tuple"
 )
 
-// prober adapts a probe loop to the table layout. Against the classic
-// chained Table it probes tuple-at-a-time, exactly as the scan callbacks
-// always did. Against a KernelTable it accumulates probes into a batch and
-// sweeps them with ProbeBatch, which groups probes by destination
+// prober accumulates a probe loop's tuples into a batch and sweeps them
+// with KernelTable.ProbeBatch, which groups probes by destination
 // sub-table and warms slot, entry and tuple lines ahead of the compares.
 //
-// The adaptation is invisible to the plan: ProbeBatch charges the same
-// comparison total as the tuple-at-a-time loop and reports matches in
-// ascending probe order with per-probe matches in insertion order — the
-// identical emission sequence — so a serial join's output is byte-for-byte
-// the same with either layout. Batching only defers when within the scan
-// the matches surface, which is why callers that can release or spill the
-// table mid-scan must flush first.
+// Batching is invisible to the plan: ProbeBatch charges the same
+// comparison total as a tuple-at-a-time loop and reports matches in
+// ascending probe order with per-probe matches in insertion order, so a
+// serial join's emission sequence does not depend on the batch size.
+// Batching only defers when within the scan the matches surface, which is
+// why callers that can release or spill the table mid-scan must flush
+// first.
 type prober struct {
-	table hashjoin.SubTable
-	kt    *hashjoin.KernelTable // nil when table is the chained layout
+	table *hashjoin.KernelTable
 	keyOf func(tuple.Tuple) []byte
 	emit  func(probe, match tuple.Tuple)
 	batch []hashjoin.Keyed
 }
 
-func newProber(table hashjoin.SubTable, keyOf func(tuple.Tuple) []byte, emit func(probe, match tuple.Tuple)) *prober {
+// newProber returns a prober over table. A nil table (hybrid's resident
+// partition already spilled) yields a prober that must never be added to.
+func newProber(table *hashjoin.KernelTable, keyOf func(tuple.Tuple) []byte, emit func(probe, match tuple.Tuple)) *prober {
 	p := &prober{table: table, keyOf: keyOf, emit: emit}
-	if kt, ok := table.(*hashjoin.KernelTable); ok {
-		p.kt = kt
-		p.batch = make([]hashjoin.Keyed, 0, kt.BatchSize())
+	if table != nil {
+		p.batch = make([]hashjoin.Keyed, 0, table.BatchSize())
 	}
 	return p
 }
 
-// add probes one tuple, or queues it when batching. Scan callbacks hand
-// out transient views, so the batching path clones; the immediate path
-// emits during the call, within the view's validity window.
+// add queues one probe tuple, sweeping the batch when it fills. Scan
+// callbacks hand out transient views, so the tuple is cloned.
 func (p *prober) add(h uint64, t tuple.Tuple) {
-	if p.kt == nil {
-		p.table.Probe(h, p.keyOf(t), func(m tuple.Tuple) { p.emit(t, m) })
-		return
-	}
 	p.batch = append(p.batch, hashjoin.Keyed{Hash: h, Tuple: t.Clone()})
 	if len(p.batch) == cap(p.batch) {
 		p.flush()
@@ -52,10 +45,10 @@ func (p *prober) add(h uint64, t tuple.Tuple) {
 // flush drains pending probes. Callers must flush after the probe scan
 // completes, and before the table is released or spilled mid-scan.
 func (p *prober) flush() {
-	if p.kt == nil || len(p.batch) == 0 {
+	if len(p.batch) == 0 {
 		return
 	}
-	p.kt.ProbeBatch(p.batch, p.keyOf, func(i int, m tuple.Tuple) {
+	p.table.ProbeBatch(p.batch, p.keyOf, func(i int, m tuple.Tuple) {
 		p.emit(p.batch[i].Tuple, m)
 	})
 	p.batch = p.batch[:0]

@@ -37,7 +37,7 @@ func simpleHash(spec Spec, emit Emit, res *Result) error {
 		if resident > 1 {
 			resident = 1
 		}
-		hasher := spec.newHasher(clock, uint32(pass))
+		hasher := hashjoin.NewFastHasher(clock, uint32(pass))
 		var splitter *hashjoin.Splitter
 		if resident < 1 {
 			var err error
@@ -51,7 +51,7 @@ func simpleHash(spec Spec, emit Emit, res *Result) error {
 		if remaining < expect {
 			expect = remaining
 		}
-		table := spec.newTable(clock, rSchema, spec.RCol, int(expect))
+		table := hashjoin.NewKernelTable(clock, rSchema, spec.RCol, int(expect))
 
 		var rNext, sNext *heap.File
 		if splitter != nil {

@@ -48,7 +48,6 @@ func sortMerge(spec Spec, emit Emit, res *Result) error {
 			Input:       simio.Uncharged,
 			Chunks:      spec.SortChunks,
 			Parallelism: spec.Parallelism,
-			NoKernel:    spec.NoCacheKernels,
 		}
 	}
 

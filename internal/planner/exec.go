@@ -81,7 +81,7 @@ func execNode(q Query, n *Node) (*heap.File, map[int]int, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	spec := join.Spec{R: rFile, S: sFile, RCol: rCol, SCol: sCol, M: q.M, F: q.Params.F, Parallelism: q.Parallelism, SortChunks: q.SortChunks, NoCacheKernels: q.NoCacheKernels}
+	spec := join.Spec{R: rFile, S: sFile, RCol: rCol, SCol: sCol, M: q.M, F: q.Params.F, Parallelism: q.Parallelism, SortChunks: q.SortChunks}
 	var emitErr error
 	_, err = join.Run(n.Algorithm, spec, func(r, s tuple.Tuple) {
 		l, rr := r, s

@@ -63,12 +63,6 @@ type Query struct {
 	// unlike Parallelism). The optimizer's analytic cost model does not
 	// account for it, matching how GraceParts is also execution-only.
 	SortChunks int
-	// NoCacheKernels is forwarded to every executed join's Spec: it
-	// selects the classic physical layouts instead of the cache-conscious
-	// kernels. Counters — and therefore plan costs — are identical either
-	// way; this exists so an engine-level escape hatch reaches planned
-	// executions too.
-	NoCacheKernels bool
 }
 
 func (q Query) withDefaults() Query {

@@ -103,34 +103,6 @@ func (d *Disk) SetInjector(inj Injector) {
 	d.store.injector.Store(&injectorRef{inj: inj})
 }
 
-// FailAfter arms fault injection: the n-th subsequent charged IO operation
-// (1-based) fails with a synthetic device error. Uncharged accesses are
-// exempt. Pass a negative n to disarm. Under parallel execution the
-// failing operation is whichever worker reaches the budget first.
-//
-// FailAfter is a compatibility shim over SetInjector (one mechanism, not
-// two): it installs a counter-based injector, replacing any injector
-// currently armed.
-func (d *Disk) FailAfter(n int64) {
-	if n < 0 {
-		d.SetInjector(nil)
-		return
-	}
-	fa := &failAfterInjector{}
-	fa.remaining.Store(n)
-	d.SetInjector(fa)
-}
-
-// failAfterInjector fails every charged IO after the first n.
-type failAfterInjector struct{ remaining atomic.Int64 }
-
-func (f *failAfterInjector) ChargedIO(string, Access) Outcome {
-	if f.remaining.Add(-1) < 0 {
-		return Outcome{Err: ErrInjected}
-	}
-	return Outcome{}
-}
-
 // ErrInjected marks an injected device failure.
 var ErrInjected = errors.New("simio: injected device failure")
 

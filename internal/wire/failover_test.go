@@ -3,31 +3,27 @@ package wire
 import (
 	"context"
 	"net"
-	"strings"
 	"testing"
 	"time"
 
 	"mmdb"
 )
 
-// TestWelcomeRoleEpochRoundTrip: the version-3 WELCOME tail survives a
-// round trip, and both pre-v3 layouts decode with RoleUnknown — the
-// presence-decoded tail is what keeps old clients working.
+// TestWelcomeRoleEpochRoundTrip: the WELCOME role/epoch tail survives a
+// round trip, and a payload that stops after the server name (the pre-v3
+// layout) is a decode error, not a RoleUnknown welcome.
 func TestWelcomeRoleEpochRoundTrip(t *testing.T) {
-	w := Welcome{Version: 3, Server: "node-a", Role: RoleReplica, Epoch: 7}
-	got, err := DecodeWelcome(EncodeWelcomeV3(w))
+	w := Welcome{Version: Version, Server: "node-a", Role: RoleReplica, Epoch: 7}
+	enc := EncodeWelcome(w)
+	got, err := DecodeWelcome(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != w {
-		t.Fatalf("v3 WELCOME round trip: %+v != %+v", got, w)
+		t.Fatalf("WELCOME round trip: %+v != %+v", got, w)
 	}
-	old, err := DecodeWelcome(EncodeWelcome(Welcome{Version: 2, Server: "node-a"}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if old.Role != RoleUnknown || old.Epoch != 0 {
-		t.Fatalf("v2 WELCOME decoded role %d epoch %d, want unknown/0", old.Role, old.Epoch)
+	if _, err := DecodeWelcome(enc[:len(enc)-9]); err == nil {
+		t.Fatal("WELCOME without the role/epoch tail decoded")
 	}
 }
 
@@ -46,16 +42,16 @@ func TestNotPrimaryRoundTrip(t *testing.T) {
 	}
 }
 
-// nodeHandshake dials a node server and completes HELLO/WELCOME at the
-// requested version, returning the connection and the decoded WELCOME.
-func nodeHandshake(t *testing.T, addr string, version byte) (net.Conn, Welcome) {
+// nodeHandshake dials a node server and completes HELLO/WELCOME,
+// returning the connection and the decoded WELCOME.
+func nodeHandshake(t *testing.T, addr string) (net.Conn, Welcome) {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	if err := WriteFrame(conn, THello, EncodeHello(Hello{Version: version, Class: byte(mmdb.Interactive)})); err != nil {
+	if err := WriteFrame(conn, THello, EncodeHello(Hello{Version: Version, Class: byte(mmdb.Interactive)})); err != nil {
 		t.Fatal(err)
 	}
 	typ, payload, err := ReadFrame(conn)
@@ -70,14 +66,10 @@ func nodeHandshake(t *testing.T, addr string, version byte) (net.Conn, Welcome) 
 }
 
 // expectFrame sends one QUERY and returns the first response frame.
-func expectFrame(t *testing.T, conn net.Conn, sql string, v3 bool) (byte, []byte) {
+func expectFrame(t *testing.T, conn net.Conn, sql string) (byte, []byte) {
 	t.Helper()
 	q := Query{Class: ClassDefault, SQL: sql, Pref: PrefDefault}
-	payload := EncodeQuery(q)
-	if v3 {
-		payload = EncodeQueryV2(q)
-	}
-	if err := WriteFrame(conn, TQuery, payload); err != nil {
+	if err := WriteFrame(conn, TQuery, EncodeQueryV2(q)); err != nil {
 		t.Fatal(err)
 	}
 	typ, resp, err := ReadFrame(conn)
@@ -102,11 +94,11 @@ func drainResponse(t *testing.T, conn net.Conn) {
 }
 
 // TestNodeServersNotPrimary runs one wire server per cluster node —
-// "clients route, nodes don't" — and checks the whole v3 surface: role
-// and epoch in WELCOME, NOT_PRIMARY with a dialable hint (translated
+// "clients route, nodes don't" — and checks the whole failover surface:
+// role and epoch in WELCOME, NOT_PRIMARY with a dialable hint (translated
 // through Peers) for writes against the replica, reads still served
-// there, the pre-v3 ERROR fallback, and the hint flipping after a
-// promotion demotes the old primary under its clients.
+// there, and the hint flipping after a promotion demotes the old primary
+// under its clients.
 func TestNodeServersNotPrimary(t *testing.T) {
 	cluster, err := mmdb.OpenCluster(mmdb.Options{MemoryPages: 64, MaxConcurrentQueries: 2}, 1)
 	if err != nil {
@@ -134,18 +126,18 @@ func TestNodeServersNotPrimary(t *testing.T) {
 	go srvR.Serve()
 	t.Cleanup(func() { srvP.Close(); srvR.Close() })
 
-	connP, wp := nodeHandshake(t, addrP.String(), Version)
+	connP, wp := nodeHandshake(t, addrP.String())
 	if wp.Role != RolePrimary || wp.Epoch != 1 {
 		t.Fatalf("primary WELCOME role %d epoch %d, want primary/1", wp.Role, wp.Epoch)
 	}
-	connR, wr := nodeHandshake(t, addrR.String(), Version)
+	connR, wr := nodeHandshake(t, addrR.String())
 	if wr.Role != RoleReplica || wr.Epoch != 1 {
 		t.Fatalf("replica WELCOME role %d epoch %d, want replica/1", wr.Role, wr.Epoch)
 	}
 
 	// A write against the replica node: NOT_PRIMARY with the primary's
 	// dialable address, connection stays open for reads.
-	typ, payload := expectFrame(t, connR, "INSERT INTO kv VALUES (1, 1)", true)
+	typ, payload := expectFrame(t, connR, "INSERT INTO kv VALUES (1, 1)")
 	if typ != TNotPrimary {
 		t.Fatalf("write on replica answered frame 0x%02X, want NOT_PRIMARY", typ)
 	}
@@ -156,29 +148,16 @@ func TestNodeServersNotPrimary(t *testing.T) {
 	if np.Epoch != 1 || np.Hint != addrP.String() {
 		t.Fatalf("NOT_PRIMARY{Epoch: %d, Hint: %q}, want epoch 1 hint %s", np.Epoch, np.Hint, addrP)
 	}
-	if typ, _ := expectFrame(t, connR, "SELECT COUNT(*) FROM kv", true); typ != TResult {
+	if typ, _ := expectFrame(t, connR, "SELECT COUNT(*) FROM kv"); typ != TResult {
 		t.Fatalf("read on replica answered frame 0x%02X after NOT_PRIMARY", typ)
 	}
 	drainResponse(t, connR)
 
 	// The write lands on the primary node.
-	if typ, _ := expectFrame(t, connP, "INSERT INTO kv VALUES (1, 1)", true); typ != TResult {
+	if typ, _ := expectFrame(t, connP, "INSERT INTO kv VALUES (1, 1)"); typ != TResult {
 		t.Fatalf("write on primary answered frame 0x%02X", typ)
 	}
 	drainResponse(t, connP)
-
-	// A version-2 client gets the ERROR fallback, not an unknown frame.
-	connR2, wr2 := nodeHandshake(t, addrR.String(), 2)
-	if wr2.Role != RoleUnknown {
-		t.Fatalf("v2 WELCOME carried role %d", wr2.Role)
-	}
-	typ, payload = expectFrame(t, connR2, "INSERT INTO kv VALUES (2, 2)", false)
-	if typ != TError {
-		t.Fatalf("v2 write on replica answered frame 0x%02X, want ERROR", typ)
-	}
-	if e, err := DecodeError(payload); err != nil || !strings.Contains(e.Msg, "primary") {
-		t.Fatalf("v2 fallback error %+v err %v", e, err)
-	}
 
 	// Promote the replica: the old primary's node server now answers
 	// NOT_PRIMARY pointing at the new primary, with the new epoch.
@@ -187,7 +166,7 @@ func TestNodeServersNotPrimary(t *testing.T) {
 	if err := cluster.Promote(ctx, 0); err != nil {
 		t.Fatal(err)
 	}
-	typ, payload = expectFrame(t, connP, "INSERT INTO kv VALUES (3, 3)", true)
+	typ, payload = expectFrame(t, connP, "INSERT INTO kv VALUES (3, 3)")
 	if typ != TNotPrimary {
 		t.Fatalf("write on demoted primary answered frame 0x%02X, want NOT_PRIMARY", typ)
 	}
@@ -198,7 +177,7 @@ func TestNodeServersNotPrimary(t *testing.T) {
 	if np.Epoch != 2 || np.Hint != addrR.String() {
 		t.Fatalf("post-promotion NOT_PRIMARY{Epoch: %d, Hint: %q}, want epoch 2 hint %s", np.Epoch, np.Hint, addrR)
 	}
-	if typ, _ := expectFrame(t, connR, "INSERT INTO kv VALUES (3, 3)", true); typ != TResult {
+	if typ, _ := expectFrame(t, connR, "INSERT INTO kv VALUES (3, 3)"); typ != TResult {
 		t.Fatalf("write on new primary answered frame 0x%02X", typ)
 	}
 	drainResponse(t, connR)
@@ -220,7 +199,7 @@ func TestIdleTimeoutReapsSilentConnection(t *testing.T) {
 	go srv.Serve()
 	t.Cleanup(func() { srv.Close() })
 
-	conn, _ := nodeHandshake(t, addr.String(), Version)
+	conn, _ := nodeHandshake(t, addr.String())
 	// Heartbeats under the deadline keep the connection alive well past
 	// several idle windows.
 	for i := 0; i < 6; i++ {

@@ -27,60 +27,48 @@ func DecodeHello(p []byte) (Hello, error) {
 	return h, r.done()
 }
 
-// Node roles carried in the version-3 WELCOME tail (docs/WIRE.md §7.1).
+// Node roles carried in the WELCOME tail (docs/WIRE.md §7.1).
 const (
-	RoleUnknown = 0 // pre-v3 peer, or the server declined to say
+	RoleUnknown = 0 // the server declined to say
 	RolePrimary = 1 // the node accepts writes
 	RoleReplica = 2 // read-only: writes answer NOT_PRIMARY
 )
 
-// Welcome is the server's HELLO response (docs/WIRE.md §4.1). On a
-// version-3 connection it also announces the node's role and the cluster
-// epoch — the client learns before its first statement whether this node
-// takes writes, and can order role information from different nodes by
-// epoch.
+// Welcome is the server's HELLO response (docs/WIRE.md §4.1). Besides the
+// version it announces the node's role and the cluster epoch — the client
+// learns before its first statement whether this node takes writes, and
+// can order role information from different nodes by epoch.
 type Welcome struct {
 	Version byte
 	Server  string
-	Role    byte   // Role*; RoleUnknown on pre-v3 connections
+	Role    byte   // Role*
 	Epoch   uint64 // cluster epoch; 0 when unknown / standalone
 }
 
-// EncodeWelcome renders a WELCOME payload in version-1/2 layout.
+// EncodeWelcome renders a WELCOME payload: version, server name, then the
+// [role u8][epoch u64] tail.
 func EncodeWelcome(w Welcome) []byte {
-	return appendString16([]byte{w.Version}, w.Server)
-}
-
-// EncodeWelcomeV3 renders a WELCOME payload with the version-3 tail
-// ([role u8][epoch u64] after the server name). Only send it on a
-// connection that negotiated version >= 3.
-func EncodeWelcomeV3(w Welcome) []byte {
-	b := append(EncodeWelcome(w), w.Role)
+	b := appendString16([]byte{w.Version}, w.Server)
+	b = append(b, w.Role)
 	return appendU64(b, w.Epoch)
 }
 
-// DecodeWelcome parses a WELCOME payload, accepting both layouts: the
-// tail is read only when bytes remain, so pre-v3 frames decode with
-// Role = RoleUnknown.
+// DecodeWelcome parses a WELCOME payload. The role/epoch tail is
+// mandatory: a payload that ends after the server name is an error.
 func DecodeWelcome(p []byte) (Welcome, error) {
 	r := &reader{b: p}
-	w := Welcome{Version: r.u8(), Server: r.string16(), Role: RoleUnknown}
-	if r.err == nil && len(r.b) > 0 {
-		w.Role = r.u8()
-		w.Epoch = r.u64()
-	}
+	w := Welcome{Version: r.u8(), Server: r.string16(), Role: r.u8(), Epoch: r.u64()}
 	return w, r.done()
 }
 
 // ClassDefault in Query.Class means "use the connection's HELLO class".
 const ClassDefault = 0xFF
 
-// PrefDefault in Query.Pref means "no read preference attached": the
-// server routes the statement as if the client were version 1 (reads go
-// to the primary, or wherever the server's own default sends them).
+// PrefDefault in Query.Pref means "no read preference attached": reads go
+// to the primary, or wherever the server's own default sends them.
 const PrefDefault = 0xFF
 
-// Read-preference modes carried in the version-2 QUERY tail; they map
+// Read-preference modes carried in the QUERY tail; they map
 // 1:1 onto the engine's ReadPreference modes (docs/WIRE.md §4.2).
 const (
 	PrefPrimary = 0 // mmdb.ReadPrimary
@@ -91,38 +79,36 @@ const (
 // Query is one statement request (docs/WIRE.md §4.2). Class and
 // MinPages override the connection defaults per query — this is how the
 // engine's WithClass/WithMinPages session options travel end to end.
-// Pref/MaxLag are the version-2 read-preference tail: when Pref is not
+// Pref/MaxLag are the optional read-preference tail: when Pref is not
 // PrefDefault a cluster-backed server routes the statement's reads by
 // the carried preference, exactly like mmdb.WithReadPreference.
 type Query struct {
 	Class    byte   // ClassDefault = connection default
 	MinPages uint32 // 0 = connection default
 	SQL      string
-	Pref     byte   // PrefDefault = none; else Pref* mode (v2 only)
+	Pref     byte   // PrefDefault = none; else Pref* mode
 	MaxLag   uint64 // LSN bound for PrefBounded
 }
 
-// EncodeQuery renders a QUERY payload in version-1 layout. Use it when
-// the negotiated version is 1 or the statement carries no preference.
+// EncodeQuery renders a QUERY payload without the read-preference tail.
+// Use it when the statement carries no preference.
 func EncodeQuery(q Query) []byte {
 	b := []byte{q.Class}
 	b = appendU32(b, q.MinPages)
 	return appendString32(b, q.SQL)
 }
 
-// EncodeQueryV2 renders a QUERY payload with the version-2 tail
-// ([pref u8][max_lag u64] after the SQL). Only send it on a connection
-// that negotiated version >= 2: a version-1 decoder treats the tail as
-// trailing garbage and kills the connection.
+// EncodeQueryV2 renders a QUERY payload with the read-preference tail
+// ([pref u8][max_lag u64] after the SQL).
 func EncodeQueryV2(q Query) []byte {
 	b := EncodeQuery(q)
 	b = append(b, q.Pref)
 	return appendU64(b, q.MaxLag)
 }
 
-// DecodeQuery parses a QUERY payload, accepting both layouts: the tail
-// is read only when bytes remain after the SQL, so version-1 frames
-// decode with Pref = PrefDefault.
+// DecodeQuery parses a QUERY payload. The tail is per-statement optional:
+// it is read only when bytes remain after the SQL, and a frame without it
+// decodes with Pref = PrefDefault.
 func DecodeQuery(p []byte) (Query, error) {
 	r := &reader{b: p}
 	q := Query{Class: r.u8(), MinPages: r.u32(), SQL: r.string32(), Pref: PrefDefault}

@@ -34,7 +34,7 @@ type Server struct {
 	// Node, when set alongside Cluster, makes this server one stable
 	// cluster node instead of a routing front door: every statement runs
 	// on that node's database, whatever role it currently holds. Writes
-	// against it while it is not the primary answer NOT_PRIMARY (v3) with
+	// against it while it is not the primary answer NOT_PRIMARY with
 	// a hint to the current primary — exactly what a client sees when its
 	// primary is demoted under it.
 	Node string
@@ -66,7 +66,7 @@ type Stats struct {
 	Queries     atomic.Uint64 // QUERY frames served (any outcome)
 	Errors      atomic.Uint64 // ERROR frames sent
 	Overloads   atomic.Uint64 // OVERLOAD frames sent
-	NotPrimary  atomic.Uint64 // NOT_PRIMARY refusals (v3 frame or v<3 ERROR)
+	NotPrimary  atomic.Uint64 // NOT_PRIMARY frames sent
 }
 
 // Stats returns the server's activity counters.
@@ -232,7 +232,7 @@ func (srv *Server) readFrame(conn net.Conn) (byte, []byte, error) {
 	return ReadFrame(conn)
 }
 
-// roleEpoch reports what the version-3 WELCOME announces: this node's
+// roleEpoch reports what WELCOME announces: this node's
 // current role and the cluster epoch. A standalone database and the
 // routing front door both take writes, so they report primary.
 func (srv *Server) roleEpoch() (byte, uint64) {
@@ -246,7 +246,7 @@ func (srv *Server) roleEpoch() (byte, uint64) {
 }
 
 func (srv *Server) handleConn(conn net.Conn) {
-	// HELLO/WELCOME version and default negotiation (docs/WIRE.md §4.1).
+	// HELLO/WELCOME version check and defaults (docs/WIRE.md §4.1).
 	typ, payload, err := srv.readFrame(conn)
 	if err != nil {
 		return
@@ -261,29 +261,17 @@ func (srv *Server) handleConn(conn net.Conn) {
 		return
 	}
 	if hello.Version < MinVersion {
-		srv.protoError(conn, "protocol version %d not supported (server speaks %d..%d)", hello.Version, MinVersion, Version)
+		srv.protoError(conn, "protocol version %d not supported (server speaks %d)", hello.Version, Version)
 		return
-	}
-	// Negotiate down to the older of the two speakers; WELCOME announces
-	// the version the connection will actually use, and a v1 connection
-	// simply never carries the v2 QUERY tail.
-	version := hello.Version
-	if version > Version {
-		version = Version
 	}
 	if _, err := classOf(hello.Class); err != nil {
 		srv.protoError(conn, "%v", err)
 		return
 	}
-	welcome := Welcome{Version: version, Server: srv.Name}
-	var wp []byte
-	if version >= 3 {
-		welcome.Role, welcome.Epoch = srv.roleEpoch()
-		wp = EncodeWelcomeV3(welcome)
-	} else {
-		wp = EncodeWelcome(welcome)
-	}
-	if err := WriteFrame(conn, TWelcome, wp); err != nil {
+	// A client ahead of the server is answered with the server's version.
+	welcome := Welcome{Version: Version, Server: srv.Name}
+	welcome.Role, welcome.Epoch = srv.roleEpoch()
+	if err := WriteFrame(conn, TWelcome, EncodeWelcome(welcome)); err != nil {
 		return
 	}
 
@@ -303,7 +291,7 @@ func (srv *Server) handleConn(conn net.Conn) {
 				srv.protoError(conn, "bad QUERY: %v", err)
 				return
 			}
-			if !srv.serveQuery(conn, hello, version, q) {
+			if !srv.serveQuery(conn, hello, q) {
 				return
 			}
 		default:
@@ -360,7 +348,7 @@ func classOf(b byte) (mmdb.QueryClass, error) {
 // response frames. It returns false when the connection must close
 // (write failure or protocol error); statement failures — including
 // overload shedding — keep the connection alive.
-func (srv *Server) serveQuery(conn net.Conn, hello Hello, version byte, q Query) bool {
+func (srv *Server) serveQuery(conn net.Conn, hello Hello, q Query) bool {
 	srv.stats.Queries.Add(1)
 	classByte := q.Class
 	if classByte == ClassDefault {
@@ -399,13 +387,13 @@ func (srv *Server) serveQuery(conn net.Conn, hello Hello, version byte, q Query)
 				Msg:   ov.Error(),
 			})) == nil
 		}
-		return srv.writeQueryError(conn, version, err)
+		return srv.writeQueryError(conn, err)
 	}
 	res, err := sess.Query(q.SQL)
 	queued := sess.QueuedFor()
 	sess.Close()
 	if err != nil {
-		return srv.writeQueryError(conn, version, err)
+		return srv.writeQueryError(conn, err)
 	}
 
 	result := Result{Affected: res.Affected}
@@ -437,26 +425,23 @@ func (srv *Server) serveQuery(conn net.Conn, hello Hello, version byte, q Query)
 }
 
 // writeQueryError answers a failed statement. A write refused because
-// this node is not the primary becomes a NOT_PRIMARY frame on v3
-// connections — epoch plus a dialable hint (the primary's address when
-// Peers knows it) — so the client redirects instead of guessing from a
-// message string; older connections get a plain CodeExec ERROR. The
+// this node is not the primary becomes a NOT_PRIMARY frame — epoch plus a
+// dialable hint (the primary's address when Peers knows it) — so the
+// client redirects instead of guessing from a message string. The
 // connection stays open either way.
-func (srv *Server) writeQueryError(conn net.Conn, version byte, err error) bool {
+func (srv *Server) writeQueryError(conn net.Conn, err error) bool {
 	var np *mmdb.NotPrimaryError
 	if errors.As(err, &np) {
 		srv.stats.NotPrimary.Add(1)
-		if version >= 3 {
-			hint := np.Hint
-			if addr, ok := srv.Peers[np.Hint]; ok {
-				hint = addr
-			}
-			return WriteFrame(conn, TNotPrimary, EncodeNotPrimary(NotPrimary{
-				Epoch: np.Epoch,
-				Hint:  hint,
-				Msg:   err.Error(),
-			})) == nil
+		hint := np.Hint
+		if addr, ok := srv.Peers[np.Hint]; ok {
+			hint = addr
 		}
+		return WriteFrame(conn, TNotPrimary, EncodeNotPrimary(NotPrimary{
+			Epoch: np.Epoch,
+			Hint:  hint,
+			Msg:   err.Error(),
+		})) == nil
 	}
 	srv.stats.Errors.Add(1)
 	return WriteFrame(conn, TError, EncodeError(ErrorFrame{Code: errCode(err), Msg: err.Error()})) == nil

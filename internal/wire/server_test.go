@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -239,9 +240,10 @@ func TestServerPingAndProto(t *testing.T) {
 	}
 }
 
-// TestServerHelloVersion checks HELLO version negotiation: the server
-// answers min(client, server), still speaks version-1 connections, and
-// rejects versions below MinVersion with CodeProto.
+// TestServerHelloVersion checks the HELLO version gate: the server speaks
+// one version, answers a client at or ahead of it with that version, and
+// refuses every older HELLO with a CodeProto error naming the version it
+// supports.
 func TestServerHelloVersion(t *testing.T) {
 	db := mmdb.MustOpen(mmdb.Options{MemoryPages: 16})
 	srv := &Server{DB: db}
@@ -262,45 +264,46 @@ func TestServerHelloVersion(t *testing.T) {
 		return conn
 	}
 
-	// A client ahead of the server negotiates down to the server's max;
-	// a version-1 client gets a version-1 connection.
-	for _, tc := range []struct{ client, want byte }{{99, Version}, {1, 1}, {Version, Version}} {
+	for _, client := range []byte{Version, 99} {
 		conn := dial()
-		if err := WriteFrame(conn, THello, EncodeHello(Hello{Version: tc.client})); err != nil {
+		if err := WriteFrame(conn, THello, EncodeHello(Hello{Version: client})); err != nil {
 			t.Fatal(err)
 		}
 		typ, payload, err := ReadFrame(conn)
 		if err != nil || typ != TWelcome {
-			t.Fatalf("client v%d: type 0x%02X err %v", tc.client, typ, err)
+			t.Fatalf("client v%d: type 0x%02X err %v", client, typ, err)
 		}
 		w, err := DecodeWelcome(payload)
-		if err != nil || w.Version != tc.want {
-			t.Fatalf("client v%d: negotiated %d, want %d (err %v)", tc.client, w.Version, tc.want, err)
+		if err != nil || w.Version != Version {
+			t.Fatalf("client v%d: WELCOME version %d, want %d (err %v)", client, w.Version, Version, err)
 		}
 	}
 
-	// Below MinVersion is a protocol error and the connection closes.
-	conn := dial()
-	if err := WriteFrame(conn, THello, EncodeHello(Hello{Version: 0})); err != nil {
-		t.Fatal(err)
-	}
-	typ, payload, err := ReadFrame(conn)
-	if err != nil || typ != TError {
-		t.Fatalf("version reject: type 0x%02X err %v", typ, err)
-	}
-	e, err := DecodeError(payload)
-	if err != nil || e.Code != CodeProto || !strings.Contains(e.Msg, "version") {
-		t.Fatalf("version reject error: %+v err %v", e, err)
-	}
-	if _, _, err := ReadFrame(conn); err == nil {
-		t.Fatal("connection stayed open after version reject")
+	// Every older HELLO is a protocol error and the connection closes.
+	supported := fmt.Sprintf("server speaks %d", Version)
+	for _, client := range []byte{0, 1, 2} {
+		conn := dial()
+		if err := WriteFrame(conn, THello, EncodeHello(Hello{Version: client})); err != nil {
+			t.Fatal(err)
+		}
+		typ, payload, err := ReadFrame(conn)
+		if err != nil || typ != TError {
+			t.Fatalf("client v%d: type 0x%02X err %v, want ERROR", client, typ, err)
+		}
+		e, err := DecodeError(payload)
+		if err != nil || e.Code != CodeProto || !strings.Contains(e.Msg, supported) {
+			t.Fatalf("client v%d: refusal %+v err %v, want CodeProto naming %q", client, e, err, supported)
+		}
+		if _, _, err := ReadFrame(conn); err == nil {
+			t.Fatalf("client v%d: connection stayed open after version reject", client)
+		}
 	}
 }
 
-// TestServerReplClusterRouting checks the version-2 read-preference
-// tail end to end against a cluster-backed server: SELECTs carrying
-// PrefNearest land on a replica, writes always land on the primary, and
-// version-1 frames (no tail) keep working and read from the primary.
+// TestServerReplClusterRouting checks the QUERY read-preference tail end
+// to end against a cluster-backed server: SELECTs carrying PrefNearest
+// land on a replica, writes always land on the primary, and frames
+// without the tail keep working and read from the primary.
 func TestServerReplClusterRouting(t *testing.T) {
 	cluster, err := mmdb.OpenCluster(mmdb.Options{MemoryPages: 64, MaxConcurrentQueries: 2}, 2)
 	if err != nil {
@@ -352,7 +355,7 @@ func TestServerReplClusterRouting(t *testing.T) {
 		t.Fatalf("WELCOME %+v err %v", w, err)
 	}
 
-	// runQueryV2 sends the v2 payload (read-preference tail included).
+	// runQueryV2 sends the payload with the read-preference tail.
 	runQueryV2 := func(q Query) (Result, []mmdb.Tuple, *ErrorFrame) {
 		t.Helper()
 		if err := WriteFrame(conn, TQuery, EncodeQueryV2(q)); err != nil {
@@ -422,7 +425,7 @@ func TestServerReplClusterRouting(t *testing.T) {
 		t.Fatalf("primary after INSERT: err=%v", err)
 	}
 
-	// A version-1 frame (no tail) still decodes and reads the primary.
+	// A frame without the tail still decodes and reads the primary.
 	beforePrimary := cluster.Metrics().PrimaryReads
 	if err := WriteFrame(conn, TQuery, EncodeQuery(Query{Class: ClassDefault, SQL: "SELECT id FROM emp"})); err != nil {
 		t.Fatal(err)
@@ -433,14 +436,14 @@ func TestServerReplClusterRouting(t *testing.T) {
 			t.Fatal(err)
 		}
 		if typ == TError {
-			t.Fatal("v1 QUERY failed on cluster server")
+			t.Fatal("tail-less QUERY failed on cluster server")
 		}
 		if typ == TDone {
 			break
 		}
 	}
 	if got := cluster.Metrics().PrimaryReads; got <= beforePrimary {
-		t.Fatalf("v1 SELECT did not read the primary (primaryReads %d -> %d)", beforePrimary, got)
+		t.Fatalf("tail-less SELECT did not read the primary (primaryReads %d -> %d)", beforePrimary, got)
 	}
 
 	// An unknown preference byte is a protocol error.

@@ -11,16 +11,16 @@ import (
 	"io"
 )
 
-// Version is the newest protocol version this package speaks; the
-// HELLO/WELCOME handshake negotiates min(client, server) and both sides
-// then frame to the negotiated version. Version 2 adds the per-statement
-// read-preference tail to QUERY (docs/WIRE.md §4.2); version 3 adds the
-// role/epoch tail to WELCOME and the NOT_PRIMARY error frame
-// (docs/WIRE.md §7).
+// Version is the protocol version this package speaks. It carries the
+// per-statement read-preference tail on QUERY (docs/WIRE.md §4.2), the
+// role/epoch tail on WELCOME and the NOT_PRIMARY error frame
+// (docs/WIRE.md §7). A client ahead of the server is answered with
+// Version in WELCOME.
 const Version = 3
 
-// MinVersion is the oldest version the server still accepts in HELLO.
-const MinVersion = 1
+// MinVersion is the oldest version the server accepts in HELLO: there is
+// one protocol version, and older HELLOs are refused.
+const MinVersion = Version
 
 // MaxFrame bounds a frame's length prefix (type byte + payload); larger
 // frames are a protocol error and close the connection.

@@ -68,21 +68,21 @@ func TestMessageRoundTrips(t *testing.T) {
 		t.Fatalf("HELLO round trip: %+v, %v", got, err)
 	}
 
-	welcome := Welcome{Version: Version, Server: "mmdb test"}
+	welcome := Welcome{Version: Version, Server: "mmdb test", Role: RolePrimary, Epoch: 3}
 	if got, err := DecodeWelcome(EncodeWelcome(welcome)); err != nil || got != welcome {
 		t.Fatalf("WELCOME round trip: %+v, %v", got, err)
 	}
 
-	// A version-1 QUERY decodes with Pref = PrefDefault (no tail).
+	// A QUERY without the tail decodes with Pref = PrefDefault.
 	query := Query{Class: ClassDefault, MinPages: 8, SQL: "SELECT id FROM emp WHERE salary > 41000", Pref: PrefDefault}
 	if got, err := DecodeQuery(EncodeQuery(query)); err != nil || got != query {
 		t.Fatalf("QUERY round trip: %+v, %v", got, err)
 	}
 
-	// The version-2 tail round-trips the read preference and LSN bound.
+	// The tail round-trips the read preference and LSN bound.
 	query2 := Query{Class: ClassDefault, SQL: "SELECT 1", Pref: PrefBounded, MaxLag: 1 << 40}
 	if got, err := DecodeQuery(EncodeQueryV2(query2)); err != nil || got != query2 {
-		t.Fatalf("QUERY v2 round trip: %+v, %v", got, err)
+		t.Fatalf("QUERY tail round trip: %+v, %v", got, err)
 	}
 
 	result := Result{
@@ -162,8 +162,8 @@ func TestMessageRoundTrips(t *testing.T) {
 // must fail loudly, never decode partially.
 func TestDecodeRejectsMalformed(t *testing.T) {
 	full := map[string][]byte{
-		"HELLO":    EncodeHello(Hello{Version: 1, Class: 0, MinPages: 4}),
-		"WELCOME":  EncodeWelcome(Welcome{Version: 1, Server: "srv"}),
+		"HELLO":    EncodeHello(Hello{Version: Version, Class: 0, MinPages: 4}),
+		"WELCOME":  EncodeWelcome(Welcome{Version: Version, Server: "srv"}),
 		"QUERY":    EncodeQuery(Query{Class: 0, MinPages: 0, SQL: "SELECT 1"}),
 		"RESULT":   EncodeResult(Result{Fields: []FieldDesc{{Name: "id", Kind: tuple.Int64, Size: 8}}}),
 		"DONE":     EncodeDone(Done{RowCount: 1}),

@@ -108,15 +108,6 @@ type Options struct {
 	// single-queue sort. Chunked sorts only speed up wall-clock time when
 	// Parallelism > 1.
 	SortChunks int
-	// CacheKernels toggles the cache-conscious execution kernels: the
-	// radix-partitioned open-addressing join tables with batched probes,
-	// the compact selection-tree layout and batched merge pumps in sorts,
-	// and the allocation-free hasher. The kernels change physical layout
-	// only — for fixed plan knobs (MemoryPages, SortChunks, ...) the
-	// virtual counters are bit-identical on and off at every Parallelism —
-	// so this is an escape hatch for measurement and triage, not a plan
-	// knob. The zero value (KernelsAuto) means on.
-	CacheKernels KernelMode
 
 	// MaxConcurrentQueries bounds how many admitted queries may execute
 	// simultaneously (the scheduler's slots). 0 means 1: queries are
@@ -151,20 +142,6 @@ type Options struct {
 	// deadline.
 	QueryTimeout time.Duration
 }
-
-// KernelMode selects the cache-conscious kernel setting (see
-// Options.CacheKernels).
-type KernelMode int
-
-// Kernel modes. KernelsAuto is the zero value and currently means on.
-const (
-	KernelsAuto KernelMode = iota
-	KernelsOn
-	KernelsOff
-)
-
-// kernelsOff reports whether the options disable the cache kernels.
-func (o Options) kernelsOff() bool { return o.CacheKernels == KernelsOff }
 
 // MemoryPolicy selects the broker's grant sizing (see Options).
 type MemoryPolicy = session.Policy

@@ -278,14 +278,13 @@ func (db *Database) buildPlannerQuery(q Query, m int, view *simio.Disk) (planner
 		}
 	}
 	return planner.Query{
-		Tables:         tables,
-		Edges:          edges,
-		PageSize:       db.opts.PageSize,
-		M:              m,
-		Params:         db.opts.Params,
-		W:              1,
-		Parallelism:    db.opts.Parallelism,
-		SortChunks:     db.opts.SortChunks,
-		NoCacheKernels: db.opts.kernelsOff(),
+		Tables:      tables,
+		Edges:       edges,
+		PageSize:    db.opts.PageSize,
+		M:           m,
+		Params:      db.opts.Params,
+		W:           1,
+		Parallelism: db.opts.Parallelism,
+		SortChunks:  db.opts.SortChunks,
 	}, nil
 }

@@ -201,12 +201,11 @@ func (s *Session) Join(algorithm JoinAlgorithm, left, right, leftCol, rightCol s
 	spec := join.Spec{
 		R: files[0], S: files[1],
 		RCol: lc, SCol: rc,
-		M:              s.grant.Pages(),
-		F:              s.db.opts.Params.F,
-		LiveM:          s.grant.Pages,
-		Parallelism:    s.db.opts.Parallelism,
-		SortChunks:     s.db.opts.SortChunks,
-		NoCacheKernels: s.db.opts.kernelsOff(),
+		M:           s.grant.Pages(),
+		F:           s.db.opts.Params.F,
+		LiveM:       s.grant.Pages,
+		Parallelism: s.db.opts.Parallelism,
+		SortChunks:  s.db.opts.SortChunks,
 	}
 	swapped := false
 	if spec.S.NumPages() < spec.R.NumPages() {
@@ -371,7 +370,6 @@ func (s *Session) OrderBy(relation, column string, fn func(Tuple) bool) error {
 		Input:       simio.Uncharged,
 		Chunks:      s.db.opts.SortChunks,
 		Parallelism: s.db.opts.Parallelism,
-		NoKernel:    s.db.opts.kernelsOff(),
 	})
 	if err != nil {
 		return err

@@ -66,8 +66,7 @@ func WithMinPages(n int) Option { return func(cfg *config) { cfg.minPages = uint
 // WithReadPreference sets the connection's default read preference:
 // every statement carries it (QueryPref overrides per statement), and a
 // cluster-backed server routes SELECTs by it — mmdb.WithReadPreference
-// over the wire. Requires a server speaking protocol version >= 2;
-// statements fail with an explanatory error on older servers.
+// over the wire.
 func WithReadPreference(p mmdb.ReadPreference) Option {
 	return func(cfg *config) { cfg.pref = p; cfg.prefSet = true }
 }
@@ -172,8 +171,8 @@ type Client struct {
 	conn    net.Conn
 	server  string
 	version byte   // negotiated protocol version from WELCOME
-	role    byte   // wire.Role* from a v3 WELCOME
-	epoch   uint64 // cluster epoch from a v3 WELCOME / NOT_PRIMARY
+	role    byte   // wire.Role* from WELCOME
+	epoch   uint64 // cluster epoch from WELCOME / NOT_PRIMARY
 }
 
 // Dial connects to one address and performs the HELLO/WELCOME
@@ -296,7 +295,7 @@ func (c *Client) dialTo(ctx context.Context, addr string) error {
 			c.closeConn()
 			return err
 		}
-		if w.Version < wire.MinVersion || w.Version > wire.Version {
+		if w.Version != wire.Version {
 			c.closeConn()
 			return fmt.Errorf("sqlclient: server negotiated unsupported protocol version %d", w.Version)
 		}
@@ -327,11 +326,11 @@ func (c *Client) Server() string { return c.server }
 func (c *Client) Version() int { return int(c.version) }
 
 // Role returns the node's announced role (wire.Role*): RolePrimary,
-// RoleReplica, or RoleUnknown on pre-v3 servers.
+// RoleReplica, or RoleUnknown.
 func (c *Client) Role() int { return int(c.role) }
 
 // Epoch returns the highest cluster epoch observed on this client, from
-// WELCOME and NOT_PRIMARY frames. 0 until a v3 server reports one.
+// WELCOME and NOT_PRIMARY frames. 0 until a server reports one.
 func (c *Client) Epoch() uint64 { return c.epoch }
 
 // Close closes the connection.
@@ -401,8 +400,7 @@ func (c *Client) QueryClass(sql string, class mmdb.QueryClass, minPages int) (*R
 
 // QueryPref runs one statement under an explicit read preference,
 // overriding the connection default: the wire path for the engine's
-// WithReadPreference session option. Requires negotiated protocol
-// version >= 2.
+// WithReadPreference session option.
 func (c *Client) QueryPref(sql string, pref mmdb.ReadPreference) (*Result, error) {
 	return c.query(wire.Query{Class: wire.ClassDefault, SQL: sql}, pref, true)
 }
@@ -470,9 +468,6 @@ func (c *Client) attempt(q wire.Query, pref mmdb.ReadPreference, prefSet bool, i
 	q.Pref = wire.PrefDefault
 	payload := wire.EncodeQuery(q)
 	if prefSet {
-		if c.version < 2 {
-			return nil, fmt.Errorf("sqlclient: read preferences need protocol version 2; server negotiated %d", c.version)
-		}
 		q.Pref = byte(pref.Mode)
 		q.MaxLag = pref.MaxLSNLag
 		payload = wire.EncodeQueryV2(q)
