@@ -70,7 +70,7 @@ func (e *LostTailError) Error() string {
 func (e *LostTailError) Lost() uint64 { return e.AckedLSN - e.SettledLSN }
 
 // shipOpKind enumerates the replicated mutations. Everything a primary
-// does to durable relations reduces to these eight logical operations;
+// does to durable relations reduces to these seven logical operations;
 // replaying them in ship order on a replica that started from the same
 // (empty) state reproduces the primary byte for byte, because every
 // operation is deterministic.
@@ -82,7 +82,6 @@ const (
 	opInsert
 	opFlush
 	opIndex
-	opDelete
 	opDeleteWhere
 	opUpdate
 )
@@ -523,9 +522,6 @@ func (r *clusterReplica) apply(op shipOp) error {
 		return rel.Flush()
 	case opIndex:
 		return rel.CreateIndex(op.column, op.ixKind)
-	case opDelete:
-		_, err := rel.Delete(op.column, op.value)
-		return err
 	case opDeleteWhere:
 		var p *Pred
 		if op.pred != nil {

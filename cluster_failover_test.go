@@ -560,3 +560,40 @@ func TestRoutingFallbacks(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFailoverRefusesStragglerShip pins the acked-but-unreplicated hole: a
+// writer that passed the write guard before a crash failover reaches
+// shipOp after flipDetached took the demoted primary's hook away. It must
+// be refused — a nil there acknowledges a write no survivor holds — while
+// the applier's own ops, and relations that never ship, still pass.
+func TestFailoverRefusesStragglerShip(t *testing.T) {
+	ctx := failoverCtx(t)
+	c, err := OpenCluster(Options{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	seedCluster(t, c)
+	if _, err := c.Failover(ctx); err != nil {
+		t.Fatalf("failover: %v", err)
+	}
+
+	old := c.DatabaseOf("p")
+	straggler := shipOp{kind: opFlush, rel: "accounts"}
+	if err := old.shipOp(straggler); !errors.Is(err, ErrNotPrimary) {
+		t.Fatalf("straggler ship on the demoted primary = %v, want ErrNotPrimary", err)
+	}
+	if err := old.shipOp(shipOp{kind: opFlush, rel: "sql.tmp.1"}); err != nil {
+		t.Fatalf("temporary relation refused on the demoted primary: %v", err)
+	}
+	old.applying.Store(true)
+	err = old.shipOp(straggler)
+	old.applying.Store(false)
+	if err != nil {
+		t.Fatalf("applier op refused on the demoted primary: %v", err)
+	}
+	// A plain database has no hook either, and is not read-only.
+	if err := openTestDB(t).shipOp(straggler); err != nil {
+		t.Fatalf("unclustered database refused a ship: %v", err)
+	}
+}

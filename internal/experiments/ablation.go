@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math/rand"
@@ -53,11 +52,6 @@ func runPagedTrees() ([]PagedTreeRow, error) {
 		tuple.Field{Name: "key", Kind: tuple.Int64},
 		tuple.Field{Name: "pad", Kind: tuple.String, Size: L - 8},
 	)
-	keyBytes := func(k int) []byte {
-		var b [8]byte
-		binary.BigEndian.PutUint64(b[:], uint64(int64(k))^(1<<63))
-		return b[:]
-	}
 	var rows []PagedTreeRow
 	for _, order := range []string{"random", "sorted"} {
 		keys := make([]int, n)
@@ -74,9 +68,9 @@ func runPagedTrees() ([]PagedTreeRow, error) {
 		bt := btree.MustNew(btree.Config{PageSize: P, KeyWidth: 8, TupleWidth: L})
 		pt := pbtree.MustNew(pbtree.Config{PageSize: P, TupleWidth: L})
 		for _, k := range keys {
-			at.Insert(keyBytes(k), tup)
-			bt.Insert(keyBytes(k), tup)
-			pt.Insert(keyBytes(k), tup)
+			at.Insert(intKey(k), tup)
+			bt.Insert(intKey(k), tup)
+			pt.Insert(intKey(k), tup)
 		}
 		nodesPerPage := P / (L + 8)
 		avlPages := (at.NumNodes() + nodesPerPage - 1) / nodesPerPage
@@ -102,15 +96,15 @@ func runPagedTrees() ([]PagedTreeRow, error) {
 		rows = append(rows,
 			measure("avl (one node/page access)", avlPages, func(k int) int {
 				pages := map[avl.NodeID]bool{}
-				at.Search(keyBytes(k), func(id avl.NodeID) { pages[id/avl.NodeID(nodesPerPage)] = true })
+				at.Search(intKey(k), func(id avl.NodeID) { pages[id/avl.NodeID(nodesPerPage)] = true })
 				return len(pages)
 			}),
 			measure("paged binary tree", pt.NumPages(), func(k int) int {
-				return pt.PathPages(keyBytes(k))
+				return pt.PathPages(intKey(k))
 			}),
 			measure("b+tree", bt.NumPages(), func(k int) int {
 				c := 0
-				bt.Search(keyBytes(k), func(btree.NodeID) { c++ })
+				bt.Search(intKey(k), func(btree.NodeID) { c++ })
 				return c
 			}),
 		)
@@ -132,23 +126,18 @@ func runPolicies() ([]PolicyRow, error) {
 	const n = 50000
 	bt := btree.MustNew(btree.Config{PageSize: 4096, KeyWidth: 8, TupleWidth: 100})
 	rng := rand.New(rand.NewSource(9))
-	keyBytes := func(k int) []byte {
-		var b [8]byte
-		binary.BigEndian.PutUint64(b[:], uint64(int64(k))^(1<<63))
-		return b[:]
-	}
 	perm := rng.Perm(n)
 	for _, k := range perm {
-		bt.Insert(keyBytes(k), make(tuple.Tuple, 100))
+		bt.Insert(intKey(k), make(tuple.Tuple, 100))
 	}
 	var rows []PolicyRow
 	for _, h := range []float64{0.25, 0.5} {
 		for _, pol := range []buffer.Policy{buffer.Random, buffer.LRU, buffer.Clock} {
-			pool := buffer.New(maxi(1, int(h*float64(bt.NumPages()))), pol, nil, 10)
+			pool := buffer.New(max(1, int(h*float64(bt.NumPages()))), pol, nil, 10)
 			const lookups = 4000
 			for i := 0; i < lookups; i++ {
 				k := perm[rng.Intn(n)]
-				bt.Search(keyBytes(k), func(id btree.NodeID) {
+				bt.Search(intKey(k), func(id btree.NodeID) {
 					pool.Touch(buffer.PageKey{Space: "bt", Page: int(id)})
 				})
 			}

@@ -2,11 +2,9 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"io"
-	"os"
 	"sort"
 	"time"
 
@@ -144,19 +142,18 @@ func chaosOracle(in recovery.Input, info recovery.Info) (*store.Store, error) {
 	return st, nil
 }
 
-// runChaosCrash runs one grid cell: a contended, abort-seeded workload on
-// a group-commit log whose device tears mid-run, crashed at crashAt.
-func runChaosCrash(cfg ChaosConfig, seed int64, crashAt time.Duration) (ChaosCrashRow, error) {
-	row := ChaosCrashRow{Seed: seed, CrashAt: crashAt}
-	// Offset the tear by the seed so the grid straddles it: early crash
-	// points capture a still-clean log, late ones a torn one, and
-	// different seeds tear at different depths of the commit history.
+// chaosWorkload is the crash grids' engine config: a contended,
+// abort-seeded debit/credit workload on a group-commit log whose device
+// exposes torn pages and tears every (TornEveryN+seed)-th write. Offsetting
+// the tear by the seed makes a grid straddle it: early crash points capture
+// a still-clean log, late ones a torn one, and different seeds tear at
+// different depths of the commit history.
+func chaosWorkload(cfg ChaosConfig, seed int64) (txn.Config, *fault.Injector) {
 	inj := fault.NewInjector(seed).TornEvery("log0", cfg.TornEveryN+seed)
 	dev := wal.NewDevice("log0", 10*time.Millisecond)
 	dev.Injector = inj
 	dev.ExposeTorn = true
-
-	tc := txn.Config{
+	return txn.Config{
 		Accounts:       512,
 		Terminals:      50,
 		UpdatesPerTxn:  3,
@@ -171,22 +168,33 @@ func runChaosCrash(cfg ChaosConfig, seed int64, crashAt time.Duration) (ChaosCra
 			// crashes catch updates durable with the commit still in flight.
 			PageSize: 256,
 		},
+	}, inj
+}
+
+// ackedDurable is the §5 acknowledgement invariant: every transaction
+// acknowledged by crash time was found committed by recovery.
+func ackedDurable(acked []wal.TxnID, committed map[wal.TxnID]bool) bool {
+	for _, id := range acked {
+		if !committed[id] {
+			return false
+		}
 	}
+	return true
+}
+
+// runChaosCrash runs one grid cell: a contended, abort-seeded workload on
+// a group-commit log whose device tears mid-run, crashed at crashAt.
+func runChaosCrash(cfg ChaosConfig, seed int64, crashAt time.Duration) (ChaosCrashRow, error) {
+	row := ChaosCrashRow{Seed: seed, CrashAt: crashAt}
+	tc, inj := chaosWorkload(cfg, seed)
 	sim := &event.Sim{}
 	e, err := txn.New(sim, tc)
 	if err != nil {
 		return row, err
 	}
-	var in recovery.Input
-	var capErr error
-	captured := false
-	sim.At(crashAt, func() {
-		in, capErr = e.CrashInput()
-		captured = true
-	})
-	e.Run(cfg.RunFor)
-	if !captured || capErr != nil {
-		return row, fmt.Errorf("chaos: crash capture at %v failed: %v", crashAt, capErr)
+	in, _, err := crashRun(sim, e, crashAt, cfg.RunFor, e.CrashInput)
+	if err != nil {
+		return row, fmt.Errorf("chaos: %w", err)
 	}
 
 	st, info, err := recovery.Recover(in)
@@ -201,13 +209,7 @@ func runChaosCrash(cfg ChaosConfig, seed int64, crashAt time.Duration) (ChaosCra
 	row.TornWrites = inj.Stats().Torn
 	row.LostPages = e.Log().Stats().LostPages
 
-	row.AckedDurable = true
-	for _, id := range e.AckedBy(crashAt) {
-		if !info.Committed[id] {
-			row.AckedDurable = false
-			break
-		}
-	}
+	row.AckedDurable = ackedDurable(e.AckedBy(crashAt), info.Committed)
 	oracle, err := chaosOracle(in, info)
 	if err != nil {
 		return row, err
@@ -228,20 +230,10 @@ func chaosDB(cfg ChaosConfig) (*mmdb.Database, error) {
 		mmdb.Field{Name: "pad", Kind: mmdb.String, Size: 16},
 	)
 	for _, name := range []string{"r", "s"} {
-		rel, err := db.CreateRelation(name, schema)
+		err := loadRelation(db, name, schema, cfg.Tuples, func(i int) []mmdb.Value {
+			return []mmdb.Value{mmdb.IntValue(int64(i % (cfg.Tuples / 5))), mmdb.StringValue(fmt.Sprintf("%s%04d", name, i))}
+		})
 		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < cfg.Tuples; i++ {
-			err := rel.Insert(
-				mmdb.IntValue(int64(i%(cfg.Tuples/5))),
-				mmdb.StringValue(fmt.Sprintf("%s%04d", name, i)),
-			)
-			if err != nil {
-				return nil, err
-			}
-		}
-		if err := rel.Flush(); err != nil {
 			return nil, err
 		}
 	}
@@ -270,21 +262,28 @@ func chaosJoin(s *mmdb.Session, alg mmdb.JoinAlgorithm, onEmit func()) (mmdb.Joi
 	return res, h.Sum64(), nil
 }
 
+// chaosBaseline opens a query-leg database and joins r ⋈ s fault-free: the
+// result and pair fingerprint a disturbed run must reproduce bit for bit.
+func chaosBaseline(cfg ChaosConfig, alg mmdb.JoinAlgorithm) (*mmdb.Database, mmdb.JoinResult, uint64, error) {
+	db, err := chaosDB(cfg)
+	if err != nil {
+		return nil, mmdb.JoinResult{}, 0, err
+	}
+	base, err := db.NewSession(context.Background())
+	if err != nil {
+		return nil, mmdb.JoinResult{}, 0, err
+	}
+	defer base.Close()
+	res, hash, err := chaosJoin(base, alg, nil)
+	return db, res, hash, err
+}
+
 // runChaosTransient runs the transient leg: a one-shot burst long enough
 // to kill whole query attempts, absorbed by session-level retry, and the
 // final result compared bit for bit against a fault-free baseline.
 func runChaosTransient(cfg ChaosConfig) (ChaosQueryLeg, error) {
 	leg := ChaosQueryLeg{Algorithm: "grace"}
-	db, err := chaosDB(cfg)
-	if err != nil {
-		return leg, err
-	}
-	base, err := db.NewSession(context.Background())
-	if err != nil {
-		return leg, err
-	}
-	wantRes, wantHash, err := chaosJoin(base, mmdb.GraceHash, nil)
-	base.Close()
+	db, wantRes, wantHash, err := chaosBaseline(cfg, mmdb.GraceHash)
 	if err != nil {
 		return leg, err
 	}
@@ -313,16 +312,7 @@ func runChaosTransient(cfg ChaosConfig) (ChaosQueryLeg, error) {
 // via the GRACE spill fallback with the exact same pairs.
 func runChaosRevoked(cfg ChaosConfig) (ChaosQueryLeg, error) {
 	leg := ChaosQueryLeg{Algorithm: "hybrid"}
-	db, err := chaosDB(cfg)
-	if err != nil {
-		return leg, err
-	}
-	base, err := db.NewSession(context.Background())
-	if err != nil {
-		return leg, err
-	}
-	wantRes, wantHash, err := chaosJoin(base, mmdb.HybridHash, nil)
-	base.Close()
+	db, wantRes, wantHash, err := chaosBaseline(cfg, mmdb.HybridHash)
 	if err != nil {
 		return leg, err
 	}
@@ -423,15 +413,4 @@ func (r *ChaosResult) Print(w io.Writer) {
 		r.Revoked.Degraded, r.Revoked.Identical)
 	fmt.Fprintf(w, "  total loser updates undone across the grid: %d\n", r.TotalUndone)
 	fmt.Fprintf(w, "  ALL INVARIANTS HOLD: %v\n", r.AllHold)
-}
-
-// WriteJSON writes the machine-readable result. The report contains only
-// virtual-time and counter fields, so a given config is byte-identical
-// run to run.
-func (r *ChaosResult) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"mmdb/internal/event"
-	"mmdb/internal/fault"
 	"mmdb/internal/recovery"
 	"mmdb/internal/seglog"
 	"mmdb/internal/txn"
@@ -44,44 +43,22 @@ type ChaosSegRow struct {
 	SkipEqualsFull bool `json:"skip_equals_full"`
 }
 
-// chaosSegConfig is the engine config for one segmented rung. Checkpoint
-// plus truncation keep the commit.meta horizon moving (so skipping is
-// real), and the slow sweep over hot pages leaves a standing window of
-// cold-but-untruncated segments for the compactor to rewrite.
-func chaosSegConfig(cfg ChaosConfig, seed int64, dev, data *wal.Device) txn.Config {
-	return txn.Config{
-		Accounts:       512,
-		Terminals:      50,
-		UpdatesPerTxn:  3,
-		HotAccounts:    12,
-		AbortEvery:     5,
-		RecordsPerPage: 16,
-		Seed:           seed,
-		TruncateLog:    true,
-		Checkpoint:     true,
-		DataDevice:     data,
-		Log: wal.Config{
-			Policy:          wal.GroupCommit,
-			Devices:         []*wal.Device{dev},
-			PageSize:        256,
-			SegmentPages:    4,
-			CompactSegments: true,
-		},
-	}
-}
-
-// chaosSegEngine builds a fresh, identically-seeded engine for a rung.
-// The tear injector is the same seed-offset scheme as the monolithic
-// grid, so rotations and compaction installs happen over a torn medium.
+// chaosSegEngine builds a fresh, identically-seeded engine for a rung:
+// the monolithic grid's workload and tearing device (so rotations and
+// compaction installs happen over a torn medium) on a segmented log.
+// Checkpoint plus truncation keep the commit.meta horizon moving (so
+// skipping is real), and the slow sweep over hot pages leaves a standing
+// window of cold-but-untruncated segments for the compactor to rewrite.
 func chaosSegEngine(cfg ChaosConfig, seed int64) (*event.Sim, *txn.Engine, *wal.Device, error) {
-	inj := fault.NewInjector(seed).TornEvery("log0", cfg.TornEveryN+seed)
-	dev := wal.NewDevice("log0", 10*time.Millisecond)
-	dev.Injector = inj
-	dev.ExposeTorn = true
-	data := wal.NewDevice("data", 10*time.Millisecond)
+	tc, _ := chaosWorkload(cfg, seed)
+	tc.TruncateLog = true
+	tc.Checkpoint = true
+	tc.DataDevice = wal.NewDevice("data", 10*time.Millisecond)
+	tc.Log.SegmentPages = 4
+	tc.Log.CompactSegments = true
 	sim := &event.Sim{}
-	e, err := txn.New(sim, chaosSegConfig(cfg, seed, dev, data))
-	return sim, e, dev, err
+	e, err := txn.New(sim, tc)
+	return sim, e, tc.Log.Devices[0], err
 }
 
 // segCrashWindows runs the discovery pass: one full uncrashed run whose
@@ -127,19 +104,11 @@ func runChaosSeg(cfg ChaosConfig, seed int64, target string, crashAt time.Durati
 	if err != nil {
 		return row, err
 	}
-	var in recovery.SegInput
-	var acked []wal.TxnID
-	var capErr error
-	captured := false
-	sim.At(crashAt, func() {
-		in, capErr = e.CrashInputSegmented()
-		acked = e.AckedBy(crashAt)
-		captured = true
-	})
-	e.Run(cfg.RunFor)
-	if !captured || capErr != nil {
-		return row, fmt.Errorf("chaos: segmented crash capture at %v failed: %v", crashAt, capErr)
+	in, _, err := crashRun(sim, e, crashAt, cfg.RunFor, e.CrashInputSegmented)
+	if err != nil {
+		return row, fmt.Errorf("chaos: segmented %w", err)
 	}
+	acked := e.AckedBy(crashAt)
 
 	in.Parallelism = 4
 	stSkip, infoSkip, err := recovery.RecoverSegmented(in)
@@ -160,13 +129,7 @@ func runChaosSeg(cfg ChaosConfig, seed int64, target string, crashAt time.Durati
 	row.SegmentsSkipped = infoSkip.SegmentsSkipped
 	row.CompactedBytes = infoSkip.CompactedBytes
 
-	row.AckedDurable = true
-	for _, id := range acked {
-		if !infoFull.Committed[id] {
-			row.AckedDurable = false
-			break
-		}
-	}
+	row.AckedDurable = ackedDurable(acked, infoFull.Committed)
 	row.SkipEqualsFull = stSkip.Equal(stFull)
 	return row, nil
 }

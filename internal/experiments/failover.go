@@ -2,14 +2,13 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
-	"os"
 	"sort"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"mmdb"
@@ -104,51 +103,34 @@ type FailoverResult struct {
 // acknowledged, so the retry is idempotent by construction. Returns the
 // total acked count.
 func runFailoverWriters(ctx context.Context, cluster *mmdb.Cluster, rows, width int) (uint64, error) {
-	var wg sync.WaitGroup
-	var acked uint64
-	var mu sync.Mutex
-	errs := make(chan error, width)
-	for w := 0; w < width; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			n := uint64(0)
-			for id := w + 1; id <= rows; id += width {
-				for {
-					db := cluster.Primary()
-					rel, err := db.Relation("acct")
-					if err == nil {
-						err = rel.Insert(mmdb.IntValue(int64(id)), mmdb.IntValue(int64(id*7)))
-					}
-					if err == nil {
-						n++
-						break
-					}
-					if !errors.Is(err, mmdb.ErrNotPrimary) {
-						errs <- fmt.Errorf("writer %d id %d: %w", w, id, err)
-						return
-					}
-					// Demoted under us mid-run: back off briefly and retry
-					// against whoever is primary by then.
-					select {
-					case <-ctx.Done():
-						errs <- ctx.Err()
-						return
-					case <-time.After(200 * time.Microsecond):
-					}
+	var acked atomic.Uint64
+	err := fanOut(width, func(w int) error {
+		for id := w + 1; id <= rows; id += width {
+			for {
+				db := cluster.Primary()
+				rel, err := db.Relation("acct")
+				if err == nil {
+					err = rel.Insert(mmdb.IntValue(int64(id)), mmdb.IntValue(int64(id*7)))
+				}
+				if err == nil {
+					acked.Add(1)
+					break
+				}
+				if !errors.Is(err, mmdb.ErrNotPrimary) {
+					return fmt.Errorf("writer %d id %d: %w", w, id, err)
+				}
+				// Demoted under us mid-run: back off briefly and retry
+				// against whoever is primary by then.
+				select {
+				case <-ctx.Done():
+					return ctx.Err()
+				case <-time.After(200 * time.Microsecond):
 				}
 			}
-			mu.Lock()
-			acked += n
-			mu.Unlock()
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		return acked, err
-	}
-	return acked, nil
+		}
+		return nil
+	})
+	return acked.Load(), err
 }
 
 // awaitLSN blocks until the cluster LSN reaches at least n — the
@@ -208,11 +190,7 @@ func failoverStateHash(db *mmdb.Database) (uint64, int, error) {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	h := fnv.New64a()
 	for _, id := range ids {
-		var b [8]byte
-		for i := 0; i < 8; i++ {
-			b[i] = byte(id >> (8 * i))
-		}
-		h.Write(b[:])
+		h.Write(binary.LittleEndian.AppendUint64(nil, uint64(id)))
 	}
 	return h.Sum64(), len(ids), nil
 }
@@ -426,13 +404,4 @@ func (r *FailoverResult) Print(w io.Writer) {
 	fmt.Fprintf(w, "  state hash identical across widths: %v\n", r.StateIdentical)
 	fmt.Fprintf(w, "  lost tail surfaced as typed LostTailError: %v\n", r.LostTyped)
 	fmt.Fprintf(w, "  ALL INVARIANTS HOLD: %v\n", r.AllHold)
-}
-
-// WriteJSON writes the machine-readable result.
-func (r *FailoverResult) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -2,12 +2,9 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -72,38 +69,38 @@ func DefaultPriorityConfig() PriorityConfig {
 
 // PriorityClassStats reports one class's side of a rung.
 type PriorityClassStats struct {
-	Queries    int           `json:"queries"`
-	Throughput float64       `json:"queries_per_sec"`
-	QueuedP50  time.Duration `json:"queued_p50_ns"`
-	QueuedP95  time.Duration `json:"queued_p95_ns"`
-	QueuedP99  time.Duration `json:"queued_p99_ns"`
-	QueuedMax  time.Duration `json:"queued_max_ns"`
-	Rejected   uint64        `json:"rejected"`
-	GrantPages int           `json:"grant_pages"`
+	Queries    int
+	Throughput float64 // queries per second
+	QueuedP50  time.Duration
+	QueuedP95  time.Duration
+	QueuedP99  time.Duration
 }
 
 // PriorityRow is one rung of the policy ladder.
 type PriorityRow struct {
-	Policy       string             `json:"policy"`
-	Wall         time.Duration      `json:"wall_ns"`
-	Interactive  PriorityClassStats `json:"interactive"`
-	Batch        PriorityClassStats `json:"batch"`
-	VirtualMatch bool               `json:"virtual_identical"` // per-query results identical to the serial run
+	Policy       string
+	Wall         time.Duration
+	Interactive  PriorityClassStats
+	Batch        PriorityClassStats
+	VirtualMatch bool // per-query results identical to the serial run
 }
 
 // PriorityResult is the full ladder plus the acceptance ratios against
 // the single-class FIFO baseline.
 type PriorityResult struct {
-	Config PriorityConfig `json:"config"`
-	Rows   []PriorityRow  `json:"rows"`
+	Config PriorityConfig
+	Rows   []PriorityRow
+	// AllIdentical is the per-rung VirtualMatch conjunction; mmdbench
+	// exits non-zero when it is false.
+	AllIdentical bool
 
 	// StrictInteractiveP95Ratio is strict-priority interactive queued
 	// p95 over the FIFO baseline's (smaller is better; the acceptance
 	// bar is <= 0.25).
-	StrictInteractiveP95Ratio float64 `json:"strict_interactive_p95_ratio"`
+	StrictInteractiveP95Ratio float64
 	// StrictBatchThroughputRatio is strict-priority batch throughput
 	// over the FIFO baseline's (the acceptance bar is >= 0.85).
-	StrictBatchThroughputRatio float64 `json:"strict_batch_throughput_ratio"`
+	StrictBatchThroughputRatio float64
 }
 
 func loadPriorityDB(cfg PriorityConfig, policy mmdb.PickPolicy) (*mmdb.Database, error) {
@@ -116,47 +113,7 @@ func loadPriorityDB(cfg PriorityConfig, policy mmdb.PickPolicy) (*mmdb.Database,
 	}
 	opts.Classes[mmdb.Interactive].ReservedPages = cfg.ReservedInteractive
 	opts.Classes[mmdb.Interactive].Weight = cfg.InteractiveWeight
-	db, err := mmdb.Open(opts)
-	if err != nil {
-		return nil, err
-	}
-	emp, err := db.CreateRelation("emp", mmdb.MustSchema(
-		mmdb.Field{Name: "id", Kind: mmdb.Int64},
-		mmdb.Field{Name: "dept", Kind: mmdb.Int64},
-		mmdb.Field{Name: "salary", Kind: mmdb.Int64},
-	))
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < cfg.Tuples; i++ {
-		err := emp.Insert(
-			mmdb.IntValue(int64(i)),
-			mmdb.IntValue(int64(i%cfg.Groups)),
-			mmdb.IntValue(int64(1000+i%700)),
-		)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if err := emp.Flush(); err != nil {
-		return nil, err
-	}
-	dept, err := db.CreateRelation("dept", mmdb.MustSchema(
-		mmdb.Field{Name: "id", Kind: mmdb.Int64},
-		mmdb.Field{Name: "budget", Kind: mmdb.Int64},
-	))
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < cfg.Groups; i++ {
-		if err := dept.Insert(mmdb.IntValue(int64(i)), mmdb.IntValue(int64(i*10))); err != nil {
-			return nil, err
-		}
-	}
-	if err := dept.Flush(); err != nil {
-		return nil, err
-	}
-	return db, nil
+	return loadEmpDept(opts, cfg.Tuples, cfg.Groups)
 }
 
 // prioritySelect is the interactive query: a short predicate scan of the
@@ -192,16 +149,6 @@ func priorityJoin(db *mmdb.Database) (mmdb.JoinResult, time.Duration, error) {
 	return res, s.QueuedFor(), err
 }
 
-func priorityPercentiles(samples []time.Duration) (p50, p95, p99, max time.Duration) {
-	if len(samples) == 0 {
-		return
-	}
-	sorted := append([]time.Duration(nil), samples...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	return percentile(sorted, 0.50), percentile(sorted, 0.95),
-		percentile(sorted, 0.99), sorted[len(sorted)-1]
-}
-
 // RunPriority runs the admission-policy ladder. Every rung gets a fresh,
 // identically loaded engine; the batch stream saturates the slots until
 // the interactive stream completes, so every rung sees the same offered
@@ -215,7 +162,7 @@ func RunPriority(cfg PriorityConfig) (*PriorityResult, error) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	}
-	res := &PriorityResult{Config: cfg}
+	res := &PriorityResult{Config: cfg, AllIdentical: true}
 
 	// Serial reference: identical Options, queries one at a time, so
 	// static grants — and per-query virtual results — must match every
@@ -256,105 +203,87 @@ func RunPriority(cfg PriorityConfig) (*PriorityResult, error) {
 
 		var (
 			mu        sync.Mutex
-			firstErr  error
 			intQueued []time.Duration
 			batQueued []time.Duration
-			batJoins  int
 			identical = true
 			stop      atomic.Bool
 		)
-		fail := func(err error) {
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
-		}
-
 		start := time.Now()
 		tick := make(chan struct{}, 1) // batch completions pace interactive think
-		var batWG sync.WaitGroup
-		for c := 0; c < cfg.BatchClients; c++ {
-			batWG.Add(1)
-			go func() {
-				defer batWG.Done()
+		batDone := make(chan error, 1)
+		go func() {
+			batDone <- fanOut(cfg.BatchClients, func(int) error {
 				for !stop.Load() {
 					jr, queued, err := priorityJoin(db)
 					if err != nil {
-						fail(err)
-						return
+						return err
 					}
 					select {
 					case tick <- struct{}{}:
 					default:
 					}
 					mu.Lock()
-					batJoins++
 					batQueued = append(batQueued, queued)
 					if jr != wantJoin {
 						identical = false
 					}
 					mu.Unlock()
 				}
-			}()
-		}
-		var intWG sync.WaitGroup
-		for c := 0; c < cfg.InteractiveClients; c++ {
-			intWG.Add(1)
-			go func() {
-				defer intWG.Done()
-				for q := 0; q < cfg.InteractiveQueries; q++ {
-					for k := 0; k < cfg.ThinkJoins; k++ {
-						<-tick
-					}
-					rows, counters, queued, err := prioritySelect(db, interactiveClass)
-					if err != nil {
-						fail(err)
-						return
-					}
-					mu.Lock()
-					intQueued = append(intQueued, queued)
-					if rows != wantRows || counters != wantCounters {
-						identical = false
-					}
-					mu.Unlock()
+				return nil
+			})
+		}()
+		err = fanOut(cfg.InteractiveClients, func(int) error {
+			for q := 0; q < cfg.InteractiveQueries; q++ {
+				for k := 0; k < cfg.ThinkJoins; k++ {
+					<-tick
 				}
-			}()
-		}
-		intWG.Wait()
+				rows, counters, queued, err := prioritySelect(db, interactiveClass)
+				if err != nil {
+					return err
+				}
+				mu.Lock()
+				intQueued = append(intQueued, queued)
+				if rows != wantRows || counters != wantCounters {
+					identical = false
+				}
+				mu.Unlock()
+			}
+			return nil
+		})
 		wall := time.Since(start) // offered-load window: batch saturates it end to end
 		stop.Store(true)
-		batWG.Wait()
-		if firstErr != nil {
-			return nil, firstErr
+		if batErr := <-batDone; err == nil {
+			err = batErr
+		}
+		if err != nil {
+			return nil, err
 		}
 
 		m := db.SessionMetrics()
 		if m.PeakGrantedPages > m.MemoryPages {
 			return nil, fmt.Errorf("experiments: broker over-granted (%d > %d)", m.PeakGrantedPages, m.MemoryPages)
 		}
-		ip50, ip95, ip99, imax := priorityPercentiles(intQueued)
-		bp50, bp95, bp99, bmax := priorityPercentiles(batQueued)
 		row := PriorityRow{
 			Policy: rung,
 			Wall:   wall,
 			Interactive: PriorityClassStats{
 				Queries:    len(intQueued),
 				Throughput: float64(len(intQueued)) / wall.Seconds(),
-				QueuedP50:  ip50, QueuedP95: ip95, QueuedP99: ip99, QueuedMax: imax,
-				Rejected:   m.PerClass[interactiveClass].Rejected,
-				GrantPages: (cfg.MemoryPages - cfg.ReservedInteractive + reservedFor(cfg, interactiveClass)) / cfg.Slots,
+				QueuedP50:  percentile(intQueued, 0.50),
+				QueuedP95:  percentile(intQueued, 0.95),
+				QueuedP99:  percentile(intQueued, 0.99),
 			},
 			Batch: PriorityClassStats{
-				Queries:    batJoins,
-				Throughput: float64(batJoins) / wall.Seconds(),
-				QueuedP50:  bp50, QueuedP95: bp95, QueuedP99: bp99, QueuedMax: bmax,
-				Rejected:   m.PerClass[mmdb.Batch].Rejected,
-				GrantPages: (cfg.MemoryPages - cfg.ReservedInteractive) / cfg.Slots,
+				Queries:    len(batQueued),
+				Throughput: float64(len(batQueued)) / wall.Seconds(),
+				QueuedP50:  percentile(batQueued, 0.50),
+				QueuedP95:  percentile(batQueued, 0.95),
+				QueuedP99:  percentile(batQueued, 0.99),
 			},
 			VirtualMatch: identical,
 		}
 		res.Rows = append(res.Rows, row)
+		res.AllIdentical = res.AllIdentical && identical
 		if rung == "fifo" {
 			r := row
 			fifoRow = &r
@@ -372,22 +301,16 @@ func RunPriority(cfg PriorityConfig) (*PriorityResult, error) {
 	return res, nil
 }
 
-// reservedFor returns the reserved pages the class's grants may draw.
-func reservedFor(cfg PriorityConfig, c mmdb.QueryClass) int {
-	if c == mmdb.Interactive {
-		return cfg.ReservedInteractive
-	}
-	return 0
-}
-
 // Print writes the human-readable report.
 func (r *PriorityResult) Print(w io.Writer) {
 	fmt.Fprintf(w, "Priority-class admission — interactive selections vs. saturating batch joins\n")
 	fmt.Fprintf(w, "(%d slots, %d-page |M| with %d reserved for interactive, %d batch clients closed-loop,\n",
 		r.Config.Slots, r.Config.MemoryPages, r.Config.ReservedInteractive, r.Config.BatchClients)
-	fmt.Fprintf(w, " %d interactive clients × %d queries, think = %d batch completions)\n\n",
-		r.Config.InteractiveClients, r.Config.InteractiveQueries, r.Config.ThinkJoins)
-	fmt.Fprintf(w, "%9s %7s | %22s %12s %12s | %12s %12s %10s\n",
+	fmt.Fprintf(w, " %d interactive clients × %d queries, think = %d batch completions; %s clients in all)\n",
+		r.Config.InteractiveClients, r.Config.InteractiveQueries, r.Config.ThinkJoins,
+		wide(r.Config.BatchClients+r.Config.InteractiveClients))
+	printHost(w)
+	fmt.Fprintf(w, "\n%9s %7s | %22s %12s %12s | %12s %12s %10s\n",
 		"policy", "wall", "class", "queries/s", "queued p50", "queued p95", "queued p99", "identical")
 	for _, row := range r.Rows {
 		fmt.Fprintf(w, "%9s %7s | %22s %12.1f %12s %12s | %12s %10v\n",
@@ -406,13 +329,4 @@ func (r *PriorityResult) Print(w io.Writer) {
 		fmt.Fprintf(w, "\nstrict vs fifo: interactive p95 ratio %.3f (bar ≤ 0.25), batch throughput ratio %.3f (bar ≥ 0.85)\n",
 			r.StrictInteractiveP95Ratio, r.StrictBatchThroughputRatio)
 	}
-}
-
-// WriteJSON writes the machine-readable result.
-func (r *PriorityResult) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

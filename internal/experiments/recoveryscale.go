@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"time"
 
 	"mmdb/internal/event"
@@ -75,46 +73,51 @@ type RecoveryScaleResult struct {
 	Config RecoveryScaleConfig `json:"config"`
 	Rows   []RecoveryScaleRow  `json:"rows"`
 
-	CommittedGrowth  float64 `json:"committed_growth"`  // top rung / bottom rung, compacted config
-	BaselineGrowth   float64 `json:"baseline_growth"`   // recovery-time ratio, baseline config
-	CompactedSpread  float64 `json:"compacted_spread"`  // max/min recovery time, compacted config
-	BaselineGrows    bool    `json:"baseline_grows"`
-	CompactedFlat    bool    `json:"compacted_flat"`
-	WidthsIdentical  bool    `json:"widths_identical"`
-	AllHold          bool    `json:"all_invariants_hold"`
+	CommittedGrowth float64 `json:"committed_growth"` // top rung / bottom rung, compacted config
+	BaselineGrowth  float64 `json:"baseline_growth"`  // recovery-time ratio, baseline config
+	CompactedSpread float64 `json:"compacted_spread"` // max/min recovery time, compacted config
+	BaselineGrows   bool    `json:"baseline_grows"`
+	CompactedFlat   bool    `json:"compacted_flat"`
+	WidthsIdentical bool    `json:"widths_identical"`
+	AllHold         bool    `json:"all_invariants_hold"`
 }
 
-// scaleEngine builds one rung's engine: a uniform debit/credit workload
-// on a segmented stable-memory log (§5.4), sized so the checkpoint
-// sweep's steady-state lag — not the total history — bounds what
-// recovery must scan. Stable memory matters here: commits are durable on
-// append, so the checkpointer's WAL-rule wait is zero and the sweep
-// cycles fast enough for the redo bound to track the tip. Truncation
-// runs every 8 commits to keep the reclaimable backlog (and with it the
+// segmentedStableConfig is the §5.4 engine shape the recovery-scale and
+// replication ladders share: a uniform debit/credit workload on a
+// segmented stable-memory log. Stable memory matters: commits are durable
+// on append, so the checkpointer's WAL-rule wait is zero and the durable
+// horizon tracks the tip. Truncation, where a ladder turns it on, runs
+// every 8 commits to keep the reclaimable backlog (and with it the
 // rung-to-rung variance of the scanned window) small.
-func scaleEngine(cfg RecoveryScaleConfig, v scaleVariant) (*event.Sim, *txn.Engine, error) {
-	dev := wal.NewDevice("log0", 10*time.Millisecond)
-	sim := &event.Sim{}
-	tc := txn.Config{
-		Accounts:       2048,
-		Terminals:      20,
+func segmentedStableConfig(seed int64, accounts, terminals int) txn.Config {
+	return txn.Config{
+		Accounts:       accounts,
+		Terminals:      terminals,
 		UpdatesPerTxn:  3,
 		RecordsPerPage: 64,
-		Seed:           cfg.Seed,
-		TruncateLog:    v.truncate,
+		Seed:           seed,
 		TruncateEvery:  8,
 		Log: wal.Config{
-			Policy:          wal.StableMemory,
-			Devices:         []*wal.Device{dev},
-			PageSize:        4096,
-			SegmentPages:    2,
-			CompactSegments: v.compact,
+			Policy:       wal.StableMemory,
+			Devices:      []*wal.Device{wal.NewDevice("log0", 10*time.Millisecond)},
+			PageSize:     4096,
+			SegmentPages: 2,
 		},
 	}
+}
+
+// scaleEngine builds one rung's engine, sized so the checkpoint sweep's
+// steady-state lag — not the total history — bounds what recovery must
+// scan.
+func scaleEngine(cfg RecoveryScaleConfig, v scaleVariant) (*event.Sim, *txn.Engine, error) {
+	tc := segmentedStableConfig(cfg.Seed, 2048, 20)
+	tc.TruncateLog = v.truncate
+	tc.Log.CompactSegments = v.compact
 	if v.checkpoint {
 		tc.Checkpoint = true
 		tc.DataDevice = wal.NewDevice("data", 10*time.Millisecond)
 	}
+	sim := &event.Sim{}
 	e, err := txn.New(sim, tc)
 	return sim, e, err
 }
@@ -127,18 +130,10 @@ func runScaleCell(cfg RecoveryScaleConfig, v scaleVariant, runFor time.Duration)
 	if err != nil {
 		return row, err
 	}
-	crashAt := runFor - time.Millisecond
-	var in recovery.SegInput
-	var capErr error
-	captured := false
-	sim.At(crashAt, func() {
-		in, capErr = e.CrashInputSegmented()
-		captured = true
-	})
-	st := e.Run(runFor)
+	in, st, err := crashRun(sim, e, runFor-time.Millisecond, runFor, e.CrashInputSegmented)
 	row.Committed = st.Committed
-	if !captured || capErr != nil {
-		return row, fmt.Errorf("recovery scale: crash capture at %v failed: %v", crashAt, capErr)
+	if err != nil {
+		return row, fmt.Errorf("recovery scale: %w", err)
 	}
 
 	row.WidthsIdentical = true
@@ -199,17 +194,12 @@ func RunRecoveryScale(cfg RecoveryScaleConfig) (*RecoveryScaleResult, error) {
 	if baseline[0].RecoveryVirtual > 0 {
 		res.BaselineGrowth = float64(baseline[len(baseline)-1].RecoveryVirtual) / float64(baseline[0].RecoveryVirtual)
 	}
-	min, max := compacted[0].RecoveryVirtual, compacted[0].RecoveryVirtual
+	lo, hi := compacted[0].RecoveryVirtual, compacted[0].RecoveryVirtual
 	for _, row := range compacted {
-		if row.RecoveryVirtual < min {
-			min = row.RecoveryVirtual
-		}
-		if row.RecoveryVirtual > max {
-			max = row.RecoveryVirtual
-		}
+		lo, hi = min(lo, row.RecoveryVirtual), max(hi, row.RecoveryVirtual)
 	}
-	if min > 0 {
-		res.CompactedSpread = float64(max) / float64(min)
+	if lo > 0 {
+		res.CompactedSpread = float64(hi) / float64(lo)
 	}
 	// The bars: committed work really spread ~10×, the baseline's recovery
 	// cost follows the log, the reclaiming config's does not.
@@ -236,13 +226,4 @@ func (r *RecoveryScaleResult) Print(w io.Writer) {
 	fmt.Fprintf(w, "  ckpt+truncate+compact spread: %.3f (flat ≤1.10: %v)\n", r.CompactedSpread, r.CompactedFlat)
 	fmt.Fprintf(w, "  replay counters identical across widths: %v\n", r.WidthsIdentical)
 	fmt.Fprintf(w, "  ALL INVARIANTS HOLD: %v\n", r.AllHold)
-}
-
-// WriteJSON writes the machine-readable result.
-func (r *RecoveryScaleResult) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -2,12 +2,9 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"sort"
-	"sync"
 	"time"
 
 	"mmdb"
@@ -89,18 +86,21 @@ type ReplPhysRow struct {
 	CountersIdentical bool `json:"counters_identical"`
 }
 
-// ReplClusterRow is one rung of the cluster read-scaling leg.
+// ReplClusterRow is one rung of the cluster read-scaling leg. Where the
+// reads were routed is a function of the config; how fast they ran is a
+// measurement of the host, so Wall is stdout only and BENCH_repl.json
+// reproduces byte for byte.
 type ReplClusterRow struct {
-	Replicas     int     `json:"replicas"`
-	Reads        int     `json:"reads"`
-	ReplicaReads uint64  `json:"replica_reads"`
-	PrimaryReads uint64  `json:"primary_reads"`
-	Fallbacks    uint64  `json:"fallbacks"`
-	WallNS       int64   `json:"wall_ns"`
-	ReadsPerSec  float64 `json:"reads_per_sec"`
+	Replicas     int    `json:"replicas"`
+	Reads        int    `json:"reads"`
+	ReplicaReads uint64 `json:"replica_reads"`
+	PrimaryReads uint64 `json:"primary_reads"`
+	Fallbacks    uint64 `json:"fallbacks"`
 	// Verified: the replicas were byte-identical to the primary's
 	// shipped relations after the run.
 	Verified bool `json:"verified"`
+
+	Wall time.Duration `json:"-"`
 }
 
 // ReplResult is the full ladder report. AllHold is the acceptance
@@ -143,23 +143,11 @@ func replFaultPlans() []replFaultPlan {
 // engine shape — truncation active so the replication slots are load-
 // bearing, stable memory so the durable horizon tracks the tip.
 func replPrimary(cfg ReplConfig) (*event.Sim, *txn.Engine, error) {
+	tc := segmentedStableConfig(cfg.Seed, 512, 8)
+	tc.AbortEvery = 7
+	tc.TruncateLog = true
 	sim := &event.Sim{}
-	e, err := txn.New(sim, txn.Config{
-		Accounts:       512,
-		Terminals:      8,
-		UpdatesPerTxn:  3,
-		RecordsPerPage: 64,
-		AbortEvery:     7,
-		Seed:           cfg.Seed,
-		TruncateLog:    true,
-		TruncateEvery:  8,
-		Log: wal.Config{
-			Policy:       wal.StableMemory,
-			Devices:      []*wal.Device{wal.NewDevice("log0", 10*time.Millisecond)},
-			PageSize:     4096,
-			SegmentPages: 2,
-		},
-	})
+	e, err := txn.New(sim, tc)
 	return sim, e, err
 }
 
@@ -268,57 +256,37 @@ func runReplClusterRung(cfg ReplConfig, nReplicas int) (ReplClusterRow, error) {
 
 	const q = "SELECT dept, COUNT(*) FROM accounts GROUP BY dept ORDER BY dept"
 	pref := mmdb.WithReadPreference(mmdb.NearestReplica())
-	var wg sync.WaitGroup
-	errs := make(chan error, cfg.ClusterClients)
 	perClient := cfg.ClusterReads / cfg.ClusterClients
 	start := time.Now()
-	for c := 0; c < cfg.ClusterClients; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perClient; i++ {
-				if _, err := cluster.Query(q, pref); err != nil {
-					errs <- err
-					return
-				}
+	err = fanOut(cfg.ClusterClients, func(int) error {
+		for i := 0; i < perClient; i++ {
+			if _, err := cluster.Query(q, pref); err != nil {
+				return err
 			}
-		}()
-	}
-	wg.Wait()
-	wall := time.Since(start)
-	close(errs)
-	for err := range errs {
+		}
+		return nil
+	})
+	row.Wall = time.Since(start)
+	if err != nil {
 		return row, fmt.Errorf("repl cluster (%d replicas): %w", nReplicas, err)
 	}
 	m := cluster.Metrics()
 	row.ReplicaReads = m.ReplicaReads
 	row.PrimaryReads = m.PrimaryReads
 	row.Fallbacks = m.Fallbacks
-	row.WallNS = wall.Nanoseconds()
-	if wall > 0 {
-		row.ReadsPerSec = float64(perClient*cfg.ClusterClients) / wall.Seconds()
-	}
 	row.Verified = cluster.VerifyReplicas() == nil
 	return row, nil
 }
 
 // seedReplTable loads the cluster leg's read table through the primary.
 func seedReplTable(db *mmdb.Database, rows int) error {
-	rel, err := db.CreateRelation("accounts", mmdb.MustSchema(
+	return loadRelation(db, "accounts", mmdb.MustSchema(
 		mmdb.Field{Name: "id", Kind: mmdb.Int64},
 		mmdb.Field{Name: "dept", Kind: mmdb.Int64},
 		mmdb.Field{Name: "balance", Kind: mmdb.Int64},
-	))
-	if err != nil {
-		return err
-	}
-	for i := 0; i < rows; i++ {
-		if err := rel.Insert(mmdb.IntValue(int64(i+1)), mmdb.IntValue(int64(i%16)),
-			mmdb.IntValue(int64(1000+i))); err != nil {
-			return err
-		}
-	}
-	return rel.Flush()
+	), rows, func(i int) []mmdb.Value {
+		return []mmdb.Value{mmdb.IntValue(int64(i + 1)), mmdb.IntValue(int64(i % 16)), mmdb.IntValue(int64(1000 + i))}
+	})
 }
 
 // runReplStallRung checks graceful degradation: with every shipment to
@@ -406,13 +374,15 @@ func (r *ReplResult) Print(w io.Writer) {
 			row.Replicas, row.Faults, row.Committed, row.Records,
 			row.StalenessP50, row.StalenessP99, row.Identical, row.CountersIdentical)
 	}
-	fmt.Fprintf(w, "\n  cluster leg: %d nearest-replica reads over %d clients\n\n", r.Config.ClusterReads, r.Config.ClusterClients)
-	fmt.Fprintf(w, "  %-9s %9s %9s %9s %10s %12s %9s\n",
+	fmt.Fprintf(w, "\n  cluster leg: %d nearest-replica reads over %s clients\n", r.Config.ClusterReads, wide(r.Config.ClusterClients))
+	fmt.Fprint(w, "  ") // this report is indented throughout
+	printHost(w)
+	fmt.Fprintf(w, "\n  %-9s %9s %9s %9s %10s %12s %9s\n",
 		"replicas", "replica", "primary", "fallback", "wall", "reads/s", "verified")
 	for _, row := range r.ClusterRows {
 		fmt.Fprintf(w, "  %-9d %9d %9d %9d %10s %12.0f %9v\n",
 			row.Replicas, row.ReplicaReads, row.PrimaryReads, row.Fallbacks,
-			time.Duration(row.WallNS).Round(time.Millisecond), row.ReadsPerSec, row.Verified)
+			row.Wall.Round(time.Millisecond), float64(row.Reads)/row.Wall.Seconds(), row.Verified)
 	}
 	fmt.Fprintf(w, "\n  stalled link: %d bounded reads fell back to the primary, 0 errors; replica verified after drain: %v\n",
 		r.StallFallbacks, r.StallVerified)
@@ -420,13 +390,4 @@ func (r *ReplResult) Print(w io.Writer) {
 	fmt.Fprintf(w, "  apply counters identical across widths: %v\n", r.CountersIdentical)
 	fmt.Fprintf(w, "  cluster replicas verified byte-identical: %v\n", r.ClusterVerified)
 	fmt.Fprintf(w, "  ALL INVARIANTS HOLD: %v\n", r.AllHold)
-}
-
-// WriteJSON writes the machine-readable result.
-func (r *ReplResult) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -1,11 +1,9 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"io"
-	"os"
 	"runtime"
 	"time"
 
@@ -95,52 +93,28 @@ func loadSortDB(cfg SortConfig, memPages, width int) (*mmdb.Database, error) {
 	if err != nil {
 		return nil, err
 	}
-	events, err := db.CreateRelation("events", mmdb.MustSchema(
+	// Deterministic LCG shuffle of the key space (MMIX constants).
+	state := uint64(0x9E3779B97F4A7C15)
+	err = loadRelation(db, "events", mmdb.MustSchema(
 		mmdb.Field{Name: "key", Kind: mmdb.Int64},
 		mmdb.Field{Name: "seq", Kind: mmdb.Int64},
 		mmdb.Field{Name: "pad", Kind: mmdb.String, Size: 16},
-	))
-	if err != nil {
-		return nil, err
-	}
-	// Deterministic LCG shuffle of the key space (MMIX constants).
-	state := uint64(0x9E3779B97F4A7C15)
-	for i := 0; i < cfg.Tuples; i++ {
+	), cfg.Tuples, func(i int) []mmdb.Value {
 		state = state*6364136223846793005 + 1442695040888963407
 		key := int64(state % uint64(cfg.Tuples*4))
-		err := events.Insert(
-			mmdb.IntValue(key),
-			mmdb.IntValue(int64(i)),
-			mmdb.StringValue("event-padding!!!"),
-		)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if err := events.Flush(); err != nil {
-		return nil, err
-	}
-	ref, err := db.CreateRelation("ref", mmdb.MustSchema(
-		mmdb.Field{Name: "key", Kind: mmdb.Int64},
-		mmdb.Field{Name: "tag", Kind: mmdb.Int64},
-	))
+		return []mmdb.Value{mmdb.IntValue(key), mmdb.IntValue(int64(i)), mmdb.StringValue("event-padding!!!")}
+	})
 	if err != nil {
 		return nil, err
 	}
-	for i := 0; i < cfg.RefTuples; i++ {
-		state = uint64(i)*2862933555777941757 + 3037000493
-		err := ref.Insert(
-			mmdb.IntValue(int64(state%uint64(cfg.Tuples*4))),
-			mmdb.IntValue(int64(i)),
-		)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if err := ref.Flush(); err != nil {
-		return nil, err
-	}
-	return db, nil
+	err = loadRelation(db, "ref", mmdb.MustSchema(
+		mmdb.Field{Name: "key", Kind: mmdb.Int64},
+		mmdb.Field{Name: "tag", Kind: mmdb.Int64},
+	), cfg.RefTuples, func(i int) []mmdb.Value {
+		key := (uint64(i)*2862933555777941757 + 3037000493) % uint64(cfg.Tuples*4)
+		return []mmdb.Value{mmdb.IntValue(int64(key)), mmdb.IntValue(int64(i))}
+	})
+	return db, err
 }
 
 // runSortCell executes one (memory, width) cell: Repeat timed rounds of
@@ -158,12 +132,10 @@ func runSortCell(cfg SortConfig, memPages, width int) (SortVirtual, time.Duratio
 		metricsBefore := db.SessionMetrics()
 		h := fnv.New64a()
 		var rows int64
-		var buf [8]byte
 		start := time.Now()
 		err := db.OrderBy("events", "key", func(t mmdb.Tuple) bool {
 			rows++
-			copy(buf[:], t[:8])
-			h.Write(buf[:])
+			h.Write(t[:8])
 			return true
 		})
 		if err != nil {
@@ -207,9 +179,7 @@ func RunSort(cfg SortConfig) (*SortResult, error) {
 	// way; on a single-core host speedup simply stays ~1x.
 	top := 1
 	for _, w := range cfg.Widths {
-		if w > top {
-			top = w
-		}
+		top = max(top, w)
 	}
 	if runtime.GOMAXPROCS(0) < top {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(top))
@@ -239,11 +209,12 @@ func RunSort(cfg SortConfig) (*SortResult, error) {
 // live here only, never in the JSON.
 func (r *SortResult) Print(w io.Writer) {
 	fmt.Fprintf(w, "Parallel external sort — chunked run formation + merge tree\n")
-	fmt.Fprintf(w, "(%d tuples, %d sort chunks, widths %v, %d timed rounds per cell)\n\n",
+	fmt.Fprintf(w, "(%d tuples, %d sort chunks, widths %v, %d timed rounds per cell)\n",
 		r.Config.Tuples, r.Config.Chunks, r.Config.Widths, r.Config.Repeat)
-	fmt.Fprintf(w, "%8s %8s %8s %12s %12s", "mem", "runs", "passes", "IOseq", "IOrand")
+	printHost(w)
+	fmt.Fprintf(w, "\n%8s %8s %8s %12s %12s", "mem", "runs", "passes", "IOseq", "IOrand")
 	for _, width := range r.Config.Widths {
-		fmt.Fprintf(w, " %9s", fmt.Sprintf("w=%d", width))
+		fmt.Fprintf(w, " %9s", "w="+wide(width))
 	}
 	fmt.Fprintf(w, " %8s %10s\n", "speedup", "identical")
 	for _, row := range r.Rows {
@@ -264,15 +235,4 @@ func (r *SortResult) Print(w io.Writer) {
 	if !r.AllIdentical {
 		fmt.Fprintf(w, "\nVIRTUAL COUNTER MISMATCH: parallelism changed the accounting\n")
 	}
-}
-
-// WriteJSON writes the machine-readable result. Only virtual quantities
-// are serialized, so the file is byte-identical for a given config no
-// matter the host, the worker widths' scheduling, or the wall clock.
-func (r *SortResult) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -8,7 +8,6 @@
 package experiments
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math/rand"
@@ -103,15 +102,10 @@ func runTable1Empirical(cfg Table1Config) ([]EmpiricalPoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	keyBytes := func(k int) []byte {
-		var b [8]byte
-		binary.BigEndian.PutUint64(b[:], uint64(int64(k))^(1<<63))
-		return b[:]
-	}
 	for _, k := range keys {
 		t := schema.MustEncode(tuple.IntValue(int64(k)), tuple.StringValue("x"))
-		at.Insert(keyBytes(k), t)
-		bt.Insert(keyBytes(k), t)
+		at.Insert(intKey(k), t)
+		bt.Insert(intKey(k), t)
 	}
 
 	// Page placement for the AVL tree: nodes packed onto pages in
@@ -125,8 +119,8 @@ func runTable1Empirical(cfg Table1Config) ([]EmpiricalPoint, error) {
 
 	var out []EmpiricalPoint
 	for _, h := range []float64{0.1, 0.3, 0.5, 0.7, 0.8, 0.9, 0.95, 0.99} {
-		avlPool := buffer.New(maxi(1, int(h*float64(avlPages))), buffer.Random, nil, cfg.Seed+1)
-		btPool := buffer.New(maxi(1, int(h*float64(avlPages))), buffer.Random, nil, cfg.Seed+2)
+		avlPool := buffer.New(max(1, int(h*float64(avlPages))), buffer.Random, nil, cfg.Seed+1)
+		btPool := buffer.New(max(1, int(h*float64(avlPages))), buffer.Random, nil, cfg.Seed+2)
 
 		// Warm both pools with random pages, then measure steady state.
 		for i := 0; i < avlPool.Capacity(); i++ {
@@ -142,10 +136,10 @@ func runTable1Empirical(cfg Table1Config) ([]EmpiricalPoint, error) {
 
 		for i := 0; i < cfg.Lookups; i++ {
 			k := keys[rng.Intn(len(keys))]
-			at.Search(keyBytes(k), func(id avl.NodeID) {
+			at.Search(intKey(k), func(id avl.NodeID) {
 				avlPool.Touch(buffer.PageKey{Space: "avl", Page: int(id) / nodesPerPage})
 			})
-			bt.Search(keyBytes(k), func(id btree.NodeID) {
+			bt.Search(intKey(k), func(id btree.NodeID) {
 				btPool.Touch(buffer.PageKey{Space: "bt", Page: int(id)})
 			})
 		}
@@ -169,7 +163,7 @@ func runTable1Empirical(cfg Table1Config) ([]EmpiricalPoint, error) {
 		avlPool.ResetStats()
 		btPool.ResetStats()
 		for i := 0; i < seqScans; i++ {
-			start := keyBytes(keys[rng.Intn(len(keys)/2)])
+			start := intKey(keys[rng.Intn(len(keys)/2)])
 			read := 0
 			at.Ascend(start, func(id avl.NodeID) {
 				avlPool.Touch(buffer.PageKey{Space: "avl", Page: int(id) / nodesPerPage})
@@ -244,11 +238,4 @@ func (r *Table1Result) Print(w io.Writer) {
 	fmt.Fprintf(w, "  measured crossover (Z=20, Y=0.7): H ≈ %.2f — paper's claim: 0.80-0.90+\n", r.EmpiricalCrossover())
 	fmt.Fprintf(w, "  seq columns: faults per sequential scan of %d records (case 2) — the AVL\n", r.Config.SequentialN)
 	fmt.Fprintln(w, "  tree touches one scattered page per record, the B+-tree one leaf per ~28.")
-}
-
-func maxi(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -1,11 +1,8 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"sort"
 	"sync"
 	"time"
 
@@ -59,16 +56,20 @@ var wireStatements = []string{
 	"SELECT dept, COUNT(*), SUM(salary) FROM emp GROUP BY dept ORDER BY dept",
 }
 
-// WireRow is one rung of the connection ladder.
+// WireRow is one rung of the connection ladder. Only the virtual half is
+// serialized: BENCH_wire.json must reproduce byte for byte on any host,
+// so the wall-clock and schedule-dependent fields are stdout only.
 type WireRow struct {
 	Clients      int             `json:"clients"`
 	Statements   int             `json:"statements"`
-	Wall         time.Duration   `json:"wall_ns"`
-	Throughput   float64         `json:"statements_per_sec"`
-	QueuedP50    time.Duration   `json:"queued_p50_ns"`
-	QueuedP95    time.Duration   `json:"queued_p95_ns"`
 	Counters     []mmdb.Counters `json:"statement_counters"` // one per statement in the mix
 	VirtualMatch bool            `json:"virtual_identical"`  // counters identical to the 1-client rung
+
+	Wall        time.Duration `json:"-"`
+	Throughput  float64       `json:"-"` // statements per second
+	QueuedP50   time.Duration `json:"-"`
+	QueuedP95   time.Duration `json:"-"`
+	PeakGranted int           `json:"-"` // broker high-water mark, pages
 }
 
 // WireResult is the full ladder plus the workload parameters.
@@ -86,14 +87,12 @@ func RunWire(cfg WireConfig) (*WireResult, error) {
 	res := &WireResult{Config: cfg, Statements: wireStatements, AllIdentical: true}
 	var baseline []mmdb.Counters
 	for _, clients := range cfg.Clients {
-		db, err := loadConcurrencyDB(ConcurrencyConfig{
-			PageSize:    cfg.PageSize,
-			MemoryPages: cfg.MemoryPages,
-			Slots:       cfg.Slots,
-			QueueDepth:  cfg.QueueDepth,
-			Tuples:      cfg.Tuples,
-			Groups:      cfg.Groups,
-		})
+		db, err := loadEmpDept(mmdb.Options{
+			PageSize:             cfg.PageSize,
+			MemoryPages:          cfg.MemoryPages,
+			MaxConcurrentQueries: cfg.Slots,
+			QueueDepth:           cfg.QueueDepth,
+		}, cfg.Tuples, cfg.Groups)
 		if err != nil {
 			return nil, err
 		}
@@ -109,54 +108,44 @@ func RunWire(cfg WireConfig) (*WireResult, error) {
 		// counters[s] collects every client's bill for statement s.
 		counters := make([][]mmdb.Counters, len(wireStatements))
 		var mu sync.Mutex
-		var wg sync.WaitGroup
-		var firstErr error
 
 		start := time.Now()
-		for c := 0; c < clients; c++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				cl, err := sqlclient.Dial(addr.String())
-				if err == nil {
-					defer cl.Close()
-					for q := 0; q < cfg.QueriesPerClient && err == nil; q++ {
-						if cfg.ThinkTime > 0 {
-							time.Sleep(cfg.ThinkTime)
-						}
-						for s, stmt := range wireStatements {
-							var r *sqlclient.Result
-							if r, err = cl.Query(stmt); err != nil {
-								break
-							}
-							mu.Lock()
-							queued = append(queued, r.Queued)
-							counters[s] = append(counters[s], r.Counters)
-							mu.Unlock()
-						}
+		err = fanOut(clients, func(int) error {
+			cl, err := sqlclient.Dial(addr.String())
+			if err != nil {
+				return err
+			}
+			defer cl.Close()
+			for q := 0; q < cfg.QueriesPerClient; q++ {
+				time.Sleep(cfg.ThinkTime)
+				for s, stmt := range wireStatements {
+					r, err := cl.Query(stmt)
+					if err != nil {
+						return err
 					}
-				}
-				if err != nil {
 					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
+					queued = append(queued, r.Queued)
+					counters[s] = append(counters[s], r.Counters)
 					mu.Unlock()
 				}
-			}()
-		}
-		wg.Wait()
+			}
+			return nil
+		})
 		wall := time.Since(start)
 		srv.Close()
-		if firstErr != nil {
-			return nil, firstErr
+		if err != nil {
+			return nil, err
+		}
+		m := db.SessionMetrics()
+		if m.PeakGrantedPages > m.MemoryPages {
+			return nil, fmt.Errorf("experiments: broker over-granted (%d > %d)", m.PeakGrantedPages, m.MemoryPages)
 		}
 
 		// Every statement must bill identically for every client at
 		// every rung — the wire hop may change wall time and queueing,
 		// never the virtual clock.
-		row := WireRow{Clients: clients, Statements: total, Wall: wall,
-			Throughput: float64(total) / wall.Seconds(), VirtualMatch: true}
+		row := WireRow{Clients: clients, Statements: total, VirtualMatch: true, Wall: wall,
+			Throughput: float64(total) / wall.Seconds(), PeakGranted: m.PeakGrantedPages}
 		for s := range wireStatements {
 			if len(counters[s]) == 0 {
 				return nil, fmt.Errorf("experiments: statement %d never ran", s)
@@ -181,7 +170,6 @@ func RunWire(cfg WireConfig) (*WireResult, error) {
 		if !row.VirtualMatch {
 			res.AllIdentical = false
 		}
-		sort.Slice(queued, func(i, j int) bool { return queued[i] < queued[j] })
 		row.QueuedP50 = percentile(queued, 0.50)
 		row.QueuedP95 = percentile(queued, 0.95)
 		res.Rows = append(res.Rows, row)
@@ -189,17 +177,19 @@ func RunWire(cfg WireConfig) (*WireResult, error) {
 	return res, nil
 }
 
-// Print writes the human-readable report.
+// Print writes the human-readable report; throughput and queueing live
+// here only, never in the JSON.
 func (r *WireResult) Print(w io.Writer) {
 	fmt.Fprintf(w, "SQL over the wire — closed-loop statement mix via TCP connections\n")
-	fmt.Fprintf(w, "(%d slots, %d-page |M| → %d-page static grants, %d iterations/client × %d statements, %s think time)\n\n",
+	fmt.Fprintf(w, "(%d slots, %d-page |M| → %d-page static grants, %d iterations/client × %d statements, %s think time)\n",
 		r.Config.Slots, r.Config.MemoryPages, r.Config.MemoryPages/r.Config.Slots,
 		r.Config.QueriesPerClient, len(r.Statements), r.Config.ThinkTime)
-	fmt.Fprintf(w, "%8s %11s %14s %12s %12s %10s\n",
+	printHost(w)
+	fmt.Fprintf(w, "\n%8s %11s %14s %12s %12s %10s\n",
 		"clients", "statements", "statements/s", "queued p50", "queued p95", "identical")
 	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%8d %11d %14.1f %12s %12s %10v\n",
-			row.Clients, row.Statements, row.Throughput,
+		fmt.Fprintf(w, "%8s %11d %14.1f %12s %12s %10v\n",
+			wide(row.Clients), row.Statements, row.Throughput,
 			row.QueuedP50.Round(time.Microsecond), row.QueuedP95.Round(time.Microsecond),
 			row.VirtualMatch)
 	}
@@ -210,13 +200,4 @@ func (r *WireResult) Print(w io.Writer) {
 				first.Clients, last.Clients, last.Throughput/first.Throughput)
 		}
 	}
-}
-
-// WriteJSON writes the machine-readable result.
-func (r *WireResult) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -7,8 +7,9 @@ import (
 )
 
 // TestWireLadderDeterminism runs a shrunken wire ladder and checks its
-// core claim: the per-statement virtual counters arriving in DONE
-// frames are bit-identical at every connection count.
+// core claims: the per-statement virtual counters arriving in DONE
+// frames are bit-identical at every connection count, and the memory
+// broker never grants more than |M| however many sessions are admitted.
 func TestWireLadderDeterminism(t *testing.T) {
 	cfg := DefaultWireConfig()
 	cfg.Clients = []int{1, 3}
@@ -32,6 +33,11 @@ func TestWireLadderDeterminism(t *testing.T) {
 		}
 		if row.Statements != row.Clients*cfg.QueriesPerClient*len(wireStatements) {
 			t.Fatalf("rung %d clients ran %d statements", row.Clients, row.Statements)
+		}
+		// The broker's no-over-grant invariant, on every rung; a zero peak
+		// would mean the check never saw a grant.
+		if row.PeakGranted <= 0 || row.PeakGranted > cfg.MemoryPages {
+			t.Fatalf("rung %d clients: peak granted %d pages of %d", row.Clients, row.PeakGranted, cfg.MemoryPages)
 		}
 		for s, c := range row.Counters {
 			if (c == mmdb.Counters{}) {

@@ -514,11 +514,21 @@ func (db *Database) adoptFile(f *heap.File) (*Relation, error) {
 // or demoted mid-call) fails the mutation.
 func (db *Database) shipOp(op shipOp) error {
 	fn := db.ship.Load()
-	if fn == nil || isTempRelation(op.rel) {
+	if fn == nil && (!db.readOnly.Load() || db.applying.Load()) {
+		return nil // unreplicated database, or the applier's own op
+	}
+	if isTempRelation(op.rel) {
 		return nil
 	}
 	if _, ok := db.localRes.Load(catalog.ResourceID(op.rel)); ok {
 		return nil
+	}
+	if fn == nil {
+		// No hook on a read-only database: a client writer that passed
+		// the write guard before a crash failover demoted this node and
+		// took its hook away. Acknowledging it would ack a write no
+		// survivor holds.
+		return db.writeRefused()
 	}
 	return (*fn)(op)
 }

@@ -148,48 +148,23 @@ func (r *Relation) Lookup(column string, v Value) ([]Tuple, error) {
 	return out, err
 }
 
-// Delete removes every row whose column equals v, returning the count.
-// Indexes on the relation are rebuilt afterwards (bulk maintenance).
+// Delete removes every row whose column equals v, returning the count:
+// DeleteWhere(column = v).
 func (r *Relation) Delete(column string, v Value) (int64, error) {
-	schema := r.Schema()
-	col := schema.FieldIndex(column)
+	col := r.Schema().FieldIndex(column)
 	if col < 0 {
 		return 0, fmt.Errorf("mmdb: relation %q has no column %q", r.Name(), column)
 	}
-	probe := make(Tuple, schema.Width())
-	if err := schema.Set(probe, col, v); err != nil {
+	eq, err := expr.NewComparison(r.Schema(), col, expr.Eq, v)
+	if err != nil {
 		return 0, err
 	}
-	var removed int64
-	err := r.withIntent(lock.Exclusive, func() error {
-		err := r.rel.File.Rewrite(func(t tuple.Tuple) (tuple.Tuple, bool) {
-			if schema.CompareField(t, probe, col) == 0 {
-				removed++
-				return nil, false
-			}
-			return t, true
-		})
-		if err != nil {
-			removed = 0
-			return err
-		}
-		if removed > 0 {
-			if err := r.rebuildIndexes(); err != nil {
-				return err
-			}
-		}
-		if err := r.db.shipOp(shipOp{kind: opDelete, rel: r.Name(), column: column, value: v}); err != nil {
-			removed = 0
-			return err
-		}
-		return nil
-	})
-	return removed, err
+	return r.DeleteWhere(&Pred{rel: r.rel, inner: eq})
 }
 
 // DeleteWhere removes every row matching the predicate, returning the
-// count. A nil predicate removes every row. Indexes are rebuilt
-// afterwards (bulk maintenance), exactly as in Delete.
+// count. A nil predicate removes every row. Indexes on the relation are
+// rebuilt afterwards (bulk maintenance).
 func (r *Relation) DeleteWhere(p *Pred) (int64, error) {
 	if p != nil {
 		if err := p.Err(); err != nil {

@@ -266,7 +266,6 @@ func (s *Session) execScan(b *sqlfront.BoundSelect, outSchema *Schema) (*SQLResu
 // hash distinct with a deterministic ascending sort of the values.
 func (s *Session) execDistinct(b *sqlfront.BoundSelect, outSchema *Schema) (*SQLResult, error) {
 	name := b.Tables[0].Name
-	schema := b.Tables[0].Schema
 	if b.Preds[0] != nil {
 		tmp, err := s.materializeFiltered(b)
 		if err != nil {
@@ -279,7 +278,6 @@ func (s *Session) execDistinct(b *sqlfront.BoundSelect, outSchema *Schema) (*SQL
 	if err != nil {
 		return nil, err
 	}
-	_ = schema
 	return s.distinctRows(b, outSchema, files[0])
 }
 
