@@ -302,16 +302,32 @@ func OpenCluster(primary Options, replicas int) (*Cluster, error) {
 	return c, nil
 }
 
+// applierKey marks applierCtx, the context the replication applier takes
+// its intents through. Being the applier is a property of one lock
+// acquisition, not of the database: a client write racing the applier on
+// the same database locks through its own context and is still refused.
+type applierKey struct{}
+
+var applierCtx = context.WithValue(context.Background(), applierKey{}, true)
+
+// lockCtx is the context a one-shot intent locks through.
+func lockCtx(applier bool) context.Context {
+	if applier {
+		return applierCtx
+	}
+	return context.Background()
+}
+
 // writeGuard is the write-admission hook for a database that is not the
 // primary (a replica, or a primary being fenced for switchover),
 // consulted by the lock table on every exclusive intent: the replication
-// applier passes (applying is set around each applied op),
-// session-private relations pass (temporaries and adopted planner
-// outputs, registered in localRes), everything else is a client write and
-// is refused with the cluster's typed not-primary error.
-func writeGuard(db *Database) func(res uint64) error {
-	return func(res uint64) error {
-		if db.applying.Load() {
+// applier passes (it locks through applierCtx), session-private relations
+// pass (temporaries and adopted planner outputs, registered in localRes),
+// everything else is a client write and is refused with the cluster's
+// typed not-primary error.
+func writeGuard(db *Database) func(ctx context.Context, res uint64) error {
+	return func(ctx context.Context, res uint64) error {
+		if ctx.Value(applierKey{}) != nil {
 			return nil
 		}
 		if _, ok := db.localRes.Load(res); ok {
@@ -498,23 +514,22 @@ func (c *Cluster) admitOp(r *clusterReplica) bool {
 
 // apply replays one logical op through the replica's own public mutation
 // path — the same locking, index maintenance and rewrite code the
-// primary ran — with the applying flag raised so the read-only guard
-// admits it. Determinism of each operation makes replay byte-exact.
+// primary ran — through the applier's own handles, which the read-only
+// guard admits. Determinism of each operation makes replay byte-exact.
 func (r *clusterReplica) apply(op shipOp) error {
 	db := r.db
-	db.applying.Store(true)
-	defer db.applying.Store(false)
 	switch op.kind {
 	case opCreateRelation:
-		_, err := db.CreateRelation(op.rel, op.schema)
+		_, err := db.createRelation(true, op.rel, op.schema)
 		return err
 	case opDropRelation:
-		return db.DropRelation(op.rel)
+		return db.dropRelation(true, op.rel)
 	}
 	rel, err := db.Relation(op.rel)
 	if err != nil {
 		return err
 	}
+	rel.applier = true
 	switch op.kind {
 	case opInsert:
 		return rel.InsertTuple(op.tuple)
@@ -991,10 +1006,9 @@ func (c *Cluster) Rejoin(ctx context.Context) error {
 	}
 	db := dn.db
 
-	// Scrub the node's possibly-diverged durable state. The applying
-	// flag passes its own write guard; its ship hook is nil, so nothing
-	// replicates.
-	db.applying.Store(true)
+	// Scrub the node's possibly-diverged durable state. The applier's
+	// drop passes the node's own write guard; its ship hook is nil, so
+	// nothing replicates.
 	for _, name := range db.cat.Names() {
 		if isTempRelation(name) {
 			continue
@@ -1002,12 +1016,10 @@ func (c *Cluster) Rejoin(ctx context.Context) error {
 		if _, ok := db.localRes.Load(catalog.ResourceID(name)); ok {
 			continue
 		}
-		if err := db.DropRelation(name); err != nil {
-			db.applying.Store(false)
+		if err := db.dropRelation(true, name); err != nil {
 			return fmt.Errorf("mmdb: rejoin: scrubbing %q: %w", name, err)
 		}
 	}
-	db.applying.Store(false)
 
 	// Register the parked link first: every op enqueued from here on is
 	// buffered for the applier, so nothing between registration and the
@@ -1082,8 +1094,6 @@ func (c *Cluster) Rejoin(ctx context.Context) error {
 // duration (Rejoin holds shared intents on src; dst is the detached down
 // node).
 func (c *Cluster) copyRelations(src, dst *Database, names []string) error {
-	dst.applying.Store(true)
-	defer dst.applying.Store(false)
 	for _, name := range names {
 		srel, err := src.cat.Get(name)
 		if err != nil {
@@ -1097,7 +1107,7 @@ func (c *Cluster) copyRelations(src, dst *Database, names []string) error {
 		}); err != nil {
 			return err
 		}
-		drel, err := dst.CreateRelation(name, schema)
+		drel, err := dst.createRelation(true, name, schema)
 		if err != nil {
 			return err
 		}

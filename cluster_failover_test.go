@@ -580,20 +580,17 @@ func TestFailoverRefusesStragglerShip(t *testing.T) {
 
 	old := c.DatabaseOf("p")
 	straggler := shipOp{kind: opFlush, rel: "accounts"}
-	if err := old.shipOp(straggler); !errors.Is(err, ErrNotPrimary) {
+	if err := old.shipOp(false, straggler); !errors.Is(err, ErrNotPrimary) {
 		t.Fatalf("straggler ship on the demoted primary = %v, want ErrNotPrimary", err)
 	}
-	if err := old.shipOp(shipOp{kind: opFlush, rel: "sql.tmp.1"}); err != nil {
+	if err := old.shipOp(false, shipOp{kind: opFlush, rel: "sql.tmp.1"}); err != nil {
 		t.Fatalf("temporary relation refused on the demoted primary: %v", err)
 	}
-	old.applying.Store(true)
-	err = old.shipOp(straggler)
-	old.applying.Store(false)
-	if err != nil {
+	if err := old.shipOp(true, straggler); err != nil {
 		t.Fatalf("applier op refused on the demoted primary: %v", err)
 	}
 	// A plain database has no hook either, and is not read-only.
-	if err := openTestDB(t).shipOp(straggler); err != nil {
+	if err := openTestDB(t).shipOp(false, straggler); err != nil {
 		t.Fatalf("unclustered database refused a ship: %v", err)
 	}
 }

@@ -60,7 +60,7 @@ type Checkpointer struct {
 
 	// OnAdvance, when set, fires after each completed page write — the
 	// recovery start point may have advanced, so the engine can republish
-	// the segmented log's commit.meta horizon.
+	// the log's commit.meta horizon.
 	OnAdvance func()
 }
 

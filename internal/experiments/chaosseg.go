@@ -11,13 +11,12 @@ import (
 	"mmdb/internal/wal"
 )
 
-// ChaosSegRow is one targeted segmented-log crash: the engine is run once
-// to discover when the interesting writes happen (segment rotations,
-// commit.meta slot rewrites, compaction installs), then re-run with a
-// crash landed in the middle of one such write. The invariants are the
-// same bar the monolithic grid holds plus the segmented one: recovery
-// from the horizon-skipping path must equal a full scan of every
-// surviving segment bit for bit.
+// ChaosSegRow is one crash aimed at a segment-directory write: the engine
+// is run once to discover when the interesting writes happen (segment
+// rotations, commit.meta slot rewrites, compaction installs), then re-run
+// with a crash landed in the middle of one such write. The invariants are
+// the same bar the crash grid holds plus one more: the horizon-skipping
+// recovery must equal a full scan of every surviving segment bit for bit.
 type ChaosSegRow struct {
 	Seed    int64         `json:"seed"`
 	Target  string        `json:"target"` // rotation | meta | compaction
@@ -44,8 +43,8 @@ type ChaosSegRow struct {
 }
 
 // chaosSegEngine builds a fresh, identically-seeded engine for a rung:
-// the monolithic grid's workload and tearing device (so rotations and
-// compaction installs happen over a torn medium) on a segmented log.
+// the crash grid's workload and tearing device (so rotations and
+// compaction installs happen over a torn medium) on small segments.
 // Checkpoint plus truncation keep the commit.meta horizon moving (so
 // skipping is real), and the slow sweep over hot pages leaves a standing
 // window of cold-but-untruncated segments for the compactor to rewrite.
@@ -72,9 +71,6 @@ func segCrashWindows(cfg ChaosConfig, seed int64) (map[string][]seglog.Window, e
 	}
 	e.Run(cfg.RunFor)
 	dir := dev.SegmentDir()
-	if dir == nil {
-		return nil, fmt.Errorf("chaos: segmented rung has no segment dir")
-	}
 	return map[string][]seglog.Window{
 		"rotation":   dir.RotationWindows(),
 		"meta":       dir.MetaWindows(),
@@ -104,20 +100,17 @@ func runChaosSeg(cfg ChaosConfig, seed int64, target string, crashAt time.Durati
 	if err != nil {
 		return row, err
 	}
-	in, _, err := crashRun(sim, e, crashAt, cfg.RunFor, e.CrashInputSegmented)
-	if err != nil {
-		return row, fmt.Errorf("chaos: segmented %w", err)
-	}
+	in, _ := crashRun(sim, e, crashAt, cfg.RunFor)
 	acked := e.AckedBy(crashAt)
 
 	in.Parallelism = 4
-	stSkip, infoSkip, err := recovery.RecoverSegmented(in)
+	stSkip, infoSkip, err := recovery.Recover(in)
 	if err != nil {
 		return row, fmt.Errorf("chaos: segmented recovery (seed %d, %s @ %v): %w", seed, target, crashAt, err)
 	}
 	full := in
 	full.IgnoreHorizon = true
-	stFull, infoFull, err := recovery.RecoverSegmented(full)
+	stFull, infoFull, err := recovery.Recover(full)
 	if err != nil {
 		return row, fmt.Errorf("chaos: full-scan recovery (seed %d, %s @ %v): %w", seed, target, crashAt, err)
 	}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"runtime"
@@ -12,6 +11,7 @@ import (
 
 	"mmdb"
 	"mmdb/internal/event"
+	"mmdb/internal/recovery"
 	"mmdb/internal/txn"
 )
 
@@ -67,17 +67,13 @@ func intKey(k int) []byte {
 	return b[:]
 }
 
-// crashRun runs e for runFor and returns what capture — e.CrashInput or
-// e.CrashInputSegmented — saw at virtual time crashAt, plus the run's stats.
-func crashRun[T any](sim *event.Sim, e *txn.Engine, crashAt, runFor time.Duration, capture func() (T, error)) (T, txn.Stats, error) {
-	var in T
-	err := errors.New("the run ended first")
-	sim.At(crashAt, func() { in, err = capture() })
-	st := e.Run(runFor)
-	if err != nil {
-		err = fmt.Errorf("crash capture at %v: %w", crashAt, err)
-	}
-	return in, st, err
+// crashRun runs e for runFor and returns the crash image e.CrashInput saw
+// at virtual time crashAt, plus the run's stats. Run drains every queued
+// event, so the capture always happens.
+func crashRun(sim *event.Sim, e *txn.Engine, crashAt, runFor time.Duration) (recovery.Input, txn.Stats) {
+	var in recovery.Input
+	sim.At(crashAt, func() { in = e.CrashInput() })
+	return in, e.Run(runFor)
 }
 
 // fanOut runs fn(0) … fn(n-1) on n goroutines — a ladder's concurrent

@@ -137,10 +137,7 @@ func RunCheckpointSweep(runFor time.Duration) (*CheckpointSweepResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		in, _, err := crashRun(sim, e, runFor-time.Millisecond, runFor, e.CrashInput)
-		if err != nil {
-			return nil, err
-		}
+		in, _ := crashRun(sim, e, runFor-time.Millisecond, runFor)
 		_, info, err := recovery.Recover(in)
 		if err != nil {
 			return nil, err

@@ -14,7 +14,7 @@ import (
 // RecoveryScaleConfig drives the recovery-time-vs-log-length ladder: the
 // same seeded workload run for increasing lengths (so the committed count
 // grows ~10× bottom to top), crashed just before the end, and replayed
-// through the segmented recovery path at several widths.
+// at several widths.
 type RecoveryScaleConfig struct {
 	// RunFors are the rung lengths; the crash lands 1 ms before each end.
 	RunFors []time.Duration `json:"run_fors_ns"`
@@ -130,18 +130,15 @@ func runScaleCell(cfg RecoveryScaleConfig, v scaleVariant, runFor time.Duration)
 	if err != nil {
 		return row, err
 	}
-	in, st, err := crashRun(sim, e, runFor-time.Millisecond, runFor, e.CrashInputSegmented)
+	in, st := crashRun(sim, e, runFor-time.Millisecond, runFor)
 	row.Committed = st.Committed
-	if err != nil {
-		return row, fmt.Errorf("recovery scale: %w", err)
-	}
 
 	row.WidthsIdentical = true
 	var base recovery.Info
 	for i, w := range cfg.Widths {
 		run := in
 		run.Parallelism = w
-		_, info, err := recovery.RecoverSegmented(run)
+		_, info, err := recovery.Recover(run)
 		if err != nil {
 			return row, fmt.Errorf("recovery scale (%s, %v, width %d): %w", v.name, runFor, w, err)
 		}

@@ -193,8 +193,19 @@ func TestPageWriteTransientRetriedInDevice(t *testing.T) {
 	}
 }
 
+// durablePages flattens a log device's crash view at t into its page
+// images, in write order.
+func durablePages(d *wal.Device, t time.Duration) [][]byte {
+	var out [][]byte
+	for _, s := range d.DurableSegments(t).Segments {
+		out = append(out, s.Pages...)
+	}
+	return out
+}
+
 func TestPageWritePermanentKillsDevice(t *testing.T) {
 	dev := wal.NewDevice("log", 10*time.Millisecond)
+	dev.EnableSegments(64)
 	dev.Injector = NewInjector(1).PermanentAfter("log", 1)
 	if _, ok := dev.Write(0, []byte{1}); !ok {
 		t.Fatal("first write should succeed")
@@ -208,7 +219,7 @@ func TestPageWritePermanentKillsDevice(t *testing.T) {
 	if _, ok := dev.Write(0, []byte{3}); ok {
 		t.Fatal("dead device accepted a write")
 	}
-	if got := len(dev.DurablePages(time.Hour)); got != 1 {
+	if got := len(durablePages(dev, time.Hour)); got != 1 {
 		t.Fatalf("durable pages after death: %d, want 1", got)
 	}
 }
@@ -227,6 +238,7 @@ func TestTornWriteExposesChecksummedPrefix(t *testing.T) {
 	cut := recs[0].EncodedSize() + 10
 
 	dev := wal.NewDevice("log", 10*time.Millisecond)
+	dev.EnableSegments(64)
 	dev.ExposeTorn = true
 	dev.Injector = NewInjector(1).TornEvery("log", 1, cut)
 	if _, ok := dev.Write(0, img); ok {
@@ -235,7 +247,7 @@ func TestTornWriteExposesChecksummedPrefix(t *testing.T) {
 	if !dev.Failed() {
 		t.Fatal("torn write must kill the device (log broken at this page)")
 	}
-	pages := dev.DurablePages(time.Hour)
+	pages := durablePages(dev, time.Hour)
 	if len(pages) != 1 || len(pages[0]) != cut {
 		t.Fatalf("torn exposure: %d pages", len(pages))
 	}
@@ -249,9 +261,10 @@ func TestTornWriteExposesChecksummedPrefix(t *testing.T) {
 
 	// Without ExposeTorn the page vanishes entirely.
 	dev2 := wal.NewDevice("log", 10*time.Millisecond)
+	dev2.EnableSegments(64)
 	dev2.Injector = NewInjector(1).TornEvery("log", 1, cut)
 	dev2.Write(0, img)
-	if got := len(dev2.DurablePages(time.Hour)); got != 0 {
+	if got := len(durablePages(dev2, time.Hour)); got != 0 {
 		t.Fatalf("hidden torn page surfaced: %d", got)
 	}
 }

@@ -8,6 +8,7 @@ package lock
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"mmdb/internal/wal"
@@ -124,7 +125,7 @@ func (m *Manager) grantNow(s *state, txn wal.TxnID, res uint64, mode Mode, grant
 // every lock it holds (the paper assumes all locks are held until
 // pre-commit) and grants eligible waiters.
 func (m *Manager) PreCommit(txn wal.TxnID) {
-	for res := range m.held[txn] {
+	for _, res := range m.heldSorted(txn) {
 		s := m.locks[res]
 		delete(s.holders, txn)
 		s.preCommitted[txn] = struct{}{}
@@ -145,12 +146,14 @@ func (m *Manager) Finish(txn wal.TxnID) {
 // ReleaseAll drops txn's holds and queued requests without pre-committing
 // (the abort path) and grants eligible waiters.
 func (m *Manager) ReleaseAll(txn wal.TxnID) {
-	for res := range m.held[txn] {
+	for _, res := range m.heldSorted(txn) {
 		s := m.locks[res]
 		delete(s.holders, txn)
 		m.grantWaiters(s, res)
 	}
 	delete(m.held, txn)
+	// A transaction queues on at most one resource at a time, so this
+	// pass grants on at most one: map order cannot reorder anything.
 	for res, s := range m.locks {
 		filtered := s.waiters[:0]
 		for _, w := range s.waiters {
@@ -161,6 +164,19 @@ func (m *Manager) ReleaseAll(txn wal.TxnID) {
 		s.waiters = filtered
 		m.grantWaiters(s, res)
 	}
+}
+
+// heldSorted returns the resources txn holds in ascending order. Releasing
+// grants waiters resource by resource, and each grant callback schedules
+// simulator events, so the order must be a fixed one and not the map's —
+// or a virtual-clock run is not reproducible.
+func (m *Manager) heldSorted(txn wal.TxnID) []uint64 {
+	out := make([]uint64, 0, len(m.held[txn]))
+	for res := range m.held[txn] {
+		out = append(out, res)
+	}
+	slices.Sort(out)
+	return out
 }
 
 func (m *Manager) grantWaiters(s *state, res uint64) {

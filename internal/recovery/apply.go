@@ -1,14 +1,12 @@
 // Incremental apply: the replica-side half of log shipping. An Applier
 // consumes a primary's committed log stream batch by batch and folds it
 // into a store with the same page-partitioned parallel redo machinery as
-// RecoverSegmented — exec pool, per-bucket cost.Clock folded in page
-// order — so the applied counters are bit-identical at every width.
+// Recover (replayByPage) — so the applied counters are bit-identical at
+// every width.
 package recovery
 
 import (
-	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"mmdb/internal/cost"
@@ -35,10 +33,9 @@ import (
 // Applier is not safe for concurrent use; drive it from one goroutine
 // (in the simulated world, the event loop).
 type Applier struct {
-	st     *store.Store
-	pool   *exec.Pool
-	params cost.Params
-	clock  *cost.Clock
+	st    *store.Store
+	pool  *exec.Pool
+	clock *cost.Clock
 
 	// resolved holds transactions whose outcome record has been received.
 	resolved map[wal.TxnID]bool
@@ -62,7 +59,6 @@ func NewApplier(st *store.Store, parallelism int, params cost.Params) *Applier {
 	return &Applier{
 		st:       st,
 		pool:     exec.NewPool(parallelism),
-		params:   params,
 		clock:    cost.NewClock(params),
 		resolved: make(map[wal.TxnID]bool),
 	}
@@ -95,47 +91,24 @@ func (a *Applier) Ingest(recs []wal.Record) error {
 
 // advance applies the contiguous prefix of pending updates whose
 // transactions are resolved, in strict LSN order, page-partitioned over
-// the pool exactly like RecoverSegmented's replay step.
+// the pool exactly like Recover's replay step.
 func (a *Applier) advance() error {
 	cut := 0
 	for cut < len(a.pending) && a.resolved[a.pending[cut].Txn] {
 		cut++
 	}
 	if cut > 0 {
-		batch := a.pending[:cut]
-		buckets := make(map[int][]wal.Record)
-		for _, r := range batch {
-			a.clock.Hashes(1)
-			p := a.st.PageOf(r.Rec)
-			buckets[p] = append(buckets[p], r)
-		}
-		pageIDs := make([]int, 0, len(buckets))
-		for p := range buckets {
-			pageIDs = append(pageIDs, p)
-		}
-		sort.Ints(pageIDs)
-
-		clks := make([]*cost.Clock, len(pageIDs))
-		err := a.pool.ForEach(context.Background(), len(pageIDs), func(ctx context.Context, i int) error {
-			clk := cost.NewClock(a.params)
-			clks[i] = clk
-			for _, r := range buckets[pageIDs[i]] {
+		_, _, err := replayByPage(a.pool, a.st, a.clock, a.pending[:cut], func(recs []wal.Record, clk *cost.Clock) (int, int, error) {
+			for _, r := range recs {
 				if err := a.st.Apply(r.Rec, r.New); err != nil {
-					return fmt.Errorf("apply LSN %d: %w", r.LSN, err)
+					return 0, 0, fmt.Errorf("apply LSN %d: %w", r.LSN, err)
 				}
 				clk.Moves(1)
 			}
-			return nil
+			return len(recs), 0, nil
 		})
 		if err != nil {
 			return err
-		}
-		// Barrier: fold per-bucket clocks in page order — addition
-		// commutes, so the totals are width-independent.
-		for _, clk := range clks {
-			if clk != nil {
-				a.clock.Charge(clk.Counters())
-			}
 		}
 		a.redone += cut
 		a.pending = append(a.pending[:0], a.pending[cut:]...)

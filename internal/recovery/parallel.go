@@ -1,10 +1,10 @@
-// Segmented, parallel recovery (§5.5–§5.6): the log survives a crash as
-// bounded segment files per device plus a commit.meta durable position.
-// Recovery scans only the segments at or beyond the published horizon,
-// fans the scan and the page-partitioned redo/undo over an exec pool, and
-// charges every worker's virtual work to a private cost.Clock folded into
-// the main clock at each barrier — so the replay counters (and therefore
-// the virtual recovery time) are bit-identical at every Parallelism width.
+// Crash recovery (§5.5–§5.6): the log survives a crash as bounded segment
+// files per device plus a commit.meta durable position. Recovery scans
+// only the segments at or beyond the published horizon, fans the scan and
+// the page-partitioned redo/undo over an exec pool, and charges every
+// worker's virtual work to a private cost.Clock folded into the main
+// clock at each barrier — so the replay counters (and therefore the
+// virtual recovery time) are bit-identical at every Parallelism width.
 package recovery
 
 import (
@@ -20,44 +20,8 @@ import (
 	"mmdb/internal/wal"
 )
 
-// SegmentLog is one surviving segment file of one device.
-type SegmentLog struct {
-	Index    uint64
-	Pages    [][]byte // page images in write order; the last may be a torn prefix
-	FirstLSN uint64
-	LastLSN  uint64
-}
-
-// DeviceLog is the crash view of one log device's segment directory.
-type DeviceLog struct {
-	Device         string
-	Segments       []SegmentLog
-	Pos            seglog.CommitPos
-	HavePos        bool
-	CompactedBytes int64
-}
-
-// DeviceLogFromView converts a seglog crash view into recovery input.
-func DeviceLogFromView(v seglog.View) DeviceLog {
-	d := DeviceLog{
-		Device:         v.Device,
-		Pos:            v.Pos,
-		HavePos:        v.HavePos,
-		CompactedBytes: v.CompactedBytes,
-	}
-	for _, s := range v.Segments {
-		d.Segments = append(d.Segments, SegmentLog{
-			Index:    s.Index,
-			Pages:    s.Pages,
-			FirstLSN: s.FirstLSN,
-			LastLSN:  s.LastLSN,
-		})
-	}
-	return d
-}
-
-// SegInput is everything that survives a crash of a segmented-log engine.
-type SegInput struct {
+// Input is everything that survives a crash.
+type Input struct {
 	// Store geometry.
 	NumRecords     int
 	RecSize        int
@@ -72,15 +36,16 @@ type SegInput struct {
 
 	// Devices holds each log device's surviving segments and its
 	// commit.meta position.
-	Devices []DeviceLog
+	Devices []seglog.View
 
 	// StableTail holds the records resident in battery-backed stable
 	// memory at the crash (§5.4 policy) — durable by assumption, they join
 	// the merge as one more fragment.
 	StableTail []wal.Record
 
-	// StartLSN / HaveStart: redo lower bound from the stable first-update
-	// table, as in Input.
+	// StartLSN is the redo lower bound from the stable first-update table;
+	// HaveStart is false when no page was dirty, in which case redo replays
+	// everything scanned — safe because redo is idempotent, just slower.
 	StartLSN  wal.LSN
 	HaveStart bool
 
@@ -111,7 +76,7 @@ type scanResult struct {
 	clk    *cost.Clock
 }
 
-// RecoverSegmented rebuilds the database from a segmented log crash image.
+// Recover rebuilds the database from a crash image.
 //
 // The horizon rule: any published commit.meta horizon h guarantees that
 // every record with LSN < h is (a) reflected in the checkpoint snapshot
@@ -124,7 +89,7 @@ type scanResult struct {
 // eligible for undo below the floor, so the rebuilt store is identical
 // to a full scan's. Info.Losers can over-approximate under skipping;
 // oracles that inspect transaction outcomes should use IgnoreHorizon.
-func RecoverSegmented(in SegInput) (*store.Store, Info, error) {
+func Recover(in Input) (*store.Store, Info, error) {
 	info := Info{
 		Committed: make(map[wal.TxnID]bool),
 		Ended:     make(map[wal.TxnID]bool),
@@ -295,12 +260,60 @@ func RecoverSegmented(in SegInput) (*store.Store, Info, error) {
 		}
 	}
 
-	// 6. Partition the update records by store page. Updates to different
-	// pages touch disjoint byte ranges, so each page's redo-then-undo can
-	// run on its own worker; within a page the global LSN order is
-	// preserved by construction.
+	// 6–7. Replay, partitioned by store page: per page, redo every update
+	// at or beyond the start point (and the horizon floor) in LSN order,
+	// then undo the unresolved updates in reverse.
+	info.Redone, info.Undone, err = replayByPage(pool, st, clock, merged, func(recs []wal.Record, clk *cost.Clock) (redone, undone int, err error) {
+		for _, r := range recs {
+			if in.HaveStart && r.LSN < in.StartLSN {
+				continue
+			}
+			if r.LSN < horizon {
+				continue // already in the snapshot
+			}
+			if err := st.Apply(r.Rec, r.New); err != nil {
+				return 0, 0, fmt.Errorf("redo LSN %d: %w", r.LSN, err)
+			}
+			clk.Moves(1)
+			redone++
+		}
+		for j := len(recs) - 1; j >= 0; j-- {
+			r := recs[j]
+			if info.resolved(r.Txn) || r.LSN < horizon {
+				continue // below the horizon every outcome was durably resolved
+			}
+			if r.Old == nil {
+				return 0, 0, fmt.Errorf("loser txn %d update LSN %d has no pre-image (compression must only drop resolved old values)", r.Txn, r.LSN)
+			}
+			if err := st.Apply(r.Rec, r.Old); err != nil {
+				return 0, 0, fmt.Errorf("undo LSN %d: %w", r.LSN, err)
+			}
+			clk.Moves(1)
+			undone++
+		}
+		return redone, undone, nil
+	})
+	if err != nil {
+		return nil, info, fmt.Errorf("recovery: replay: %w", err)
+	}
+
+	info.Counters = clock.Counters()
+	info.Virtual = clock.Now()
+	return st, info, nil
+}
+
+// replayByPage partitions the Update records of log (LSN-ascending) by
+// store page and runs apply over each page's updates on the pool. Updates
+// to different pages touch disjoint byte ranges and store.Apply is a pure
+// copy, so buckets never race; within a bucket the global LSN order is
+// preserved by construction. Each bucket charges a private clock, folded
+// into clock in page order at the barrier — counter addition commutes, so
+// the totals are bit-identical at every width. It returns the summed
+// counts apply reported.
+func replayByPage(pool *exec.Pool, st *store.Store, clock *cost.Clock, log []wal.Record,
+	apply func(recs []wal.Record, clk *cost.Clock) (redone, undone int, err error)) (redone, undone int, err error) {
 	buckets := make(map[int][]wal.Record)
-	for _, r := range merged {
+	for _, r := range log {
 		if r.Type != wal.Update {
 			continue
 		}
@@ -314,61 +327,24 @@ func RecoverSegmented(in SegInput) (*store.Store, Info, error) {
 	}
 	sort.Ints(pageIDs)
 
-	// 7. Parallel replay: per bucket, redo every update at or beyond the
-	// start point (and the horizon floor) in LSN order, then undo the
-	// unresolved updates in reverse. store.Apply is a pure copy into
-	// disjoint offsets, so concurrent buckets never race.
-	type replayResult struct {
+	type result struct {
 		redone, undone int
 		clk            *cost.Clock
 	}
-	replays := make([]replayResult, len(pageIDs))
+	results := make([]result, len(pageIDs))
 	err = pool.ForEach(context.Background(), len(pageIDs), func(ctx context.Context, i int) error {
-		recs := buckets[pageIDs[i]]
-		clk := cost.NewClock(params)
-		res := replayResult{clk: clk}
-		for _, r := range recs {
-			if in.HaveStart && r.LSN < in.StartLSN {
-				continue
-			}
-			if r.LSN < horizon {
-				continue // already in the snapshot
-			}
-			if err := st.Apply(r.Rec, r.New); err != nil {
-				return fmt.Errorf("redo LSN %d: %w", r.LSN, err)
-			}
-			clk.Moves(1)
-			res.redone++
-		}
-		for j := len(recs) - 1; j >= 0; j-- {
-			r := recs[j]
-			if info.resolved(r.Txn) || r.LSN < horizon {
-				continue // below the horizon every outcome was durably resolved
-			}
-			if r.Old == nil {
-				return fmt.Errorf("loser txn %d update LSN %d has no pre-image (compression must only drop resolved old values)", r.Txn, r.LSN)
-			}
-			if err := st.Apply(r.Rec, r.Old); err != nil {
-				return fmt.Errorf("undo LSN %d: %w", r.LSN, err)
-			}
-			clk.Moves(1)
-			res.undone++
-		}
-		replays[i] = res
-		return nil
+		clk := cost.NewClock(clock.Params())
+		r, u, err := apply(buckets[pageIDs[i]], clk)
+		results[i] = result{redone: r, undone: u, clk: clk}
+		return err
 	})
 	if err != nil {
-		return nil, info, fmt.Errorf("recovery: replay: %w", err)
+		return 0, 0, err
 	}
-	for _, r := range replays {
-		if r.clk != nil {
-			clock.Charge(r.clk.Counters())
-		}
-		info.Redone += r.redone
-		info.Undone += r.undone
+	for _, r := range results {
+		clock.Charge(r.clk.Counters())
+		redone += r.redone
+		undone += r.undone
 	}
-
-	info.Counters = clock.Counters()
-	info.Virtual = clock.Now()
-	return st, info, nil
+	return redone, undone, nil
 }

@@ -13,7 +13,7 @@ import (
 // buildSegmentedCrash runs a two-device segmented group-commit log through
 // a workload with committed winners and one in-flight loser, then returns
 // the crash image plus the merged durable log for the serial oracle.
-func buildSegmentedCrash(t *testing.T) (SegInput, []wal.Record) {
+func buildSegmentedCrash(t *testing.T) (Input, []wal.Record) {
 	t.Helper()
 	sim := &event.Sim{}
 	dev0 := wal.NewDevice("log0", 10*time.Millisecond)
@@ -43,18 +43,14 @@ func buildSegmentedCrash(t *testing.T) (SegInput, []wal.Record) {
 	sim.Run()
 	crash := sim.Now()
 
-	in := SegInput{
+	in := Input{
 		NumRecords:     64,
 		RecSize:        8,
 		RecordsPerPage: 8,
 		PageSize:       512,
 	}
 	for _, d := range []*wal.Device{dev0, dev1} {
-		v, ok := d.DurableSegments(crash)
-		if !ok {
-			t.Fatalf("device %s not segmented", d.Name)
-		}
-		in.Devices = append(in.Devices, DeviceLogFromView(v))
+		in.Devices = append(in.Devices, d.DurableSegments(crash))
 	}
 	merged, err := l.DurableRecords(crash)
 	if err != nil {
@@ -68,16 +64,11 @@ func buildSegmentedCrash(t *testing.T) (SegInput, []wal.Record) {
 
 func TestSegmentedRecoveryMatchesSerial(t *testing.T) {
 	in, merged := buildSegmentedCrash(t)
-	serialStore, serialInfo, err := Recover(Input{
-		NumRecords:     in.NumRecords,
-		RecSize:        in.RecSize,
-		RecordsPerPage: in.RecordsPerPage,
-		Log:            merged,
-	})
+	serialStore, serialInfo, err := ReferenceRecover(in, merged)
 	if err != nil {
 		t.Fatal(err)
 	}
-	segStore, segInfo, err := RecoverSegmented(in)
+	segStore, segInfo, err := Recover(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +100,7 @@ func TestReplayCountersIdenticalAcrossWidths(t *testing.T) {
 	var baseInfo Info
 	for _, w := range []int{1, 2, 4, 8} {
 		in.Parallelism = w
-		st, info, err := RecoverSegmented(in)
+		st, info, err := Recover(in)
 		if err != nil {
 			t.Fatalf("width %d: %v", w, err)
 		}
@@ -161,8 +152,8 @@ func TestHorizonSkipMatchesFullScan(t *testing.T) {
 		}
 		return [][]byte{img}
 	}
-	mkInput := func(ignore bool) SegInput {
-		return SegInput{
+	mkInput := func(ignore bool) Input {
+		return Input{
 			NumRecords:     16,
 			RecSize:        8,
 			RecordsPerPage: 4,
@@ -174,9 +165,9 @@ func TestHorizonSkipMatchesFullScan(t *testing.T) {
 			},
 			StartLSN:  4,
 			HaveStart: true,
-			Devices: []DeviceLog{{
+			Devices: []seglog.View{{
 				Device: "log0",
-				Segments: []SegmentLog{
+				Segments: []seglog.SegmentView{
 					{Index: 0, Pages: encode(seg0Recs), FirstLSN: 1, LastLSN: 3},
 					{Index: 1, Pages: encode(seg1Recs), FirstLSN: 4, LastLSN: 8},
 				},
@@ -186,11 +177,11 @@ func TestHorizonSkipMatchesFullScan(t *testing.T) {
 			IgnoreHorizon: ignore,
 		}
 	}
-	skipStore, skipInfo, err := RecoverSegmented(mkInput(false))
+	skipStore, skipInfo, err := Recover(mkInput(false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fullStore, fullInfo, err := RecoverSegmented(mkInput(true))
+	fullStore, fullInfo, err := Recover(mkInput(true))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,35 +12,11 @@
 package recovery
 
 import (
-	"fmt"
 	"time"
 
 	"mmdb/internal/cost"
-	"mmdb/internal/store"
 	"mmdb/internal/wal"
 )
-
-// Input is everything that survives a crash.
-type Input struct {
-	// Store geometry.
-	NumRecords     int
-	RecSize        int
-	RecordsPerPage int
-
-	// SnapshotPages is the checkpointed database image on disk.
-	SnapshotPages map[int][]byte
-
-	// Log is the single merged log (see wal.MergeFragments), in LSN order.
-	Log []wal.Record
-
-	// StartLSN is the redo lower bound from the stable first-update table;
-	// HaveStart is false when no page was dirty (snapshot current), in
-	// which case redo still replays from after the snapshot via StartLSN=0
-	// semantics being "replay everything" — safe because redo is
-	// idempotent, just slower; callers pass the checkpointer's value.
-	StartLSN  wal.LSN
-	HaveStart bool
-}
 
 // Info reports what recovery did.
 type Info struct {
@@ -52,8 +28,7 @@ type Info struct {
 	LogScanned  int                // total log records examined
 	SnapshotPgs int                // snapshot pages installed
 
-	// Segmented-replay telemetry (RecoverSegmented only; zero for the
-	// serial monolithic path).
+	// Replay telemetry.
 	SegmentsScanned int           // segment files read and decoded
 	SegmentsSkipped int           // segments skipped entirely below the commit.meta horizon
 	ReplayWorkers   int           // exec pool width used for scan and redo fan-out
@@ -67,80 +42,4 @@ type Info struct {
 // redo).
 func (info Info) resolved(txn wal.TxnID) bool {
 	return info.Committed[txn] || info.Ended[txn]
-}
-
-// Recover rebuilds the database state.
-func Recover(in Input) (*store.Store, Info, error) {
-	info := Info{
-		Committed: make(map[wal.TxnID]bool),
-		Ended:     make(map[wal.TxnID]bool),
-		Losers:    make(map[wal.TxnID]bool),
-	}
-	st, err := store.New(in.NumRecords, in.RecSize, in.RecordsPerPage)
-	if err != nil {
-		return nil, info, err
-	}
-
-	// 1. Reload the snapshot.
-	for p, img := range in.SnapshotPages {
-		if err := st.InstallPage(p, img); err != nil {
-			return nil, info, fmt.Errorf("recovery: snapshot page %d: %w", p, err)
-		}
-		info.SnapshotPgs++
-	}
-
-	// 2. Analysis: find durable commits; everything else that wrote is a
-	// loser.
-	for i := 1; i < len(in.Log); i++ {
-		if in.Log[i].LSN < in.Log[i-1].LSN {
-			return nil, info, fmt.Errorf("recovery: log not LSN-ordered at index %d", i)
-		}
-	}
-	for _, r := range in.Log {
-		info.LogScanned++
-		switch r.Type {
-		case wal.Commit:
-			info.Committed[r.Txn] = true
-		case wal.End:
-			info.Ended[r.Txn] = true
-		}
-	}
-	for _, r := range in.Log {
-		if r.Type == wal.Update && !info.resolved(r.Txn) {
-			info.Losers[r.Txn] = true
-		}
-	}
-
-	// 3. Redo from the start point, in LSN order, winners and losers both
-	// (losers are compensated in step 4).
-	for _, r := range in.Log {
-		if r.Type != wal.Update {
-			continue
-		}
-		if in.HaveStart && r.LSN < in.StartLSN {
-			continue
-		}
-		if err := st.Apply(r.Rec, r.New); err != nil {
-			return nil, info, fmt.Errorf("recovery: redo LSN %d: %w", r.LSN, err)
-		}
-		info.Redone++
-	}
-
-	// 4. Undo losers in reverse LSN order using pre-images. Resolved
-	// transactions (committed, or fully rolled back with compensations on
-	// the log) are skipped.
-	for i := len(in.Log) - 1; i >= 0; i-- {
-		r := in.Log[i]
-		if r.Type != wal.Update || info.resolved(r.Txn) {
-			continue
-		}
-		if r.Old == nil {
-			return nil, info, fmt.Errorf("recovery: loser txn %d update LSN %d has no pre-image (compression must only drop committed old values)", r.Txn, r.LSN)
-		}
-		if err := st.Apply(r.Rec, r.Old); err != nil {
-			return nil, info, fmt.Errorf("recovery: undo LSN %d: %w", r.LSN, err)
-		}
-		info.Undone++
-	}
-	return st, info, nil
 }

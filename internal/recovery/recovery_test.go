@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"mmdb/internal/seglog"
 	"mmdb/internal/wal"
 )
 
@@ -16,8 +17,25 @@ func rec(lsn wal.LSN, txn wal.TxnID, typ wal.RecordType, id uint64, old, new byt
 	return r
 }
 
+// input is the crash image of one device holding log on a single page.
 func input(log []wal.Record) Input {
-	return Input{NumRecords: 16, RecSize: 8, RecordsPerPage: 4, Log: log}
+	img, err := wal.EncodePage(log, 4096)
+	if err != nil {
+		panic(err)
+	}
+	return inputPages(img)
+}
+
+// inputPages is the crash image of one device whose only segment holds
+// the given page images.
+func inputPages(pages ...[]byte) Input {
+	return Input{
+		NumRecords: 16, RecSize: 8, RecordsPerPage: 4,
+		Devices: []seglog.View{{
+			Device:   "log0",
+			Segments: []seglog.SegmentView{{Pages: pages}},
+		}},
+	}
 }
 
 func val(st interface{ Read(uint64) []byte }, id uint64) byte {
@@ -210,7 +228,7 @@ func TestChecksumCorruptRecordCutsLogMidPage(t *testing.T) {
 		t.Fatalf("decoded %d records from the damaged fragment, want 4", len(log))
 	}
 
-	st, info, err := Recover(input(log))
+	st, info, err := Recover(inputPages(img1, img2))
 	if err != nil {
 		t.Fatalf("recovery over the cut log failed: %v", err)
 	}
@@ -268,11 +286,13 @@ func TestMergeCollapsesSameLSNAcrossFragments(t *testing.T) {
 	if len(merged) != 3 {
 		t.Fatalf("merge kept %d records, want 3", len(merged))
 	}
-	st, info, err := Recover(input(merged))
+	in := input(fragA)
+	in.StableTail = fragB
+	st, info, err := Recover(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !info.Committed[1] || info.Redone != 1 {
+	if !info.Committed[1] || info.Redone != 1 || info.LogScanned != 3 {
 		t.Fatalf("merged log misrecovered: %+v", info)
 	}
 	if val(st, 1) != 7 {

@@ -101,6 +101,12 @@ type Dir struct {
 	segs      []*segment
 	nextIndex uint64
 	meta      metaState
+	// unlinkedBelow is the highest truncation LSN that actually deleted a
+	// segment. A segment file is unlinked only after the commit.meta
+	// horizon covering it is durable, so a crash view never shows the
+	// deletion without at least this horizon (see DurableView).
+	unlinkedBelow uint64
+
 	rotations []Window
 	compBusy  time.Duration
 	comps     []*compaction
@@ -117,12 +123,6 @@ func NewDir(device string, segmentPages int, writeTime time.Duration) *Dir {
 	return &Dir{device: device, segPages: segmentPages, writeTime: writeTime}
 }
 
-// Device returns the owning device name.
-func (d *Dir) Device() string { return d.device }
-
-// SegmentPages returns the segment capacity in pages.
-func (d *Dir) SegmentPages() int { return d.segPages }
-
 // Stats returns a snapshot of directory statistics.
 func (d *Dir) Stats() Stats { return d.stats }
 
@@ -130,7 +130,9 @@ func (d *Dir) Stats() Stats { return d.stats }
 // to a fresh segment when the current one is full. Rotation is
 // torn-write-safe by construction: a segment's first page is an ordinary
 // logged page write — if it tears, the per-record CRCs cut the log there
-// and the previous segments are untouched.
+// and the previous segments are untouched. The directory retains img as
+// the medium's only copy of the page; the caller must not modify it
+// afterwards.
 func (d *Dir) Append(img []byte, firstLSN, lastLSN uint64, start, done time.Duration, torn int, lost bool) {
 	cur := d.tail()
 	if cur == nil || cur.full || len(cur.pages) >= d.segPages {
@@ -145,10 +147,8 @@ func (d *Dir) Append(img []byte, firstLSN, lastLSN uint64, start, done time.Dura
 			d.rotations = append(d.rotations, Window{Start: start, Done: done})
 		}
 	}
-	cp := make([]byte, len(img))
-	copy(cp, img)
 	cur.pages = append(cur.pages, segPage{
-		img: cp, firstLSN: firstLSN, lastLSN: lastLSN,
+		img: img, firstLSN: firstLSN, lastLSN: lastLSN,
 		start: start, done: done, torn: torn, lost: lost,
 	})
 	if len(cur.pages) >= d.segPages {
@@ -220,6 +220,9 @@ func (d *Dir) DeleteBelow(now time.Duration, lsn uint64) (segsDeleted int, bytes
 		d.segs = append([]*segment(nil), d.segs[i:]...)
 		d.stats.SegmentsDeleted += int64(segsDeleted)
 		d.stats.DeletedBytes += bytesDeleted
+		if lsn > d.unlinkedBelow {
+			d.unlinkedBelow = lsn
+		}
 	}
 	return segsDeleted, bytesDeleted
 }
@@ -434,6 +437,13 @@ type View struct {
 func (d *Dir) DurableView(t time.Duration, exposeTorn bool) View {
 	v := View{Device: d.device, CompactedBytes: d.CompactedBytesAt(t)}
 	v.Pos, v.HavePos = d.meta.durable(t)
+	if d.unlinkedBelow > v.Pos.Horizon {
+		// Recovery leans on this: with a transaction's records spread over
+		// several devices, the segment holding its commit record may be
+		// gone while an update of it survives elsewhere, and only the
+		// horizon says that update is resolved and checkpointed.
+		v.Pos.Horizon, v.HavePos = d.unlinkedBelow, true
+	}
 scan:
 	for _, s := range d.segs {
 		if len(s.pages) == 0 {

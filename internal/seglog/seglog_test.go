@@ -151,6 +151,11 @@ func TestDeleteBelow(t *testing.T) {
 	if len(v.Segments) != 2 || v.Segments[0].Index != 1 {
 		t.Fatalf("post-delete view: %+v", v.Segments)
 	}
+	// Nothing was ever published, yet the view must carry the horizon the
+	// deletion relied on: a segment is unlinked only after it is durable.
+	if !v.HavePos || v.Pos.Horizon != 4 {
+		t.Fatalf("post-delete view horizon = %d (have=%v), want 4", v.Pos.Horizon, v.HavePos)
+	}
 	// Horizon 7 would cover the tail, but the tail is never deleted... the
 	// last segment [5,6] is full, so it IS deletable; only a non-full tail
 	// survives. Check that a non-durable segment is not deleted.

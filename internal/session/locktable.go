@@ -29,9 +29,10 @@ type LockTable struct {
 	// exclusiveGuard, when set, vets every Exclusive acquisition before
 	// it is enqueued — the read-only admission hook for replica
 	// databases: reads (Shared intents) pass untouched, writes are
-	// refused at the lock layer unless the guard allows the resource
-	// (the replication applier, or a session-private temporary).
-	exclusiveGuard func(res uint64) error
+	// refused at the lock layer unless the guard allows the acquisition
+	// (the replication applier, identified by the context it locks
+	// through, or a session-private temporary, identified by resource).
+	exclusiveGuard func(ctx context.Context, res uint64) error
 
 	// Exclusive in-flight accounting for QuiesceExclusive: requests
 	// queued but not yet granted, grants currently held per txn, and the
@@ -50,9 +51,9 @@ func NewLockTable() *LockTable {
 }
 
 // SetExclusiveGuard installs (or clears, with nil) the Exclusive-mode
-// admission guard. The guard runs under the table mutex and must not
-// block or re-enter the table.
-func (t *LockTable) SetExclusiveGuard(fn func(res uint64) error) {
+// admission guard. The guard is handed the acquiring call's context and
+// runs under the table mutex; it must not block or re-enter the table.
+func (t *LockTable) SetExclusiveGuard(fn func(ctx context.Context, res uint64) error) {
 	t.mu.Lock()
 	t.exclusiveGuard = fn
 	t.mu.Unlock()
@@ -74,7 +75,7 @@ func (t *LockTable) Acquire(ctx context.Context, txn wal.TxnID, res uint64, mode
 	exclusive := mode == lock.Exclusive
 	t.mu.Lock()
 	if exclusive && t.exclusiveGuard != nil {
-		if err := t.exclusiveGuard(res); err != nil {
+		if err := t.exclusiveGuard(ctx, res); err != nil {
 			t.mu.Unlock()
 			return nil, err
 		}

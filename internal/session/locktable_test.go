@@ -217,7 +217,7 @@ func TestSessionLockTableQuiesceExclusive(t *testing.T) {
 
 	// Fence new writers (the promotion guard), then let the in-flight
 	// ones finish: the quiesce must complete.
-	lt.SetExclusiveGuard(func(uint64) error { return errors.New("fenced") })
+	lt.SetExclusiveGuard(func(context.Context, uint64) error { return errors.New("fenced") })
 	lt.Release(holder)
 	<-queuedDone
 	if err := <-quiesced; err != nil {

@@ -29,7 +29,7 @@ func chaosDevices(n int, inj wal.WriteInjector, exposeTorn bool) []*wal.Device {
 // by §5.2 pre-commit ordering no durably committed transaction can have
 // overwritten a loser's value, so "undo by pre-image" and "never applied"
 // must coincide. Recovery's result must equal this state bit for bit.
-func replayResolved(t *testing.T, in recovery.Input, info recovery.Info) *store.Store {
+func replayResolved(t *testing.T, in crashImage, info recovery.Info) *store.Store {
 	t.Helper()
 	st, err := store.New(in.NumRecords, in.RecSize, in.RecordsPerPage)
 	if err != nil {
@@ -57,11 +57,21 @@ func replayResolved(t *testing.T, in recovery.Input, info recovery.Info) *store.
 // checkCrashInvariants recovers from in and asserts the two §5 safety
 // invariants: every transaction acknowledged by crash time is found
 // committed, and the recovered state equals the committed-prefix oracle.
-func checkCrashInvariants(t *testing.T, e *Engine, in recovery.Input, crashAt time.Duration) recovery.Info {
+// Both oracles read transaction outcomes, so they run against the
+// full-scan recovery; the horizon-skipping one must rebuild the same store.
+func checkCrashInvariants(t *testing.T, e *Engine, in crashImage, crashAt time.Duration) recovery.Info {
 	t.Helper()
-	st, info, err := recovery.Recover(in)
+	skip, _, err := recovery.Recover(in.Input)
 	if err != nil {
 		t.Fatalf("recovery failed: %v", err)
+	}
+	in.IgnoreHorizon = true
+	st, info, err := recovery.Recover(in.Input)
+	if err != nil {
+		t.Fatalf("full-scan recovery failed: %v", err)
+	}
+	if !skip.Equal(st) {
+		t.Fatal("horizon-skipping recovery differs from the full scan")
 	}
 	for _, id := range e.AckedBy(crashAt) {
 		if !info.Committed[id] {
@@ -107,7 +117,7 @@ func TestRecoveryWithTornLogTail(t *testing.T) {
 // damaged run must recover a (possibly equal) subset of the twin's
 // commits, never a superset, and still satisfy both crash invariants.
 func TestRecoveryTruncatedTailStopsCleanly(t *testing.T) {
-	run := func(inj wal.WriteInjector) (recovery.Input, *Engine) {
+	run := func(inj wal.WriteInjector) (crashImage, *Engine) {
 		cfg := baseConfig(wal.GroupCommit, 1)
 		cfg.Accounts = 512
 		cfg.RecordsPerPage = 16
@@ -117,7 +127,7 @@ func TestRecoveryTruncatedTailStopsCleanly(t *testing.T) {
 	clean, _ := run(nil)
 	torn, e := run(fault.NewInjector(7).TornEvery("log0", 9, 40))
 
-	_, cleanInfo, err := recovery.Recover(clean)
+	_, cleanInfo, err := recovery.Recover(clean.Input)
 	if err != nil {
 		t.Fatal(err)
 	}

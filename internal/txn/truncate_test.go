@@ -20,22 +20,35 @@ func truncateConfig(truncate bool) Config {
 	return cfg
 }
 
+// crashImage is what a crash leaves behind: recovery's input and, for the
+// oracles, the merged durable log of the same instant.
+type crashImage struct {
+	recovery.Input
+	Log []wal.Record
+}
+
+// captureCrash snapshots the crash-durable state at the current instant.
+func captureCrash(t *testing.T, e *Engine) crashImage {
+	t.Helper()
+	log, err := e.Log().DurableRecords(e.sim.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return crashImage{Input: e.CrashInput(), Log: log}
+}
+
 // runAndCrash drives the workload and captures the durable state at
 // crashAt.
-func runAndCrash(t *testing.T, cfg Config, runFor, crashAt time.Duration) (recovery.Input, *Engine) {
+func runAndCrash(t *testing.T, cfg Config, runFor, crashAt time.Duration) (crashImage, *Engine) {
 	t.Helper()
 	sim := &event.Sim{}
 	e, err := New(sim, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var in recovery.Input
-	var crashErr error
-	sim.At(crashAt, func() { in, crashErr = e.CrashInput() })
+	var in crashImage
+	sim.At(crashAt, func() { in = captureCrash(t, e) })
 	e.Run(runFor)
-	if crashErr != nil {
-		t.Fatal(crashErr)
-	}
 	return in, e
 }
 
@@ -55,11 +68,11 @@ func TestLogTruncationPreservesRecovery(t *testing.T) {
 		t.Fatalf("truncated crash log has %d records, full %d", len(truncated.Log), len(full.Log))
 	}
 
-	stFull, _, err := recovery.Recover(full)
+	stFull, _, err := recovery.Recover(full.Input)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stTrunc, _, err := recovery.Recover(truncated)
+	stTrunc, _, err := recovery.Recover(truncated.Input)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +93,7 @@ func TestTruncationNeverPassesUnresolvedTransactions(t *testing.T) {
 		997 * time.Millisecond,
 	} {
 		in, _ := runAndCrash(t, cfg, 1200*time.Millisecond, at)
-		if _, _, err := recovery.Recover(in); err != nil {
+		if _, _, err := recovery.Recover(in.Input); err != nil {
 			t.Fatalf("crash at %v: %v", at, err)
 		}
 	}

@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"sort"
 	"time"
 
 	"mmdb/internal/checkpoint"
@@ -208,7 +209,7 @@ func New(sim *event.Sim, cfg Config) (*Engine, error) {
 	l.SetOnDrain(e.wakeStalled)
 	l.SetBoundsFunc(e.logBounds)
 	// A completed checkpoint page write can advance the replay horizon;
-	// push the new bound into every segmented device's commit.meta.
+	// push the new bound into every log device's commit.meta.
 	e.ckpt.OnAdvance = l.PublishMeta
 	return e, nil
 }
@@ -423,6 +424,8 @@ func (e *Engine) finish(s *txnState) {
 	for d := range s.deps {
 		deps = append(deps, d)
 	}
+	// AppendCommit seals other fragments' open groups in this order.
+	sort.Slice(deps, func(i, j int) bool { return deps[i] < deps[j] })
 	e.appendOrStall(func() bool {
 		if !e.log.AppendCommit(s.id, deps) {
 			return false
@@ -524,62 +527,30 @@ func (e *Engine) AckedBy(t time.Duration) []wal.TxnID {
 }
 
 // CrashInput captures exactly the crash-durable state at the current
-// virtual instant: the checkpoint snapshot on disk, the merged durable log
-// (disk fragments plus surviving stable memory), and the stable
-// first-update table's redo bound.
-func (e *Engine) CrashInput() (recovery.Input, error) {
-	records, err := e.log.DurableRecords(e.sim.Now())
-	if err != nil {
-		return recovery.Input{}, err
-	}
-	start, have := e.ckpt.RecoveryStartLSN()
-	// Deep-copy the snapshot: the live checkpointer keeps installing pages
-	// after this instant, but the crash sees the images as they are now.
-	pages := make(map[int][]byte, e.snap.Len())
-	for p, img := range e.snap.Pages() {
-		pages[p] = append([]byte(nil), img...)
-	}
-	return recovery.Input{
-		NumRecords:     e.cfg.Accounts,
-		RecSize:        e.cfg.RecSize,
-		RecordsPerPage: e.cfg.RecordsPerPage,
-		SnapshotPages:  pages,
-		Log:            records,
-		StartLSN:       start,
-		HaveStart:      have,
-	}, nil
-}
-
-// CrashInputSegmented captures the crash-durable state of a segmented-log
-// engine: each device's surviving segment files and commit.meta position,
-// the checkpoint snapshot, and the redo bound — the input to
-// recovery.RecoverSegmented. It fails when the log is not segmented
-// (Config.Log.SegmentPages == 0).
-func (e *Engine) CrashInputSegmented() (recovery.SegInput, error) {
+// virtual instant: each log device's surviving segment files and
+// commit.meta position, stable memory's surviving records, the checkpoint
+// snapshot on disk, and the stable first-update table's redo bound — the
+// input to recovery.Recover.
+func (e *Engine) CrashInput() recovery.Input {
 	now := e.sim.Now()
-	in := recovery.SegInput{
+	in := recovery.Input{
 		NumRecords:     e.cfg.Accounts,
 		RecSize:        e.cfg.RecSize,
 		RecordsPerPage: e.cfg.RecordsPerPage,
 		PageSize:       e.log.Config().PageSize,
 	}
 	for _, d := range e.log.Config().Devices {
-		v, ok := d.DurableSegments(now)
-		if !ok {
-			return recovery.SegInput{}, fmt.Errorf("txn: device %s is not segmented (set Log.SegmentPages)", d.Name)
-		}
-		in.Devices = append(in.Devices, recovery.DeviceLogFromView(v))
+		in.Devices = append(in.Devices, d.DurableSegments(now))
 	}
-	if e.log.Config().Policy == wal.StableMemory {
-		in.StableTail = e.log.StableRecords()
-	}
+	in.StableTail = e.log.StableRecords() // empty unless the policy is StableMemory
 	in.StartLSN, in.HaveStart = e.ckpt.RecoveryStartLSN()
-	pages := make(map[int][]byte, e.snap.Len())
+	// Deep-copy the snapshot: the live checkpointer keeps installing pages
+	// after this instant, but the crash sees the images as they are now.
+	in.SnapshotPages = make(map[int][]byte, e.snap.Len())
 	for p, img := range e.snap.Pages() {
-		pages[p] = append([]byte(nil), img...)
+		in.SnapshotPages[p] = append([]byte(nil), img...)
 	}
-	in.SnapshotPages = pages
-	return in, nil
+	return in
 }
 
 func sortAccounts(a []uint64) {

@@ -2,6 +2,7 @@ package txn
 
 import (
 	"encoding/binary"
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -15,7 +16,8 @@ import (
 func logDevices(n int) []*wal.Device {
 	var out []*wal.Device
 	for i := 0; i < n; i++ {
-		out = append(out, wal.NewDevice("log", 10*time.Millisecond))
+		// Distinct names: each device's name is its segment namespace.
+		out = append(out, wal.NewDevice(fmt.Sprintf("log%d", i), 10*time.Millisecond))
 	}
 	return out
 }
@@ -168,11 +170,10 @@ func crashAndRecover(t *testing.T, cfg Config, runFor, crashAt time.Duration) (r
 	if err != nil {
 		t.Fatal(err)
 	}
-	var in recovery.Input
-	var crashErr error
+	var in crashImage
 	var ackedAtCrash []wal.TxnID
 	sim.At(crashAt, func() {
-		in, crashErr = e.CrashInput()
+		in = captureCrash(t, e)
 		// Capture the acknowledgement set inside the crash event: acks
 		// delivered later within the same virtual instant (e.g. a stable-
 		// memory commit triggered by a drain completing exactly now) are
@@ -180,11 +181,8 @@ func crashAndRecover(t *testing.T, cfg Config, runFor, crashAt time.Duration) (r
 		ackedAtCrash = e.AckedBy(crashAt)
 	})
 	e.Run(runFor)
-	if crashErr != nil {
-		t.Fatal(crashErr)
-	}
 
-	st, info, err := recovery.Recover(in)
+	st, info, err := recovery.Recover(in.Input)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,13 +191,17 @@ func crashAndRecover(t *testing.T, cfg Config, runFor, crashAt time.Duration) (r
 	if sum := totalBalance(st); sum != 0 {
 		t.Fatalf("recovered balance sum = %d, want 0", sum)
 	}
-	// Oracle 2: recovery from snapshot + start LSN must equal brute-force
-	// replay of the whole log from the initial (all-zero) state.
-	full, _, err := recovery.Recover(recovery.Input{
+	// Oracle 2: recovery from snapshot + start LSN (and the commit.meta
+	// horizon) must equal brute-force replay of the whole log from the
+	// initial (all-zero) state.
+	full, fullInfo, err := recovery.Recover(recovery.Input{
 		NumRecords:     cfg.Accounts,
 		RecSize:        in.RecSize,
 		RecordsPerPage: in.RecordsPerPage,
-		Log:            in.Log,
+		PageSize:       in.PageSize,
+		Devices:        in.Devices,
+		StableTail:     in.StableTail,
+		IgnoreHorizon:  true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -207,9 +209,11 @@ func crashAndRecover(t *testing.T, cfg Config, runFor, crashAt time.Duration) (r
 	if !st.Equal(full) {
 		t.Fatal("recovered state differs from full log replay")
 	}
-	// Oracle 3: every commit acknowledged before the crash is durable.
+	// Oracle 3: every commit acknowledged before the crash is durable. The
+	// full scan's analysis is the one to ask: a commit record inside a
+	// segment skipped below the horizon is not in info.Committed.
 	for _, id := range ackedAtCrash {
-		if !info.Committed[id] {
+		if !fullInfo.Committed[id] {
 			t.Fatalf("acked txn %d lost by recovery", id)
 		}
 	}
@@ -313,11 +317,7 @@ func TestAbortedTransactionsLeaveNoTrace(t *testing.T) {
 	if sum := totalBalance(e.Store()); sum != 0 {
 		t.Fatalf("live balance sum %d after aborts, want 0", sum)
 	}
-	in, err := e.CrashInput()
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, info, err := recovery.Recover(in)
+	st, info, err := recovery.Recover(e.CrashInput())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,11 +364,7 @@ func TestCleanShutdownRecoversToLiveState(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Run(300 * time.Millisecond) // Run drains in-flight work and flushes
-	in, err := e.CrashInput()
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, _, err := recovery.Recover(in)
+	st, _, err := recovery.Recover(e.CrashInput())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,7 @@ import (
 	"mmdb/internal/seglog"
 )
 
-// This file is the §5.6 log compressor for segmented logs: a background
+// This file is the §5.6 log compressor: a background
 // compactor that rewrites runs of cold segments — segments whose every
 // record lies below the resolved-transaction bound — keeping only the
 // newest update per record slot among durably resolved transactions, with
@@ -96,7 +96,7 @@ func (l *Log) kickCompactor() {
 	l.sim.After(l.cfg.CompactEvery, l.compactTick)
 }
 
-// compactTick scans every segmented device for a cold run and schedules
+// compactTick scans every device for a cold run and schedules
 // its rewrite on the device's compaction lane. The original segments stay
 // on the medium until the rewrite completes — a crash mid-compaction
 // recovers from them unchanged — and are then swapped atomically.
@@ -109,9 +109,6 @@ func (l *Log) compactTick() {
 	now := l.sim.Now()
 	for _, f := range l.frags {
 		dir := f.dev.SegmentDir()
-		if dir == nil {
-			continue
-		}
 		cand, ok := dir.CompactCandidate(now, uint64(bound), 2)
 		if !ok {
 			continue
@@ -142,7 +139,7 @@ func (l *Log) compactTick() {
 		first, last := cand.First, cand.Last
 		l.sim.At(done, func() {
 			dir.CommitCompaction(first, last, pages, done)
-			l.publishMeta()
+			l.PublishMeta()
 		})
 	}
 }

@@ -40,10 +40,11 @@ type WriteInjector interface {
 	PageWrite(device string) WriteFault
 }
 
-// Device models one log disk: page writes are serviced serially, each
-// taking WriteTime (the paper's 10 ms for a 4096-byte page without a
-// seek). Completed page images are retained in completion order so a
-// crash at time t exposes exactly the durable prefix.
+// Device models one disk: page writes are serviced serially, each taking
+// WriteTime (the paper's 10 ms for a 4096-byte page without a seek). A
+// log device (one handed to NewLog) retains its page images in a segment
+// directory, so a crash at time t exposes exactly the durable prefix; a
+// data device keeps only its queue and write count.
 type Device struct {
 	Name      string
 	WriteTime time.Duration
@@ -53,7 +54,7 @@ type Device struct {
 	// MaxRetries bounds in-device retries of transient write faults;
 	// 0 means DefaultWriteRetries.
 	MaxRetries int
-	// ExposeTorn makes DurablePages surface the surviving prefix of a
+	// ExposeTorn makes DurableSegments surface the surviving prefix of a
 	// page whose write was in flight at the crash instant, and of
 	// injected torn writes, instead of hiding those pages entirely —
 	// modeling sector-granular torn writes that recovery must detect by
@@ -62,21 +63,14 @@ type Device struct {
 	ExposeTorn bool
 
 	busyUntil time.Duration
-	pages     []devicePage
+	written   int
 	failed    bool
 	retried   int64
 
-	// dir, when non-nil, arranges this device's page writes into bounded
-	// segment files with a persisted commit.meta (see internal/seglog).
+	// dir arranges a log device's page writes into bounded segment files
+	// with a persisted commit.meta (see internal/seglog); nil on a data
+	// device.
 	dir *seglog.Dir
-}
-
-type devicePage struct {
-	img   []byte
-	start time.Duration
-	done  time.Duration
-	torn  int  // >0: only this prefix of img reached the medium
-	lost  bool // the write never completed (torn, or device death)
 }
 
 // NewDevice creates a device with the given service time per page write.
@@ -84,8 +78,9 @@ func NewDevice(name string, writeTime time.Duration) *Device {
 	return &Device{Name: name, WriteTime: writeTime}
 }
 
-// EnableSegments arranges the device's page writes into bounded segments
-// of segmentPages pages each, with a dual-slot CRC-framed commit.meta.
+// EnableSegments makes d a log device: its page writes are retained in
+// bounded segments of segmentPages pages each, with a dual-slot CRC-framed
+// commit.meta. NewLog calls it on every device it is given.
 // Each device owns its own "<name>/..." namespace, so fragment merge can
 // never interleave segment files across devices even when one device name
 // prefixes another (log1 vs log10). Idempotent; returns the directory.
@@ -96,17 +91,17 @@ func (d *Device) EnableSegments(segmentPages int) *seglog.Dir {
 	return d.dir
 }
 
-// SegmentDir returns the device's segment directory, or nil when the
-// device is an unsegmented monolithic log.
+// SegmentDir returns a log device's segment directory.
 func (d *Device) SegmentDir() *seglog.Dir { return d.dir }
 
-// DurableSegments returns the crash view of the device's segment
-// directory at time t. ok is false for unsegmented devices.
-func (d *Device) DurableSegments(t time.Duration) (seglog.View, bool) {
-	if d.dir == nil {
-		return seglog.View{}, false
-	}
-	return d.dir.DurableView(t, d.ExposeTorn), true
+// DurableSegments returns the crash view of a log device at time t — the
+// fragment it contributes to recovery. A page still being written at t is
+// torn: by default it is excluded entirely; with ExposeTorn the prefix
+// proportional to the write's progress survives (as does the prefix of an
+// injected torn write), and the per-record checksums let recovery cut the
+// fragment there.
+func (d *Device) DurableSegments(t time.Duration) seglog.View {
+	return d.dir.DurableView(t, d.ExposeTorn)
 }
 
 // Write queues a page image. The write starts no earlier than `earliest`
@@ -120,7 +115,7 @@ func (d *Device) Write(earliest time.Duration, img []byte) (time.Duration, bool)
 }
 
 // WriteTagged is Write carrying the LSN range of the records the page
-// holds; a segment-aware device records the tags in its segment directory
+// holds; a log device records the tags in its segment directory
 // so truncation and the recovery horizon can reason about whole segment
 // files without decoding them. Untagged callers (checkpoint data pages)
 // pass zeros.
@@ -129,10 +124,12 @@ func (d *Device) WriteTagged(earliest time.Duration, img []byte, firstLSN, lastL
 	if d.busyUntil > start {
 		start = d.busyUntil
 	}
-	record := func(p devicePage) {
-		d.pages = append(d.pages, p)
+	// record files the write's fate; the segment directory takes ownership
+	// of img (callers hand over a fresh EncodePage buffer).
+	record := func(done time.Duration, torn int, lost bool) {
+		d.written++
 		if d.dir != nil {
-			d.dir.Append(p.img, uint64(firstLSN), uint64(lastLSN), p.start, p.done, p.torn, p.lost)
+			d.dir.Append(img, uint64(firstLSN), uint64(lastLSN), start, done, torn, lost)
 		}
 	}
 	var wf WriteFault
@@ -143,7 +140,7 @@ func (d *Device) WriteTagged(earliest time.Duration, img []byte, firstLSN, lastL
 		d.failed = true
 	}
 	if d.failed {
-		record(devicePage{img: img, start: start, lost: true})
+		record(0, 0, true)
 		return 0, false
 	}
 	retries := d.MaxRetries
@@ -167,7 +164,7 @@ func (d *Device) WriteTagged(earliest time.Duration, img []byte, firstLSN, lastL
 		if wf.Transient > retries {
 			// Retry budget exhausted: the device is failing hard.
 			d.failed = true
-			record(devicePage{img: img, start: start, lost: true})
+			record(0, 0, true)
 			return 0, false
 		}
 	}
@@ -184,16 +181,16 @@ func (d *Device) WriteTagged(earliest time.Duration, img []byte, firstLSN, lastL
 		// dead from here on.
 		d.busyUntil = done
 		d.failed = true
-		record(devicePage{img: img, start: start, done: done, torn: tb, lost: true})
+		record(done, tb, true)
 		return 0, false
 	}
 	d.busyUntil = done
-	record(devicePage{img: img, start: start, done: done})
+	record(done, 0, false)
 	return done, true
 }
 
 // PagesWritten returns the number of page writes issued.
-func (d *Device) PagesWritten() int { return len(d.pages) }
+func (d *Device) PagesWritten() int { return d.written }
 
 // BusyUntil returns when the device's queue drains.
 func (d *Device) BusyUntil() time.Duration { return d.busyUntil }
@@ -205,29 +202,3 @@ func (d *Device) Failed() bool { return d.failed }
 // WriteRetries returns the transient write faults absorbed by in-device
 // retry.
 func (d *Device) WriteRetries() int64 { return d.retried }
-
-// DurablePages returns the page images whose writes completed by time t —
-// the fragment this device contributes to recovery after a crash at t.
-// A page still being written at t is torn: by default it is excluded
-// entirely; with ExposeTorn the prefix proportional to the write's
-// progress survives (as does the prefix of an injected torn write), and
-// the per-record checksums let recovery cut the fragment there.
-func (d *Device) DurablePages(t time.Duration) [][]byte {
-	var out [][]byte
-	for _, p := range d.pages {
-		switch {
-		case p.lost:
-			if d.ExposeTorn && p.torn > 0 && p.start < t {
-				out = append(out, p.img[:p.torn])
-			}
-		case p.done <= t:
-			out = append(out, p.img)
-		case d.ExposeTorn && p.start < t:
-			frac := float64(t-p.start) / float64(p.done-p.start)
-			if n := int(frac * float64(len(p.img))); n > 0 {
-				out = append(out, p.img[:n])
-			}
-		}
-	}
-	return out
-}

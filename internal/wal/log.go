@@ -59,18 +59,17 @@ type Config struct {
 	// is idle (so liveness never depends on this timer); the timeout only
 	// tightens latency further at the cost of smaller groups.
 	GroupTimeout time.Duration
-	// SegmentPages, when positive, arranges every log device's pages into
-	// bounded segment files of that many pages ("<dev>/seg-NNNNNN") with a
-	// persisted dual-slot commit.meta recording the durable
-	// {segment, offset, LSN} horizon. Checkpoint truncation then deletes
-	// whole segments, and recovery can skip segments entirely below the
-	// published horizon.
+	// SegmentPages is the size, in pages, of the bounded segment files
+	// ("<dev>/seg-NNNNNN") every log device's pages are arranged into,
+	// beside a persisted dual-slot commit.meta recording the durable
+	// {segment, offset, LSN} horizon. Checkpoint truncation deletes whole
+	// segments, and recovery skips segments entirely below the published
+	// horizon. 0 means 64.
 	SegmentPages int
 	// CompactSegments enables the §5.6 background compactor: cold
 	// segments (every record below the resolved-transaction bound) are
 	// rewritten keeping only the newest update per record slot of
-	// durably resolved transactions, with pre-images stripped. Requires
-	// SegmentPages.
+	// durably resolved transactions, with pre-images stripped.
 	CompactSegments bool
 	// CompactEvery is the compactor's wake-up period; 0 means 100ms.
 	CompactEvery time.Duration
@@ -82,6 +81,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.StableCapacity == 0 {
 		c.StableCapacity = 8 * c.PageSize
+	}
+	if c.SegmentPages == 0 {
+		c.SegmentPages = 64
 	}
 	if c.CompactEvery == 0 {
 		c.CompactEvery = 100 * time.Millisecond
@@ -203,9 +205,6 @@ func NewLog(sim *event.Sim, cfg Config) (*Log, error) {
 	if cfg.Compress && cfg.Policy != StableMemory {
 		return nil, fmt.Errorf("wal: log compression requires the stable-memory policy")
 	}
-	if cfg.CompactSegments && cfg.SegmentPages <= 0 {
-		return nil, fmt.Errorf("wal: segment compaction requires SegmentPages > 0")
-	}
 	l := &Log{
 		sim:             sim,
 		cfg:             cfg,
@@ -218,9 +217,7 @@ func NewLog(sim *event.Sim, cfg Config) (*Log, error) {
 		compactorIdle:   true,
 	}
 	for _, d := range cfg.Devices {
-		if cfg.SegmentPages > 0 {
-			d.EnableSegments(cfg.SegmentPages)
-		}
+		d.EnableSegments(cfg.SegmentPages)
 		l.frags = append(l.frags, &fragment{dev: d, curDeps: make(map[*pendingPage]struct{})})
 	}
 	return l, nil
@@ -238,10 +235,9 @@ func (l *Log) SetOnCommit(fn func(TxnID)) { l.onCommit = fn }
 // SetOnDrain installs a callback fired when stable-memory space frees up.
 func (l *Log) SetOnDrain(fn func()) { l.onDrain = fn }
 
-// SetBoundsFunc installs the engine's safety-bound oracle for segmented
-// logs: horizon is the safe truncation/replay bound published to
-// commit.meta, compactable the resolved-transaction bound gating the
-// §5.6 compactor. Without it the horizon defaults to the truncation
+// SetBoundsFunc installs the engine's safety-bound oracle: horizon is the
+// safe truncation/replay bound published to commit.meta, compactable the
+// resolved-transaction bound gating the §5.6 compactor. Without it the horizon defaults to the truncation
 // point and the compactor stays idle.
 func (l *Log) SetBoundsFunc(fn func() (horizon, compactable LSN)) { l.bounds = fn }
 
@@ -253,29 +249,16 @@ func (l *Log) boundsNow() (LSN, LSN) {
 	return l.truncateLSN, 0
 }
 
-// publishMeta pushes the durable frontier and horizon of every segmented
-// device into its commit.meta. Called on durability events and after
-// truncation; the directory dedups identical content.
-func (l *Log) publishMeta() {
+// PublishMeta pushes the durable frontier and the engine's current horizon
+// into every device's commit.meta. The log calls it on durability events
+// and after truncation, the engine when the checkpointer advances the
+// recovery start point; the directory dedups identical content.
+func (l *Log) PublishMeta() {
 	horizon, _ := l.boundsNow()
 	now := l.sim.Now()
 	for _, f := range l.frags {
-		if dir := f.dev.SegmentDir(); dir != nil {
-			dir.Publish(now, uint64(horizon))
-		}
+		f.dev.SegmentDir().Publish(now, uint64(horizon))
 	}
-}
-
-// CompactedBytes returns the bytes reclaimed by completed segment
-// compactions across all devices.
-func (l *Log) CompactedBytes() int64 {
-	var n int64
-	for _, f := range l.frags {
-		if dir := f.dev.SegmentDir(); dir != nil {
-			n += dir.Stats().CompactedBytes
-		}
-	}
-	return n
 }
 
 // payloadCapacity is the record bytes one page holds.
@@ -513,7 +496,7 @@ func (l *Log) seal(f *fragment) {
 				l.markResolved(r.Txn)
 			}
 		}
-		l.publishMeta()
+		l.PublishMeta()
 		l.kickCompactor()
 		l.notifyDurable()
 	})
@@ -551,12 +534,6 @@ func (l *Log) UnresolvedFloor() (LSN, bool) {
 	}
 	return min, found
 }
-
-// PublishMeta re-publishes the durable position and the engine's current
-// horizon to every segmented device's commit.meta. The engine calls it
-// when the checkpointer advances the recovery start point; durability
-// events publish automatically.
-func (l *Log) PublishMeta() { l.publishMeta() }
 
 func (l *Log) deliverCommit(txn TxnID) {
 	l.stats.Commits++
@@ -666,7 +643,7 @@ func (l *Log) startDrain() {
 		l.draining = false
 		l.stable = append([]Record(nil), l.stable[n:]...)
 		l.stableBytes -= freed
-		l.publishMeta()
+		l.PublishMeta()
 		l.kickCompactor()
 		l.notifyDurable()
 		if l.onDrain != nil {
@@ -708,16 +685,13 @@ func (l *Log) TruncateBefore(lsn LSN) {
 	}
 	l.pages = keep
 	l.firstPending = 0
-	// On segmented devices truncation is physical: whole segment files
-	// wholly below the horizon are deleted, and the new horizon is
-	// published to commit.meta.
+	// Truncation is physical: whole segment files wholly below the horizon
+	// are deleted, and the new horizon is published to commit.meta.
 	now := l.sim.Now()
 	for _, f := range l.frags {
-		if dir := f.dev.SegmentDir(); dir != nil {
-			dir.DeleteBelow(now, uint64(lsn))
-		}
+		f.dev.SegmentDir().DeleteBelow(now, uint64(lsn))
 	}
-	l.publishMeta()
+	l.PublishMeta()
 }
 
 // TruncatedLSN returns the current truncation horizon.
@@ -735,37 +709,24 @@ func (l *Log) StableRecords() []Record {
 // surviving records when the policy is StableMemory. Duplicates (a record
 // both drained to disk and still in stable memory) collapse in the merge.
 //
-// Page images are decoded tolerantly: device writes are FIFO, so a torn or
-// corrupt page is necessarily the effective tail of its fragment, and the
-// per-record checksums let the decode cut the fragment at the last intact
-// record instead of erroring. The error return is retained for interface
-// stability but is always nil.
+// The segment directory is the medium of record: it reflects
+// truncation-by-deletion and compaction. Page images are decoded
+// tolerantly: device writes are FIFO, so a torn or corrupt page is
+// necessarily the effective tail of its fragment — nothing later on that
+// device can be durable — and the per-record checksums let the decode cut
+// the fragment at the last intact record instead of erroring. The error
+// return is retained for interface stability but is always nil.
 func (l *Log) DurableRecords(t time.Duration) ([]Record, error) {
 	var fragments [][]Record
 	for _, d := range l.cfg.Devices {
 		var frag []Record
-		if v, segmented := d.DurableSegments(t); segmented {
-			// Segmented device: the segment directory is the medium of
-			// record — it reflects truncation-by-deletion and compaction,
-			// which the raw page list does not.
-		segs:
-			for _, s := range v.Segments {
-				for _, img := range s.Pages {
-					recs, intact := DecodePageTail(img)
-					frag = append(frag, recs...)
-					if !intact {
-						break segs
-					}
-				}
-			}
-		} else {
-			for _, img := range d.DurablePages(t) {
+	segs:
+		for _, s := range d.DurableSegments(t).Segments {
+			for _, img := range s.Pages {
 				recs, intact := DecodePageTail(img)
 				frag = append(frag, recs...)
 				if !intact {
-					// Torn tail: everything after the damage is unreadable,
-					// and nothing later on this device can be durable (FIFO).
-					break
+					break segs
 				}
 			}
 		}

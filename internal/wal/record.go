@@ -142,14 +142,10 @@ func DecodeRecord(buf []byte) (Record, int, error) {
 	return r, n, nil
 }
 
-// Page is an encoded log page: a 6-byte header (record count, payload
-// length) followed by packed records. Pages are fixed-size on the device.
-type Page struct {
-	Seq     uint64 // page sequence number within its fragment
-	Records []Record
-}
-
-const pageHeader = 2 + 4 // count, payload bytes
+// pageHeader is the size of an encoded log page's header (record count,
+// payload length); packed records follow. Pages are fixed-size on the
+// device.
+const pageHeader = 2 + 4
 
 // EncodePage packs records into a page image of the given size.
 func EncodePage(records []Record, pageSize int) ([]byte, error) {
@@ -169,32 +165,6 @@ func EncodePage(records []Record, pageSize int) ([]byte, error) {
 	out := make([]byte, pageSize)
 	copy(out, buf)
 	return out, nil
-}
-
-// DecodePage unpacks a page image.
-func DecodePage(data []byte) ([]Record, error) {
-	if len(data) < pageHeader {
-		return nil, fmt.Errorf("wal: page too small (%d bytes)", len(data))
-	}
-	count := int(binary.BigEndian.Uint16(data[0:]))
-	payload := int(binary.BigEndian.Uint32(data[2:]))
-	if pageHeader+payload > len(data) {
-		return nil, fmt.Errorf("wal: corrupt page header (payload %d beyond page)", payload)
-	}
-	buf := data[pageHeader : pageHeader+payload]
-	records := make([]Record, 0, count)
-	for i := 0; i < count; i++ {
-		r, n, err := DecodeRecord(buf)
-		if err != nil {
-			return nil, fmt.Errorf("wal: record %d: %w", i, err)
-		}
-		records = append(records, r)
-		buf = buf[n:]
-	}
-	if len(buf) != 0 {
-		return nil, fmt.Errorf("wal: %d trailing bytes after %d records", len(buf), count)
-	}
-	return records, nil
 }
 
 // DecodePageTail decodes the valid record prefix of a possibly torn or

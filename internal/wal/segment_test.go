@@ -34,36 +34,6 @@ func commitTxn(l *Log, id TxnID, rec uint64) {
 	l.AppendCommit(id, nil)
 }
 
-func TestSegmentedLogMatchesMonolithicRecovery(t *testing.T) {
-	// The same workload through a segmented and an unsegmented log must
-	// produce identical DurableRecords views: segmentation changes the
-	// file layout, not the log contents.
-	run := func(segPages int) []Record {
-		sim := &event.Sim{}
-		dev := NewDevice("log0", 10*time.Millisecond)
-		l, err := NewLog(sim, Config{PageSize: 512, Policy: GroupCommit, Devices: []*Device{dev}, SegmentPages: segPages})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 1; i <= 30; i++ {
-			commitTxn(l, TxnID(i), uint64(i%7))
-		}
-		l.Flush()
-		sim.Run()
-		recs, _ := l.DurableRecords(sim.Now())
-		return recs
-	}
-	mono, seg := run(0), run(2)
-	if len(mono) != len(seg) {
-		t.Fatalf("record counts differ: mono=%d seg=%d", len(mono), len(seg))
-	}
-	for i := range mono {
-		if mono[i].LSN != seg[i].LSN || mono[i].Type != seg[i].Type || !bytes.Equal(mono[i].New, seg[i].New) {
-			t.Fatalf("record %d differs: %+v vs %+v", i, mono[i], seg[i])
-		}
-	}
-}
-
 func TestSegmentDirTracksDeviceWrites(t *testing.T) {
 	sim := &event.Sim{}
 	l := segLog(t, sim)
@@ -73,9 +43,6 @@ func TestSegmentDirTracksDeviceWrites(t *testing.T) {
 	l.Flush()
 	sim.Run()
 	dir := l.Config().Devices[0].SegmentDir()
-	if dir == nil {
-		t.Fatal("no segment directory on a segmented log device")
-	}
 	v := dir.DurableView(sim.Now(), false)
 	if len(v.Segments) < 2 {
 		t.Fatalf("expected multiple segments, got %d", len(v.Segments))
@@ -114,10 +81,7 @@ func TestTornRecordAtRotationBoundaryReadsAsEndOfLog(t *testing.T) {
 	// The torn write was in flight when the device died; probe a crash
 	// instant inside its service window so the prefix is on the medium.
 	crash := sim.Now() + 5*time.Millisecond
-	v, ok := dev.DurableSegments(crash)
-	if !ok {
-		t.Fatal("no segment view")
-	}
+	v := dev.DurableSegments(crash)
 	if len(v.Segments) != 2 {
 		t.Fatalf("got %d segments, want 2 (boundary tear cuts the log)", len(v.Segments))
 	}
@@ -268,7 +232,7 @@ func TestBackgroundCompactionPreservesRecoveryView(t *testing.T) {
 		l.Flush()
 		sim.Run()
 		recs, _ := l.DurableRecords(sim.Now())
-		return recs, l.CompactedBytes()
+		return recs, l.Config().Devices[0].SegmentDir().Stats().CompactedBytes
 	}
 	control, _ := run(false)
 	compacted, saved := run(true)

@@ -60,9 +60,9 @@ func TestPageRoundTripAndCorruption(t *testing.T) {
 	if len(img) != 512 {
 		t.Fatalf("page image %d bytes", len(img))
 	}
-	got, err := DecodePage(img)
-	if err != nil {
-		t.Fatal(err)
+	got, intact := DecodePageTail(img)
+	if !intact {
+		t.Fatal("freshly encoded page does not decode whole")
 	}
 	if len(got) != 3 || got[1].Rec != 9 || string(got[1].New) != "new" {
 		t.Fatalf("decoded %+v", got)
@@ -77,7 +77,7 @@ func TestPageRoundTripAndCorruption(t *testing.T) {
 	}
 	// Corrupt header.
 	img[2] = 0xFF
-	if _, err := DecodePage(img); err == nil {
+	if _, intact := DecodePageTail(img); intact {
 		t.Error("corrupt payload length accepted")
 	}
 }
@@ -137,22 +137,33 @@ func TestWithoutOldHalvesUpdateSize(t *testing.T) {
 	}
 }
 
+// durablePages flattens a log device's crash view at t into its page
+// images, in write order.
+func durablePages(d *Device, t time.Duration) [][]byte {
+	var out [][]byte
+	for _, s := range d.DurableSegments(t).Segments {
+		out = append(out, s.Pages...)
+	}
+	return out
+}
+
 func TestDeviceFIFOAndDurablePrefix(t *testing.T) {
 	d := NewDevice("log", 10*time.Millisecond)
+	d.EnableSegments(2) // the third page rotates into a second segment
 	t1, _ := d.Write(0, []byte{1})
 	t2, _ := d.Write(0, []byte{2})
 	t3, _ := d.Write(25*time.Millisecond, []byte{3})
 	if t1 != 10*time.Millisecond || t2 != 20*time.Millisecond || t3 != 35*time.Millisecond {
 		t.Fatalf("completions %v %v %v", t1, t2, t3)
 	}
-	if got := len(d.DurablePages(20 * time.Millisecond)); got != 2 {
+	if got := len(durablePages(d, 20*time.Millisecond)); got != 2 {
 		t.Fatalf("durable at 20ms: %d", got)
 	}
 	// A page mid-write (crash at 30ms, write completes at 35) is torn.
-	if got := len(d.DurablePages(30 * time.Millisecond)); got != 2 {
+	if got := len(durablePages(d, 30*time.Millisecond)); got != 2 {
 		t.Fatalf("torn page counted: %d", got)
 	}
-	if got := len(d.DurablePages(35 * time.Millisecond)); got != 3 {
+	if got := len(durablePages(d, 35*time.Millisecond)); got != 3 {
 		t.Fatalf("durable at 35ms: %d", got)
 	}
 }

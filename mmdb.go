@@ -288,14 +288,13 @@ type Database struct {
 	// intent; it may fail (a fenced or just-demoted primary), failing the
 	// mutating call. readOnly marks a replica database: exclusive intents
 	// are refused at the lock layer except for the replication applier
-	// (applying set around each applied op) and session-private
+	// (which locks through applierCtx) and session-private
 	// temporaries (registered in localRes). Both are atomic because
 	// promotion flips them at runtime while sessions are live; cluster
 	// back-points to the owning Cluster so refusals can carry the current
 	// epoch and primary hint.
 	ship     atomic.Pointer[shipFn]
 	readOnly atomic.Bool
-	applying atomic.Bool
 	localRes sync.Map // resource id -> struct{}: replica-local relations
 	cluster  *Cluster // set once at OpenCluster, before any use
 }
@@ -431,15 +430,21 @@ func isTempRelation(name string) bool { return strings.HasPrefix(name, "sql.tmp.
 // mutation it takes an exclusive relation intent, so a fencing guard or
 // quiesce barrier sees creates too.
 func (db *Database) CreateRelation(name string, schema *Schema) (*Relation, error) {
+	return db.createRelation(false, name, schema)
+}
+
+// createRelation is CreateRelation for a client (applier false) or for the
+// replication applier, whose handle it returns.
+func (db *Database) createRelation(applier bool, name string, schema *Schema) (*Relation, error) {
 	if isTempRelation(name) {
 		// Session-private temporaries are always database-local: register
 		// before locking so a write-fenced database (replica, or a primary
 		// mid-promotion) still admits the exclusive intent.
 		db.localRes.Store(catalog.ResourceID(name), struct{}{})
-	} else if db.readOnly.Load() && !db.applying.Load() {
+	} else if db.readOnly.Load() && !applier {
 		return nil, db.writeRefused()
 	}
-	unlock, err := db.lockRelations(context.Background(), lock.Exclusive, name)
+	unlock, err := db.lockRelations(lockCtx(applier), lock.Exclusive, name)
 	if err != nil {
 		return nil, err
 	}
@@ -448,11 +453,11 @@ func (db *Database) CreateRelation(name string, schema *Schema) (*Relation, erro
 	if err != nil {
 		return nil, err
 	}
-	if err := db.shipOp(shipOp{kind: opCreateRelation, rel: name, schema: schema}); err != nil {
+	if err := db.shipOp(applier, shipOp{kind: opCreateRelation, rel: name, schema: schema}); err != nil {
 		_ = db.cat.Drop(name)
 		return nil, err
 	}
-	return &Relation{db: db, rel: r}, nil
+	return &Relation{db: db, rel: r, applier: applier}, nil
 }
 
 // Relation looks up an existing relation.
@@ -469,8 +474,12 @@ func (db *Database) Relations() []string { return db.cat.Names() }
 
 // DropRelation removes a relation and its storage, waiting for in-flight
 // queries over it to drain (an exclusive relation intent).
-func (db *Database) DropRelation(name string) error {
-	unlock, err := db.lockRelations(context.Background(), lock.Exclusive, name)
+func (db *Database) DropRelation(name string) error { return db.dropRelation(false, name) }
+
+// dropRelation is DropRelation for a client (applier false) or for the
+// replication applier.
+func (db *Database) dropRelation(applier bool, name string) error {
+	unlock, err := db.lockRelations(lockCtx(applier), lock.Exclusive, name)
 	if err != nil {
 		return err
 	}
@@ -483,7 +492,7 @@ func (db *Database) DropRelation(name string) error {
 	if _, err := db.cat.Get(name); err != nil {
 		return err
 	}
-	if err := db.shipOp(shipOp{kind: opDropRelation, rel: name}); err != nil {
+	if err := db.shipOp(applier, shipOp{kind: opDropRelation, rel: name}); err != nil {
 		return err
 	}
 	if err := db.cat.Drop(name); err != nil {
@@ -511,10 +520,11 @@ func (db *Database) adoptFile(f *heap.File) (*Relation, error) {
 // shipOp forwards a mutation to the cluster ship hook, if any. Temporaries
 // and local (adopted) relations stay local: every database — primary or
 // replica — materializes its own. A ship refusal (the database was fenced
-// or demoted mid-call) fails the mutation.
-func (db *Database) shipOp(op shipOp) error {
+// or demoted mid-call) fails the mutation. applier is set for a mutation
+// the replication applier itself made: it never ships onward.
+func (db *Database) shipOp(applier bool, op shipOp) error {
 	fn := db.ship.Load()
-	if fn == nil && (!db.readOnly.Load() || db.applying.Load()) {
+	if fn == nil && (!db.readOnly.Load() || applier) {
 		return nil // unreplicated database, or the applier's own op
 	}
 	if isTempRelation(op.rel) {

@@ -66,20 +66,20 @@ type RecoveryConfig struct {
 	// partial page). Off, a torn page vanishes entirely. Either way the
 	// per-record checksums make recovery stop cleanly at the tear.
 	TornTails bool
-	// SegmentPages, when positive, bounds the log into segment files of
-	// that many pages per device ("log0/seg-000001", ...) with a persisted
+	// SegmentPages is the size, in pages, of the segment files each log
+	// device is bounded into ("log0/seg-000001", ...) beside a persisted
 	// dual-slot commit.meta recording the durable {segment, offset, LSN}
-	// horizon. Crash recovery then runs the segmented parallel path:
-	// segments wholly below the horizon are skipped unread, and the scan
-	// and page-partitioned replay fan out over ReplayParallelism workers.
+	// horizon. Crash recovery skips segments wholly below the horizon
+	// unread, and fans the scan and the page-partitioned replay out over
+	// ReplayParallelism workers. 0 means 64.
 	SegmentPages int
 	// CompactSegments runs the §5.6 background log compressor: cold
 	// segments are rewritten keeping only the newest committed value per
-	// record with pre-images stripped. Requires SegmentPages.
+	// record with pre-images stripped.
 	CompactSegments bool
-	// TruncateLog reclaims the log prefix no recovery could need; on a
-	// segmented log this deletes whole segment files. Effective with
-	// Checkpoint, which advances the redo bound (§5.5).
+	// TruncateLog reclaims the log prefix no recovery could need by
+	// deleting whole segment files. Effective with Checkpoint, which
+	// advances the redo bound (§5.5).
 	TruncateLog bool
 	// ReplayParallelism is the recovery fan-out width (0 = serial,
 	// <0 = one worker per CPU). Replay cost counters are bit-identical at
@@ -193,48 +193,18 @@ func (s *RecoverySim) Run(d time.Duration) RecoveryStats {
 	}
 }
 
-// CrashCaptureError reports that RunAndCrash could not capture the
-// crash-durable state at the requested virtual instant. Cause carries the
-// engine's capture error (nil when the simulation simply ended before the
-// instant arrived) and unwraps for errors.Is/As inspection.
-type CrashCaptureError struct {
-	At    time.Duration // the virtual instant the capture was scheduled at
-	Cause error
-}
-
-func (e *CrashCaptureError) Error() string {
-	if e.Cause == nil {
-		return fmt.Sprintf("mmdb: crash capture at %v never ran", e.At)
-	}
-	return fmt.Sprintf("mmdb: crash capture at %v failed: %v", e.At, e.Cause)
-}
-
-// Unwrap exposes the capture failure's cause.
-func (e *CrashCaptureError) Unwrap() error { return e.Cause }
-
 // RunAndCrash runs the workload but captures the crash-durable state at
 // crashAt (before in-flight work drains), then recovers from it. It
 // returns the run statistics, the recovery report, and the number of
-// transactions recovery found committed. A capture that never runs or
-// fails surfaces as a *CrashCaptureError.
+// transactions recovery found committed.
 func (s *RecoverySim) RunAndCrash(runFor, crashAt time.Duration) (RecoveryStats, RecoveryInfo, int, error) {
 	if crashAt > runFor {
 		crashAt = runFor
 	}
-	at := s.sim.Now() + crashAt
-	var in recoveryInput
-	s.sim.At(at, func() {
-		if s.cfg.SegmentPages > 0 {
-			in.seg, in.err = s.engine.CrashInputSegmented()
-		} else {
-			in.input, in.err = s.engine.CrashInput()
-		}
-		in.captured = true
-	})
+	var in recovery.Input
+	// Run drains every queued event, so the capture always happens.
+	s.sim.At(s.sim.Now()+crashAt, func() { in = s.engine.CrashInput() })
 	st := s.Run(runFor)
-	if !in.captured || in.err != nil {
-		return st, RecoveryInfo{}, 0, &CrashCaptureError{At: at, Cause: in.err}
-	}
 	info, err := s.recoverFrom(in)
 	if err != nil {
 		return st, RecoveryInfo{}, 0, err
@@ -242,24 +212,10 @@ func (s *RecoverySim) RunAndCrash(runFor, crashAt time.Duration) (RecoveryStats,
 	return st, info, info.Committed, nil
 }
 
-type recoveryInput struct {
-	input    recovery.Input
-	seg      recovery.SegInput
-	err      error
-	captured bool
-}
-
-// recoverFrom runs the serial or segmented recovery path on a captured
-// crash image.
-func (s *RecoverySim) recoverFrom(in recoveryInput) (RecoveryInfo, error) {
-	var ri recovery.Info
-	var err error
-	if s.cfg.SegmentPages > 0 {
-		in.seg.Parallelism = s.cfg.ReplayParallelism
-		_, ri, err = recovery.RecoverSegmented(in.seg)
-	} else {
-		_, ri, err = recovery.Recover(in.input)
-	}
+// recoverFrom runs crash recovery on a captured crash image.
+func (s *RecoverySim) recoverFrom(in recovery.Input) (RecoveryInfo, error) {
+	in.Parallelism = s.cfg.ReplayParallelism
+	_, ri, err := recovery.Recover(in)
 	if err != nil {
 		return RecoveryInfo{}, err
 	}
@@ -269,25 +225,14 @@ func (s *RecoverySim) recoverFrom(in recoveryInput) (RecoveryInfo, error) {
 // CrashAndRecover captures the durable state at the current instant and
 // runs crash recovery, returning how much work recovery did.
 func (s *RecoverySim) CrashAndRecover() (recovered int, info RecoveryInfo, err error) {
-	in := recoveryInput{captured: true}
-	if s.cfg.SegmentPages > 0 {
-		in.seg, in.err = s.engine.CrashInputSegmented()
-	} else {
-		in.input, in.err = s.engine.CrashInput()
-	}
-	if in.err != nil {
-		return 0, RecoveryInfo{}, in.err
-	}
-	info, err = s.recoverFrom(in)
+	info, err = s.recoverFrom(s.engine.CrashInput())
 	if err != nil {
 		return 0, RecoveryInfo{}, err
 	}
 	return info.Committed, info, nil
 }
 
-// RecoveryInfo reports recovery effort. The Segments*, ReplayWorkers,
-// CompactedBytes and Virtual fields are populated only by the segmented
-// path (SegmentPages > 0).
+// RecoveryInfo reports recovery effort.
 type RecoveryInfo struct {
 	Committed  int
 	Losers     int

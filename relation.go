@@ -1,7 +1,6 @@
 package mmdb
 
 import (
-	"context"
 	"fmt"
 
 	"mmdb/internal/catalog"
@@ -24,6 +23,10 @@ const (
 type Relation struct {
 	db  *Database
 	rel *catalog.Relation
+	// applier marks the replication applier's own handle: its intents
+	// lock through applierCtx (which a read-only database's write guard
+	// admits) and its mutations never ship onward.
+	applier bool
 }
 
 // Name returns the relation name.
@@ -34,13 +37,16 @@ func (r *Relation) Name() string { return r.rel.Name }
 // loads and point operations interleave safely with admitted queries —
 // a query's shared intent holds off a concurrent Rewrite, and vice versa.
 func (r *Relation) withIntent(mode lock.Mode, fn func() error) error {
-	unlock, err := r.db.lockRelations(context.Background(), mode, r.Name())
+	unlock, err := r.db.lockRelations(lockCtx(r.applier), mode, r.Name())
 	if err != nil {
 		return err
 	}
 	defer unlock()
 	return fn()
 }
+
+// ship forwards a mutation made through this handle to the cluster.
+func (r *Relation) ship(op shipOp) error { return r.db.shipOp(r.applier, op) }
 
 // Schema returns the relation schema.
 func (r *Relation) Schema() *Schema { return r.rel.Schema() }
@@ -64,31 +70,57 @@ func (r *Relation) Insert(values ...Value) error {
 
 // InsertTuple appends an encoded row, maintaining any indexes.
 func (r *Relation) InsertTuple(t Tuple) error {
+	return r.withIntent(lock.Exclusive, func() error { return r.insertLocked(t) })
+}
+
+// insertLocked is InsertTuple's body; the caller holds the exclusive
+// intent.
+func (r *Relation) insertLocked(t Tuple) error {
+	if err := r.rel.File.Append(t, simio.Uncharged); err != nil {
+		return err
+	}
+	schema := r.Schema()
+	for _, col := range r.rel.IndexedColumns() {
+		ix, _ := r.rel.Index(col)
+		ix.Insert(schema.KeyBytes(t, col), t.Clone())
+	}
+	// Ship inside the intent so replication order is the primary's
+	// serialization order (likewise in every mutation below). A
+	// refused ship — this node was demoted mid-call — fails the
+	// statement: the write is not acknowledged.
+	return r.ship(shipOp{kind: opInsert, rel: r.Name(), tuple: t.Clone()})
+}
+
+// insertRows is one INSERT statement: every row appended and shipped, then
+// the flush, all under one exclusive intent. A promotion fence admits the
+// whole statement or none of it, so a statement refused as not-primary has
+// shipped nothing a client retry could duplicate.
+func (r *Relation) insertRows(rows [][]Value) error {
 	return r.withIntent(lock.Exclusive, func() error {
-		if err := r.rel.File.Append(t, simio.Uncharged); err != nil {
-			return err
+		for _, row := range rows {
+			t, err := r.Schema().Encode(row...)
+			if err != nil {
+				return err
+			}
+			if err := r.insertLocked(t); err != nil {
+				return err
+			}
 		}
-		schema := r.Schema()
-		for _, col := range r.rel.IndexedColumns() {
-			ix, _ := r.rel.Index(col)
-			ix.Insert(schema.KeyBytes(t, col), t.Clone())
-		}
-		// Ship inside the intent so replication order is the primary's
-		// serialization order (likewise in every mutation below). A
-		// refused ship — this node was demoted mid-call — fails the
-		// statement: the write is not acknowledged.
-		return r.db.shipOp(shipOp{kind: opInsert, rel: r.Name(), tuple: t.Clone()})
+		return r.flushLocked()
 	})
 }
 
 // Flush writes any buffered partial page.
 func (r *Relation) Flush() error {
-	return r.withIntent(lock.Exclusive, func() error {
-		if err := r.rel.File.Flush(simio.Uncharged); err != nil {
-			return err
-		}
-		return r.db.shipOp(shipOp{kind: opFlush, rel: r.Name()})
-	})
+	return r.withIntent(lock.Exclusive, r.flushLocked)
+}
+
+// flushLocked is Flush's body; the caller holds the exclusive intent.
+func (r *Relation) flushLocked() error {
+	if err := r.rel.File.Flush(simio.Uncharged); err != nil {
+		return err
+	}
+	return r.ship(shipOp{kind: opFlush, rel: r.Name()})
 }
 
 // Scan iterates all tuples in storage order until fn returns false. The
@@ -109,7 +141,7 @@ func (r *Relation) CreateIndex(column string, kind IndexKind) error {
 		if _, err := r.db.cat.BuildIndex(r.Name(), col, kind); err != nil {
 			return err
 		}
-		return r.db.shipOp(shipOp{kind: opIndex, rel: r.Name(), column: column, ixKind: kind})
+		return r.ship(shipOp{kind: opIndex, rel: r.Name(), column: column, ixKind: kind})
 	})
 }
 
@@ -196,7 +228,7 @@ func (r *Relation) DeleteWhere(p *Pred) (int64, error) {
 		if p != nil {
 			inner = p.inner
 		}
-		if err := r.db.shipOp(shipOp{kind: opDeleteWhere, rel: r.Name(), pred: inner}); err != nil {
+		if err := r.ship(shipOp{kind: opDeleteWhere, rel: r.Name(), pred: inner}); err != nil {
 			removed = 0
 			return err
 		}
@@ -245,7 +277,7 @@ func (r *Relation) Update(column string, v Value, setColumn string, newVal Value
 				return err
 			}
 		}
-		if err := r.db.shipOp(shipOp{
+		if err := r.ship(shipOp{
 			kind: opUpdate, rel: r.Name(),
 			column: column, value: v,
 			setColumn: setColumn, newValue: newVal,

@@ -640,12 +640,7 @@ func (s *Session) execInsert(b *sqlfront.BoundInsert) (*SQLResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, row := range b.Rows {
-		if err := rel.Insert(row...); err != nil {
-			return nil, err
-		}
-	}
-	if err := rel.Flush(); err != nil {
+	if err := rel.insertRows(b.Rows); err != nil {
 		return nil, err
 	}
 	return &SQLResult{Affected: int64(len(b.Rows))}, nil
