@@ -19,7 +19,7 @@ import (
 
 // ErrReadOnlyReplica is returned when a write reaches a replica database:
 // replicas refuse exclusive relation intents at the lock layer, except for
-// the replication applier itself and session-private temporaries.
+// the replication applier itself and database-local adopted files.
 var ErrReadOnlyReplica = errors.New("mmdb: database is a read-only replica")
 
 // ErrNotPrimary is the errors.Is sentinel for writes refused because the
@@ -321,8 +321,8 @@ func lockCtx(applier bool) context.Context {
 // writeGuard is the write-admission hook for a database that is not the
 // primary (a replica, or a primary being fenced for switchover),
 // consulted by the lock table on every exclusive intent: the replication
-// applier passes (it locks through applierCtx), session-private relations
-// pass (temporaries and adopted planner outputs, registered in localRes),
+// applier passes (it locks through applierCtx), database-local relations
+// pass (adopted planner outputs, registered in localRes),
 // everything else is a client write and is refused with the cluster's
 // typed not-primary error.
 func writeGuard(db *Database) func(ctx context.Context, res uint64) error {
@@ -1009,13 +1009,7 @@ func (c *Cluster) Rejoin(ctx context.Context) error {
 	// Scrub the node's possibly-diverged durable state. The applier's
 	// drop passes the node's own write guard; its ship hook is nil, so
 	// nothing replicates.
-	for _, name := range db.cat.Names() {
-		if isTempRelation(name) {
-			continue
-		}
-		if _, ok := db.localRes.Load(catalog.ResourceID(name)); ok {
-			continue
-		}
+	for _, name := range c.shippedRelationsOf(db) {
 		if err := db.dropRelation(true, name); err != nil {
 			return fmt.Errorf("mmdb: rejoin: scrubbing %q: %w", name, err)
 		}
@@ -1199,14 +1193,9 @@ func (c *Cluster) pickBounded(maxLag uint64) *clusterReplica {
 
 // databaseFor classifies one SQL statement for routing: SELECTs go to
 // Route under the session's read preference, everything else — DML, and
-// statements that do not parse (the primary surfaces the error) — to the
-// primary.
+// text that is not SQL (the primary surfaces the error) — to the primary.
 func (c *Cluster) databaseFor(text string, opts []SessionOption) *Database {
-	stmt, err := sqlfront.Parse(text)
-	if err != nil {
-		return c.prim.Load().db
-	}
-	if _, ok := stmt.(*sqlfront.SelectStmt); ok {
+	if sqlfront.IsSelect(text) {
 		return c.Route(resolveSessionConfig(opts).readPref)
 	}
 	c.writes.Add(1)
@@ -1329,13 +1318,7 @@ func (c *Cluster) VerifyReplicas() error {
 			}
 		}
 		// No extra durable relations on the replica either.
-		for _, name := range r.db.cat.Names() {
-			if isTempRelation(name) {
-				continue
-			}
-			if _, ok := r.db.localRes.Load(catalog.ResourceID(name)); ok {
-				continue
-			}
+		for _, name := range c.shippedRelationsOf(r.db) {
 			if _, err := pdb.cat.Get(name); err != nil {
 				return fmt.Errorf("mmdb: replica %s has relation %q the primary lacks", r.name, name)
 			}
@@ -1345,13 +1328,10 @@ func (c *Cluster) VerifyReplicas() error {
 }
 
 // shippedRelationsOf lists a database's replicated relations: everything
-// durable except temporaries and adopted (database-local) files.
+// durable except adopted (database-local) files.
 func (c *Cluster) shippedRelationsOf(db *Database) []string {
 	var out []string
 	for _, name := range db.cat.Names() {
-		if isTempRelation(name) {
-			continue
-		}
 		if _, ok := db.localRes.Load(catalog.ResourceID(name)); ok {
 			continue
 		}

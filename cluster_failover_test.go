@@ -565,7 +565,7 @@ func TestRoutingFallbacks(t *testing.T) {
 // writer that passed the write guard before a crash failover reaches
 // shipOp after flipDetached took the demoted primary's hook away. It must
 // be refused — a nil there acknowledges a write no survivor holds — while
-// the applier's own ops, and relations that never ship, still pass.
+// the applier's own ops still pass.
 func TestFailoverRefusesStragglerShip(t *testing.T) {
 	ctx := failoverCtx(t)
 	c, err := OpenCluster(Options{}, 1)
@@ -582,9 +582,6 @@ func TestFailoverRefusesStragglerShip(t *testing.T) {
 	straggler := shipOp{kind: opFlush, rel: "accounts"}
 	if err := old.shipOp(false, straggler); !errors.Is(err, ErrNotPrimary) {
 		t.Fatalf("straggler ship on the demoted primary = %v, want ErrNotPrimary", err)
-	}
-	if err := old.shipOp(false, shipOp{kind: opFlush, rel: "sql.tmp.1"}); err != nil {
-		t.Fatalf("temporary relation refused on the demoted primary: %v", err)
 	}
 	if err := old.shipOp(true, straggler); err != nil {
 		t.Fatalf("applier op refused on the demoted primary: %v", err)

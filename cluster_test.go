@@ -191,8 +191,8 @@ func TestReplReadOnlyReplicaRefusesWrites(t *testing.T) {
 	if _, err := rep.Query("INSERT INTO accounts VALUES (9001, 0, 0, 'y')"); !errors.Is(err, ErrReadOnlyReplica) {
 		t.Fatalf("SQL INSERT on replica: %v, want ErrReadOnlyReplica", err)
 	}
-	// Reads — including ones that materialize sql.tmp temporaries and
-	// planner outputs — succeed on the replica.
+	// Reads — including ones that materialize a statement-owned filtered
+	// copy, which takes no exclusive intent — succeed on the replica.
 	if _, err := rep.Query("SELECT dept, COUNT(*) FROM accounts WHERE balance > 0 GROUP BY dept"); err != nil {
 		t.Fatalf("filtered aggregate on replica: %v", err)
 	}

@@ -24,27 +24,43 @@ var execSeq atomic.Uint64
 // §3 convention); the joins themselves charge the disk's clock normally.
 func Execute(q Query, p *Plan) (*heap.File, error) {
 	q = q.withDefaults()
-	res, _, err := execNode(q, p.Root)
+	res, _, _, err := execNode(q, p.Root)
 	return res, err
 }
 
-// execNode returns the node's materialized output and the class→column map
-// of its output schema.
-func execNode(q Query, n *Node) (*heap.File, map[int]int, error) {
+// execNode returns the node's materialized output, the class→column map
+// of its output schema, and whether the output is an intermediate this
+// execution created (a join output or a filtered leaf copy) rather than a
+// base relation's file. A join step drops its intermediate inputs once it
+// has consumed them, on error returns too, so only the root output
+// outlives Execute.
+func execNode(q Query, n *Node) (*heap.File, map[int]int, bool, error) {
 	if n == nil {
-		return nil, nil, fmt.Errorf("planner: nil plan node")
+		return nil, nil, false, fmt.Errorf("planner: nil plan node")
 	}
 	if n.leaf() {
 		return execLeaf(q, n.Table)
 	}
-	left, leftCols, err := execNode(q, n.Left)
+	left, leftCols, leftOwned, err := execNode(q, n.Left)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, false, err
 	}
-	right, rightCols, err := execLeaf(q, n.Right)
+	if leftOwned {
+		defer left.Drop()
+	}
+	right, rightCols, rightOwned, err := execLeaf(q, n.Right)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, false, err
 	}
+	if rightOwned {
+		defer right.Drop()
+	}
+	out, outCols, err := joinStep(q, n, left, right, leftCols, rightCols)
+	return out, outCols, err == nil, err
+}
+
+// joinStep materializes one join of the plan into a fresh file.
+func joinStep(q Query, n *Node, left, right *heap.File, leftCols, rightCols map[int]int) (*heap.File, map[int]int, error) {
 	classes := connecting(q, maskOf(n.Left), n.Right)
 	if len(classes) == 0 {
 		return nil, nil, fmt.Errorf("planner: executing a Cartesian product is not supported")
@@ -92,13 +108,14 @@ func execNode(q Query, n *Node) (*heap.File, map[int]int, error) {
 			emitErr = e
 		}
 	})
+	if err == nil {
+		err = emitErr
+	}
+	if err == nil {
+		err = out.Flush(simio.Uncharged)
+	}
 	if err != nil {
-		return nil, nil, err
-	}
-	if emitErr != nil {
-		return nil, nil, emitErr
-	}
-	if err := out.Flush(simio.Uncharged); err != nil {
+		out.Drop()
 		return nil, nil, err
 	}
 
@@ -117,19 +134,21 @@ func execNode(q Query, n *Node) (*heap.File, map[int]int, error) {
 	return out, outCols, nil
 }
 
-func execLeaf(q Query, ti int) (*heap.File, map[int]int, error) {
+// execLeaf binds a table: its base file when no selection is pushed onto
+// it, otherwise an owned (uncharged) copy of the rows that pass.
+func execLeaf(q Query, ti int) (*heap.File, map[int]int, bool, error) {
 	t := q.Tables[ti]
 	if t.Rel.File == nil {
-		return nil, nil, fmt.Errorf("planner: table %s has no storage binding", t.Name)
+		return nil, nil, false, fmt.Errorf("planner: table %s has no storage binding", t.Name)
 	}
 	cols := t.Rel.ClassCols
 	if t.Filter == nil {
-		return t.Rel.File, cols, nil
+		return t.Rel.File, cols, false, nil
 	}
 	disk := t.Rel.File.Disk()
 	out, err := heap.Create(disk, fmt.Sprintf("plan.scan.%d", execSeq.Add(1)), t.Rel.File.Schema())
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, false, err
 	}
 	scanErr := t.Rel.File.Scan(simio.Uncharged, func(tp tuple.Tuple) bool {
 		if t.Filter(tp) {
@@ -137,16 +156,17 @@ func execLeaf(q Query, ti int) (*heap.File, map[int]int, error) {
 		}
 		return err == nil
 	})
-	if scanErr != nil {
-		return nil, nil, scanErr
+	if err == nil {
+		err = scanErr
+	}
+	if err == nil {
+		err = out.Flush(simio.Uncharged)
 	}
 	if err != nil {
-		return nil, nil, err
+		out.Drop()
+		return nil, nil, false, err
 	}
-	if err := out.Flush(simio.Uncharged); err != nil {
-		return nil, nil, err
-	}
-	return out, cols, nil
+	return out, cols, true, nil
 }
 
 // maskOf reconstructs the table subset a sub-plan covers.

@@ -68,7 +68,7 @@ func (c ColRef) String() string {
 
 // SelectItem is one select-list entry: a column or an aggregate call.
 type SelectItem struct {
-	Col *ColRef  // exactly one of Col/Agg is set
+	Col *ColRef // exactly one of Col/Agg is set
 	Agg *AggCall
 }
 

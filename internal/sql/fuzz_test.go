@@ -52,6 +52,11 @@ func FuzzParse(f *testing.F) {
 		if stmt == nil {
 			t.Fatalf("Parse(%q): nil statement without error", src)
 		}
+		// The keyword sniff routers trust must agree with the parser: a
+		// statement that can mutate is never classified as a read.
+		if _, sel := stmt.(*SelectStmt); sel != IsSelect(src) {
+			t.Fatalf("IsSelect(%q) = %v, but it parsed as %T", src, !sel, stmt)
+		}
 		// Binding a parseable statement must also never panic, and
 		// must reject (if it rejects) with a typed error.
 		if _, err := Bind(stmt, cat); err != nil {

@@ -39,7 +39,7 @@ var keywords = map[string]bool{
 
 // lex tokenizes the statement text. Keywords are case-insensitive and
 // uppercased; identifiers keep their spelling (they must match catalog
-// names exactly). Strings are single-quoted with '' as the escape.
+// names exactly). Strings are single-quoted; a doubled quote is the escape.
 func lex(src string) ([]token, *Error) {
 	var toks []token
 	i := 0

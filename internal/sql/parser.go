@@ -22,6 +22,28 @@ func Parse(src string) (Statement, error) {
 	return stmt, nil
 }
 
+// IsSelect reports whether the statement's first word is SELECT
+// (case-insensitive, after whitespace). The grammar dispatches on the
+// first keyword and has no comments, so such a statement can never
+// mutate — which is all a router or a retry guard needs to know without
+// parsing. Anything else, including text that is not SQL, is not a read.
+func IsSelect(src string) bool {
+	i := 0
+	for i < len(src) && (src[i] == ' ' || src[i] == '\t' || src[i] == '\n' || src[i] == '\r') {
+		i++
+	}
+	const kw = "select"
+	if len(src)-i < len(kw) {
+		return false
+	}
+	for j := 0; j < len(kw); j++ {
+		if src[i+j]|0x20 != kw[j] { // ASCII letters fold with one bit
+			return false
+		}
+	}
+	return len(src)-i == len(kw) || !isIdentPart(src[i+len(kw)])
+}
+
 type parser struct {
 	toks []token
 	i    int

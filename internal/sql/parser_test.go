@@ -114,7 +114,7 @@ func TestParsePredicates(t *testing.T) {
 	}
 }
 
-// TestParseLiterals covers §2.4: negatives, floats, '' escapes, <> and
+// TestParseLiterals covers §2.4: negatives, floats, doubled-quote escapes, <> and
 // operator canonicalization.
 func TestParseLiterals(t *testing.T) {
 	s := mustSelect(t, "SELECT * FROM emp WHERE a = -5 AND b = 2.5 AND c = 'O''Brien' AND d <> -0.25")
@@ -233,6 +233,44 @@ func TestParseErrors(t *testing.T) {
 		// §7: the rendered message cites the taxonomy section.
 		if !strings.Contains(se.Error(), "SQL.md §7.") {
 			t.Errorf("Parse(%q): rendered error %q lacks section cite", c.src, se.Error())
+		}
+	}
+}
+
+// TestIsSelect: routers and the client's idempotence guard treat only
+// SELECTs as reads — everything else, including text that is not SQL, is
+// conservatively a write. (FuzzParse checks the sniff against the parser
+// on every statement the parser accepts.)
+func TestIsSelect(t *testing.T) {
+	for _, src := range []string{
+		"SELECT * FROM emp",
+		"SELECT COUNT(*) FROM emp WHERE id > 3",
+		"  select id from emp order by id",
+		"\r\n\tSeLeCt*FROM emp",
+		"SELECT",
+		"SELECT FROM WHERE", // malformed, but still cannot mutate
+	} {
+		if !IsSelect(src) {
+			t.Errorf("%q classified as a write", src)
+		}
+	}
+	for _, src := range []string{
+		"INSERT INTO emp VALUES (1, 2)",
+		"DELETE FROM emp WHERE id = 1",
+		"UPDATE emp SET salary = 0 WHERE id = 1",
+		"CREATE TABLE t (x INT)",
+		"DROP TABLE t",
+		"garbage that does not parse",
+		"",
+		"   ",
+		"SELEC",
+		"SELECTED FROM emp",
+		"select_1",
+		"(SELECT 1)",
+		"; SELECT 1",
+	} {
+		if IsSelect(src) {
+			t.Errorf("%q classified as safe to retry", src)
 		}
 	}
 }

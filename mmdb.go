@@ -26,7 +26,6 @@ package mmdb
 import (
 	"context"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -288,8 +287,8 @@ type Database struct {
 	// intent; it may fail (a fenced or just-demoted primary), failing the
 	// mutating call. readOnly marks a replica database: exclusive intents
 	// are refused at the lock layer except for the replication applier
-	// (which locks through applierCtx) and session-private
-	// temporaries (registered in localRes). Both are atomic because
+	// (which locks through applierCtx) and adopted planner outputs
+	// (registered in localRes). Both are atomic because
 	// promotion flips them at runtime while sessions are live; cluster
 	// back-points to the owning Cluster so refusals can carry the current
 	// epoch and primary hint.
@@ -421,11 +420,6 @@ func (db *Database) ArmFaults(inj *FaultInjector) {
 	db.disk.SetInjector(inj)
 }
 
-// isTempRelation reports whether name is a session-private temporary
-// (the SQL layer's filtered materializations): never replicated, and
-// permitted on read-only replicas.
-func isTempRelation(name string) bool { return strings.HasPrefix(name, "sql.tmp.") }
-
 // CreateRelation registers an empty relation. Like every other durable
 // mutation it takes an exclusive relation intent, so a fencing guard or
 // quiesce barrier sees creates too.
@@ -436,12 +430,7 @@ func (db *Database) CreateRelation(name string, schema *Schema) (*Relation, erro
 // createRelation is CreateRelation for a client (applier false) or for the
 // replication applier, whose handle it returns.
 func (db *Database) createRelation(applier bool, name string, schema *Schema) (*Relation, error) {
-	if isTempRelation(name) {
-		// Session-private temporaries are always database-local: register
-		// before locking so a write-fenced database (replica, or a primary
-		// mid-promotion) still admits the exclusive intent.
-		db.localRes.Store(catalog.ResourceID(name), struct{}{})
-	} else if db.readOnly.Load() && !applier {
+	if db.readOnly.Load() && !applier {
 		return nil, db.writeRefused()
 	}
 	unlock, err := db.lockRelations(lockCtx(applier), lock.Exclusive, name)
@@ -486,7 +475,7 @@ func (db *Database) dropRelation(applier bool, name string) error {
 	defer unlock()
 	// Ship before dropping: a refused ship (fenced primary) must leave
 	// the relation in place, and drops of local-only relations
-	// (temporaries, adopted files) must not reach replicas — shipOp
+	// (adopted files) must not reach replicas — shipOp
 	// checks the local marker before it is forgotten. The existence
 	// check first keeps a nonexistent-relation error from replicating.
 	if _, err := db.cat.Get(name); err != nil {
@@ -505,7 +494,7 @@ func (db *Database) dropRelation(applier bool, name string) error {
 // adoptFile registers an internally produced heap file (for tests, the
 // workload generators, and planner outputs). Adopted files are always
 // database-local: they never replicate — a cluster primary's planner
-// temporaries don't exist on replicas, so their mutations and drops must
+// outputs don't exist on replicas, so their mutations and drops must
 // not ship — and on a replica they mark relations the producing session
 // may mutate and drop despite the read-only guard.
 func (db *Database) adoptFile(f *heap.File) (*Relation, error) {
@@ -517,18 +506,15 @@ func (db *Database) adoptFile(f *heap.File) (*Relation, error) {
 	return &Relation{db: db, rel: r}, nil
 }
 
-// shipOp forwards a mutation to the cluster ship hook, if any. Temporaries
-// and local (adopted) relations stay local: every database — primary or
-// replica — materializes its own. A ship refusal (the database was fenced
+// shipOp forwards a mutation to the cluster ship hook, if any. Local
+// (adopted) relations stay local: every database — primary or replica —
+// materializes its own. A ship refusal (the database was fenced
 // or demoted mid-call) fails the mutation. applier is set for a mutation
 // the replication applier itself made: it never ships onward.
 func (db *Database) shipOp(applier bool, op shipOp) error {
 	fn := db.ship.Load()
 	if fn == nil && (!db.readOnly.Load() || applier) {
 		return nil // unreplicated database, or the applier's own op
-	}
-	if isTempRelation(op.rel) {
-		return nil
 	}
 	if _, ok := db.localRes.Load(catalog.ResourceID(op.rel)); ok {
 		return nil

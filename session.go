@@ -10,7 +10,6 @@ import (
 	"mmdb/internal/agg"
 	"mmdb/internal/catalog"
 	"mmdb/internal/cost"
-	"mmdb/internal/expr"
 	"mmdb/internal/extsort"
 	"mmdb/internal/fault"
 	"mmdb/internal/heap"
@@ -331,17 +330,9 @@ func (s *Session) Select(p *Pred, fn func(Tuple) bool) error {
 	if err != nil {
 		return err
 	}
-	leaves := int64(0)
-	p.inner.Walk(func(*expr.Comparison) { leaves++ })
-	if leaves == 0 {
-		leaves = 1
-	}
+	f := newFilter(p.inner)
 	return files[0].Scan(simio.Seq, func(t Tuple) bool {
-		s.clock.Comps(leaves)
-		if p.inner.Eval(t) {
-			return fn(t)
-		}
-		return true
+		return !f.pass(s.clock, t) || fn(t)
 	})
 }
 

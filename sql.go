@@ -5,13 +5,12 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"mmdb/internal/agg"
 	"mmdb/internal/catalog"
-	"mmdb/internal/expr"
 	"mmdb/internal/heap"
+	"mmdb/internal/planner"
 	"mmdb/internal/simio"
 	sqlfront "mmdb/internal/sql"
 	"mmdb/internal/tuple"
@@ -56,10 +55,6 @@ func (c sqlCatalog) Table(name string) (*tuple.Schema, bool) {
 	}
 	return rel.Schema(), true
 }
-
-// sqlTmpSeq names the per-statement temporaries (filtered aggregation
-// inputs) uniquely across concurrent sessions.
-var sqlTmpSeq atomic.Uint64
 
 // Query parses, binds and executes one SQL statement (docs/SQL.md) in
 // this session: under its admission class, against its memory grant, on
@@ -119,25 +114,11 @@ func (db *Database) QueryContext(ctx context.Context, text string, opts ...Sessi
 	return res, err
 }
 
-// predLeaves counts a predicate's comparison leaves — the per-tuple
-// comparison charge of evaluating it (min 1), matching Session.Select.
-func predLeaves(p expr.Predicate) int64 {
-	if p == nil {
-		return 0
-	}
-	n := int64(0)
-	p.Walk(func(*expr.Comparison) { n++ })
-	if n == 0 {
-		n = 1
-	}
-	return n
-}
-
 // resultSchema builds the output schema from the bound select's
 // projected columns and aggregates. COUNT/SUM/MIN/MAX yield int64, AVG
 // float64; plain columns keep their source kind and width.
 func resultSchema(b *sqlfront.BoundSelect) (*Schema, error) {
-	var fields []Field
+	fields := make([]Field, 0, len(b.Cols)+len(b.Aggs))
 	for _, c := range b.Cols {
 		f := b.Tables[c.Table].Schema.Field(c.Col)
 		fields = append(fields, Field{Name: c.Name, Kind: f.Kind, Size: f.Size})
@@ -152,48 +133,68 @@ func resultSchema(b *sqlfront.BoundSelect) (*Schema, error) {
 	return NewSchema(fields...)
 }
 
+// selectRun is one SELECT's lowering: the projection and the collected
+// output. Every form is a source that passes its rows through the
+// tables' charged filters to emit (or aggRow), then the one
+// order-and-trim stage in execSelect. The source follows from the statement's shape — keyed and
+// global aggregates by their select list, joins by the FROM-list length —
+// not from a knob: a two-table join filters the streamed pairs and a
+// planned one pushes its selections below the joins, and each is billed
+// that way, so moving either is a plan change.
+type selectRun struct {
+	s   *Session
+	b   *sqlfront.BoundSelect
+	out *Schema
+
+	// emit reads output column i from field cols[i].Col of its first
+	// (Table 0) or second (Table 1) argument, laid out per src[Table].
+	src  [2]*Schema
+	cols []sqlfront.Output
+
+	rows      []Tuple
+	err       error // first emit error; sources stop on it
+	ascending bool  // rows arrive in ascending ORDER BY / group-key order
+}
+
 func (s *Session) execSelect(b *sqlfront.BoundSelect) (*SQLResult, error) {
-	outSchema, err := resultSchema(b)
+	out, err := resultSchema(b)
 	if err != nil {
 		return nil, err
 	}
+	r := &selectRun{s: s, b: b, out: out, cols: b.Cols}
 	switch {
-	case b.Distinct:
-		return s.execDistinct(b, outSchema)
-	case len(b.Aggs) > 0 && b.GroupBy >= 0:
-		return s.execGrouped(b, outSchema)
+	case b.GroupBy >= 0:
+		err = r.keyed()
 	case len(b.Aggs) > 0:
-		return s.execGlobalAgg(b, outSchema)
+		err = r.global()
 	case len(b.Tables) == 1:
-		return s.execScan(b, outSchema)
+		err = r.scan()
 	case len(b.Tables) == 2:
-		return s.execJoin2(b, outSchema)
+		err = r.join2()
 	default:
-		return s.execPlanned(b, outSchema)
+		err = r.planned()
 	}
-}
+	if err == nil {
+		err = r.err
+	}
+	if err != nil {
+		return nil, err
+	}
 
-// project copies the bound output columns of one source row (or a
-// (left,right) pair) into a fresh result tuple.
-func projectRow(outSchema *Schema, b *sqlfront.BoundSelect, src func(table int) (Tuple, *Schema)) (Tuple, error) {
-	out := make(Tuple, outSchema.Width())
-	for i, c := range b.Cols {
-		t, schema := src(c.Table)
-		if err := outSchema.Set(out, i, schema.Get(t, c.Col)); err != nil {
-			return nil, err
+	rows := r.rows
+	switch {
+	case r.ascending:
+		if b.Desc {
+			for i, j := 0, len(rows)-1; i < j; i, j = i+1, j-1 {
+				rows[i], rows[j] = rows[j], rows[i]
+			}
 		}
-	}
-	return out, nil
-}
-
-// sortAndTrim applies the bound ORDER BY (over result column col) and
-// LIMIT to materialized result rows. The sort is stable on the encoded
-// key bytes, so equal keys keep materialization order — unspecified but
-// deterministic (docs/SQL.md §3.6).
-func sortAndTrim(b *sqlfront.BoundSelect, outSchema *Schema, rows []Tuple, col int) []Tuple {
-	if col >= 0 {
+	case b.OrderOut >= 0:
+		// A join's output is sorted in memory, stable on the encoded key
+		// bytes, so equal keys keep materialization order — unspecified
+		// but deterministic (docs/SQL.md §3.6).
 		sort.SliceStable(rows, func(i, j int) bool {
-			c := bytes.Compare(outSchema.KeyBytes(rows[i], col), outSchema.KeyBytes(rows[j], col))
+			c := bytes.Compare(out.KeyBytes(rows[i], b.OrderOut), out.KeyBytes(rows[j], b.OrderOut))
 			if b.Desc {
 				return c > 0
 			}
@@ -203,167 +204,45 @@ func sortAndTrim(b *sqlfront.BoundSelect, outSchema *Schema, rows []Tuple, col i
 	if b.Limit >= 0 && int64(len(rows)) > b.Limit {
 		rows = rows[:b.Limit]
 	}
-	return rows
+	return &SQLResult{Schema: out, Rows: rows}, nil
 }
 
-// execScan is the single-table path: a charged sequential scan, with the
-// §3.4 sort machinery underneath when ORDER BY is present.
-func (s *Session) execScan(b *sqlfront.BoundSelect, outSchema *Schema) (*SQLResult, error) {
-	name := b.Tables[0].Name
-	schema := b.Tables[0].Schema
-	pred := b.Preds[0]
-	leaves := predLeaves(pred)
-	var rows []Tuple
-	var projErr error
-	collect := func(t Tuple) bool {
-		if pred != nil {
-			s.clock.Comps(leaves)
-			if !pred.Eval(t) {
-				return true
-			}
+// emit projects one source row, or one joined (left, right) pair, into a
+// fresh result tuple.
+func (r *selectRun) emit(t0, t1 Tuple) {
+	out := make(Tuple, r.out.Width())
+	for i, c := range r.cols {
+		t, schema := t0, r.src[0]
+		if c.Table == 1 {
+			t, schema = t1, r.src[1]
 		}
-		out, err := projectRow(outSchema, b, func(int) (Tuple, *Schema) { return t, schema })
-		if err != nil {
-			projErr = err
-			return false
-		}
-		rows = append(rows, out)
-		// Without a sort, a satisfied LIMIT stops the scan early.
-		return !(b.OrderCol < 0 && b.Limit >= 0 && int64(len(rows)) >= b.Limit)
-	}
-
-	if b.OrderCol < 0 {
-		_, files, err := s.lockAndView(name)
-		if err != nil {
-			return nil, err
-		}
-		if err := files[0].Scan(simio.Seq, collect); err != nil {
-			return nil, err
-		}
-	} else {
-		// ORDER BY: stream the external sort ascending; DESC reverses
-		// the collected output (the sort column need not be projected,
-		// so ordering happens here, not post-projection).
-		if err := s.OrderBy(name, schema.Field(b.OrderCol).Name, collect); err != nil {
-			return nil, err
-		}
-		if b.Desc {
-			for i, j := 0, len(rows)-1; i < j; i, j = i+1, j-1 {
-				rows[i], rows[j] = rows[j], rows[i]
-			}
-		}
-		if b.Limit >= 0 && int64(len(rows)) > b.Limit {
-			rows = rows[:b.Limit]
+		if err := r.out.Set(out, i, schema.Get(t, c.Col)); err != nil {
+			r.err = err
+			return
 		}
 	}
-	if projErr != nil {
-		return nil, projErr
-	}
-	return &SQLResult{Schema: outSchema, Rows: rows}, nil
+	r.rows = append(r.rows, out)
 }
 
-// execDistinct is the §3.5.1 duplicate-elimination form, on the engine's
-// hash distinct with a deterministic ascending sort of the values.
-func (s *Session) execDistinct(b *sqlfront.BoundSelect, outSchema *Schema) (*SQLResult, error) {
-	name := b.Tables[0].Name
-	if b.Preds[0] != nil {
-		tmp, err := s.materializeFiltered(b)
-		if err != nil {
-			return nil, err
+// aggRow appends one aggregate output row: the key under the group column
+// (a grouped select list projects at most that), then aggregate i read
+// off gs[i] — or off gs[0] when the aggregates share one group.
+func (r *selectRun) aggRow(key Value, gs []agg.Group) {
+	out := make(Tuple, r.out.Width())
+	n := len(r.b.Cols)
+	for i := 0; i < n && r.err == nil; i++ {
+		r.err = r.out.Set(out, i, key)
+	}
+	for j, a := range r.b.Aggs {
+		g := gs[0]
+		if len(gs) > 1 {
+			g = gs[j]
 		}
-		defer tmp.drop()
-		return s.distinctRows(b, outSchema, tmp.file)
-	}
-	_, files, err := s.lockAndView(name)
-	if err != nil {
-		return nil, err
-	}
-	return s.distinctRows(b, outSchema, files[0])
-}
-
-func (s *Session) distinctRows(b *sqlfront.BoundSelect, outSchema *Schema, file *heap.File) (*SQLResult, error) {
-	vals, err := agg.Distinct(file, b.GroupBy, s.grant.Pages(), s.db.opts.Params.F, s.db.opts.Parallelism)
-	if err != nil {
-		return nil, err
-	}
-	sort.Slice(vals, func(i, j int) bool { return tuple.Compare(vals[i], vals[j]) < 0 })
-	if b.Desc {
-		for i, j := 0, len(vals)-1; i < j; i, j = i+1, j-1 {
-			vals[i], vals[j] = vals[j], vals[i]
+		if r.err == nil {
+			r.err = r.out.Set(out, n+j, aggValue(g, a.Func))
 		}
 	}
-	if b.Limit >= 0 && int64(len(vals)) > b.Limit {
-		vals = vals[:b.Limit]
-	}
-	rows := make([]Tuple, len(vals))
-	for i, v := range vals {
-		t, err := outSchema.Encode(v)
-		if err != nil {
-			return nil, err
-		}
-		rows[i] = t
-	}
-	return &SQLResult{Schema: outSchema, Rows: rows}, nil
-}
-
-// execGrouped runs the §3.9 hash aggregation, sorting groups ascending
-// by key for the deterministic output order docs/SQL.md §3.5 promises.
-func (s *Session) execGrouped(b *sqlfront.BoundSelect, outSchema *Schema) (*SQLResult, error) {
-	var input *heap.File
-	if b.Preds[0] != nil {
-		tmp, err := s.materializeFiltered(b)
-		if err != nil {
-			return nil, err
-		}
-		defer tmp.drop()
-		input = tmp.file
-	} else {
-		_, files, err := s.lockAndView(b.Tables[0].Name)
-		if err != nil {
-			return nil, err
-		}
-		input = files[0]
-	}
-	res, err := agg.Hash(agg.Spec{
-		Input:       input,
-		GroupCol:    b.GroupBy,
-		ValueCol:    b.ValueCol,
-		M:           s.grant.Pages(),
-		F:           s.db.opts.Params.F,
-		Parallelism: s.db.opts.Parallelism,
-	})
-	if err != nil {
-		return nil, err
-	}
-	groups := res.Groups
-	sort.Slice(groups, func(i, j int) bool { return tuple.Compare(groups[i].Key, groups[j].Key) < 0 })
-	if b.Desc { // ORDER BY group DESC (the only legal grouped order)
-		for i, j := 0, len(groups)-1; i < j; i, j = i+1, j-1 {
-			groups[i], groups[j] = groups[j], groups[i]
-		}
-	}
-	if b.Limit >= 0 && int64(len(groups)) > b.Limit {
-		groups = groups[:b.Limit]
-	}
-	rows := make([]Tuple, 0, len(groups))
-	for _, g := range groups {
-		out := make(Tuple, outSchema.Width())
-		i := 0
-		for range b.Cols { // at most the group column
-			if err := outSchema.Set(out, i, g.Key); err != nil {
-				return nil, err
-			}
-			i++
-		}
-		for _, a := range b.Aggs {
-			if err := outSchema.Set(out, i, aggValue(agg.Group(g), a.Func)); err != nil {
-				return nil, err
-			}
-			i++
-		}
-		rows = append(rows, out)
-	}
-	return &SQLResult{Schema: outSchema, Rows: rows}, nil
+	r.rows = append(r.rows, out)
 }
 
 // aggValue renders one aggregate of a finished group in its output kind.
@@ -382,31 +261,134 @@ func aggValue(g agg.Group, f agg.Func) Value {
 	}
 }
 
-// execGlobalAgg computes an all-aggregate select list in one charged
-// scan, each aggregate accumulating over its own column. Aggregates of
-// zero rows are 0 (the engine has no NULLs, docs/SQL.md §3.5.2).
-func (s *Session) execGlobalAgg(b *sqlfront.BoundSelect, outSchema *Schema) (*SQLResult, error) {
+// scan is the single-table source: a charged sequential scan, or the §3.4
+// external sort when ORDER BY is present — ordering happens before
+// projection because the sort column need not be projected.
+func (r *selectRun) scan() error {
+	b, s := r.b, r.s
 	name := b.Tables[0].Name
-	schema := b.Tables[0].Schema
-	pred := b.Preds[0]
-	leaves := predLeaves(pred)
+	r.src[0] = b.Tables[0].Schema
+	f := newFilter(b.Preds[0])
+	// Without a sort, a satisfied LIMIT stops the scan early.
+	stopAt := int64(-1)
+	if b.OrderCol < 0 {
+		stopAt = b.Limit
+	}
+	collect := func(t Tuple) bool {
+		if !f.pass(s.clock, t) {
+			return true
+		}
+		r.emit(t, nil)
+		return r.err == nil && !(stopAt >= 0 && int64(len(r.rows)) >= stopAt)
+	}
+	if b.OrderCol >= 0 {
+		r.ascending = true
+		return s.OrderBy(name, r.src[0].Field(b.OrderCol).Name, collect)
+	}
 	_, files, err := s.lockAndView(name)
 	if err != nil {
-		return nil, err
+		return err
+	}
+	return files[0].Scan(simio.Seq, collect)
+}
+
+// filtered returns table 0's file for an operator that consumes a whole
+// file: the base file when the table has no predicate, otherwise a copy
+// of the passing rows in a file the statement owns — a charged scan
+// writing free (the §3 convention: intermediates are written uncharged,
+// their later reads are charged) — which the returned func drops.
+func (r *selectRun) filtered() (*heap.File, func(), error) {
+	s, f := r.s, newFilter(r.b.Preds[0])
+	_, files, err := s.lockAndView(r.b.Tables[0].Name)
+	if err != nil {
+		return nil, nil, err
+	}
+	if f.pred == nil {
+		return files[0], func() {}, nil
+	}
+	// A session runs one statement at a time, so its lock-table id names
+	// the file uniquely across concurrent sessions.
+	tmp, err := heap.Create(s.view, fmt.Sprintf("sql.filtered.%d", s.txn), r.b.Tables[0].Schema)
+	if err != nil {
+		return nil, nil, err
+	}
+	var appendErr error
+	err = files[0].Scan(simio.Seq, func(t Tuple) bool {
+		if f.pass(s.clock, t) {
+			appendErr = tmp.Append(t.Clone(), simio.Uncharged)
+		}
+		return appendErr == nil
+	})
+	if err == nil {
+		err = appendErr
+	}
+	if err == nil {
+		err = tmp.Flush(simio.Uncharged)
+	}
+	if err != nil {
+		tmp.Drop()
+		return nil, nil, err
+	}
+	return tmp, tmp.Drop, nil
+}
+
+// keyed is the GROUP BY source: §3.9 hash aggregation, or the §3.5.1
+// duplicate elimination — a distinct value is a group with no aggregates.
+// Groups are emitted ascending by key, the deterministic order
+// docs/SQL.md §3.5 promises.
+func (r *selectRun) keyed() error {
+	b, s := r.b, r.s
+	input, drop, err := r.filtered()
+	if err != nil {
+		return err
+	}
+	defer drop()
+	m, f, par := s.grant.Pages(), s.db.opts.Params.F, s.db.opts.Parallelism
+	var groups []agg.Group
+	if b.Distinct {
+		vals, err := agg.Distinct(input, b.GroupBy, m, f, par)
+		if err != nil {
+			return err
+		}
+		groups = make([]agg.Group, len(vals))
+		for i, v := range vals {
+			groups[i].Key = v
+		}
+	} else {
+		res, err := agg.Hash(agg.Spec{Input: input, GroupCol: b.GroupBy, ValueCol: b.ValueCol, M: m, F: f, Parallelism: par})
+		if err != nil {
+			return err
+		}
+		groups = res.Groups
+	}
+	sort.Slice(groups, func(i, j int) bool { return tuple.Compare(groups[i].Key, groups[j].Key) < 0 })
+	r.ascending = true
+	r.rows = make([]Tuple, 0, len(groups))
+	for i := range groups {
+		r.aggRow(groups[i].Key, groups[i:i+1])
+	}
+	return nil
+}
+
+// global folds an all-aggregate select list in one charged scan, each
+// aggregate accumulating over its own column. Aggregates of zero rows are
+// 0 (the engine has no NULLs, docs/SQL.md §3.5.2).
+func (r *selectRun) global() error {
+	b, s := r.b, r.s
+	schema := b.Tables[0].Schema
+	f := newFilter(b.Preds[0])
+	_, files, err := s.lockAndView(b.Tables[0].Name)
+	if err != nil {
+		return err
 	}
 	groups := make([]agg.Group, len(b.Aggs))
-	var n int64
 	err = files[0].Scan(simio.Seq, func(t Tuple) bool {
-		if pred != nil {
-			s.clock.Comps(leaves)
-			if !pred.Eval(t) {
-				return true
-			}
+		if !f.pass(s.clock, t) {
+			return true
 		}
 		// One comparison per accumulated aggregate, mirroring the
 		// grouped path's per-tuple group-table charge.
 		s.clock.Comps(int64(len(b.Aggs)))
-		n++
 		for i, a := range b.Aggs {
 			g := &groups[i]
 			var v int64
@@ -429,86 +411,48 @@ func (s *Session) execGlobalAgg(b *sqlfront.BoundSelect, outSchema *Schema) (*SQ
 		return true
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	out := make(Tuple, outSchema.Width())
-	for i, a := range b.Aggs {
-		if err := outSchema.Set(out, i, aggValue(groups[i], a.Func)); err != nil {
-			return nil, err
-		}
-	}
-	return &SQLResult{Schema: outSchema, Rows: []Tuple{out}}, nil
+	r.aggRow(Value{}, groups)
+	return nil
 }
 
-// execJoin2 runs a two-table equijoin on the session's join dispatcher,
-// applying each side's residual predicate to the streamed pairs and
-// projecting on the fly.
-func (s *Session) execJoin2(b *sqlfront.BoundSelect, outSchema *Schema) (*SQLResult, error) {
+// join2 runs a two-table equijoin on the session's join dispatcher,
+// applying each side's filter to the streamed pairs.
+func (r *selectRun) join2() error {
+	b, s := r.b, r.s
 	j := b.Joins[0]
 	// Normalize the edge to (table0 column, table1 column).
 	lc, rc := j.LeftCol, j.RightCol
 	if j.LeftTable == 1 {
 		lc, rc = j.RightCol, j.LeftCol
 	}
-	s0, s1 := b.Tables[0].Schema, b.Tables[1].Schema
-	p0, p1 := b.Preds[0], b.Preds[1]
-	l0, l1 := predLeaves(p0), predLeaves(p1)
-	var rows []Tuple
-	var emitErr error
+	r.src[0], r.src[1] = b.Tables[0].Schema, b.Tables[1].Schema
+	f0, f1 := newFilter(b.Preds[0]), newFilter(b.Preds[1])
 	_, err := s.Join(AutoJoin,
 		b.Tables[0].Name, b.Tables[1].Name,
-		s0.Field(lc).Name, s1.Field(rc).Name,
-		func(l, r Tuple) {
-			if emitErr != nil {
-				return
+		r.src[0].Field(lc).Name, r.src[1].Field(rc).Name,
+		func(lt, rt Tuple) {
+			if r.err == nil && f0.pass(s.clock, lt) && f1.pass(s.clock, rt) {
+				r.emit(lt, rt)
 			}
-			if p0 != nil {
-				s.clock.Comps(l0)
-				if !p0.Eval(l) {
-					return
-				}
-			}
-			if p1 != nil {
-				s.clock.Comps(l1)
-				if !p1.Eval(r) {
-					return
-				}
-			}
-			out, err := projectRow(outSchema, b, func(table int) (Tuple, *Schema) {
-				if table == 0 {
-					return l, s0
-				}
-				return r, s1
-			})
-			if err != nil {
-				emitErr = err
-				return
-			}
-			rows = append(rows, out)
 		})
-	if err != nil {
-		return nil, err
-	}
-	if emitErr != nil {
-		return nil, emitErr
-	}
-	rows = sortAndTrim(b, outSchema, rows, b.OrderOut)
-	return &SQLResult{Schema: outSchema, Rows: rows}, nil
+	return err
 }
 
-// execPlanned lowers a 3+-table join onto the §4 planner in HashOnly
-// mode. Residual predicates ride down as pushed selections; the
-// materialized plan output is scanned through the session's disk view
-// (without relation intents — the temporary is session-private, and a
-// shared intent would deadlock with the drop below) and then dropped.
-func (s *Session) execPlanned(b *sqlfront.BoundSelect, outSchema *Schema) (*SQLResult, error) {
+// planned lowers a 3+-table join onto the §4 planner in HashOnly mode,
+// the per-table predicates riding down as pushed selections, and scans
+// the plan's materialized output — a file on the session's disk view that
+// the statement owns and drops.
+func (r *selectRun) planned() error {
+	b, s := r.b, r.s
 	q := Query{Tables: make([]QueryTable, len(b.Tables))}
 	for i, t := range b.Tables {
 		qt := QueryTable{Relation: t.Name}
 		if b.Preds[i] != nil {
 			rel, err := s.db.cat.Get(t.Name)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			qt.Where = &Pred{rel: rel, inner: b.Preds[i]}
 		}
@@ -524,13 +468,13 @@ func (s *Session) execPlanned(b *sqlfront.BoundSelect, outSchema *Schema) (*SQLR
 	}
 	qp, err := s.Plan(q, HashOnly)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	outRel, err := qp.Execute()
+	flat, err := planner.Execute(qp.query, qp.plan)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	defer s.db.DropRelation(outRel.Name())
+	defer flat.Drop()
 
 	// The flat output lays the tables out in build-first plan order,
 	// each table's columns contiguous; map (table, col) to flat offsets.
@@ -544,93 +488,15 @@ func (s *Session) execPlanned(b *sqlfront.BoundSelect, outSchema *Schema) (*SQLR
 			}
 		}
 	}
-	flat := make([]int, len(b.Cols))
+	r.src[0] = flat.Schema()
+	r.cols = make([]sqlfront.Output, len(b.Cols))
 	for i, c := range b.Cols {
-		flat[i] = offset[b.Tables[c.Table].Name] + c.Col
+		r.cols[i].Col = offset[b.Tables[c.Table].Name] + c.Col
 	}
-
-	view, err := outRel.rel.File.OnDisk(s.view)
-	if err != nil {
-		return nil, err
-	}
-	flatSchema := view.Schema()
-	var rows []Tuple
-	var projErr error
-	if err := view.Scan(simio.Seq, func(t Tuple) bool {
-		out := make(Tuple, outSchema.Width())
-		for i := range b.Cols {
-			if err := outSchema.Set(out, i, flatSchema.Get(t, flat[i])); err != nil {
-				projErr = err
-				return false
-			}
-		}
-		rows = append(rows, out)
-		return true
-	}); err != nil {
-		return nil, err
-	}
-	if projErr != nil {
-		return nil, projErr
-	}
-	rows = sortAndTrim(b, outSchema, rows, b.OrderOut)
-	return &SQLResult{Schema: outSchema, Rows: rows}, nil
-}
-
-// sqlTemp is a filtered materialization: a catalog-registered temporary
-// holding the rows of table 0 that satisfy its predicate, viewed through
-// the session's disk so later passes charge the session clock.
-type sqlTemp struct {
-	db   *Database
-	name string
-	file *heap.File
-}
-
-func (t *sqlTemp) drop() { _ = t.db.DropRelation(t.name) }
-
-// materializeFiltered runs the charged filtering scan of table 0 into a
-// fresh uncharged temporary (the §3 convention: intermediates are
-// written free, their later reads are charged).
-func (s *Session) materializeFiltered(b *sqlfront.BoundSelect) (*sqlTemp, error) {
-	name := b.Tables[0].Name
-	pred := b.Preds[0]
-	leaves := predLeaves(pred)
-	_, files, err := s.lockAndView(name)
-	if err != nil {
-		return nil, err
-	}
-	tmpName := fmt.Sprintf("sql.tmp.%d", sqlTmpSeq.Add(1))
-	tmpRel, err := s.db.CreateRelation(tmpName, b.Tables[0].Schema)
-	if err != nil {
-		return nil, err
-	}
-	var appendErr error
-	err = files[0].Scan(simio.Seq, func(t Tuple) bool {
-		s.clock.Comps(leaves)
-		if !pred.Eval(t) {
-			return true
-		}
-		if e := tmpRel.rel.File.Append(t.Clone(), simio.Uncharged); e != nil {
-			appendErr = e
-			return false
-		}
-		return true
+	return flat.Scan(simio.Seq, func(t Tuple) bool {
+		r.emit(t, nil)
+		return r.err == nil
 	})
-	if err == nil {
-		err = appendErr
-	}
-	if err == nil {
-		err = tmpRel.rel.File.Flush(simio.Uncharged)
-	}
-	if err != nil {
-		_ = s.db.DropRelation(tmpName)
-		return nil, err
-	}
-	view, err := tmpRel.rel.File.OnDisk(s.view)
-	if err != nil {
-		_ = s.db.DropRelation(tmpName)
-		return nil, err
-	}
-	return &sqlTemp{db: s.db, name: tmpName, file: view}, nil
 }
 
 // execInsert appends the bound rows (uncharged, index-maintaining — the

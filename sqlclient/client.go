@@ -405,18 +405,6 @@ func (c *Client) QueryPref(sql string, pref mmdb.ReadPreference) (*Result, error
 	return c.query(wire.Query{Class: wire.ClassDefault, SQL: sql}, pref, true)
 }
 
-// writeStatement classifies sql for the idempotence guard: SELECTs are
-// always safe to retry; everything else — including statements that do
-// not parse — is conservatively treated as a write.
-func writeStatement(sql string) bool {
-	stmt, err := sqlfront.Parse(sql)
-	if err != nil {
-		return true
-	}
-	_, isSelect := stmt.(*sqlfront.SelectStmt)
-	return !isSelect
-}
-
 // query runs one statement with the client's reconnect-and-retry
 // policy. Retryable failures — NOT_PRIMARY, dial failures, connection
 // loss before the request was acked-as-sent, any read failure — retry
@@ -424,7 +412,9 @@ func writeStatement(sql string) bool {
 // retry clock via fault.Retry) or real jittered time. Terminal failures
 // (statement errors, overloads, in-doubt writes) return immediately.
 func (c *Client) query(q wire.Query, pref mmdb.ReadPreference, prefSet bool) (*Result, error) {
-	isWrite := writeStatement(q.SQL)
+	// The idempotence guard: SELECTs are always safe to retry; everything
+	// else — including text that is not SQL — is conservatively a write.
+	isWrite := !sqlfront.IsSelect(q.SQL)
 	if c.retries <= 0 {
 		res, err := c.attempt(q, pref, prefSet, isWrite)
 		return res, unwrapRetryable(err)

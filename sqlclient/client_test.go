@@ -9,34 +9,6 @@ import (
 	"mmdb/internal/fault"
 )
 
-// TestWriteStatementClassification: the idempotence guard must treat
-// only SELECTs as safe to retry after an ambiguous connection loss —
-// everything else, including unparseable input, is conservatively a
-// write.
-func TestWriteStatementClassification(t *testing.T) {
-	for _, sql := range []string{
-		"SELECT * FROM emp",
-		"SELECT COUNT(*) FROM emp WHERE id > 3",
-		"  select id from emp order by id",
-	} {
-		if writeStatement(sql) {
-			t.Errorf("%q classified as a write", sql)
-		}
-	}
-	for _, sql := range []string{
-		"INSERT INTO emp VALUES (1, 2)",
-		"DELETE FROM emp WHERE id = 1",
-		"UPDATE emp SET salary = 0 WHERE id = 1",
-		"CREATE TABLE t (x INT)",
-		"DROP TABLE t",
-		"garbage that does not parse",
-	} {
-		if !writeStatement(sql) {
-			t.Errorf("%q classified as safe to retry", sql)
-		}
-	}
-}
-
 // TestRetryableErrorTaxonomy: the retry marker must satisfy
 // fault.ErrTransient (so fault.Retry retries it) while the original
 // typed error stays reachable through errors.Is/As — a caller whose

@@ -4,9 +4,10 @@ import (
 	"fmt"
 
 	"mmdb/internal/catalog"
+	"mmdb/internal/cost"
 	"mmdb/internal/expr"
+	"mmdb/internal/lock"
 	"mmdb/internal/simio"
-	"mmdb/internal/tuple"
 )
 
 // CompareOp is a predicate comparison operator.
@@ -141,9 +142,39 @@ func (db *Database) BuildHistogram(relation, column string, buckets int) error {
 	return err
 }
 
-// Select scans the relation, streaming rows that satisfy p to fn until it
-// returns false. The scan charges sequential IO per page and one
-// comparison per predicate leaf evaluated.
+// filter is a predicate with its evaluation charge: one comparison per
+// leaf (min 1), counted once. Every charged predicate evaluation in the
+// engine — SQL WHERE, Session.Select, Relation.Select — goes through pass.
+type filter struct {
+	pred   expr.Predicate
+	leaves int64
+}
+
+func newFilter(p expr.Predicate) filter {
+	if p == nil {
+		return filter{}
+	}
+	n := int64(0)
+	p.Walk(func(*expr.Comparison) { n++ })
+	if n == 0 {
+		n = 1
+	}
+	return filter{pred: p, leaves: n}
+}
+
+// pass charges the evaluation to clock and reports whether t satisfies
+// the predicate; the nil predicate passes everything for free.
+func (f filter) pass(clock *cost.Clock, t Tuple) bool {
+	if f.pred == nil {
+		return true
+	}
+	clock.Comps(f.leaves)
+	return f.pred.Eval(t)
+}
+
+// Select scans the relation under a shared intent, streaming rows that
+// satisfy p to fn until it returns false. The scan charges sequential IO
+// per page and one comparison per predicate leaf evaluated.
 func (r *Relation) Select(p *Pred, fn func(Tuple) bool) error {
 	if p.err != nil {
 		return p.err
@@ -151,16 +182,10 @@ func (r *Relation) Select(p *Pred, fn func(Tuple) bool) error {
 	if p.rel != r.rel {
 		return fmt.Errorf("mmdb: predicate over %q used on %q", p.rel.Name, r.Name())
 	}
-	leaves := int64(0)
-	p.inner.Walk(func(*expr.Comparison) { leaves++ })
-	if leaves == 0 {
-		leaves = 1
-	}
-	return r.rel.File.Scan(simio.Seq, func(t tuple.Tuple) bool {
-		r.db.clock.Comps(leaves)
-		if p.inner.Eval(t) {
-			return fn(t)
-		}
-		return true
+	f := newFilter(p.inner)
+	return r.withIntent(lock.Shared, func() error {
+		return r.rel.File.Scan(simio.Seq, func(t Tuple) bool {
+			return !f.pass(r.db.clock, t) || fn(t)
+		})
 	})
 }
