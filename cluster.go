@@ -19,7 +19,7 @@ import (
 
 // ErrReadOnlyReplica is returned when a write reaches a replica database:
 // replicas refuse exclusive relation intents at the lock layer, except for
-// the replication applier itself and database-local adopted files.
+// the replication applier itself.
 var ErrReadOnlyReplica = errors.New("mmdb: database is a read-only replica")
 
 // ErrNotPrimary is the errors.Is sentinel for writes refused because the
@@ -202,8 +202,8 @@ type downNode struct {
 // operation shipping: every durable mutation on the primary is assigned a
 // cluster LSN while the mutating call still holds its exclusive relation
 // intent, and streamed to each replica's applier in that order. Reads
-// route by ReadPreference (Route, Query, the read-method mirrors); writes
-// and DML always execute on the primary.
+// route by ReadPreference (Route, Query, NewSession); writes and DML
+// always execute on the primary.
 //
 // Replication is asynchronous — a replica trails the primary by the ops
 // still in its link — so reads on replicas are snapshot-stale by up to
@@ -321,16 +321,11 @@ func lockCtx(applier bool) context.Context {
 // writeGuard is the write-admission hook for a database that is not the
 // primary (a replica, or a primary being fenced for switchover),
 // consulted by the lock table on every exclusive intent: the replication
-// applier passes (it locks through applierCtx), database-local relations
-// pass (adopted planner outputs, registered in localRes),
-// everything else is a client write and is refused with the cluster's
-// typed not-primary error.
+// applier passes (it locks through applierCtx), everything else is a
+// client write and is refused with the cluster's typed not-primary error.
 func writeGuard(db *Database) func(ctx context.Context, res uint64) error {
 	return func(ctx context.Context, res uint64) error {
 		if ctx.Value(applierKey{}) != nil {
-			return nil
-		}
-		if _, ok := db.localRes.Load(res); ok {
 			return nil
 		}
 		return db.writeRefused()
@@ -1009,7 +1004,7 @@ func (c *Cluster) Rejoin(ctx context.Context) error {
 	// Scrub the node's possibly-diverged durable state. The applier's
 	// drop passes the node's own write guard; its ship hook is nil, so
 	// nothing replicates.
-	for _, name := range c.shippedRelationsOf(db) {
+	for _, name := range db.cat.Names() {
 		if err := db.dropRelation(true, name); err != nil {
 			return fmt.Errorf("mmdb: rejoin: scrubbing %q: %w", name, err)
 		}
@@ -1041,7 +1036,7 @@ func (c *Cluster) Rejoin(ctx context.Context) error {
 	// block writers, so in-flight mutations have enqueued (ship happens
 	// under the exclusive intent) before the locks grant.
 	p := c.prim.Load()
-	names := c.shippedRelationsOf(p.db)
+	names := p.db.cat.Names()
 	txn := p.db.locks.NextID()
 	resources := make([]uint64, len(names))
 	for i, n := range names {
@@ -1228,53 +1223,6 @@ func (c *Cluster) QueryContext(ctx context.Context, text string, opts ...Session
 	return c.databaseFor(text, opts).QueryContext(ctx, text, opts...)
 }
 
-// Join routes the read-only join by the options' read preference.
-func (c *Cluster) Join(algorithm JoinAlgorithm, left, right, leftCol, rightCol string, emit func(l, r Tuple), opts ...SessionOption) (JoinResult, error) {
-	return c.JoinContext(context.Background(), algorithm, left, right, leftCol, rightCol, emit, opts...)
-}
-
-// JoinContext is the context-first cluster Join.
-func (c *Cluster) JoinContext(ctx context.Context, algorithm JoinAlgorithm, left, right, leftCol, rightCol string, emit func(l, r Tuple), opts ...SessionOption) (JoinResult, error) {
-	db := c.Route(resolveSessionConfig(opts).readPref)
-	return db.JoinContext(ctx, algorithm, left, right, leftCol, rightCol, emit, opts...)
-}
-
-// Aggregate routes the read-only aggregation by the options' read
-// preference.
-func (c *Cluster) Aggregate(relation, groupCol, valueCol string, opts ...SessionOption) ([]GroupRow, error) {
-	return c.AggregateContext(context.Background(), relation, groupCol, valueCol, opts...)
-}
-
-// AggregateContext is the context-first cluster Aggregate.
-func (c *Cluster) AggregateContext(ctx context.Context, relation, groupCol, valueCol string, opts ...SessionOption) ([]GroupRow, error) {
-	db := c.Route(resolveSessionConfig(opts).readPref)
-	return db.AggregateContext(ctx, relation, groupCol, valueCol, opts...)
-}
-
-// OrderBy routes the read-only ordered scan by the options' read
-// preference.
-func (c *Cluster) OrderBy(relation, column string, fn func(Tuple) bool, opts ...SessionOption) error {
-	return c.OrderByContext(context.Background(), relation, column, fn, opts...)
-}
-
-// OrderByContext is the context-first cluster OrderBy.
-func (c *Cluster) OrderByContext(ctx context.Context, relation, column string, fn func(Tuple) bool, opts ...SessionOption) error {
-	db := c.Route(resolveSessionConfig(opts).readPref)
-	return db.OrderByContext(ctx, relation, column, fn, opts...)
-}
-
-// Distinct routes the read-only duplicate elimination by the options'
-// read preference.
-func (c *Cluster) Distinct(relation, column string, opts ...SessionOption) ([]Value, error) {
-	return c.DistinctContext(context.Background(), relation, column, opts...)
-}
-
-// DistinctContext is the context-first cluster Distinct.
-func (c *Cluster) DistinctContext(ctx context.Context, relation, column string, opts ...SessionOption) ([]Value, error) {
-	db := c.Route(resolveSessionConfig(opts).readPref)
-	return db.DistinctContext(ctx, relation, column, opts...)
-}
-
 // WaitCaughtUp blocks until every live replica's applied horizon reaches
 // the cluster LSN (or ctx ends). Severed replicas are excluded — they
 // will never catch up — and so are replicas mid-rejoin.
@@ -1307,7 +1255,7 @@ func (c *Cluster) WaitCaughtUp(ctx context.Context) error {
 // bug, never expected staleness.
 func (c *Cluster) VerifyReplicas() error {
 	pdb := c.prim.Load().db
-	names := c.shippedRelationsOf(pdb)
+	names := pdb.cat.Names()
 	for _, r := range *c.reps.Load() {
 		if r.broken.Load() || r.joining.Load() {
 			continue
@@ -1318,26 +1266,13 @@ func (c *Cluster) VerifyReplicas() error {
 			}
 		}
 		// No extra durable relations on the replica either.
-		for _, name := range c.shippedRelationsOf(r.db) {
+		for _, name := range r.db.cat.Names() {
 			if _, err := pdb.cat.Get(name); err != nil {
 				return fmt.Errorf("mmdb: replica %s has relation %q the primary lacks", r.name, name)
 			}
 		}
 	}
 	return nil
-}
-
-// shippedRelationsOf lists a database's replicated relations: everything
-// durable except adopted (database-local) files.
-func (c *Cluster) shippedRelationsOf(db *Database) []string {
-	var out []string
-	for _, name := range db.cat.Names() {
-		if _, ok := db.localRes.Load(catalog.ResourceID(name)); ok {
-			continue
-		}
-		out = append(out, name)
-	}
-	return out
 }
 
 func (c *Cluster) compareRelation(pdb *Database, r *clusterReplica, name string) error {

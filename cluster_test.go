@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -286,7 +286,7 @@ func TestReplSeveredLinkDegrades(t *testing.T) {
 
 // TestReplSessionOptionsOnReadMethods: the unified read API — the same
 // SessionOption list configures class, grant and routing on Database and
-// Cluster read methods alike.
+// Cluster queries and sessions alike.
 func TestReplSessionOptionsOnReadMethods(t *testing.T) {
 	c, err := OpenCluster(Options{}, 1)
 	if err != nil {
@@ -297,49 +297,45 @@ func TestReplSessionOptionsOnReadMethods(t *testing.T) {
 	waitCaughtUp(t, c)
 
 	opts := []SessionOption{WithClass(Interactive), WithReadPreference(NearestReplica())}
-	groups, err := c.Aggregate("accounts", "dept", "balance", opts...)
+	const grouped = "SELECT dept, COUNT(*), SUM(balance), MIN(balance), MAX(balance) FROM accounts GROUP BY dept"
+	got, err := c.Query(grouped, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := c.Primary().Aggregate("accounts", "dept", "balance", WithClass(Interactive))
+	want, err := c.Primary().Query(grouped, WithClass(Interactive))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(groups) != len(want) {
-		t.Fatalf("replica aggregate has %d groups, primary %d", len(groups), len(want))
+	if !reflect.DeepEqual(got.Values(), want.Values()) || got.Counters != want.Counters {
+		t.Fatalf("replica aggregate %v (%v) differs from the primary's %v (%v)",
+			got.Values(), got.Counters, want.Values(), want.Counters)
 	}
-	// Hash aggregation emits groups in table order; sort both sides by
-	// key before comparing.
-	byKey := func(gs []GroupRow) func(i, j int) bool {
-		return func(i, j int) bool { return gs[i].Key.I < gs[j].Key.I }
-	}
-	sort.Slice(groups, byKey(groups))
-	sort.Slice(want, byKey(want))
-	for i := range groups {
-		if groups[i] != want[i] {
-			t.Fatalf("group %d differs: %+v != %+v", i, groups[i], want[i])
-		}
-	}
-	vals, err := c.Distinct("accounts", "dept", opts...)
+	res, err := c.Query("SELECT dept FROM accounts GROUP BY dept", opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(vals) == 0 {
+	if len(res.Rows) == 0 {
 		t.Fatal("empty distinct on replica")
 	}
 	prel, err := c.Primary().Relation("accounts")
 	if err != nil {
 		t.Fatal(err)
 	}
+	s, err := c.NewSession(context.Background(), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
 	n := int64(0)
-	if err := c.OrderBy("accounts", "id", func(Tuple) bool { n++; return true }, opts...); err != nil {
+	err = s.OrderBy("accounts", "id", func(Tuple) bool { n++; return true })
+	s.Close()
+	if err != nil {
 		t.Fatal(err)
 	}
 	if n != prel.NumTuples() {
 		t.Fatalf("ordered scan saw %d tuples, primary has %d", n, prel.NumTuples())
 	}
 	// A cluster read without a preference pins to the primary.
-	if _, err := c.Distinct("accounts", "dept"); err != nil {
+	if _, err := c.Query("SELECT dept FROM accounts GROUP BY dept"); err != nil {
 		t.Fatal(err)
 	}
 	m := c.Metrics()

@@ -1,13 +1,24 @@
-// Command mmdbcli is a small interactive shell over the mmdb engine, for
-// poking at relations, indexes, joins and the virtual-clock accounting.
+// Command mmdbcli is a SQL shell over the mmdb engine (docs/SQL.md), for
+// poking at relations, indexes, the §3 operators and the virtual-clock
+// accounting.
 //
 //	$ go run ./cmd/mmdbcli [-parallel N]
-//	mmdb> demo 10000
-//	mmdb> relations
-//	mmdb> lookup emp id 42
-//	mmdb> join emp dept dept id hybrid
-//	mmdb> agg emp dept salary
-//	mmdb> counters
+//	mmdb> \demo 10000
+//	mmdb> SELECT dept, COUNT(*), AVG(salary) FROM emp GROUP BY dept
+//	mmdb> SELECT emp.name, label FROM emp JOIN dept ON emp.dept = dept.id LIMIT 3
+//	mmdb> \counters
+//
+// Each line is one SQL statement, or a meta command:
+//
+//	\demo [N]                 load emp(N rows, default 10000) and dept(8)
+//	\relations                list relations
+//	\index REL COL btree|avl  build an index
+//	\hist REL COL             build a 16-bucket histogram for estimates
+//	\export REL FILE          dump a relation as CSV (with header)
+//	\import REL FILE          load CSV rows (with header) into REL
+//	\counters                 virtual clock + operation counters
+//	\reset                    reset the virtual clock
+//	\q                        quit
 //
 // -parallel sets the worker count for the parallel join and aggregation
 // operators (1 = serial, -1 = GOMAXPROCS); the virtual-clock numbers the
@@ -29,7 +40,7 @@ func main() {
 	par := flag.Int("parallel", 1, "worker goroutines for join/aggregate operators (1 = serial, -1 = GOMAXPROCS)")
 	flag.Parse()
 	db := mmdb.MustOpen(mmdb.Options{Parallelism: *par})
-	fmt.Println("mmdb shell — 'help' for commands, 'quit' to exit")
+	fmt.Println(`mmdb SQL shell — one statement per line; \demo loads sample data, \q quits`)
 	sc := bufio.NewScanner(os.Stdin)
 	for {
 		fmt.Print("mmdb> ")
@@ -41,8 +52,7 @@ func main() {
 		if line == "" {
 			continue
 		}
-		args := strings.Fields(line)
-		if err := dispatch(db, args); err != nil {
+		if err := dispatch(db, line); err != nil {
 			if err == errQuit {
 				return
 			}
@@ -53,33 +63,28 @@ func main() {
 
 var errQuit = fmt.Errorf("quit")
 
-func dispatch(db *mmdb.Database, args []string) error {
-	switch args[0] {
-	case "quit", "exit":
-		return errQuit
-	case "help":
-		fmt.Print(`commands:
-  demo N                     load emp(N tuples) and dept(8) sample relations
-  relations                  list relations
-  scan REL N                 print the first N tuples of REL
-  index REL COL btree|avl    build an index
-  lookup REL COL INT         point lookup (indexed if available)
-  range REL COL INT N        print N tuples with COL >= INT (needs index)
-  join R S RCOL SCOL ALG     ALG: auto|nested|sortmerge|simple|grace|hybrid
-  agg REL GROUPCOL VALCOL    grouped count/sum/avg
-  distinct REL COL           duplicate elimination
-  select REL COL OP INT N    filter scan; OP: eq|ne|lt|le|gt|ge
-  hist REL COL               build a 16-bucket histogram for estimates
-  export REL FILE            dump the relation as CSV (with header)
-  import REL FILE            load CSV rows (with header) into REL
-  counters                   virtual clock + operation counters
-  reset                      reset the virtual clock
-  quit
-`)
+// dispatch runs one input line: a meta command when it starts with a
+// backslash, a SQL statement otherwise.
+func dispatch(db *mmdb.Database, line string) error {
+	if !strings.HasPrefix(line, `\`) {
+		return query(db, line)
+	}
+	args := strings.Fields(line)
+	arity := func(n int, usage string) error {
+		if len(args) != n {
+			return fmt.Errorf("usage: %s %s", args[0], usage)
+		}
 		return nil
-	case "demo":
+	}
+	switch args[0] {
+	case `\q`:
+		return errQuit
+	case `\demo`:
+		if len(args) > 2 {
+			return fmt.Errorf(`usage: \demo [N]`)
+		}
 		n := 10000
-		if len(args) > 1 {
+		if len(args) == 2 {
 			v, err := strconv.Atoi(args[1])
 			if err != nil {
 				return err
@@ -87,7 +92,7 @@ func dispatch(db *mmdb.Database, args []string) error {
 			n = v
 		}
 		return loadDemo(db, n)
-	case "relations":
+	case `\relations`:
 		for _, name := range db.Relations() {
 			rel, err := db.Relation(name)
 			if err != nil {
@@ -96,27 +101,9 @@ func dispatch(db *mmdb.Database, args []string) error {
 			fmt.Printf("  %-12s %8d tuples %6d pages  %v\n", name, rel.NumTuples(), rel.NumPages(), rel.Schema())
 		}
 		return nil
-	case "scan":
-		if len(args) != 3 {
-			return fmt.Errorf("usage: scan REL N")
-		}
-		rel, err := db.Relation(args[1])
-		if err != nil {
+	case `\index`:
+		if err := arity(4, "REL COL btree|avl"); err != nil {
 			return err
-		}
-		n, err := strconv.Atoi(args[2])
-		if err != nil {
-			return err
-		}
-		i := 0
-		return rel.Scan(func(t mmdb.Tuple) bool {
-			fmt.Println(" ", rel.Schema().Format(t))
-			i++
-			return i < n
-		})
-	case "index":
-		if len(args) != 4 {
-			return fmt.Errorf("usage: index REL COL btree|avl")
 		}
 		rel, err := db.Relation(args[1])
 		if err != nil {
@@ -127,126 +114,14 @@ func dispatch(db *mmdb.Database, args []string) error {
 			kind = mmdb.AVL
 		}
 		return rel.CreateIndex(args[2], kind)
-	case "lookup":
-		if len(args) != 4 {
-			return fmt.Errorf("usage: lookup REL COL INT")
-		}
-		rel, err := db.Relation(args[1])
-		if err != nil {
+	case `\hist`:
+		if err := arity(3, "REL COL"); err != nil {
 			return err
-		}
-		v, err := strconv.ParseInt(args[3], 10, 64)
-		if err != nil {
-			return err
-		}
-		rows, err := rel.Lookup(args[2], mmdb.IntValue(v))
-		if err != nil {
-			return err
-		}
-		for _, r := range rows {
-			fmt.Println(" ", rel.Schema().Format(r))
-		}
-		fmt.Printf("  (%d rows)\n", len(rows))
-		return nil
-	case "range":
-		if len(args) != 5 {
-			return fmt.Errorf("usage: range REL COL INT N")
-		}
-		rel, err := db.Relation(args[1])
-		if err != nil {
-			return err
-		}
-		v, err := strconv.ParseInt(args[3], 10, 64)
-		if err != nil {
-			return err
-		}
-		n, err := strconv.Atoi(args[4])
-		if err != nil {
-			return err
-		}
-		i := 0
-		return rel.AscendRange(args[2], mmdb.IntValue(v), func(t mmdb.Tuple) bool {
-			fmt.Println(" ", rel.Schema().Format(t))
-			i++
-			return i < n
-		})
-	case "join":
-		if len(args) != 6 {
-			return fmt.Errorf("usage: join R S RCOL SCOL auto|nested|sortmerge|simple|grace|hybrid")
-		}
-		alg, err := parseAlg(args[5])
-		if err != nil {
-			return err
-		}
-		res, err := db.Join(alg, args[1], args[2], args[3], args[4], nil)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("  %d matches via %v in %v virtual (%s)\n", res.Matches, res.Algorithm, res.Elapsed, res.Counters)
-		return nil
-	case "agg":
-		if len(args) != 4 {
-			return fmt.Errorf("usage: agg REL GROUPCOL VALCOL")
-		}
-		groups, err := db.Aggregate(args[1], args[2], args[3])
-		if err != nil {
-			return err
-		}
-		for _, g := range groups {
-			fmt.Printf("  %v: count=%d sum=%d avg=%.1f\n", g.Key, g.Count, g.Sum, g.Value(mmdb.Avg))
-		}
-		return nil
-	case "distinct":
-		if len(args) != 3 {
-			return fmt.Errorf("usage: distinct REL COL")
-		}
-		vals, err := db.Distinct(args[1], args[2])
-		if err != nil {
-			return err
-		}
-		fmt.Printf("  %d distinct values\n", len(vals))
-		return nil
-	case "select":
-		if len(args) != 6 {
-			return fmt.Errorf("usage: select REL COL OP INT N")
-		}
-		op, err := parseOp(args[3])
-		if err != nil {
-			return err
-		}
-		v, err := strconv.ParseInt(args[4], 10, 64)
-		if err != nil {
-			return err
-		}
-		n, err := strconv.Atoi(args[5])
-		if err != nil {
-			return err
-		}
-		p, err := db.Where(args[1], args[2], op, mmdb.IntValue(v))
-		if err != nil {
-			return err
-		}
-		rel, err := db.Relation(args[1])
-		if err != nil {
-			return err
-		}
-		fmt.Printf("  estimated selectivity %.3f\n", p.EstimatedSelectivity())
-		i := 0
-		err = rel.Select(p, func(t mmdb.Tuple) bool {
-			fmt.Println(" ", rel.Schema().Format(t))
-			i++
-			return i < n
-		})
-		fmt.Printf("  (%d rows shown)\n", i)
-		return err
-	case "hist":
-		if len(args) != 3 {
-			return fmt.Errorf("usage: hist REL COL")
 		}
 		return db.BuildHistogram(args[1], args[2], 16)
-	case "export":
-		if len(args) != 3 {
-			return fmt.Errorf("usage: export REL FILE")
+	case `\export`:
+		if err := arity(3, "REL FILE"); err != nil {
+			return err
 		}
 		rel, err := db.Relation(args[1])
 		if err != nil {
@@ -258,9 +133,9 @@ func dispatch(db *mmdb.Database, args []string) error {
 		}
 		defer f.Close()
 		return rel.ExportCSV(f, true)
-	case "import":
-		if len(args) != 3 {
-			return fmt.Errorf("usage: import REL FILE")
+	case `\import`:
+		if err := arity(3, "REL FILE"); err != nil {
+			return err
 		}
 		rel, err := db.Relation(args[1])
 		if err != nil {
@@ -277,53 +152,38 @@ func dispatch(db *mmdb.Database, args []string) error {
 		}
 		fmt.Printf("  imported %d rows\n", n)
 		return nil
-	case "counters":
+	case `\counters`:
 		fmt.Printf("  virtual time %v, %s\n", db.VirtualTime(), db.Counters())
 		return nil
-	case "reset":
+	case `\reset`:
 		db.ResetClock()
 		return nil
 	default:
-		return fmt.Errorf("unknown command %q (try 'help')", args[0])
+		return fmt.Errorf(`unknown meta command %q (\demo \relations \index \hist \export \import \counters \reset \q)`, args[0])
 	}
 }
 
-func parseOp(s string) (mmdb.CompareOp, error) {
-	switch s {
-	case "eq":
-		return mmdb.Eq, nil
-	case "ne":
-		return mmdb.Ne, nil
-	case "lt":
-		return mmdb.Lt, nil
-	case "le":
-		return mmdb.Le, nil
-	case "gt":
-		return mmdb.Gt, nil
-	case "ge":
-		return mmdb.Ge, nil
-	default:
-		return 0, fmt.Errorf("unknown operator %q", s)
+// query runs one SQL statement, printing a SELECT's rows and every
+// statement's virtual-clock charge.
+func query(db *mmdb.Database, text string) error {
+	res, err := db.Query(text)
+	if err != nil {
+		return err
 	}
-}
-
-func parseAlg(s string) (mmdb.JoinAlgorithm, error) {
-	switch s {
-	case "auto":
-		return mmdb.AutoJoin, nil
-	case "nested":
-		return mmdb.NestedLoops, nil
-	case "sortmerge":
-		return mmdb.SortMerge, nil
-	case "simple":
-		return mmdb.SimpleHash, nil
-	case "grace":
-		return mmdb.GraceHash, nil
-	case "hybrid":
-		return mmdb.HybridHash, nil
-	default:
-		return 0, fmt.Errorf("unknown algorithm %q", s)
+	if res.Schema == nil {
+		fmt.Printf("  %d rows affected\n", res.Affected)
+		return nil
 	}
+	names := make([]string, res.Schema.NumFields())
+	for i := range names {
+		names[i] = res.Schema.Field(i).Name
+	}
+	fmt.Printf("  %s\n", strings.Join(names, " | "))
+	for _, row := range res.Rows {
+		fmt.Println(" ", res.Schema.Format(row))
+	}
+	fmt.Printf("  (%d rows in %v virtual: %s)\n", len(res.Rows), res.Elapsed, res.Counters)
+	return nil
 }
 
 func loadDemo(db *mmdb.Database, n int) error {

@@ -3,50 +3,46 @@ package main
 import (
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"mmdb"
 )
 
-func run(t *testing.T, db *mmdb.Database, line string) error {
-	t.Helper()
-	return dispatch(db, strings.Fields(line))
-}
-
 func must(t *testing.T, db *mmdb.Database, line string) {
 	t.Helper()
-	if err := run(t, db, line); err != nil {
+	if err := dispatch(db, line); err != nil {
 		t.Fatalf("%q: %v", line, err)
 	}
 }
 
 func TestDispatchWorkflow(t *testing.T) {
 	db := mmdb.MustOpen(mmdb.Options{})
-	must(t, db, "help")
-	if err := run(t, db, "demo 500"); err != nil {
-		t.Fatal(err)
+	must(t, db, `\demo 500`)
+	must(t, db, `\relations`)
+	must(t, db, `\index emp id btree`)
+	must(t, db, `\hist emp salary`)
+	for _, q := range []string{
+		"SELECT * FROM emp LIMIT 2",
+		"SELECT * FROM emp WHERE id = 42",
+		"SELECT id FROM emp WHERE id >= 490 ORDER BY id LIMIT 5",
+		"SELECT emp.id, label FROM emp JOIN dept ON emp.dept = dept.id LIMIT 3",
+		"SELECT dept, COUNT(*), SUM(salary), AVG(salary) FROM emp GROUP BY dept",
+		"SELECT dept FROM emp GROUP BY dept",
+		"SELECT * FROM emp WHERE salary >= 40000 LIMIT 2;",
+		"INSERT INTO dept VALUES (8, 'dept-8')",
+		"DELETE FROM dept WHERE id = 8",
+	} {
+		must(t, db, q)
 	}
-	must(t, db, "relations")
-	must(t, db, "scan emp 2")
-	must(t, db, "index emp id btree")
-	must(t, db, "lookup emp id 42")
-	must(t, db, "range emp id 490 5")
-	must(t, db, "join emp dept dept id auto")
-	must(t, db, "join emp dept dept id sortmerge")
-	must(t, db, "agg emp dept salary")
-	must(t, db, "distinct emp dept")
-	must(t, db, "hist emp salary")
-	must(t, db, "select emp salary ge 40000 2")
-	must(t, db, "counters")
-	must(t, db, "reset")
+	must(t, db, `\counters`)
+	must(t, db, `\reset`)
 
 	csv := filepath.Join(t.TempDir(), "emp.csv")
-	must(t, db, "export emp "+csv)
+	must(t, db, `\export emp `+csv)
 	if _, err := os.Stat(csv); err != nil {
 		t.Fatal(err)
 	}
-	must(t, db, "import emp "+csv)
+	must(t, db, `\import emp `+csv)
 	rel, err := db.Relation("emp")
 	if err != nil {
 		t.Fatal(err)
@@ -55,40 +51,30 @@ func TestDispatchWorkflow(t *testing.T) {
 		t.Fatalf("after re-import: %d tuples", rel.NumTuples())
 	}
 
-	if err := run(t, db, "quit"); err != errQuit {
-		t.Fatalf("quit returned %v", err)
+	if err := dispatch(db, `\q`); err != errQuit {
+		t.Fatalf(`\q returned %v`, err)
 	}
 }
 
 func TestDispatchErrors(t *testing.T) {
 	db := mmdb.MustOpen(mmdb.Options{})
+	must(t, db, `\demo 10`)
 	for _, line := range []string{
-		"bogus",
-		"scan missing 3",
-		"scan",
-		"lookup emp id notanumber",
-		"join a b c d warp",
-		"select emp salary zz 1 1",
-		"import emp /no/such/file.csv",
-		"range emp id 1", // wrong arity
+		`\bogus`,
+		`\demo 1 2`,
+		`\demo many`,
+		`\index emp id`,
+		`\hist emp`,
+		`\export emp`,
+		`\import emp /no/such/file.csv`,
+		`\import missing x.csv`,
+		"SELEC * FROM emp",
+		"SELECT * FROM missing",
+		"SELECT nope FROM emp",
+		"INSERT INTO emp VALUES (1, 2)",
 	} {
-		if err := run(t, db, line); err == nil {
+		if err := dispatch(db, line); err == nil {
 			t.Errorf("%q accepted", line)
 		}
-	}
-}
-
-func TestParseHelpers(t *testing.T) {
-	if op, err := parseOp("le"); err != nil || op != mmdb.Le {
-		t.Fatalf("parseOp(le) = %v, %v", op, err)
-	}
-	if _, err := parseOp("nope"); err == nil {
-		t.Fatal("bad op accepted")
-	}
-	if alg, err := parseAlg("grace"); err != nil || alg != mmdb.GraceHash {
-		t.Fatalf("parseAlg(grace) = %v, %v", alg, err)
-	}
-	if _, err := parseAlg("nope"); err == nil {
-		t.Fatal("bad algorithm accepted")
 	}
 }

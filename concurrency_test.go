@@ -38,7 +38,7 @@ func TestConcurrentQueries(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := db.Join(HybridHash, "emp", "dept", "dept", "id", nil)
+			res, err := empDeptJoin(db, HybridHash)
 			errs[i] = err
 			matches[i] = res.Matches
 		}(i)
@@ -58,8 +58,8 @@ func TestConcurrentQueries(t *testing.T) {
 	}
 }
 
-// TestConcurrentMixedOperators interleaves joins, aggregates, sorts and
-// point lookups across goroutines — the full façade under -race.
+// TestConcurrentMixedOperators interleaves joins, SQL aggregates and
+// sorts, and point lookups across goroutines under -race.
 func TestConcurrentMixedOperators(t *testing.T) {
 	db := openConcurrentDB(t, 4, 64)
 	emp, _ := loadCompany(t, db, 400, 8)
@@ -79,20 +79,19 @@ func TestConcurrentMixedOperators(t *testing.T) {
 	}
 	for i := 0; i < 2; i++ {
 		run(func() error {
-			_, err := db.Join(AutoJoin, "emp", "dept", "dept", "id", nil)
+			_, err := empDeptJoin(db, AutoJoin)
 			return err
 		})
 		run(func() error {
-			groups, err := db.Aggregate("emp", "dept", "salary")
-			if err == nil && len(groups) != 8 {
+			res, err := db.Query("SELECT dept, COUNT(*), SUM(salary) FROM emp GROUP BY dept")
+			if err == nil && len(res.Rows) != 8 {
 				return errors.New("wrong group count")
 			}
 			return err
 		})
 		run(func() error {
-			rows := 0
-			err := db.OrderBy("emp", "salary", func(Tuple) bool { rows++; return true })
-			if err == nil && rows != 400 {
+			res, err := db.Query("SELECT * FROM emp ORDER BY salary")
+			if err == nil && len(res.Rows) != 400 {
 				return errors.New("wrong sorted row count")
 			}
 			return err
@@ -119,7 +118,7 @@ func TestConcurrentCountersMatchSerial(t *testing.T) {
 		return db
 	}
 	query := func(db *Database) (JoinResult, error) {
-		return db.Join(HybridHash, "emp", "dept", "dept", "id", nil)
+		return empDeptJoin(db, HybridHash)
 	}
 
 	serial := open()
@@ -179,7 +178,7 @@ func TestSessionBrokerNeverOverGrants(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := db.Join(AutoJoin, "emp", "dept", "dept", "id", nil); err != nil {
+			if _, err := empDeptJoin(db, AutoJoin); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -210,11 +209,11 @@ func TestSessionOverloaded(t *testing.T) {
 	if _, err := db.NewSession(context.Background()); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("second session: err=%v, want ErrOverloaded", err)
 	}
-	if _, err := db.Join(AutoJoin, "emp", "dept", "dept", "id", nil); !errors.Is(err, ErrOverloaded) {
+	if _, err := empDeptJoin(db, AutoJoin); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("query during held slot: err=%v, want ErrOverloaded", err)
 	}
 	s.Close()
-	if _, err := db.Join(AutoJoin, "emp", "dept", "dept", "id", nil); err != nil {
+	if _, err := empDeptJoin(db, AutoJoin); err != nil {
 		t.Fatalf("query after slot freed: %v", err)
 	}
 	if m := db.SessionMetrics(); m.Rejected != 2 {
@@ -235,7 +234,7 @@ func TestSessionQueueDeadline(t *testing.T) {
 	defer s.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	if _, err := db.JoinContext(ctx, AutoJoin, "emp", "dept", "dept", "id", nil); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := oneShotJoin(ctx, db, AutoJoin, "emp", "dept", "dept", "id", nil); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("queued query: err=%v, want DeadlineExceeded", err)
 	}
 }
@@ -259,7 +258,7 @@ func TestSessionQueryTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if _, err := db.Join(AutoJoin, "emp", "dept", "dept", "id", nil); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := empDeptJoin(db, AutoJoin); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("timed-out query: err=%v, want DeadlineExceeded", err)
 	}
 }
@@ -296,7 +295,7 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
-				res, err := db.Join(AutoJoin, "emp", "dept", "dept", "id", nil)
+				res, err := empDeptJoin(db, AutoJoin)
 				if err != nil {
 					t.Error(err)
 					return
@@ -310,7 +309,7 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 	}
 	wg.Wait()
 
-	res, err := db.Join(AutoJoin, "emp", "dept", "dept", "id", nil)
+	res, err := empDeptJoin(db, AutoJoin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,14 +319,31 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 }
 
 // TestConcurrentPlansExecute plans and executes multi-way joins from
-// parallel sessions, including materializing results.
+// parallel sessions: each plans the three-table join, then runs it in SQL,
+// which executes the planner's HashOnly plan into files the statement
+// owns.
 func TestConcurrentPlansExecute(t *testing.T) {
 	db := openConcurrentDB(t, 4, 64)
 	loadCompany(t, db, 300, 6)
+	site, err := db.CreateRelation("site", MustSchema(Field{Name: "dept", Kind: Int64}, Field{Name: "floor", Kind: Int64}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for d := int64(0); d < 6; d++ {
+		if err := site.Insert(IntValue(d), IntValue(10+d)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := site.Flush(); err != nil {
+		t.Fatal(err)
+	}
 
 	q := Query{
-		Tables: []QueryTable{{Relation: "emp"}, {Relation: "dept"}},
-		Joins:  []QueryJoin{{LeftTable: 0, LeftCol: "dept", RightTable: 1, RightCol: "id"}},
+		Tables: []QueryTable{{Relation: "emp"}, {Relation: "dept"}, {Relation: "site"}},
+		Joins: []QueryJoin{
+			{LeftTable: 0, LeftCol: "dept", RightTable: 1, RightCol: "id"},
+			{LeftTable: 2, LeftCol: "dept", RightTable: 1, RightCol: "id"},
+		},
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
@@ -345,13 +361,16 @@ func TestConcurrentPlansExecute(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			out, err := plan.Execute()
+			if len(plan.Order) != 3 {
+				t.Errorf("plan order %v", plan.Order)
+			}
+			res, err := s.Query("SELECT emp.id, floor FROM emp JOIN dept ON emp.dept = dept.id JOIN site ON site.dept = dept.id")
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			if out.NumTuples() != 300 {
-				t.Errorf("plan produced %d tuples, want 300", out.NumTuples())
+			if len(res.Rows) != 300 {
+				t.Errorf("plan produced %d rows, want 300", len(res.Rows))
 			}
 		}()
 	}

@@ -2,6 +2,7 @@ package mmdb
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -35,7 +36,7 @@ func TestCSVRoundTrip(t *testing.T) {
 		t.Fatalf("imported %d rows", n)
 	}
 	// Spot-check content equality via a join on id.
-	res, err := db.Join(HybridHash, "emp", "emp2", "id", "id", func(l, r Tuple) {
+	res, err := oneShotJoin(context.Background(), db, HybridHash, "emp", "emp2", "id", "id", func(l, r Tuple) {
 		if string(l) != string(r) {
 			t.Fatal("round-tripped tuple differs")
 		}

@@ -1,14 +1,15 @@
 package mmdb_test
 
 import (
+	"context"
 	"fmt"
 	"time"
 
 	"mmdb"
 )
 
-// Example builds a small database, joins two relations with the §4
-// automatic algorithm choice, and reads the virtual-clock accounting.
+// Example builds a small database, joins two relations on a session with
+// the §4 automatic algorithm choice, and counts the same join in SQL.
 func Example() {
 	db := mmdb.MustOpen(mmdb.Options{MemoryPages: 64})
 
@@ -30,9 +31,16 @@ func Example() {
 	}
 	dept.Flush()
 
-	res, _ := db.Join(mmdb.AutoJoin, "emp", "dept", "dept", "id", nil)
+	s, _ := db.NewSession(context.Background())
+	res, _ := s.Join(mmdb.AutoJoin, "emp", "dept", "dept", "id", nil)
+	s.Close()
 	fmt.Printf("%d matches via %v\n", res.Matches, res.Algorithm)
-	// Output: 100 matches via hybrid-hash
+
+	sql, _ := db.Query("SELECT COUNT(*) FROM emp WHERE dept < 2")
+	fmt.Println(sql.Values()[0][0], "employees in departments 0 and 1")
+	// Output:
+	// 100 matches via hybrid-hash
+	// 50 employees in departments 0 and 1
 }
 
 // ExampleRelation_Lookup indexes a column with the paper's preferred
@@ -53,7 +61,7 @@ func ExampleRelation_Lookup() {
 	// Output: [2 two]
 }
 
-// ExampleDatabase_Where filters with a structured predicate.
+// ExampleDatabase_Where deletes with a structured predicate.
 func ExampleDatabase_Where() {
 	db := mmdb.MustOpen(mmdb.Options{})
 	rel, _ := db.CreateRelation("n", mmdb.MustSchema(mmdb.Field{Name: "x", Kind: mmdb.Int64}))
@@ -64,10 +72,9 @@ func ExampleDatabase_Where() {
 
 	p := db.MustWhere("n", "x", mmdb.Ge, mmdb.IntValue(4)).
 		And(db.MustWhere("n", "x", mmdb.Lt, mmdb.IntValue(7)))
-	count := 0
-	rel.Select(p, func(mmdb.Tuple) bool { count++; return true })
-	fmt.Println(p, "->", count, "rows")
-	// Output: (x >= 4) AND (x < 7) -> 3 rows
+	deleted, _ := rel.DeleteWhere(p)
+	fmt.Println(p, "->", deleted, "rows deleted,", rel.NumTuples(), "left")
+	// Output: (x >= 4) AND (x < 7) -> 3 rows deleted, 7 left
 }
 
 // ExampleNewRecoverySim reproduces the paper's group-commit throughput

@@ -1,12 +1,14 @@
 // Banking: a star-schema analytics session on the public API — load
 // transfers and branch/teller dimensions, plan a multi-way join under the
 // §4 regimes (full Selinger vs. the large-memory hash-only reduction),
-// execute the chosen plan, and aggregate the result.
+// execute it in SQL, and total the result per branch.
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
+	"sort"
 
 	"mmdb"
 )
@@ -58,14 +60,11 @@ func main() {
 	must(tellers.Flush())
 
 	// Query: transfers ⋈ branches ⋈ tellers, with a selective predicate on
-	// branches (only city05).
-	bs := branches.Schema()
+	// branches (only city05; an equality's default estimate is 1/10).
 	q := mmdb.Query{
 		Tables: []mmdb.QueryTable{
 			{Relation: "transfers"},
-			{Relation: "branches", Selectivity: 0.1, Filter: func(t mmdb.Tuple) bool {
-				return bs.Get(t, 1).S == "city05"
-			}},
+			{Relation: "branches", Where: db.MustWhere("branches", "city", mmdb.Eq, mmdb.StringValue("city05"))},
 			{Relation: "tellers"},
 		},
 		Joins: []mmdb.QueryJoin{
@@ -73,33 +72,42 @@ func main() {
 			{LeftTable: 0, LeftCol: "teller", RightTable: 2, RightCol: "id"},
 		},
 	}
-
-	full, err := db.Plan(q, mmdb.FullSelinger)
+	s, err := db.NewSession(context.Background())
 	must(err)
-	hash, err := db.Plan(q, mmdb.HashOnly)
+	full, err := s.Plan(q, mmdb.FullSelinger)
 	must(err)
+	hash, err := s.Plan(q, mmdb.HashOnly)
+	must(err)
+	s.Close()
 	fmt.Println("§4 planning:")
 	fmt.Printf("  full Selinger: cost %8.1f  order %v  (%d plans priced)\n",
 		full.Weighted, full.Order, full.PlansConsidered)
 	fmt.Printf("  hash-only:     cost %8.1f  order %v  (%d plans priced)\n",
 		hash.Weighted, hash.Order, hash.PlansConsidered)
 
-	result, err := hash.Execute()
+	// The same query in SQL executes the hash-only plan.
+	result, err := db.Query(`SELECT transfers.branch, transfers.amount FROM transfers
+		JOIN branches ON transfers.branch = branches.id
+		JOIN tellers ON transfers.teller = tellers.id
+		WHERE branches.city = 'city05'`)
 	must(err)
-	fmt.Printf("\nexecuted plan produced %d rows\n", result.NumTuples())
+	fmt.Printf("\nexecuted plan produced %d rows\n", len(result.Rows))
 
-	// Aggregate the joined result: total amount per branch (the fact
-	// table's columns carry the execution's "l." prefixes).
-	groups, err := db.Aggregate(result.Name(), "l.l.branch", "l.l.amount")
-	must(err)
-	fmt.Printf("transfer totals for the selected city's branches (%d branches):\n", len(groups))
-	shown := 0
-	for _, g := range groups {
-		fmt.Printf("  branch %v: %d transfers totalling %d\n", g.Key, g.Count, g.Sum)
-		shown++
-		if shown == 5 {
-			break
-		}
+	// Total amount per branch. The dialect has no GROUP BY over a join
+	// (docs/SQL.md §3.5), so fold the joined rows here.
+	count, total := map[int64]int64{}, map[int64]int64{}
+	for _, row := range result.Values() {
+		count[row[0].I]++
+		total[row[0].I] += row[1].I
+	}
+	keys := make([]int64, 0, len(count))
+	for k := range count {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	fmt.Printf("transfer totals for the selected city's branches (%d branches):\n", len(keys))
+	for _, k := range keys {
+		fmt.Printf("  branch %d: %d transfers totalling %d\n", k, count[k], total[k])
 	}
 }
 

@@ -1,9 +1,10 @@
 // Quickstart: create a database, load a relation, index it both ways
-// (§2's AVL and B+-tree), run lookups, a join, and an aggregate, and read
-// the virtual-clock cost accounting.
+// (§2's AVL and B+-tree), run lookups, a join on a session, and an
+// aggregate in SQL, and read the virtual-clock cost accounting.
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -77,9 +78,14 @@ func main() {
 	}
 	fmt.Println()
 
-	// Join with the engine's automatic algorithm choice (§4: hybrid hash).
-	db.ResetClock()
-	res, err := db.Join(mmdb.AutoJoin, "emp", "dept", "dept", "id", nil)
+	// Join with the engine's automatic algorithm choice (§4: hybrid hash),
+	// on a session so the result names the algorithm that ran.
+	s, err := db.NewSession(context.Background())
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := s.Join(mmdb.AutoJoin, "emp", "dept", "dept", "id", nil)
+	s.Close()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -87,12 +93,12 @@ func main() {
 		res.Matches, res.Algorithm, res.Elapsed, res.Counters)
 
 	// Grouped aggregate (§3.9): average salary per department.
-	groups, err := db.Aggregate("emp", "dept", "salary")
+	avg, err := db.Query("SELECT dept, AVG(salary), COUNT(*) FROM emp GROUP BY dept")
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("avg salary per dept:")
-	for _, g := range groups {
-		fmt.Printf("  dept %v: %.0f over %d employees\n", g.Key, g.Value(mmdb.Avg), g.Count)
+	for _, row := range avg.Values() {
+		fmt.Printf("  dept %v: %.0f over %d employees\n", row[0], row[1].F, row[2].I)
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -57,6 +58,17 @@ func loadEmpDept(opts mmdb.Options, tuples, groups int) (*mmdb.Database, error) 
 		return []mmdb.Value{mmdb.IntValue(int64(i)), mmdb.IntValue(int64(i * 10))}
 	})
 	return db, err
+}
+
+// oneShot runs fn in a session of its own and closes it, so what fn
+// charged is in db's clock when oneShot returns.
+func oneShot(db *mmdb.Database, fn func(*mmdb.Session) error) error {
+	s, err := db.NewSession(context.Background())
+	if err != nil {
+		return err
+	}
+	defer s.Close()
+	return fn(s)
 }
 
 // intKey encodes k the way tuple.Schema encodes an Int64 field (big-endian,

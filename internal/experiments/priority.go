@@ -121,20 +121,16 @@ func loadPriorityDB(cfg PriorityConfig, policy mmdb.PickPolicy) (*mmdb.Database,
 // row count and the session's virtual-clock counters for the
 // bit-identical check.
 func prioritySelect(db *mmdb.Database, class mmdb.QueryClass) (int, mmdb.Counters, time.Duration, error) {
-	pred, err := db.Where("dept", "budget", mmdb.Ge, mmdb.IntValue(0))
-	if err != nil {
-		return 0, mmdb.Counters{}, 0, err
-	}
 	s, err := db.NewSession(context.Background(), mmdb.WithClass(class))
 	if err != nil {
 		return 0, mmdb.Counters{}, 0, err
 	}
 	defer s.Close()
-	rows := 0
-	if err := s.Select(pred, func(mmdb.Tuple) bool { rows++; return true }); err != nil {
+	res, err := s.Query("SELECT * FROM dept WHERE budget >= 0")
+	if err != nil {
 		return 0, mmdb.Counters{}, 0, err
 	}
-	return rows, s.Counters(), s.QueuedFor(), nil
+	return len(res.Rows), s.Counters(), s.QueuedFor(), nil
 }
 
 // priorityJoin is the batch query: the hybrid-hash join stream, run in a

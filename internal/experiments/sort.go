@@ -133,15 +133,21 @@ func runSortCell(cfg SortConfig, memPages, width int) (SortVirtual, time.Duratio
 		h := fnv.New64a()
 		var rows int64
 		start := time.Now()
-		err := db.OrderBy("events", "key", func(t mmdb.Tuple) bool {
-			rows++
-			h.Write(t[:8])
-			return true
+		err := oneShot(db, func(s *mmdb.Session) error {
+			return s.OrderBy("events", "key", func(t mmdb.Tuple) bool {
+				rows++
+				h.Write(t[:8])
+				return true
+			})
 		})
 		if err != nil {
 			return SortVirtual{}, 0, err
 		}
-		jr, err := db.Join(mmdb.SortMerge, "ref", "events", "key", "key", nil)
+		var jr mmdb.JoinResult
+		err = oneShot(db, func(s *mmdb.Session) (err error) {
+			jr, err = s.Join(mmdb.SortMerge, "ref", "events", "key", "key", nil)
+			return err
+		})
 		if err != nil {
 			return SortVirtual{}, 0, err
 		}

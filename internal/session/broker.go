@@ -6,37 +6,6 @@ import (
 	"sync"
 )
 
-// Policy selects how the broker sizes default grants.
-type Policy int
-
-// Memory policies.
-const (
-	// StaticShare grants every query of a class the same fixed share,
-	// (general + reserved[class])/slots (clamped to the minimum useful
-	// grant). Grants are independent of instantaneous load, which keeps
-	// planner choices and virtual-clock accounting bit-identical whether
-	// queries run serially or concurrently — the default, and the policy
-	// the determinism acceptance tests assert against.
-	StaticShare Policy = iota
-	// Greedy grants an admitted query all pages its class may currently
-	// draw (at least the minimum grant). Adaptive — a lone query gets the
-	// whole |M|, a crowd divides it by arrival order — but grant sizes
-	// then depend on timing, so per-query virtual costs are only
-	// reproducible for serial workloads.
-	Greedy
-)
-
-func (p Policy) String() string {
-	switch p {
-	case StaticShare:
-		return "static"
-	case Greedy:
-		return "greedy"
-	default:
-		return fmt.Sprintf("Policy(%d)", int(p))
-	}
-}
-
 // MinGrant is the smallest memory grant the broker will hand out: the
 // engine needs at least two pages (one input, one output) for any §3
 // operator to make progress.
@@ -49,20 +18,20 @@ const MinGrant = 2
 // reservation — so batch grants cannot starve interactive |M|, the
 // multiclass analogue of the paper's "memory is the resource" stance.
 //
-// With the StaticShare policy each class's share is sized to
-// (general + reserved[class])/slots, which guarantees that any mix of
-// at most `slots` admitted queries always fits: admitted queries never
-// block on memory, only on admission. Reservations queue FIFO per class
-// when the pools are exhausted (explicit-size or Greedy grants can
-// exceed the share); the invariant granted <= total holds at all times
-// (checked, with a high-water mark for audits). It is safe for
-// concurrent use.
+// A default grant is the class's static share,
+// (general + reserved[class])/slots, independent of instantaneous load:
+// that keeps planner choices and virtual-clock accounting bit-identical
+// whether queries run serially or concurrently, and guarantees that any
+// mix of at most `slots` admitted queries always fits — admitted queries
+// never block on memory, only on admission. Reservations queue FIFO per
+// class when the pools are exhausted (explicit-size grants can exceed the
+// share); the invariant granted <= total holds at all times (checked,
+// with a high-water mark for audits). It is safe for concurrent use.
 type Broker struct {
 	total    int
 	general  int // total minus all reservations
 	reserved [NumClasses]int
-	share    [NumClasses]int // StaticShare grant size per class
-	policy   Policy
+	share    [NumClasses]int // default grant size per class
 
 	mu      sync.Mutex
 	freeGen int
@@ -73,25 +42,24 @@ type Broker struct {
 }
 
 type memWaiter struct {
-	need  int // pages that must be drawable before this waiter is granted
-	want  int // 0 means policy default
+	pages int // the grant size, fixed at request time
 	ready chan int
 }
 
 // NewBroker returns a broker over total pages serving at most slots
-// concurrent queries under the given policy, with reserved[c] pages set
-// aside for exclusive use by class c. Reservations are clamped so the
-// general pool keeps at least MinGrant pages; each class's static share
-// is (general + reserved[class])/slots, clamped up to MinGrant and down
-// to the class's maximum drawable pool.
-func NewBroker(total, slots int, policy Policy, reserved [NumClasses]int) *Broker {
+// concurrent queries, with reserved[c] pages set aside for exclusive use
+// by class c. Reservations are clamped so the general pool keeps at least
+// MinGrant pages; each class's static share is
+// (general + reserved[class])/slots, clamped up to MinGrant and down to
+// the class's maximum drawable pool.
+func NewBroker(total, slots int, reserved [NumClasses]int) *Broker {
 	if total < MinGrant {
 		total = MinGrant
 	}
 	if slots < 1 {
 		slots = 1
 	}
-	b := &Broker{total: total, policy: policy}
+	b := &Broker{total: total}
 	// Clamp reservations: never reserve past total-MinGrant overall.
 	budget := total - MinGrant
 	for c := 0; c < int(NumClasses); c++ {
@@ -127,8 +95,8 @@ func NewBroker(total, slots int, policy Policy, reserved [NumClasses]int) *Broke
 
 // NewUnreservedBroker is NewBroker with no per-class reservations: every
 // class shares one pool and one share size, the pre-multiclass behavior.
-func NewUnreservedBroker(total, slots int, policy Policy) *Broker {
-	return NewBroker(total, slots, policy, [NumClasses]int{})
+func NewUnreservedBroker(total, slots int) *Broker {
+	return NewBroker(total, slots, [NumClasses]int{})
 }
 
 // Total returns the brokered budget |M|.
@@ -137,22 +105,19 @@ func (b *Broker) Total() int { return b.total }
 // Reserved returns the pages set aside for class c.
 func (b *Broker) Reserved(c Class) int { return b.reserved[c] }
 
-// Share returns the StaticShare grant size for class c.
+// Share returns the default grant size for class c.
 func (b *Broker) Share(c Class) int { return b.share[c] }
-
-// Policy returns the grant policy.
-func (b *Broker) Policy() Policy { return b.policy }
 
 // classMax returns the largest pool class c may ever draw from.
 func (b *Broker) classMax(c Class) int { return b.general + b.reserved[c] }
 
 // Reserve blocks until a grant is available for class and returns its
-// size in pages. want == 0 requests the policy default; want > 0
+// size in pages. want == 0 requests the class's share; want > 0
 // requests an explicit size (clamped to [MinGrant, the class's drawable
-// pool]) — the path used when a pre-optimized plan must execute with the
-// |M| it was costed against. Waiters are served strictly FIFO within a
-// class, higher-priority classes first across classes; a waiter whose
-// context ends while queued is removed without a grant.
+// pool]) — the path for a query that must execute with the |M| it was
+// costed against (a session's WithMinPages). Waiters are served strictly
+// FIFO within a class, higher-priority classes first across classes; a
+// waiter whose context ends while queued is removed without a grant.
 func (b *Broker) Reserve(ctx context.Context, class Class, want int) (int, error) {
 	if !class.Valid() {
 		class = Batch
@@ -160,7 +125,9 @@ func (b *Broker) Reserve(ctx context.Context, class Class, want int) (int, error
 	if max := b.classMax(class); want > max {
 		want = max
 	}
-	if want != 0 && want < MinGrant {
+	if want == 0 {
+		want = b.share[class]
+	} else if want < MinGrant {
 		want = MinGrant
 	}
 	b.mu.Lock()
@@ -168,13 +135,12 @@ func (b *Broker) Reserve(ctx context.Context, class Class, want int) (int, error
 		b.mu.Unlock()
 		return 0, err
 	}
-	need := b.needFor(class, want)
-	if len(b.queues[class]) == 0 && b.drawableLocked(class) >= need {
+	if len(b.queues[class]) == 0 && b.drawableLocked(class) >= want {
 		grant := b.grantLocked(class, want)
 		b.mu.Unlock()
 		return grant, nil
 	}
-	w := &memWaiter{need: need, want: want, ready: make(chan int, 1)}
+	w := &memWaiter{pages: want, ready: make(chan int, 1)}
 	b.queues[class] = append(b.queues[class], w)
 	b.mu.Unlock()
 
@@ -206,32 +172,12 @@ func (b *Broker) Reserve(ctx context.Context, class Class, want int) (int, error
 // drawableLocked returns the pages class c could take right now.
 func (b *Broker) drawableLocked(c Class) int { return b.freeGen + b.freeRes[c] }
 
-// needFor returns the drawable pages required before a request can be
-// granted.
-func (b *Broker) needFor(class Class, want int) int {
-	if want > 0 {
-		return want
-	}
-	if b.policy == Greedy {
-		return MinGrant
-	}
-	return b.share[class]
-}
-
-// grantLocked carves the grant out of the class's reserved pool first,
-// then the general pool.
-func (b *Broker) grantLocked(class Class, want int) int {
-	grant := want
-	if grant == 0 {
-		if b.policy == Greedy {
-			grant = b.drawableLocked(class) // everything the class may draw
-		} else {
-			grant = b.share[class]
-		}
-	}
+// grantLocked carves a grant of the given size out of the class's
+// reserved pool first, then the general pool.
+func (b *Broker) grantLocked(class Class, grant int) int {
 	if grant > b.drawableLocked(class) {
-		// Unreachable by construction (need <= grant checked before the
-		// grant); guard the invariant anyway.
+		// Unreachable by construction (callers check the class can draw
+		// the grant first); guard the invariant anyway.
 		panic(fmt.Sprintf("session: broker over-grant: %s wants %d, drawable %d",
 			class, grant, b.drawableLocked(class)))
 	}
@@ -283,11 +229,11 @@ func (b *Broker) Release(class Class, pages int) {
 	for c := 0; c < int(NumClasses); c++ {
 		for len(b.queues[c]) > 0 {
 			w := b.queues[c][0]
-			if b.drawableLocked(Class(c)) < w.need {
+			if b.drawableLocked(Class(c)) < w.pages {
 				break
 			}
 			b.queues[c] = b.queues[c][1:]
-			w.ready <- b.grantLocked(Class(c), w.want)
+			w.ready <- b.grantLocked(Class(c), w.pages)
 		}
 	}
 }

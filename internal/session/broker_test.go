@@ -9,7 +9,7 @@ import (
 )
 
 func TestSessionBrokerStaticShareDeterministic(t *testing.T) {
-	b := NewUnreservedBroker(1000, 8, StaticShare)
+	b := NewUnreservedBroker(1000, 8)
 	if b.Share(Batch) != 125 {
 		t.Fatalf("share = %d, want 125", b.Share(Batch))
 	}
@@ -38,33 +38,8 @@ func TestSessionBrokerStaticShareDeterministic(t *testing.T) {
 	}
 }
 
-func TestSessionBrokerGreedyAdaptive(t *testing.T) {
-	b := NewUnreservedBroker(100, 4, Greedy)
-	g1, err := b.Reserve(context.Background(), Batch, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g1 != 100 {
-		t.Fatalf("lone greedy grant = %d, want all 100", g1)
-	}
-	// A second query blocks until the first releases.
-	got := make(chan int, 1)
-	go func() {
-		g, err := b.Reserve(context.Background(), Batch, 0)
-		if err != nil {
-			t.Error(err)
-		}
-		got <- g
-	}()
-	b.Release(Batch, g1)
-	if g2 := <-got; g2 != 100 {
-		t.Fatalf("second greedy grant = %d, want 100", g2)
-	}
-	b.Release(Batch, 100)
-}
-
 func TestSessionBrokerExplicitWantAndFIFO(t *testing.T) {
-	b := NewUnreservedBroker(100, 4, StaticShare)
+	b := NewUnreservedBroker(100, 4)
 	g, err := b.Reserve(context.Background(), Batch, 60)
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +84,7 @@ func TestSessionBrokerExplicitWantAndFIFO(t *testing.T) {
 }
 
 func TestSessionBrokerCancelWhileQueued(t *testing.T) {
-	b := NewUnreservedBroker(10, 1, StaticShare)
+	b := NewUnreservedBroker(10, 1)
 	g, err := b.Reserve(context.Background(), Batch, 10)
 	if err != nil {
 		t.Fatal(err)
@@ -132,39 +107,37 @@ func TestSessionBrokerCancelWhileQueued(t *testing.T) {
 }
 
 // TestBrokerNeverOverGrants hammers the broker from many goroutines with
-// random explicit and policy-default requests and asserts the high-water
+// random explicit and default-share requests and asserts the high-water
 // mark of simultaneously granted pages never exceeds the budget.
 func TestSessionBrokerNeverOverGrants(t *testing.T) {
-	for _, policy := range []Policy{StaticShare, Greedy} {
-		b := NewUnreservedBroker(64, 6, policy)
-		var wg sync.WaitGroup
-		for w := 0; w < 12; w++ {
-			w := w
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(int64(w)))
-				for i := 0; i < 200; i++ {
-					want := 0
-					if rng.Intn(2) == 0 {
-						want = 2 + rng.Intn(40)
-					}
-					g, err := b.Reserve(context.Background(), Batch, want)
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					b.Release(Batch, g)
+	b := NewUnreservedBroker(64, 6)
+	var wg sync.WaitGroup
+	for w := 0; w < 12; w++ {
+		w := w
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for i := 0; i < 200; i++ {
+				want := 0
+				if rng.Intn(2) == 0 {
+					want = 2 + rng.Intn(40)
 				}
-			}()
-		}
-		wg.Wait()
-		if b.Peak() > b.Total() {
-			t.Fatalf("policy %v over-granted: peak %d > total %d", policy, b.Peak(), b.Total())
-		}
-		if b.Granted() != 0 {
-			t.Fatalf("policy %v leaked %d pages", policy, b.Granted())
-		}
+				g, err := b.Reserve(context.Background(), Batch, want)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				b.Release(Batch, g)
+			}
+		}()
+	}
+	wg.Wait()
+	if b.Peak() > b.Total() {
+		t.Fatalf("over-granted: peak %d > total %d", b.Peak(), b.Total())
+	}
+	if b.Granted() != 0 {
+		t.Fatalf("leaked %d pages", b.Granted())
 	}
 }
 

@@ -25,7 +25,7 @@ type Grant struct {
 
 // ReserveGrant is Reserve returning a revocable Grant instead of a bare
 // page count. The same admission rules apply: want == 0 requests the
-// policy default, waiters queue FIFO within the class.
+// class's share, waiters queue FIFO within the class.
 func (b *Broker) ReserveGrant(ctx context.Context, class Class, want int) (*Grant, error) {
 	if !class.Valid() {
 		class = Batch

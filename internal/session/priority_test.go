@@ -151,7 +151,7 @@ func TestSchedulerOverloadErrorClass(t *testing.T) {
 func TestBrokerClassReservation(t *testing.T) {
 	var reserved [NumClasses]int
 	reserved[Interactive] = 40
-	b := NewBroker(100, 2, StaticShare, reserved)
+	b := NewBroker(100, 2, reserved)
 	if b.Reserved(Interactive) != 40 || b.Reserved(Batch) != 0 {
 		t.Fatalf("reservations = %d/%d", b.Reserved(Interactive), b.Reserved(Batch))
 	}
@@ -194,7 +194,7 @@ func TestBrokerStaticSharesAlwaysFit(t *testing.T) {
 	reserved[Interactive] = 64
 	reserved[Batch] = 16
 	const slots = 4
-	b := NewBroker(256, slots, StaticShare, reserved)
+	b := NewBroker(256, slots, reserved)
 	for k := 0; k <= slots; k++ { // k interactive, slots-k batch
 		var grants []int
 		var classes []Class

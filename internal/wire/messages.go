@@ -11,7 +11,7 @@ import (
 type Hello struct {
 	Version  byte
 	Class    byte   // session class for queries that don't override
-	MinPages uint32 // 0 = the broker's policy default
+	MinPages uint32 // 0 = the broker's default share
 }
 
 // EncodeHello renders a HELLO payload.

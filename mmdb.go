@@ -18,22 +18,22 @@
 //     transactions, partitioned logs, stable-memory log compression,
 //     fuzzy checkpointing and crash recovery.
 //
-// Start with Open, load relations, then use Join, Aggregate, Lookup, and
-// Plan. The cmd/mmdbench binary regenerates every table and figure of the
-// paper; see EXPERIMENTS.md for the measured results.
+// Start with Open and load relations, then query them in SQL
+// (Database.Query, docs/SQL.md) or, for the operators themselves, on a
+// Session (Join, OrderBy, Plan). The cmd/mmdbench binary regenerates every
+// table and figure of the paper; see EXPERIMENTS.md for the measured
+// results.
 package mmdb
 
 import (
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"mmdb/internal/catalog"
 	"mmdb/internal/cost"
 	"mmdb/internal/fault"
-	"mmdb/internal/heap"
 	"mmdb/internal/lock"
 	"mmdb/internal/session"
 	"mmdb/internal/simio"
@@ -130,26 +130,11 @@ type Options struct {
 	// (Classes[Interactive], Classes[Batch]). Zero values inherit the
 	// global defaults; see ClassConfig.
 	Classes [NumClasses]ClassConfig
-	// MemoryPolicy selects how the broker sizes per-query memory grants
-	// out of MemoryPages. The default, MemoryStatic, gives every query
-	// MemoryPages/MaxConcurrentQueries — deterministic, so per-query
-	// virtual-clock accounting is bit-identical however queries overlap.
-	// MemoryGreedy adapts grants to instantaneous load instead.
-	MemoryPolicy MemoryPolicy
 	// QueryTimeout, when positive, bounds each session's total time
 	// (queueing included) unless its context already carries an earlier
 	// deadline.
 	QueryTimeout time.Duration
 }
-
-// MemoryPolicy selects the broker's grant sizing (see Options).
-type MemoryPolicy = session.Policy
-
-// Memory policies.
-const (
-	MemoryStatic = session.StaticShare
-	MemoryGreedy = session.Greedy
-)
 
 // QueryClass is an admission priority class; sessions carry one
 // (WithClass) and the scheduler and broker treat classes separately.
@@ -186,10 +171,10 @@ type ClassConfig struct {
 	Weight int
 	// ReservedPages sets aside that many of MemoryPages for exclusive
 	// use by this class's memory grants: other classes' grants can never
-	// draw them, so bulk work cannot starve this class of |M|. Under the
-	// static policy a class's grant is
-	// (general + reserved)/MaxConcurrentQueries, which keeps any
-	// admitted mix fitting without memory waits. 0 means no reservation.
+	// draw them, so bulk work cannot starve this class of |M|. A class's
+	// default grant is (general + reserved)/MaxConcurrentQueries, which
+	// keeps any admitted mix fitting without memory waits. 0 means no
+	// reservation.
 	ReservedPages int
 }
 
@@ -287,14 +272,12 @@ type Database struct {
 	// intent; it may fail (a fenced or just-demoted primary), failing the
 	// mutating call. readOnly marks a replica database: exclusive intents
 	// are refused at the lock layer except for the replication applier
-	// (which locks through applierCtx) and adopted planner outputs
-	// (registered in localRes). Both are atomic because
-	// promotion flips them at runtime while sessions are live; cluster
-	// back-points to the owning Cluster so refusals can carry the current
-	// epoch and primary hint.
+	// (which locks through applierCtx). Both are atomic because promotion
+	// flips them at runtime while sessions are live; cluster back-points
+	// to the owning Cluster so refusals can carry the current epoch and
+	// primary hint.
 	ship     atomic.Pointer[shipFn]
 	readOnly atomic.Bool
-	localRes sync.Map // resource id -> struct{}: replica-local relations
 	cluster  *Cluster // set once at OpenCluster, before any use
 }
 
@@ -378,7 +361,7 @@ func Open(opts Options) (*Database, error) {
 		disk:   disk,
 		cat:    catalog.New(disk),
 		sched:  session.NewScheduler(opts.MaxConcurrentQueries, opts.PickPolicy, limits),
-		broker: session.NewBroker(opts.MemoryPages, opts.MaxConcurrentQueries, opts.MemoryPolicy, reserved),
+		broker: session.NewBroker(opts.MemoryPages, opts.MaxConcurrentQueries, reserved),
 		locks:  session.NewLockTable(),
 	}, nil
 }
@@ -474,50 +457,25 @@ func (db *Database) dropRelation(applier bool, name string) error {
 	}
 	defer unlock()
 	// Ship before dropping: a refused ship (fenced primary) must leave
-	// the relation in place, and drops of local-only relations
-	// (adopted files) must not reach replicas — shipOp
-	// checks the local marker before it is forgotten. The existence
-	// check first keeps a nonexistent-relation error from replicating.
+	// the relation in place. The existence check first keeps a
+	// nonexistent-relation error from replicating.
 	if _, err := db.cat.Get(name); err != nil {
 		return err
 	}
 	if err := db.shipOp(applier, shipOp{kind: opDropRelation, rel: name}); err != nil {
 		return err
 	}
-	if err := db.cat.Drop(name); err != nil {
-		return err
-	}
-	db.localRes.Delete(catalog.ResourceID(name))
-	return nil
+	return db.cat.Drop(name)
 }
 
-// adoptFile registers an internally produced heap file (for tests, the
-// workload generators, and planner outputs). Adopted files are always
-// database-local: they never replicate — a cluster primary's planner
-// outputs don't exist on replicas, so their mutations and drops must
-// not ship — and on a replica they mark relations the producing session
-// may mutate and drop despite the read-only guard.
-func (db *Database) adoptFile(f *heap.File) (*Relation, error) {
-	r, err := db.cat.Adopt(f)
-	if err != nil {
-		return nil, err
-	}
-	db.localRes.Store(catalog.ResourceID(r.Name), struct{}{})
-	return &Relation{db: db, rel: r}, nil
-}
-
-// shipOp forwards a mutation to the cluster ship hook, if any. Local
-// (adopted) relations stay local: every database — primary or replica —
-// materializes its own. A ship refusal (the database was fenced
-// or demoted mid-call) fails the mutation. applier is set for a mutation
-// the replication applier itself made: it never ships onward.
+// shipOp forwards a mutation to the cluster ship hook, if any. A ship
+// refusal (the database was fenced or demoted mid-call) fails the
+// mutation. applier is set for a mutation the replication applier itself
+// made: it never ships onward.
 func (db *Database) shipOp(applier bool, op shipOp) error {
 	fn := db.ship.Load()
 	if fn == nil && (!db.readOnly.Load() || applier) {
 		return nil // unreplicated database, or the applier's own op
-	}
-	if _, ok := db.localRes.Load(catalog.ResourceID(op.rel)); ok {
-		return nil
 	}
 	if fn == nil {
 		// No hook on a read-only database: a client writer that passed

@@ -1,6 +1,7 @@
 package mmdb
 
 import (
+	"context"
 	"fmt"
 	"testing"
 )
@@ -63,6 +64,32 @@ func loadCompany(t *testing.T, db *Database, nEmp, nDept int) (*Relation, *Relat
 		t.Fatal(err)
 	}
 	return emp, dept
+}
+
+// oneShotJoin runs Session.Join in a session of its own, closed before
+// it returns, so the join's charge is in the database clock.
+func oneShotJoin(ctx context.Context, db *Database, alg JoinAlgorithm, left, right, leftCol, rightCol string, emit func(l, r Tuple)) (JoinResult, error) {
+	var res JoinResult
+	err := db.withSession(ctx, func(s *Session) (err error) {
+		res, err = s.Join(alg, left, right, leftCol, rightCol, emit)
+		return err
+	})
+	return res, err
+}
+
+// empDeptJoin is the tests' stock query: emp ⋈ dept on emp.dept = dept.id.
+func empDeptJoin(db *Database, alg JoinAlgorithm) (JoinResult, error) {
+	return oneShotJoin(context.Background(), db, alg, "emp", "dept", "dept", "id", nil)
+}
+
+// count runs a SQL SELECT and returns its row count.
+func count(t *testing.T, db *Database, q string) int {
+	t.Helper()
+	res, err := db.Query(q)
+	if err != nil {
+		t.Fatalf("%s: %v", q, err)
+	}
+	return len(res.Rows)
 }
 
 func TestOpenValidation(t *testing.T) {
@@ -159,7 +186,7 @@ func TestJoinAllAlgorithmsAgree(t *testing.T) {
 	loadCompany(t, db, 300, 7)
 	var base int64 = -1
 	for _, alg := range []JoinAlgorithm{AutoJoin, NestedLoops, SortMerge, SimpleHash, GraceHash, HybridHash} {
-		res, err := db.Join(alg, "emp", "dept", "dept", "id", nil)
+		res, err := empDeptJoin(db, alg)
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}
@@ -171,7 +198,7 @@ func TestJoinAllAlgorithmsAgree(t *testing.T) {
 		}
 	}
 	// Auto picks hybrid per §4.
-	res, _ := db.Join(AutoJoin, "emp", "dept", "dept", "id", nil)
+	res, _ := empDeptJoin(db, AutoJoin)
 	if res.Algorithm != HybridHash {
 		t.Fatalf("auto chose %v", res.Algorithm)
 	}
@@ -183,7 +210,7 @@ func TestJoinSwapsBuildSide(t *testing.T) {
 	// dept is smaller: passing it second must still produce (emp, dept)
 	// pairs to the caller in the declared order.
 	sawEmpLeft := true
-	res, err := db.Join(HybridHash, "emp", "dept", "dept", "id", func(l, r Tuple) {
+	res, err := oneShotJoin(context.Background(), db, HybridHash, "emp", "dept", "dept", "id", func(l, r Tuple) {
 		if len(l) != empSchema().Width() || len(r) != deptSchema().Width() {
 			sawEmpLeft = false
 		}
@@ -199,30 +226,40 @@ func TestJoinSwapsBuildSide(t *testing.T) {
 func TestAggregateAndDistinct(t *testing.T) {
 	db := openTestDB(t)
 	loadCompany(t, db, 100, 4)
-	groups, err := db.Aggregate("emp", "dept", "salary")
+	res, err := db.Query("SELECT dept, COUNT(*), AVG(salary) FROM emp GROUP BY dept")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(groups) != 4 {
-		t.Fatalf("%d groups", len(groups))
+	if len(res.Rows) != 4 {
+		t.Fatalf("%d groups", len(res.Rows))
 	}
 	var total int64
-	for _, g := range groups {
-		total += g.Count
-		if g.Value(Avg) < 1000 || g.Value(Avg) > 1500 {
-			t.Fatalf("suspicious avg %f", g.Value(Avg))
+	for _, g := range res.Values() {
+		total += g[1].I
+		if avg := g[2].F; avg < 1000 || avg > 1500 {
+			t.Fatalf("suspicious avg %f", avg)
 		}
 	}
 	if total != 100 {
 		t.Fatalf("group counts sum to %d", total)
 	}
-	distinct, err := db.Distinct("emp", "dept")
+	if n := count(t, db, "SELECT dept FROM emp GROUP BY dept"); n != 4 {
+		t.Fatalf("%d distinct depts", n)
+	}
+}
+
+// planInSession plans q under mode on a session of its own.
+func planInSession(t *testing.T, db *Database, q Query, mode PlanMode) *QueryPlan {
+	t.Helper()
+	var qp *QueryPlan
+	err := db.withSession(context.Background(), func(s *Session) (err error) {
+		qp, err = s.Plan(q, mode)
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(distinct) != 4 {
-		t.Fatalf("%d distinct depts", len(distinct))
-	}
+	return qp
 }
 
 func TestPlanAndExecute(t *testing.T) {
@@ -235,49 +272,31 @@ func TestPlanAndExecute(t *testing.T) {
 		},
 		Joins: []QueryJoin{{LeftTable: 0, LeftCol: "dept", RightTable: 1, RightCol: "id"}},
 	}
-	full, err := db.Plan(q, FullSelinger)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hash, err := db.Plan(q, HashOnly)
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := planInSession(t, db, q, FullSelinger)
+	hash := planInSession(t, db, q, HashOnly)
 	if hash.PlansConsidered >= full.PlansConsidered {
 		t.Fatalf("no search reduction: %d vs %d", hash.PlansConsidered, full.PlansConsidered)
 	}
-	res, err := hash.Execute()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.NumTuples() != 400 {
-		t.Fatalf("plan produced %d rows, want 400", res.NumTuples())
+	if n := count(t, db, "SELECT * FROM emp JOIN dept ON emp.dept = dept.id"); n != 400 {
+		t.Fatalf("join produced %d rows, want 400", n)
 	}
 }
 
 func TestPlanWithFilter(t *testing.T) {
 	db := MustOpen(Options{PageSize: 512, MemoryPages: 64})
-	emp, _ := loadCompany(t, db, 400, 8)
-	sc := emp.Schema()
+	loadCompany(t, db, 400, 8)
 	q := Query{
-		Tables: []QueryTable{
-			{Relation: "emp", Selectivity: 0.125, Filter: func(tp Tuple) bool {
-				return sc.Int(tp, 1) == 3 // one department
-			}},
-			{Relation: "dept"},
-		},
-		Joins: []QueryJoin{{LeftTable: 0, LeftCol: "dept", RightTable: 1, RightCol: "id"}},
+		Tables: []QueryTable{{Relation: "emp"}, {Relation: "dept"}},
+		Joins:  []QueryJoin{{LeftTable: 0, LeftCol: "dept", RightTable: 1, RightCol: "id"}},
 	}
-	plan, err := db.Plan(q, HashOnly)
-	if err != nil {
-		t.Fatal(err)
+	whole := planInSession(t, db, q, HashOnly)
+	q.Tables[0].Where = db.MustWhere("emp", "dept", Eq, IntValue(3)) // one department
+	filtered := planInSession(t, db, q, HashOnly)
+	if filtered.EstimatedCPU >= whole.EstimatedCPU {
+		t.Fatalf("selection did not cheapen the plan: CPU %g vs %g", filtered.EstimatedCPU, whole.EstimatedCPU)
 	}
-	res, err := plan.Execute()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.NumTuples() != 50 {
-		t.Fatalf("filtered join produced %d rows, want 50", res.NumTuples())
+	if n := count(t, db, "SELECT * FROM emp JOIN dept ON emp.dept = dept.id WHERE emp.dept = 3"); n != 50 {
+		t.Fatalf("filtered join produced %d rows, want 50", n)
 	}
 }
 
@@ -323,11 +342,15 @@ func TestOrderByStreamsSorted(t *testing.T) {
 	rel.Flush()
 	db.ResetClock()
 	var got []int64
-	err = db.OrderBy("n", "x", func(tp Tuple) bool {
-		got = append(got, rel.Schema().Int(tp, 0))
-		return true
-	})
-	if err != nil {
+	orderBy := func(column string) error {
+		return db.withSession(context.Background(), func(s *Session) error {
+			return s.OrderBy("n", column, func(tp Tuple) bool {
+				got = append(got, rel.Schema().Int(tp, 0))
+				return true
+			})
+		})
+	}
+	if err := orderBy("x"); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != n {
@@ -341,7 +364,7 @@ func TestOrderByStreamsSorted(t *testing.T) {
 	if db.Counters().SeqIOs == 0 {
 		t.Fatal("external sort charged no run IO at 4 memory pages")
 	}
-	if err := db.OrderBy("n", "nope", func(Tuple) bool { return true }); err == nil {
+	if err := orderBy("nope"); err == nil {
 		t.Fatal("bad column accepted")
 	}
 }
@@ -363,27 +386,27 @@ func TestPredicatesAndSelect(t *testing.T) {
 		t.Fatal(p.Err())
 	}
 
-	// Oracle by scan.
-	want := 0
+	// Oracle by scan; the predicate and the same SQL WHERE agree with it.
+	want, matched, unmatched := 0, 0, 0
 	emp.Scan(func(tp Tuple) bool {
 		if emp.Schema().Int(tp, 2) >= 1100 && emp.Schema().Int(tp, 1) == 3 {
 			want++
 		}
+		if p.Match(tp) {
+			matched++
+		}
+		if p.Not().Match(tp) {
+			unmatched++
+		}
 		return true
 	})
-	got := 0
-	if err := emp.Select(p, func(Tuple) bool { got++; return true }); err != nil {
-		t.Fatal(err)
+	got := count(t, db, "SELECT * FROM emp WHERE salary >= 1100 AND dept = 3")
+	if got != want || matched != want || want == 0 {
+		t.Fatalf("SQL matched %d, predicate %d, oracle %d", got, matched, want)
 	}
-	if got != want || want == 0 {
-		t.Fatalf("select matched %d, oracle %d", got, want)
-	}
-
 	// Negation covers the complement.
-	not := 0
-	emp.Select(p.Not(), func(Tuple) bool { not++; return true })
-	if got+not != 200 {
-		t.Fatalf("p + !p covered %d of 200", got+not)
+	if matched+unmatched != 200 {
+		t.Fatalf("p + !p covered %d of 200", matched+unmatched)
 	}
 
 	// Cross-relation combination is an error.
@@ -391,8 +414,8 @@ func TestPredicatesAndSelect(t *testing.T) {
 	if bad := rich.And(other); bad.Err() == nil {
 		t.Fatal("cross-relation AND accepted")
 	}
-	if err := emp.Select(other, func(Tuple) bool { return true }); err == nil {
-		t.Fatal("foreign predicate accepted by Select")
+	if _, err := emp.DeleteWhere(other); err == nil {
+		t.Fatal("foreign predicate accepted by DeleteWhere")
 	}
 }
 
@@ -409,27 +432,22 @@ func TestHistogramSelectivityDrivesPlanning(t *testing.T) {
 		t.Fatalf("estimated selectivity %.3f, true ≈ 0.25", sel)
 	}
 	// Without a histogram the System R default (1/3) applies.
-	q := db.MustWhere("emp", "dept", Eq, IntValue(1))
-	if s := q.EstimatedSelectivity(); s != 0.1 {
+	if s := db.MustWhere("emp", "dept", Eq, IntValue(1)).EstimatedSelectivity(); s != 0.1 {
 		t.Fatalf("default Eq selectivity %.3f", s)
 	}
 
-	// The planner consumes the structured predicate end to end.
-	plan, err := db.Plan(Query{
-		Tables: []QueryTable{
-			{Relation: "emp", Where: p},
-			{Relation: "dept"},
-		},
-		Joins: []QueryJoin{{LeftTable: 0, LeftCol: "dept", RightTable: 1, RightCol: "id"}},
-	}, HashOnly)
-	if err != nil {
-		t.Fatal(err)
+	// The planner consumes the histogram estimate: the filtered plan is
+	// costed as cheaper than the whole join.
+	q := Query{
+		Tables: []QueryTable{{Relation: "emp"}, {Relation: "dept"}},
+		Joins:  []QueryJoin{{LeftTable: 0, LeftCol: "dept", RightTable: 1, RightCol: "id"}},
 	}
-	res, err := plan.Execute()
-	if err != nil {
-		t.Fatal(err)
+	whole := planInSession(t, db, q, HashOnly)
+	q.Tables[0].Where = p
+	if filtered := planInSession(t, db, q, HashOnly); filtered.EstimatedCPU >= whole.EstimatedCPU {
+		t.Fatalf("histogram estimate did not cheapen the plan: CPU %g vs %g", filtered.EstimatedCPU, whole.EstimatedCPU)
 	}
-	want := int64(0)
+	want := 0
 	emp, _ := db.Relation("emp")
 	emp.Scan(func(tp Tuple) bool {
 		if emp.Schema().Int(tp, 2) >= 1300 {
@@ -437,8 +455,8 @@ func TestHistogramSelectivityDrivesPlanning(t *testing.T) {
 		}
 		return true
 	})
-	if res.NumTuples() != want {
-		t.Fatalf("planned+filtered join produced %d rows, want %d", res.NumTuples(), want)
+	if n := count(t, db, "SELECT emp.id FROM emp JOIN dept ON emp.dept = dept.id WHERE salary >= 1300"); n != want {
+		t.Fatalf("filtered join produced %d rows, want %d", n, want)
 	}
 }
 
@@ -526,7 +544,7 @@ func TestVirtualClockAccounting(t *testing.T) {
 	db := openTestDB(t)
 	loadCompany(t, db, 300, 7)
 	db.ResetClock()
-	res, err := db.Join(HybridHash, "emp", "dept", "dept", "id", nil)
+	res, err := empDeptJoin(db, HybridHash)
 	if err != nil {
 		t.Fatal(err)
 	}

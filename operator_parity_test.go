@@ -1,0 +1,175 @@
+package mmdb
+
+import (
+	"context"
+	"fmt"
+	"hash/fnv"
+	"sort"
+	"testing"
+	"time"
+)
+
+// The operator calls the root package used to export beside SQL — the
+// Database and Cluster one-shot operators, Session.Aggregate/Distinct/
+// Select, Relation.Select, Database.Plan and QueryPlan.Execute — each map
+// to a SQL statement or a Session call. Every parityCase pins what the
+// removed call returned and charged on newLoweringDB, measured before it
+// was deleted; the replacement must return the same rows for the same
+// charges. (The Cluster forwarders routed to the Database calls, so the
+// Database rows cover them.)
+type parityCase struct {
+	removed string
+	run     func(*Database) ([]string, error) // the replacement, rows formatted
+	ordered bool                              // row order is part of the result
+
+	rows     int
+	digest   uint64 // FNV-64a over the rows, sorted unless ordered
+	counters Counters
+	elapsed  time.Duration
+	// extra is what the replacement charges beyond the removed call.
+	extra Counters
+}
+
+var parityCases = []parityCase{
+	{removed: "Database.Join(AutoJoin, emp, dept, dept, id)",
+		run: sessionRows(func(s *Session, out *[]string) error {
+			return pairRowsOf(s, AutoJoin, "emp", "dept", "dept", "id", out)
+		}),
+		rows: 600, digest: 0x5ddb5896aa657fbf, counters: Counters{Comps: 600, Hashes: 607, Moves: 7}, elapsed: 7403000},
+	{removed: "Database.Join(SortMerge, dept, emp, id, dept)",
+		run: sessionRows(func(s *Session, out *[]string) error {
+			return pairRowsOf(s, SortMerge, "dept", "emp", "id", "dept", out)
+		}),
+		rows: 600, digest: 0x7afb7671da0d115, counters: Counters{Comps: 6994, Swaps: 3821, SeqIOs: 205, RandIOs: 205}, elapsed: 7425242000},
+	{removed: "Database.Aggregate(emp, dept, salary)",
+		run:  sqlRows("SELECT dept, COUNT(*), SUM(salary), MIN(salary), MAX(salary) FROM emp GROUP BY dept"),
+		rows: 7, digest: 0xdb3f4faee2367651, counters: Counters{Comps: 593, Hashes: 600, Moves: 7}, elapsed: 7319000},
+	{removed: "Database.Distinct(emp, name)",
+		run:  sqlRows("SELECT name FROM emp GROUP BY name"),
+		rows: 53, digest: 0xe698364a49c3ff40, counters: Counters{Comps: 547, Hashes: 600, Moves: 53}, elapsed: 8101000},
+	{removed: "Database.Distinct(emp, dept)",
+		run:  sqlRows("SELECT dept FROM emp GROUP BY dept"),
+		rows: 7, digest: 0x2a1d5d04006775d1, counters: Counters{Comps: 593, Hashes: 600, Moves: 7}, elapsed: 7319000},
+	{removed: "Database.OrderBy(emp, salary)", ordered: true,
+		run:  sqlRows("SELECT * FROM emp ORDER BY salary"),
+		rows: 600, digest: 0xf08a8202a9300a78, counters: Counters{Comps: 7371, Swaps: 3631, SeqIOs: 104, RandIOs: 104}, elapsed: 3879973000},
+	{removed: "Session.Select(emp: salary >= 43000 AND id != 17)", ordered: true,
+		run:  sqlRows("SELECT * FROM emp WHERE salary >= 43000 AND id != 17"),
+		rows: 299, digest: 0x12b6b9d6870b88ce, counters: Counters{Comps: 1200, SeqIOs: 100}, elapsed: 1003600000},
+	{removed: "Relation.Select(dept: budget >= 300)", ordered: true,
+		run:  sqlRows("SELECT * FROM dept WHERE budget >= 300"),
+		rows: 5, digest: 0xe9248eb11f1adc4a, counters: Counters{Comps: 7, SeqIOs: 1}, elapsed: 10021000},
+	{removed: "Database.Plan(emp ⋈ dept[city = 'city3'] ⋈ proj, FullSelinger)",
+		run:  planRows(FullSelinger),
+		rows: 1, digest: 0x617c5708a630c21f},
+	{removed: "Database.Plan(emp ⋈ dept[city = 'city3'] ⋈ proj, HashOnly)",
+		run:  planRows(HashOnly),
+		rows: 1, digest: 0x7cd638c9377d7b5},
+	// Execute materialized the plan's output as a relation; the statement
+	// reads its output file once to emit the rows, one sequential IO per
+	// page of the 688-row result.
+	{removed: "QueryPlan.Execute(emp ⋈ dept[city = 'city3'] ⋈ proj, HashOnly)",
+		run:  sqlRows("SELECT emp.id, dept.id, proj.id FROM emp JOIN dept ON emp.dept = dept.id JOIN proj ON proj.dept = dept.id WHERE city = 'city3'"),
+		rows: 688, digest: 0xb33b4a20de772449, counters: Counters{Comps: 696, Hashes: 649, Moves: 9}, elapsed: 8109000,
+		extra: Counters{SeqIOs: 344}},
+}
+
+func sqlRows(q string) func(*Database) ([]string, error) {
+	return func(db *Database) ([]string, error) {
+		res, err := db.Query(q)
+		if err != nil {
+			return nil, err
+		}
+		var out []string
+		for _, v := range res.Values() {
+			out = append(out, fmt.Sprint(v))
+		}
+		return out, nil
+	}
+}
+
+// sessionRows runs fn in a session of its own, closed before the caller
+// reads the clock.
+func sessionRows(fn func(s *Session, out *[]string) error) func(*Database) ([]string, error) {
+	return func(db *Database) ([]string, error) {
+		var out []string
+		err := db.withSession(context.Background(), func(s *Session) error { return fn(s, &out) })
+		return out, err
+	}
+}
+
+// pairRowsOf joins left and right, one formatted row per emitted pair.
+func pairRowsOf(s *Session, alg JoinAlgorithm, left, right, leftCol, rightCol string, out *[]string) error {
+	ls, err := s.db.cat.Get(left)
+	if err != nil {
+		return err
+	}
+	rs, err := s.db.cat.Get(right)
+	if err != nil {
+		return err
+	}
+	_, err = s.Join(alg, left, right, leftCol, rightCol, func(l, r Tuple) {
+		*out = append(*out, fmt.Sprint(ls.Schema().Decode(l), rs.Schema().Decode(r)))
+	})
+	return err
+}
+
+// planRows plans emp ⋈ dept ⋈ proj with a selection on dept, the plan
+// rendered as one row.
+func planRows(mode PlanMode) func(*Database) ([]string, error) {
+	return sessionRows(func(s *Session, out *[]string) error {
+		qp, err := s.Plan(Query{
+			Tables: []QueryTable{
+				{Relation: "emp"},
+				{Relation: "dept", Where: s.db.MustWhere("dept", "city", Eq, StringValue("city3"))},
+				{Relation: "proj"},
+			},
+			Joins: []QueryJoin{
+				{LeftTable: 0, LeftCol: "dept", RightTable: 1, RightCol: "id"},
+				{LeftTable: 2, LeftCol: "dept", RightTable: 1, RightCol: "id"},
+			},
+		}, mode)
+		if err != nil {
+			return err
+		}
+		*out = append(*out, fmt.Sprint(qp.Order, qp.Weighted, qp.EstimatedCPU, qp.EstimatedIO, qp.StatesExplored, qp.PlansConsidered))
+		return nil
+	})
+}
+
+func digestRows(rows []string, ordered bool) uint64 {
+	if !ordered {
+		rows = append([]string(nil), rows...)
+		sort.Strings(rows)
+	}
+	h := fnv.New64a()
+	for _, r := range rows {
+		h.Write([]byte(r))
+		h.Write([]byte{'\n'})
+	}
+	return h.Sum64()
+}
+
+// TestOperatorSurfaceParity: each removed operator call's replacement
+// returns the rows it returned, for the six counters and the virtual time
+// it charged (plus the stated extra).
+func TestOperatorSurfaceParity(t *testing.T) {
+	for _, c := range parityCases {
+		db := newLoweringDB(t)
+		db.ResetClock()
+		rows, err := c.run(db)
+		if err != nil {
+			t.Fatalf("%s: %v", c.removed, err)
+		}
+		if len(rows) != c.rows || digestRows(rows, c.ordered) != c.digest {
+			t.Errorf("%s: %d rows (digest %#x), removed call returned %d (%#x)",
+				c.removed, len(rows), digestRows(rows, c.ordered), c.rows, c.digest)
+		}
+		if got := db.Counters().Sub(c.extra); got != c.counters {
+			t.Errorf("%s: charged %v beyond the stated extra, want %v", c.removed, got, c.counters)
+		}
+		if got, want := db.VirtualTime(), c.elapsed+c.extra.Time(db.Options().Params); got != want {
+			t.Errorf("%s: elapsed %v, want %v", c.removed, got, want)
+		}
+	}
+}

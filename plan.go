@@ -1,24 +1,18 @@
 package mmdb
 
 import (
-	"context"
 	"fmt"
 
-	"mmdb/internal/lock"
 	"mmdb/internal/planner"
-	"mmdb/internal/session"
 	"mmdb/internal/simio"
 )
 
 // QueryTable names a relation participating in a planned query, with an
-// optional pushed-down selection: either a structured Where predicate
-// (selectivity estimated from histograms) or a raw Filter with an
-// explicit Selectivity.
+// optional pushed-down selection whose selectivity is estimated from
+// histograms (Pred.EstimatedSelectivity).
 type QueryTable struct {
-	Relation    string
-	Where       *Pred            // optional structured predicate
-	Filter      func(Tuple) bool // optional raw predicate (ignored when Where is set)
-	Selectivity float64          // estimate for Filter; 0 means 1 (or Where's estimate)
+	Relation string
+	Where    *Pred // optional
 }
 
 // QueryJoin is one equi-join predicate between two query tables, by
@@ -49,10 +43,9 @@ const (
 	HashOnly
 )
 
-// QueryPlan is an optimized plan ready to execute.
+// QueryPlan is an optimized plan (Session.Plan); SQL executes the plans
+// it lowers a three-or-more-table join onto.
 type QueryPlan struct {
-	db    *Database
-	sess  *Session // non-nil when planned within a session
 	query planner.Query
 	plan  *planner.Plan
 
@@ -68,19 +61,8 @@ type QueryPlan struct {
 	StatesExplored, PlansConsidered int
 }
 
-// Plan optimizes the query under the given mode with W=1, costing against
-// the database's full MemoryPages (the serial path). For contention-aware
-// planning use Session.Plan, which costs against the session's grant.
-func (db *Database) Plan(q Query, mode PlanMode) (*QueryPlan, error) {
-	pq, err := db.buildPlannerQuery(q, db.opts.MemoryPages, nil)
-	if err != nil {
-		return nil, err
-	}
-	return db.finishPlan(pq, mode, nil)
-}
-
 // finishPlan runs the optimizer over a resolved planner query.
-func (db *Database) finishPlan(pq planner.Query, mode PlanMode, sess *Session) (*QueryPlan, error) {
+func finishPlan(pq planner.Query, mode PlanMode) (*QueryPlan, error) {
 	var p *planner.Plan
 	var err error
 	switch mode {
@@ -95,8 +77,6 @@ func (db *Database) finishPlan(pq planner.Query, mode PlanMode, sess *Session) (
 		return nil, err
 	}
 	qp := &QueryPlan{
-		db:              db,
-		sess:            sess,
 		query:           pq,
 		plan:            p,
 		EstimatedCPU:    p.CPU,
@@ -109,59 +89,10 @@ func (db *Database) finishPlan(pq planner.Query, mode PlanMode, sess *Session) (
 	return qp, nil
 }
 
-// Execute runs the plan and materializes the joined result as a new
-// relation named like "plan.join.N"; it returns the handle.
-//
-// A plan produced by Session.Plan executes within its session: it is
-// already admitted, holds its relation intents, and runs against its
-// memory grant on its private clock. A plan produced by Database.Plan
-// admits a one-shot execution slot, takes shared intents on its tables,
-// and reserves the full |M| it was costed against before running.
-func (qp *QueryPlan) Execute() (*Relation, error) {
-	if qp.sess != nil {
-		out, err := planner.Execute(qp.query, qp.plan)
-		if err != nil {
-			return nil, err
-		}
-		// Re-home the materialized result onto the base disk so later
-		// queries over it charge the global clock, then register it.
-		based, err := out.OnDisk(qp.db.disk)
-		if err != nil {
-			return nil, err
-		}
-		return qp.db.adoptFile(based)
-	}
-	ctx := context.Background()
-	if _, err := qp.db.sched.Admit(ctx, session.Batch); err != nil {
-		return nil, err
-	}
-	defer qp.db.sched.Done(session.Batch)
-	granted, err := qp.db.broker.Reserve(ctx, session.Batch, qp.query.M)
-	if err != nil {
-		return nil, err
-	}
-	defer qp.db.broker.Release(session.Batch, granted)
-	names := make([]string, len(qp.query.Tables))
-	for i, t := range qp.query.Tables {
-		names[i] = t.Name
-	}
-	unlock, err := qp.db.lockRelations(ctx, lock.Shared, names...)
-	if err != nil {
-		return nil, err
-	}
-	defer unlock()
-	out, err := planner.Execute(qp.query, qp.plan)
-	if err != nil {
-		return nil, err
-	}
-	return qp.db.adoptFile(out)
-}
-
 // buildPlannerQuery resolves names against the catalog and computes the
 // statistics the optimizer needs (distinct join-key counts). The planner
-// sees m as its |M| — the session's grant, or the global MemoryPages on
-// the serial path — and, when view is non-nil, per-session heap-file
-// views whose IO charges the session clock.
+// sees m, the session's grant, as its |M|, and heap-file views on the
+// session's disk view, so execution IO charges the session clock.
 func (db *Database) buildPlannerQuery(q Query, m int, view *simio.Disk) (planner.Query, error) {
 	if len(q.Tables) == 0 {
 		return planner.Query{}, fmt.Errorf("mmdb: query with no tables")
@@ -237,34 +168,24 @@ func (db *Database) buildPlannerQuery(q Query, m int, view *simio.Disk) (planner
 		for cl, col := range classCols {
 			distinct[cl] = stats.Distinct[col]
 		}
-		filter := qt.Filter
-		sel := qt.Selectivity
-		if qt.Where != nil {
-			if err := qt.Where.Err(); err != nil {
+		var filter func(Tuple) bool
+		sel := 1.0
+		if w := qt.Where; w != nil {
+			if err := w.Err(); err != nil {
 				return planner.Query{}, err
 			}
-			if qt.Where.rel != rel {
+			if w.rel != rel {
 				return planner.Query{}, fmt.Errorf("mmdb: table %d predicate is over %q, not %q",
-					i, qt.Where.rel.Name, qt.Relation)
+					i, w.rel.Name, qt.Relation)
 			}
-			w := qt.Where
 			filter = w.Match
-			if sel == 0 {
-				sel = w.EstimatedSelectivity()
-				if sel <= 0 {
-					sel = 1e-6 // "impossible" estimates still cost a scan
-				}
+			if sel = w.EstimatedSelectivity(); sel <= 0 {
+				sel = 1e-6 // "impossible" estimates still cost a scan
 			}
 		}
-		if sel == 0 {
-			sel = 1
-		}
-		file := rel.File
-		if view != nil {
-			file, err = rel.File.OnDisk(view)
-			if err != nil {
-				return planner.Query{}, err
-			}
+		file, err := rel.File.OnDisk(view)
+		if err != nil {
+			return planner.Query{}, err
 		}
 		tables[i] = planner.Table{
 			Name:          qt.Relation,

@@ -57,7 +57,7 @@ func runPriorityMix(t *testing.T, policy PickPolicy, interactiveClass QueryClass
 
 	// One serial join to measure the batch service time D.
 	start := time.Now()
-	if _, err := db.Join(HybridHash, "emp", "dept", "dept", "id", nil); err != nil {
+	if _, err := empDeptJoin(db, HybridHash); err != nil {
 		t.Fatal(err)
 	}
 	batchDur := time.Since(start)
@@ -70,7 +70,7 @@ func runPriorityMix(t *testing.T, policy PickPolicy, interactiveClass QueryClass
 		go func() {
 			defer wg.Done()
 			for !stop.Load() {
-				if _, err := db.Join(HybridHash, "emp", "dept", "dept", "id", nil); err != nil {
+				if _, err := empDeptJoin(db, HybridHash); err != nil {
 					t.Error(err)
 					return
 				}
@@ -82,7 +82,6 @@ func runPriorityMix(t *testing.T, policy PickPolicy, interactiveClass QueryClass
 		}()
 	}
 
-	pred := db.MustWhere("dept", "id", Ge, IntValue(0))
 	queued := make([]time.Duration, 0, 12)
 	for q := 0; q < 12; q++ {
 		for k := 0; k < 4; k++ { // think ≈ 4 batch completions
@@ -92,12 +91,12 @@ func runPriorityMix(t *testing.T, policy PickPolicy, interactiveClass QueryClass
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows := 0
-		if err := s.Select(pred, func(Tuple) bool { rows++; return true }); err != nil {
+		res, err := s.Query("SELECT * FROM dept WHERE id >= 0")
+		if err != nil {
 			t.Fatal(err)
 		}
-		if rows != 30 {
-			t.Fatalf("interactive select saw %d rows, want 30", rows)
+		if len(res.Rows) != 30 {
+			t.Fatalf("interactive select saw %d rows, want 30", len(res.Rows))
 		}
 		queued = append(queued, s.QueuedFor())
 		s.Close()
@@ -144,7 +143,7 @@ func TestPriorityWeightedFairServes(t *testing.T) {
 }
 
 // TestSessionFunctionalOptions exercises the redesigned NewSession API:
-// zero options keep the old behavior (Batch class, policy-default
+// zero options keep the old behavior (Batch class, the class's default
 // grant), WithClass and WithMinPages override it.
 func TestSessionFunctionalOptions(t *testing.T) {
 	db := openPriorityDB(t, StrictPriority)
@@ -252,32 +251,22 @@ func TestPriorityCountersMatchSerial(t *testing.T) {
 		loadCompany(t, db, 500, 10)
 		return db
 	}
-	batchQuery := func(db *Database) (JoinResult, error) {
-		var res JoinResult
-		err := db.withSession(context.Background(), func(s *Session) error {
-			var err error
-			res, err = s.Join(HybridHash, "emp", "dept", "dept", "id", nil)
-			return err
-		})
-		return res, err
-	}
+	batchQuery := func(db *Database) (JoinResult, error) { return empDeptJoin(db, HybridHash) }
 	type selResult struct {
 		rows     int
 		counters Counters
 	}
 	interactiveQuery := func(db *Database) (selResult, error) {
-		pred := db.MustWhere("dept", "id", Ge, IntValue(0))
 		s, err := db.NewSession(context.Background(), WithClass(Interactive))
 		if err != nil {
 			return selResult{}, err
 		}
 		defer s.Close()
-		var r selResult
-		if err := s.Select(pred, func(Tuple) bool { r.rows++; return true }); err != nil {
+		res, err := s.Query("SELECT * FROM dept WHERE id >= 0")
+		if err != nil {
 			return selResult{}, err
 		}
-		r.counters = s.Counters()
-		return r, nil
+		return selResult{rows: len(res.Rows), counters: s.Counters()}, nil
 	}
 
 	// Serial reference: same Options (slots included) so static grants

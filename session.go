@@ -5,9 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
-	"mmdb/internal/agg"
 	"mmdb/internal/catalog"
 	"mmdb/internal/cost"
 	"mmdb/internal/extsort"
@@ -19,6 +19,52 @@ import (
 	"mmdb/internal/simio"
 	"mmdb/internal/wal"
 )
+
+// JoinAlgorithm selects one of the §3 join implementations.
+type JoinAlgorithm = join.Algorithm
+
+// Join algorithms.
+const (
+	// AutoJoin lets the engine choose per §4: hybrid hash, always.
+	AutoJoin JoinAlgorithm = -1
+
+	NestedLoops = join.NestedLoops
+	SortMerge   = join.SortMerge
+	SimpleHash  = join.SimpleHash
+	GraceHash   = join.GraceHash
+	HybridHash  = join.HybridHash
+)
+
+// SortStats reports how one relation sort of the §3.4 machinery executed:
+// how many replacement-selection runs formed, how many streams the final
+// on-the-fly merge combined, whether intermediate merge passes were needed
+// (the deepest chain when the sort was chunked), and whether the relation
+// fit in memory outright.
+type SortStats struct {
+	Runs        int
+	FinalRuns   int
+	MergePasses int
+	Chunks      int // run-formation chunks (1 = the classic single queue)
+	InMemory    bool
+}
+
+// JoinResult reports an executed join.
+type JoinResult struct {
+	Algorithm  JoinAlgorithm
+	Matches    int64
+	Counters   Counters      // operations this join charged
+	Elapsed    time.Duration // virtual time consumed
+	Passes     int
+	Partitions int
+	// Degraded reports that the session's memory grant shrank mid-join
+	// and hybrid hash completed via the GRACE spill fallback — the
+	// result is still exact, the pressure cost extra IO passes.
+	Degraded bool
+	// SortR and SortS detail how sort-merge sorted each input (zero for
+	// the hash algorithms); SortR describes the build side after any
+	// smaller-relation swap.
+	SortR, SortS SortStats
+}
 
 // Session is one admitted query context: a scheduler slot, a memory grant
 // carved out of the database's MemoryPages, relation-level shared intents
@@ -55,12 +101,14 @@ type Session struct {
 // honoring ctx cancellation and deadlines; rejecting with an
 // *OverloadError wrapping ErrOverloaded when the class's wait queue is
 // full) and reserves a memory grant. Sessions default to the Batch class
-// and the policy-default grant; pass WithClass / WithMinPages to
+// and the class's default grant; pass WithClass / WithMinPages to
 // override:
 //
 //	s, err := db.NewSession(ctx, mmdb.WithClass(mmdb.Interactive))
 //
-// Close must be called when the session's queries are done.
+// Close must be called when the session's queries are done. A session
+// is the engine's one operator surface: SQL (Query), plus Join, OrderBy
+// and Plan, the operators the SQL lowering is built on.
 func (db *Database) NewSession(ctx context.Context, opts ...SessionOption) (*Session, error) {
 	cfg := resolveSessionConfig(opts)
 	var cancel context.CancelFunc
@@ -97,6 +145,18 @@ func (db *Database) NewSession(ctx context.Context, opts ...SessionOption) (*Ses
 		cancel:  cancel,
 		ctx:     ctx,
 	}, nil
+}
+
+// withSession runs fn inside a one-shot admitted session, closed (its
+// counters folded into the database clock) before it returns. One-shot
+// sessions admit under the Batch class unless opts say otherwise.
+func (db *Database) withSession(ctx context.Context, fn func(s *Session) error, opts ...SessionOption) error {
+	s, err := db.NewSession(ctx, opts...)
+	if err != nil {
+		return err
+	}
+	defer s.Close()
+	return fn(s)
 }
 
 // Close releases the session's locks, memory grant and scheduler slot and
@@ -179,8 +239,8 @@ func (s *Session) lockAndView(names ...string) ([]*catalog.Relation, []*heap.Fil
 }
 
 // Join runs an equijoin between two relations within the session's memory
-// grant, streaming joined pairs to emit (nil to count only). See
-// Database.Join.
+// grant, streaming joined pairs to emit (nil to count only). The smaller
+// relation is the build side; pairs still reach emit as (left, right).
 func (s *Session) Join(algorithm JoinAlgorithm, left, right, leftCol, rightCol string, emit func(l, r Tuple)) (JoinResult, error) {
 	rels, files, err := s.lockAndView(left, right)
 	if err != nil {
@@ -273,72 +333,12 @@ func (s *Session) runJoin(algorithm JoinAlgorithm, spec join.Spec, emit join.Emi
 	}
 }
 
-// Aggregate computes per-group count/sum/min/max/avg within the session's
-// memory grant. See Database.Aggregate.
-func (s *Session) Aggregate(relation, groupCol, valueCol string) ([]GroupRow, error) {
-	rels, files, err := s.lockAndView(relation)
-	if err != nil {
-		return nil, err
-	}
-	schema := rels[0].Schema()
-	gc := schema.FieldIndex(groupCol)
-	vc := schema.FieldIndex(valueCol)
-	if gc < 0 || vc < 0 {
-		return nil, fmt.Errorf("mmdb: %s lacks column %q or %q", relation, groupCol, valueCol)
-	}
-	res, err := agg.Hash(agg.Spec{
-		Input:       files[0],
-		GroupCol:    gc,
-		ValueCol:    vc,
-		M:           s.grant.Pages(),
-		F:           s.db.opts.Params.F,
-		Parallelism: s.db.opts.Parallelism,
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]GroupRow, len(res.Groups))
-	for i, g := range res.Groups {
-		out[i] = GroupRow(g)
-	}
-	return out, nil
-}
+var orderBySeq atomic.Uint64
 
-// Distinct returns the distinct values of a column within the session's
-// memory grant. See Database.Distinct.
-func (s *Session) Distinct(relation, column string) ([]Value, error) {
-	rels, files, err := s.lockAndView(relation)
-	if err != nil {
-		return nil, err
-	}
-	col := rels[0].Schema().FieldIndex(column)
-	if col < 0 {
-		return nil, fmt.Errorf("mmdb: %s has no column %q", relation, column)
-	}
-	return agg.Distinct(files[0], col, s.grant.Pages(), s.db.opts.Params.F, s.db.opts.Parallelism)
-}
-
-// Select scans the predicate's relation, streaming rows that satisfy p
-// to fn until it returns false — the short interactive lookup path, run
-// under the session's admission class with IO and comparisons charged to
-// the session clock. See Relation.Select for the serial equivalent.
-func (s *Session) Select(p *Pred, fn func(Tuple) bool) error {
-	if err := p.Err(); err != nil {
-		return err
-	}
-	_, files, err := s.lockAndView(p.rel.Name)
-	if err != nil {
-		return err
-	}
-	f := newFilter(p.inner)
-	return files[0].Scan(simio.Seq, func(t Tuple) bool {
-		return !f.pass(s.clock, t) || fn(t)
-	})
-}
-
-// OrderBy streams the relation's rows in ascending column order using the
-// §3.4 sort machinery within the session's memory grant. See
-// Database.OrderBy.
+// OrderBy streams the relation's rows in ascending column order to fn,
+// until it returns false, using the §3.4 sort machinery
+// (replacement-selection runs plus an n-way merge) within the session's
+// memory grant. Run IO is charged exactly as in the sort-merge join.
 func (s *Session) OrderBy(relation, column string, fn func(Tuple) bool) error {
 	rels, files, err := s.lockAndView(relation)
 	if err != nil {
@@ -394,5 +394,5 @@ func (s *Session) Plan(q Query, mode PlanMode) (*QueryPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.db.finishPlan(pq, mode, s)
+	return finishPlan(pq, mode)
 }

@@ -2,8 +2,8 @@ package mmdb
 
 // SessionOption configures one session at admission time. Options are
 // applied in order; the zero-option call db.NewSession(ctx) admits a
-// Batch-class session with the policy-default memory grant, exactly the
-// pre-option behavior.
+// Batch-class session with the class's default memory grant (its static
+// share of MemoryPages), exactly the pre-option behavior.
 type SessionOption func(*sessionConfig)
 
 // sessionConfig is the resolved per-session admission request.
@@ -21,7 +21,7 @@ func defaultSessionConfig() sessionConfig {
 // resolveSessionConfig folds opts over the default config: the one
 // resolution path shared by Database.NewSession and the Cluster's read
 // routing, so an option means the same thing everywhere it can appear —
-// NewSession, one-shot query methods, and the wire protocol's
+// NewSession, one-shot Query calls, and the wire protocol's
 // per-statement options.
 func resolveSessionConfig(opts []SessionOption) sessionConfig {
 	cfg := defaultSessionConfig()
@@ -45,10 +45,10 @@ func WithClass(c QueryClass) SessionOption {
 }
 
 // WithMinPages requests an explicit memory grant of at least n pages
-// instead of the policy default: the session's grant is exactly n,
+// instead of the default share: the session's grant is exactly n,
 // clamped to [2, the class's drawable pool]. Use it when a query was
 // costed against a specific |M| and must execute with it. n <= 0 keeps
-// the policy default.
+// the default.
 func WithMinPages(n int) SessionOption {
 	return func(cfg *sessionConfig) {
 		if n > 0 {

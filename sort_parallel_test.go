@@ -1,13 +1,13 @@
 package mmdb
 
-// Public-API determinism for the parallel sort: OrderBy and sort-merge
-// Join through the Database façade must produce bit-identical virtual
-// counters, sort telemetry, and output order at Parallelism 1, 2 and 8
-// when the SortChunks plan is pinned. This is the -race exercise for the
-// chunked formation workers, the merge-tree pumps, and the session clock
-// folding.
+// Public-API determinism for the parallel sort: Session.OrderBy and a
+// sort-merge Session.Join must produce bit-identical virtual counters,
+// sort telemetry, and output order at Parallelism 1, 2 and 8 when the
+// SortChunks plan is pinned. This is the -race exercise for the chunked
+// formation workers, the merge-tree pumps, and the session clock folding.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 )
@@ -73,14 +73,16 @@ func runSortAPI(t *testing.T, chunks, parallelism int) sortRun {
 	before := db.Counters()
 	var order []byte
 	schema := MustSchema(Field{Name: "key", Kind: Int64}, Field{Name: "seq", Kind: Int64})
-	err := db.OrderBy("events", "key", func(tp Tuple) bool {
-		order = fmt.Appendf(order, "%d,", schema.Int(tp, 0))
-		return true
+	err := db.withSession(context.Background(), func(s *Session) error {
+		return s.OrderBy("events", "key", func(tp Tuple) bool {
+			order = fmt.Appendf(order, "%d,", schema.Int(tp, 0))
+			return true
+		})
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	jr, err := db.Join(SortMerge, "ref", "events", "key", "key", nil)
+	jr, err := oneShotJoin(context.Background(), db, SortMerge, "ref", "events", "key", "key", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,8 +136,13 @@ func TestOrderByEarlyStopReleasesRuns(t *testing.T) {
 	for _, chunks := range []int{1, 8} {
 		db := loadSortTestDB(t, chunks, 4)
 		schema := MustSchema(Field{Name: "key", Kind: Int64}, Field{Name: "seq", Kind: Int64})
+		orderBy := func(fn func(Tuple) bool) error {
+			return db.withSession(context.Background(), func(s *Session) error {
+				return s.OrderBy("events", "key", fn)
+			})
+		}
 		var prefix []int64
-		err := db.OrderBy("events", "key", func(tp Tuple) bool {
+		err := orderBy(func(tp Tuple) bool {
 			prefix = append(prefix, schema.Int(tp, 0))
 			return len(prefix) < 10
 		})
@@ -143,7 +150,7 @@ func TestOrderByEarlyStopReleasesRuns(t *testing.T) {
 			t.Fatal(err)
 		}
 		var full []int64
-		err = db.OrderBy("events", "key", func(tp Tuple) bool {
+		err = orderBy(func(tp Tuple) bool {
 			full = append(full, schema.Int(tp, 0))
 			return true
 		})

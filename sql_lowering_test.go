@@ -179,9 +179,8 @@ func TestSQLSelectTakesNoExclusiveIntent(t *testing.T) {
 	}
 }
 
-// TestSelectConcurrentWithDelete is the -race exercise for
-// Relation.Select's shared intent: a DeleteWhere's File.Rewrite must not
-// run under a scan.
+// TestSelectConcurrentWithDelete is the -race exercise for a SELECT's
+// shared intent: a DeleteWhere's File.Rewrite must not run under a scan.
 func TestSelectConcurrentWithDelete(t *testing.T) {
 	db := newLoweringDB(t)
 	emp, err := db.Relation("emp")
@@ -198,9 +197,8 @@ func TestSelectConcurrentWithDelete(t *testing.T) {
 		}
 		done <- nil
 	}()
-	p := db.MustWhere("emp", "salary", Ge, IntValue(43000))
 	for i := 0; i < 50; i++ {
-		if err := emp.Select(p, func(Tuple) bool { return true }); err != nil {
+		if _, err := db.Query("SELECT * FROM emp WHERE salary >= 43000"); err != nil {
 			t.Fatal(err)
 		}
 	}

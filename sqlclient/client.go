@@ -60,7 +60,7 @@ func WithClass(c mmdb.QueryClass) Option { return func(cfg *config) { cfg.class 
 
 // WithMinPages sets the connection's default minimum memory grant in
 // pages (mmdb.WithMinPages on each server-side session). 0 keeps the
-// broker's policy default.
+// broker's default share.
 func WithMinPages(n int) Option { return func(cfg *config) { cfg.minPages = uint32(n) } }
 
 // WithReadPreference sets the connection's default read preference:

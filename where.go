@@ -6,8 +6,6 @@ import (
 	"mmdb/internal/catalog"
 	"mmdb/internal/cost"
 	"mmdb/internal/expr"
-	"mmdb/internal/lock"
-	"mmdb/internal/simio"
 )
 
 // CompareOp is a predicate comparison operator.
@@ -25,7 +23,7 @@ const (
 
 // Pred is a selection predicate bound to one relation. Build leaves with
 // Database.Where and combine with And/Or/Not; attach to QueryTable.Where
-// for planned queries or evaluate directly with Relation.Select.
+// for planned queries or pass to Relation.DeleteWhere.
 type Pred struct {
 	rel   *catalog.Relation
 	inner expr.Predicate
@@ -144,7 +142,7 @@ func (db *Database) BuildHistogram(relation, column string, buckets int) error {
 
 // filter is a predicate with its evaluation charge: one comparison per
 // leaf (min 1), counted once. Every charged predicate evaluation in the
-// engine — SQL WHERE, Session.Select, Relation.Select — goes through pass.
+// engine (a SQL WHERE) goes through pass.
 type filter struct {
 	pred   expr.Predicate
 	leaves int64
@@ -170,22 +168,4 @@ func (f filter) pass(clock *cost.Clock, t Tuple) bool {
 	}
 	clock.Comps(f.leaves)
 	return f.pred.Eval(t)
-}
-
-// Select scans the relation under a shared intent, streaming rows that
-// satisfy p to fn until it returns false. The scan charges sequential IO
-// per page and one comparison per predicate leaf evaluated.
-func (r *Relation) Select(p *Pred, fn func(Tuple) bool) error {
-	if p.err != nil {
-		return p.err
-	}
-	if p.rel != r.rel {
-		return fmt.Errorf("mmdb: predicate over %q used on %q", p.rel.Name, r.Name())
-	}
-	f := newFilter(p.inner)
-	return r.withIntent(lock.Shared, func() error {
-		return r.rel.File.Scan(simio.Seq, func(t Tuple) bool {
-			return !f.pass(r.db.clock, t) || fn(t)
-		})
-	})
 }
