@@ -79,7 +79,7 @@ func TestConcurrentMixedOperators(t *testing.T) {
 	}
 	for i := 0; i < 2; i++ {
 		run(func() error {
-			_, err := empDeptJoin(db, AutoJoin)
+			_, err := empDeptJoin(db, HybridHash)
 			return err
 		})
 		run(func() error {
@@ -178,7 +178,7 @@ func TestSessionBrokerNeverOverGrants(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := empDeptJoin(db, AutoJoin); err != nil {
+			if _, err := empDeptJoin(db, HybridHash); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -209,11 +209,11 @@ func TestSessionOverloaded(t *testing.T) {
 	if _, err := db.NewSession(context.Background()); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("second session: err=%v, want ErrOverloaded", err)
 	}
-	if _, err := empDeptJoin(db, AutoJoin); !errors.Is(err, ErrOverloaded) {
+	if _, err := empDeptJoin(db, HybridHash); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("query during held slot: err=%v, want ErrOverloaded", err)
 	}
 	s.Close()
-	if _, err := empDeptJoin(db, AutoJoin); err != nil {
+	if _, err := empDeptJoin(db, HybridHash); err != nil {
 		t.Fatalf("query after slot freed: %v", err)
 	}
 	if m := db.SessionMetrics(); m.Rejected != 2 {
@@ -234,7 +234,7 @@ func TestSessionQueueDeadline(t *testing.T) {
 	defer s.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	if _, err := oneShotJoin(ctx, db, AutoJoin, "emp", "dept", "dept", "id", nil); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := oneShotJoin(ctx, db, HybridHash, "emp", "dept", "dept", "id", nil); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("queued query: err=%v, want DeadlineExceeded", err)
 	}
 }
@@ -258,7 +258,7 @@ func TestSessionQueryTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if _, err := empDeptJoin(db, AutoJoin); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := empDeptJoin(db, HybridHash); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("timed-out query: err=%v, want DeadlineExceeded", err)
 	}
 }
@@ -295,7 +295,7 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
-				res, err := empDeptJoin(db, AutoJoin)
+				res, err := empDeptJoin(db, HybridHash)
 				if err != nil {
 					t.Error(err)
 					return
@@ -309,7 +309,7 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 	}
 	wg.Wait()
 
-	res, err := empDeptJoin(db, AutoJoin)
+	res, err := empDeptJoin(db, HybridHash)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 // Example builds a small database, joins two relations on a session with
-// the §4 automatic algorithm choice, and counts the same join in SQL.
+// hybrid hash, the §4 choice, and counts a selection in SQL.
 func Example() {
 	db := mmdb.MustOpen(mmdb.Options{MemoryPages: 64})
 
@@ -32,7 +32,7 @@ func Example() {
 	dept.Flush()
 
 	s, _ := db.NewSession(context.Background())
-	res, _ := s.Join(mmdb.AutoJoin, "emp", "dept", "dept", "id", nil)
+	res, _ := s.Join(mmdb.HybridHash, "emp", "dept", "dept", "id", nil)
 	s.Close()
 	fmt.Printf("%d matches via %v\n", res.Matches, res.Algorithm)
 

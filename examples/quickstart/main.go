@@ -78,13 +78,13 @@ func main() {
 	}
 	fmt.Println()
 
-	// Join with the engine's automatic algorithm choice (§4: hybrid hash),
-	// on a session so the result names the algorithm that ran.
+	// Join with hybrid hash (§4: with ample memory, the only algorithm worth
+	// planning for), on a session so the result reports what it charged.
 	s, err := db.NewSession(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := s.Join(mmdb.AutoJoin, "emp", "dept", "dept", "id", nil)
+	res, err := s.Join(mmdb.HybridHash, "emp", "dept", "dept", "id", nil)
 	s.Close()
 	if err != nil {
 		log.Fatal(err)

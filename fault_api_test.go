@@ -4,7 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
+	"sort"
+	"sync/atomic"
 	"testing"
+
+	"mmdb/internal/simio"
 )
 
 func pairSchema() *Schema {
@@ -14,11 +19,11 @@ func pairSchema() *Schema {
 	)
 }
 
-// loadPair loads two equally sized relations r and s whose keys collide
-// 5x5 per value: n tuples each over n/5 distinct keys.
-func loadPair(t *testing.T, db *Database, n int) {
+// loadKeyed loads equally sized relations whose keys collide 5x5 per
+// value between any two of them: n tuples each over n/5 distinct keys k.
+func loadKeyed(t *testing.T, db *Database, n int, names ...string) {
 	t.Helper()
-	for _, name := range []string{"r", "s"} {
+	for _, name := range names {
 		rel, err := db.CreateRelation(name, pairSchema())
 		if err != nil {
 			t.Fatal(err)
@@ -66,7 +71,7 @@ func TestShedMemoryDegradesJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loadPair(t, db, 500)
+	loadKeyed(t, db, 500, "r", "s")
 
 	base, err := db.NewSession(context.Background())
 	if err != nil {
@@ -127,7 +132,7 @@ func TestWithRetrySurvivesTransientFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loadPair(t, db, 500)
+	loadKeyed(t, db, 500, "r", "s")
 
 	base, err := db.NewSession(context.Background())
 	if err != nil {
@@ -171,7 +176,7 @@ func TestWithoutRetryTransientFaultSurfaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loadPair(t, db, 500)
+	loadKeyed(t, db, 500, "r", "s")
 	db.ArmFaults(NewFaultInjector(3).TransientAt("", 10, 12))
 	defer db.ArmFaults(nil)
 
@@ -197,7 +202,7 @@ func TestRetryDoesNotMaskPermanentFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loadPair(t, db, 500)
+	loadKeyed(t, db, 500, "r", "s")
 
 	inj := NewFaultInjector(5).PermanentAfter("", 10)
 	db.ArmFaults(inj)
@@ -225,5 +230,118 @@ func TestRetryDoesNotMaskPermanentFaults(t *testing.T) {
 	defer s2.Close()
 	if _, _, err := joinPairs(t, s2, GraceHash); err != nil {
 		t.Fatalf("disarmed database still failing: %v", err)
+	}
+}
+
+// sqlJoins are a two- and a three-table SQL join over loadKeyed's r, s and
+// u; at 200 tuples (10 pages) each against an 8-page grant, every step
+// partitions.
+var sqlJoins = []struct{ name, q string }{
+	{"two-table", "SELECT r.pad, s.pad FROM r JOIN s ON r.k = s.k"},
+	{"three-table", "SELECT r.pad, s.pad, u.pad FROM r JOIN s ON r.k = s.k JOIN u ON u.k = s.k"},
+}
+
+func openSQLJoinDB(t *testing.T) (*Database, map[string]*SQLResult) {
+	t.Helper()
+	db := MustOpen(Options{PageSize: 512, MemoryPages: 8})
+	loadKeyed(t, db, 200, "r", "s", "u")
+	want := map[string]*SQLResult{}
+	for _, c := range sqlJoins {
+		res, err := db.Query(c.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[c.name] = res
+	}
+	return db, want
+}
+
+// sameRows reports whether two results hold the same multiset of rows.
+func sameRows(a, b *SQLResult) bool {
+	rows := func(r *SQLResult) []string {
+		var out []string
+		for _, v := range r.Values() {
+			out = append(out, fmt.Sprint(v))
+		}
+		sort.Strings(out)
+		return out
+	}
+	return reflect.DeepEqual(rows(a), rows(b))
+}
+
+// shedOnIO sheds its session's grant to the floor at the first charged IO
+// after it is armed — from inside whatever statement the session runs.
+type shedOnIO struct{ s atomic.Pointer[Session] }
+
+func (h *shedOnIO) ChargedIO(string, simio.Access) simio.Outcome {
+	if s := h.s.Swap(nil); s != nil {
+		s.ShedMemory(1 << 20)
+	}
+	return simio.Outcome{}
+}
+
+// TestSQLJoinShedMemory: a grant shed from inside a SQL join reaches
+// every join step — the rows are the undisturbed ones, and the counters
+// show the spill.
+func TestSQLJoinShedMemory(t *testing.T) {
+	db, want := openSQLJoinDB(t)
+	for _, c := range sqlJoins {
+		t.Run(c.name, func(t *testing.T) {
+			s, err := db.NewSession(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			h := &shedOnIO{}
+			h.s.Store(s)
+			db.disk.SetInjector(h)
+			got, err := s.Query(c.q)
+			db.disk.SetInjector(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if h.s.Load() != nil || s.GrantedPages() != MinGrantPages {
+				t.Fatalf("grant %d pages: the statement never shed", s.GrantedPages())
+			}
+			if !sameRows(got, want[c.name]) {
+				t.Fatalf("shed grant returned %d rows, undisturbed %d, or other rows", len(got.Rows), len(want[c.name].Rows))
+			}
+			io := func(c Counters) int64 { return c.SeqIOs + c.RandIOs }
+			if io(got.Counters) <= io(want[c.name].Counters) {
+				t.Fatalf("shed grant charged %v, undisturbed %v: no spill", got.Counters, want[c.name].Counters)
+			}
+		})
+	}
+}
+
+// TestSQLJoinWithRetry: a transient burst that kills two attempts of a SQL
+// join is absorbed under WithRetry(2), returning the undisturbed rows, and
+// fails the statement without retry.
+func TestSQLJoinWithRetry(t *testing.T) {
+	db, want := openSQLJoinDB(t)
+	for _, c := range sqlJoins {
+		t.Run(c.name, func(t *testing.T) {
+			for _, retries := range []int{2, 0} {
+				inj := NewFaultInjector(3).TransientAt("", 10, 12)
+				db.ArmFaults(inj)
+				got, err := db.Query(c.q, WithRetry(retries))
+				db.ArmFaults(nil)
+				if retries == 0 {
+					if !errors.Is(err, ErrFaultTransient) {
+						t.Fatalf("without retry: %v, want the transient fault", err)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("retried query failed: %v", err)
+				}
+				if !sameRows(got, want[c.name]) {
+					t.Fatalf("retried join returned %d rows, undisturbed %d, or other rows", len(got.Rows), len(want[c.name].Rows))
+				}
+				if tr := inj.Stats().Transient; tr != 12 {
+					t.Fatalf("injected %d transients, want the whole burst of 12", tr)
+				}
+			}
+		})
 	}
 }

@@ -19,104 +19,73 @@ type ExecSource struct {
 
 var execSeq atomic.Uint64
 
-// Execute runs the plan against the tables' bound heap files, returning
-// the materialized result. Intermediate results are written uncharged (the
-// §3 convention); the joins themselves charge the disk's clock normally.
-func Execute(q Query, p *Plan) (*heap.File, error) {
-	q = q.withDefaults()
-	res, _, _, err := execNode(q, p.Root)
-	return res, err
+// Execute runs the plan's joins over the tables' bound heap files, each
+// step under spec's memory and execution settings (M, LiveM, F,
+// Parallelism, SortChunks; Execute fills in the step's inputs). Steps
+// below the root write their output to an intermediate, uncharged (the §3
+// convention) and dropped once the next step has read it. The root step
+// materializes nothing: root receives its two inputs — the left sub-plan
+// (the build-first plan order's tables but the last, each table's columns
+// contiguous) and the last table — and returns the emit their joined
+// pairs stream to, as (left, right).
+func Execute(q Query, p *Plan, spec join.Spec, root func(left, right *heap.File) (join.Emit, error)) error {
+	if p.Root == nil || p.Root.leaf() {
+		return fmt.Errorf("planner: plan has no join to execute")
+	}
+	_, err := execJoin(q, p.Root, spec, root)
+	return err
 }
 
-// execNode returns the node's materialized output, the class→column map
-// of its output schema, and whether the output is an intermediate this
-// execution created (a join output or a filtered leaf copy) rather than a
-// base relation's file. A join step drops its intermediate inputs once it
-// has consumed them, on error returns too, so only the root output
-// outlives Execute.
-func execNode(q Query, n *Node) (*heap.File, map[int]int, bool, error) {
-	if n == nil {
-		return nil, nil, false, fmt.Errorf("planner: nil plan node")
-	}
-	if n.leaf() {
-		return execLeaf(q, n.Table)
-	}
-	left, leftCols, leftOwned, err := execNode(q, n.Left)
+// execJoin runs join node n — its left sub-plan materialized first, its
+// right input a leaf — streaming the pairs to the emit sink returns for
+// the two inputs. It returns the class→column map of the pairs
+// concatenated left then right. A materialized left input is dropped on
+// return, on error too.
+func execJoin(q Query, n *Node, spec join.Spec, sink func(left, right *heap.File) (join.Emit, error)) (map[int]int, error) {
+	left, leftCols, drop, err := materialize(q, n.Left, spec)
 	if err != nil {
-		return nil, nil, false, err
+		return nil, err
 	}
-	if leftOwned {
-		defer left.Drop()
-	}
-	right, rightCols, rightOwned, err := execLeaf(q, n.Right)
+	defer drop()
+	right, rightCols, err := leaf(q, n.Right)
 	if err != nil {
-		return nil, nil, false, err
+		return nil, err
 	}
-	if rightOwned {
-		defer right.Drop()
-	}
-	out, outCols, err := joinStep(q, n, left, right, leftCols, rightCols)
-	return out, outCols, err == nil, err
-}
-
-// joinStep materializes one join of the plan into a fresh file.
-func joinStep(q Query, n *Node, left, right *heap.File, leftCols, rightCols map[int]int) (*heap.File, map[int]int, error) {
 	classes := connecting(q, maskOf(n.Left), n.Right)
 	if len(classes) == 0 {
-		return nil, nil, fmt.Errorf("planner: executing a Cartesian product is not supported")
+		return nil, fmt.Errorf("planner: executing a Cartesian product is not supported")
 	}
 	if len(classes) > 1 {
-		return nil, nil, fmt.Errorf("planner: join step touches %d attribute classes; execution supports single-attribute steps", len(classes))
+		return nil, fmt.Errorf("planner: join step touches %d attribute classes; execution supports single-attribute steps", len(classes))
 	}
 	cl := classes[0]
 	lc, ok := leftCols[cl]
 	if !ok {
-		return nil, nil, fmt.Errorf("planner: left side lacks a column for class %d", cl)
+		return nil, fmt.Errorf("planner: left side lacks a column for class %d", cl)
 	}
 	rc, ok := rightCols[cl]
 	if !ok {
-		return nil, nil, fmt.Errorf("planner: right side lacks a column for class %d", cl)
+		return nil, fmt.Errorf("planner: right side lacks a column for class %d", cl)
+	}
+	emit, err := sink(left, right)
+	if err != nil {
+		return nil, err
 	}
 
 	// Build side is the smaller input, as the algorithms assume |R|<=|S|.
-	rFile, sFile := left, right
-	rCol, sCol := lc, rc
-	swapped := false
-	if sFile.NumPages() < rFile.NumPages() {
-		rFile, sFile = sFile, rFile
-		rCol, sCol = rc, lc
-		swapped = true
+	spec.R, spec.S, spec.RCol, spec.SCol = left, right, lc, rc
+	swapped := right.NumPages() < left.NumPages()
+	if swapped {
+		spec.R, spec.S, spec.RCol, spec.SCol = right, left, rc, lc
 	}
-
-	outSchema, combine, err := tuple.Concat(left.Schema(), right.Schema(), "l.", "r.")
-	if err != nil {
-		return nil, nil, err
-	}
-	disk := left.Disk()
-	out, err := heap.Create(disk, fmt.Sprintf("plan.join.%d", execSeq.Add(1)), outSchema)
-	if err != nil {
-		return nil, nil, err
-	}
-	spec := join.Spec{R: rFile, S: sFile, RCol: rCol, SCol: sCol, M: q.M, F: q.Params.F, Parallelism: q.Parallelism, SortChunks: q.SortChunks}
-	var emitErr error
-	_, err = join.Run(n.Algorithm, spec, func(r, s tuple.Tuple) {
-		l, rr := r, s
+	if _, err := join.Run(n.Algorithm, spec, func(r, s tuple.Tuple) {
 		if swapped {
-			l, rr = s, r
+			emit(s, r)
+		} else {
+			emit(r, s)
 		}
-		if e := out.Append(combine(l, rr), simio.Uncharged); e != nil && emitErr == nil {
-			emitErr = e
-		}
-	})
-	if err == nil {
-		err = emitErr
-	}
-	if err == nil {
-		err = out.Flush(simio.Uncharged)
-	}
-	if err != nil {
-		out.Drop()
-		return nil, nil, err
+	}); err != nil {
+		return nil, err
 	}
 
 	// Secondary join classes on this step degrade to post-filters; with
@@ -131,42 +100,55 @@ func joinStep(q Query, n *Node, left, right *heap.File, leftCols, rightCols map[
 			outCols[c] = lw + i
 		}
 	}
-	return out, outCols, nil
+	return outCols, nil
 }
 
-// execLeaf binds a table: its base file when no selection is pushed onto
-// it, otherwise an owned (uncharged) copy of the rows that pass.
-func execLeaf(q Query, ti int) (*heap.File, map[int]int, bool, error) {
-	t := q.Tables[ti]
-	if t.Rel.File == nil {
-		return nil, nil, false, fmt.Errorf("planner: table %s has no storage binding", t.Name)
+// materialize returns node n's output as a file with its class→column
+// map: a leaf's bound file, or a join's pairs concatenated into a fresh
+// intermediate, written uncharged, which drop removes.
+func materialize(q Query, n *Node, spec join.Spec) (*heap.File, map[int]int, func(), error) {
+	if n.leaf() {
+		f, cols, err := leaf(q, n.Table)
+		return f, cols, func() {}, err
 	}
-	cols := t.Rel.ClassCols
-	if t.Filter == nil {
-		return t.Rel.File, cols, false, nil
-	}
-	disk := t.Rel.File.Disk()
-	out, err := heap.Create(disk, fmt.Sprintf("plan.scan.%d", execSeq.Add(1)), t.Rel.File.Schema())
-	if err != nil {
-		return nil, nil, false, err
-	}
-	scanErr := t.Rel.File.Scan(simio.Uncharged, func(tp tuple.Tuple) bool {
-		if t.Filter(tp) {
-			err = out.Append(tp.Clone(), simio.Uncharged)
+	var out *heap.File
+	var appendErr error
+	cols, err := execJoin(q, n, spec, func(left, right *heap.File) (join.Emit, error) {
+		schema, combine, err := tuple.Concat(left.Schema(), right.Schema(), "l.", "r.")
+		if err != nil {
+			return nil, err
 		}
-		return err == nil
+		if out, err = heap.Create(left.Disk(), fmt.Sprintf("plan.join.%d", execSeq.Add(1)), schema); err != nil {
+			return nil, err
+		}
+		return func(l, r tuple.Tuple) {
+			if appendErr == nil {
+				appendErr = out.Append(combine(l, r), simio.Uncharged)
+			}
+		}, nil
 	})
 	if err == nil {
-		err = scanErr
+		err = appendErr
 	}
 	if err == nil {
 		err = out.Flush(simio.Uncharged)
 	}
 	if err != nil {
-		out.Drop()
-		return nil, nil, false, err
+		if out != nil {
+			out.Drop()
+		}
+		return nil, nil, nil, err
 	}
-	return out, cols, true, nil
+	return out, cols, out.Drop, nil
+}
+
+// leaf returns table ti's bound file and class→column map.
+func leaf(q Query, ti int) (*heap.File, map[int]int, error) {
+	t := q.Tables[ti]
+	if t.Rel.File == nil {
+		return nil, nil, fmt.Errorf("planner: table %s has no storage binding", t.Name)
+	}
+	return t.Rel.File, t.Rel.ClassCols, nil
 }
 
 // maskOf reconstructs the table subset a sub-plan covers.

@@ -4,42 +4,61 @@ import (
 	"testing"
 
 	"mmdb/internal/cost"
+	"mmdb/internal/heap"
+	"mmdb/internal/join"
 	"mmdb/internal/simio"
 	"mmdb/internal/tuple"
 	"mmdb/internal/workload"
 )
 
-// execQuery builds a two-table query with real storage bindings.
-func execQuery(t *testing.T, filter bool) (Query, *simio.Disk) {
+// execQuery builds a two-table query with real storage bindings. With
+// filter, A is bound to the copy of its even-keyed rows, as a caller that
+// pushes a selection binds its filtered file.
+func execQuery(t *testing.T, filter bool) Query {
 	t.Helper()
 	clock := cost.NewClock(cost.DefaultParams())
 	disk := simio.NewDisk(clock, 512)
 	a := workload.MustGenerate(disk, workload.RelationSpec{Name: "A", Tuples: 200, KeyDomain: 40, PayloadWidth: 12, Seed: 61})
 	b := workload.MustGenerate(disk, workload.RelationSpec{Name: "B", Tuples: 60, KeyDomain: 40, PayloadWidth: 12, Seed: 62})
-	var f func(tuple.Tuple) bool
 	sel := 1.0
 	if filter {
 		sel = 0.5
+		even, err := heap.Create(disk, "A.even", a.Schema())
+		if err != nil {
+			t.Fatal(err)
+		}
 		sc := a.Schema()
-		f = func(tp tuple.Tuple) bool { return sc.Int(tp, 0)%2 == 0 }
+		a.Scan(simio.Uncharged, func(tp tuple.Tuple) bool {
+			if sc.Int(tp, 0)%2 == 0 {
+				err = even.Append(tp, simio.Uncharged)
+			}
+			return err == nil
+		})
+		if err == nil {
+			err = even.Flush(simio.Uncharged)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		a = even
 	}
 	return Query{
 		M: 16,
 		Tables: []Table{
 			{Name: "A", Tuples: 200, TuplesPerPage: a.TuplesPerPage(), Width: a.Schema().Width(),
-				Selectivity: sel, Filter: f,
-				Distinct: map[int]int64{0: 40},
-				Rel:      ExecSource{File: a, ClassCols: map[int]int{0: 0}}},
+				Selectivity: sel,
+				Distinct:    map[int]int64{0: 40},
+				Rel:         ExecSource{File: a, ClassCols: map[int]int{0: 0}}},
 			{Name: "B", Tuples: 60, TuplesPerPage: b.TuplesPerPage(), Width: b.Schema().Width(),
 				Selectivity: 1,
 				Distinct:    map[int]int64{0: 40},
 				Rel:         ExecSource{File: b, ClassCols: map[int]int{0: 0}}},
 		},
 		Edges: []Edge{{A: 0, B: 1, Class: 0}},
-	}, disk
+	}
 }
 
-func oracleMatches(t *testing.T, q Query, disk *simio.Disk) int64 {
+func oracleMatches(t *testing.T, q Query) int64 {
 	t.Helper()
 	a := q.Tables[0].Rel.File
 	b := q.Tables[1].Rel.File
@@ -51,9 +70,6 @@ func oracleMatches(t *testing.T, q Query, disk *simio.Disk) int64 {
 	})
 	var n int64
 	a.Scan(simio.Uncharged, func(tp tuple.Tuple) bool {
-		if q.Tables[0].Filter != nil && !q.Tables[0].Filter(tp) {
-			return true
-		}
 		k := sa.Int(tp, 0)
 		for _, bk := range bKeys {
 			if bk == k {
@@ -65,61 +81,69 @@ func oracleMatches(t *testing.T, q Query, disk *simio.Disk) int64 {
 	return n
 }
 
+// execute runs the plan, handing every root pair and its input schemas to
+// fn.
+func execute(q Query, p *Plan, fn func(ls, rs *tuple.Schema, l, r tuple.Tuple)) error {
+	return Execute(q, p, join.Spec{M: q.M}, func(left, right *heap.File) (join.Emit, error) {
+		return func(l, r tuple.Tuple) { fn(left.Schema(), right.Schema(), l, r) }, nil
+	})
+}
+
 func TestExecuteMatchesOracle(t *testing.T) {
 	for _, filter := range []bool{false, true} {
-		q, disk := execQuery(t, filter)
+		q := execQuery(t, filter)
 		p, err := OptimizeHashOnly(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := Execute(q, p)
-		if err != nil {
+		var got int64
+		if err := execute(q, p, func(_, _ *tuple.Schema, _, _ tuple.Tuple) { got++ }); err != nil {
 			t.Fatal(err)
 		}
-		if got, want := out.NumTuples(), oracleMatches(t, q, disk); got != want {
+		if want := oracleMatches(t, q); got != want {
 			t.Fatalf("filter=%v: executed %d rows, oracle %d", filter, got, want)
 		}
 	}
 }
 
 func TestExecuteRejectsMissingBinding(t *testing.T) {
-	q, _ := execQuery(t, false)
+	q := execQuery(t, false)
 	q.Tables[1].Rel = ExecSource{}
 	p, err := OptimizeHashOnly(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Execute(q, p); err == nil {
+	if err := execute(q, p, func(_, _ *tuple.Schema, _, _ tuple.Tuple) {}); err == nil {
 		t.Fatal("missing storage binding accepted")
 	}
 }
 
+// TestExecuteJoinedOutputSchema: the root streams (left, right) pairs in
+// plan order whatever side built, and the join keys agree on every pair.
 func TestExecuteJoinedOutputSchema(t *testing.T) {
-	q, _ := execQuery(t, false)
+	q := execQuery(t, false)
 	p, err := OptimizeHashOnly(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Execute(q, p)
+	order := p.Order(q)
+	pairs := 0
+	err = execute(q, p, func(ls, rs *tuple.Schema, l, r tuple.Tuple) {
+		pairs++
+		if ls.Width()+rs.Width() != q.Tables[0].Width+q.Tables[1].Width {
+			t.Fatalf("pair widths %d+%d", ls.Width(), rs.Width())
+		}
+		if len(l) != ls.Width() || len(r) != rs.Width() {
+			t.Fatalf("pair (%d, %d) bytes does not match its schemas", len(l), len(r))
+		}
+		if ls.Int(l, 0) != rs.Int(r, 0) {
+			t.Fatalf("joined pair keys differ: %s | %s", ls.Format(l), rs.Format(r))
+		}
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Combined width regardless of build-side swap.
-	want := q.Tables[0].Width + q.Tables[1].Width
-	if out.Schema().Width() != want {
-		t.Fatalf("output width %d, want %d", out.Schema().Width(), want)
+	if pairs == 0 || len(order) != 2 {
+		t.Fatalf("%d pairs over order %v", pairs, order)
 	}
-	// Join keys agree on every output row.
-	sc := out.Schema()
-	lk := sc.FieldIndex("l.key")
-	rk := sc.FieldIndex("r.key")
-	if lk < 0 || rk < 0 {
-		t.Fatalf("prefixed columns missing in %v", sc)
-	}
-	out.Scan(simio.Uncharged, func(tp tuple.Tuple) bool {
-		if sc.Int(tp, lk) != sc.Int(tp, rk) {
-			t.Fatalf("joined row keys differ: %s", sc.Format(tp))
-		}
-		return true
-	})
 }

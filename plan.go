@@ -43,8 +43,10 @@ const (
 	HashOnly
 )
 
-// QueryPlan is an optimized plan (Session.Plan); SQL executes the plans
-// it lowers a three-or-more-table join onto.
+// QueryPlan is an optimized plan (Session.Plan). Every SQL join of two or
+// more tables is lowered onto one in HashOnly mode and executed: each
+// table's predicate is one charged scan at its leaf, and the root join
+// streams its pairs into the result.
 type QueryPlan struct {
 	query planner.Query
 	plan  *planner.Plan
@@ -92,7 +94,9 @@ func finishPlan(pq planner.Query, mode PlanMode) (*QueryPlan, error) {
 // buildPlannerQuery resolves names against the catalog and computes the
 // statistics the optimizer needs (distinct join-key counts). The planner
 // sees m, the session's grant, as its |M|, and heap-file views on the
-// session's disk view, so execution IO charges the session clock.
+// session's disk view, so execution IO charges the session clock. A
+// Where only estimates its table's selectivity: executing it is the
+// caller's, which binds the filtered file in its place.
 func (db *Database) buildPlannerQuery(q Query, m int, view *simio.Disk) (planner.Query, error) {
 	if len(q.Tables) == 0 {
 		return planner.Query{}, fmt.Errorf("mmdb: query with no tables")
@@ -160,6 +164,11 @@ func (db *Database) buildPlannerQuery(q Query, m int, view *simio.Disk) (planner
 			classCols[cl] = col
 			distinctCols = append(distinctCols, col)
 		}
+		// Distinct counts size an intermediate that a later join step
+		// reads. A two-table plan has no such step, so it skips their scans.
+		if len(q.Tables) < 3 {
+			distinctCols = nil
+		}
 		stats, err := db.cat.Stats(qt.Relation, distinctCols...)
 		if err != nil {
 			return planner.Query{}, err
@@ -168,7 +177,6 @@ func (db *Database) buildPlannerQuery(q Query, m int, view *simio.Disk) (planner
 		for cl, col := range classCols {
 			distinct[cl] = stats.Distinct[col]
 		}
-		var filter func(Tuple) bool
 		sel := 1.0
 		if w := qt.Where; w != nil {
 			if err := w.Err(); err != nil {
@@ -178,7 +186,6 @@ func (db *Database) buildPlannerQuery(q Query, m int, view *simio.Disk) (planner
 				return planner.Query{}, fmt.Errorf("mmdb: table %d predicate is over %q, not %q",
 					i, w.rel.Name, qt.Relation)
 			}
-			filter = w.Match
 			if sel = w.EstimatedSelectivity(); sel <= 0 {
 				sel = 1e-6 // "impossible" estimates still cost a scan
 			}
@@ -194,18 +201,15 @@ func (db *Database) buildPlannerQuery(q Query, m int, view *simio.Disk) (planner
 			Width:         schema.Width(),
 			Selectivity:   sel,
 			Distinct:      distinct,
-			Filter:        filter,
 			Rel:           planner.ExecSource{File: file, ClassCols: classCols},
 		}
 	}
 	return planner.Query{
-		Tables:      tables,
-		Edges:       edges,
-		PageSize:    db.opts.PageSize,
-		M:           m,
-		Params:      db.opts.Params,
-		W:           1,
-		Parallelism: db.opts.Parallelism,
-		SortChunks:  db.opts.SortChunks,
+		Tables:   tables,
+		Edges:    edges,
+		PageSize: db.opts.PageSize,
+		M:        m,
+		Params:   db.opts.Params,
+		W:        1,
 	}, nil
 }

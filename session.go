@@ -25,9 +25,6 @@ type JoinAlgorithm = join.Algorithm
 
 // Join algorithms.
 const (
-	// AutoJoin lets the engine choose per §4: hybrid hash, always.
-	AutoJoin JoinAlgorithm = -1
-
 	NestedLoops = join.NestedLoops
 	SortMerge   = join.SortMerge
 	SimpleHash  = join.SimpleHash
@@ -254,37 +251,41 @@ func (s *Session) Join(algorithm JoinAlgorithm, left, right, leftCol, rightCol s
 	if rc < 0 {
 		return JoinResult{}, fmt.Errorf("mmdb: %s has no column %q", right, rightCol)
 	}
-	if algorithm == AutoJoin {
-		algorithm = HybridHash
+	spec := s.joinSpec()
+	spec.R, spec.S, spec.RCol, spec.SCol = files[0], files[1], lc, rc
+	swapped := spec.S.NumPages() < spec.R.NumPages()
+	if swapped {
+		spec.R, spec.S, spec.RCol, spec.SCol = files[1], files[0], rc, lc
 	}
-	spec := join.Spec{
-		R: files[0], S: files[1],
-		RCol: lc, SCol: rc,
-		M:           s.grant.Pages(),
-		F:           s.db.opts.Params.F,
-		LiveM:       s.grant.Pages,
-		Parallelism: s.db.opts.Parallelism,
-		SortChunks:  s.db.opts.SortChunks,
-	}
-	swapped := false
-	if spec.S.NumPages() < spec.R.NumPages() {
-		spec.R, spec.S = spec.S, spec.R
-		spec.RCol, spec.SCol = spec.SCol, spec.RCol
-		swapped = true
-	}
-	var wrapped join.Emit
-	if emit != nil {
-		wrapped = func(r, t Tuple) {
-			if swapped {
-				emit(t, r)
-			} else {
-				emit(r, t)
-			}
+	deliver := func(r, t Tuple) {
+		if swapped {
+			emit(t, r)
+		} else {
+			emit(r, t)
 		}
 	}
-	res, err := s.runJoin(algorithm, spec, wrapped)
+	// A retried join buffers each attempt's pairs and delivers them only on
+	// success, so the caller never sees a partial result set.
+	var buf [][2]Tuple
+	var inner join.Emit
+	switch {
+	case emit == nil:
+	case s.retries > 0:
+		inner = func(r, t Tuple) { buf = append(buf, [2]Tuple{r.Clone(), t.Clone()}) }
+	default:
+		inner = deliver
+	}
+	var res join.Result
+	err = s.retry(func() (err error) {
+		buf = buf[:0]
+		res, err = join.Run(algorithm, spec, inner)
+		return err
+	})
 	if err != nil {
 		return JoinResult{}, err
+	}
+	for _, p := range buf {
+		deliver(p[0], p[1])
 	}
 	if res.Algorithm == SortMerge {
 		s.db.sorts.record(res.RSort.Runs, res.RSort.MergePasses, res.RSort.InMemory)
@@ -303,32 +304,28 @@ func (s *Session) Join(algorithm JoinAlgorithm, left, right, leftCol, rightCol s
 	}, nil
 }
 
-// runJoin executes the join, optionally re-running it when it is killed
-// by a transient injected fault (WithRetry). Each attempt buffers its
-// emitted pairs and delivers them only on success, so the caller never
-// sees a partial result set from a failed attempt; an exhausted budget or
-// a permanent fault surfaces the last error unchanged.
-func (s *Session) runJoin(algorithm JoinAlgorithm, spec join.Spec, emit join.Emit) (join.Result, error) {
-	if s.retries <= 0 {
-		return join.Run(algorithm, spec, emit)
+// joinSpec is every join the session runs before its inputs are filled
+// in: the granted |M| as of now, the live grant a revocation shrinks
+// (ShedMemory), and the database's execution settings.
+func (s *Session) joinSpec() join.Spec {
+	return join.Spec{
+		M:           s.grant.Pages(),
+		F:           s.db.opts.Params.F,
+		LiveM:       s.grant.Pages,
+		Parallelism: s.db.opts.Parallelism,
+		SortChunks:  s.db.opts.SortChunks,
 	}
-	for attempt := 0; ; attempt++ {
-		var buf [][2]Tuple
-		inner := emit
-		if emit != nil {
-			inner = func(r, t Tuple) { buf = append(buf, [2]Tuple{r.Clone(), t.Clone()}) }
-		}
-		res, err := join.Run(algorithm, spec, inner)
-		if err == nil {
-			if emit != nil {
-				for _, p := range buf {
-					emit(p[0], p[1])
-				}
-			}
-			return res, nil
-		}
-		if attempt >= s.retries || !errors.Is(err, fault.ErrTransient) {
-			return res, err
+}
+
+// retry runs attempt, re-running it while it is killed by a transient
+// injected fault and the session's WithRetry budget lasts; an exhausted
+// budget or any other error surfaces the last error unchanged. An attempt
+// must discard what a failed one produced.
+func (s *Session) retry(attempt func() error) error {
+	for n := 0; ; n++ {
+		err := attempt()
+		if err == nil || n >= s.retries || !errors.Is(err, fault.ErrTransient) {
+			return err
 		}
 	}
 }

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
 	"mmdb/internal/agg"
 	"mmdb/internal/catalog"
 	"mmdb/internal/heap"
+	"mmdb/internal/join"
 	"mmdb/internal/planner"
 	"mmdb/internal/simio"
 	sqlfront "mmdb/internal/sql"
@@ -80,7 +82,9 @@ func (s *Session) Query(text string) (*SQLResult, error) {
 	var res *SQLResult
 	switch b := bound.(type) {
 	case *sqlfront.BoundSelect:
-		res, err = s.execSelect(b)
+		// A SELECT collects its rows before returning them, so a retried
+		// attempt (WithRetry) simply starts over.
+		err = s.retry(func() (err error) { res, err = s.execSelect(b); return err })
 	case *sqlfront.BoundInsert:
 		res, err = s.execInsert(b)
 	case *sqlfront.BoundDelete:
@@ -106,11 +110,7 @@ func (db *Database) Query(text string, opts ...SessionOption) (*SQLResult, error
 // queueing, lock waits and the per-query deadline.
 func (db *Database) QueryContext(ctx context.Context, text string, opts ...SessionOption) (*SQLResult, error) {
 	var res *SQLResult
-	err := db.withSession(ctx, func(s *Session) error {
-		var err error
-		res, err = s.Query(text)
-		return err
-	}, opts...)
+	err := db.withSession(ctx, func(s *Session) (err error) { res, err = s.Query(text); return err }, opts...)
 	return res, err
 }
 
@@ -133,14 +133,10 @@ func resultSchema(b *sqlfront.BoundSelect) (*Schema, error) {
 	return NewSchema(fields...)
 }
 
-// selectRun is one SELECT's lowering: the projection and the collected
-// output. Every form is a source that passes its rows through the
-// tables' charged filters to emit (or aggRow), then the one
-// order-and-trim stage in execSelect. The source follows from the statement's shape — keyed and
-// global aggregates by their select list, joins by the FROM-list length —
-// not from a knob: a two-table join filters the streamed pairs and a
-// planned one pushes its selections below the joins, and each is billed
-// that way, so moving either is a plan change.
+// selectRun is one SELECT's lowering. A source, picked by the statement's
+// shape (keyed and global aggregates by their select list, a scan for one
+// table, the planner for a join), passes its rows through the tables'
+// charged filters to emit (or aggRow); execSelect orders and trims them.
 type selectRun struct {
 	s   *Session
 	b   *sqlfront.BoundSelect
@@ -152,7 +148,7 @@ type selectRun struct {
 	cols []sqlfront.Output
 
 	rows      []Tuple
-	err       error // first emit error; sources stop on it
+	err       error // an emit error; scans stop on it
 	ascending bool  // rows arrive in ascending ORDER BY / group-key order
 }
 
@@ -169,8 +165,6 @@ func (s *Session) execSelect(b *sqlfront.BoundSelect) (*SQLResult, error) {
 		err = r.global()
 	case len(b.Tables) == 1:
 		err = r.scan()
-	case len(b.Tables) == 2:
-		err = r.join2()
 	default:
 		err = r.planned()
 	}
@@ -185,9 +179,7 @@ func (s *Session) execSelect(b *sqlfront.BoundSelect) (*SQLResult, error) {
 	switch {
 	case r.ascending:
 		if b.Desc {
-			for i, j := 0, len(rows)-1; i < j; i, j = i+1, j-1 {
-				rows[i], rows[j] = rows[j], rows[i]
-			}
+			slices.Reverse(rows)
 		}
 	case b.OrderOut >= 0:
 		// A join's output is sorted in memory, stable on the encoded key
@@ -269,17 +261,13 @@ func (r *selectRun) scan() error {
 	name := b.Tables[0].Name
 	r.src[0] = b.Tables[0].Schema
 	f := newFilter(b.Preds[0])
-	// Without a sort, a satisfied LIMIT stops the scan early.
-	stopAt := int64(-1)
-	if b.OrderCol < 0 {
-		stopAt = b.Limit
-	}
 	collect := func(t Tuple) bool {
 		if !f.pass(s.clock, t) {
 			return true
 		}
 		r.emit(t, nil)
-		return r.err == nil && !(stopAt >= 0 && int64(len(r.rows)) >= stopAt)
+		// Without a sort, a satisfied LIMIT stops the scan early.
+		return r.err == nil && (b.OrderCol >= 0 || b.Limit < 0 || int64(len(r.rows)) < b.Limit)
 	}
 	if b.OrderCol >= 0 {
 		r.ascending = true
@@ -292,35 +280,33 @@ func (r *selectRun) scan() error {
 	return files[0].Scan(simio.Seq, collect)
 }
 
-// filtered returns table 0's file for an operator that consumes a whole
-// file: the base file when the table has no predicate, otherwise a copy
-// of the passing rows in a file the statement owns — a charged scan
-// writing free (the §3 convention: intermediates are written uncharged,
-// their later reads are charged) — which the returned func drops.
-func (r *selectRun) filtered() (*heap.File, func(), error) {
-	s, f := r.s, newFilter(r.b.Preds[0])
-	_, files, err := s.lockAndView(r.b.Tables[0].Name)
+// filtered returns table i's file for an operator that reads it whole (an
+// aggregate, a join leaf): the base file, or, under a predicate, a copy of
+// the passing rows the statement owns and the returned func drops — a
+// charged scan writing free (§3: intermediates are written uncharged).
+func (r *selectRun) filtered(i int) (*heap.File, func(), error) {
+	s, tbl, f := r.s, r.b.Tables[i], newFilter(r.b.Preds[i])
+	_, files, err := s.lockAndView(tbl.Name)
 	if err != nil {
 		return nil, nil, err
 	}
 	if f.pred == nil {
 		return files[0], func() {}, nil
 	}
-	// A session runs one statement at a time, so its lock-table id names
-	// the file uniquely across concurrent sessions.
-	tmp, err := heap.Create(s.view, fmt.Sprintf("sql.filtered.%d", s.txn), r.b.Tables[0].Schema)
+	// A session runs one statement at a time, so its lock-table id and the
+	// table's FROM position name the file uniquely across sessions.
+	tmp, err := heap.Create(s.view, fmt.Sprintf("sql.filtered.%d.%d", s.txn, i), tbl.Schema)
 	if err != nil {
 		return nil, nil, err
 	}
-	var appendErr error
-	err = files[0].Scan(simio.Seq, func(t Tuple) bool {
+	scanErr := files[0].Scan(simio.Seq, func(t Tuple) bool {
 		if f.pass(s.clock, t) {
-			appendErr = tmp.Append(t.Clone(), simio.Uncharged)
+			err = tmp.Append(t, simio.Uncharged)
 		}
-		return appendErr == nil
+		return err == nil
 	})
 	if err == nil {
-		err = appendErr
+		err = scanErr
 	}
 	if err == nil {
 		err = tmp.Flush(simio.Uncharged)
@@ -338,7 +324,7 @@ func (r *selectRun) filtered() (*heap.File, func(), error) {
 // docs/SQL.md §3.5 promises.
 func (r *selectRun) keyed() error {
 	b, s := r.b, r.s
-	input, drop, err := r.filtered()
+	input, drop, err := r.filtered(0)
 	if err != nil {
 		return err
 	}
@@ -396,17 +382,11 @@ func (r *selectRun) global() error {
 				v = schema.Int(t, a.Col)
 			}
 			if g.Count == 0 {
-				*g = agg.Group{Count: 1, Sum: v, Min: v, Max: v}
-			} else {
-				g.Count++
-				g.Sum += v
-				if v < g.Min {
-					g.Min = v
-				}
-				if v > g.Max {
-					g.Max = v
-				}
+				g.Min, g.Max = v, v
 			}
+			g.Count++
+			g.Sum += v
+			g.Min, g.Max = min(g.Min, v), max(g.Max, v)
 		}
 		return true
 	})
@@ -417,46 +397,21 @@ func (r *selectRun) global() error {
 	return nil
 }
 
-// join2 runs a two-table equijoin on the session's join dispatcher,
-// applying each side's filter to the streamed pairs.
-func (r *selectRun) join2() error {
-	b, s := r.b, r.s
-	j := b.Joins[0]
-	// Normalize the edge to (table0 column, table1 column).
-	lc, rc := j.LeftCol, j.RightCol
-	if j.LeftTable == 1 {
-		lc, rc = j.RightCol, j.LeftCol
-	}
-	r.src[0], r.src[1] = b.Tables[0].Schema, b.Tables[1].Schema
-	f0, f1 := newFilter(b.Preds[0]), newFilter(b.Preds[1])
-	_, err := s.Join(AutoJoin,
-		b.Tables[0].Name, b.Tables[1].Name,
-		r.src[0].Field(lc).Name, r.src[1].Field(rc).Name,
-		func(lt, rt Tuple) {
-			if r.err == nil && f0.pass(s.clock, lt) && f1.pass(s.clock, rt) {
-				r.emit(lt, rt)
-			}
-		})
-	return err
-}
-
-// planned lowers a 3+-table join onto the §4 planner in HashOnly mode,
-// the per-table predicates riding down as pushed selections, and scans
-// the plan's materialized output — a file on the session's disk view that
-// the statement owns and drops.
+// planned lowers a join onto the §4 planner in HashOnly mode. Each
+// table's predicate is one charged scan at its leaf (filtered), below
+// every join, and the root join streams its pairs to emit.
 func (r *selectRun) planned() error {
 	b, s := r.b, r.s
 	q := Query{Tables: make([]QueryTable, len(b.Tables))}
 	for i, t := range b.Tables {
-		qt := QueryTable{Relation: t.Name}
+		q.Tables[i].Relation = t.Name
 		if b.Preds[i] != nil {
 			rel, err := s.db.cat.Get(t.Name)
 			if err != nil {
 				return err
 			}
-			qt.Where = &Pred{rel: rel, inner: b.Preds[i]}
+			q.Tables[i].Where = &Pred{rel: rel, inner: b.Preds[i]}
 		}
-		q.Tables[i] = qt
 	}
 	for _, j := range b.Joins {
 		q.Joins = append(q.Joins, QueryJoin{
@@ -470,32 +425,37 @@ func (r *selectRun) planned() error {
 	if err != nil {
 		return err
 	}
-	flat, err := planner.Execute(qp.query, qp.plan)
-	if err != nil {
-		return err
+	spec := s.joinSpec()
+	for i := range b.Tables {
+		f, drop, err := r.filtered(i)
+		if err != nil {
+			return err
+		}
+		defer drop()
+		qp.query.Tables[i].Rel.File = f
 	}
-	defer flat.Drop()
 
-	// The flat output lays the tables out in build-first plan order,
-	// each table's columns contiguous; map (table, col) to flat offsets.
-	offset := make(map[string]int, len(b.Tables))
+	// The root's right row is the plan order's last table; its left row
+	// lays the others out build first, each table's columns contiguous.
+	at := make(map[string]sqlfront.Output, len(b.Tables))
 	off := 0
 	for _, name := range qp.Order {
-		offset[name] = off
+		at[name] = sqlfront.Output{Col: off}
 		for _, t := range b.Tables {
 			if t.Name == name {
 				off += t.Schema.NumFields()
 			}
 		}
 	}
-	r.src[0] = flat.Schema()
+	at[qp.Order[len(qp.Order)-1]] = sqlfront.Output{Table: 1}
 	r.cols = make([]sqlfront.Output, len(b.Cols))
 	for i, c := range b.Cols {
-		r.cols[i].Col = offset[b.Tables[c.Table].Name] + c.Col
+		o := at[b.Tables[c.Table].Name]
+		r.cols[i] = sqlfront.Output{Table: o.Table, Col: o.Col + c.Col}
 	}
-	return flat.Scan(simio.Seq, func(t Tuple) bool {
-		r.emit(t, nil)
-		return r.err == nil
+	return planner.Execute(qp.query, qp.plan, spec, func(left, right *heap.File) (join.Emit, error) {
+		r.src[0], r.src[1] = left.Schema(), right.Schema()
+		return r.emit, nil
 	})
 }
 

@@ -123,7 +123,7 @@ func TestSQLScan(t *testing.T) {
 	}
 }
 
-// TestSQLJoin covers §4 two-table joins: qualified star, residual
+// TestSQLJoin covers §4 two-table joins: qualified star, pushed
 // predicates, ORDER BY over the select list.
 func TestSQLJoin(t *testing.T) {
 	db := newSQLTestDB(t, Options{})
@@ -157,7 +157,8 @@ func TestSQLJoin(t *testing.T) {
 	}
 }
 
-// TestSQLPlannedJoin covers the 3+-table §4 planner path.
+// TestSQLPlannedJoin covers a three-table join, whose first step the
+// planner materializes.
 func TestSQLPlannedJoin(t *testing.T) {
 	db := newSQLTestDB(t, Options{})
 	rows, _ := queryRows(t, db,
