@@ -533,11 +533,7 @@ func (r *clusterReplica) apply(op shipOp) error {
 	case opIndex:
 		return rel.CreateIndex(op.column, op.ixKind)
 	case opDeleteWhere:
-		var p *Pred
-		if op.pred != nil {
-			p = &Pred{rel: rel.rel, inner: op.pred}
-		}
-		_, err := rel.DeleteWhere(p)
+		_, err := rel.deleteWhere(op.pred)
 		return err
 	case opUpdate:
 		_, err := rel.Update(op.column, op.value, op.setColumn, op.newValue)

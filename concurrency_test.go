@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"mmdb/internal/planner"
 )
 
 func openConcurrentDB(t *testing.T, slots, queue int) *Database {
@@ -319,7 +321,7 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 }
 
 // TestConcurrentPlansExecute plans and executes multi-way joins from
-// parallel sessions: each plans the three-table join, then runs it in SQL,
+// parallel sessions: each plans the three-table SQL join, then runs it,
 // which executes the planner's HashOnly plan into files the statement
 // owns.
 func TestConcurrentPlansExecute(t *testing.T) {
@@ -338,13 +340,7 @@ func TestConcurrentPlansExecute(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	q := Query{
-		Tables: []QueryTable{{Relation: "emp"}, {Relation: "dept"}, {Relation: "site"}},
-		Joins: []QueryJoin{
-			{LeftTable: 0, LeftCol: "dept", RightTable: 1, RightCol: "id"},
-			{LeftTable: 2, LeftCol: "dept", RightTable: 1, RightCol: "id"},
-		},
-	}
+	const q = "SELECT emp.id, floor FROM emp JOIN dept ON emp.dept = dept.id JOIN site ON site.dept = dept.id"
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
@@ -356,15 +352,25 @@ func TestConcurrentPlansExecute(t *testing.T) {
 				return
 			}
 			defer s.Close()
-			plan, err := s.Plan(q, HashOnly)
+			b, err := bindSelect(db, q)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			if len(plan.Order) != 3 {
-				t.Errorf("plan order %v", plan.Order)
+			pq, err := s.plannerQuery(b)
+			if err != nil {
+				t.Error(err)
+				return
 			}
-			res, err := s.Query("SELECT emp.id, floor FROM emp JOIN dept ON emp.dept = dept.id JOIN site ON site.dept = dept.id")
+			plan, err := planner.OptimizeHashOnly(pq)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if order := plan.Order(pq); len(order) != 3 {
+				t.Errorf("plan order %v", order)
+			}
+			res, err := s.Query(q)
 			if err != nil {
 				t.Error(err)
 				return

@@ -61,8 +61,8 @@ func ExampleRelation_Lookup() {
 	// Output: [2 two]
 }
 
-// ExampleDatabase_Where deletes with a structured predicate.
-func ExampleDatabase_Where() {
+// ExampleDatabase_Query deletes the rows a SQL WHERE selects.
+func ExampleDatabase_Query() {
 	db := mmdb.MustOpen(mmdb.Options{})
 	rel, _ := db.CreateRelation("n", mmdb.MustSchema(mmdb.Field{Name: "x", Kind: mmdb.Int64}))
 	for i := int64(0); i < 10; i++ {
@@ -70,10 +70,9 @@ func ExampleDatabase_Where() {
 	}
 	rel.Flush()
 
-	p := db.MustWhere("n", "x", mmdb.Ge, mmdb.IntValue(4)).
-		And(db.MustWhere("n", "x", mmdb.Lt, mmdb.IntValue(7)))
-	deleted, _ := rel.DeleteWhere(p)
-	fmt.Println(p, "->", deleted, "rows deleted,", rel.NumTuples(), "left")
+	lo, hi := "x >= 4", "x < 7"
+	res, _ := db.Query("DELETE FROM n WHERE " + lo + " AND " + hi)
+	fmt.Printf("(%s) AND (%s) -> %d rows deleted, %d left\n", lo, hi, res.Affected, rel.NumTuples())
 	// Output: (x >= 4) AND (x < 7) -> 3 rows deleted, 7 left
 }
 

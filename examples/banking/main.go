@@ -1,11 +1,10 @@
 // Banking: a star-schema analytics session on the public API — load
-// transfers and branch/teller dimensions, plan a multi-way join under the
-// §4 regimes (full Selinger vs. the large-memory hash-only reduction),
-// execute it in SQL, and total the result per branch.
+// transfers and branch/teller dimensions, run a three-way join with a
+// selective predicate in SQL (planned by the §4 hash-only planner, the
+// selection pushed below every join), and total the result per branch.
 package main
 
 import (
-	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -59,39 +58,14 @@ func main() {
 	}
 	must(tellers.Flush())
 
-	// Query: transfers ⋈ branches ⋈ tellers, with a selective predicate on
-	// branches (only city05; an equality's default estimate is 1/10).
-	q := mmdb.Query{
-		Tables: []mmdb.QueryTable{
-			{Relation: "transfers"},
-			{Relation: "branches", Where: db.MustWhere("branches", "city", mmdb.Eq, mmdb.StringValue("city05"))},
-			{Relation: "tellers"},
-		},
-		Joins: []mmdb.QueryJoin{
-			{LeftTable: 0, LeftCol: "branch", RightTable: 1, RightCol: "id"},
-			{LeftTable: 0, LeftCol: "teller", RightTable: 2, RightCol: "id"},
-		},
-	}
-	s, err := db.NewSession(context.Background())
-	must(err)
-	full, err := s.Plan(q, mmdb.FullSelinger)
-	must(err)
-	hash, err := s.Plan(q, mmdb.HashOnly)
-	must(err)
-	s.Close()
-	fmt.Println("§4 planning:")
-	fmt.Printf("  full Selinger: cost %8.1f  order %v  (%d plans priced)\n",
-		full.Weighted, full.Order, full.PlansConsidered)
-	fmt.Printf("  hash-only:     cost %8.1f  order %v  (%d plans priced)\n",
-		hash.Weighted, hash.Order, hash.PlansConsidered)
-
-	// The same query in SQL executes the hash-only plan.
+	// transfers ⋈ branches ⋈ tellers, with a selective predicate on
+	// branches (only city05).
 	result, err := db.Query(`SELECT transfers.branch, transfers.amount FROM transfers
 		JOIN branches ON transfers.branch = branches.id
 		JOIN tellers ON transfers.teller = tellers.id
 		WHERE branches.city = 'city05'`)
 	must(err)
-	fmt.Printf("\nexecuted plan produced %d rows\n", len(result.Rows))
+	fmt.Printf("executed plan produced %d rows\n", len(result.Rows))
 
 	// Total amount per branch. The dialect has no GROUP BY over a join
 	// (docs/SQL.md §3.5), so fold the joined rows here.

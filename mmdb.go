@@ -19,10 +19,10 @@
 //     fuzzy checkpointing and crash recovery.
 //
 // Start with Open and load relations, then query them in SQL
-// (Database.Query, docs/SQL.md) or, for the operators themselves, on a
-// Session (Join, OrderBy, Plan). The cmd/mmdbench binary regenerates every
-// table and figure of the paper; see EXPERIMENTS.md for the measured
-// results.
+// (Database.Query, docs/SQL.md; every join is planned by the §4 planner)
+// or, for the §3 operators themselves, on a Session (Join, OrderBy). The
+// cmd/mmdbench binary regenerates every table and figure of the paper;
+// see EXPERIMENTS.md for the measured results.
 package mmdb
 
 import (

@@ -4,6 +4,9 @@ import (
 	"context"
 	"fmt"
 	"testing"
+
+	"mmdb/internal/planner"
+	sqlfront "mmdb/internal/sql"
 )
 
 func openTestDB(t *testing.T) *Database {
@@ -246,36 +249,73 @@ func TestAggregateAndDistinct(t *testing.T) {
 	}
 }
 
-// planInSession plans q under mode on a session of its own.
-func planInSession(t *testing.T, db *Database, q Query, mode PlanMode) *QueryPlan {
+// bindSelect parses and binds one SQL SELECT against db's catalog.
+func bindSelect(db *Database, text string) (*sqlfront.BoundSelect, error) {
+	stmt, err := sqlfront.Parse(text)
+	if err != nil {
+		return nil, err
+	}
+	b, err := sqlfront.Bind(stmt, sqlCatalog{db.cat})
+	if err != nil {
+		return nil, err
+	}
+	return b.(*sqlfront.BoundSelect), nil
+}
+
+// boundSelect is bindSelect failing the test on error.
+func boundSelect(t *testing.T, db *Database, text string) *sqlfront.BoundSelect {
 	t.Helper()
-	var qp *QueryPlan
+	b, err := bindSelect(db, text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// plannerQueryOf builds, in a session of its own, the planner query the
+// lowering of SQL join text optimizes.
+func plannerQueryOf(t *testing.T, db *Database, text string) planner.Query {
+	t.Helper()
+	b := boundSelect(t, db, text)
+	var q planner.Query
 	err := db.withSession(context.Background(), func(s *Session) (err error) {
-		qp, err = s.Plan(q, mode)
+		q, err = s.plannerQuery(b)
 		return err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return qp
+	return q
 }
+
+// hashPlan is the HashOnly plan the lowering of SQL join text executes.
+func hashPlan(t *testing.T, db *Database, text string) *planner.Plan {
+	t.Helper()
+	p, err := planner.OptimizeHashOnly(plannerQueryOf(t, db, text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+const empDeptSQL = "SELECT * FROM emp JOIN dept ON emp.dept = dept.id"
 
 func TestPlanAndExecute(t *testing.T) {
 	db := MustOpen(Options{PageSize: 512, MemoryPages: 64})
 	loadCompany(t, db, 400, 8)
-	q := Query{
-		Tables: []QueryTable{
-			{Relation: "emp"},
-			{Relation: "dept"},
-		},
-		Joins: []QueryJoin{{LeftTable: 0, LeftCol: "dept", RightTable: 1, RightCol: "id"}},
+	q := plannerQueryOf(t, db, empDeptSQL)
+	full, err := planner.Optimize(q)
+	if err != nil {
+		t.Fatal(err)
 	}
-	full := planInSession(t, db, q, FullSelinger)
-	hash := planInSession(t, db, q, HashOnly)
+	hash, err := planner.OptimizeHashOnly(q)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if hash.PlansConsidered >= full.PlansConsidered {
 		t.Fatalf("no search reduction: %d vs %d", hash.PlansConsidered, full.PlansConsidered)
 	}
-	if n := count(t, db, "SELECT * FROM emp JOIN dept ON emp.dept = dept.id"); n != 400 {
+	if n := count(t, db, empDeptSQL); n != 400 {
 		t.Fatalf("join produced %d rows, want 400", n)
 	}
 }
@@ -283,17 +323,12 @@ func TestPlanAndExecute(t *testing.T) {
 func TestPlanWithFilter(t *testing.T) {
 	db := MustOpen(Options{PageSize: 512, MemoryPages: 64})
 	loadCompany(t, db, 400, 8)
-	q := Query{
-		Tables: []QueryTable{{Relation: "emp"}, {Relation: "dept"}},
-		Joins:  []QueryJoin{{LeftTable: 0, LeftCol: "dept", RightTable: 1, RightCol: "id"}},
+	whole := hashPlan(t, db, empDeptSQL)
+	filteredSQL := empDeptSQL + " WHERE emp.dept = 3" // one department
+	if filtered := hashPlan(t, db, filteredSQL); filtered.CPU >= whole.CPU {
+		t.Fatalf("selection did not cheapen the plan: CPU %g vs %g", filtered.CPU, whole.CPU)
 	}
-	whole := planInSession(t, db, q, HashOnly)
-	q.Tables[0].Where = db.MustWhere("emp", "dept", Eq, IntValue(3)) // one department
-	filtered := planInSession(t, db, q, HashOnly)
-	if filtered.EstimatedCPU >= whole.EstimatedCPU {
-		t.Fatalf("selection did not cheapen the plan: CPU %g vs %g", filtered.EstimatedCPU, whole.EstimatedCPU)
-	}
-	if n := count(t, db, "SELECT * FROM emp JOIN dept ON emp.dept = dept.id WHERE emp.dept = 3"); n != 50 {
+	if n := count(t, db, filteredSQL); n != 50 {
 		t.Fatalf("filtered join produced %d rows, want 50", n)
 	}
 }
@@ -371,49 +406,20 @@ func TestPredicatesAndSelect(t *testing.T) {
 	db := openTestDB(t)
 	emp, _ := loadCompany(t, db, 200, 8)
 
-	rich, err := db.Where("emp", "salary", Ge, IntValue(1100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	inDept, err := db.Where("emp", "dept", Eq, IntValue(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := rich.And(inDept)
-	if p.Err() != nil {
-		t.Fatal(p.Err())
-	}
-
-	// Oracle by scan; the predicate and the same SQL WHERE agree with it.
-	want, matched, unmatched := 0, 0, 0
+	// Oracle by scan; the SQL WHERE and its negation agree with it.
+	want := 0
 	emp.Scan(func(tp Tuple) bool {
 		if emp.Schema().Int(tp, 2) >= 1100 && emp.Schema().Int(tp, 1) == 3 {
 			want++
 		}
-		if p.Match(tp) {
-			matched++
-		}
-		if p.Not().Match(tp) {
-			unmatched++
-		}
 		return true
 	})
-	got := count(t, db, "SELECT * FROM emp WHERE salary >= 1100 AND dept = 3")
-	if got != want || matched != want || want == 0 {
-		t.Fatalf("SQL matched %d, predicate %d, oracle %d", got, matched, want)
+	const p = "salary >= 1100 AND dept = 3"
+	if got := count(t, db, "SELECT * FROM emp WHERE "+p); got != want || want == 0 {
+		t.Fatalf("SQL matched %d, oracle %d", got, want)
 	}
-	// Negation covers the complement.
-	if matched+unmatched != 200 {
-		t.Fatalf("p + !p covered %d of 200", matched+unmatched)
-	}
-
-	// Cross-relation combination is an error.
-	other, _ := db.Where("dept", "id", Eq, IntValue(1))
-	if bad := rich.And(other); bad.Err() == nil {
-		t.Fatal("cross-relation AND accepted")
-	}
-	if _, err := emp.DeleteWhere(other); err == nil {
-		t.Fatal("foreign predicate accepted by DeleteWhere")
+	if got := count(t, db, "SELECT * FROM emp WHERE NOT ("+p+")"); got != 200-want {
+		t.Fatalf("NOT matched %d, want the complement %d", got, 200-want)
 	}
 }
 
@@ -423,37 +429,37 @@ func TestHistogramSelectivityDrivesPlanning(t *testing.T) {
 	if err := db.BuildHistogram("emp", "salary", 16); err != nil {
 		t.Fatal(err)
 	}
+	emp, err := db.Relation("emp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	estimate := func(where string) float64 {
+		return selectivity(emp.rel, boundSelect(t, db, "SELECT * FROM emp WHERE "+where).Preds[0])
+	}
 	// Salaries are 1000 + i%500: uniform over [1000,1500).
-	p := db.MustWhere("emp", "salary", Ge, IntValue(1300))
-	sel := p.EstimatedSelectivity()
-	if sel < 0.15 || sel > 0.35 {
+	if sel := estimate("salary >= 1300"); sel < 0.15 || sel > 0.35 {
 		t.Fatalf("estimated selectivity %.3f, true ≈ 0.25", sel)
 	}
-	// Without a histogram the System R default (1/3) applies.
-	if s := db.MustWhere("emp", "dept", Eq, IntValue(1)).EstimatedSelectivity(); s != 0.1 {
-		t.Fatalf("default Eq selectivity %.3f", s)
+	// Without a histogram the System R default (1/10 for =) applies.
+	if sel := estimate("dept = 1"); sel != 0.1 {
+		t.Fatalf("default Eq selectivity %.3f", sel)
 	}
 
 	// The planner consumes the histogram estimate: the filtered plan is
 	// costed as cheaper than the whole join.
-	q := Query{
-		Tables: []QueryTable{{Relation: "emp"}, {Relation: "dept"}},
-		Joins:  []QueryJoin{{LeftTable: 0, LeftCol: "dept", RightTable: 1, RightCol: "id"}},
-	}
-	whole := planInSession(t, db, q, HashOnly)
-	q.Tables[0].Where = p
-	if filtered := planInSession(t, db, q, HashOnly); filtered.EstimatedCPU >= whole.EstimatedCPU {
-		t.Fatalf("histogram estimate did not cheapen the plan: CPU %g vs %g", filtered.EstimatedCPU, whole.EstimatedCPU)
+	const filteredSQL = "SELECT emp.id FROM emp JOIN dept ON emp.dept = dept.id WHERE salary >= 1300"
+	whole := hashPlan(t, db, empDeptSQL)
+	if filtered := hashPlan(t, db, filteredSQL); filtered.CPU >= whole.CPU {
+		t.Fatalf("histogram estimate did not cheapen the plan: CPU %g vs %g", filtered.CPU, whole.CPU)
 	}
 	want := 0
-	emp, _ := db.Relation("emp")
 	emp.Scan(func(tp Tuple) bool {
 		if emp.Schema().Int(tp, 2) >= 1300 {
 			want++
 		}
 		return true
 	})
-	if n := count(t, db, "SELECT emp.id FROM emp JOIN dept ON emp.dept = dept.id WHERE salary >= 1300"); n != want {
+	if n := count(t, db, filteredSQL); n != want {
 		t.Fatalf("filtered join produced %d rows, want %d", n, want)
 	}
 }

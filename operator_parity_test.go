@@ -7,12 +7,15 @@ import (
 	"sort"
 	"testing"
 	"time"
+
+	"mmdb/internal/planner"
 )
 
 // The operator calls the root package used to export beside SQL — the
 // Database and Cluster one-shot operators, Session.Aggregate/Distinct/
-// Select, Relation.Select, Database.Plan and QueryPlan.Execute — each map
-// to a SQL statement or a Session call. Every parityCase pins what the
+// Select, Relation.Select, Database.Plan (later Session.Plan) and
+// QueryPlan.Execute — each map to a SQL statement, a Session call, or the
+// planner query a SQL join's lowering optimizes. Every parityCase pins what the
 // removed call returned and charged on newLoweringDB, measured before it
 // was deleted; the replacement must return the same rows for the same
 // charges. (The Cluster forwarders routed to the Database calls, so the
@@ -62,16 +65,16 @@ var parityCases = []parityCase{
 		run:  sqlRows("SELECT * FROM dept WHERE budget >= 300"),
 		rows: 5, digest: 0xe9248eb11f1adc4a, counters: Counters{Comps: 7, SeqIOs: 1}, elapsed: 10021000},
 	{removed: "Database.Plan(emp ⋈ dept[city = 'city3'] ⋈ proj, FullSelinger)",
-		run:  planRows(FullSelinger),
+		run:  planRows(planner.Optimize),
 		rows: 1, digest: 0x617c5708a630c21f},
 	{removed: "Database.Plan(emp ⋈ dept[city = 'city3'] ⋈ proj, HashOnly)",
-		run:  planRows(HashOnly),
+		run:  planRows(planner.OptimizeHashOnly),
 		rows: 1, digest: 0x7cd638c9377d7b5},
 	// Execute filtered dept's leaf for free; the statement charges that
 	// selection once, one comparison per dept row and one sequential IO
 	// for its page, and streams the root join instead of re-reading it.
 	{removed: "QueryPlan.Execute(emp ⋈ dept[city = 'city3'] ⋈ proj, HashOnly)",
-		run:  sqlRows("SELECT emp.id, dept.id, proj.id FROM emp JOIN dept ON emp.dept = dept.id JOIN proj ON proj.dept = dept.id WHERE city = 'city3'"),
+		run:  sqlRows(planSQL),
 		rows: 688, digest: 0xb33b4a20de772449, counters: Counters{Comps: 696, Hashes: 649, Moves: 9}, elapsed: 8109000,
 		extra: Counters{Comps: 7, SeqIOs: 1}},
 }
@@ -116,25 +119,25 @@ func pairRowsOf(s *Session, alg JoinAlgorithm, left, right, leftCol, rightCol st
 	return err
 }
 
-// planRows plans emp ⋈ dept ⋈ proj with a selection on dept, the plan
-// rendered as one row.
-func planRows(mode PlanMode) func(*Database) ([]string, error) {
+// planSQL is emp ⋈ dept ⋈ proj with a selection on dept.
+const planSQL = "SELECT emp.id, dept.id, proj.id FROM emp JOIN dept ON emp.dept = dept.id JOIN proj ON proj.dept = dept.id WHERE city = 'city3'"
+
+// planRows optimizes planSQL's planner query, the plan rendered as one row.
+func planRows(optimize func(planner.Query) (*planner.Plan, error)) func(*Database) ([]string, error) {
 	return sessionRows(func(s *Session, out *[]string) error {
-		qp, err := s.Plan(Query{
-			Tables: []QueryTable{
-				{Relation: "emp"},
-				{Relation: "dept", Where: s.db.MustWhere("dept", "city", Eq, StringValue("city3"))},
-				{Relation: "proj"},
-			},
-			Joins: []QueryJoin{
-				{LeftTable: 0, LeftCol: "dept", RightTable: 1, RightCol: "id"},
-				{LeftTable: 2, LeftCol: "dept", RightTable: 1, RightCol: "id"},
-			},
-		}, mode)
+		b, err := bindSelect(s.db, planSQL)
 		if err != nil {
 			return err
 		}
-		*out = append(*out, fmt.Sprint(qp.Order, qp.Weighted, qp.EstimatedCPU, qp.EstimatedIO, qp.StatesExplored, qp.PlansConsidered))
+		q, err := s.plannerQuery(b)
+		if err != nil {
+			return err
+		}
+		p, err := optimize(q)
+		if err != nil {
+			return err
+		}
+		*out = append(*out, fmt.Sprint(p.Order(q), p.Weighted, p.CPU, p.IO, p.StatesExplored, p.PlansConsidered))
 		return nil
 	})
 }

@@ -1,215 +1,108 @@
 package mmdb
 
 import (
-	"fmt"
-
 	"mmdb/internal/planner"
-	"mmdb/internal/simio"
+	sqlfront "mmdb/internal/sql"
 )
 
-// QueryTable names a relation participating in a planned query, with an
-// optional pushed-down selection whose selectivity is estimated from
-// histograms (Pred.EstimatedSelectivity).
-type QueryTable struct {
-	Relation string
-	Where    *Pred // optional
-}
+// colRef is one join column: FROM table, column index.
+type colRef struct{ table, col int }
 
-// QueryJoin is one equi-join predicate between two query tables, by
-// column name.
-type QueryJoin struct {
-	LeftTable  int // index into Query.Tables
-	LeftCol    string
-	RightTable int
-	RightCol   string
-}
-
-// Query is a multi-way equijoin with pushed-down selections.
-type Query struct {
-	Tables []QueryTable
-	Joins  []QueryJoin
-}
-
-// PlanMode selects the §4 planning regime.
-type PlanMode int
-
-// Planning modes.
-const (
-	// FullSelinger enumerates all four join algorithms and tracks
-	// interesting orders, as a disk-era optimizer must.
-	FullSelinger PlanMode = iota
-	// HashOnly is the paper's large-memory reduction: hybrid hash
-	// everywhere, no order bookkeeping, selectivity ordering only.
-	HashOnly
-)
-
-// QueryPlan is an optimized plan (Session.Plan). Every SQL join of two or
-// more tables is lowered onto one in HashOnly mode and executed: each
-// table's predicate is one charged scan at its leaf, and the root join
-// streams its pairs into the result.
-type QueryPlan struct {
-	query planner.Query
-	plan  *planner.Plan
-
-	// Order is the chosen join order (build side first).
-	Order []string
-	// EstimatedCPU and EstimatedIO are analytic seconds.
-	EstimatedCPU, EstimatedIO float64
-	// Weighted is W*CPU + IO, the Selinger objective.
-	Weighted float64
-	// StatesExplored and PlansConsidered measure optimizer effort; the §4
-	// claim is that HashOnly shrinks both without losing plan quality
-	// when memory is large.
-	StatesExplored, PlansConsidered int
-}
-
-// finishPlan runs the optimizer over a resolved planner query.
-func finishPlan(pq planner.Query, mode PlanMode) (*QueryPlan, error) {
-	var p *planner.Plan
-	var err error
-	switch mode {
-	case FullSelinger:
-		p, err = planner.Optimize(pq)
-	case HashOnly:
-		p, err = planner.OptimizeHashOnly(pq)
-	default:
-		return nil, fmt.Errorf("mmdb: unknown plan mode %d", int(mode))
+// joinClasses groups the statement's join columns into equivalence
+// classes — columns joined transitively share one — numbered in order of
+// first appearance among the ON clauses, which may name their tables in
+// any FROM order. It returns one planner edge per ON clause and, per FROM
+// table, the column each of its classes joins on.
+func joinClasses(b *sqlfront.BoundSelect) ([]planner.Edge, []map[int]int) {
+	parent := make(map[colRef]colRef)
+	var find func(c colRef) colRef
+	find = func(c colRef) colRef {
+		p, ok := parent[c]
+		if !ok || p == c {
+			return c
+		}
+		root := find(p)
+		parent[c] = root
+		return root
 	}
+	for _, j := range b.Joins {
+		parent[find(colRef{j.LeftTable, j.LeftCol})] = find(colRef{j.RightTable, j.RightCol})
+	}
+
+	number := make(map[colRef]int)
+	edges := make([]planner.Edge, len(b.Joins))
+	classCols := make([]map[int]int, len(b.Tables))
+	for i := range classCols {
+		classCols[i] = make(map[int]int)
+	}
+	for i, j := range b.Joins {
+		root := find(colRef{j.LeftTable, j.LeftCol})
+		cl, ok := number[root]
+		if !ok {
+			cl = len(number)
+			number[root] = cl
+		}
+		edges[i] = planner.Edge{A: j.LeftTable, B: j.RightTable, Class: cl}
+		classCols[j.LeftTable][cl] = j.LeftCol
+		classCols[j.RightTable][cl] = j.RightCol
+	}
+	return edges, classCols
+}
+
+// plannerQuery builds the §4 planner's input for a bound join: per FROM
+// table its statistics (distinct join-key counts when a later join step
+// reads an intermediate) and its WHERE's estimated selectivity, under the
+// session's grant as |M|. The FROM tables are share-locked first, in one
+// canonical-order acquisition. A predicate only estimates here: executing
+// it, and binding each table's file, is the caller's.
+func (s *Session) plannerQuery(b *sqlfront.BoundSelect) (planner.Query, error) {
+	names := make([]string, len(b.Tables))
+	for i, t := range b.Tables {
+		names[i] = t.Name
+	}
+	rels, _, err := s.lockAndView(names...)
 	if err != nil {
-		return nil, err
+		return planner.Query{}, err
 	}
-	qp := &QueryPlan{
-		query:           pq,
-		plan:            p,
-		EstimatedCPU:    p.CPU,
-		EstimatedIO:     p.IO,
-		Weighted:        p.Weighted,
-		StatesExplored:  p.StatesExplored,
-		PlansConsidered: p.PlansConsidered,
-	}
-	qp.Order = p.Order(pq)
-	return qp, nil
-}
-
-// buildPlannerQuery resolves names against the catalog and computes the
-// statistics the optimizer needs (distinct join-key counts). The planner
-// sees m, the session's grant, as its |M|, and heap-file views on the
-// session's disk view, so execution IO charges the session clock. A
-// Where only estimates its table's selectivity: executing it is the
-// caller's, which binds the filtered file in its place.
-func (db *Database) buildPlannerQuery(q Query, m int, view *simio.Disk) (planner.Query, error) {
-	if len(q.Tables) == 0 {
-		return planner.Query{}, fmt.Errorf("mmdb: query with no tables")
-	}
-	// Assign join classes: columns joined transitively share one class.
-	type colRef struct {
-		table int
-		col   string
-	}
-	classOf := make(map[colRef]int)
-	nextClass := 0
-	classFor := func(a, b colRef) int {
-		ca, okA := classOf[a]
-		cb, okB := classOf[b]
-		switch {
-		case okA && okB:
-			if ca != cb { // merge classes
-				for k, v := range classOf {
-					if v == cb {
-						classOf[k] = ca
-					}
-				}
-			}
-			return ca
-		case okA:
-			classOf[b] = ca
-			return ca
-		case okB:
-			classOf[a] = cb
-			return cb
-		default:
-			classOf[a] = nextClass
-			classOf[b] = nextClass
-			nextClass++
-			return classOf[a]
-		}
-	}
-
-	var edges []planner.Edge
-	for _, j := range q.Joins {
-		if j.LeftTable < 0 || j.LeftTable >= len(q.Tables) || j.RightTable < 0 || j.RightTable >= len(q.Tables) {
-			return planner.Query{}, fmt.Errorf("mmdb: join references table out of range")
-		}
-		cl := classFor(colRef{j.LeftTable, j.LeftCol}, colRef{j.RightTable, j.RightCol})
-		edges = append(edges, planner.Edge{A: j.LeftTable, B: j.RightTable, Class: cl})
-	}
-
-	tables := make([]planner.Table, len(q.Tables))
-	for i, qt := range q.Tables {
-		rel, err := db.cat.Get(qt.Relation)
-		if err != nil {
-			return planner.Query{}, err
-		}
-		schema := rel.Schema()
-		classCols := make(map[int]int)
-		var distinctCols []int
-		for ref, cl := range classOf {
-			if ref.table != i {
-				continue
-			}
-			col := schema.FieldIndex(ref.col)
-			if col < 0 {
-				return planner.Query{}, fmt.Errorf("mmdb: %s has no column %q", qt.Relation, ref.col)
-			}
-			classCols[cl] = col
-			distinctCols = append(distinctCols, col)
-		}
+	edges, classCols := joinClasses(b)
+	tables := make([]planner.Table, len(b.Tables))
+	for i, t := range b.Tables {
 		// Distinct counts size an intermediate that a later join step
 		// reads. A two-table plan has no such step, so it skips their scans.
-		if len(q.Tables) < 3 {
-			distinctCols = nil
+		var distinctCols []int
+		if len(b.Tables) >= 3 {
+			for _, col := range classCols[i] {
+				distinctCols = append(distinctCols, col)
+			}
 		}
-		stats, err := db.cat.Stats(qt.Relation, distinctCols...)
+		stats, err := s.db.cat.Stats(t.Name, distinctCols...)
 		if err != nil {
 			return planner.Query{}, err
 		}
 		distinct := make(map[int]int64)
-		for cl, col := range classCols {
+		for cl, col := range classCols[i] {
 			distinct[cl] = stats.Distinct[col]
 		}
 		sel := 1.0
-		if w := qt.Where; w != nil {
-			if err := w.Err(); err != nil {
-				return planner.Query{}, err
-			}
-			if w.rel != rel {
-				return planner.Query{}, fmt.Errorf("mmdb: table %d predicate is over %q, not %q",
-					i, w.rel.Name, qt.Relation)
-			}
-			if sel = w.EstimatedSelectivity(); sel <= 0 {
-				sel = 1e-6 // "impossible" estimates still cost a scan
-			}
-		}
-		file, err := rel.File.OnDisk(view)
-		if err != nil {
-			return planner.Query{}, err
+		if p := b.Preds[i]; p != nil {
+			sel = selectivity(rels[i], p)
 		}
 		tables[i] = planner.Table{
-			Name:          qt.Relation,
+			Name:          t.Name,
 			Tuples:        stats.Tuples,
 			TuplesPerPage: stats.TuplesPerPage,
-			Width:         schema.Width(),
+			Width:         t.Schema.Width(),
 			Selectivity:   sel,
 			Distinct:      distinct,
-			Rel:           planner.ExecSource{File: file, ClassCols: classCols},
+			Rel:           planner.ExecSource{ClassCols: classCols[i]},
 		}
 	}
 	return planner.Query{
 		Tables:   tables,
 		Edges:    edges,
-		PageSize: db.opts.PageSize,
-		M:        m,
-		Params:   db.opts.Params,
+		PageSize: s.db.opts.PageSize,
+		M:        s.grant.Pages(),
+		Params:   s.db.opts.Params,
 		W:        1,
 	}, nil
 }

@@ -180,8 +180,7 @@ func (r *Relation) Lookup(column string, v Value) ([]Tuple, error) {
 	return out, err
 }
 
-// Delete removes every row whose column equals v, returning the count:
-// DeleteWhere(column = v).
+// Delete removes every row whose column equals v, returning the count.
 func (r *Relation) Delete(column string, v Value) (int64, error) {
 	col := r.Schema().FieldIndex(column)
 	if col < 0 {
@@ -191,25 +190,17 @@ func (r *Relation) Delete(column string, v Value) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return r.DeleteWhere(&Pred{rel: r.rel, inner: eq})
+	return r.deleteWhere(eq)
 }
 
-// DeleteWhere removes every row matching the predicate, returning the
-// count. A nil predicate removes every row. Indexes on the relation are
-// rebuilt afterwards (bulk maintenance).
-func (r *Relation) DeleteWhere(p *Pred) (int64, error) {
-	if p != nil {
-		if err := p.Err(); err != nil {
-			return 0, err
-		}
-		if p.rel != r.rel {
-			return 0, fmt.Errorf("mmdb: predicate over %q used on %q", p.rel.Name, r.Name())
-		}
-	}
+// deleteWhere removes every row matching p, returning the count; a nil p
+// removes every row. Indexes on the relation are rebuilt afterwards (bulk
+// maintenance).
+func (r *Relation) deleteWhere(p expr.Predicate) (int64, error) {
 	var removed int64
 	err := r.withIntent(lock.Exclusive, func() error {
 		err := r.rel.File.Rewrite(func(t tuple.Tuple) (tuple.Tuple, bool) {
-			if p == nil || p.inner.Eval(t) {
+			if p == nil || p.Eval(t) {
 				removed++
 				return nil, false
 			}
@@ -224,11 +215,7 @@ func (r *Relation) DeleteWhere(p *Pred) (int64, error) {
 				return err
 			}
 		}
-		var inner expr.Predicate
-		if p != nil {
-			inner = p.inner
-		}
-		if err := r.ship(shipOp{kind: opDeleteWhere, rel: r.Name(), pred: inner}); err != nil {
+		if err := r.ship(shipOp{kind: opDeleteWhere, rel: r.Name(), pred: p}); err != nil {
 			removed = 0
 			return err
 		}

@@ -104,8 +104,9 @@ type Session struct {
 //	s, err := db.NewSession(ctx, mmdb.WithClass(mmdb.Interactive))
 //
 // Close must be called when the session's queries are done. A session
-// is the engine's one operator surface: SQL (Query), plus Join, OrderBy
-// and Plan, the operators the SQL lowering is built on.
+// is the engine's one operator surface: SQL (Query), plus the §3
+// operators Join and OrderBy (the sort behind a one-table ORDER BY),
+// which the experiment ladders drive directly.
 func (db *Database) NewSession(ctx context.Context, opts ...SessionOption) (*Session, error) {
 	cfg := resolveSessionConfig(opts)
 	var cancel context.CancelFunc
@@ -374,22 +375,4 @@ func (s *Session) OrderBy(relation, column string, fn func(Tuple) bool) error {
 		}
 	}
 	return stream.Err()
-}
-
-// Plan optimizes a multi-way join under the session's memory grant: the
-// §4 planner sees the granted |M|, not the global one, so its plan
-// choices stay faithful to what the session can actually execute.
-func (s *Session) Plan(q Query, mode PlanMode) (*QueryPlan, error) {
-	names := make([]string, len(q.Tables))
-	for i, t := range q.Tables {
-		names[i] = t.Relation
-	}
-	if _, _, err := s.lockAndView(names...); err != nil {
-		return nil, err
-	}
-	pq, err := s.db.buildPlannerQuery(q, s.grant.Pages(), s.view)
-	if err != nil {
-		return nil, err
-	}
-	return finishPlan(pq, mode)
 }

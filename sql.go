@@ -402,26 +402,11 @@ func (r *selectRun) global() error {
 // every join, and the root join streams its pairs to emit.
 func (r *selectRun) planned() error {
 	b, s := r.b, r.s
-	q := Query{Tables: make([]QueryTable, len(b.Tables))}
-	for i, t := range b.Tables {
-		q.Tables[i].Relation = t.Name
-		if b.Preds[i] != nil {
-			rel, err := s.db.cat.Get(t.Name)
-			if err != nil {
-				return err
-			}
-			q.Tables[i].Where = &Pred{rel: rel, inner: b.Preds[i]}
-		}
+	q, err := s.plannerQuery(b)
+	if err != nil {
+		return err
 	}
-	for _, j := range b.Joins {
-		q.Joins = append(q.Joins, QueryJoin{
-			LeftTable:  j.LeftTable,
-			LeftCol:    b.Tables[j.LeftTable].Schema.Field(j.LeftCol).Name,
-			RightTable: j.RightTable,
-			RightCol:   b.Tables[j.RightTable].Schema.Field(j.RightCol).Name,
-		})
-	}
-	qp, err := s.Plan(q, HashOnly)
+	p, err := planner.OptimizeHashOnly(q)
 	if err != nil {
 		return err
 	}
@@ -432,28 +417,30 @@ func (r *selectRun) planned() error {
 			return err
 		}
 		defer drop()
-		qp.query.Tables[i].Rel.File = f
+		q.Tables[i].Rel.File = f
 	}
 
-	// The root's right row is the plan order's last table; its left row
-	// lays the others out build first, each table's columns contiguous.
-	at := make(map[string]sqlfront.Output, len(b.Tables))
-	off := 0
-	for _, name := range qp.Order {
-		at[name] = sqlfront.Output{Col: off}
-		for _, t := range b.Tables {
-			if t.Name == name {
-				off += t.Schema.NumFields()
-			}
-		}
+	// The root's right row is the plan's last table; its left row lays the
+	// others out build first, each table's columns contiguous.
+	var order []int // last table first
+	n := p.Root
+	for ; n.Table < 0; n = n.Left {
+		order = append(order, n.Right)
 	}
-	at[qp.Order[len(qp.Order)-1]] = sqlfront.Output{Table: 1}
+	order = append(order, n.Table)
+	at := make([]sqlfront.Output, len(b.Tables))
+	at[order[0]] = sqlfront.Output{Table: 1}
+	off := 0
+	for k := len(order) - 1; k > 0; k-- {
+		at[order[k]] = sqlfront.Output{Col: off}
+		off += b.Tables[order[k]].Schema.NumFields()
+	}
 	r.cols = make([]sqlfront.Output, len(b.Cols))
 	for i, c := range b.Cols {
-		o := at[b.Tables[c.Table].Name]
+		o := at[c.Table]
 		r.cols[i] = sqlfront.Output{Table: o.Table, Col: o.Col + c.Col}
 	}
-	return planner.Execute(qp.query, qp.plan, spec, func(left, right *heap.File) (join.Emit, error) {
+	return planner.Execute(q, p, spec, func(left, right *heap.File) (join.Emit, error) {
 		r.src[0], r.src[1] = left.Schema(), right.Schema()
 		return r.emit, nil
 	})
@@ -478,11 +465,7 @@ func (s *Session) execDelete(b *sqlfront.BoundDelete) (*SQLResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	var pred *Pred
-	if b.Pred != nil {
-		pred = &Pred{rel: rel.rel, inner: b.Pred}
-	}
-	n, err := rel.DeleteWhere(pred)
+	n, err := rel.deleteWhere(b.Pred)
 	if err != nil {
 		return nil, err
 	}

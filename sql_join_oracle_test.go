@@ -46,8 +46,8 @@ var oracleTerms = map[string][]oracleTerm{
 // oracleEdge joins column ac of FROM table a with column bc of table b.
 type oracleEdge struct{ a, ac, b, bc int }
 
-// oracleShape is a FROM list: edge i brings table b = i+1 in, joined to
-// an earlier table a.
+// oracleShape is a FROM list: edge i is the ON clause that brings table
+// i+1 in. It may name any two distinct FROM tables, even one joined later.
 type oracleShape struct {
 	tables []string
 	edges  []oracleEdge
@@ -62,6 +62,8 @@ var oracleShapes = []oracleShape{
 	{[]string{"proj", "emp", "dept"}, []oracleEdge{{0, 1, 1, 0}, {1, 1, 2, 0}}},
 	{[]string{"dept", "proj", "emp"}, []oracleEdge{{0, 0, 1, 1}, {0, 0, 2, 1}}},
 	{[]string{"emp", "proj", "dept"}, []oracleEdge{{0, 1, 1, 1}, {1, 1, 2, 0}}},
+	// dept JOIN proj ON emp.dept = dept.id JOIN emp ON proj.dept = emp.dept
+	{[]string{"dept", "proj", "emp"}, []oracleEdge{{2, 1, 0, 0}, {1, 1, 2, 1}}},
 }
 
 // oracleCol is one projected column: FROM table t, column c.
@@ -165,17 +167,26 @@ func (st oracleStmt) reference(base map[string][][]Value) (rows []string, keys [
 			if term := st.terms[ti]; term != nil && !term.eval(row) {
 				continue
 			}
-			if ti > 0 {
-				if e := st.shape.edges[ti-1]; tuple.Compare(row[e.bc], bound[e.a][e.ac]) != 0 {
-					continue
-				}
-			}
 			bound[ti] = row
-			walk(ti + 1)
+			if st.joined(bound[:ti+1]) {
+				walk(ti + 1)
+			}
 		}
 	}
 	walk(0)
 	return rows, keys
+}
+
+// joined reports whether the rows bound so far, the last one just bound,
+// satisfy every edge that names the last table and an earlier one.
+func (st oracleStmt) joined(bound [][]Value) bool {
+	ti := len(bound) - 1
+	for _, e := range st.shape.edges {
+		if max(e.a, e.b) == ti && tuple.Compare(bound[e.a][e.ac], bound[e.b][e.bc]) != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // checkOracle reports how got departs from the reference: multiset-equal
@@ -223,7 +234,8 @@ func (st oracleStmt) checkOracle(got [][]Value, want []string, keys []Value) err
 // checked against a nested-loop evaluator over each table's rows, at
 // widths 1 and 4 — with identical counters at both widths. The fixed
 // statements first cover an unfiltered leaf larger than the 8-page grant,
-// an empty probe leaf, and a build side whose every row is filtered.
+// an empty probe leaf, a build side whose every row is filtered, and an ON
+// clause naming a table joined later.
 func TestSQLJoinOracle(t *testing.T) {
 	dbs := []*Database{newLoweringDBWidth(t, 1), newLoweringDBWidth(t, 4)}
 	schema := map[string]*Schema{}
@@ -258,6 +270,7 @@ func TestSQLJoinOracle(t *testing.T) {
 		star(oracleShapes[4], nil, nil, nil),
 		star(oracleShapes[4], nil, &noDept, nil),
 		star(oracleShapes[6], nil, nil, nil),
+		star(oracleShapes[8], nil, nil, nil),
 	}
 	rng := rand.New(rand.NewSource(29))
 	n := 200
@@ -283,6 +296,62 @@ func TestSQLJoinOracle(t *testing.T) {
 		}
 		if counters[0] != counters[1] {
 			t.Errorf("%s: counters %v at width 1, %v at width 4", q, counters[0], counters[1])
+		}
+	}
+}
+
+// TestSQLJoinClassMerge: ON clauses that open two join classes and then
+// join them into one return the nested-loop reference's rows, on four
+// 10-row tables whose pad values never equal a k.
+func TestSQLJoinClassMerge(t *testing.T) {
+	db := MustOpen(Options{PageSize: 256, MemoryPages: 8})
+	tables := []string{"a", "b", "c", "d"}
+	schema := map[string]*Schema{}
+	base := map[string][][]Value{}
+	for _, name := range tables {
+		rel, err := db.CreateRelation(name, MustSchema(Field{Name: "k", Kind: Int64}, Field{Name: "pad", Kind: Int64}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := int64(0); i < 10; i++ {
+			row := []Value{IntValue(i), IntValue(100 + i)}
+			if err := rel.Insert(row...); err != nil {
+				t.Fatal(err)
+			}
+			base[name] = append(base[name], row)
+		}
+		if err := rel.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		schema[name] = rel.Schema()
+	}
+	for _, c := range []struct {
+		edges []oracleEdge
+		rows  int
+	}{
+		// a JOIN b ON a.k = b.k JOIN c ON c.k = d.k JOIN d ON b.k = c.k
+		{[]oracleEdge{{0, 0, 1, 0}, {2, 0, 3, 0}, {1, 0, 2, 0}}, 10},
+		// a JOIN b ON a.k = b.k JOIN c ON c.pad = d.pad JOIN d ON c.pad = b.k
+		{[]oracleEdge{{0, 0, 1, 0}, {2, 1, 3, 1}, {2, 1, 1, 0}}, 0},
+	} {
+		st := oracleStmt{
+			shape: oracleShape{tables, c.edges},
+			terms: make([]*oracleTerm, len(tables)),
+			cols:  []oracleCol{{0, 0}, {1, 0}, {2, 0}, {3, 0}},
+			order: -1, limit: -1, schema: schema,
+		}
+		q := st.String()
+		want, keys := st.reference(base)
+		if len(want) != c.rows {
+			t.Fatalf("%s: reference has %d rows, want %d", q, len(want), c.rows)
+		}
+		res, err := db.Query(q)
+		if err != nil {
+			t.Errorf("%s: %v", q, err)
+			continue
+		}
+		if err := st.checkOracle(res.Values(), want, keys); err != nil {
+			t.Errorf("%s: %v", q, err)
 		}
 	}
 }
