@@ -325,13 +325,12 @@ func TestReplSessionOptionsOnReadMethods(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := int64(0)
-	err = s.OrderBy("accounts", "id", func(Tuple) bool { n++; return true })
+	ordered, err := s.Query("SELECT id FROM accounts ORDER BY id")
 	s.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != prel.NumTuples() {
+	if n := int64(len(ordered.Rows)); n != prel.NumTuples() {
 		t.Fatalf("ordered scan saw %d tuples, primary has %d", n, prel.NumTuples())
 	}
 	// A cluster read without a preference pins to the primary.

@@ -40,7 +40,7 @@ func TestConcurrentQueries(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := empDeptJoin(db, HybridHash)
+			res, err := empDeptJoin(db)
 			errs[i] = err
 			matches[i] = res.Matches
 		}(i)
@@ -81,7 +81,7 @@ func TestConcurrentMixedOperators(t *testing.T) {
 	}
 	for i := 0; i < 2; i++ {
 		run(func() error {
-			_, err := empDeptJoin(db, HybridHash)
+			_, err := empDeptJoin(db)
 			return err
 		})
 		run(func() error {
@@ -119,13 +119,11 @@ func TestConcurrentCountersMatchSerial(t *testing.T) {
 		loadCompany(t, db, 500, 10)
 		return db
 	}
-	query := func(db *Database) (JoinResult, error) {
-		return empDeptJoin(db, HybridHash)
-	}
+	query := empDeptJoin
 
 	serial := open()
 	serial.ResetClock()
-	var want JoinResult
+	var want joinRun
 	const n = 4
 	for i := 0; i < n; i++ {
 		res, err := query(serial)
@@ -142,7 +140,7 @@ func TestConcurrentCountersMatchSerial(t *testing.T) {
 	conc := open()
 	conc.ResetClock()
 	var wg sync.WaitGroup
-	results := make([]JoinResult, n)
+	results := make([]joinRun, n)
 	errs := make([]error, n)
 	for i := 0; i < n; i++ {
 		wg.Add(1)
@@ -180,7 +178,7 @@ func TestSessionBrokerNeverOverGrants(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := empDeptJoin(db, HybridHash); err != nil {
+			if _, err := empDeptJoin(db); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -211,11 +209,11 @@ func TestSessionOverloaded(t *testing.T) {
 	if _, err := db.NewSession(context.Background()); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("second session: err=%v, want ErrOverloaded", err)
 	}
-	if _, err := empDeptJoin(db, HybridHash); !errors.Is(err, ErrOverloaded) {
+	if _, err := empDeptJoin(db); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("query during held slot: err=%v, want ErrOverloaded", err)
 	}
 	s.Close()
-	if _, err := empDeptJoin(db, HybridHash); err != nil {
+	if _, err := empDeptJoin(db); err != nil {
 		t.Fatalf("query after slot freed: %v", err)
 	}
 	if m := db.SessionMetrics(); m.Rejected != 2 {
@@ -236,7 +234,7 @@ func TestSessionQueueDeadline(t *testing.T) {
 	defer s.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	if _, err := oneShotJoin(ctx, db, HybridHash, "emp", "dept", "dept", "id", nil); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := db.QueryContext(ctx, empDeptSQL); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("queued query: err=%v, want DeadlineExceeded", err)
 	}
 }
@@ -260,7 +258,7 @@ func TestSessionQueryTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if _, err := empDeptJoin(db, HybridHash); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := empDeptJoin(db); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("timed-out query: err=%v, want DeadlineExceeded", err)
 	}
 }
@@ -297,7 +295,7 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
-				res, err := empDeptJoin(db, HybridHash)
+				res, err := empDeptJoin(db)
 				if err != nil {
 					t.Error(err)
 					return
@@ -311,7 +309,7 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 	}
 	wg.Wait()
 
-	res, err := empDeptJoin(db, HybridHash)
+	res, err := empDeptJoin(db)
 	if err != nil {
 		t.Fatal(err)
 	}

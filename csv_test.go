@@ -2,7 +2,7 @@ package mmdb
 
 import (
 	"bytes"
-	"context"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -36,16 +36,17 @@ func TestCSVRoundTrip(t *testing.T) {
 		t.Fatalf("imported %d rows", n)
 	}
 	// Spot-check content equality via a join on id.
-	res, err := oneShotJoin(context.Background(), db, HybridHash, "emp", "emp2", "id", "id", func(l, r Tuple) {
-		if string(l) != string(r) {
-			t.Fatal("round-tripped tuple differs")
-		}
-	})
+	res, err := db.Query("SELECT * FROM emp JOIN emp2 ON emp.id = emp2.id")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Matches != 50 {
-		t.Fatalf("join matched %d of 50", res.Matches)
+	if len(res.Rows) != 50 {
+		t.Fatalf("join matched %d of 50", len(res.Rows))
+	}
+	for _, v := range res.Values() {
+		if fmt.Sprint(v[:4]) != fmt.Sprint(v[4:]) {
+			t.Fatalf("round-tripped row differs: %v", v)
+		}
 	}
 }
 

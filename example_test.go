@@ -1,15 +1,14 @@
 package mmdb_test
 
 import (
-	"context"
 	"fmt"
 	"time"
 
 	"mmdb"
 )
 
-// Example builds a small database, joins two relations on a session with
-// hybrid hash, the §4 choice, and counts a selection in SQL.
+// Example builds a small database, joins two relations in SQL (planned
+// as a hybrid hash join, the §4 choice) and counts a selection.
 func Example() {
 	db := mmdb.MustOpen(mmdb.Options{MemoryPages: 64})
 
@@ -31,15 +30,13 @@ func Example() {
 	}
 	dept.Flush()
 
-	s, _ := db.NewSession(context.Background())
-	res, _ := s.Join(mmdb.HybridHash, "emp", "dept", "dept", "id", nil)
-	s.Close()
-	fmt.Printf("%d matches via %v\n", res.Matches, res.Algorithm)
+	res, _ := db.Query("SELECT emp.id, name FROM emp JOIN dept ON emp.dept = dept.id")
+	fmt.Printf("%d matches\n", len(res.Rows))
 
 	sql, _ := db.Query("SELECT COUNT(*) FROM emp WHERE dept < 2")
 	fmt.Println(sql.Values()[0][0], "employees in departments 0 and 1")
 	// Output:
-	// 100 matches via hybrid-hash
+	// 100 matches
 	// 50 employees in departments 0 and 1
 }
 

@@ -1,7 +1,10 @@
 // Joins: a Figure-1-style face-off of the four §3 join algorithms on one
-// workload across a sweep of memory sizes, each join on a session of its
-// own. The virtual clock uses the paper's Table 2 device and CPU times, so
-// the printed seconds are comparable to the paper's curves.
+// workload across a sweep of memory sizes. SQL only ever plans hybrid
+// hash (§4), so the example drives the operators themselves, as
+// `mmdbench -exp figure1` does: heap files on a simulated disk, joined by
+// join.Run under a session memory grant. The virtual clock uses the
+// paper's Table 2 device and CPU times, so the printed seconds are
+// comparable to the paper's curves.
 package main
 
 import (
@@ -9,7 +12,12 @@ import (
 	"fmt"
 	"log"
 
-	"mmdb"
+	"mmdb/internal/cost"
+	"mmdb/internal/heap"
+	"mmdb/internal/join"
+	"mmdb/internal/session"
+	"mmdb/internal/simio"
+	"mmdb/internal/tuple"
 )
 
 func main() {
@@ -18,10 +26,15 @@ func main() {
 		sTuples = 40000
 	)
 
-	algorithms := []mmdb.JoinAlgorithm{
-		mmdb.SortMerge, mmdb.SimpleHash, mmdb.GraceHash, mmdb.HybridHash,
+	algorithms := []join.Algorithm{
+		join.SortMerge, join.SimpleHash, join.GraceHash, join.HybridHash,
 	}
 	memories := []int{60, 120, 240, 480, 960, 1200}
+
+	params := cost.DefaultParams()
+	disk := simio.NewDisk(cost.NewClock(params), 4096)
+	r := load(disk, "R", rTuples, 1)
+	s := load(disk, "S", sTuples, 2)
 
 	fmt.Println("join algorithm comparison (virtual seconds, Table 2 hardware)")
 	fmt.Printf("%-8s %-9s", "|M|", "ratio")
@@ -31,18 +44,19 @@ func main() {
 	fmt.Println()
 
 	for _, m := range memories {
-		db := mmdb.MustOpen(mmdb.Options{MemoryPages: m})
-		load(db, "R", rTuples, 1)
-		load(db, "S", sTuples, 2)
 		ratio := float64(m) / (1000 * 1.2)
 		fmt.Printf("%-8d %-9.3f", m, ratio)
+		broker := session.NewUnreservedBroker(m, 1)
 		for _, a := range algorithms {
-			s, err := db.NewSession(context.Background())
+			// A live grant, as a database session holds: hybrid hash
+			// watches it and finishes GRACE-style when its resident
+			// partition outgrows the grant.
+			g, err := broker.ReserveGrant(context.Background(), session.Batch, 0)
 			if err != nil {
 				log.Fatal(err)
 			}
-			res, err := s.Join(a, "R", "S", "key", "key", nil)
-			s.Close()
+			res, err := join.Run(a, join.Spec{R: r, S: s, M: g.Pages(), F: params.F, LiveM: g.Pages}, nil)
+			g.Release()
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -55,25 +69,22 @@ func main() {
 	fmt.Println("always beaten by hashing above |M| = sqrt(|S|*F).")
 }
 
-// load creates a relation of n 100-byte tuples with int64 keys drawn from
-// [0, n): the Table 2 tuple shape.
-func load(db *mmdb.Database, name string, n int, seed int64) {
-	rel, err := db.CreateRelation(name, mmdb.MustSchema(
-		mmdb.Field{Name: "key", Kind: mmdb.Int64},
-		mmdb.Field{Name: "pad", Kind: mmdb.String, Size: 92},
-	))
-	if err != nil {
-		log.Fatal(err)
-	}
+// load creates a heap file of n 100-byte tuples with int64 keys drawn
+// from [0, n): the Table 2 tuple shape. Loading is uncharged.
+func load(disk *simio.Disk, name string, n int, seed int64) *heap.File {
+	schema := tuple.MustSchema(
+		tuple.Field{Name: "key", Kind: tuple.Int64},
+		tuple.Field{Name: "pad", Kind: tuple.String, Size: 92},
+	)
+	rows := make([]tuple.Tuple, n)
 	x := uint64(seed)*2862933555777941757 + 3037000493
-	for i := 0; i < n; i++ {
+	for i := range rows {
 		x = x*2862933555777941757 + 3037000493
-		key := int64(x % uint64(n))
-		if err := rel.Insert(mmdb.IntValue(key), mmdb.StringValue("x")); err != nil {
-			log.Fatal(err)
-		}
+		rows[i] = schema.MustEncode(tuple.IntValue(int64(x%uint64(n))), tuple.StringValue("x"))
 	}
-	if err := rel.Flush(); err != nil {
+	f := heap.MustCreate(disk, name, schema)
+	if err := f.Load(rows); err != nil {
 		log.Fatal(err)
 	}
+	return f
 }

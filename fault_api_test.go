@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"mmdb/internal/join"
 	"mmdb/internal/simio"
 )
 
@@ -39,33 +40,13 @@ func loadKeyed(t *testing.T, db *Database, n int, names ...string) {
 	}
 }
 
-// joinPairs runs the join on a session collecting the emitted pair
-// multiset.
-func joinPairs(t *testing.T, s *Session, alg JoinAlgorithm) (map[string]int, JoinResult, error) {
-	t.Helper()
-	got := map[string]int{}
-	res, err := s.Join(alg, "r", "s", "k", "k", func(l, r Tuple) {
-		got[fmt.Sprintf("%x|%x", []byte(l), []byte(r))]++
-	})
-	return got, res, err
-}
-
-func samePairs(a, b map[string]int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, n := range a {
-		if b[k] != n {
-			return false
-		}
-	}
-	return true
-}
+// pairKey formats one emitted (r, s) pair for a multiset.
+func pairKey(l, r Tuple) string { return fmt.Sprintf("%x|%x", []byte(l), []byte(r)) }
 
 // TestShedMemoryDegradesJoin revokes most of a session's memory grant
-// while a hybrid hash join is probing (from inside the emit callback, so
-// the timing is deterministic) and asserts the join degrades to the GRACE
-// spill fallback with a bit-identical result.
+// while a hybrid hash join runs on the session's views (from inside the
+// emit callback, so the timing is deterministic) and asserts the join
+// degrades to the GRACE spill fallback with a bit-identical result.
 func TestShedMemoryDegradesJoin(t *testing.T) {
 	db, err := Open(Options{PageSize: 512, MemoryPages: 64})
 	if err != nil {
@@ -73,16 +54,16 @@ func TestShedMemoryDegradesJoin(t *testing.T) {
 	}
 	loadKeyed(t, db, 500, "r", "s")
 
-	base, err := db.NewSession(context.Background())
+	want := map[string]int{}
+	var wres join.Result
+	err = db.withSession(context.Background(), func(s *Session) (err error) {
+		wres, err = viewJoin(s, join.HybridHash, "r", "s", "k", "k", func(l, r Tuple) { want[pairKey(l, r)]++ })
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, wres, err := joinPairs(t, base, HybridHash)
-	base.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wres.Degraded {
+	if wres.GraceFallback {
 		t.Fatal("baseline run reported degradation")
 	}
 
@@ -96,8 +77,8 @@ func TestShedMemoryDegradesJoin(t *testing.T) {
 	}
 	got := map[string]int{}
 	shed := false
-	res, err := s.Join(HybridHash, "r", "s", "k", "k", func(l, r Tuple) {
-		got[fmt.Sprintf("%x|%x", []byte(l), []byte(r))]++
+	res, err := viewJoin(s, join.HybridHash, "r", "s", "k", "k", func(l, r Tuple) {
+		got[pairKey(l, r)]++
 		if !shed {
 			shed = true
 			if n := s.ShedMemory(1000); n != 62 {
@@ -108,10 +89,10 @@ func TestShedMemoryDegradesJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Degraded {
+	if !res.GraceFallback {
 		t.Fatal("revoked grant did not degrade the join")
 	}
-	if res.Matches != wres.Matches || !samePairs(got, want) {
+	if res.Matches != wres.Matches || !reflect.DeepEqual(got, want) {
 		t.Fatalf("degraded join diverged: %d matches, want %d", res.Matches, wres.Matches)
 	}
 	if g := s.GrantedPages(); g != MinGrantPages {
@@ -123,45 +104,53 @@ func TestShedMemoryDegradesJoin(t *testing.T) {
 	}
 }
 
-// TestWithRetrySurvivesTransientFaults arms a one-shot transient burst
-// long enough to kill two whole query attempts and asserts a WithRetry
-// session absorbs them: the third attempt succeeds with the exact
-// fault-free result, and no pairs from the failed attempts leak out.
-func TestWithRetrySurvivesTransientFaults(t *testing.T) {
-	db, err := Open(Options{PageSize: 512, MemoryPages: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	loadKeyed(t, db, 500, "r", "s")
+// rsJoinSQL joins loadKeyed's r and s; at 500 tuples (24 pages) each
+// against an 8-page grant, hybrid hash partitions, so the statement
+// charges IO a fault plan can hit.
+const rsJoinSQL = "SELECT r.pad, s.pad FROM r JOIN s ON r.k = s.k"
 
-	base, err := db.NewSession(context.Background())
+// openRSJoinDB loads r and s and returns the undisturbed rsJoinSQL result.
+func openRSJoinDB(t *testing.T) (*Database, *SQLResult) {
+	t.Helper()
+	db := MustOpen(Options{PageSize: 512, MemoryPages: 8})
+	loadKeyed(t, db, 500, "r", "s")
+	want, err := db.Query(rsJoinSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, wres, err := joinPairs(t, base, GraceHash)
-	base.Close()
+	return db, want
+}
+
+// sessionQuery runs q in a session of its own opened with opts.
+func sessionQuery(db *Database, q string, opts ...SessionOption) (*SQLResult, error) {
+	s, err := db.NewSession(context.Background(), opts...)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
+	defer s.Close()
+	return s.Query(q)
+}
+
+// TestWithRetrySurvivesTransientFaults arms a one-shot transient burst
+// long enough to kill two whole statement attempts and asserts a
+// WithRetry session absorbs them: the third attempt succeeds with the
+// exact fault-free rows, and no rows from the failed attempts leak out.
+func TestWithRetrySurvivesTransientFaults(t *testing.T) {
+	db, want := openRSJoinDB(t)
 
 	// Burst 12 at the 10th charged IO: the write path's bounded retry (5
-	// attempts per page) exhausts twice — two query attempts die — and the
-	// third attempt absorbs the 2-fault remainder.
+	// attempts per page) exhausts twice — two statement attempts die —
+	// and the third attempt absorbs the 2-fault remainder.
 	inj := NewFaultInjector(3).TransientAt("", 10, 12)
 	db.ArmFaults(inj)
 	defer db.ArmFaults(nil)
 
-	s, err := db.NewSession(context.Background(), WithRetry(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	got, res, err := joinPairs(t, s, GraceHash)
+	got, err := sessionQuery(db, rsJoinSQL, WithRetry(2))
 	if err != nil {
 		t.Fatalf("retried query failed: %v", err)
 	}
-	if res.Matches != wres.Matches || !samePairs(got, want) {
-		t.Fatalf("retried join diverged: %d matches, want %d", res.Matches, wres.Matches)
+	if len(got.Rows) != len(want.Rows) || !sameRows(got, want) {
+		t.Fatalf("retried join returned %d rows, want %d, or other rows", len(got.Rows), len(want.Rows))
 	}
 	if tr := inj.Stats().Transient; tr != 12 {
 		t.Fatalf("injected %d transients, want the whole burst of 12", tr)
@@ -172,20 +161,11 @@ func TestWithRetrySurvivesTransientFaults(t *testing.T) {
 // kills a session without WithRetry, and the error carries the full
 // taxonomy.
 func TestWithoutRetryTransientFaultSurfaces(t *testing.T) {
-	db, err := Open(Options{PageSize: 512, MemoryPages: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	loadKeyed(t, db, 500, "r", "s")
+	db, _ := openRSJoinDB(t)
 	db.ArmFaults(NewFaultInjector(3).TransientAt("", 10, 12))
 	defer db.ArmFaults(nil)
 
-	s, err := db.NewSession(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	_, _, err = joinPairs(t, s, GraceHash)
+	_, err := sessionQuery(db, rsJoinSQL)
 	if err == nil {
 		t.Fatal("transient burst was swallowed without WithRetry")
 	}
@@ -198,20 +178,11 @@ func TestWithoutRetryTransientFaultSurfaces(t *testing.T) {
 // immediately on a permanent failure, and that disarming restores the
 // database.
 func TestRetryDoesNotMaskPermanentFaults(t *testing.T) {
-	db, err := Open(Options{PageSize: 512, MemoryPages: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	loadKeyed(t, db, 500, "r", "s")
+	db, want := openRSJoinDB(t)
 
 	inj := NewFaultInjector(5).PermanentAfter("", 10)
 	db.ArmFaults(inj)
-	s, err := db.NewSession(context.Background(), WithRetry(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, err = joinPairs(t, s, GraceHash)
-	s.Close()
+	_, err := sessionQuery(db, rsJoinSQL, WithRetry(8))
 	if !errors.Is(err, ErrFaultPermanent) {
 		t.Fatalf("want a permanent fault, got %v", err)
 	}
@@ -223,13 +194,12 @@ func TestRetryDoesNotMaskPermanentFaults(t *testing.T) {
 	}
 
 	db.ArmFaults(nil)
-	s2, err := db.NewSession(context.Background())
+	got, err := sessionQuery(db, rsJoinSQL)
 	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if _, _, err := joinPairs(t, s2, GraceHash); err != nil {
 		t.Fatalf("disarmed database still failing: %v", err)
+	}
+	if !sameRows(got, want) {
+		t.Fatal("disarmed database returned other rows")
 	}
 }
 

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -11,15 +10,17 @@ import (
 	"mmdb"
 	"mmdb/internal/event"
 	"mmdb/internal/fault"
+	"mmdb/internal/join"
 	"mmdb/internal/recovery"
 	"mmdb/internal/store"
+	"mmdb/internal/tuple"
 	"mmdb/internal/txn"
 	"mmdb/internal/wal"
 )
 
 // ChaosConfig drives the fault-plane acceptance ladder: a crash-recovery
 // grid under torn log writes, a transient-fault query leg absorbed by
-// session retry, and a grant-revocation leg that must degrade to the
+// query-level retry, and a grant-revocation leg that must degrade to the
 // GRACE spill fallback. Everything is virtual-time and seed-driven, so a
 // given config produces a byte-identical report on every run.
 type ChaosConfig struct {
@@ -221,37 +222,21 @@ func runChaosCrash(cfg ChaosConfig, seed int64, crashAt time.Duration) (ChaosCra
 	return row, nil
 }
 
-// chaosDB opens a database with two relations r and s of cfg.Tuples rows
-// each whose keys collide 5×5 per value.
-func chaosDB(cfg ChaosConfig) (*mmdb.Database, error) {
-	db, err := mmdb.Open(mmdb.Options{PageSize: cfg.PageSize, MemoryPages: cfg.MemoryPages})
-	if err != nil {
-		return nil, err
-	}
-	schema := mmdb.MustSchema(
-		mmdb.Field{Name: "k", Kind: mmdb.Int64},
-		mmdb.Field{Name: "pad", Kind: mmdb.String, Size: 16},
-	)
-	for _, name := range []string{"r", "s"} {
-		err := loadRelation(db, name, schema, cfg.Tuples, func(i int) []mmdb.Value {
-			return []mmdb.Value{mmdb.IntValue(int64(i % (cfg.Tuples / 5))), mmdb.StringValue(fmt.Sprintf("%s%04d", name, i))}
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	return db, nil
-}
-
-// chaosJoin runs the join in session s collecting an order-independent
-// fingerprint of the emitted pair multiset.
-func chaosJoin(s *mmdb.Session, alg mmdb.JoinAlgorithm, onEmit func()) (mmdb.JoinResult, uint64, error) {
+// chaosJoin runs r ⋈ s in query q, re-running an attempt a transient
+// fault kills up to retries times, and fingerprints the emitted pair
+// multiset of the attempt that succeeded (order-independent).
+func chaosJoin(q *opQuery, alg join.Algorithm, retries int, onEmit func()) (join.Result, uint64, error) {
 	var pairs []string
-	res, err := s.Join(alg, "r", "s", "k", "k", func(l, r mmdb.Tuple) {
-		pairs = append(pairs, fmt.Sprintf("%x|%x", []byte(l), []byte(r)))
-		if onEmit != nil {
-			onEmit()
-		}
+	var res join.Result
+	err := fault.Rerun(retries, func() (err error) {
+		pairs = pairs[:0]
+		res, err = q.join(alg, "r", "s", 0, func(l, r tuple.Tuple) {
+			pairs = append(pairs, fmt.Sprintf("%x|%x", []byte(l), []byte(r)))
+			if onEmit != nil {
+				onEmit()
+			}
+		})
+		return err
 	})
 	if err != nil {
 		return res, 0, err
@@ -265,41 +250,52 @@ func chaosJoin(s *mmdb.Session, alg mmdb.JoinAlgorithm, onEmit func()) (mmdb.Joi
 	return res, h.Sum64(), nil
 }
 
-// chaosBaseline opens a query-leg database and joins r ⋈ s fault-free: the
-// result and pair fingerprint a disturbed run must reproduce bit for bit.
-func chaosBaseline(cfg ChaosConfig, alg mmdb.JoinAlgorithm) (*mmdb.Database, mmdb.JoinResult, uint64, error) {
-	db, err := chaosDB(cfg)
-	if err != nil {
-		return nil, mmdb.JoinResult{}, 0, err
+// chaosBaseline loads a query-leg bench — relations r and s of cfg.Tuples
+// rows each whose keys collide 5×5 per value — and joins r ⋈ s
+// fault-free: the result and pair fingerprint a disturbed run must
+// reproduce bit for bit.
+func chaosBaseline(cfg ChaosConfig, alg join.Algorithm) (*opBench, join.Result, uint64, error) {
+	b := newOpBench(cfg.PageSize, cfg.MemoryPages, join.Spec{})
+	schema := mmdb.MustSchema(
+		mmdb.Field{Name: "k", Kind: mmdb.Int64},
+		mmdb.Field{Name: "pad", Kind: mmdb.String, Size: 16},
+	)
+	for _, name := range []string{"r", "s"} {
+		err := b.load(name, schema, cfg.Tuples, func(i int) []mmdb.Value {
+			return []mmdb.Value{mmdb.IntValue(int64(i % (cfg.Tuples / 5))), mmdb.StringValue(fmt.Sprintf("%s%04d", name, i))}
+		})
+		if err != nil {
+			return nil, join.Result{}, 0, err
+		}
 	}
-	base, err := db.NewSession(context.Background())
+	q, err := b.query()
 	if err != nil {
-		return nil, mmdb.JoinResult{}, 0, err
+		return nil, join.Result{}, 0, err
 	}
-	defer base.Close()
-	res, hash, err := chaosJoin(base, alg, nil)
-	return db, res, hash, err
+	defer q.close()
+	res, hash, err := chaosJoin(q, alg, 0, nil)
+	return b, res, hash, err
 }
 
 // runChaosTransient runs the transient leg: a one-shot burst long enough
-// to kill whole query attempts, absorbed by session-level retry, and the
+// to kill whole query attempts, absorbed by query-level retry, and the
 // final result compared bit for bit against a fault-free baseline.
 func runChaosTransient(cfg ChaosConfig) (ChaosQueryLeg, error) {
 	leg := ChaosQueryLeg{Algorithm: "grace"}
-	db, wantRes, wantHash, err := chaosBaseline(cfg, mmdb.GraceHash)
+	b, wantRes, wantHash, err := chaosBaseline(cfg, join.GraceHash)
 	if err != nil {
 		return leg, err
 	}
 
-	inj := mmdb.NewFaultInjector(3).TransientAt("", cfg.TransientAt, cfg.TransientBurst)
-	db.ArmFaults(inj)
-	defer db.ArmFaults(nil)
-	s, err := db.NewSession(context.Background(), mmdb.WithRetry(cfg.Retries))
+	inj := fault.NewInjector(3).TransientAt("", cfg.TransientAt, cfg.TransientBurst)
+	b.disk.SetInjector(inj)
+	defer b.disk.SetInjector(nil)
+	q, err := b.query()
 	if err != nil {
 		return leg, err
 	}
-	defer s.Close()
-	res, hash, err := chaosJoin(s, mmdb.GraceHash, nil)
+	defer q.close()
+	res, hash, err := chaosJoin(q, join.GraceHash, cfg.Retries, nil)
 	if err != nil {
 		return leg, fmt.Errorf("chaos: retried query failed: %w", err)
 	}
@@ -315,21 +311,21 @@ func runChaosTransient(cfg ChaosConfig) (ChaosQueryLeg, error) {
 // via the GRACE spill fallback with the exact same pairs.
 func runChaosRevoked(cfg ChaosConfig) (ChaosQueryLeg, error) {
 	leg := ChaosQueryLeg{Algorithm: "hybrid"}
-	db, wantRes, wantHash, err := chaosBaseline(cfg, mmdb.HybridHash)
+	b, wantRes, wantHash, err := chaosBaseline(cfg, join.HybridHash)
 	if err != nil {
 		return leg, err
 	}
 
-	s, err := db.NewSession(context.Background())
+	q, err := b.query()
 	if err != nil {
 		return leg, err
 	}
-	defer s.Close()
+	defer q.close()
 	shed := false
-	res, hash, err := chaosJoin(s, mmdb.HybridHash, func() {
+	res, hash, err := chaosJoin(q, join.HybridHash, 0, func() {
 		if !shed {
 			shed = true
-			leg.ShedReclaimed = s.ShedMemory(cfg.ShedPages)
+			leg.ShedReclaimed = q.grant.Revoke(cfg.ShedPages)
 		}
 	})
 	if err != nil {
@@ -337,7 +333,7 @@ func runChaosRevoked(cfg ChaosConfig) (ChaosQueryLeg, error) {
 	}
 	leg.Matches = res.Matches
 	leg.PairHash = hash
-	leg.Degraded = res.Degraded
+	leg.Degraded = res.GraceFallback
 	leg.Identical = res.Matches == wantRes.Matches && hash == wantHash
 	return leg, nil
 }

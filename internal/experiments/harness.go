@@ -11,8 +11,14 @@ import (
 	"time"
 
 	"mmdb"
+	"mmdb/internal/cost"
 	"mmdb/internal/event"
+	"mmdb/internal/heap"
+	"mmdb/internal/join"
 	"mmdb/internal/recovery"
+	"mmdb/internal/session"
+	"mmdb/internal/simio"
+	"mmdb/internal/tuple"
 	"mmdb/internal/txn"
 )
 
@@ -31,6 +37,88 @@ func loadRelation(db *mmdb.Database, name string, schema *mmdb.Schema, n int, ro
 		}
 	}
 	return rel.Flush()
+}
+
+// opBench is a ladder's engine when it measures one specific §3 operator
+// rather than a SQL statement: relations loaded as heap files on one
+// simulated disk — loadRelation's bytes, page for page — and |M| granted
+// by a real session broker with one slot, which grants each query the
+// whole budget, as a database's default admission does.
+type opBench struct {
+	disk   *simio.Disk
+	params cost.Params
+	broker *session.Broker
+	spec   join.Spec // every join's F, Parallelism and SortChunks
+	files  map[string]*heap.File
+}
+
+func newOpBench(pageSize, memPages int, spec join.Spec) *opBench {
+	params := cost.DefaultParams()
+	spec.F = params.F
+	return &opBench{
+		disk:   simio.NewDisk(cost.NewClock(params), pageSize),
+		params: params,
+		broker: session.NewUnreservedBroker(memPages, 1),
+		spec:   spec,
+		files:  map[string]*heap.File{},
+	}
+}
+
+// load creates the named heap file holding row(0) … row(n-1), loaded
+// uncharged.
+func (b *opBench) load(name string, schema *tuple.Schema, n int, row func(i int) []tuple.Value) error {
+	rows := make([]tuple.Tuple, n)
+	for i := range rows {
+		t, err := schema.Encode(row(i)...)
+		if err != nil {
+			return err
+		}
+		rows[i] = t
+	}
+	f, err := heap.Create(b.disk, name, schema)
+	if err != nil {
+		return err
+	}
+	b.files[name] = f
+	return f.Load(rows)
+}
+
+// opQuery is one admitted query on an opBench: a memory grant, and the
+// bench's relations read through a private clock.
+type opQuery struct {
+	clock *cost.Clock
+	grant *session.Grant
+	files map[string]*heap.File
+	spec  join.Spec
+}
+
+// query admits a query; close returns its grant.
+func (b *opBench) query() (*opQuery, error) {
+	g, err := b.broker.ReserveGrant(context.Background(), session.Batch, 0)
+	if err != nil {
+		return nil, err
+	}
+	q := &opQuery{clock: cost.NewClock(b.params), grant: g, files: map[string]*heap.File{}, spec: b.spec}
+	view := b.disk.View(q.clock)
+	for name, f := range b.files {
+		if q.files[name], err = f.OnDisk(view); err != nil {
+			g.Release()
+			return nil, err
+		}
+	}
+	return q, nil
+}
+
+func (q *opQuery) close() { q.grant.Release() }
+
+// join runs alg over r ⋈ s on column col of each, r the build side as
+// every caller names it. |M| is the grant as of now, and the grant's live
+// size is the LiveM a Revoke shrinks mid-join.
+func (q *opQuery) join(alg join.Algorithm, r, s string, col int, emit join.Emit) (join.Result, error) {
+	spec := q.spec
+	spec.R, spec.S, spec.RCol, spec.SCol = q.files[r], q.files[s], col, col
+	spec.M, spec.LiveM = q.grant.Pages(), q.grant.Pages
+	return join.Run(alg, spec, emit)
 }
 
 // loadEmpDept opens an engine with opts and loads the two relations the
@@ -58,17 +146,6 @@ func loadEmpDept(opts mmdb.Options, tuples, groups int) (*mmdb.Database, error) 
 		return []mmdb.Value{mmdb.IntValue(int64(i)), mmdb.IntValue(int64(i * 10))}
 	})
 	return db, err
-}
-
-// oneShot runs fn in a session of its own and closes it, so what fn
-// charged is in db's clock when oneShot returns.
-func oneShot(db *mmdb.Database, fn func(*mmdb.Session) error) error {
-	s, err := db.NewSession(context.Background())
-	if err != nil {
-		return err
-	}
-	defer s.Close()
-	return fn(s)
 }
 
 // intKey encodes k the way tuple.Schema encodes an Int64 field (big-endian,

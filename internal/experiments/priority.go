@@ -116,33 +116,33 @@ func loadPriorityDB(cfg PriorityConfig, policy mmdb.PickPolicy) (*mmdb.Database,
 	return loadEmpDept(opts, cfg.Tuples, cfg.Groups)
 }
 
-// prioritySelect is the interactive query: a short predicate scan of the
-// small relation, run in a session of the given class. It returns the
-// row count and the session's virtual-clock counters for the
-// bit-identical check.
-func prioritySelect(db *mmdb.Database, class mmdb.QueryClass) (int, mmdb.Counters, time.Duration, error) {
-	s, err := db.NewSession(context.Background(), mmdb.WithClass(class))
-	if err != nil {
-		return 0, mmdb.Counters{}, 0, err
-	}
-	defer s.Close()
-	res, err := s.Query("SELECT * FROM dept WHERE budget >= 0")
-	if err != nil {
-		return 0, mmdb.Counters{}, 0, err
-	}
-	return len(res.Rows), s.Counters(), s.QueuedFor(), nil
+// The ladder's two queries: the interactive one is a short predicate
+// scan of the small relation, the batch one the emp ⋈ dept join.
+const (
+	prioritySelectSQL = "SELECT * FROM dept WHERE budget >= 0"
+	priorityJoinSQL   = "SELECT emp.id FROM emp JOIN dept ON emp.dept = dept.id"
+)
+
+// priorityOutcome is what the bit-identical check compares of one query:
+// its row count and its session's virtual-clock counters.
+type priorityOutcome struct {
+	rows     int
+	counters mmdb.Counters
 }
 
-// priorityJoin is the batch query: the hybrid-hash join stream, run in a
-// Batch-class session.
-func priorityJoin(db *mmdb.Database) (mmdb.JoinResult, time.Duration, error) {
-	s, err := db.NewSession(context.Background(), mmdb.WithClass(mmdb.Batch))
+// priorityQuery runs q in a session of the given class, returning its
+// outcome and how long the session queued for admission.
+func priorityQuery(db *mmdb.Database, class mmdb.QueryClass, q string) (priorityOutcome, time.Duration, error) {
+	s, err := db.NewSession(context.Background(), mmdb.WithClass(class))
 	if err != nil {
-		return mmdb.JoinResult{}, 0, err
+		return priorityOutcome{}, 0, err
 	}
 	defer s.Close()
-	res, err := s.Join(mmdb.HybridHash, "emp", "dept", "dept", "id", nil)
-	return res, s.QueuedFor(), err
+	res, err := s.Query(q)
+	if err != nil {
+		return priorityOutcome{}, 0, err
+	}
+	return priorityOutcome{len(res.Rows), s.Counters()}, s.QueuedFor(), nil
 }
 
 // RunPriority runs the admission-policy ladder. Every rung gets a fresh,
@@ -167,11 +167,11 @@ func RunPriority(cfg PriorityConfig) (*PriorityResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	wantJoin, _, err := priorityJoin(serialDB)
+	wantJoin, _, err := priorityQuery(serialDB, mmdb.Batch, priorityJoinSQL)
 	if err != nil {
 		return nil, err
 	}
-	wantRows, wantCounters, _, err := prioritySelect(serialDB, mmdb.Interactive)
+	wantSelect, _, err := priorityQuery(serialDB, mmdb.Interactive, prioritySelectSQL)
 	if err != nil {
 		return nil, err
 	}
@@ -210,7 +210,7 @@ func RunPriority(cfg PriorityConfig) (*PriorityResult, error) {
 		go func() {
 			batDone <- fanOut(cfg.BatchClients, func(int) error {
 				for !stop.Load() {
-					jr, queued, err := priorityJoin(db)
+					out, queued, err := priorityQuery(db, mmdb.Batch, priorityJoinSQL)
 					if err != nil {
 						return err
 					}
@@ -220,7 +220,7 @@ func RunPriority(cfg PriorityConfig) (*PriorityResult, error) {
 					}
 					mu.Lock()
 					batQueued = append(batQueued, queued)
-					if jr != wantJoin {
+					if out != wantJoin {
 						identical = false
 					}
 					mu.Unlock()
@@ -233,13 +233,13 @@ func RunPriority(cfg PriorityConfig) (*PriorityResult, error) {
 				for k := 0; k < cfg.ThinkJoins; k++ {
 					<-tick
 				}
-				rows, counters, queued, err := prioritySelect(db, interactiveClass)
+				out, queued, err := priorityQuery(db, interactiveClass, prioritySelectSQL)
 				if err != nil {
 					return err
 				}
 				mu.Lock()
 				intQueued = append(intQueued, queued)
-				if rows != wantRows || counters != wantCounters {
+				if out != wantSelect {
 					identical = false
 				}
 				mu.Unlock()

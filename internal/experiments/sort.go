@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -8,18 +9,21 @@ import (
 	"time"
 
 	"mmdb"
+	"mmdb/internal/extsort"
+	"mmdb/internal/join"
+	"mmdb/internal/simio"
 )
 
 // SortConfig drives the parallel-sort ladder: a memory ladder (out-of-core
 // through fully in-memory) crossed with a Parallelism ladder, at a pinned
-// SortChunks decomposition. Chunks is a plan knob — it determines the
-// virtual counters — so it stays fixed while the worker count varies: the
-// experiment's invariant is that every width charges bit-identical
-// counters and produces the identical output order, while wall-clock time
-// drops.
+// sort decomposition (extsort.Config.Chunks, join.Spec.SortChunks).
+// Chunks is a plan knob — it determines the virtual counters — so it
+// stays fixed while the worker count varies: the experiment's invariant
+// is that every width charges bit-identical counters and produces the
+// identical output order, while wall-clock time drops.
 type SortConfig struct {
 	Widths      []int `json:"widths"`       // Parallelism ladder, e.g. 1,2,4,8
-	Chunks      int   `json:"chunks"`       // pinned SortChunks decomposition
+	Chunks      int   `json:"chunks"`       // pinned sort decomposition
 	MemoryPages []int `json:"memory_pages"` // sort-memory rungs, small → larger than the input
 	Tuples      int   `json:"tuples"`       // rows in the sorted relation
 	RefTuples   int   `json:"ref_tuples"`   // rows in the join probe relation
@@ -79,23 +83,15 @@ type SortResult struct {
 	AllIdentical bool `json:"all_identical"`
 }
 
-// loadSortDB builds a fresh engine with an "events" relation in shuffled
+// loadSortBench loads a fresh bench with an "events" relation in shuffled
 // key order (the sort input) and a smaller "ref" relation for the
 // sort-merge join leg. The fill is deterministic, so every (memory, width)
 // cell sorts the identical relation.
-func loadSortDB(cfg SortConfig, memPages, width int) (*mmdb.Database, error) {
-	db, err := mmdb.Open(mmdb.Options{
-		PageSize:    cfg.PageSize,
-		MemoryPages: memPages,
-		Parallelism: width,
-		SortChunks:  cfg.Chunks,
-	})
-	if err != nil {
-		return nil, err
-	}
+func loadSortBench(cfg SortConfig, memPages, width int) (*opBench, error) {
+	b := newOpBench(cfg.PageSize, memPages, join.Spec{Parallelism: width, SortChunks: cfg.Chunks})
 	// Deterministic LCG shuffle of the key space (MMIX constants).
 	state := uint64(0x9E3779B97F4A7C15)
-	err = loadRelation(db, "events", mmdb.MustSchema(
+	err := b.load("events", mmdb.MustSchema(
 		mmdb.Field{Name: "key", Kind: mmdb.Int64},
 		mmdb.Field{Name: "seq", Kind: mmdb.Int64},
 		mmdb.Field{Name: "pad", Kind: mmdb.String, Size: 16},
@@ -107,64 +103,85 @@ func loadSortDB(cfg SortConfig, memPages, width int) (*mmdb.Database, error) {
 	if err != nil {
 		return nil, err
 	}
-	err = loadRelation(db, "ref", mmdb.MustSchema(
+	err = b.load("ref", mmdb.MustSchema(
 		mmdb.Field{Name: "key", Kind: mmdb.Int64},
 		mmdb.Field{Name: "tag", Kind: mmdb.Int64},
 	), cfg.RefTuples, func(i int) []mmdb.Value {
 		key := (uint64(i)*2862933555777941757 + 3037000493) % uint64(cfg.Tuples*4)
 		return []mmdb.Value{mmdb.IntValue(int64(key)), mmdb.IntValue(int64(i))}
 	})
-	return db, err
+	return b, err
 }
 
-// runSortCell executes one (memory, width) cell: Repeat timed rounds of
-// OrderBy over events plus one sort-merge join against ref, returning the
-// virtual profile of a single round and the total wall time.
+// sortRound is one round of a cell in one query: the relation sort of
+// events by key (the sort behind SQL ORDER BY, chunked per the plan) and
+// the sort-merge join ref ⋈ events.
+func sortRound(b *opBench) (SortVirtual, error) {
+	q, err := b.query()
+	if err != nil {
+		return SortVirtual{}, err
+	}
+	defer q.close()
+	events := q.files["events"]
+	stream, st, err := extsort.SortWith(events, extsort.Config{
+		Prefix:      "sortladder", // a round drops its run files before the next
+		Input:       simio.Uncharged,
+		Chunks:      q.spec.SortChunks,
+		Parallelism: q.spec.Parallelism,
+	}.WithMemory(events, q.grant.Pages(), q.spec.F))
+	if err != nil {
+		return SortVirtual{}, err
+	}
+	h := fnv.New64a()
+	var rows int64
+	for t, ok := stream.Next(); ok; t, ok = stream.Next() {
+		rows++
+		h.Write(t[:8])
+	}
+	err = errors.Join(stream.Err(), stream.Close())
+	if err != nil {
+		return SortVirtual{}, err
+	}
+	jr, err := q.join(join.SortMerge, "ref", "events", 0, nil)
+	if err != nil {
+		return SortVirtual{}, err
+	}
+	v := SortVirtual{
+		Rows:        rows,
+		OrderHash:   h.Sum64(),
+		Counters:    q.clock.Counters(),
+		JoinMatches: jr.Matches,
+		JoinPasses:  jr.Passes,
+		JoinRuns:    jr.Partitions,
+	}
+	for _, st := range []extsort.Stats{st, jr.RSort, jr.SSort} {
+		v.Sorts++
+		v.Runs += uint64(st.Runs)
+		v.MergePasses += uint64(st.MergePasses)
+		if st.InMemory {
+			v.InMemory++
+		}
+	}
+	return v, nil
+}
+
+// runSortCell executes one (memory, width) cell: Repeat timed rounds,
+// returning the virtual profile of a single round and the total wall
+// time.
 func runSortCell(cfg SortConfig, memPages, width int) (SortVirtual, time.Duration, error) {
-	db, err := loadSortDB(cfg, memPages, width)
+	b, err := loadSortBench(cfg, memPages, width)
 	if err != nil {
 		return SortVirtual{}, 0, err
 	}
 	var v SortVirtual
 	var wall time.Duration
 	for rep := 0; rep < cfg.Repeat; rep++ {
-		before := db.Counters()
-		metricsBefore := db.SessionMetrics()
-		h := fnv.New64a()
-		var rows int64
 		start := time.Now()
-		err := oneShot(db, func(s *mmdb.Session) error {
-			return s.OrderBy("events", "key", func(t mmdb.Tuple) bool {
-				rows++
-				h.Write(t[:8])
-				return true
-			})
-		})
-		if err != nil {
-			return SortVirtual{}, 0, err
-		}
-		var jr mmdb.JoinResult
-		err = oneShot(db, func(s *mmdb.Session) (err error) {
-			jr, err = s.Join(mmdb.SortMerge, "ref", "events", "key", "key", nil)
-			return err
-		})
+		round, err := sortRound(b)
 		if err != nil {
 			return SortVirtual{}, 0, err
 		}
 		wall += time.Since(start)
-		metrics := db.SessionMetrics()
-		round := SortVirtual{
-			Rows:        rows,
-			OrderHash:   h.Sum64(),
-			Counters:    db.Counters().Sub(before),
-			Sorts:       metrics.Sorts - metricsBefore.Sorts,
-			Runs:        metrics.SortRuns - metricsBefore.SortRuns,
-			MergePasses: metrics.SortMergePasses - metricsBefore.SortMergePasses,
-			InMemory:    metrics.SortsInMemory - metricsBefore.SortsInMemory,
-			JoinMatches: jr.Matches,
-			JoinPasses:  jr.Passes,
-			JoinRuns:    jr.Partitions,
-		}
 		if rep == 0 {
 			v = round
 		} else if round != v {

@@ -96,27 +96,24 @@ type Config struct {
 	Parallelism int
 }
 
-// Sort sorts file f on column col using at most memTuples tuples of
-// priority-queue memory — the classic serial plan (Chunks=1). Temporary
-// run files are named prefix.run.N. The input is scanned with inputAccess
-// (Uncharged for base relations, per the paper's convention of ignoring
-// the initial read).
-//
-// maxFanout bounds how many runs the final merge may hold open (one buffer
-// page each). When the initial runs exceed it, intermediate merge passes
-// combine them first — the ">2 phases" case the paper's memory assumption
-// excludes, kept here so the operator degrades instead of failing.
-// maxFanout <= 0 means unlimited.
-func Sort(f *heap.File, col int, memTuples int, maxFanout int, prefix string, inputAccess simio.Access) (Stream, Stats, error) {
-	return SortWith(f, Config{
-		Col: col, MemTuples: memTuples, MaxFanout: maxFanout,
-		Prefix: prefix, Input: inputAccess,
-	})
+// WithMemory returns c sized for a sort of f that has m pages of memory
+// to itself (a relation sort, not one of sort-merge's two): a queue of m
+// pages' worth of f's tuples divided by the structure overhead fudge (at
+// least 2 tuples), and a final merge holding up to m runs open, one
+// buffer page each.
+func (c Config) WithMemory(f *heap.File, m int, fudge float64) Config {
+	c.MemTuples = max(2, int(float64(m)*float64(f.TuplesPerPage())/fudge))
+	c.MaxFanout = m
+	return c
 }
 
-// SortWith sorts file f under cfg. The returned stream owns the sort's
-// temporary run files; Close it when done (draining to ok=false also
-// releases everything).
+// SortWith sorts file f under cfg. The input is scanned with cfg.Input
+// (Uncharged for base relations, per the paper's convention of ignoring
+// the initial read). When the initial runs exceed MaxFanout, intermediate
+// merge passes combine them first — the ">2 phases" case the paper's
+// memory assumption excludes, kept so the operator degrades instead of
+// failing. The returned stream owns the sort's temporary run files; Close
+// it when done (draining to ok=false also releases everything).
 func SortWith(f *heap.File, cfg Config) (Stream, Stats, error) {
 	if cfg.MemTuples < 2 {
 		return nil, Stats{}, fmt.Errorf("extsort: need at least 2 tuples of memory, got %d", cfg.MemTuples)

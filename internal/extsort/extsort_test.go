@@ -64,7 +64,7 @@ func checkSorted(t *testing.T, in *heap.File, got []int64) {
 
 func TestInMemorySort(t *testing.T) {
 	f := makeFile(t, 200, 50, 1)
-	s, stats, err := Sort(f, 0, 1000, 0, "t", simio.Uncharged)
+	s, stats, err := SortWith(f, Config{MemTuples: 1000, Prefix: "t", Input: simio.Uncharged})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestExternalSortFormsRunsOfTwiceMemory(t *testing.T) {
 	const n = 5000
 	const mem = 250
 	f := makeFile(t, n, 1<<40, 2)
-	s, stats, err := Sort(f, 0, mem, 0, "t", simio.Uncharged)
+	s, stats, err := SortWith(f, Config{MemTuples: mem, Prefix: "t", Input: simio.Uncharged})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestSortedInputYieldsOneRun(t *testing.T) {
 		f.Append(sc.MustEncode(tuple.IntValue(i), tuple.StringValue("x")), simio.Uncharged)
 	}
 	f.Flush(simio.Uncharged)
-	_, stats, err := Sort(f, 0, 10, 0, "t", simio.Uncharged)
+	_, stats, err := SortWith(f, Config{MemTuples: 10, Prefix: "t", Input: simio.Uncharged})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestSortedInputYieldsOneRun(t *testing.T) {
 
 func TestBoundedFanoutTriggersMergePasses(t *testing.T) {
 	f := makeFile(t, 4000, 1<<40, 3)
-	s, stats, err := Sort(f, 0, 50, 4, "t", simio.Uncharged)
+	s, stats, err := SortWith(f, Config{MemTuples: 50, MaxFanout: 4, Prefix: "t", Input: simio.Uncharged})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestRunIOChargedSeqWriteRandRead(t *testing.T) {
 	f := makeFile(t, 2000, 1<<40, 4)
 	clock := f.Disk().Clock()
 	clock.Reset()
-	s, stats, err := Sort(f, 0, 100, 0, "t", simio.Uncharged)
+	s, stats, err := SortWith(f, Config{MemTuples: 100, Prefix: "t", Input: simio.Uncharged})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestQuickSortEquivalence(t *testing.T) {
 			domain = 7
 		}
 		file := makeFile(t, n, domain, seed)
-		s, _, err := Sort(file, 0, mem, 8, "q", simio.Uncharged)
+		s, _, err := SortWith(file, Config{MemTuples: mem, MaxFanout: 8, Prefix: "q", Input: simio.Uncharged})
 		if err != nil {
 			t.Log(err)
 			return false

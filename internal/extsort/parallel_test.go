@@ -267,7 +267,7 @@ func TestClassicPathUnchanged(t *testing.T) {
 	f := makeFile(t, 2000, 1<<40, 4)
 	clock := f.Disk().Clock()
 	clock.Reset()
-	s, stats, err := Sort(f, 0, 100, 0, "t", simio.Uncharged)
+	s, stats, err := SortWith(f, Config{MemTuples: 100, Prefix: "t", Input: simio.Uncharged})
 	if err != nil {
 		t.Fatal(err)
 	}

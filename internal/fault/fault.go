@@ -66,6 +66,20 @@ func Retry(clock *cost.Clock, retries int, op func() error) error {
 	}
 }
 
+// Rerun is query-level retry: it runs attempt, re-running it while a
+// transient injected fault kills it, at most n more times. An exhausted
+// budget or any other error returns the last error unchanged. Unlike
+// Retry there is no backoff — the re-run's own IO is the cost — and an
+// attempt must discard whatever a failed one produced.
+func Rerun(n int, attempt func() error) error {
+	for i := 0; ; i++ {
+		err := attempt()
+		if err == nil || i >= n || !errors.Is(err, ErrTransient) {
+			return err
+		}
+	}
+}
+
 // ruleKind classifies one schedule entry.
 type ruleKind int
 

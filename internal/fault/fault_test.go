@@ -91,6 +91,36 @@ func TestRetryFailsFastOnPermanent(t *testing.T) {
 	}
 }
 
+// TestRerunRetriesOnlyTransients: Rerun re-runs a transiently killed
+// attempt within its budget, surfaces the last transient past it, and
+// never re-runs any other error.
+func TestRerunRetriesOnlyTransients(t *testing.T) {
+	for _, tc := range []struct {
+		n, failures  int
+		err          error
+		wantAttempts int
+		wantErr      error
+	}{
+		{n: 2, failures: 2, err: ErrTransient, wantAttempts: 3},
+		{n: 1, failures: 2, err: ErrTransient, wantAttempts: 2, wantErr: ErrTransient},
+		{n: 0, failures: 1, err: ErrTransient, wantAttempts: 1, wantErr: ErrTransient},
+		{n: 8, failures: 1, err: ErrPermanent, wantAttempts: 1, wantErr: ErrPermanent},
+	} {
+		attempts := 0
+		err := Rerun(tc.n, func() error {
+			attempts++
+			if attempts <= tc.failures {
+				return tc.err
+			}
+			return nil
+		})
+		if attempts != tc.wantAttempts || !errors.Is(err, tc.wantErr) || (tc.wantErr == nil) != (err == nil) {
+			t.Errorf("Rerun(%d) over %d %v: %d attempts, %v; want %d, %v",
+				tc.n, tc.failures, tc.err, attempts, err, tc.wantAttempts, tc.wantErr)
+		}
+	}
+}
+
 func TestTransientBurstExhaustsBoundedRetry(t *testing.T) {
 	disk, clock := newDisk()
 	// A burst longer than the retry budget: 1 first try + 4 retries all hit

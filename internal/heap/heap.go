@@ -204,22 +204,25 @@ func (f *File) Drop() {
 }
 
 // Rewrite streams every tuple through fn and compacts the file in place:
-// fn returns the (possibly replaced) tuple and whether to keep it. The
+// fn returns the (possibly replaced) tuple and whether to keep it. A kept
+// tuple of the wrong width fails the rewrite with the file untouched. The
 // rewrite is uncharged — engine-level maintenance, not part of any paper
 // experiment.
 func (f *File) Rewrite(fn func(t tuple.Tuple) (tuple.Tuple, bool)) error {
 	var kept []tuple.Tuple
+	var bad error
 	err := f.Scan(simio.Uncharged, func(t tuple.Tuple) bool {
 		out, keep := fn(t)
-		if keep {
-			if len(out) != f.schema.Width() {
-				err := fmt.Errorf("heap: rewrite produced a %d-byte tuple, want %d", len(out), f.schema.Width())
-				panic(err)
-			}
+		if keep && len(out) != f.schema.Width() {
+			bad = fmt.Errorf("heap: rewrite produced a %d-byte tuple, want %d", len(out), f.schema.Width())
+		} else if keep {
 			kept = append(kept, out.Clone())
 		}
-		return true
+		return bad == nil
 	})
+	if err == nil {
+		err = bad
+	}
 	if err != nil {
 		return err
 	}

@@ -130,3 +130,38 @@ func TestDrop(t *testing.T) {
 		t.Fatalf("name not released: %v", err)
 	}
 }
+
+// TestRewriteWrongWidthReturnsError: a rewrite whose fn keeps a tuple of
+// the wrong width returns an error and leaves every tuple in place.
+func TestRewriteWrongWidthReturnsError(t *testing.T) {
+	disk, _ := env()
+	f := MustCreate(disk, "r", schema())
+	const n = 30
+	for i := int64(0); i < n; i++ {
+		if err := f.Append(schema().MustEncode(tuple.IntValue(i), tuple.StringValue("x")), simio.Uncharged); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Flush(simio.Uncharged); err != nil {
+		t.Fatal(err)
+	}
+	err := f.Rewrite(func(tp tuple.Tuple) (tuple.Tuple, bool) {
+		if schema().Int(tp, 0) == 20 {
+			return tp[:4], true
+		}
+		return nil, false // drops every other tuple, if the rewrite ran
+	})
+	if err == nil {
+		t.Fatal("wrong-width tuple accepted")
+	}
+	var keys []int64
+	if err := f.Scan(simio.Uncharged, func(tp tuple.Tuple) bool {
+		keys = append(keys, schema().Int(tp, 0))
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if f.NumTuples() != n || len(keys) != n || keys[0] != 0 || keys[n-1] != n-1 {
+		t.Fatalf("failed rewrite changed the file: %d tuples, keys %v", f.NumTuples(), keys)
+	}
+}

@@ -168,9 +168,6 @@ type Result struct {
 	RSort, SSort extsort.Stats
 }
 
-// Time returns the join's virtual execution time under p.
-func (r Result) Time(p cost.Params) time.Duration { return r.Counters.Time(p) }
-
 var tmpSeq atomic.Uint64
 
 func tmpPrefix(a Algorithm) string {

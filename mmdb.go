@@ -19,9 +19,9 @@
 //     fuzzy checkpointing and crash recovery.
 //
 // Start with Open and load relations, then query them in SQL
-// (Database.Query, docs/SQL.md; every join is planned by the §4 planner)
-// or, for the §3 operators themselves, on a Session (Join, OrderBy). The
-// cmd/mmdbench binary regenerates every table and figure of the paper;
+// (Database.Query or Session.Query, docs/SQL.md; the §4 planner lowers
+// every join onto hybrid hash). The cmd/mmdbench binary drives all four
+// §3 join algorithms and regenerates every table and figure of the paper;
 // see EXPERIMENTS.md for the measured results.
 package mmdb
 
@@ -33,6 +33,7 @@ import (
 
 	"mmdb/internal/catalog"
 	"mmdb/internal/cost"
+	"mmdb/internal/extsort"
 	"mmdb/internal/fault"
 	"mmdb/internal/lock"
 	"mmdb/internal/session"
@@ -96,18 +97,6 @@ type Options struct {
 	// are the same at every setting — parallelism trades wall-clock time
 	// only, never the paper's accounting.
 	Parallelism int
-	// SortChunks is the sort decomposition plan used by sort-merge joins
-	// and OrderBy: run formation splits each relation into this many
-	// page-range chunks (each with a proportional share of the sort
-	// memory) whose sorted streams a merge tree recombines. Unlike
-	// Parallelism this is a *plan* knob — like GRACE's partition count it
-	// changes the virtual counters (more, shorter runs; one extra
-	// selection-tree level) — but for a fixed SortChunks the counters are
-	// bit-identical at every Parallelism. 0 or 1 means the classic
-	// single-queue sort. Chunked sorts only speed up wall-clock time when
-	// Parallelism > 1.
-	SortChunks int
-
 	// MaxConcurrentQueries bounds how many admitted queries may execute
 	// simultaneously (the scheduler's slots). 0 means 1: queries are
 	// admitted one at a time, which preserves the original serial
@@ -264,7 +253,6 @@ type Database struct {
 	broker *session.Broker
 	locks  *session.LockTable
 	sorts  sortActivity
-	replay replayActivity
 
 	// Replication plumbing (cluster.go). ship, when set on a cluster
 	// primary, receives every durable mutation — in serialization order,
@@ -286,8 +274,8 @@ type Database struct {
 // not replicate.
 type shipFn func(op shipOp) error
 
-// sortActivity accumulates relation-sort telemetry across sessions (the
-// SessionMetrics Sort* fields).
+// sortActivity accumulates the SQL ORDER BY sorts' telemetry across
+// sessions (the SessionMetrics Sort* fields).
 type sortActivity struct {
 	sorts       atomic.Uint64
 	runs        atomic.Uint64
@@ -295,38 +283,13 @@ type sortActivity struct {
 	inMemory    atomic.Uint64
 }
 
-func (a *sortActivity) record(runs, mergePasses int, inMemory bool) {
+func (a *sortActivity) record(st extsort.Stats) {
 	a.sorts.Add(1)
-	a.runs.Add(uint64(runs))
-	a.mergePasses.Add(uint64(mergePasses))
-	if inMemory {
+	a.runs.Add(uint64(st.Runs))
+	a.mergePasses.Add(uint64(st.MergePasses))
+	if st.InMemory {
 		a.inMemory.Add(1)
 	}
-}
-
-// replayActivity accumulates crash-recovery telemetry across observed
-// recoveries (the SessionMetrics Recovery* fields).
-type replayActivity struct {
-	recoveries     atomic.Uint64
-	segsScanned    atomic.Uint64
-	segsSkipped    atomic.Uint64
-	workers        atomic.Uint64 // width of the most recent replay
-	compactedBytes atomic.Int64
-	virtualNanos   atomic.Int64
-}
-
-// ObserveRecovery folds a crash-recovery report into the database's
-// session metrics, so operators watching SessionMetrics see replay
-// effort — segments scanned versus skipped, the fan-out width, bytes
-// reclaimed by log compaction, and virtual replay time — alongside query
-// activity.
-func (db *Database) ObserveRecovery(info RecoveryInfo) {
-	db.replay.recoveries.Add(1)
-	db.replay.segsScanned.Add(uint64(info.SegmentsScanned))
-	db.replay.segsSkipped.Add(uint64(info.SegmentsSkipped))
-	db.replay.workers.Store(uint64(info.ReplayWorkers))
-	db.replay.compactedBytes.Add(info.CompactedBytes)
-	db.replay.virtualNanos.Add(int64(info.Virtual))
 }
 
 // Open creates an empty database.
@@ -558,24 +521,13 @@ type SessionMetrics struct {
 	PeakGrantedPages int    // high-water mark of simultaneous grants
 	Grants           uint64 // grants issued so far
 
-	// Cumulative relation-sort activity (every sort-merge join input and
-	// OrderBy call): sorts executed, initial runs formed, intermediate
-	// merge passes run, and sorts that completed fully in memory.
+	// Cumulative ORDER BY sort activity: sorts executed, initial runs
+	// formed, intermediate merge passes run, and sorts that completed
+	// fully in memory.
 	Sorts           uint64
 	SortRuns        uint64
 	SortMergePasses uint64
 	SortsInMemory   uint64
-
-	// Crash-replay telemetry folded in via ObserveRecovery: recoveries
-	// observed, segment files scanned versus skipped below the commit.meta
-	// horizon, the most recent replay's fan-out width, bytes reclaimed by
-	// §5.6 log compaction, and total virtual replay time.
-	Recoveries              uint64
-	RecoverySegmentsScanned uint64
-	RecoverySegmentsSkipped uint64
-	RecoveryReplayWorkers   int
-	RecoveryCompactedBytes  int64
-	RecoveryVirtual         time.Duration
 }
 
 // SessionMetrics returns a snapshot of scheduler and broker activity.
@@ -601,13 +553,6 @@ func (db *Database) SessionMetrics() SessionMetrics {
 		SortRuns:        db.sorts.runs.Load(),
 		SortMergePasses: db.sorts.mergePasses.Load(),
 		SortsInMemory:   db.sorts.inMemory.Load(),
-
-		Recoveries:              db.replay.recoveries.Load(),
-		RecoverySegmentsScanned: db.replay.segsScanned.Load(),
-		RecoverySegmentsSkipped: db.replay.segsSkipped.Load(),
-		RecoveryReplayWorkers:   int(db.replay.workers.Load()),
-		RecoveryCompactedBytes:  db.replay.compactedBytes.Load(),
-		RecoveryVirtual:         time.Duration(db.replay.virtualNanos.Load()),
 	}
 	for c := range sm.PerClass {
 		pc := m.PerClass[c]

@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"testing"
+	"time"
 
+	"mmdb/internal/join"
 	"mmdb/internal/planner"
 	sqlfront "mmdb/internal/sql"
 )
@@ -69,20 +71,37 @@ func loadCompany(t *testing.T, db *Database, nEmp, nDept int) (*Relation, *Relat
 	return emp, dept
 }
 
-// oneShotJoin runs Session.Join in a session of its own, closed before
-// it returns, so the join's charge is in the database clock.
-func oneShotJoin(ctx context.Context, db *Database, alg JoinAlgorithm, left, right, leftCol, rightCol string, emit func(l, r Tuple)) (JoinResult, error) {
-	var res JoinResult
-	err := db.withSession(ctx, func(s *Session) (err error) {
-		res, err = s.Join(alg, left, right, leftCol, rightCol, emit)
-		return err
-	})
-	return res, err
+// joinRun is what the tests compare of one join statement: its row
+// count, counters and virtual time.
+type joinRun struct {
+	Matches  int64
+	Counters Counters
+	Elapsed  time.Duration
 }
 
-// empDeptJoin is the tests' stock query: emp ⋈ dept on emp.dept = dept.id.
-func empDeptJoin(db *Database, alg JoinAlgorithm) (JoinResult, error) {
-	return oneShotJoin(context.Background(), db, alg, "emp", "dept", "dept", "id", nil)
+// empDeptJoin runs the tests' stock join, empDeptSQL, in a one-shot session, so its charge is in
+// the database clock when it returns.
+func empDeptJoin(db *Database) (joinRun, error) {
+	res, err := db.Query(empDeptSQL)
+	if err != nil {
+		return joinRun{}, err
+	}
+	return joinRun{int64(len(res.Rows)), res.Counters, res.Elapsed}, nil
+}
+
+// viewJoin runs alg over left ⋈ right (left the build side) on session
+// s's relation views, under its grant: the §3 operator a SQL join's plan
+// runs as hybrid hash, with any algorithm.
+func viewJoin(s *Session, alg join.Algorithm, left, right, leftCol, rightCol string, emit join.Emit) (join.Result, error) {
+	rels, files, err := s.lockAndView(left, right)
+	if err != nil {
+		return join.Result{}, err
+	}
+	spec := s.joinSpec()
+	spec.R, spec.S = files[0], files[1]
+	spec.RCol = rels[0].Schema().FieldIndex(leftCol)
+	spec.SCol = rels[1].Schema().FieldIndex(rightCol)
+	return join.Run(alg, spec, emit)
 }
 
 // count runs a SQL SELECT and returns its row count.
@@ -187,17 +206,24 @@ func TestAscendRange(t *testing.T) {
 func TestJoinAllAlgorithmsAgree(t *testing.T) {
 	db := openTestDB(t)
 	loadCompany(t, db, 300, 7)
-	var base int64 = -1
-	for _, alg := range []JoinAlgorithm{NestedLoops, SortMerge, SimpleHash, GraceHash, HybridHash} {
-		res, err := empDeptJoin(db, alg)
+	want, err := empDeptJoin(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Matches != 300 {
+		t.Fatalf("SQL join: %d matches, want 300", want.Matches)
+	}
+	for _, alg := range []join.Algorithm{join.NestedLoops, join.SortMerge, join.SimpleHash, join.GraceHash, join.HybridHash} {
+		var res join.Result
+		err := db.withSession(context.Background(), func(s *Session) (err error) {
+			res, err = viewJoin(s, alg, "dept", "emp", "id", "dept", nil)
+			return err
+		})
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}
-		if base == -1 {
-			base = res.Matches
-		}
-		if res.Matches != base || res.Matches != 300 {
-			t.Fatalf("%v: %d matches, want 300", alg, res.Matches)
+		if res.Matches != want.Matches {
+			t.Fatalf("%v: %d matches, want %d", alg, res.Matches, want.Matches)
 		}
 		if res.Algorithm != alg {
 			t.Fatalf("asked for %v, ran %v", alg, res.Algorithm)
@@ -205,22 +231,33 @@ func TestJoinAllAlgorithmsAgree(t *testing.T) {
 	}
 }
 
+// TestJoinSwapsBuildSide: SQL builds on the smaller relation whichever
+// side of the ON clause names it, and a row still lays out the FROM
+// list's columns in the declared order.
 func TestJoinSwapsBuildSide(t *testing.T) {
 	db := openTestDB(t)
 	loadCompany(t, db, 300, 7)
-	// dept is smaller: passing it second must still produce (emp, dept)
-	// pairs to the caller in the declared order.
-	sawEmpLeft := true
-	res, err := oneShotJoin(context.Background(), db, HybridHash, "emp", "dept", "dept", "id", func(l, r Tuple) {
-		if len(l) != empSchema().Width() || len(r) != deptSchema().Width() {
-			sawEmpLeft = false
+	for _, q := range []string{
+		"SELECT * FROM emp JOIN dept ON emp.dept = dept.id",
+		"SELECT * FROM emp JOIN dept ON dept.id = emp.dept",
+	} {
+		res, err := db.Query(q)
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Matches != 300 || !sawEmpLeft {
-		t.Fatal("emit order not preserved across build-side swap")
+		if len(res.Rows) != 300 {
+			t.Fatalf("%s: %d rows, want 300", q, len(res.Rows))
+		}
+		for _, v := range res.Values() {
+			// emp's dept equals dept's id, and emp's name is "emp<id>".
+			if v[1].I != v[4].I || v[3].S != fmt.Sprintf("emp%d", v[0].I) {
+				t.Fatalf("%s: row %v does not lay out (emp, dept)", q, v)
+			}
+		}
+		// The build side is dept: one move per dept row into the table.
+		if res.Counters.Moves != 7 {
+			t.Fatalf("%s: %d moves, want 7 (dept built)", q, res.Counters.Moves)
+		}
 	}
 }
 
@@ -298,6 +335,7 @@ func hashPlan(t *testing.T, db *Database, text string) *planner.Plan {
 	return p
 }
 
+// empDeptSQL is the tests' stock join: emp ⋈ dept on emp.dept = dept.id.
 const empDeptSQL = "SELECT * FROM emp JOIN dept ON emp.dept = dept.id"
 
 func TestPlanAndExecute(t *testing.T) {
@@ -374,30 +412,23 @@ func TestOrderByStreamsSorted(t *testing.T) {
 	}
 	rel.Flush()
 	db.ResetClock()
-	var got []int64
-	orderBy := func(column string) error {
-		return db.withSession(context.Background(), func(s *Session) error {
-			return s.OrderBy("n", column, func(tp Tuple) bool {
-				got = append(got, rel.Schema().Int(tp, 0))
-				return true
-			})
-		})
-	}
-	if err := orderBy("x"); err != nil {
+	res, err := db.Query("SELECT x FROM n ORDER BY x")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != n {
-		t.Fatalf("streamed %d of %d", len(got), n)
+	if len(res.Rows) != n {
+		t.Fatalf("streamed %d of %d", len(res.Rows), n)
 	}
+	got := res.Values()
 	for i := 1; i < len(got); i++ {
-		if got[i] < got[i-1] {
-			t.Fatalf("out of order at %d: %d < %d", i, got[i], got[i-1])
+		if got[i][0].I < got[i-1][0].I {
+			t.Fatalf("out of order at %d: %d < %d", i, got[i][0].I, got[i-1][0].I)
 		}
 	}
 	if db.Counters().SeqIOs == 0 {
 		t.Fatal("external sort charged no run IO at 4 memory pages")
 	}
-	if err := orderBy("nope"); err == nil {
+	if _, err := db.Query("SELECT x FROM n ORDER BY nope"); err == nil {
 		t.Fatal("bad column accepted")
 	}
 }
@@ -548,7 +579,7 @@ func TestVirtualClockAccounting(t *testing.T) {
 	db := openTestDB(t)
 	loadCompany(t, db, 300, 7)
 	db.ResetClock()
-	res, err := empDeptJoin(db, HybridHash)
+	res, err := empDeptJoin(db)
 	if err != nil {
 		t.Fatal(err)
 	}

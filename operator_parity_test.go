@@ -8,14 +8,16 @@ import (
 	"testing"
 	"time"
 
+	"mmdb/internal/join"
 	"mmdb/internal/planner"
 )
 
 // The operator calls the root package used to export beside SQL — the
 // Database and Cluster one-shot operators, Session.Aggregate/Distinct/
 // Select, Relation.Select, Database.Plan (later Session.Plan) and
-// QueryPlan.Execute — each map to a SQL statement, a Session call, or the
-// planner query a SQL join's lowering optimizes. Every parityCase pins what the
+// QueryPlan.Execute, Session.Join — each map to a SQL statement, the §3
+// operator on a session's views, or the planner query a SQL join's
+// lowering optimizes. Every parityCase pins what the
 // removed call returned and charged on newLoweringDB, measured before it
 // was deleted; the replacement must return the same rows for the same
 // charges. (The Cluster forwarders routed to the Database calls, so the
@@ -37,13 +39,12 @@ var parityCases = []parityCase{
 	// The removed call asked for the engine's automatic choice, which was
 	// always hybrid hash.
 	{removed: "Database.Join(HybridHash, emp, dept, dept, id)",
-		run: sessionRows(func(s *Session, out *[]string) error {
-			return pairRowsOf(s, HybridHash, "emp", "dept", "dept", "id", out)
-		}),
+		run:  pairRowsOfSQL("SELECT * FROM emp JOIN dept ON emp.dept = dept.id", 4),
 		rows: 600, digest: 0x5ddb5896aa657fbf, counters: Counters{Comps: 600, Hashes: 607, Moves: 7}, elapsed: 7403000},
+	// SQL plans hybrid hash only; any other §3 algorithm is join.Run.
 	{removed: "Database.Join(SortMerge, dept, emp, id, dept)",
 		run: sessionRows(func(s *Session, out *[]string) error {
-			return pairRowsOf(s, SortMerge, "dept", "emp", "id", "dept", out)
+			return pairRowsOf(s, join.SortMerge, "dept", "emp", "id", "dept", out)
 		}),
 		rows: 600, digest: 0x7afb7671da0d115, counters: Counters{Comps: 6994, Swaps: 3821, SeqIOs: 205, RandIOs: 205}, elapsed: 7425242000},
 	{removed: "Database.Aggregate(emp, dept, salary)",
@@ -103,8 +104,9 @@ func sessionRows(fn func(s *Session, out *[]string) error) func(*Database) ([]st
 	}
 }
 
-// pairRowsOf joins left and right, one formatted row per emitted pair.
-func pairRowsOf(s *Session, alg JoinAlgorithm, left, right, leftCol, rightCol string, out *[]string) error {
+// pairRowsOf joins left ⋈ right with alg on the session's views, one
+// formatted (left, right) pair per emitted match.
+func pairRowsOf(s *Session, alg join.Algorithm, left, right, leftCol, rightCol string, out *[]string) error {
 	ls, err := s.db.cat.Get(left)
 	if err != nil {
 		return err
@@ -113,10 +115,26 @@ func pairRowsOf(s *Session, alg JoinAlgorithm, left, right, leftCol, rightCol st
 	if err != nil {
 		return err
 	}
-	_, err = s.Join(alg, left, right, leftCol, rightCol, func(l, r Tuple) {
+	_, err = viewJoin(s, alg, left, right, leftCol, rightCol, func(l, r Tuple) {
 		*out = append(*out, fmt.Sprint(ls.Schema().Decode(l), rs.Schema().Decode(r)))
 	})
 	return err
+}
+
+// pairRowsOfSQL runs a two-table SELECT * join, each row formatted as the
+// (left, right) pair whose left table has leftCols columns.
+func pairRowsOfSQL(q string, leftCols int) func(*Database) ([]string, error) {
+	return func(db *Database) ([]string, error) {
+		res, err := db.Query(q)
+		if err != nil {
+			return nil, err
+		}
+		var out []string
+		for _, v := range res.Values() {
+			out = append(out, fmt.Sprint(v[:leftCols], v[leftCols:]))
+		}
+		return out, nil
+	}
 }
 
 // planSQL is emp ⋈ dept ⋈ proj with a selection on dept.

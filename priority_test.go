@@ -57,7 +57,7 @@ func runPriorityMix(t *testing.T, policy PickPolicy, interactiveClass QueryClass
 
 	// One serial join to measure the batch service time D.
 	start := time.Now()
-	if _, err := empDeptJoin(db, HybridHash); err != nil {
+	if _, err := empDeptJoin(db); err != nil {
 		t.Fatal(err)
 	}
 	batchDur := time.Since(start)
@@ -70,7 +70,7 @@ func runPriorityMix(t *testing.T, policy PickPolicy, interactiveClass QueryClass
 		go func() {
 			defer wg.Done()
 			for !stop.Load() {
-				if _, err := empDeptJoin(db, HybridHash); err != nil {
+				if _, err := empDeptJoin(db); err != nil {
 					t.Error(err)
 					return
 				}
@@ -172,7 +172,7 @@ func TestSessionFunctionalOptions(t *testing.T) {
 	if s.GrantedPages() != 10 {
 		t.Fatalf("explicit grant = %d, want 10", s.GrantedPages())
 	}
-	if _, err := s.Join(HybridHash, "emp", "dept", "dept", "id", nil); err != nil {
+	if _, err := s.Query(empDeptSQL); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -251,7 +251,7 @@ func TestPriorityCountersMatchSerial(t *testing.T) {
 		loadCompany(t, db, 500, 10)
 		return db
 	}
-	batchQuery := func(db *Database) (JoinResult, error) { return empDeptJoin(db, HybridHash) }
+	batchQuery := empDeptJoin
 	type selResult struct {
 		rows     int
 		counters Counters
@@ -283,7 +283,7 @@ func TestPriorityCountersMatchSerial(t *testing.T) {
 
 	conc := open(4)
 	const perKind = 6
-	joins := make([]JoinResult, perKind)
+	joins := make([]joinRun, perKind)
 	sels := make([]selResult, perKind)
 	errs := make([]error, 2*perKind)
 	var wg sync.WaitGroup

@@ -2,16 +2,12 @@ package mmdb
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mmdb/internal/catalog"
 	"mmdb/internal/cost"
-	"mmdb/internal/extsort"
-	"mmdb/internal/fault"
 	"mmdb/internal/heap"
 	"mmdb/internal/join"
 	"mmdb/internal/lock"
@@ -19,49 +15,6 @@ import (
 	"mmdb/internal/simio"
 	"mmdb/internal/wal"
 )
-
-// JoinAlgorithm selects one of the §3 join implementations.
-type JoinAlgorithm = join.Algorithm
-
-// Join algorithms.
-const (
-	NestedLoops = join.NestedLoops
-	SortMerge   = join.SortMerge
-	SimpleHash  = join.SimpleHash
-	GraceHash   = join.GraceHash
-	HybridHash  = join.HybridHash
-)
-
-// SortStats reports how one relation sort of the §3.4 machinery executed:
-// how many replacement-selection runs formed, how many streams the final
-// on-the-fly merge combined, whether intermediate merge passes were needed
-// (the deepest chain when the sort was chunked), and whether the relation
-// fit in memory outright.
-type SortStats struct {
-	Runs        int
-	FinalRuns   int
-	MergePasses int
-	Chunks      int // run-formation chunks (1 = the classic single queue)
-	InMemory    bool
-}
-
-// JoinResult reports an executed join.
-type JoinResult struct {
-	Algorithm  JoinAlgorithm
-	Matches    int64
-	Counters   Counters      // operations this join charged
-	Elapsed    time.Duration // virtual time consumed
-	Passes     int
-	Partitions int
-	// Degraded reports that the session's memory grant shrank mid-join
-	// and hybrid hash completed via the GRACE spill fallback — the
-	// result is still exact, the pressure cost extra IO passes.
-	Degraded bool
-	// SortR and SortS detail how sort-merge sorted each input (zero for
-	// the hash algorithms); SortR describes the build side after any
-	// smaller-relation swap.
-	SortR, SortS SortStats
-}
 
 // Session is one admitted query context: a scheduler slot, a memory grant
 // carved out of the database's MemoryPages, relation-level shared intents
@@ -103,10 +56,9 @@ type Session struct {
 //
 //	s, err := db.NewSession(ctx, mmdb.WithClass(mmdb.Interactive))
 //
-// Close must be called when the session's queries are done. A session
-// is the engine's one operator surface: SQL (Query), plus the §3
-// operators Join and OrderBy (the sort behind a one-table ORDER BY),
-// which the experiment ladders drive directly.
+// Close must be called when the session's queries are done. SQL (Query)
+// is a session's one operator surface; every statement runs against the
+// session's grant and charges its clock.
 func (db *Database) NewSession(ctx context.Context, opts ...SessionOption) (*Session, error) {
 	cfg := resolveSessionConfig(opts)
 	var cancel context.CancelFunc
@@ -236,75 +188,6 @@ func (s *Session) lockAndView(names ...string) ([]*catalog.Relation, []*heap.Fil
 	return rels, files, nil
 }
 
-// Join runs an equijoin between two relations within the session's memory
-// grant, streaming joined pairs to emit (nil to count only). The smaller
-// relation is the build side; pairs still reach emit as (left, right).
-func (s *Session) Join(algorithm JoinAlgorithm, left, right, leftCol, rightCol string, emit func(l, r Tuple)) (JoinResult, error) {
-	rels, files, err := s.lockAndView(left, right)
-	if err != nil {
-		return JoinResult{}, err
-	}
-	lc := rels[0].Schema().FieldIndex(leftCol)
-	if lc < 0 {
-		return JoinResult{}, fmt.Errorf("mmdb: %s has no column %q", left, leftCol)
-	}
-	rc := rels[1].Schema().FieldIndex(rightCol)
-	if rc < 0 {
-		return JoinResult{}, fmt.Errorf("mmdb: %s has no column %q", right, rightCol)
-	}
-	spec := s.joinSpec()
-	spec.R, spec.S, spec.RCol, spec.SCol = files[0], files[1], lc, rc
-	swapped := spec.S.NumPages() < spec.R.NumPages()
-	if swapped {
-		spec.R, spec.S, spec.RCol, spec.SCol = files[1], files[0], rc, lc
-	}
-	deliver := func(r, t Tuple) {
-		if swapped {
-			emit(t, r)
-		} else {
-			emit(r, t)
-		}
-	}
-	// A retried join buffers each attempt's pairs and delivers them only on
-	// success, so the caller never sees a partial result set.
-	var buf [][2]Tuple
-	var inner join.Emit
-	switch {
-	case emit == nil:
-	case s.retries > 0:
-		inner = func(r, t Tuple) { buf = append(buf, [2]Tuple{r.Clone(), t.Clone()}) }
-	default:
-		inner = deliver
-	}
-	var res join.Result
-	err = s.retry(func() (err error) {
-		buf = buf[:0]
-		res, err = join.Run(algorithm, spec, inner)
-		return err
-	})
-	if err != nil {
-		return JoinResult{}, err
-	}
-	for _, p := range buf {
-		deliver(p[0], p[1])
-	}
-	if res.Algorithm == SortMerge {
-		s.db.sorts.record(res.RSort.Runs, res.RSort.MergePasses, res.RSort.InMemory)
-		s.db.sorts.record(res.SSort.Runs, res.SSort.MergePasses, res.SSort.InMemory)
-	}
-	return JoinResult{
-		Algorithm:  res.Algorithm,
-		Matches:    res.Matches,
-		Counters:   res.Counters,
-		Elapsed:    res.Elapsed,
-		Passes:     res.Passes,
-		Partitions: res.Partitions,
-		Degraded:   res.GraceFallback,
-		SortR:      SortStats(res.RSort),
-		SortS:      SortStats(res.SSort),
-	}, nil
-}
-
 // joinSpec is every join the session runs before its inputs are filled
 // in: the granted |M| as of now, the live grant a revocation shrinks
 // (ShedMemory), and the database's execution settings.
@@ -314,65 +197,5 @@ func (s *Session) joinSpec() join.Spec {
 		F:           s.db.opts.Params.F,
 		LiveM:       s.grant.Pages,
 		Parallelism: s.db.opts.Parallelism,
-		SortChunks:  s.db.opts.SortChunks,
 	}
-}
-
-// retry runs attempt, re-running it while it is killed by a transient
-// injected fault and the session's WithRetry budget lasts; an exhausted
-// budget or any other error surfaces the last error unchanged. An attempt
-// must discard what a failed one produced.
-func (s *Session) retry(attempt func() error) error {
-	for n := 0; ; n++ {
-		err := attempt()
-		if err == nil || n >= s.retries || !errors.Is(err, fault.ErrTransient) {
-			return err
-		}
-	}
-}
-
-var orderBySeq atomic.Uint64
-
-// OrderBy streams the relation's rows in ascending column order to fn,
-// until it returns false, using the §3.4 sort machinery
-// (replacement-selection runs plus an n-way merge) within the session's
-// memory grant. Run IO is charged exactly as in the sort-merge join.
-func (s *Session) OrderBy(relation, column string, fn func(Tuple) bool) error {
-	rels, files, err := s.lockAndView(relation)
-	if err != nil {
-		return err
-	}
-	col := rels[0].Schema().FieldIndex(column)
-	if col < 0 {
-		return fmt.Errorf("mmdb: %s has no column %q", relation, column)
-	}
-	capacity := int(float64(s.grant.Pages()) * float64(files[0].TuplesPerPage()) / s.db.opts.Params.F)
-	if capacity < 2 {
-		capacity = 2
-	}
-	fanout := s.grant.Pages()
-	stream, stats, err := extsort.SortWith(files[0], extsort.Config{
-		Col:         col,
-		MemTuples:   capacity,
-		MaxFanout:   fanout,
-		Prefix:      fmt.Sprintf("orderby.%s.%d", relation, orderBySeq.Add(1)),
-		Input:       simio.Uncharged,
-		Chunks:      s.db.opts.SortChunks,
-		Parallelism: s.db.opts.Parallelism,
-	})
-	if err != nil {
-		return err
-	}
-	defer stream.Close() // releases run files even when fn stops early
-	s.db.sorts.record(stats.Runs, stats.MergePasses, stats.InMemory)
-	for {
-		t, ok := stream.Next()
-		if !ok {
-			break
-		}
-		if !fn(t) {
-			break
-		}
-	}
-	return stream.Err()
 }

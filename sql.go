@@ -10,6 +10,8 @@ import (
 
 	"mmdb/internal/agg"
 	"mmdb/internal/catalog"
+	"mmdb/internal/extsort"
+	"mmdb/internal/fault"
 	"mmdb/internal/heap"
 	"mmdb/internal/join"
 	"mmdb/internal/planner"
@@ -84,7 +86,7 @@ func (s *Session) Query(text string) (*SQLResult, error) {
 	case *sqlfront.BoundSelect:
 		// A SELECT collects its rows before returning them, so a retried
 		// attempt (WithRetry) simply starts over.
-		err = s.retry(func() (err error) { res, err = s.execSelect(b); return err })
+		err = fault.Rerun(s.retries, func() (err error) { res, err = s.execSelect(b); return err })
 	case *sqlfront.BoundInsert:
 		res, err = s.execInsert(b)
 	case *sqlfront.BoundDelete:
@@ -255,10 +257,10 @@ func aggValue(g agg.Group, f agg.Func) Value {
 
 // scan is the single-table source: a charged sequential scan, or the §3.4
 // external sort when ORDER BY is present — ordering happens before
-// projection because the sort column need not be projected.
+// projection because the sort column need not be projected, and the
+// WHERE is applied to the sorted stream.
 func (r *selectRun) scan() error {
 	b, s := r.b, r.s
-	name := b.Tables[0].Name
 	r.src[0] = b.Tables[0].Schema
 	f := newFilter(b.Preds[0])
 	collect := func(t Tuple) bool {
@@ -269,15 +271,35 @@ func (r *selectRun) scan() error {
 		// Without a sort, a satisfied LIMIT stops the scan early.
 		return r.err == nil && (b.OrderCol >= 0 || b.Limit < 0 || int64(len(r.rows)) < b.Limit)
 	}
-	if b.OrderCol >= 0 {
-		r.ascending = true
-		return s.OrderBy(name, r.src[0].Field(b.OrderCol).Name, collect)
-	}
-	_, files, err := s.lockAndView(name)
+	_, files, err := s.lockAndView(b.Tables[0].Name)
 	if err != nil {
 		return err
 	}
-	return files[0].Scan(simio.Seq, collect)
+	if b.OrderCol < 0 {
+		return files[0].Scan(simio.Seq, collect)
+	}
+	// The sort reads the base file uncharged and writes its runs as the
+	// sort-merge join does, within the whole grant.
+	r.ascending = true
+	stream, stats, err := extsort.SortWith(files[0], extsort.Config{
+		Col: b.OrderCol,
+		// A session runs one statement at a time, so its lock-table id
+		// names the run files uniquely across sessions.
+		Prefix:      fmt.Sprintf("sql.orderby.%d", s.txn),
+		Input:       simio.Uncharged,
+		Parallelism: s.db.opts.Parallelism,
+	}.WithMemory(files[0], s.grant.Pages(), s.db.opts.Params.F))
+	if err != nil {
+		return err
+	}
+	defer stream.Close()
+	s.db.sorts.record(stats)
+	for {
+		t, ok := stream.Next()
+		if !ok || !collect(t) {
+			return stream.Err()
+		}
+	}
 }
 
 // filtered returns table i's file for an operator that reads it whole (an
