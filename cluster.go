@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,11 +16,6 @@ import (
 	sqlfront "mmdb/internal/sql"
 )
 
-// ErrReadOnlyReplica is returned when a write reaches a replica database:
-// replicas refuse exclusive relation intents at the lock layer, except for
-// the replication applier itself.
-var ErrReadOnlyReplica = errors.New("mmdb: database is a read-only replica")
-
 // ErrNotPrimary is the errors.Is sentinel for writes refused because the
 // node is not the cluster's current primary (a replica, a fenced primary
 // mid-promotion, or a demoted/crashed old primary). The concrete error is
@@ -32,9 +26,7 @@ var ErrNotPrimary = errors.New("mmdb: not the primary")
 // that is not (or no longer) the primary. Epoch is the cluster epoch at
 // refusal time — it increases at every promotion, so a client comparing
 // epochs can tell a stale hint from a fresh one — and Hint names the node
-// that was primary at that epoch. It matches both ErrNotPrimary and
-// ErrReadOnlyReplica via errors.Is, so pre-failover replica code keeps
-// working.
+// that was primary at that epoch. It matches ErrNotPrimary via errors.Is.
 type NotPrimaryError struct {
 	Epoch uint64
 	Hint  string // node name of the current primary
@@ -44,11 +36,8 @@ func (e *NotPrimaryError) Error() string {
 	return fmt.Sprintf("mmdb: not the primary (epoch %d, primary is %q)", e.Epoch, e.Hint)
 }
 
-// Is matches the ErrNotPrimary sentinel and, for compatibility, the older
-// ErrReadOnlyReplica sentinel.
-func (e *NotPrimaryError) Is(target error) bool {
-	return target == ErrNotPrimary || target == ErrReadOnlyReplica
-}
+// Is matches the ErrNotPrimary sentinel.
+func (e *NotPrimaryError) Is(target error) bool { return target == ErrNotPrimary }
 
 // LostTailError reports the acknowledged-but-unreplicated tail a lossy
 // failover gave up: the old primary's WAL is gone and no surviving
@@ -70,8 +59,8 @@ func (e *LostTailError) Error() string {
 func (e *LostTailError) Lost() uint64 { return e.AckedLSN - e.SettledLSN }
 
 // shipOpKind enumerates the replicated mutations. Everything a primary
-// does to durable relations reduces to these seven logical operations;
-// replaying them in ship order on a replica that started from the same
+// does to durable relations reduces to these six logical operations;
+// replaying them in log order on a replica that started from the same
 // (empty) state reproduces the primary byte for byte, because every
 // operation is deterministic.
 type shipOpKind uint8
@@ -83,28 +72,21 @@ const (
 	opFlush
 	opIndex
 	opDeleteWhere
-	opUpdate
 )
 
-// shipOp is one logical mutation in the primary's serialization order.
-// lsn is the cluster log sequence number the op was assigned at enqueue;
-// replicas publish it as their applied horizon once the op lands. epoch
-// records which primary produced it: after a lossy failover, stale ops
-// above the old epoch's cut LSN are superseded history and appliers
-// discard them instead of diverging.
+// shipOp is one logical mutation in the primary's serialization order:
+// one record of the cluster log. lsn is the cluster log sequence number
+// the op was assigned at enqueue; a replica's applied LSN — its position
+// in the log — is the lsn of the last op it applied.
 type shipOp struct {
-	lsn       uint64
-	epoch     uint64
-	kind      shipOpKind
-	rel       string
-	tuple     Tuple
-	schema    *Schema
-	column    string
-	setColumn string
-	value     Value
-	newValue  Value
-	ixKind    IndexKind
-	pred      expr.Predicate
+	lsn    uint64
+	kind   shipOpKind
+	rel    string
+	tuple  Tuple
+	schema *Schema
+	column string
+	ixKind IndexKind
+	pred   expr.Predicate
 }
 
 // ReadPrefMode selects how a cluster routes a read-only operation.
@@ -155,34 +137,48 @@ const (
 	shipRetryBackoff = 50 * time.Microsecond
 )
 
-// pendingRetain bounds how many settled ops the pending tail keeps beyond
-// the slowest replica before trimming (amortizes the copy).
-const pendingRetain = 1024
+// linkDepth is the flow-control bound: enqueue waits while the slowest
+// live replica is this many ops behind the head of the log, so the log a
+// live replica has yet to read never outgrows it.
+const linkDepth = 1024
 
-// clusterReplica is one replica database plus its ship link: a FIFO op
-// channel drained by a single applier goroutine, so each replica applies
-// the primary's mutations in serialization order.
+// clusterReplica is one replica database and its position in the cluster
+// log: applied is the LSN of the last op its single applier goroutine
+// applied, so the replica applies the primary's mutations in
+// serialization order and its replication slot is that one number.
 type clusterReplica struct {
 	name string
 	db   *Database
-	ch   chan shipOp
 	done chan struct{} // closed when the applier goroutine exits
 
-	// Rejoin gating: the applier parks on ready (when non-nil) until the
-	// snapshot copy is in place, then skips ops the snapshot already
-	// contains — ops at or below floor touching a snapshot relation.
-	ready chan struct{}
-	snap  map[string]bool // written before close(ready)
-	floor atomic.Uint64
+	// Rejoin dedup, fixed before the applier starts: ops at or below
+	// floor touching a snapshot relation are already in the copied
+	// snapshot and are skipped.
+	snap  map[string]bool
+	floor uint64
 
-	applied    atomic.Uint64 // cluster LSN of the last applied op
+	applied    atomic.Uint64 // cluster LSN of the last applied op: the log position
 	ops        atomic.Uint64 // ops applied
 	transients atomic.Uint64 // transient link faults absorbed
 	stalls     atomic.Uint64 // injected stall units served
-	broken     atomic.Bool   // severed: permanent fault or apply error
+	broken     atomic.Bool   // severed: permanent fault or apply error; the applier parks
 	joining    atomic.Bool   // mid-rejoin: not routable, not yet consistent
 	expedite   atomic.Bool   // failover drain: bypass the link fault schedule
+	detached   bool          // left the cluster (under Cluster.mu): the applier exits
 	lastErr    atomic.Pointer[string]
+}
+
+// newReplica builds a replica positioned at LSN pos.
+func newReplica(name string, db *Database, pos uint64) *clusterReplica {
+	r := &clusterReplica{name: name, db: db, done: make(chan struct{})}
+	r.applied.Store(pos)
+	return r
+}
+
+// sever freezes the replica at its consistent prefix.
+func (r *clusterReplica) sever(msg string) {
+	r.lastErr.Store(&msg)
+	r.broken.Store(true)
 }
 
 // primaryRef names the current primary; swapped atomically at promotion.
@@ -201,41 +197,43 @@ type downNode struct {
 // Cluster is a primary database plus N read-only replicas fed by logical
 // operation shipping: every durable mutation on the primary is assigned a
 // cluster LSN while the mutating call still holds its exclusive relation
-// intent, and streamed to each replica's applier in that order. Reads
-// route by ReadPreference (Route, Query, NewSession); writes and DML
-// always execute on the primary.
+// intent and appended to the cluster log, which each replica's applier
+// reads in that order from its own position. Reads route by
+// ReadPreference (Route, Query, NewSession); writes and DML always
+// execute on the primary.
 //
-// Replication is asynchronous — a replica trails the primary by the ops
-// still in its link — so reads on replicas are snapshot-stale by up to
+// Replication is asynchronous — a replica trails the primary by the log
+// above its position — so reads on replicas are snapshot-stale by up to
 // that lag. BoundedStaleness bounds it; a stalled or severed link simply
 // degrades reads to the primary, never into a client-visible error.
 //
 // The primary role is not fixed: Promote switches it over cleanly (zero
-// loss by construction), Failover recovers from primary loss using the
-// retained pending tail (the primary's durable WAL tail) so no acked
-// write is lost while that tail survives, and FailoverLostWAL models
-// total primary loss, surfacing the dropped tail as a *LostTailError.
-// Every role change increments the cluster epoch.
+// loss by construction), Failover recovers from primary loss by resuming
+// the survivor from the cluster log (the model of the primary's durable
+// WAL) so no acked write is lost while that log survives, and
+// FailoverLostWAL models total primary loss, surfacing the dropped tail
+// as a *LostTailError. Every role change increments the cluster epoch.
 type Cluster struct {
 	prim atomic.Pointer[primaryRef]
 	reps atomic.Pointer[[]*clusterReplica] // copy-on-write under mu
 
-	mu        sync.Mutex // orders enqueue: LSN assignment + fan-out; guards seq/pending/role flips
+	mu        sync.Mutex // orders enqueue: LSN assignment + append; guards the log and role flips
+	grew      sync.Cond  // on mu: the log grew or a replica may proceed (appliers wait)
+	room      sync.Cond  // on mu: a replica advanced or severed (throttled writers wait)
 	seq       uint64     // last assigned cluster LSN (under mu)
 	closed    bool
 	switching bool // one Promote/Failover/Rejoin at a time
-	fenced    bool // crash fence: enqueue refuses (failover in progress)
+	fenced    bool // role-change fence: enqueue refuses
 
-	// pending retains the ship ops above every replica's applied horizon:
-	// the in-memory model of the primary's durable WAL tail. Failover
-	// replays it into the survivor, which is what makes crash promotion
-	// lossless while the old primary's log survives. pendingBase is the
-	// LSN of the op before pending[0].
-	pending     []shipOp
-	pendingBase uint64
+	// pending is the cluster log: the ops in (logBase, seq], in LSN
+	// order — the in-memory model of the primary's durable WAL. Each
+	// replica reads it from its own position, and it is trimmed below the
+	// lowest one, broken and joining replicas included: that retention is
+	// what lets a crash failover resume a severed survivor without loss.
+	pending []shipOp
+	logBase uint64
 
 	epoch    atomic.Uint64            // current cluster epoch (starts at 1)
-	cuts     atomic.Pointer[[]uint64] // cuts[e-1] = highest LSN an epoch-e op may apply
 	lsn      atomic.Uint64            // mirror of seq for lock-free routing reads
 	rr       atomic.Uint64            // round-robin cursor for replica ties
 	down     atomic.Pointer[downNode] // crashed old primary awaiting Rejoin
@@ -253,7 +251,7 @@ type Cluster struct {
 	// Failover telemetry.
 	promotions    atomic.Uint64 // planned switchovers completed
 	failovers     atomic.Uint64 // crash-driven promotions completed
-	tailRecovered atomic.Uint64 // acked ops replayed into a survivor from the pending tail
+	tailRecovered atomic.Uint64 // acked ops a severed survivor recovered from the log
 	tailLost      atomic.Uint64 // acked ops dropped by FailoverLostWAL
 }
 
@@ -272,12 +270,13 @@ func OpenCluster(primary Options, replicas int) (*Cluster, error) {
 		return nil, err
 	}
 	c := &Cluster{stop: make(chan struct{})}
+	c.grew.L = &c.mu
+	c.room.L = &c.mu
 	c.epoch.Store(1)
-	cuts := []uint64{math.MaxUint64}
-	c.cuts.Store(&cuts)
 	c.prim.Store(&primaryRef{db: pdb, name: "p"})
 	pdb.cluster = c
-	var reps []*clusterReplica
+	reps := []*clusterReplica{}
+	c.reps.Store(&reps)
 	for i := 0; i < replicas; i++ {
 		rdb, err := Open(primary)
 		if err != nil {
@@ -286,17 +285,12 @@ func OpenCluster(primary Options, replicas int) (*Cluster, error) {
 		rdb.cluster = c
 		rdb.readOnly.Store(true)
 		rdb.locks.SetExclusiveGuard(writeGuard(rdb))
-		r := &clusterReplica{
-			name: fmt.Sprintf("r%d", i),
-			db:   rdb,
-			ch:   make(chan shipOp, 1024),
-			done: make(chan struct{}),
-		}
-		reps = append(reps, r)
-		c.wg.Add(1)
-		go c.runApplier(r)
+		c.mu.Lock()
+		r := newReplica(fmt.Sprintf("r%d", i), rdb, 0)
+		c.registerLocked(r)
+		c.startLocked(r)
+		c.mu.Unlock()
 	}
-	c.reps.Store(&reps)
 	fn := c.shipFrom(1)
 	pdb.ship.Store(&fn)
 	return c, nil
@@ -347,118 +341,109 @@ func (c *Cluster) shipFrom(epoch uint64) shipFn {
 	return func(op shipOp) error { return c.enqueue(epoch, op) }
 }
 
-// enqueue assigns the next cluster LSN and fans the op out to every
-// replica link, in one critical section so all replicas see the same
-// total order. It runs inside the primary's mutating call, while the
-// exclusive relation intent is still held — ship order is therefore
-// exactly the primary's serialization order. Channel sends block when a
-// link's buffer is full (backpressure), but the appliers always drain,
-// even severed links (discarding), so enqueue cannot wedge. The op is
-// also retained in the pending tail (the durable-WAL model Failover
-// replays from).
+// enqueue assigns the next cluster LSN and appends the op to the cluster
+// log in one critical section, so every replica reads the same total
+// order. It runs inside the primary's mutating call, while the exclusive
+// relation intent is still held — log order is therefore exactly the
+// primary's serialization order. The tuple is cloned here, once: every
+// applier shares the log's copy read-only (a heap append copies the bytes
+// into its page). Flow control: enqueue first waits while the slowest
+// live replica is linkDepth ops behind; broken and joining replicas never
+// throttle writers.
 func (c *Cluster) enqueue(epoch uint64, op shipOp) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
-		return nil
-	}
-	if c.fenced || epoch != c.epoch.Load() {
-		return c.notPrimaryErr()
+	for {
+		if c.closed {
+			return nil
+		}
+		if c.fenced || epoch != c.epoch.Load() {
+			return c.notPrimaryErr()
+		}
+		if c.seq-c.lowestLocked(true) < linkDepth {
+			break
+		}
+		c.room.Wait()
 	}
 	c.seq++
 	op.lsn = c.seq
-	op.epoch = epoch
-	c.lsn.Store(c.seq)
-	keep := op
 	if op.tuple != nil {
-		keep.tuple = op.tuple.Clone()
+		op.tuple = op.tuple.Clone()
 	}
-	c.pending = append(c.pending, keep)
-	c.trimPendingLocked()
-	for _, r := range *c.reps.Load() {
-		ro := op
-		if op.tuple != nil {
-			// Each replica retains its copy in its own heap file.
-			ro.tuple = op.tuple.Clone()
-		}
-		r.ch <- ro
+	c.pending = append(c.pending, op)
+	c.lsn.Store(c.seq)
+	if drop := c.lowestLocked(false) - c.logBase; drop > 0 {
+		c.pending = c.pending[drop:]
+		c.logBase += drop
 	}
+	c.grew.Broadcast()
 	return nil
 }
 
-// trimPendingLocked drops pending ops every replica has already applied,
-// keeping a slack of pendingRetain before copying. Broken replicas still
-// pin the tail — that retention is exactly what lets Failover resurrect a
-// severed survivor without loss. Joining replicas don't pin it (their
-// snapshot covers the floor). Callers hold c.mu.
-func (c *Cluster) trimPendingLocked() {
-	if len(c.pending) <= pendingRetain {
-		return
-	}
-	floor := c.seq
+// lowestLocked returns the lowest log position among the replicas —
+// live, non-joining ones only when live is set — or seq when there is
+// none. Every replica pins the log's trim floor, so a severed survivor can
+// resume and a rejoining node reads on from where it registered. Callers
+// hold c.mu.
+func (c *Cluster) lowestLocked(live bool) uint64 {
+	low := c.seq
 	for _, r := range *c.reps.Load() {
-		if r.joining.Load() {
+		if live && (r.broken.Load() || r.joining.Load()) {
 			continue
 		}
-		if a := r.applied.Load(); a < floor {
-			floor = a
-		}
+		low = min(low, r.applied.Load())
 	}
-	if floor <= c.pendingBase {
-		return
-	}
-	drop := int(floor - c.pendingBase)
-	if drop > len(c.pending) {
-		drop = len(c.pending)
-	}
-	c.pending = append([]shipOp(nil), c.pending[drop:]...)
-	c.pendingBase += uint64(drop)
+	return low
 }
 
-// runApplier drains one replica's link: consult the fault schedule,
-// apply, publish the new horizon. A permanent link fault or an apply
-// error severs the link — the replica freezes at a consistent prefix and
-// the goroutine keeps draining (discarding) so enqueue never blocks on a
-// dead link. A rejoining replica's applier first parks until its
-// snapshot is installed, then skips ops the snapshot already contains.
-// Ops from a superseded epoch above that epoch's cut are discarded: they
-// are the lost tail of a failed-over primary, not history.
+// runApplier is one replica's applier: read the op at its position,
+// consult the fault schedule, apply, advance. A permanent link fault or
+// an apply error severs the link — the replica freezes at a consistent
+// prefix and the applier parks until a failover resumes it. A rejoining
+// replica skips ops its snapshot already contains.
 func (c *Cluster) runApplier(r *clusterReplica) {
 	defer c.wg.Done()
 	defer close(r.done)
-	if r.ready != nil {
-		select {
-		case <-r.ready:
-		case <-c.stop:
-			r.broken.Store(true)
+	for {
+		op, ok := c.next(r)
+		if !ok {
+			return
 		}
-	}
-	for op := range r.ch {
-		if r.broken.Load() {
-			continue
-		}
-		if op.lsn <= r.floor.Load() && r.snap[op.rel] {
-			if op.lsn > r.applied.Load() {
-				r.applied.Store(op.lsn)
-			}
-			continue
-		}
-		if cuts := *c.cuts.Load(); op.epoch >= 1 && op.epoch <= uint64(len(cuts)) && op.lsn > cuts[op.epoch-1] {
+		if op.lsn <= r.floor && r.snap[op.rel] {
+			r.applied.Store(op.lsn)
 			continue
 		}
 		if !c.admitOp(r) {
 			continue
 		}
 		if err := r.apply(op); err != nil {
-			msg := err.Error()
-			r.lastErr.Store(&msg)
-			r.broken.Store(true)
+			r.sever(err.Error())
 			continue
 		}
-		if op.lsn > r.applied.Load() {
-			r.applied.Store(op.lsn)
-		}
 		r.ops.Add(1)
+		r.applied.Store(op.lsn)
+	}
+}
+
+// next returns the op after r's position, waiting while r is caught up
+// or severed. It reports false when the applier should exit: r left the
+// cluster, or the cluster closed with r caught up or severed (live links
+// drain first).
+func (c *Cluster) next(r *clusterReplica) (shipOp, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.room.Broadcast() // r advanced or severed since its last read
+	for {
+		pos := r.applied.Load()
+		switch {
+		case r.detached:
+			return shipOp{}, false
+		case !r.broken.Load() && pos < c.seq:
+			return c.pending[pos-c.logBase], true
+		case c.closed:
+			return shipOp{}, false
+		}
+		c.grew.Wait()
 	}
 }
 
@@ -489,9 +474,7 @@ func (c *Cluster) admitOp(r *clusterReplica) bool {
 			return true
 		}
 		if errors.Is(out.Err, ErrFaultPermanent) {
-			msg := out.Err.Error()
-			r.lastErr.Store(&msg)
-			r.broken.Store(true)
+			r.sever(out.Err.Error())
 			return false
 		}
 		r.transients.Add(1)
@@ -534,9 +517,6 @@ func (r *clusterReplica) apply(op shipOp) error {
 		return rel.CreateIndex(op.column, op.ixKind)
 	case opDeleteWhere:
 		_, err := rel.deleteWhere(op.pred)
-		return err
-	case opUpdate:
-		_, err := rel.Update(op.column, op.value, op.setColumn, op.newValue)
 		return err
 	}
 	return fmt.Errorf("mmdb: unknown ship op kind %d", op.kind)
@@ -629,86 +609,36 @@ type FailoverReport struct {
 	NewPrimary    string
 	Epoch         uint64 // epoch of the new primary
 	AckedLSN      uint64 // last LSN the old primary acknowledged
-	SettledLSN    uint64 // survivor's horizon before the tail replay
-	TailRecovered uint64 // acked ops replayed from the retained pending tail
+	SettledLSN    uint64 // survivor's position before settling (where a severed link broke)
+	TailRecovered uint64 // acked ops a severed survivor recovered from the cluster log
 	TailLost      uint64 // acked ops dropped (FailoverLostWAL only)
 }
 
 // Promote performs a planned switchover to replica i: fence the current
 // primary read-only (new writes refuse with *NotPrimaryError), drain
 // every in-flight writer (lock-table quiesce), barrier the target replica
-// at the full acknowledged prefix, then flip the roles — the old primary
-// rejoins as a replica, the target's applier channel drains into it and
-// closes, and the epoch increments. Zero acked-write loss by
+// at the full acknowledged prefix, then flip the roles — the target
+// leaves the replica set, the old primary rejoins it positioned at the
+// acknowledged prefix, and the epoch increments. Zero acked-write loss by
 // construction: nothing was acknowledged that the target has not applied.
 // On error (ctx expired, target severed) the fence lifts and the cluster
 // continues under the old primary.
 func (c *Cluster) Promote(ctx context.Context, i int) error {
-	if err := c.beginSwitch(); err != nil {
-		return err
-	}
-	reps := *c.reps.Load()
-	if i < 0 || i >= len(reps) {
-		c.endSwitch()
-		return fmt.Errorf("mmdb: no replica %d", i)
-	}
-	target := reps[i]
-	if target.broken.Load() || target.joining.Load() {
-		c.endSwitch()
-		return fmt.Errorf("mmdb: replica %s is not live (broken or rejoining)", target.name)
-	}
-	old := c.prim.Load()
-
-	// Fence: new exclusive intents on the old primary refuse from here
-	// on. In-flight writers already past the fence finish and ship.
-	old.db.readOnly.Store(true)
-	old.db.locks.SetExclusiveGuard(writeGuard(old.db))
-	unfence := func() {
-		old.db.locks.SetExclusiveGuard(nil)
-		old.db.readOnly.Store(false)
-		c.endSwitch()
-	}
-
-	// Drain in-flight writers: after the quiesce every acknowledged write
-	// has enqueued its ship op, so c.seq is the final acked LSN.
-	if err := old.db.locks.QuiesceExclusive(ctx); err != nil {
-		unfence()
-		return fmt.Errorf("mmdb: promote: quiescing the primary: %w", err)
-	}
-	c.mu.Lock()
-	acked := c.seq
-	c.mu.Unlock()
-
-	// Barrier: the target must have applied the full acked prefix.
-	if err := c.awaitApplied(ctx, target, acked); err != nil {
-		unfence()
-		return fmt.Errorf("mmdb: promote: replica %s catching up to LSN %d: %w", target.name, acked, err)
-	}
-
-	c.detach(target)
-	if target.applied.Load() != acked || target.broken.Load() {
-		// The applier failed between the barrier and the drain; the
-		// target is not a consistent full prefix. Reverse the fence.
-		c.reattach(target)
-		unfence()
-		return fmt.Errorf("mmdb: promote: replica %s failed during drain", target.name)
-	}
-	c.flipDetached(target, old, acked, true)
-	c.promotions.Add(1)
-	c.endSwitch()
-	return nil
+	_, err := c.changeRole(ctx, true, i, false)
+	return err
 }
 
 // Failover performs a crash-driven promotion after primary loss, with
-// the old primary's durable WAL tail (the retained pending ops) still
-// available: fence and cut off the old primary, settle the surviving
-// replicas, pick the one with the highest applied LSN, replay the acked
-// tail it is missing from the pending buffer, and flip. Zero acked-write
-// loss — even when the survivor's link was severed mid-stream — because
-// everything acknowledged is in the retained tail. The old primary
-// becomes the down node; Rejoin brings it back as a replica.
+// the old primary's durable WAL tail (the cluster log) still available:
+// fence and cut off the old primary, pick the surviving replica with the
+// highest applied LSN (preferring live ones), let it read the acked tail
+// it is missing from the log, and flip. Zero acked-write loss — even when
+// the survivor's link was severed mid-stream, because a severed survivor
+// resumes from its position and everything acknowledged is in the log.
+// The old primary becomes the down node; Rejoin brings it back as a
+// replica.
 func (c *Cluster) Failover(ctx context.Context) (*FailoverReport, error) {
-	return c.failover(ctx, false)
+	return c.changeRole(ctx, false, 0, false)
 }
 
 // FailoverLostWAL is Failover for total primary loss: the old primary's
@@ -717,38 +647,124 @@ func (c *Cluster) Failover(ctx context.Context) (*FailoverReport, error) {
 // cluster is available on the survivor's consistent prefix — and the
 // dropped tail is surfaced as a *LostTailError alongside the report.
 func (c *Cluster) FailoverLostWAL(ctx context.Context) (*FailoverReport, error) {
-	return c.failover(ctx, true)
+	return c.changeRole(ctx, false, 0, true)
 }
 
-func (c *Cluster) failover(ctx context.Context, walLost bool) (*FailoverReport, error) {
+// changeRole is the one role change behind Promote (planned: replica i
+// takes over from a live primary) and Failover/FailoverLostWAL (a crash:
+// the best survivor takes over from a dead primary, whose WAL is gone when
+// walLost). In order: fence the old primary; quiesce its in-flight writers
+// (planned only); freeze acked at the head of the log; pick the target;
+// settle it at acked; detach it; flip. Writers are fenced from the third
+// step on, so a settled target stays settled, and a target that fails to
+// settle is never detached: an aborted switch lifts the fence and leaves
+// it live at its position.
+func (c *Cluster) changeRole(ctx context.Context, planned bool, i int, walLost bool) (*FailoverReport, error) {
 	if err := c.beginSwitch(); err != nil {
 		return nil, err
 	}
+	what := "failover"
+	if planned {
+		what = "promote"
+	}
 	old := c.prim.Load()
-
-	// Fence the (crashed) old primary: sessions still holding it refuse
-	// new writes, and the crash fence cuts enqueue off even for writers
-	// already past the guard — acked is frozen the moment we set it.
 	old.db.readOnly.Store(true)
 	old.db.locks.SetExclusiveGuard(writeGuard(old.db))
-	c.mu.Lock()
-	c.fenced = true
-	acked := c.seq
-	c.mu.Unlock()
-	abort := func() {
+	var target *clusterReplica
+	abort := func(err error) (*FailoverReport, error) {
 		c.mu.Lock()
 		c.fenced = false
 		c.mu.Unlock()
+		if target != nil {
+			target.expedite.Store(false)
+		}
 		old.db.locks.SetExclusiveGuard(nil)
 		old.db.readOnly.Store(false)
 		c.endSwitch()
+		return nil, fmt.Errorf("mmdb: %s: %w", what, err)
 	}
 
-	// Pick the survivor: the live replica with the highest applied LSN,
-	// or — when every link was severed — the best frozen prefix, which
-	// the pending tail can top up.
+	// A planned switch lets the writers already past the fence finish and
+	// log their ops; a crashed primary's stragglers are cut off at enqueue,
+	// so acked is final the moment it is read.
+	if planned {
+		if err := old.db.locks.QuiesceExclusive(ctx); err != nil {
+			return abort(fmt.Errorf("quiescing the primary: %w", err))
+		}
+	}
+	c.mu.Lock()
+	c.fenced = true
+	acked := c.seq
+	c.room.Broadcast() // throttled stragglers wake to their refusal
+	c.mu.Unlock()
+
+	target, err := c.pickTarget(planned, i)
+	if err != nil {
+		return abort(err)
+	}
+	rep := &FailoverReport{OldPrimary: old.name, NewPrimary: target.name, AckedLSN: acked, SettledLSN: acked}
+	newStart := acked
+	severed := !planned && target.broken.Load()
+	if severed && walLost {
+		// The WAL is gone with the primary: the acked ops above the
+		// survivor's position are lost. Promote its consistent prefix and
+		// say so, honestly and typed.
+		newStart = target.applied.Load()
+		rep.SettledLSN, rep.TailLost = newStart, acked-newStart
+	} else {
+		if !planned {
+			// The link's source is dead, so its fault schedule is void.
+			target.expedite.Store(true)
+		}
+		if severed {
+			// Resume the survivor from where its link broke: the log
+			// above its position holds every acked op it is missing.
+			rep.SettledLSN = target.applied.Load()
+			rep.TailRecovered = acked - rep.SettledLSN
+			c.mu.Lock()
+			target.broken.Store(false)
+			target.lastErr.Store(nil)
+			c.grew.Broadcast()
+			c.mu.Unlock()
+		}
+		if err := c.awaitApplied(ctx, target, acked); err != nil {
+			return abort(fmt.Errorf("replica %s catching up to LSN %d: %w", target.name, acked, err))
+		}
+	}
+	c.detach(target)
+	c.flip(target, old, newStart, planned)
+
+	rep.Epoch = c.epoch.Load()
+	if planned {
+		c.promotions.Add(1)
+	} else {
+		c.failovers.Add(1)
+	}
+	c.tailRecovered.Add(rep.TailRecovered)
+	c.tailLost.Add(rep.TailLost)
+	c.endSwitch()
+	if rep.TailLost > 0 {
+		return rep, &LostTailError{Epoch: rep.Epoch, AckedLSN: acked, SettledLSN: newStart}
+	}
+	return rep, nil
+}
+
+// pickTarget chooses the replica a role change promotes: replica i, which
+// must be live, for a planned switch; for a crash, the replica with the
+// highest applied LSN, preferring live ones — when every link was
+// severed, the best frozen prefix.
+func (c *Cluster) pickTarget(planned bool, i int) (*clusterReplica, error) {
 	reps := *c.reps.Load()
-	var survivor *clusterReplica
+	if planned {
+		if i < 0 || i >= len(reps) {
+			return nil, fmt.Errorf("no replica %d", i)
+		}
+		if r := reps[i]; r.broken.Load() || r.joining.Load() {
+			return nil, fmt.Errorf("replica %s is not live (broken or rejoining)", r.name)
+		}
+		return reps[i], nil
+	}
+	var best *clusterReplica
 	live := false
 	for _, r := range reps {
 		if r.joining.Load() {
@@ -756,81 +772,16 @@ func (c *Cluster) failover(ctx context.Context, walLost bool) (*FailoverReport, 
 		}
 		rLive := !r.broken.Load()
 		switch {
-		case survivor == nil,
+		case best == nil,
 			rLive && !live,
-			rLive == live && r.applied.Load() > survivor.applied.Load():
-			survivor, live = r, rLive
+			rLive == live && r.applied.Load() > best.applied.Load():
+			best, live = r, rLive
 		}
 	}
-	if survivor == nil {
-		abort()
-		return nil, fmt.Errorf("mmdb: failover: no replica to promote")
+	if best == nil {
+		return nil, errors.New("no replica to promote")
 	}
-
-	if live {
-		// The survivor's link holds every acked op it has not applied
-		// yet (live links never drop ops). Expedite past the injected
-		// link faults — the link's source is dead, its schedule is void —
-		// and drain to the acked horizon.
-		survivor.expedite.Store(true)
-		if err := c.awaitApplied(ctx, survivor, acked); err != nil {
-			survivor.expedite.Store(false)
-			abort()
-			return nil, fmt.Errorf("mmdb: failover: draining replica %s: %w", survivor.name, err)
-		}
-	}
-	c.detach(survivor)
-	settled := survivor.applied.Load()
-	if live && (settled != acked || survivor.broken.Load()) {
-		c.reattach(survivor)
-		abort()
-		return nil, fmt.Errorf("mmdb: failover: replica %s failed during drain", survivor.name)
-	}
-
-	rep := &FailoverReport{
-		OldPrimary: old.name,
-		NewPrimary: survivor.name,
-		AckedLSN:   acked,
-		SettledLSN: settled,
-	}
-	var lost *LostTailError
-	newStart := acked
-	switch {
-	case settled == acked:
-		// Fully caught up; nothing to replay.
-	case !walLost:
-		// Replay the acked tail (settled, acked] from the retained
-		// pending buffer — the primary's durable WAL tail — directly
-		// into the survivor. The trim floor never passes the slowest
-		// replica, so the tail is always there.
-		if err := c.replayPending(survivor, settled, acked); err != nil {
-			c.reattach(survivor)
-			abort()
-			return nil, fmt.Errorf("mmdb: failover: replaying WAL tail into %s: %w", survivor.name, err)
-		}
-		rep.TailRecovered = acked - settled
-		c.tailRecovered.Add(acked - settled)
-	default:
-		// The WAL is gone with the primary: the acked ops above the
-		// survivor's horizon are lost. Promote the consistent prefix and
-		// say so, honestly and typed.
-		rep.TailLost = acked - settled
-		c.tailLost.Add(acked - settled)
-		newStart = settled
-		lost = &LostTailError{AckedLSN: acked, SettledLSN: settled}
-	}
-	survivor.broken.Store(false)
-	survivor.lastErr.Store(nil)
-	survivor.expedite.Store(false)
-	c.flipDetached(survivor, old, newStart, false)
-	rep.Epoch = c.epoch.Load()
-	c.failovers.Add(1)
-	c.endSwitch()
-	if lost != nil {
-		lost.Epoch = rep.Epoch
-		return rep, lost
-	}
-	return rep, nil
+	return best, nil
 }
 
 // awaitApplied polls until the replica's applied horizon reaches lsn,
@@ -851,11 +802,27 @@ func (c *Cluster) awaitApplied(ctx context.Context, r *clusterReplica, lsn uint6
 	}
 }
 
-// detach removes the replica from the routing set, closes its link and
-// waits for its applier goroutine to finish draining. After detach the
-// caller owns the replica's database exclusively.
-func (c *Cluster) detach(target *clusterReplica) {
-	c.mu.Lock()
+// registerLocked adds r to the replica set, where its position pins the
+// log. Callers hold c.mu.
+func (c *Cluster) registerLocked(r *clusterReplica) {
+	reps := append(append([]*clusterReplica(nil), *c.reps.Load()...), r)
+	c.reps.Store(&reps)
+}
+
+// startLocked starts r's applier unless the cluster is closed (so no
+// applier outlives Close), reporting whether it did. Callers hold c.mu.
+func (c *Cluster) startLocked(r *clusterReplica) bool {
+	if c.closed {
+		return false
+	}
+	c.wg.Add(1)
+	go c.runApplier(r)
+	return true
+}
+
+// removeLocked takes r out of the replica set and tells its applier to
+// exit. Callers hold c.mu.
+func (c *Cluster) removeLocked(target *clusterReplica) {
 	reps := *c.reps.Load()
 	out := make([]*clusterReplica, 0, len(reps))
 	for _, r := range reps {
@@ -864,84 +831,36 @@ func (c *Cluster) detach(target *clusterReplica) {
 		}
 	}
 	c.reps.Store(&out)
-	close(target.ch)
-	c.mu.Unlock()
-	<-target.done
+	target.detached = true
+	c.grew.Broadcast()
 }
 
-// reattach restores a detached replica with a fresh (empty) link after an
-// aborted promotion. Ops enqueued while it was detached are missing from
-// its link, so it rejoins broken — frozen at a consistent prefix — unless
-// nothing was enqueued meanwhile (the fenced/quiesced case, where it
-// resumes cleanly).
-func (c *Cluster) reattach(target *clusterReplica) {
+// detach removes a replica whose applier is running and waits for the
+// applier to exit. After detach the caller owns the replica's database
+// exclusively.
+func (c *Cluster) detach(r *clusterReplica) {
 	c.mu.Lock()
-	if target.applied.Load() < c.seq && !target.broken.Load() {
-		msg := "mmdb: link reset during aborted promotion"
-		target.lastErr.Store(&msg)
-		target.broken.Store(true)
-	}
-	nr := &clusterReplica{
-		name: target.name,
-		db:   target.db,
-		ch:   make(chan shipOp, 1024),
-		done: make(chan struct{}),
-	}
-	nr.applied.Store(target.applied.Load())
-	nr.ops.Store(target.ops.Load())
-	nr.transients.Store(target.transients.Load())
-	nr.stalls.Store(target.stalls.Load())
-	nr.broken.Store(target.broken.Load())
-	nr.lastErr.Store(target.lastErr.Load())
-	reps := append(append([]*clusterReplica(nil), *c.reps.Load()...), nr)
-	c.reps.Store(&reps)
-	c.wg.Add(1)
-	go c.runApplier(nr)
+	c.removeLocked(r)
 	c.mu.Unlock()
+	<-r.done
 }
 
-// replayPending applies the pending ops in (from, to] directly into a
-// detached survivor — the failover path's read of the primary's durable
-// WAL tail.
-func (c *Cluster) replayPending(r *clusterReplica, from, to uint64) error {
+// flip installs the detached target as the new primary at newStart (the
+// LSN its history ends at), demotes the old primary, and increments the
+// epoch. The log is cut at newStart: ops above it are superseded history
+// (a lost tail), so a replica positioned above it is severed. A planned
+// switch re-adds the old primary as a replica positioned at newStart; a
+// crash parks it as the down node for Rejoin.
+func (c *Cluster) flip(target *clusterReplica, old *primaryRef, newStart uint64, oldRejoins bool) {
 	c.mu.Lock()
-	if from < c.pendingBase {
-		c.mu.Unlock()
-		return fmt.Errorf("mmdb: pending tail starts at LSN %d, survivor settled at %d", c.pendingBase, from)
-	}
-	tail := append([]shipOp(nil), c.pending[from-c.pendingBase:to-c.pendingBase]...)
-	c.mu.Unlock()
-	for _, op := range tail {
-		if err := r.apply(op); err != nil {
-			return err
-		}
-		r.applied.Store(op.lsn)
-		r.ops.Add(1)
-	}
-	return nil
-}
-
-// flipDetached installs a detached replica as the new primary at
-// newStart (the LSN its history ends at), demotes the old primary, and
-// increments the epoch. oldRejoins controls the old primary's fate: a
-// planned switchover reattaches it as a replica already caught up to
-// newStart; a crash failover parks it as the down node for Rejoin.
-func (c *Cluster) flipDetached(target *clusterReplica, old *primaryRef, newStart uint64, oldRejoins bool) {
-	c.mu.Lock()
-	// Seal the old epoch at newStart: any op it produced above that LSN
-	// is superseded history (the lost tail) and appliers discard it.
-	oldEpoch := c.epoch.Load()
-	cuts := append([]uint64(nil), *c.cuts.Load()...)
-	cuts[oldEpoch-1] = newStart
-	cuts = append(cuts, math.MaxUint64)
-	c.cuts.Store(&cuts)
-	newEpoch := oldEpoch + 1
-	c.epoch.Store(newEpoch)
+	defer c.mu.Unlock()
+	epoch := c.epoch.Add(1)
 	c.seq = newStart
 	c.lsn.Store(newStart)
-	if newStart >= c.pendingBase {
-		if keep := int(newStart - c.pendingBase); keep < len(c.pending) {
-			c.pending = c.pending[:keep]
+	c.pending = c.pending[:newStart-c.logBase]
+	for _, r := range *c.reps.Load() {
+		if r.applied.Load() > newStart {
+			r.sever(fmt.Sprintf("mmdb: replica %s applied past LSN %d, where epoch %d starts", r.name, newStart, epoch))
 		}
 	}
 
@@ -949,43 +868,33 @@ func (c *Cluster) flipDetached(target *clusterReplica, old *primaryRef, newStart
 	ndb := target.db
 	ndb.locks.SetExclusiveGuard(nil)
 	ndb.readOnly.Store(false)
-	fn := c.shipFrom(newEpoch)
+	fn := c.shipFrom(epoch)
 	ndb.ship.Store(&fn)
 	c.prim.Store(&primaryRef{db: ndb, name: target.name})
 
-	// The old primary is already fenced (guard + readOnly set by the
-	// caller); drop its stale ship hook.
-	odb := old.db
-	odb.ship.Store(nil)
+	// The old primary is already fenced (guard + readOnly set by
+	// changeRole); drop its stale ship hook.
+	old.db.ship.Store(nil)
 	if oldRejoins {
-		nr := &clusterReplica{
-			name: old.name,
-			db:   odb,
-			ch:   make(chan shipOp, 1024),
-			done: make(chan struct{}),
-		}
-		nr.applied.Store(newStart)
-		reps := append(append([]*clusterReplica(nil), *c.reps.Load()...), nr)
-		c.reps.Store(&reps)
-		c.wg.Add(1)
-		go c.runApplier(nr)
+		r := newReplica(old.name, old.db, newStart)
+		c.registerLocked(r)
+		c.startLocked(r)
 	} else {
-		c.down.Store(&downNode{name: old.name, db: odb})
+		c.down.Store(&downNode{name: old.name, db: old.db})
 	}
 	c.fenced = false
-	c.mu.Unlock()
 }
 
 // Rejoin brings the down node (the old primary a Failover parked) back
 // into the cluster as a replica. Its history may have diverged — after a
 // lossy failover it can hold acked-but-superseded writes — so Rejoin
 // rebuilds it from the new primary: drop its durable relations, register
-// a parked applier link, freeze a consistent snapshot of the primary
-// under shared relation intents, copy it over, then open the gate — the
-// applier skips ops the snapshot already contains and applies the rest,
-// catching the node up to the live stream. Concurrent writes are safe:
-// ops that race the snapshot are deduplicated by the (floor, snapshot
-// relation set) rule.
+// it at the head of the log (its position pins the log from there),
+// freeze a consistent snapshot of the primary under shared relation
+// intents, copy it over, then start its applier — which skips ops the
+// snapshot already contains and applies the rest, catching the node up to
+// the live stream. Concurrent writes are safe: ops that race the snapshot
+// are deduplicated by the (floor, snapshot relation set) rule.
 func (c *Cluster) Rejoin(ctx context.Context) error {
 	if err := c.beginSwitch(); err != nil {
 		return err
@@ -1006,26 +915,19 @@ func (c *Cluster) Rejoin(ctx context.Context) error {
 		}
 	}
 
-	// Register the parked link first: every op enqueued from here on is
-	// buffered for the applier, so nothing between registration and the
+	// Register first: no op enqueued from here on can be trimmed before
+	// the applier reads it, so nothing between registration and the
 	// snapshot can be missed.
-	r := &clusterReplica{
-		name:  dn.name,
-		db:    db,
-		ch:    make(chan shipOp, 1024),
-		done:  make(chan struct{}),
-		ready: make(chan struct{}),
-	}
-	r.joining.Store(true)
 	c.mu.Lock()
-	reps := append(append([]*clusterReplica(nil), *c.reps.Load()...), r)
-	c.reps.Store(&reps)
-	c.wg.Add(1)
-	go c.runApplier(r)
+	r := newReplica(dn.name, db, c.seq)
+	r.joining.Store(true)
+	c.registerLocked(r)
 	c.mu.Unlock()
 	fail := func(err error) error {
-		c.detach(r)
-		return err
+		c.mu.Lock()
+		c.removeLocked(r)
+		c.mu.Unlock()
+		return fmt.Errorf("mmdb: rejoin: %w", err)
 	}
 
 	// Freeze a snapshot: shared intents on every replicated relation
@@ -1039,32 +941,32 @@ func (c *Cluster) Rejoin(ctx context.Context) error {
 		resources[i] = catalog.ResourceID(n)
 	}
 	if _, err := p.db.locks.AcquireAll(ctx, txn, resources, lock.Shared); err != nil {
-		return fail(fmt.Errorf("mmdb: rejoin: freezing the primary snapshot: %w", err))
+		return fail(fmt.Errorf("freezing the primary snapshot: %w", err))
 	}
-	c.mu.Lock()
-	snapLSN := c.seq
-	c.mu.Unlock()
-
 	if err := c.copyRelations(p.db, db, names); err != nil {
 		p.db.locks.Release(txn)
-		return fail(fmt.Errorf("mmdb: rejoin: copying the snapshot: %w", err))
+		return fail(fmt.Errorf("copying the snapshot: %w", err))
 	}
 
-	// Open the gate: the applier skips ops at or below snapLSN touching
-	// a snapshot relation (the copy already contains them) and applies
-	// everything else.
-	snap := make(map[string]bool, len(names))
+	// Start the applier: it skips ops at or below the snapshot's LSN
+	// touching a snapshot relation (the copy already contains them) and
+	// applies everything else.
+	r.snap = make(map[string]bool, len(names))
 	for _, n := range names {
-		snap[n] = true
+		r.snap[n] = true
 	}
-	r.snap = snap
-	r.floor.Store(snapLSN)
-	r.applied.Store(snapLSN)
-	close(r.ready)
+	c.mu.Lock()
+	r.floor = c.seq
+	started := c.startLocked(r)
+	c.mu.Unlock()
 	p.db.locks.Release(txn)
+	if !started {
+		return fail(errors.New("cluster is closed"))
+	}
 
 	// Catch up to the live stream, then become routable.
 	if err := c.awaitApplied(ctx, r, c.lsn.Load()); err != nil {
+		c.detach(r)
 		return fmt.Errorf("mmdb: rejoin: %s catching up: %w", r.name, err)
 	}
 	db.readOnly.Store(true)
@@ -1114,36 +1016,30 @@ func (c *Cluster) copyRelations(src, dst *Database, names []string) error {
 // Route picks the database a read with the given preference should run
 // on. It never fails: when no replica qualifies the primary answers.
 func (c *Cluster) Route(pref ReadPreference) *Database {
-	switch pref.Mode {
-	case ReadNearest:
-		if r := c.pickNearest(); r != nil {
-			c.replicaReads.Add(1)
-			return r.db
-		}
-		c.fallbacks.Add(1)
-		return c.prim.Load().db
-	case ReadBounded:
-		if r := c.pickBounded(pref.MaxLSNLag); r != nil {
-			c.replicaReads.Add(1)
-			return r.db
-		}
-		c.fallbacks.Add(1)
-		return c.prim.Load().db
-	default:
+	if pref.Mode != ReadNearest && pref.Mode != ReadBounded {
 		c.primaryReads.Add(1)
 		return c.prim.Load().db
 	}
+	if r := c.pickReplica(pref); r != nil {
+		c.replicaReads.Add(1)
+		return r.db
+	}
+	c.fallbacks.Add(1)
+	return c.prim.Load().db
 }
 
-// pickNearest returns the live replica with the highest applied horizon,
-// round-robin among ties, or nil when none is live. Joining replicas are
-// not yet consistent and never serve reads.
-func (c *Cluster) pickNearest() *clusterReplica {
+// pickReplica returns the live replica a read preference routes to, or
+// nil when none qualifies: for ReadNearest the highest applied horizon,
+// for ReadBounded the first within MaxLSNLag ops of the cluster LSN. The
+// scan starts round-robin, so ties spread. Joining replicas are not yet
+// consistent and never serve reads.
+func (c *Cluster) pickReplica(pref ReadPreference) *clusterReplica {
 	reps := *c.reps.Load()
 	n := len(reps)
 	if n == 0 {
 		return nil
 	}
+	lsn := c.lsn.Load()
 	start := int(c.rr.Add(1)) % n
 	var best *clusterReplica
 	var bestApplied uint64
@@ -1152,34 +1048,16 @@ func (c *Cluster) pickNearest() *clusterReplica {
 		if r.broken.Load() || r.joining.Load() {
 			continue
 		}
-		if a := r.applied.Load(); best == nil || a > bestApplied {
+		a := r.applied.Load()
+		if pref.Mode == ReadBounded {
+			if lsn-a <= pref.MaxLSNLag {
+				return r
+			}
+		} else if best == nil || a > bestApplied {
 			best, bestApplied = r, a
 		}
 	}
 	return best
-}
-
-// pickBounded returns a live replica within maxLag ops of the cluster
-// LSN, round-robin, or nil when every replica is too stale, severed or
-// mid-rejoin.
-func (c *Cluster) pickBounded(maxLag uint64) *clusterReplica {
-	reps := *c.reps.Load()
-	n := len(reps)
-	if n == 0 {
-		return nil
-	}
-	lsn := c.lsn.Load()
-	start := int(c.rr.Add(1)) % n
-	for i := 0; i < n; i++ {
-		r := reps[(start+i)%n]
-		if r.broken.Load() || r.joining.Load() {
-			continue
-		}
-		if lsn-r.applied.Load() <= maxLag {
-			return r
-		}
-	}
-	return nil
 }
 
 // databaseFor classifies one SQL statement for routing: SELECTs go to
@@ -1224,15 +1102,10 @@ func (c *Cluster) QueryContext(ctx context.Context, text string, opts ...Session
 // will never catch up — and so are replicas mid-rejoin.
 func (c *Cluster) WaitCaughtUp(ctx context.Context) error {
 	for {
-		target := c.lsn.Load()
-		caught := true
-		for _, r := range *c.reps.Load() {
-			if !r.broken.Load() && !r.joining.Load() && r.applied.Load() < target {
-				caught = false
-				break
-			}
-		}
-		if caught && target == c.lsn.Load() {
+		c.mu.Lock()
+		caught := c.lowestLocked(true) == c.seq
+		c.mu.Unlock()
+		if caught {
 			return nil
 		}
 		select {
@@ -1386,9 +1259,9 @@ func (c *Cluster) Metrics() ClusterMetrics {
 	return m
 }
 
-// Close stops replication: new mutations stop shipping, the links drain,
-// and the applier goroutines exit — even mid-stall, because the stop
-// channel interrupts injected sleeps (such a link is marked broken,
+// Close stops replication: new mutations stop logging, live links drain
+// the log, and the applier goroutines exit — even mid-stall, because the
+// stop channel interrupts injected sleeps (such a link is marked broken,
 // frozen at its consistent prefix). The databases remain usable.
 func (c *Cluster) Close() {
 	c.mu.Lock()
@@ -1398,9 +1271,8 @@ func (c *Cluster) Close() {
 	}
 	c.closed = true
 	close(c.stop)
-	for _, r := range *c.reps.Load() {
-		close(r.ch)
-	}
+	c.grew.Broadcast()
+	c.room.Broadcast()
 	c.mu.Unlock()
 	c.wg.Wait()
 }

@@ -145,7 +145,7 @@ func TestPromoteSwitchoverZeroLoss(t *testing.T) {
 	if np.Epoch != 2 || np.Hint != "r0" {
 		t.Fatalf("NotPrimaryError{Epoch: %d, Hint: %q}, want epoch 2 hint r0", np.Epoch, np.Hint)
 	}
-	if !errors.Is(err, ErrNotPrimary) || !errors.Is(err, ErrReadOnlyReplica) {
+	if !errors.Is(err, ErrNotPrimary) {
 		t.Fatal("NotPrimaryError lost its errors.Is taxonomy")
 	}
 
@@ -179,9 +179,13 @@ func TestPromoteAbortLiftsFence(t *testing.T) {
 	if got := c.PrimaryName(); got != "p" {
 		t.Fatalf("failed promotion flipped the primary to %q", got)
 	}
-	// The fence is lifted: writes work again immediately.
+	// The fence is lifted: writes work again immediately. The target was
+	// never detached, so it is still live at its position in the log.
 	if _, err := c.Query("INSERT INTO accounts VALUES (7000, 1, 1, 'after')"); err != nil {
 		t.Fatalf("write after aborted promotion: %v", err)
+	}
+	if r := c.Metrics().Replicas[0]; r.Broken {
+		t.Fatalf("aborted promotion severed its target: %s", r.LastError)
 	}
 	c.ArmShipFaults(nil)
 	if err := c.Promote(ctx, 0); err != nil {
@@ -281,7 +285,7 @@ func TestFailoverDrainsLiveSurvivor(t *testing.T) {
 }
 
 // TestFailoverReplaysSeveredTail: when every link was severed mid-stream
-// the survivor is resurrected from the retained pending tail — the
+// the survivor resumes from its position in the cluster log — the
 // in-memory model of the primary's durable WAL — and still loses
 // nothing.
 func TestFailoverReplaysSeveredTail(t *testing.T) {
@@ -418,6 +422,77 @@ func TestRejoinRePromoteCycle(t *testing.T) {
 	waitCaughtUp(t, c)
 	if err := c.VerifyReplicas(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestClusterLogBoundsStalledReplica pins the cluster log's flow control:
+// with r0 stalled, a writer may run at most linkDepth ops ahead of it —
+// the writer waits rather than growing the log without bound — and once
+// the stall is disarmed the writer completes and r0 catches up intact.
+func TestClusterLogBoundsStalledReplica(t *testing.T) {
+	c, err := OpenCluster(Options{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	rel, err := c.Primary().CreateRelation("wlog", MustSchema(
+		Field{Name: "id", Kind: Int64}, Field{Name: "v", Kind: Int64}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 250 stall units = 50ms per delivery: r0 applies a handful of ops
+	// while the writer could insert thousands.
+	c.ArmShipFaults(NewFaultInjector(41).StallEvery("repl/ship/r0", 1, 250))
+	const rows = linkDepth + 100
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < rows; i++ {
+			if err := rel.Insert(IntValue(int64(i)), IntValue(int64(i*2))); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	// lag reads the LSN before r0's position, so it never overstates.
+	lag := func() uint64 {
+		m := c.Metrics()
+		lag := m.LSN - m.Replicas[0].AppliedLSN
+		if lag > linkDepth {
+			t.Fatalf("r0 is %d ops behind, past the %d-op bound", lag, linkDepth)
+		}
+		return lag
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for lag() < linkDepth {
+		select {
+		case err := <-done:
+			t.Fatalf("writer finished (%v) with r0 stalled: flow control never held it", err)
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("writer never reached the bound (lag %d)", lag())
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	c.ArmShipFaults(nil)
+	for finished := false; !finished; {
+		lag()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("writer: %v", err)
+			}
+			finished = true
+		case <-time.After(100 * time.Microsecond):
+		}
+	}
+	waitCaughtUp(t, c)
+	if err := c.VerifyReplicas(); err != nil {
+		t.Fatal(err)
+	}
+	if n := rel.NumTuples(); n != rows {
+		t.Fatalf("primary has %d rows, want %d", n, rows)
 	}
 }
 
@@ -563,7 +638,7 @@ func TestRoutingFallbacks(t *testing.T) {
 
 // TestFailoverRefusesStragglerShip pins the acked-but-unreplicated hole: a
 // writer that passed the write guard before a crash failover reaches
-// shipOp after flipDetached took the demoted primary's hook away. It must
+// shipOp after the flip took the demoted primary's hook away. It must
 // be refused — a nil there acknowledges a write no survivor holds — while
 // the applier's own ops still pass.
 func TestFailoverRefusesStragglerShip(t *testing.T) {

@@ -5,13 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
 // seedCluster loads the debit/credit-style fixture through the primary:
-// a relation with an index, bulk inserts, deletes and updates — every
+// a relation with an index, bulk inserts, deletes and a rewrite — every
 // replicated op kind — so replicas exercise the whole apply switch.
 func seedCluster(t *testing.T, c *Cluster) {
 	t.Helper()
@@ -40,10 +41,19 @@ func seedCluster(t *testing.T, c *Cluster) {
 	if err := rel.CreateIndex("id", BTree); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rel.Delete("dept", IntValue(6)); err != nil {
+	if _, err := db.Query("DELETE FROM accounts WHERE dept = 6"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rel.Update("dept", IntValue(3), "balance", IntValue(9999)); err != nil {
+	// Rewrite dept 3's balances: a DELETE (heap rewrite plus index
+	// rebuild on every replica) and the re-INSERT of the rows.
+	if _, err := db.Query("DELETE FROM accounts WHERE dept = 3"); err != nil {
+		t.Fatal(err)
+	}
+	var rows []string
+	for i := 3; i < 200; i += 7 {
+		rows = append(rows, fmt.Sprintf("(%d, 3, 9999, 'acct-%03d')", i, i))
+	}
+	if _, err := db.Query("INSERT INTO accounts VALUES " + strings.Join(rows, ", ")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := db.Query("INSERT INTO accounts VALUES (500, 1, 77, 'late'), (501, 2, 78, 'later')"); err != nil {
@@ -160,7 +170,7 @@ func TestReplClusterConcurrentReadsAndWrites(t *testing.T) {
 }
 
 // TestReplReadOnlyReplicaRefusesWrites: every direct write path on a
-// replica surfaces ErrReadOnlyReplica, while reads and session-private
+// replica surfaces ErrNotPrimary, while reads and session-private
 // temporaries still work.
 func TestReplReadOnlyReplicaRefusesWrites(t *testing.T) {
 	c, err := OpenCluster(Options{}, 1)
@@ -172,24 +182,24 @@ func TestReplReadOnlyReplicaRefusesWrites(t *testing.T) {
 	waitCaughtUp(t, c)
 	rep := c.Replica(0)
 
-	if _, err := rep.CreateRelation("sneaky", MustSchema(Field{Name: "x", Kind: Int64})); !errors.Is(err, ErrReadOnlyReplica) {
-		t.Fatalf("CreateRelation on replica: %v, want ErrReadOnlyReplica", err)
+	if _, err := rep.CreateRelation("sneaky", MustSchema(Field{Name: "x", Kind: Int64})); !errors.Is(err, ErrNotPrimary) {
+		t.Fatalf("CreateRelation on replica: %v, want ErrNotPrimary", err)
 	}
 	rel, err := rep.Relation("accounts")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rel.Insert(IntValue(9000), IntValue(0), IntValue(0), StringValue("x")); !errors.Is(err, ErrReadOnlyReplica) {
-		t.Fatalf("Insert on replica: %v, want ErrReadOnlyReplica", err)
+	if err := rel.Insert(IntValue(9000), IntValue(0), IntValue(0), StringValue("x")); !errors.Is(err, ErrNotPrimary) {
+		t.Fatalf("Insert on replica: %v, want ErrNotPrimary", err)
 	}
-	if _, err := rel.Delete("dept", IntValue(1)); !errors.Is(err, ErrReadOnlyReplica) {
-		t.Fatalf("Delete on replica: %v, want ErrReadOnlyReplica", err)
+	if _, err := rep.Query("DELETE FROM accounts WHERE dept = 1"); !errors.Is(err, ErrNotPrimary) {
+		t.Fatalf("SQL DELETE on replica: %v, want ErrNotPrimary", err)
 	}
-	if err := rep.DropRelation("accounts"); !errors.Is(err, ErrReadOnlyReplica) {
-		t.Fatalf("DropRelation on replica: %v, want ErrReadOnlyReplica", err)
+	if err := rep.DropRelation("accounts"); !errors.Is(err, ErrNotPrimary) {
+		t.Fatalf("DropRelation on replica: %v, want ErrNotPrimary", err)
 	}
-	if _, err := rep.Query("INSERT INTO accounts VALUES (9001, 0, 0, 'y')"); !errors.Is(err, ErrReadOnlyReplica) {
-		t.Fatalf("SQL INSERT on replica: %v, want ErrReadOnlyReplica", err)
+	if _, err := rep.Query("INSERT INTO accounts VALUES (9001, 0, 0, 'y')"); !errors.Is(err, ErrNotPrimary) {
+		t.Fatalf("SQL INSERT on replica: %v, want ErrNotPrimary", err)
 	}
 	// Reads — including ones that materialize a statement-owned filtered
 	// copy, which takes no exclusive intent — succeed on the replica.

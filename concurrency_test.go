@@ -239,30 +239,6 @@ func TestSessionQueueDeadline(t *testing.T) {
 	}
 }
 
-// TestSessionQueryTimeout verifies the Options-level deadline applies when
-// the caller's context has none.
-func TestSessionQueryTimeout(t *testing.T) {
-	db, err := Open(Options{
-		PageSize:             512,
-		MemoryPages:          64,
-		MaxConcurrentQueries: 1,
-		QueryTimeout:         20 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	loadCompany(t, db, 100, 4)
-
-	s, err := db.NewSession(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if _, err := empDeptJoin(db); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("timed-out query: err=%v, want DeadlineExceeded", err)
-	}
-}
-
 // TestConcurrentWritersAndReaders races loads against queries: the
 // relation-level S/X intents must serialize them without deadlock and
 // every query must observe a consistent (fully loaded or fully absent)

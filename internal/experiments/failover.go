@@ -52,7 +52,7 @@ var failoverScenarios = []string{
 	"promote-abort",    // promotion to a stalled replica times out, fence lifts, retry succeeds
 	"failover-live",    // primary dies mid-statement, links live: survivor drains
 	"failover-stalled", // primary dies with a stalled link: expedited drain
-	"failover-severed", // primary dies with every link severed: pending-tail replay
+	"failover-severed", // primary dies with every link severed: the survivor resumes from the log
 	"wallost",          // primary and its WAL die: typed LostTailError, prefix survives
 }
 
@@ -275,8 +275,8 @@ func runFailoverCell(cfg FailoverConfig, scenario string, nReplicas, width int) 
 			case "failover-live", "failover-stalled", "failover-severed":
 				if scenario == "failover-severed" {
 					// Only declare the primary dead once the links are: a
-					// still-buffering link would drain instead of forcing
-					// the pending-tail replay this rung exists to test.
+					// live link would drain instead of forcing the resume
+					// of a severed survivor this rung exists to test.
 					if err := awaitBroken(ctx, cluster); err != nil {
 						switchErr <- err
 						return

@@ -341,9 +341,6 @@ func (r *Replica) ApplyCounters() cost.Counters { return r.applier.Counters() }
 // RelayCounters returns the relay-scan virtual-cost counters.
 func (r *Replica) RelayCounters() cost.Counters { return r.relayClock.Counters() }
 
-// Applied returns the number of updates folded into the store.
-func (r *Replica) Applied() int { return r.applier.Redone() }
-
 // Snapshot clones the replica's store together with its apply frontier,
 // for deferred byte-identity checks against ReferencePrefix.
 func (r *Replica) Snapshot() (*store.Store, wal.LSN) {

@@ -140,12 +140,6 @@ func (s *Scheduler) Slots() int { return s.slots }
 // Policy returns the slot-grant pick policy.
 func (s *Scheduler) Policy() PickPolicy { return s.policy }
 
-// ClassQueueDepth returns the configured wait-queue bound for c.
-func (s *Scheduler) ClassQueueDepth(c Class) int { return s.depth[c] }
-
-// ClassWeight returns the WeightedFair share for c.
-func (s *Scheduler) ClassWeight(c Class) int { return s.weight[c] }
-
 // Admit blocks until a slot is free, the context is done, or the class's
 // queue is full (rejecting with an *OverloadError wrapping
 // ErrOverloaded). Waiters are FIFO within a class; across classes the
@@ -325,13 +319,6 @@ func (s *Scheduler) Metrics() Metrics {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.m
-}
-
-// Running returns the number of currently executing queries.
-func (s *Scheduler) Running() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.running
 }
 
 // Queued returns the number of queries waiting for a slot, all classes.

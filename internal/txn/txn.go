@@ -286,18 +286,6 @@ func (e *Engine) Run(d time.Duration) Stats {
 	return s
 }
 
-// RunUntilIdle drains all pending events without a deadline (used by crash
-// tests that stop the clock mid-flight instead).
-func (e *Engine) RunUntilIdle() {
-	e.sim.Run()
-}
-
-// StopNow prevents terminals from starting further transactions.
-func (e *Engine) StopNow() {
-	e.stopped = true
-	e.ckpt.Stop()
-}
-
 func (e *Engine) startTxn(terminal int) {
 	if e.stopped {
 		return

@@ -145,14 +145,6 @@ func (srv *Server) Serve() error {
 	}
 }
 
-// ListenAndServe is Listen followed by Serve.
-func (srv *Server) ListenAndServe(addr string) error {
-	if _, err := srv.Listen(addr); err != nil {
-		return err
-	}
-	return srv.Serve()
-}
-
 // Shutdown drains the server gracefully: stop accepting, let in-flight
 // connections finish on their own, and only when ctx expires force-close
 // whatever is still open (returning ctx's error so the caller knows the

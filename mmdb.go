@@ -119,10 +119,6 @@ type Options struct {
 	// (Classes[Interactive], Classes[Batch]). Zero values inherit the
 	// global defaults; see ClassConfig.
 	Classes [NumClasses]ClassConfig
-	// QueryTimeout, when positive, bounds each session's total time
-	// (queueing included) unless its context already carries an earlier
-	// deadline.
-	QueryTimeout time.Duration
 }
 
 // QueryClass is an admission priority class; sessions carry one
@@ -450,16 +446,10 @@ func (db *Database) shipOp(applier bool, op shipOp) error {
 	return (*fn)(op)
 }
 
-// writeRefused builds the error a refused write surfaces: on a clustered
-// database a *NotPrimaryError carrying the current epoch and primary
-// hint (it still matches ErrReadOnlyReplica via errors.Is), a plain
-// ErrReadOnlyReplica otherwise.
-func (db *Database) writeRefused() error {
-	if c := db.cluster; c != nil {
-		return c.notPrimaryErr()
-	}
-	return ErrReadOnlyReplica
-}
+// writeRefused builds the error a refused write surfaces: a
+// *NotPrimaryError carrying the cluster's current epoch and primary hint.
+// Only a clustered database is ever read-only or write-guarded.
+func (db *Database) writeRefused() error { return db.cluster.notPrimaryErr() }
 
 // lockRelations takes a one-shot relation-level intent lock on every named
 // relation (in canonical resource order, to stay deadlock-free) and

@@ -506,12 +506,12 @@ func TestDeleteAndUpdateMaintainIndexes(t *testing.T) {
 	}
 
 	// Delete one department (20 rows).
-	removed, err := emp.Delete("dept", IntValue(3))
+	res, err := db.Query("DELETE FROM emp WHERE dept = 3")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if removed != 20 || emp.NumTuples() != 100 {
-		t.Fatalf("removed %d, left %d", removed, emp.NumTuples())
+	if res.Affected != 20 || emp.NumTuples() != 100 {
+		t.Fatalf("removed %d, left %d", res.Affected, emp.NumTuples())
 	}
 	if rows, _ := emp.Lookup("dept", IntValue(3)); len(rows) != 0 {
 		t.Fatalf("index still finds %d deleted rows", len(rows))
@@ -520,13 +520,16 @@ func TestDeleteAndUpdateMaintainIndexes(t *testing.T) {
 		t.Fatalf("unrelated index entry lost: %d rows", len(rows))
 	}
 
-	// Update a row's salary and verify via both scan and index.
-	changed, err := emp.Update("id", IntValue(7), "salary", IntValue(99999))
+	// Rewrite a row's salary (DELETE then INSERT) and verify via the index.
+	res, err = db.Query("DELETE FROM emp WHERE id = 7")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if changed != 1 {
-		t.Fatalf("changed %d", changed)
+	if res.Affected != 1 {
+		t.Fatalf("deleted %d rows with id 7", res.Affected)
+	}
+	if _, err := db.Query("INSERT INTO emp VALUES (7, 1, 99999, 'emp7')"); err != nil {
+		t.Fatal(err)
 	}
 	rows, err := emp.Lookup("id", IntValue(7))
 	if err != nil || len(rows) != 1 {
@@ -537,11 +540,8 @@ func TestDeleteAndUpdateMaintainIndexes(t *testing.T) {
 	}
 
 	// Missing columns rejected.
-	if _, err := emp.Delete("nope", IntValue(1)); err == nil {
+	if _, err := db.Query("DELETE FROM emp WHERE nope = 1"); err == nil {
 		t.Fatal("bad delete column accepted")
-	}
-	if _, err := emp.Update("id", IntValue(1), "nope", IntValue(1)); err == nil {
-		t.Fatal("bad update column accepted")
 	}
 }
 

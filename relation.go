@@ -88,7 +88,7 @@ func (r *Relation) insertLocked(t Tuple) error {
 	// serialization order (likewise in every mutation below). A
 	// refused ship — this node was demoted mid-call — fails the
 	// statement: the write is not acknowledged.
-	return r.ship(shipOp{kind: opInsert, rel: r.Name(), tuple: t.Clone()})
+	return r.ship(shipOp{kind: opInsert, rel: r.Name(), tuple: t})
 }
 
 // insertRows is one INSERT statement: every row appended and shipped, then
@@ -180,19 +180,6 @@ func (r *Relation) Lookup(column string, v Value) ([]Tuple, error) {
 	return out, err
 }
 
-// Delete removes every row whose column equals v, returning the count.
-func (r *Relation) Delete(column string, v Value) (int64, error) {
-	col := r.Schema().FieldIndex(column)
-	if col < 0 {
-		return 0, fmt.Errorf("mmdb: relation %q has no column %q", r.Name(), column)
-	}
-	eq, err := expr.NewComparison(r.Schema(), col, expr.Eq, v)
-	if err != nil {
-		return 0, err
-	}
-	return r.deleteWhere(eq)
-}
-
 // deleteWhere removes every row matching p, returning the count; a nil p
 // removes every row. Indexes on the relation are rebuilt afterwards (bulk
 // maintenance).
@@ -222,59 +209,6 @@ func (r *Relation) deleteWhere(p expr.Predicate) (int64, error) {
 		return nil
 	})
 	return removed, err
-}
-
-// Update sets setColumn to newVal on every row whose column equals v,
-// returning the count. Indexes are rebuilt afterwards.
-func (r *Relation) Update(column string, v Value, setColumn string, newVal Value) (int64, error) {
-	schema := r.Schema()
-	col := schema.FieldIndex(column)
-	setCol := schema.FieldIndex(setColumn)
-	if col < 0 || setCol < 0 {
-		return 0, fmt.Errorf("mmdb: relation %q lacks column %q or %q", r.Name(), column, setColumn)
-	}
-	probe := make(Tuple, schema.Width())
-	if err := schema.Set(probe, col, v); err != nil {
-		return 0, err
-	}
-	var changed int64
-	err := r.withIntent(lock.Exclusive, func() error {
-		var setErr error
-		err := r.rel.File.Rewrite(func(t tuple.Tuple) (tuple.Tuple, bool) {
-			if schema.CompareField(t, probe, col) != 0 {
-				return t, true
-			}
-			out := t.Clone()
-			if err := schema.Set(out, setCol, newVal); err != nil && setErr == nil {
-				setErr = err
-				return t, true
-			}
-			changed++
-			return out, true
-		})
-		if err == nil {
-			err = setErr
-		}
-		if err != nil {
-			changed = 0
-			return err
-		}
-		if changed > 0 {
-			if err := r.rebuildIndexes(); err != nil {
-				return err
-			}
-		}
-		if err := r.ship(shipOp{
-			kind: opUpdate, rel: r.Name(),
-			column: column, value: v,
-			setColumn: setColumn, newValue: newVal,
-		}); err != nil {
-			changed = 0
-			return err
-		}
-		return nil
-	})
-	return changed, err
 }
 
 func (r *Relation) rebuildIndexes() error {

@@ -39,7 +39,6 @@ type Session struct {
 	grant   *session.Grant
 	retries int
 	queued  time.Duration
-	cancel  context.CancelFunc
 	ctx     context.Context
 
 	mu     sync.Mutex
@@ -61,25 +60,13 @@ type Session struct {
 // session's grant and charges its clock.
 func (db *Database) NewSession(ctx context.Context, opts ...SessionOption) (*Session, error) {
 	cfg := resolveSessionConfig(opts)
-	var cancel context.CancelFunc
-	if db.opts.QueryTimeout > 0 {
-		if _, ok := ctx.Deadline(); !ok {
-			ctx, cancel = context.WithTimeout(ctx, db.opts.QueryTimeout)
-		}
-	}
 	queued, err := db.sched.Admit(ctx, cfg.class)
 	if err != nil {
-		if cancel != nil {
-			cancel()
-		}
 		return nil, err
 	}
 	grant, err := db.broker.ReserveGrant(ctx, cfg.class, cfg.minPages)
 	if err != nil {
 		db.sched.Done(cfg.class)
-		if cancel != nil {
-			cancel()
-		}
 		return nil, err
 	}
 	clock := cost.NewClock(db.opts.Params)
@@ -92,7 +79,6 @@ func (db *Database) NewSession(ctx context.Context, opts ...SessionOption) (*Ses
 		grant:   grant,
 		retries: cfg.retries,
 		queued:  queued,
-		cancel:  cancel,
 		ctx:     ctx,
 	}, nil
 }
@@ -124,9 +110,6 @@ func (s *Session) Close() {
 	s.grant.Release()
 	s.db.sched.Done(s.class)
 	s.db.clock.Charge(s.clock.Counters())
-	if s.cancel != nil {
-		s.cancel()
-	}
 }
 
 // Class returns the session's admission priority class.

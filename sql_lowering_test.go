@@ -21,7 +21,14 @@ func newLoweringDB(t testing.TB) *Database {
 // parallelism workers.
 func newLoweringDBWidth(t testing.TB, parallelism int) *Database {
 	t.Helper()
-	db := MustOpen(Options{PageSize: 256, MemoryPages: 8, Parallelism: parallelism})
+	return loadLoweringDB(t, Options{PageSize: 256, MemoryPages: 8, Parallelism: parallelism})
+}
+
+// loadLoweringDB opens a database with opts and loads the lowering
+// fixture into it.
+func loadLoweringDB(t testing.TB, opts Options) *Database {
+	t.Helper()
+	db := MustOpen(opts)
 	emp, err := db.CreateRelation("emp", MustSchema(
 		Field{Name: "id", Kind: Int64},
 		Field{Name: "dept", Kind: Int64},
@@ -188,17 +195,14 @@ func TestSQLSelectTakesNoExclusiveIntent(t *testing.T) {
 }
 
 // TestSelectConcurrentWithDelete is the -race exercise for a SELECT's
-// shared intent: a DeleteWhere's File.Rewrite must not run under a scan.
+// shared intent: a SQL DELETE's File.Rewrite must not run under a scan.
+// Two scheduler slots let the two statements run at once.
 func TestSelectConcurrentWithDelete(t *testing.T) {
-	db := newLoweringDB(t)
-	emp, err := db.Relation("emp")
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := loadLoweringDB(t, Options{PageSize: 256, MemoryPages: 8, MaxConcurrentQueries: 2})
 	done := make(chan error, 1)
 	go func() {
 		for id := int64(1); id <= 50; id++ {
-			if _, err := emp.Delete("id", IntValue(id)); err != nil {
+			if _, err := db.Query(fmt.Sprintf("DELETE FROM emp WHERE id = %d", id)); err != nil {
 				done <- err
 				return
 			}
