@@ -976,10 +976,12 @@ func (c *Cluster) Rejoin(ctx context.Context) error {
 	return nil
 }
 
-// copyRelations copies the named relations — schema, tuples in storage
-// order, index set — from src into dst, which must be quiescent for the
+// copyRelations copies the named relations — schema, heap file page for
+// page (dead slots and free-slot order included), index set built over the
+// copied RIDs — from src into dst, which must be quiescent for the
 // duration (Rejoin holds shared intents on src; dst is the detached down
-// node).
+// node). A physical copy keeps every row at its primary address, so the
+// next INSERT lands in the same slot on both nodes.
 func (c *Cluster) copyRelations(src, dst *Database, names []string) error {
 	for _, name := range names {
 		srel, err := src.cat.Get(name)
@@ -987,21 +989,12 @@ func (c *Cluster) copyRelations(src, dst *Database, names []string) error {
 			return err
 		}
 		schema := srel.Schema()
-		var tuples []Tuple
-		if err := srel.File.Scan(simio.Uncharged, func(t Tuple) bool {
-			tuples = append(tuples, t.Clone())
-			return true
-		}); err != nil {
-			return err
-		}
 		drel, err := dst.createRelation(true, name, schema)
 		if err != nil {
 			return err
 		}
-		for _, t := range tuples {
-			if err := drel.InsertTuple(t); err != nil {
-				return err
-			}
+		if err := drel.withIntent(lock.Exclusive, func() error { return srel.File.CopyTo(drel.rel.File) }); err != nil {
+			return err
 		}
 		for _, col := range srel.IndexedColumns() {
 			ix, _ := srel.Index(col)

@@ -425,6 +425,34 @@ func TestRejoinRePromoteCycle(t *testing.T) {
 	}
 }
 
+// TestRejoinCopiesHeapPhysically: seedCluster ends with a DELETE, so the
+// primary's heap holds freed slots. Rejoin must copy the file page for
+// page, free-slot list included: the next INSERT then refills the same
+// slot on every node and storage order stays identical. A row-by-row copy
+// would compact the rejoined node and land its INSERT at the end.
+func TestRejoinCopiesHeapPhysically(t *testing.T) {
+	ctx := failoverCtx(t)
+	c, err := OpenCluster(Options{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	seedCluster(t, c)
+	if _, err := c.Failover(ctx); err != nil {
+		t.Fatalf("failover: %v", err)
+	}
+	if err := c.Rejoin(ctx); err != nil {
+		t.Fatalf("rejoin: %v", err)
+	}
+	if _, err := c.Query("INSERT INTO accounts VALUES (7200, 1, 5, 'after'), (7201, 2, 6, 'rejoin')"); err != nil {
+		t.Fatal(err)
+	}
+	waitCaughtUp(t, c)
+	if err := c.VerifyReplicas(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestClusterLogBoundsStalledReplica pins the cluster log's flow control:
 // with r0 stalled, a writer may run at most linkDepth ops ahead of it —
 // the writer waits rather than growing the log without bound — and once

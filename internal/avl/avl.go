@@ -158,6 +158,36 @@ func (t *Tree) delete(n *node, key []byte) (*node, int) {
 	return rebalance(n), removed
 }
 
+// DeleteEntry removes one tuple equal to tup stored under key — one row's
+// entry in a non-unique index — and reports whether it found one. The node
+// goes when its last tuple does.
+func (t *Tree) DeleteEntry(key []byte, tup tuple.Tuple) bool {
+	n := t.root
+	for n != nil {
+		t.comps++
+		switch c := bytes.Compare(key, n.key); {
+		case c < 0:
+			n = n.left
+		case c > 0:
+			n = n.right
+		default:
+			for i, v := range n.vals {
+				if !bytes.Equal(v, tup) {
+					continue
+				}
+				if len(n.vals) == 1 {
+					return t.Delete(key)
+				}
+				n.vals = append(n.vals[:i], n.vals[i+1:]...)
+				t.tuples--
+				return true
+			}
+			return false
+		}
+	}
+	return false
+}
+
 func (t *Tree) deleteMin(n *node) (*node, int) {
 	if n.left == nil {
 		return n.right, len(n.vals)

@@ -204,3 +204,33 @@ func TestQuickRandomOpsMatchMapOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDeleteEntryRemovesOneDuplicate: DeleteEntry drops one payload from
+// a key's chain and the node with its last one, keeping the tree balanced.
+func TestDeleteEntryRemovesOneDuplicate(t *testing.T) {
+	tr := &Tree{}
+	for k := int64(0); k < 50; k++ {
+		for v := int64(0); v < 3; v++ {
+			tr.Insert(key(k), tup(100*k+v))
+		}
+	}
+	for k := int64(0); k < 50; k++ {
+		for v := int64(2); v >= 0; v-- {
+			if !tr.DeleteEntry(key(k), tup(100*k+v)) {
+				t.Fatalf("entry (%d, %d) not found", k, v)
+			}
+			if tr.DeleteEntry(key(k), tup(100*k+v)) {
+				t.Fatalf("entry (%d, %d) deleted twice", k, v)
+			}
+			if got := len(tr.Search(key(k), nil)); got != int(v) {
+				t.Fatalf("key %d: %d entries left, want %d", k, got, v)
+			}
+		}
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		if tr.Len() != int(49-k) || tr.NumTuples() != 3*int(49-k) {
+			t.Fatalf("after key %d: %d keys, %d tuples", k, tr.Len(), tr.NumTuples())
+		}
+	}
+}

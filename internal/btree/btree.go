@@ -74,10 +74,12 @@ type treeNode interface {
 	nodeID() NodeID
 }
 
+// leaf keeps its entries packed in one byte array, each a key followed by
+// its tuple, as on the page the paper draws: no slice header per entry.
 type leaf struct {
 	id   NodeID
-	keys [][]byte
-	tups []tuple.Tuple
+	n    int    // entries
+	data []byte // n entries of KeyWidth+TupleWidth bytes, in key order
 	next *leaf
 }
 
@@ -102,6 +104,7 @@ type Tree struct {
 	interiors int
 	nextPage  NodeID
 	comps     int64
+	kw, ew    int // key width and leaf entry width (key + tuple)
 }
 
 // New creates an empty tree.
@@ -110,7 +113,7 @@ func New(cfg Config) (*Tree, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	return &Tree{cfg: cfg}, nil
+	return &Tree{cfg: cfg, kw: cfg.KeyWidth, ew: cfg.KeyWidth + cfg.TupleWidth}, nil
 }
 
 // MustNew is New that panics on error.
@@ -164,7 +167,48 @@ func (t *Tree) compare(a, b []byte) int {
 	return bytes.Compare(a, b)
 }
 
-// Insert adds tup under key.
+// key returns leaf entry i's key, a view into the leaf.
+func (t *Tree) key(l *leaf, i int) []byte {
+	o := i * t.ew
+	return l.data[o : o+t.kw : o+t.kw]
+}
+
+// tup returns leaf entry i's tuple, a view into the leaf.
+func (t *Tree) tup(l *leaf, i int) tuple.Tuple {
+	o := i * t.ew
+	return tuple.Tuple(l.data[o+t.kw : o+t.ew : o+t.ew])
+}
+
+// put writes key and tup as leaf entry i.
+func (t *Tree) put(l *leaf, i int, key []byte, tup tuple.Tuple) {
+	o := i * t.ew
+	copy(l.data[o:], key)
+	copy(l.data[o+t.kw:o+t.ew], tup)
+}
+
+// removeEntries deletes leaf entries [i, j).
+func (t *Tree) removeEntries(l *leaf, i, j int) {
+	l.data = append(l.data[:i*t.ew], l.data[j*t.ew:]...)
+	l.n -= j - i
+}
+
+// searchLeaf is searchKeys over a leaf's packed keys, counting the same
+// comparisons.
+func (t *Tree) searchLeaf(l *leaf, key []byte, lower bool) int {
+	lo, hi := 0, l.n
+	for lo < hi {
+		mid := (lo + hi) / 2
+		c := t.compare(t.key(l, mid), key)
+		if c < 0 || (!lower && c == 0) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// Insert adds a copy of tup under key.
 func (t *Tree) Insert(key []byte, tup tuple.Tuple) {
 	if len(key) != t.cfg.KeyWidth {
 		panic(fmt.Sprintf("btree: key width %d, configured %d", len(key), t.cfg.KeyWidth))
@@ -174,8 +218,9 @@ func (t *Tree) Insert(key []byte, tup tuple.Tuple) {
 	}
 	if t.root == nil {
 		l := t.newLeaf()
-		l.keys = [][]byte{append([]byte(nil), key...)}
-		l.tups = []tuple.Tuple{tup}
+		l.data = make([]byte, t.ew)
+		l.n = 1
+		t.put(l, 0, key, tup)
 		t.root = l
 		t.height = 1
 		t.tuples = 1
@@ -197,25 +242,25 @@ func (t *Tree) Insert(key []byte, tup tuple.Tuple) {
 func (t *Tree) insert(n treeNode, key []byte, tup tuple.Tuple) (treeNode, []byte) {
 	switch n := n.(type) {
 	case *leaf:
-		i := t.searchKeys(n.keys, key, false)
-		n.keys = append(n.keys, nil)
-		copy(n.keys[i+1:], n.keys[i:])
-		n.keys[i] = append([]byte(nil), key...)
-		n.tups = append(n.tups, nil)
-		copy(n.tups[i+1:], n.tups[i:])
-		n.tups[i] = tup
-		if len(n.keys) <= t.cfg.LeafCapacity() {
+		i := t.searchLeaf(n, key, false)
+		n.data = append(n.data, make([]byte, t.ew)...)
+		copy(n.data[(i+1)*t.ew:], n.data[i*t.ew:])
+		t.put(n, i, key, tup)
+		n.n++
+		if n.n <= t.cfg.LeafCapacity() {
 			return nil, nil
 		}
-		mid := len(n.keys) / 2
+		// Both halves get arrays of their own size, so a leaf that stops
+		// growing (the left one, under ascending inserts) holds no slack.
+		mid := n.n / 2
 		right := t.newLeaf()
-		right.keys = append(right.keys, n.keys[mid:]...)
-		right.tups = append(right.tups, n.tups[mid:]...)
-		n.keys = n.keys[:mid:mid]
-		n.tups = n.tups[:mid:mid]
+		right.data = bytes.Clone(n.data[mid*t.ew:])
+		right.n = n.n - mid
+		n.data = bytes.Clone(n.data[:mid*t.ew])
+		n.n = mid
 		right.next = n.next
 		n.next = right
-		return right, right.keys[0]
+		return right, bytes.Clone(t.key(right, 0))
 	case *interior:
 		ci := t.childIndex(n, key)
 		split, sepKey := t.insert(n.children[ci], key, tup)
@@ -268,8 +313,9 @@ func (t *Tree) childIndex(n *interior, key []byte) int {
 	return t.searchKeys(n.keys, key, true)
 }
 
-// Search returns all tuples stored under key. Each inspected page is
-// reported to visit (which may be nil).
+// Search returns all tuples stored under key, as views into the tree that
+// stay valid until its next mutation. Each inspected page is reported to
+// visit (which may be nil).
 func (t *Tree) Search(key []byte, visit VisitFunc) []tuple.Tuple {
 	if t.root == nil {
 		return nil
@@ -287,13 +333,13 @@ func (t *Tree) Search(key []byte, visit VisitFunc) []tuple.Tuple {
 	}
 	l := n.(*leaf)
 	var out []tuple.Tuple
-	i := t.searchKeys(l.keys, key, true)
+	i := t.searchLeaf(l, key, true)
 	for {
-		for ; i < len(l.keys); i++ {
-			if t.compare(l.keys[i], key) != 0 {
+		for ; i < l.n; i++ {
+			if t.compare(t.key(l, i), key) != 0 {
 				return out
 			}
-			out = append(out, l.tups[i])
+			out = append(out, t.tup(l, i))
 		}
 		if l.next == nil {
 			return out
@@ -307,8 +353,9 @@ func (t *Tree) Search(key []byte, visit VisitFunc) []tuple.Tuple {
 }
 
 // AscendRange walks tuples with key >= start in key order, calling fn until
-// it returns false. A nil start walks from the smallest key. Each touched
-// page (descent path plus every leaf visited) is reported to visit.
+// it returns false; the key and tuple are views valid during the call. A
+// nil start walks from the smallest key. Each touched page (descent path
+// plus every leaf visited) is reported to visit.
 func (t *Tree) AscendRange(start []byte, visit VisitFunc, fn func(key []byte, tup tuple.Tuple) bool) {
 	if t.root == nil {
 		return
@@ -331,11 +378,11 @@ func (t *Tree) AscendRange(start []byte, visit VisitFunc, fn func(key []byte, tu
 	l := n.(*leaf)
 	i := 0
 	if start != nil {
-		i = t.searchKeys(l.keys, start, true)
+		i = t.searchLeaf(l, start, true)
 	}
 	for {
-		for ; i < len(l.keys); i++ {
-			if !fn(l.keys[i], l.tups[i]) {
+		for ; i < l.n; i++ {
+			if !fn(t.key(l, i), t.tup(l, i)) {
 				return
 			}
 		}
@@ -357,32 +404,57 @@ func (t *Tree) Delete(key []byte) int {
 	if t.root == nil {
 		return 0
 	}
-	n := t.root
-	for {
-		in, ok := n.(*interior)
-		if !ok {
-			break
-		}
-		n = in.children[t.childIndex(in, key)]
-	}
 	removed := 0
-	for l := n.(*leaf); l != nil; l = l.next {
-		i := t.searchKeys(l.keys, key, true)
+	for l := t.leafFor(key); l != nil; l = l.next {
+		i := t.searchLeaf(l, key, true)
 		j := i
-		for j < len(l.keys) && t.compare(l.keys[j], key) == 0 {
+		for j < l.n && t.compare(t.key(l, j), key) == 0 {
 			j++
 		}
 		if j > i {
 			removed += j - i
-			l.keys = append(l.keys[:i], l.keys[j:]...)
-			l.tups = append(l.tups[:i], l.tups[j:]...)
+			t.removeEntries(l, i, j)
 		}
-		if i < len(l.keys) {
+		if i < l.n {
 			break // a key greater than the target remains; duplicates cannot continue
 		}
 	}
 	t.tuples -= removed
 	return removed
+}
+
+// DeleteEntry removes one entry stored under key whose tuple equals tup —
+// one row's entry in a non-unique index — and reports whether it found
+// one. Leaves underflow lazily, as in Delete.
+func (t *Tree) DeleteEntry(key []byte, tup tuple.Tuple) bool {
+	if t.root == nil {
+		return false
+	}
+	for l := t.leafFor(key); l != nil; l = l.next {
+		for i := t.searchLeaf(l, key, true); i < l.n; i++ {
+			if t.compare(t.key(l, i), key) != 0 {
+				return false
+			}
+			if bytes.Equal(t.tup(l, i), tup) {
+				t.removeEntries(l, i, i+1)
+				t.tuples--
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// leafFor descends to the leftmost leaf that can hold key.
+func (t *Tree) leafFor(key []byte) *leaf {
+	n := t.root
+	for {
+		in, ok := n.(*interior)
+		if !ok {
+			return n.(*leaf)
+		}
+		n = in.children[t.childIndex(in, key)]
+	}
 }
 
 // BulkLoad builds a tree from tuples already sorted by key, packing leaves
@@ -420,16 +492,17 @@ func (t *Tree) BulkLoad(keys [][]byte, tups []tuple.Tuple, fill float64) error {
 			j = len(keys)
 		}
 		l := t.newLeaf()
+		l.data = make([]byte, (j-i)*t.ew)
+		l.n = j - i
 		for k := i; k < j; k++ {
-			l.keys = append(l.keys, append([]byte(nil), keys[k]...))
-			l.tups = append(l.tups, tups[k])
+			t.put(l, k-i, keys[k], tups[k])
 		}
 		if prev != nil {
 			prev.next = l
 		}
 		prev = l
 		level = append(level, l)
-		seps = append(seps, l.keys[0])
+		seps = append(seps, bytes.Clone(t.key(l, 0)))
 	}
 	t.tuples = len(keys)
 	t.height = 1
@@ -487,13 +560,14 @@ func (t *Tree) CheckInvariants() error {
 			} else if depth != d {
 				return fmt.Errorf("btree: leaf at depth %d, expected %d", d, depth)
 			}
-			if len(n.keys) != len(n.tups) {
-				return fmt.Errorf("btree: leaf with %d keys, %d tuples", len(n.keys), len(n.tups))
+			if len(n.data) != n.n*t.ew {
+				return fmt.Errorf("btree: leaf with %d entries in %d bytes", n.n, len(n.data))
 			}
-			if len(n.keys) > t.cfg.LeafCapacity() {
-				return fmt.Errorf("btree: overfull leaf (%d > %d)", len(n.keys), t.cfg.LeafCapacity())
+			if n.n > t.cfg.LeafCapacity() {
+				return fmt.Errorf("btree: overfull leaf (%d > %d)", n.n, t.cfg.LeafCapacity())
 			}
-			for _, k := range n.keys {
+			for i := 0; i < n.n; i++ {
+				k := t.key(n, i)
 				if lastKey != nil && bytes.Compare(lastKey, k) > 0 {
 					return fmt.Errorf("btree: keys out of order: %x then %x", lastKey, k)
 				}

@@ -275,3 +275,49 @@ func TestQuickMatchesSortedOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDeleteEntryRemovesOneDuplicate: a non-unique key's entries straddle
+// leaves; DeleteEntry removes exactly the entry with the given payload,
+// wherever along the chain it sits.
+func TestDeleteEntryRemovesOneDuplicate(t *testing.T) {
+	tr := MustNew(smallConfig()) // 16 entries per leaf
+	rng := rand.New(rand.NewSource(9))
+	type entry struct{ k, v int64 }
+	var all []entry
+	for k := int64(0); k < 5; k++ {
+		for v := int64(0); v < 40; v++ {
+			all = append(all, entry{k, v})
+		}
+	}
+	rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
+	left := map[int64]int{}
+	for _, e := range all {
+		tr.Insert(key(e.k), tup(e.k, e.v))
+		left[e.k]++
+	}
+	rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
+	for i, e := range all {
+		if !tr.DeleteEntry(key(e.k), tup(e.k, e.v)) {
+			t.Fatalf("delete %d: entry (%d, %d) not found", i, e.k, e.v)
+		}
+		if tr.DeleteEntry(key(e.k), tup(e.k, e.v)) {
+			t.Fatalf("entry (%d, %d) deleted twice", e.k, e.v)
+		}
+		left[e.k]--
+		got := tr.Search(key(e.k), nil)
+		if len(got) != left[e.k] {
+			t.Fatalf("key %d: %d entries left, want %d", e.k, len(got), left[e.k])
+		}
+		for _, g := range got {
+			if bytes.Equal(g, tup(e.k, e.v)) {
+				t.Fatalf("deleted entry (%d, %d) still found", e.k, e.v)
+			}
+		}
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tr.NumTuples() != 0 || tr.DeleteEntry(key(1), tup(1, 0)) {
+		t.Fatalf("%d tuples left in an emptied tree", tr.NumTuples())
+	}
+}

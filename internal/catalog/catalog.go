@@ -32,48 +32,68 @@ func (k IndexKind) String() string {
 	return "btree"
 }
 
-// Index is the common face of the two access methods.
+// Index is the common face of the two access methods. An index maps a
+// column's key to the addresses (RIDs) of the rows carrying it; the rows
+// themselves live only in the heap file.
 type Index interface {
 	// Kind returns the access method.
 	Kind() IndexKind
-	// Insert adds a tuple under its key.
-	Insert(key []byte, tup tuple.Tuple)
-	// Search returns the tuples stored under key.
-	Search(key []byte) []tuple.Tuple
-	// Ascend walks tuples with key >= start in order until fn returns
-	// false; nil start walks everything.
-	Ascend(start []byte, fn func(key []byte, tup tuple.Tuple) bool)
-	// Len returns the number of indexed tuples.
+	// Insert adds rid under key.
+	Insert(key []byte, rid heap.RID)
+	// Delete removes the entry (key, rid) and reports whether it existed.
+	Delete(key []byte, rid heap.RID) bool
+	// Search returns the RIDs stored under key.
+	Search(key []byte) []heap.RID
+	// Ascend walks entries with key >= start in key order until fn
+	// returns false; nil start walks everything.
+	Ascend(start []byte, fn func(key []byte, rid heap.RID) bool)
+	// Len returns the number of entries.
 	Len() int
 }
 
 type btreeIndex struct{ t *btree.Tree }
 
 func (b btreeIndex) Kind() IndexKind { return BTree }
-func (b btreeIndex) Insert(key []byte, tup tuple.Tuple) {
-	b.t.Insert(key, tup)
+func (b btreeIndex) Insert(key []byte, rid heap.RID) {
+	var p [heap.RIDWidth]byte
+	rid.Put(p[:])
+	b.t.Insert(key, p[:])
 }
-func (b btreeIndex) Search(key []byte) []tuple.Tuple {
-	return b.t.Search(key, nil)
+func (b btreeIndex) Delete(key []byte, rid heap.RID) bool {
+	var p [heap.RIDWidth]byte
+	rid.Put(p[:])
+	return b.t.DeleteEntry(key, p[:])
 }
-func (b btreeIndex) Ascend(start []byte, fn func([]byte, tuple.Tuple) bool) {
-	b.t.AscendRange(start, nil, fn)
+func (b btreeIndex) Search(key []byte) []heap.RID {
+	return decodeRIDs(b.t.Search(key, nil))
+}
+func (b btreeIndex) Ascend(start []byte, fn func([]byte, heap.RID) bool) {
+	b.t.AscendRange(start, nil, func(key []byte, p tuple.Tuple) bool {
+		return fn(key, heap.DecodeRID(p))
+	})
 }
 func (b btreeIndex) Len() int { return b.t.NumTuples() }
 
 type avlIndex struct{ t *avl.Tree }
 
 func (a avlIndex) Kind() IndexKind { return AVL }
-func (a avlIndex) Insert(key []byte, tup tuple.Tuple) {
-	a.t.Insert(key, tup)
+func (a avlIndex) Insert(key []byte, rid heap.RID) {
+	p := make(tuple.Tuple, heap.RIDWidth)
+	rid.Put(p)
+	a.t.Insert(key, p)
 }
-func (a avlIndex) Search(key []byte) []tuple.Tuple {
-	return a.t.Search(key, nil)
+func (a avlIndex) Delete(key []byte, rid heap.RID) bool {
+	var p [heap.RIDWidth]byte
+	rid.Put(p[:])
+	return a.t.DeleteEntry(key, p[:])
 }
-func (a avlIndex) Ascend(start []byte, fn func([]byte, tuple.Tuple) bool) {
+func (a avlIndex) Search(key []byte) []heap.RID {
+	return decodeRIDs(a.t.Search(key, nil))
+}
+func (a avlIndex) Ascend(start []byte, fn func([]byte, heap.RID) bool) {
 	a.t.Ascend(start, nil, func(key []byte, vals []tuple.Tuple) bool {
 		for _, v := range vals {
-			if !fn(key, v) {
+			if !fn(key, heap.DecodeRID(v)) {
 				return false
 			}
 		}
@@ -81,6 +101,17 @@ func (a avlIndex) Ascend(start []byte, fn func([]byte, tuple.Tuple) bool) {
 	})
 }
 func (a avlIndex) Len() int { return a.t.NumTuples() }
+
+func decodeRIDs(payloads []tuple.Tuple) []heap.RID {
+	if len(payloads) == 0 {
+		return nil
+	}
+	out := make([]heap.RID, len(payloads))
+	for i, p := range payloads {
+		out[i] = heap.DecodeRID(p)
+	}
+	return out
+}
 
 // Relation is one cataloged table. The index and histogram registries are
 // guarded by an internal RW mutex so planners reading them race-free
@@ -243,7 +274,7 @@ func (c *Catalog) Drop(name string) error {
 	return nil
 }
 
-// BuildIndex constructs an index on col. The relation is scanned uncharged
+// BuildIndex constructs an index on col over the rows' RIDs. The relation is scanned uncharged
 // (index construction cost is not part of any §2/§3 experiment; the
 // experiments charge traversals explicitly).
 func (c *Catalog) BuildIndex(name string, col int, kind IndexKind) (Index, error) {
@@ -261,7 +292,7 @@ func (c *Catalog) BuildIndex(name string, col int, kind IndexKind) (Index, error
 		t, err := btree.New(btree.Config{
 			PageSize:   c.disk.PageSize(),
 			KeyWidth:   schema.FieldWidth(col),
-			TupleWidth: schema.Width(),
+			TupleWidth: heap.RIDWidth,
 		})
 		if err != nil {
 			return nil, err
@@ -272,8 +303,8 @@ func (c *Catalog) BuildIndex(name string, col int, kind IndexKind) (Index, error
 	default:
 		return nil, fmt.Errorf("catalog: unknown index kind %d", int(kind))
 	}
-	err = r.File.Scan(simio.Uncharged, func(t tuple.Tuple) bool {
-		ix.Insert(schema.KeyBytes(t, col), t.Clone())
+	err = r.File.ScanRIDs(simio.Uncharged, func(rid heap.RID, t tuple.Tuple) bool {
+		ix.Insert(schema.KeyBytes(t, col), rid)
 		return true
 	})
 	if err != nil {

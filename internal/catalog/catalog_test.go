@@ -1,9 +1,11 @@
 package catalog
 
 import (
+	"bytes"
 	"testing"
 
 	"mmdb/internal/cost"
+	"mmdb/internal/heap"
 	"mmdb/internal/simio"
 	"mmdb/internal/tuple"
 	"mmdb/internal/workload"
@@ -91,17 +93,22 @@ func TestIndexesBothKinds(t *testing.T) {
 				t.Fatalf("%v: key %d found %d of %d", kind, k, got, n)
 			}
 		}
-		// Ascend covers everything in order.
+		// Ascend covers everything in key order, and each RID addresses a
+		// row carrying its key.
 		var last int64 = -1 << 62
 		n := 0
-		ix.Ascend(nil, func(key []byte, _ tuple.Tuple) bool {
+		ix.Ascend(nil, func(key []byte, rid heap.RID) bool {
+			row, err := f.Fetch(rid)
+			if err != nil || !bytes.Equal(sc.KeyBytes(row, 0), key) || sc.Int(row, 0) < last {
+				t.Fatalf("%v: entry %d: rid %v row %v (%v) out of order or off its key", kind, n, rid, row, err)
+			}
+			last = sc.Int(row, 0)
 			n++
 			return true
 		})
 		if n != 500 {
 			t.Fatalf("%v: ascend visited %d", kind, n)
 		}
-		_ = last
 	}
 	if cols := r.IndexedColumns(); len(cols) != 1 || cols[0] != 0 {
 		t.Fatalf("indexed columns %v", cols)

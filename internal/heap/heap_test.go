@@ -1,6 +1,7 @@
 package heap
 
 import (
+	"fmt"
 	"testing"
 
 	"mmdb/internal/cost"
@@ -163,5 +164,199 @@ func TestRewriteWrongWidthReturnsError(t *testing.T) {
 	}
 	if f.NumTuples() != n || len(keys) != n || keys[0] != 0 || keys[n-1] != n-1 {
 		t.Fatalf("failed rewrite changed the file: %d tuples, keys %v", f.NumTuples(), keys)
+	}
+}
+
+func keyed(k int64) tuple.Tuple {
+	return schema().MustEncode(tuple.IntValue(k), tuple.StringValue("x"))
+}
+
+func scanKeys(t *testing.T, f *File) []int64 {
+	t.Helper()
+	var keys []int64
+	if err := f.Scan(simio.Uncharged, func(tp tuple.Tuple) bool {
+		keys = append(keys, schema().Int(tp, 0))
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return keys
+}
+
+// TestInsertDeleteReusesSlots: a deleted slot disappears from scans and
+// fetches, keeps every other RID where it was, and Insert refills freed
+// slots most recent first before it appends.
+func TestInsertDeleteReusesSlots(t *testing.T) {
+	disk, _ := env()
+	f := MustCreate(disk, "r", schema())
+	rids := map[int64]RID{}
+	for k := int64(0); k < 30; k++ { // 12/page: pages 0, 1 full, 6 on page 2
+		rid, err := f.Insert(keyed(k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := (RID{Page: int32(k / 12), Slot: int32(k % 12)}); rid != want {
+			t.Fatalf("insert %d at %v, want %v", k, rid, want)
+		}
+		rids[k] = rid
+	}
+	if err := f.Flush(simio.Uncharged); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int64{3, 15, 29} {
+		if err := f.Delete(rids[k]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Delete(rids[15]); err == nil {
+		t.Fatal("second delete of one slot accepted")
+	}
+	if _, err := f.Fetch(rids[3]); err == nil {
+		t.Fatal("fetch of a dead slot succeeded")
+	}
+	if err := f.Delete(RID{Page: 2, Slot: 7}); err == nil {
+		t.Fatal("delete past the last tuple accepted")
+	}
+	if f.NumTuples() != 27 || f.NumPages() != 3 || len(scanKeys(t, f)) != 27 {
+		t.Fatalf("after deletes: %d tuples, %d pages, scan %v", f.NumTuples(), f.NumPages(), scanKeys(t, f))
+	}
+	for _, c := range []struct {
+		k   int64
+		rid RID
+	}{{100, rids[29]}, {101, rids[15]}, {102, rids[3]}, {103, RID{Page: 2, Slot: 6}}} {
+		rid, err := f.Insert(keyed(c.k))
+		if err != nil || rid != c.rid {
+			t.Fatalf("insert %d at %v (%v), want %v", c.k, rid, err, c.rid)
+		}
+		got, err := f.Fetch(rid)
+		if err != nil || schema().Int(got, 0) != c.k {
+			t.Fatalf("fetch %v: %v, %v", rid, got, err)
+		}
+	}
+	var want []int64
+	for k := int64(0); k < 29; k++ {
+		switch k {
+		case 3:
+			want = append(want, 102)
+		case 15:
+			want = append(want, 101)
+		default:
+			want = append(want, k)
+		}
+	}
+	want = append(want, 100, 103)
+	if got := scanKeys(t, f); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("scan %v, want %v", got, want)
+	}
+	if f.NumTuples() != 31 || f.NumPages() != 3 {
+		t.Fatalf("%d tuples, %d pages", f.NumTuples(), f.NumPages())
+	}
+}
+
+// TestFlushKeepsFillingTailPage: Flush writes the partial tail page in
+// place and later appends keep filling it, so a file flushed after every
+// tuple occupies the same pages as one flushed once.
+func TestFlushKeepsFillingTailPage(t *testing.T) {
+	disk, clock := env()
+	f := MustCreate(disk, "r", schema())
+	for k := int64(0); k < 30; k++ {
+		if err := f.Append(keyed(k), simio.Seq); err != nil {
+			t.Fatal(err)
+		}
+		if f.Buffered() == 0 {
+			t.Fatalf("tuple %d not served from the append buffer", k)
+		}
+		if err := f.Flush(simio.Seq); err != nil {
+			t.Fatal(err)
+		}
+		if f.Buffered() != 0 {
+			t.Fatalf("flushed tail still reads from the buffer")
+		}
+	}
+	if f.NumPages() != 3 {
+		t.Fatalf("30 flushed appends occupy %d pages, want 3", f.NumPages())
+	}
+	if got := clock.Counters().SeqIOs; got != 30 {
+		t.Fatalf("30 flushes charged %d writes", got)
+	}
+	if err := f.Flush(simio.Seq); err != nil || clock.Counters().SeqIOs != 30 {
+		t.Fatalf("flush of a clean tail wrote (%v)", err)
+	}
+	clock.Reset()
+	if keys := scanKeys(t, f); len(keys) != 30 || keys[29] != 29 {
+		t.Fatalf("scan %v", keys)
+	}
+	p, err := f.ReadPage(2, simio.Seq)
+	if err != nil || p.Count() != 6 || clock.Counters().SeqIOs != 1 {
+		t.Fatalf("tail page: %d tuples, %d IOs, %v", p.Count(), clock.Counters().SeqIOs, err)
+	}
+}
+
+// TestRewriteVacuumsDeadSlots: Rewrite is the vacuum — it compacts the
+// live tuples, and clears the live-slot map and the free-slot list, so
+// the next Insert appends.
+func TestRewriteVacuumsDeadSlots(t *testing.T) {
+	disk, _ := env()
+	f := MustCreate(disk, "r", schema())
+	var rids []RID
+	for k := int64(0); k < 30; k++ {
+		rid, err := f.Insert(keyed(k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids = append(rids, rid)
+	}
+	for _, k := range []int{0, 5, 12, 13, 20} {
+		if err := f.Delete(rids[k]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := scanKeys(t, f)
+	if err := f.Rewrite(func(tp tuple.Tuple) (tuple.Tuple, bool) { return tp, true }); err != nil {
+		t.Fatal(err)
+	}
+	if got := scanKeys(t, f); fmt.Sprint(got) != fmt.Sprint(before) || f.NumTuples() != 25 || f.NumPages() != 3 {
+		t.Fatalf("vacuum: %d tuples on %d pages, scan %v, want %v", f.NumTuples(), f.NumPages(), got, before)
+	}
+	if len(f.dead) != 0 || len(f.free) != 0 {
+		t.Fatalf("vacuum kept %d dead pages, %d free slots", len(f.dead), len(f.free))
+	}
+	if rid, err := f.Insert(keyed(99)); err != nil || rid != (RID{Page: 2, Slot: 1}) {
+		t.Fatalf("insert after vacuum at %v (%v), want the end", rid, err)
+	}
+}
+
+// TestCopyToIsPhysical: a copy keeps every RID and the free-slot order, so
+// the same Insert lands in the same slot of both files.
+func TestCopyToIsPhysical(t *testing.T) {
+	disk, _ := env()
+	src := MustCreate(disk, "r", schema())
+	var rids []RID
+	for k := int64(0); k < 30; k++ {
+		rid, _ := src.Insert(keyed(k))
+		rids = append(rids, rid)
+	}
+	for _, k := range []int{4, 17, 9} {
+		if err := src.Delete(rids[k]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	other, _ := env()
+	dst := MustCreate(other, "r", schema())
+	if err := src.CopyTo(dst); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.CopyTo(dst); err == nil {
+		t.Fatal("copy into a non-empty file accepted")
+	}
+	for i := int64(0); i < 5; i++ {
+		a, errA := src.Insert(keyed(200 + i))
+		b, errB := dst.Insert(keyed(200 + i))
+		if errA != nil || errB != nil || a != b {
+			t.Fatalf("insert %d: source slot %v, copy slot %v (%v, %v)", i, a, b, errA, errB)
+		}
+	}
+	if a, b := scanKeys(t, src), scanKeys(t, dst); fmt.Sprint(a) != fmt.Sprint(b) || src.NumTuples() != dst.NumTuples() {
+		t.Fatalf("copy diverges: %v vs %v", a, b)
 	}
 }

@@ -92,7 +92,7 @@ func (p TuplePage) Append(t tuple.Tuple) bool {
 	if n >= p.Capacity() {
 		return false
 	}
-	copy(p.data[headerSize+n*p.width:], t)
+	copy(p.data[SlotOffset(n, p.width):], t)
 	p.setCount(n + 1)
 	return true
 }
@@ -103,9 +103,20 @@ func (p TuplePage) Tuple(i int) tuple.Tuple {
 	if i < 0 || i >= p.Count() {
 		panic(fmt.Sprintf("page: tuple index %d out of range [0,%d)", i, p.Count()))
 	}
-	off := headerSize + i*p.width
+	off := SlotOffset(i, p.width)
 	return tuple.Tuple(p.data[off : off+p.width])
 }
+
+// Set overwrites the i-th tuple in place.
+func (p TuplePage) Set(i int, t tuple.Tuple) {
+	if len(t) != p.width {
+		panic(fmt.Sprintf("page: setting %d-byte tuple in %d-byte slots", len(t), p.width))
+	}
+	copy(p.Tuple(i), t)
+}
+
+// SlotOffset returns the byte offset of slot i in the page image.
+func SlotOffset(i, width int) int { return headerSize + i*width }
 
 // Tuples returns views of all tuples on the page.
 func (p TuplePage) Tuples() []tuple.Tuple {

@@ -268,6 +268,36 @@ func (s *Space) Read(n int, a Access) ([]byte, error) {
 	return out, nil
 }
 
+// ReadAt copies len(dst) bytes of page n, starting at byte off, into dst:
+// one page access, without copying the rest of the page.
+func (s *Space) ReadAt(n, off int, dst []byte, a Access) error {
+	if err := s.charge(a); err != nil {
+		return err
+	}
+	s.data.mu.Lock()
+	defer s.data.mu.Unlock()
+	if n < 0 || n >= len(s.data.pages) || off < 0 || off+len(dst) > s.disk.store.pageSize {
+		return fmt.Errorf("simio: read of %d bytes at %d of page %d of %q (have %d pages)", len(dst), off, n, s.name, len(s.data.pages))
+	}
+	copy(dst, s.data.pages[n][off:])
+	return nil
+}
+
+// WriteAt overwrites len(src) bytes of page n, starting at byte off: one
+// page access that leaves the rest of the page as it is.
+func (s *Space) WriteAt(n, off int, src []byte, a Access) error {
+	if err := s.charge(a); err != nil {
+		return err
+	}
+	s.data.mu.Lock()
+	defer s.data.mu.Unlock()
+	if n < 0 || n >= len(s.data.pages) || off < 0 || off+len(src) > s.disk.store.pageSize {
+		return fmt.Errorf("simio: write of %d bytes at %d of page %d of %q (have %d pages)", len(src), off, n, s.name, len(s.data.pages))
+	}
+	copy(s.data.pages[n][off:], src)
+	return nil
+}
+
 // Truncate drops all pages, leaving an empty space.
 func (s *Space) Truncate() {
 	s.data.mu.Lock()

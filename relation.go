@@ -2,9 +2,11 @@ package mmdb
 
 import (
 	"fmt"
+	"slices"
 
 	"mmdb/internal/catalog"
 	"mmdb/internal/expr"
+	"mmdb/internal/heap"
 	"mmdb/internal/lock"
 	"mmdb/internal/simio"
 	"mmdb/internal/tuple"
@@ -35,7 +37,8 @@ func (r *Relation) Name() string { return r.rel.Name }
 // withIntent runs fn holding a one-shot relation-level intent: Shared for
 // reads, Exclusive for mutations and index builds. This is what lets
 // loads and point operations interleave safely with admitted queries —
-// a query's shared intent holds off a concurrent Rewrite, and vice versa.
+// a query's shared intent holds off a concurrent DELETE freeing the slots
+// it scans, and vice versa.
 func (r *Relation) withIntent(mode lock.Mode, fn func() error) error {
 	unlock, err := r.db.lockRelations(lockCtx(r.applier), mode, r.Name())
 	if err != nil {
@@ -76,13 +79,14 @@ func (r *Relation) InsertTuple(t Tuple) error {
 // insertLocked is InsertTuple's body; the caller holds the exclusive
 // intent.
 func (r *Relation) insertLocked(t Tuple) error {
-	if err := r.rel.File.Append(t, simio.Uncharged); err != nil {
+	rid, err := r.rel.File.Insert(t)
+	if err != nil {
 		return err
 	}
 	schema := r.Schema()
 	for _, col := range r.rel.IndexedColumns() {
 		ix, _ := r.rel.Index(col)
-		ix.Insert(schema.KeyBytes(t, col), t.Clone())
+		ix.Insert(schema.KeyBytes(t, col), rid)
 	}
 	// Ship inside the intent so replication order is the primary's
 	// serialization order (likewise in every mutation below). A
@@ -145,9 +149,10 @@ func (r *Relation) CreateIndex(column string, kind IndexKind) error {
 	})
 }
 
-// Lookup returns all rows whose column equals v, using an index when one
-// exists (charging comparisons per §2's cost model) and falling back to a
-// charged sequential scan otherwise.
+// Lookup returns all rows whose column equals v, in storage order, using
+// an index when one exists (charging comparisons per §2's cost model and
+// fetching each row by its RID) and falling back to a charged sequential
+// scan otherwise.
 func (r *Relation) Lookup(column string, v Value) ([]Tuple, error) {
 	schema := r.Schema()
 	col := schema.FieldIndex(column)
@@ -162,11 +167,20 @@ func (r *Relation) Lookup(column string, v Value) ([]Tuple, error) {
 	var out []Tuple
 	err := r.withIntent(lock.Shared, func() error {
 		if ix, ok := r.rel.Index(col); ok {
-			out = ix.Search(key)
+			rids := ix.Search(key)
 			// Charge one comparison per level-equivalent; the indexes count
 			// their own comparisons internally for the Table 1 experiments,
 			// while engine-level lookups charge the clock here.
-			r.db.clock.Comps(int64(len(out) + 1))
+			r.db.clock.Comps(int64(len(rids) + 1))
+			slices.SortFunc(rids, heap.RID.Compare)
+			out = make([]Tuple, len(rids))
+			for i, rid := range rids {
+				t, err := r.rel.File.Fetch(rid)
+				if err != nil {
+					return err
+				}
+				out[i] = t
+			}
 			return nil
 		}
 		return r.rel.File.Scan(simio.Seq, func(t tuple.Tuple) bool {
@@ -181,26 +195,38 @@ func (r *Relation) Lookup(column string, v Value) ([]Tuple, error) {
 }
 
 // deleteWhere removes every row matching p, returning the count; a nil p
-// removes every row. Indexes on the relation are rebuilt afterwards (bulk
-// maintenance).
+// removes every row. Each victim's slot is freed in place and its entry
+// deleted from every index; no other row moves.
 func (r *Relation) deleteWhere(p expr.Predicate) (int64, error) {
 	var removed int64
 	err := r.withIntent(lock.Exclusive, func() error {
-		err := r.rel.File.Rewrite(func(t tuple.Tuple) (tuple.Tuple, bool) {
+		f, schema := r.rel.File, r.Schema()
+		w := schema.Width()
+		var rids []heap.RID
+		var rows []byte // the victims, packed: index keys come from here
+		err := f.ScanRIDs(simio.Uncharged, func(rid heap.RID, t tuple.Tuple) bool {
 			if p == nil || p.Eval(t) {
-				removed++
-				return nil, false
+				rids = append(rids, rid)
+				rows = append(rows, t...)
 			}
-			return t, true
+			return true
 		})
 		if err != nil {
-			removed = 0
 			return err
 		}
-		if removed > 0 {
-			if err := r.rebuildIndexes(); err != nil {
+		cols := r.rel.IndexedColumns()
+		for i, rid := range rids {
+			row := Tuple(rows[i*w : (i+1)*w])
+			for _, col := range cols {
+				ix, _ := r.rel.Index(col)
+				if !ix.Delete(schema.KeyBytes(row, col), rid) {
+					return fmt.Errorf("mmdb: %s: index on column %d has no entry for row %v", r.Name(), col, rid)
+				}
+			}
+			if err := f.Delete(rid); err != nil {
 				return err
 			}
+			removed++
 		}
 		if err := r.ship(shipOp{kind: opDeleteWhere, rel: r.Name(), pred: p}); err != nil {
 			removed = 0
@@ -209,16 +235,6 @@ func (r *Relation) deleteWhere(p expr.Predicate) (int64, error) {
 		return nil
 	})
 	return removed, err
-}
-
-func (r *Relation) rebuildIndexes() error {
-	for _, col := range r.rel.IndexedColumns() {
-		ix, _ := r.rel.Index(col)
-		if _, err := r.db.cat.BuildIndex(r.Name(), col, ix.Kind()); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // AscendRange walks rows with column >= start in key order until fn
@@ -238,9 +254,14 @@ func (r *Relation) AscendRange(column string, start Value, fn func(Tuple) bool) 
 		if !ok {
 			return fmt.Errorf("mmdb: no index on %s.%s (range scans need one)", r.Name(), column)
 		}
-		ix.Ascend(schema.KeyBytes(probe, col), func(_ []byte, t tuple.Tuple) bool {
+		var err error
+		ix.Ascend(schema.KeyBytes(probe, col), func(_ []byte, rid heap.RID) bool {
+			var t Tuple
+			if t, err = r.rel.File.Fetch(rid); err != nil {
+				return false
+			}
 			return fn(t)
 		})
-		return nil
+		return err
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -222,7 +223,9 @@ func TestSelectConcurrentWithDelete(t *testing.T) {
 // TestSQLAllocBudget bounds allocations per statement for the shapes
 // bench/gen.go issues, at the values measured at commit 96883dc (the
 // lowering's per-tuple path must stay as lean as the closures it
-// replaced); the join's is the value measured once joins were planned.
+// replaced); the join's is the value measured once joins were planned,
+// the delete's the value measured once DELETE freed slots in place (a
+// full heap rewrite plus index rebuild cost 3 274).
 // Allocation counts are meaningless under the race detector.
 func TestSQLAllocBudget(t *testing.T) {
 	if raceEnabled {
@@ -248,6 +251,59 @@ func TestSQLAllocBudget(t *testing.T) {
 			t.Errorf("%s: %.0f allocs per statement, budget %.0f", c.shape, got, c.budget)
 		}
 	}
+
+	// delete: the writer's two-row DELETE on the table indexed by id. The
+	// two rows go back between runs, uncounted and each into its own
+	// slot (the slot freed last refills first), so every run deletes
+	// from the same fixture.
+	emp, err := db.Relation("emp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := emp.CreateIndex("id", BTree); err != nil {
+		t.Fatal(err)
+	}
+	var victims []Tuple
+	for _, id := range []int64{301, 300} {
+		rows, err := emp.Lookup("id", IntValue(id))
+		if err != nil || len(rows) != 1 {
+			t.Fatalf("id %d: %d rows, %v", id, len(rows), err)
+		}
+		victims = append(victims, rows[0])
+	}
+	const budget = 145
+	got := allocsPerRunAfter(20, func() {
+		for _, v := range victims {
+			if err := emp.InsertTuple(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}, func() {
+		if res, err := db.Query("DELETE FROM emp WHERE id = 300 OR id = 301"); err != nil || res.Affected != 2 {
+			t.Fatalf("delete: %v, %v", res, err)
+		}
+	})
+	if got > budget {
+		t.Errorf("delete: %.0f allocs per statement, budget %d", got, budget)
+	}
+}
+
+// allocsPerRunAfter is testing.AllocsPerRun for f alone, with setup run
+// uncounted before each run (the warm-up run has none).
+func allocsPerRunAfter(runs int, setup, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var ms runtime.MemStats
+	var total uint64
+	for i := 0; i < runs; i++ {
+		setup()
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		f()
+		runtime.ReadMemStats(&ms)
+		total += ms.Mallocs - before
+	}
+	return float64(total / uint64(runs))
 }
 
 // TestSQLLimitZero: LIMIT trims every form, once (docs/SQL.md §3.7). The
