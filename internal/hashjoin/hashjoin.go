@@ -255,11 +255,11 @@ func NewPartitioner(disk *simio.Disk, clock *cost.Clock, schema *tuple.Schema, p
 	return p, nil
 }
 
-// Add moves tup into partition i's output buffer, charging one move. Page
+// Add copies tup into partition i's output buffer, charging one move. Page
 // flushes charge the partitioner's flush access kind.
 func (p *Partitioner) Add(i int, tup tuple.Tuple) error {
 	p.clock.Moves(1)
-	return p.files[i].Append(tup.Clone(), p.flushAccess)
+	return p.files[i].Append(tup, p.flushAccess)
 }
 
 // Close flushes all output buffers (§3.6: "flush all output buffers to

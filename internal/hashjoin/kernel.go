@@ -226,6 +226,12 @@ func (t *KernelTable) ProbeBatch(batch []Keyed, keyOf func(tuple.Tuple) []byte, 
 	if n == 0 {
 		return
 	}
+	if t.pbCand == nil {
+		// Size the candidate and match scratch once per table, to the
+		// first batch, rather than growing them by doubling.
+		t.pbCand = make([]pbCand, 0, n)
+		t.pbTups = make([]tuple.Tuple, 0, n)
+	}
 	np := len(t.parts)
 	order := grow32(&t.pbOrder, n)
 	if np == 1 {

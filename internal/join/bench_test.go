@@ -37,3 +37,22 @@ func BenchmarkGraceParallel(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkHybridLiveGrant runs a two-pass hybrid join (50 000 × 100 000
+// tuples at M = 64) under a live grant that never shrinks, the shape every
+// SQL join takes when its build side does not fit: the resident partition
+// is tracked for a possible spill and the rest is partitioned to disk.
+func BenchmarkHybridLiveGrant(b *testing.B) {
+	clock := cost.NewClock(cost.DefaultParams())
+	disk := simio.NewDisk(clock, 4096)
+	r := workload.MustGenerate(disk, workload.RelationSpec{Name: "R", Tuples: 50000, KeyDomain: 50000, Seed: 1})
+	s := workload.MustGenerate(disk, workload.RelationSpec{Name: "S", Tuples: 100000, KeyDomain: 50000, Seed: 2})
+	spec := join.Spec{R: r, S: s, M: 64, LiveM: func() int { return 64 }}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := join.Run(join.HybridHash, spec, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

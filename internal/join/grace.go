@@ -149,33 +149,14 @@ func joinPartitionPair(spec Spec, rf, sf *heap.File, level uint32, emit Emit, re
 	if rf.NumTuples() == 0 || sf.NumTuples() == 0 {
 		return nil
 	}
-	clock := spec.R.Disk().Clock()
-	rSchema, sSchema := rf.Schema(), sf.Schema()
 	// Size the bucket table to the grant as of now — a shrunk grant makes
 	// oversized buckets recurse rather than overcommit memory.
 	capacity := tableCapacity(spec.liveM(), rf, spec.F)
 
 	if rf.NumTuples() <= int64(capacity) {
-		hasher := hashjoin.NewFastHasher(clock, level)
-		table := hashjoin.NewKernelTable(clock, rSchema, spec.RCol, int(rf.NumTuples()))
-		err := rf.Scan(simio.Seq, func(t tuple.Tuple) bool {
-			table.Insert(hasher.Hash(rSchema.KeyBytes(t, spec.RCol)), t.Clone())
-			return true
-		})
-		if err != nil {
-			return err
-		}
-		pr := newProber(table, func(t tuple.Tuple) []byte { return sSchema.KeyBytes(t, spec.SCol) },
-			func(s, r tuple.Tuple) { emit(r, s) })
-		err = sf.Scan(simio.Seq, func(t tuple.Tuple) bool {
-			pr.add(hasher.Hash(sSchema.KeyBytes(t, spec.SCol)), t)
-			return true
-		})
-		if err != nil {
-			return err
-		}
-		pr.flush()
-		return nil
+		// The bucket fits: one hash pass with b = 0 at this level.
+		_, _, err := hashPass{r: rf, s: sf, in: simio.Seq, level: level, expect: int(rf.NumTuples())}.run(spec, emit, res)
+		return err
 	}
 
 	// A bucket dominated by one key value cannot be split by any hash;
@@ -197,7 +178,7 @@ func joinPartitionPair(spec Spec, rf, sf *heap.File, level uint32, emit Emit, re
 	if sub == 1 {
 		flush = simio.Seq
 	}
-	hasher := hashjoin.NewFastHasher(clock, level)
+	hasher := hashjoin.NewFastHasher(spec.R.Disk().Clock(), level)
 	splitter := hashjoin.Uniform(sub)
 	prefix := fmt.Sprintf("%s.ovf%d", rf.Name(), level)
 	rParts, err := partitionFile(rf, spec.RCol, hasher, splitter, prefix+".r", flush, simio.Seq)
@@ -240,8 +221,7 @@ func chunkedJoin(spec Spec, rf, sf *heap.File, level uint32, capacity int, emit 
 		if err != nil {
 			return err
 		}
-		pr := newProber(table, func(t tuple.Tuple) []byte { return sSchema.KeyBytes(t, spec.SCol) },
-			func(s, r tuple.Tuple) { emit(r, s) })
+		pr := newProber(table, sSchema, spec.SCol, emit)
 		err = sf.Scan(simio.Seq, func(t tuple.Tuple) bool {
 			pr.add(hasher.Hash(sSchema.KeyBytes(t, spec.SCol)), t)
 			return true

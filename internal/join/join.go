@@ -68,13 +68,18 @@ type Spec struct {
 	// (and risks the recursive overflow pass of §3.3).
 	HybridSkew float64
 	// LiveM, when non-nil, reports the join's memory grant in pages as of
-	// now: the session broker can shrink or revoke a grant mid-query, and
-	// hybrid hash responds by spilling its resident partition and falling
-	// back to GRACE-style recursive bucket joins instead of failing
-	// (Result.GraceFallback records that this happened). M remains the
-	// planning-time grant used to pick partition counts. The function must
-	// be safe to call from multiple goroutines and is never trusted below
-	// the 2-page floor every join path assumes.
+	// now: the session broker can shrink or revoke a grant mid-query.
+	// Hybrid hash's first pass consults it after every resident insert and
+	// before every resident probe; once it no longer covers the resident
+	// partition plus the B output buffers, that partition is spilled to
+	// one extra disk pair and finishes with the GRACE-style bucket joins
+	// instead of failing (Result.GraceFallback records that this
+	// happened). A live grant also keeps the all-resident case on the
+	// serial pass even when Parallelism > 1. Bucket joins size their
+	// tables to the grant as of their start. M remains the planning-time
+	// grant used to pick partition counts. The function must be safe to
+	// call from multiple goroutines and is never trusted below the 2-page
+	// floor every join path assumes.
 	LiveM func() int
 	// Parallelism bounds the worker goroutines the partition phases of
 	// GRACE and hybrid hash may use: the bucket pairs of §3.6/§3.7 are

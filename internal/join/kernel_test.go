@@ -47,11 +47,20 @@ func seqDigest(seq []string) uint64 {
 // pinned is what one join shape charged and emitted at the commit that
 // deleted the classic chained-table/stdlib-FNV/per-tuple-probe path, where
 // kernel on and off were bit-identical at every width: the counters, the
-// match count, and the digest of the width-1 emission sequence.
+// match count, the digest of the width-1 emission sequence, and the plan
+// shape the Result reports.
 type pinned struct {
 	counters cost.Counters
 	matches  int64
 	digest   uint64
+	shape    shape
+}
+
+// shape is the plan a join reports: passes, top-level partitions, and
+// whether a revoked grant forced the GRACE fallback.
+type shape struct {
+	passes, partitions int
+	fallback           bool
 }
 
 func checkPinned(t *testing.T, width int, want pinned, seq []string, set, serialSet map[string]int, res Result, c cost.Counters) {
@@ -61,6 +70,9 @@ func checkPinned(t *testing.T, width int, want pinned, seq []string, set, serial
 	}
 	if res.Matches != want.matches {
 		t.Errorf("matches moved: %d, want %d", res.Matches, want.matches)
+	}
+	if got := (shape{res.Passes, res.Partitions, res.GraceFallback}); got != want.shape {
+		t.Errorf("plan shape moved: %+v, want %+v", got, want.shape)
 	}
 	if width == 1 {
 		if d := seqDigest(seq); d != want.digest {
@@ -82,13 +94,19 @@ func TestRadixKernelJoinsIdentical(t *testing.T) {
 		mutate func(*Spec)
 		want   pinned
 	}{
-		{SimpleHash, nil, pinned{cost.Counters{Comps: 3567, Hashes: 4962, Moves: 4062, SeqIOs: 584}, 3567, 0xa6977401cde28229}},
-		{GraceHash, nil, pinned{cost.Counters{Comps: 3567, Hashes: 3000, Moves: 2100, SeqIOs: 136, RandIOs: 136}, 3567, 0xba33da7ec3bdcab1}},
-		{HybridHash, nil, pinned{cost.Counters{Comps: 3567, Hashes: 2883, Moves: 1983, SeqIOs: 121, RandIOs: 121}, 3567, 0x34c478578afa1d55}},
+		{SimpleHash, nil, pinned{cost.Counters{Comps: 3567, Hashes: 4962, Moves: 4062, SeqIOs: 584}, 3567, 0xa6977401cde28229, shape{6, 0, false}}},
+		{GraceHash, nil, pinned{cost.Counters{Comps: 3567, Hashes: 3000, Moves: 2100, SeqIOs: 136, RandIOs: 136}, 3567, 0xba33da7ec3bdcab1, shape{2, 12, false}}},
+		{HybridHash, nil, pinned{cost.Counters{Comps: 3567, Hashes: 2883, Moves: 1983, SeqIOs: 121, RandIOs: 121}, 3567, 0x34c478578afa1d55, shape{2, 6, false}}},
 		{HybridHash, func(s *Spec) { s.M = 300 }, // degenerate all-resident path
-			pinned{cost.Counters{Comps: 3567, Hashes: 1500, Moves: 600}, 3567, 0x529ea9b17826b301}},
+			pinned{cost.Counters{Comps: 3567, Hashes: 1500, Moves: 600}, 3567, 0x529ea9b17826b301, shape{1, 0, false}}},
 		{SortMerge, func(s *Spec) { s.SortChunks = 4 },
-			pinned{cost.Counters{Comps: 19407, Swaps: 9858, SeqIOs: 343, RandIOs: 343}, 3567, 0xa90cdd3b09501311}},
+			pinned{cost.Counters{Comps: 19407, Swaps: 9858, SeqIOs: 343, RandIOs: 343}, 3567, 0xa90cdd3b09501311, shape{5, 35, false}}},
+		{HybridHash, func(s *Spec) { s.M, s.LiveM = 300, func() int { return 300 } }, // all-resident under a stable live grant
+			pinned{cost.Counters{Comps: 3567, Hashes: 1500, Moves: 600}, 3567, 0x529ea9b17826b301, shape{1, 0, false}}},
+		{HybridHash, revokedAfter(200), // all-resident, grant revoked during the build
+			pinned{cost.Counters{Comps: 3567, Hashes: 4021, Moves: 4621, SeqIOs: 506, RandIOs: 256}, 3567, 0xc778d1b78abf90d, shape{5, 0, true}}},
+		{HybridHash, revokedAfter(900), // all-resident, grant revoked during the probe
+			pinned{cost.Counters{Comps: 3567, Hashes: 3970, Moves: 4270, SeqIOs: 416, RandIOs: 217}, 3567, 0x5e154c010d987ea1, shape{5, 0, true}}},
 	}
 	for ai, tc := range algos {
 		_, serialSet, _, _ := runKernelCase(t, tc.a, 1, tc.mutate)
@@ -102,13 +120,23 @@ func TestRadixKernelJoinsIdentical(t *testing.T) {
 	}
 }
 
+// revokedAfter runs the join with all of R resident (M = 300) under a live
+// grant that falls to 2 pages after n consultations. Each run gets a fresh
+// grant, so every width revokes at the same tuple boundary.
+func revokedAfter(n int64) func(*Spec) {
+	return func(s *Spec) {
+		grant := &revocableGrant{full: 300, shrunken: 2, after: n}
+		s.M, s.LiveM = 300, grant.pages
+	}
+}
+
 // TestRadixKernelDegradeIdentical revokes hybrid's memory grant mid-build
 // (deterministically, by consultation count) and requires the batched-probe
 // path to spill at the tuple boundary the per-tuple loop did: the GRACE
 // fallback, the pinned counters and matches, and at width 1 the pinned
 // emission order.
 func TestRadixKernelDegradeIdentical(t *testing.T) {
-	want := pinned{cost.Counters{Comps: 3567, Hashes: 5206, Moves: 4327, SeqIOs: 395, RandIOs: 373}, 3567, 0xbbacf4a8c964b851}
+	want := pinned{cost.Counters{Comps: 3567, Hashes: 5206, Moves: 4327, SeqIOs: 395, RandIOs: 373}, 3567, 0xbbacf4a8c964b851, shape{5, 6, true}}
 	run := func(width int) ([]string, map[string]int, Result, cost.Counters) {
 		grant := &revocableGrant{full: 12, shrunken: 2, after: 20}
 		return runKernelCase(t, HybridHash, width, func(s *Spec) {

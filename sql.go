@@ -481,7 +481,8 @@ func (s *Session) execInsert(b *sqlfront.BoundInsert) (*SQLResult, error) {
 	return &SQLResult{Affected: int64(len(b.Rows))}, nil
 }
 
-// execDelete rewrites the relation without the matching rows.
+// execDelete removes the matching rows: each victim's slot is freed in
+// place and its index entries deleted; no other row moves.
 func (s *Session) execDelete(b *sqlfront.BoundDelete) (*SQLResult, error) {
 	rel, err := s.db.Relation(b.Table.Name)
 	if err != nil {

@@ -196,7 +196,8 @@ func TestSQLSelectTakesNoExclusiveIntent(t *testing.T) {
 }
 
 // TestSelectConcurrentWithDelete is the -race exercise for a SELECT's
-// shared intent: a SQL DELETE's File.Rewrite must not run under a scan.
+// shared intent: a SQL DELETE, which frees slots and deletes index
+// entries in place, must not run under a scan.
 // Two scheduler slots let the two statements run at once.
 func TestSelectConcurrentWithDelete(t *testing.T) {
 	db := loadLoweringDB(t, Options{PageSize: 256, MemoryPages: 8, MaxConcurrentQueries: 2})
