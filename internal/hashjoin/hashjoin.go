@@ -140,85 +140,12 @@ func (s *Splitter) Partition(h uint64) int {
 	return lo
 }
 
-// Keyed is a pre-hashed tuple, the unit of work the parallel operators
-// route between hash shards: the hash is computed (and charged) once on
-// the scanning goroutine, then carried to whichever worker owns the shard.
+// Keyed is a pre-hashed tuple, the unit of a batched probe
+// (KernelTable.ProbeBatch): the hash is computed and charged once when the
+// tuple is scanned, then carried with it into the batch.
 type Keyed struct {
 	Hash  uint64
 	Tuple tuple.Tuple
-}
-
-// ShardedTable is a hash table split into 2^k independently owned
-// KernelTable shards, routed by the top bits of the 64-bit hash — disjoint
-// from the bits a KernelTable uses for sub-table and slot selection.
-// Distinct shards may be built and probed concurrently without locks; a
-// single shard must be owned by one goroutine at a time. Cost accounting is
-// identical to one big table: inserts charge one move and probes one
-// comparison per full-hash match, and since a matching 64-bit hash lands
-// two tuples in the same shard under any sharding, a parallel run tallies
-// exactly the same counters as a serial one.
-//
-// The shard index reuses the hash bits a Splitter would consume, so a
-// ShardedTable must not be combined with a Splitter over the same hash
-// values; the operators only use it when the whole relation is
-// memory-resident and no disk partitioning happens (§3.7's q = 1 case).
-type ShardedTable struct {
-	shards []*KernelTable
-	shift  uint
-}
-
-// NewShardedKernelTable creates a table of nshards shards (rounded up to a
-// power of two) sized for the expected total number of tuples. Each shard's
-// sub-tables are sized for its ceil(expected/ns) share rounded up to the
-// load-factor target, plus 1/8 skew headroom, so realistic hash skew does
-// not force a mid-build rehash.
-func NewShardedKernelTable(clock *cost.Clock, schema *tuple.Schema, col int, expected, nshards int) *ShardedTable {
-	ns := 1
-	for ns < nshards {
-		ns <<= 1
-	}
-	k := uint(0)
-	for 1<<k < ns {
-		k++
-	}
-	st := &ShardedTable{shards: make([]*KernelTable, ns), shift: 64 - k}
-	per := ceilDiv(expected, ns)
-	per += ceilDiv(per, 8)
-	for i := range st.shards {
-		st.shards[i] = NewKernelTable(clock, schema, col, per)
-	}
-	return st
-}
-
-// NumShards returns the number of shards (a power of two).
-func (st *ShardedTable) NumShards() int { return len(st.shards) }
-
-// ShardOf maps a hash value to the index of the shard that owns it.
-func (st *ShardedTable) ShardOf(h uint64) int { return int(h >> st.shift) }
-
-// Shard returns shard i for direct single-owner access by a worker.
-func (st *ShardedTable) Shard(i int) *KernelTable { return st.shards[i] }
-
-// Insert routes tup (whose key hashed to h) to its shard, charging one
-// move. Not safe for concurrent calls that map to the same shard; workers
-// partition the input by ShardOf first.
-func (st *ShardedTable) Insert(h uint64, tup tuple.Tuple) {
-	st.shards[st.ShardOf(h)].Insert(h, tup)
-}
-
-// Probe calls fn with every stored tuple whose key equals key (which
-// hashed to h), charging one comparison per full-hash candidate.
-func (st *ShardedTable) Probe(h uint64, key []byte, fn func(tuple.Tuple)) {
-	st.shards[st.ShardOf(h)].Probe(h, key, fn)
-}
-
-// Len returns the total number of stored tuples across all shards.
-func (st *ShardedTable) Len() int {
-	n := 0
-	for _, s := range st.shards {
-		n += s.Len()
-	}
-	return n
 }
 
 // PartitionResult describes one disk partition produced by Partition.

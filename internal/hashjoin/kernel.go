@@ -29,10 +29,9 @@ import (
 
 const (
 	// kernelPartShift selects the radix bits for the sub-table index. The
-	// top 32 hash bits belong to Splitter ranges and the topmost bits to
-	// ShardedTable routing, so within one disk partition or shard they are
-	// constrained; bits 20.. vary freely and the low bits stay available
-	// for slot homes.
+	// top 32 hash bits belong to Splitter ranges, so within one disk
+	// partition they are constrained; bits 20.. vary freely and the low
+	// bits stay available for slot homes.
 	kernelPartShift = 20
 	// kernelPartTarget is the entry count a sub-table is sized to hold:
 	// 8K entries × 16-byte slots ≈ 128KiB of slot array, L2-resident.
@@ -81,7 +80,6 @@ type KernelTable struct {
 	parts  []kpart
 	pmask  uint64
 	n      int
-	grows  int
 
 	// ProbeBatch scratch, reused across batches (single-owner, like
 	// Insert).
@@ -141,10 +139,6 @@ func (t *KernelTable) partIndex(h uint64) int {
 // Len returns the number of stored tuples.
 func (t *KernelTable) Len() int { return t.n }
 
-// Grows reports how many sub-table rehashes happened during builds; sizing
-// tests pin this to zero for well-estimated builds.
-func (t *KernelTable) Grows() int { return t.grows }
-
 // NumParts returns the number of radix sub-tables.
 func (t *KernelTable) NumParts() int { return len(t.parts) }
 
@@ -169,7 +163,6 @@ func (t *KernelTable) Insert(h uint64, tup tuple.Tuple) {
 // order, preserving equal-hash probe order. Growth is physical
 // housekeeping, not a §3 operation: it charges nothing.
 func (t *KernelTable) grow(p *kpart) {
-	t.grows++
 	nslots := len(p.slots) * 2
 	p.init(nslots)
 	for ref, e := range p.entries {

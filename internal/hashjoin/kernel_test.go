@@ -167,65 +167,3 @@ func TestRadixProbeBatchMatchesSequential(t *testing.T) {
 		}
 	}
 }
-
-func TestRadixShardedKernelSizingNoRehash(t *testing.T) {
-	// The per-shard share is rounded up to the load-factor target with 1/8
-	// skew headroom, so a realistic (hash-random, mildly skewed) build must
-	// never rehash a sub-table mid-build.
-	schema := kvSchema()
-	clock := cost.NewClock(cost.DefaultParams())
-	const expected = 50000
-	st := NewShardedKernelTable(clock, schema, 0, expected, 8)
-	h := NewFastHasher(clock, 0)
-	for i := 0; i < expected; i++ {
-		k := int64(i)
-		st.Insert(h.Hash(key(k)), schema.MustEncode(tuple.IntValue(k), tuple.IntValue(k)))
-	}
-	if st.Len() != expected {
-		t.Fatalf("len = %d", st.Len())
-	}
-	for i := 0; i < st.NumShards(); i++ {
-		ks := st.Shard(i)
-		if g := ks.Grows(); g != 0 {
-			t.Fatalf("shard %d rehashed %d time(s) mid-build (len %d)", i, g, ks.Len())
-		}
-	}
-}
-
-func TestRadixShardedKernelMatchesChainedSharded(t *testing.T) {
-	schema := kvSchema()
-	cc, kc := cost.NewClock(cost.DefaultParams()), cost.NewClock(cost.DefaultParams())
-	const n, shards = 20000, 4
-	chained := NewShardedTable(cc, schema, 0, n, shards)
-	kernel := NewShardedKernelTable(kc, schema, 0, n, shards)
-	hc, hk := NewHasher(cc, 0), NewFastHasher(kc, 0)
-	for i := 0; i < n; i++ {
-		k := int64(i % 5000)
-		tup := schema.MustEncode(tuple.IntValue(k), tuple.IntValue(int64(i)))
-		chained.Insert(hc.Hash(key(k)), tup)
-		kernel.Insert(hk.Hash(key(k)), tup)
-	}
-	var got, want []probeRec
-	for p := 0; p < 6000; p++ {
-		k := key(int64(p))
-		chained.Probe(hc.Hash(k), k, func(tup tuple.Tuple) {
-			v := schema.Int(tup, 1)
-			want = append(want, probeRec{p, v})
-		})
-		kernel.Probe(hk.Hash(k), k, func(tup tuple.Tuple) {
-			v := schema.Int(tup, 1)
-			got = append(got, probeRec{p, v})
-		})
-	}
-	if len(got) != len(want) {
-		t.Fatalf("match count: kernel %d chained %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("match %d: kernel %+v chained %+v", i, got[i], want[i])
-		}
-	}
-	if c1, c2 := cc.Counters(), kc.Counters(); c1 != c2 {
-		t.Fatalf("counters diverge:\nchained %+v\nkernel  %+v", c1, c2)
-	}
-}

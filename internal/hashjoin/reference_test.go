@@ -102,37 +102,3 @@ func keyEqual(a, b []byte) bool {
 	}
 	return true
 }
-
-// chainedSharded is the seed ShardedTable over chained shards: 2^k Tables
-// routed by the top hash bits.
-type chainedSharded struct {
-	shards []*Table
-	shift  uint
-}
-
-// NewShardedTable creates a chained table of nshards shards (rounded up to
-// a power of two) sized for the expected total number of tuples.
-func NewShardedTable(clock *cost.Clock, schema *tuple.Schema, col int, expected, nshards int) *chainedSharded {
-	ns := 1
-	for ns < nshards {
-		ns <<= 1
-	}
-	k := uint(0)
-	for 1<<k < ns {
-		k++
-	}
-	st := &chainedSharded{shards: make([]*Table, ns), shift: 64 - k}
-	per := ceilDiv(expected, ns)
-	for i := range st.shards {
-		st.shards[i] = NewTable(clock, schema, col, per)
-	}
-	return st
-}
-
-func (st *chainedSharded) Insert(h uint64, tup tuple.Tuple) {
-	st.shards[h>>st.shift].Insert(h, tup)
-}
-
-func (st *chainedSharded) Probe(h uint64, key []byte, fn func(tuple.Tuple)) {
-	st.shards[h>>st.shift].Probe(h, key, fn)
-}

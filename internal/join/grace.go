@@ -85,19 +85,11 @@ func graceHash(spec Spec, emit Emit, res *Result) error {
 }
 
 // joinPartitionPairs joins rParts[i] with sParts[i] for every i across the
-// pool's workers, merging each pair's recursion depth into res.
+// pool's workers, merging each pair's recursion depth into res. A
+// one-worker pool runs the pairs inline, in index order.
 func joinPartitionPairs(pool *exec.Pool, ctx context.Context, spec Spec,
 	rParts, sParts []hashjoin.PartitionResult, emit Emit, res *Result) error {
 
-	if pool.Workers() == 1 {
-		// Serial: share res directly, preserving the exact seed behavior.
-		for i := range rParts {
-			if err := joinPartitionPair(spec, rParts[i].File, sParts[i].File, 1, emit, res); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	var mu sync.Mutex
 	return pool.ForEach(ctx, len(rParts), func(_ context.Context, i int) error {
 		local := Result{}

@@ -7,7 +7,6 @@ import (
 	"mmdb/internal/exec"
 	"mmdb/internal/hashjoin"
 	"mmdb/internal/simio"
-	"mmdb/internal/tuple"
 )
 
 // hybridHash is the paper's new Hybrid hash join (§3.7). On the first pass
@@ -28,14 +27,9 @@ func hybridHash(spec Spec, emit Emit, res *Result) error {
 	pass := hashPass{r: spec.R, s: spec.S, in: simio.Uncharged, expect: int(spec.R.NumTuples()),
 		prefix: tmpPrefix(HybridHash), live: spec.LiveM != nil}
 
-	if rf <= m {
-		// Degenerate case: all of R fits; hybrid == one-pass simple hash
-		// (q = 1, B = 0). A live grant can be revoked mid-build, so the
-		// revocable pass stays serial and its spill check sequential.
-		if !pass.live && spec.workers() > 1 {
-			return residentJoinParallel(spec, emit)
-		}
-	} else {
+	// When all of R fits, hybrid is one-pass simple hash (q = 1, B = 0):
+	// the pass below runs with no splitter and writes no partitions.
+	if rf > m {
 		// The paper's minimum is B = ceil((|R|F - |M|)/(|M|-1)), which
 		// makes every partition exactly fill memory; real hash splits have
 		// variance ("if we err slightly we can always apply the hybrid
@@ -84,77 +78,4 @@ func hybridHash(spec Spec, emit Emit, res *Result) error {
 	// the pairs are independent and fan out across the worker pool.
 	res.Passes = 2
 	return joinPartitionPairs(exec.NewPool(spec.Parallelism), context.Background(), spec, rParts, sParts, emit, res)
-}
-
-// residentJoinParallel is the all-of-R-resident case with build and probe
-// fanned out over hash shards: the scans stay sequential (hashing is
-// charged per tuple on the scanning goroutine, as in the serial path), and
-// the tuple moves into the table and the probe comparisons — the CPU terms
-// that dominate when no partition IO happens — run on one worker per
-// shard. ShardedTable routes by hash bits disjoint from the sub-table and
-// slot bits, so the counters tally exactly as in the single-table serial
-// run.
-func residentJoinParallel(spec Spec, emit Emit) error {
-	clock := spec.R.Disk().Clock()
-	rSchema, sSchema := spec.R.Schema(), spec.S.Schema()
-	hasher := hashjoin.NewFastHasher(clock, 0)
-	workers := spec.workers()
-	table := hashjoin.NewShardedKernelTable(clock, rSchema, spec.RCol, int(spec.R.NumTuples()), workers)
-	ns := table.NumShards()
-	pool := exec.NewPool(workers)
-	ctx := context.Background()
-
-	build := make([][]hashjoin.Keyed, ns)
-	err := spec.R.Scan(simio.Uncharged, func(t tuple.Tuple) bool {
-		h := hasher.Hash(rSchema.KeyBytes(t, spec.RCol))
-		s := table.ShardOf(h)
-		build[s] = append(build[s], hashjoin.Keyed{Hash: h, Tuple: t.Clone()})
-		return true
-	})
-	if err != nil {
-		return err
-	}
-	err = pool.ForEach(ctx, ns, func(_ context.Context, i int) error {
-		shard := table.Shard(i)
-		for _, k := range build[i] {
-			shard.Insert(k.Hash, k.Tuple)
-		}
-		build[i] = nil
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-
-	probe := make([][]hashjoin.Keyed, ns)
-	err = spec.S.Scan(simio.Uncharged, func(t tuple.Tuple) bool {
-		h := hasher.Hash(sSchema.KeyBytes(t, spec.SCol))
-		s := table.ShardOf(h)
-		probe[s] = append(probe[s], hashjoin.Keyed{Hash: h, Tuple: t.Clone()})
-		return true
-	})
-	if err != nil {
-		return err
-	}
-	return pool.ForEach(ctx, ns, func(_ context.Context, i int) error {
-		// Each shard's probes are already clustered by hash; sweep them in
-		// BatchSize-long batches so the shard's sub-tables stay cache-warm.
-		// The scratch buffers live per shard table, so shards batch
-		// concurrently without sharing state.
-		kt := table.Shard(i)
-		keyOf := func(t tuple.Tuple) []byte { return sSchema.KeyBytes(t, spec.SCol) }
-		bs := kt.BatchSize()
-		for lo := 0; lo < len(probe[i]); lo += bs {
-			hi := lo + bs
-			if hi > len(probe[i]) {
-				hi = len(probe[i])
-			}
-			batch := probe[i][lo:hi]
-			kt.ProbeBatch(batch, keyOf, func(j int, r tuple.Tuple) {
-				emit(r, batch[j].Tuple)
-			})
-		}
-		probe[i] = nil
-		return nil
-	})
 }

@@ -74,26 +74,27 @@ type Spec struct {
 	// partition plus the B output buffers, that partition is spilled to
 	// one extra disk pair and finishes with the GRACE-style bucket joins
 	// instead of failing (Result.GraceFallback records that this
-	// happened). A live grant also keeps the all-resident case on the
-	// serial pass even when Parallelism > 1. Bucket joins size their
-	// tables to the grant as of their start. M remains the planning-time
+	// happened). Bucket joins size their tables to the grant as of their
+	// start. M remains the planning-time
 	// grant used to pick partition counts. The function must be safe to
 	// call from multiple goroutines and is never trusted below the 2-page
 	// floor every join path assumes.
 	LiveM func() int
-	// Parallelism bounds the worker goroutines the partition phases of
-	// GRACE and hybrid hash may use: the bucket pairs of §3.6/§3.7 are
-	// independent, so they fan out over a worker pool. Sort-merge uses the
-	// same knob: the two relation sorts overlap, and each sort's formation
-	// chunks and merge-tree nodes run on up to Parallelism workers. 0 or 1
-	// means serial execution on the calling goroutine, exactly the
-	// original engine; a negative value means one worker per CPU
-	// (GOMAXPROCS). The virtual clock's counters are identical at every
-	// setting — the per-partition (and per-chunk) work does not change,
-	// and counter addition commutes — so Parallelism trades wall-clock
-	// time only. Emit callbacks are serialized (never called
+	// Parallelism sets how many workers run a join's code, never which
+	// code runs. GRACE overlaps its R and S partitioning, and the
+	// independent bucket pairs of §3.6/§3.7 fan out over a worker pool;
+	// sort-merge overlaps the two relation sorts, and each sort's
+	// formation chunks and merge-tree nodes run on up to Parallelism
+	// workers. A hash pass (each pass of simple hash, hybrid hash's first
+	// pass with its resident partition) scans, builds and probes on the
+	// calling goroutine at every width. 0 or 1 means one worker, which runs every
+	// task inline in index order; a negative value means one worker per
+	// CPU (GOMAXPROCS). The virtual clock's counters are identical at
+	// every setting — the per-partition (and per-chunk) work does not
+	// change, and counter addition commutes — so Parallelism trades
+	// wall-clock time only. Emit callbacks are serialized (never called
 	// concurrently), but their order changes with the schedule when
-	// Parallelism > 1.
+	// partitions fan out over more than one worker.
 	Parallelism int
 	// SortChunks is sort-merge's decomposition plan: each relation sort
 	// splits run formation into this many page-range chunks (each with a
