@@ -1,6 +1,8 @@
 package agg
 
 import (
+	"fmt"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -161,27 +163,93 @@ func TestDistinctInt(t *testing.T) {
 	}
 }
 
+var strSchema = tuple.MustSchema(tuple.Field{Name: "s", Kind: tuple.String, Size: 8})
+
+func loadStrings(t *testing.T, disk *simio.Disk, vals []string) *heap.File {
+	t.Helper()
+	f, err := heap.Create(disk, "s", strSchema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range vals {
+		if err := f.Append(strSchema.MustEncode(tuple.StringValue(v)), simio.Uncharged); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Flush(simio.Uncharged); err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// distinctSet runs Distinct and returns its values sorted, failing on a
+// repeated value, with the counters the run charged.
+func distinctSet(t *testing.T, f *heap.File, m, parallelism int) ([]string, cost.Counters) {
+	t.Helper()
+	clock := f.Disk().Clock()
+	before := clock.Counters()
+	vals, err := Distinct(f, 0, m, 1.2, parallelism)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]string, len(vals))
+	for i, v := range vals {
+		out[i] = v.S
+	}
+	sort.Strings(out)
+	for i := 1; i < len(out); i++ {
+		if out[i] == out[i-1] {
+			t.Fatalf("value %q returned twice", out[i])
+		}
+	}
+	return out, clock.Counters().Sub(before)
+}
+
 func TestDistinctString(t *testing.T) {
-	disk := env()
-	sc := tuple.MustSchema(tuple.Field{Name: "s", Kind: tuple.String, Size: 8})
-	f, err := heap.Create(disk, "s", sc)
-	if err != nil {
-		t.Fatal(err)
+	f := loadStrings(t, env(), []string{"b", "a", "b", "c", "a"})
+	got, _ := distinctSet(t, f, 16, 1)
+	if want := []string{"a", "b", "c"}; !slices.Equal(got, want) {
+		t.Fatalf("distinct strings = %v, want %v", got, want)
 	}
-	for _, s := range []string{"b", "a", "b", "c", "a"} {
-		f.Append(sc.MustEncode(tuple.StringValue(s)), simio.Uncharged)
+}
+
+// spillStrings is 1 200 rows over 100 distinct strings: 100 value cells
+// fit a 64-page grant of 256-byte pages, and overflow a 2-page one.
+func spillStrings() []string {
+	vals := make([]string, 1200)
+	for i := range vals {
+		vals[i] = fmt.Sprintf("v%03d", (i*37)%100)
 	}
-	f.Flush(simio.Uncharged)
-	vals, err := Distinct(f, 0, 16, 1.2, 1)
-	if err != nil {
-		t.Fatal(err)
+	return vals
+}
+
+// TestDistinctStringFitsGrant pins what a string DISTINCT whose values fit
+// the grant charges: one hash per row, one comparison per repeated value
+// and one move per distinct value, with no partition IO.
+func TestDistinctStringFitsGrant(t *testing.T) {
+	f := loadStrings(t, env(), spillStrings())
+	got, c := distinctSet(t, f, 64, 1)
+	if len(got) != 100 {
+		t.Fatalf("%d distinct values, want 100", len(got))
 	}
-	if len(vals) != 3 {
-		t.Fatalf("distinct strings = %v", vals)
+	if want := (cost.Counters{Comps: 1100, Hashes: 1200, Moves: 100}); c != want {
+		t.Fatalf("charges moved:\ngot  %+v\nwant %+v", c, want)
 	}
-	// First-appearance order preserved.
-	if vals[0].S != "b" || vals[1].S != "a" || vals[2].S != "c" {
-		t.Fatalf("order = %v", vals)
+}
+
+// TestDistinctStringSpills holds a string DISTINCT to a 2-page grant: the
+// values that do not fit go to hash partitions, which costs partition IO,
+// and the value set is the one the fitting run returns at every width.
+func TestDistinctStringSpills(t *testing.T) {
+	want, _ := distinctSet(t, loadStrings(t, env(), spillStrings()), 64, 1)
+	for _, width := range []int{1, 4} {
+		got, c := distinctSet(t, loadStrings(t, env(), spillStrings()), 2, width)
+		if !slices.Equal(got, want) {
+			t.Fatalf("width %d: spilled distinct = %v, want %v", width, got, want)
+		}
+		if c.SeqIOs+c.RandIOs == 0 {
+			t.Fatalf("width %d: a 2-page grant charged no partition IO: %+v", width, c)
+		}
 	}
 }
 

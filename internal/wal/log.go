@@ -54,11 +54,6 @@ type Config struct {
 	// StableCapacity bounds the battery-backed region in bytes; appends
 	// beyond it are refused until the drain catches up. 0 means 8 pages.
 	StableCapacity int
-	// GroupTimeout optionally force-flushes a commit group after this
-	// delay. Group commit already seals as soon as the fragment's device
-	// is idle (so liveness never depends on this timer); the timeout only
-	// tightens latency further at the cost of smaller groups.
-	GroupTimeout time.Duration
 	// SegmentPages is the size, in pages, of the bounded segment files
 	// ("<dev>/seg-NNNNNN") every log device's pages are arranged into,
 	// beside a persisted dual-slot commit.meta recording the durable
@@ -130,8 +125,7 @@ type fragment struct {
 	curBytes   int
 	curCommits []TxnID
 	curDeps    map[*pendingPage]struct{}
-	timerSeq   uint64 // guards the group timeout against later seals
-	sealArmed  bool   // a device-idle seal event is scheduled
+	sealArmed  bool // a device-idle seal event is scheduled
 }
 
 // Log is the log manager. All methods must be called from the simulator's
@@ -333,14 +327,6 @@ func (l *Log) AppendCommit(txn TxnID, deps []TxnID) bool {
 		// fills (bufferAppend seals) or the device falls idle — batching
 		// while the device is busy costs the waiting commits nothing.
 		l.armIdleSeal(f)
-		if l.cfg.GroupTimeout > 0 && len(f.curCommits) == 1 {
-			seq := f.timerSeq
-			l.sim.After(l.cfg.GroupTimeout, func() {
-				if f.timerSeq == seq { // the group was not sealed meanwhile
-					l.seal(f)
-				}
-			})
-		}
 	}
 	return true
 }
@@ -412,7 +398,6 @@ func (l *Log) seal(f *fragment) {
 		commits: f.curCommits,
 	}
 	l.pageSeq++
-	f.timerSeq++
 
 	deps := make(map[*pendingPage]struct{}, len(f.curDeps))
 	for g := range f.curDeps {

@@ -50,9 +50,13 @@ var parityCases = []parityCase{
 	{removed: "Database.Aggregate(emp, dept, salary)",
 		run:  sqlRows("SELECT dept, COUNT(*), SUM(salary), MIN(salary), MAX(salary) FROM emp GROUP BY dept"),
 		rows: 7, digest: 0xdb3f4faee2367651, counters: Counters{Comps: 593, Hashes: 600, Moves: 7}, elapsed: 7319000},
+	// The removed call held all 53 names in a table the 8-page grant has
+	// room for 33 of; the replacement keeps to the grant and spills the
+	// overflow to hash partitions.
 	{removed: "Database.Distinct(emp, name)",
 		run:  sqlRows("SELECT name FROM emp GROUP BY name"),
-		rows: 53, digest: 0xe698364a49c3ff40, counters: Counters{Comps: 547, Hashes: 600, Moves: 53}, elapsed: 8101000},
+		rows: 53, digest: 0xe698364a49c3ff40, counters: Counters{Comps: 547, Hashes: 600, Moves: 53}, elapsed: 8101000,
+		extra: Counters{Hashes: 220, Moves: 220, SeqIOs: 40, RandIOs: 40}},
 	{removed: "Database.Distinct(emp, dept)",
 		run:  sqlRows("SELECT dept FROM emp GROUP BY dept"),
 		rows: 7, digest: 0x2a1d5d04006775d1, counters: Counters{Comps: 593, Hashes: 600, Moves: 7}, elapsed: 7319000},

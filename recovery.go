@@ -61,11 +61,6 @@ type RecoveryConfig struct {
 	Versioning bool
 	// Seed fixes the workload randomness.
 	Seed int64
-	// TornTails makes a torn log-page write expose its surviving byte
-	// prefix to recovery (the realistic medium: a crash mid-write leaves a
-	// partial page). Off, a torn page vanishes entirely. Either way the
-	// per-record checksums make recovery stop cleanly at the tear.
-	TornTails bool
 	// SegmentPages is the size, in pages, of the segment files each log
 	// device is bounded into ("log0/seg-000001", ...) beside a persisted
 	// dual-slot commit.meta recording the durable {segment, offset, LSN}
@@ -136,7 +131,6 @@ func NewRecoverySim(cfg RecoveryConfig) (*RecoverySim, error) {
 	sim := &event.Sim{}
 	newDevice := func(name string) *wal.Device {
 		d := wal.NewDevice(name, cfg.LogPageWrite)
-		d.ExposeTorn = cfg.TornTails
 		if cfg.Faults != nil {
 			d.Injector = cfg.Faults
 		}
