@@ -356,3 +356,42 @@ func TestConcurrentPlansExecute(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestConcurrentIndexProbes is the -race exercise for readers sharing an
+// index: two sessions probing one B+-tree or AVL index at once (SQL point
+// queries and Lookups) each count their comparisons without a data race,
+// and every statement bills the same counters it bills alone.
+func TestConcurrentIndexProbes(t *testing.T) {
+	for _, kind := range []IndexKind{BTree, AVL} {
+		t.Run(kind.String(), func(t *testing.T) {
+			db := openConcurrentDB(t, 2, 8)
+			emp, _ := loadCompany(t, db, 400, 8)
+			if err := emp.CreateIndex("id", kind); err != nil {
+				t.Fatal(err)
+			}
+			alone, err := db.Query("SELECT id, salary FROM emp WHERE id = 7")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			for g := 0; g < 2; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < 200; i++ {
+						res, err := db.Query("SELECT id, salary FROM emp WHERE id = 7")
+						if err != nil || len(res.Rows) != 1 || res.Counters != alone.Counters {
+							t.Errorf("point query: %v, %v; alone it billed %v", res, err, alone.Counters)
+							return
+						}
+						if rows, err := emp.Lookup("id", IntValue(int64(i))); err != nil || len(rows) != 1 {
+							t.Errorf("Lookup(id = %d): %d rows, %v", i, len(rows), err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+		})
+	}
+}

@@ -1,6 +1,6 @@
-// Quickstart: create a database, load a relation, index it both ways
-// (§2's AVL and B+-tree), run lookups, then a join and an aggregate in
-// SQL, and read the virtual-clock cost accounting.
+// Quickstart: create a database, load a relation, index it with §2's
+// B+-tree, run a point query and a range through the index, then a join
+// and an aggregate in SQL, and read the virtual-clock cost accounting.
 package main
 
 import (
@@ -57,23 +57,25 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Index the key column with the B+-tree (the paper's recommendation)
-	// and run a point lookup plus a short range scan.
+	// Index the key column with the B+-tree (the paper's recommendation):
+	// a point query and a short range now probe it, fetching their rows by
+	// address instead of scanning the table.
 	if err := emp.CreateIndex("id", mmdb.BTree); err != nil {
 		log.Fatal(err)
 	}
-	rows, err := emp.Lookup("id", mmdb.IntValue(4242))
+	point, err := db.Query("SELECT * FROM emp WHERE id = 4242")
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("lookup id=4242  -> %s\n", emp.Schema().Format(rows[0]))
+	fmt.Printf("lookup id=4242  -> %s\n", point.Schema.Format(point.Rows[0]))
 
-	fmt.Print("range id>=9997 -> ")
-	if err := emp.AscendRange("id", mmdb.IntValue(9997), func(t mmdb.Tuple) bool {
-		fmt.Printf("%d ", emp.Schema().Int(t, 0))
-		return true
-	}); err != nil {
+	rng, err := db.Query("SELECT id FROM emp WHERE id >= 9997")
+	if err != nil {
 		log.Fatal(err)
+	}
+	fmt.Print("range id>=9997 -> ")
+	for _, row := range rng.Values() {
+		fmt.Printf("%d ", row[0].I)
 	}
 	fmt.Println()
 

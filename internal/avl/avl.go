@@ -12,6 +12,7 @@ package avl
 import (
 	"bytes"
 	"fmt"
+	"sync/atomic"
 
 	"mmdb/internal/tuple"
 )
@@ -52,13 +53,17 @@ func (n *node) fix() {
 }
 
 // Tree is an AVL tree mapping byte-string keys to tuples.
-// The zero value is an empty tree. Not safe for concurrent use.
+// The zero value is an empty tree. Reads (Search, Ascend) may run
+// concurrently with each other; a mutation needs the tree to itself.
+// Every operation tallies its key comparisons locally and adds the tally
+// to the tree's counter once, so concurrent readers never write a shared
+// word per comparison.
 type Tree struct {
 	root   *node
 	keys   int
 	tuples int
 	nextID NodeID
-	comps  int64
+	comps  atomic.Int64
 }
 
 // Len returns the number of distinct keys.
@@ -76,30 +81,32 @@ func (t *Tree) Height() int { return height(t.root) }
 
 // Comparisons returns the total number of key comparisons performed by
 // Insert/Delete/Search/Ascend since construction or the last ResetComparisons.
-func (t *Tree) Comparisons() int64 { return t.comps }
+func (t *Tree) Comparisons() int64 { return t.comps.Load() }
 
 // ResetComparisons zeroes the comparison counter.
-func (t *Tree) ResetComparisons() { t.comps = 0 }
+func (t *Tree) ResetComparisons() { t.comps.Store(0) }
 
 // Insert adds tup under key. Duplicate keys chain their tuples on one node.
 func (t *Tree) Insert(key []byte, tup tuple.Tuple) {
-	t.root = t.insert(t.root, key, tup)
+	var comps int64
+	t.root = t.insert(t.root, key, tup, &comps)
+	t.comps.Add(comps)
 	t.tuples++
 }
 
-func (t *Tree) insert(n *node, key []byte, tup tuple.Tuple) *node {
+func (t *Tree) insert(n *node, key []byte, tup tuple.Tuple, comps *int64) *node {
 	if n == nil {
 		t.keys++
 		id := t.nextID
 		t.nextID++
 		return &node{id: id, key: append([]byte(nil), key...), vals: []tuple.Tuple{tup}, height: 1}
 	}
-	t.comps++
+	*comps++
 	switch c := bytes.Compare(key, n.key); {
 	case c < 0:
-		n.left = t.insert(n.left, key, tup)
+		n.left = t.insert(n.left, key, tup, comps)
 	case c > 0:
-		n.right = t.insert(n.right, key, tup)
+		n.right = t.insert(n.right, key, tup, comps)
 	default:
 		n.vals = append(n.vals, tup)
 		return n
@@ -111,7 +118,9 @@ func (t *Tree) insert(n *node, key []byte, tup tuple.Tuple) *node {
 // was present.
 func (t *Tree) Delete(key []byte) bool {
 	var removed int
-	t.root, removed = t.delete(t.root, key)
+	var comps int64
+	t.root, removed = t.delete(t.root, key, &comps)
+	t.comps.Add(comps)
 	if removed == 0 {
 		return false
 	}
@@ -120,17 +129,17 @@ func (t *Tree) Delete(key []byte) bool {
 	return true
 }
 
-func (t *Tree) delete(n *node, key []byte) (*node, int) {
+func (t *Tree) delete(n *node, key []byte, comps *int64) (*node, int) {
 	if n == nil {
 		return nil, 0
 	}
-	t.comps++
+	*comps++
 	var removed int
 	switch c := bytes.Compare(key, n.key); {
 	case c < 0:
-		n.left, removed = t.delete(n.left, key)
+		n.left, removed = t.delete(n.left, key, comps)
 	case c > 0:
-		n.right, removed = t.delete(n.right, key)
+		n.right, removed = t.delete(n.right, key, comps)
 	default:
 		removed = len(n.vals)
 		switch {
@@ -162,9 +171,11 @@ func (t *Tree) delete(n *node, key []byte) (*node, int) {
 // entry in a non-unique index — and reports whether it found one. The node
 // goes when its last tuple does.
 func (t *Tree) DeleteEntry(key []byte, tup tuple.Tuple) bool {
+	var comps int64
+	defer func() { t.comps.Add(comps) }()
 	n := t.root
 	for n != nil {
-		t.comps++
+		comps++
 		switch c := bytes.Compare(key, n.key); {
 		case c < 0:
 			n = n.left
@@ -200,12 +211,14 @@ func (t *Tree) deleteMin(n *node) (*node, int) {
 // Search returns the tuples stored under key, or nil. Every inspected node
 // is reported to visit (which may be nil).
 func (t *Tree) Search(key []byte, visit VisitFunc) []tuple.Tuple {
+	var comps int64
+	defer func() { t.comps.Add(comps) }()
 	n := t.root
 	for n != nil {
 		if visit != nil {
 			visit(n.id)
 		}
-		t.comps++
+		comps++
 		switch c := bytes.Compare(key, n.key); {
 		case c < 0:
 			n = n.left
@@ -222,10 +235,12 @@ func (t *Tree) Search(key []byte, visit VisitFunc) []tuple.Tuple {
 // tuples until fn returns false or the tree is exhausted. A nil start walks
 // the whole tree. Every touched node is reported to visit.
 func (t *Tree) Ascend(start []byte, visit VisitFunc, fn func(key []byte, vals []tuple.Tuple) bool) {
-	t.ascend(t.root, start, visit, fn)
+	var comps int64
+	t.ascend(t.root, start, visit, fn, &comps)
+	t.comps.Add(comps)
 }
 
-func (t *Tree) ascend(n *node, start []byte, visit VisitFunc, fn func([]byte, []tuple.Tuple) bool) bool {
+func (t *Tree) ascend(n *node, start []byte, visit VisitFunc, fn func([]byte, []tuple.Tuple) bool, comps *int64) bool {
 	if n == nil {
 		return true
 	}
@@ -234,19 +249,19 @@ func (t *Tree) ascend(n *node, start []byte, visit VisitFunc, fn func([]byte, []
 	}
 	inRange := true
 	if start != nil {
-		t.comps++
+		*comps++
 		inRange = bytes.Compare(n.key, start) >= 0
 	}
 	if inRange {
-		if !t.ascend(n.left, start, visit, fn) {
+		if !t.ascend(n.left, start, visit, fn, comps) {
 			return false
 		}
 		if !fn(n.key, n.vals) {
 			return false
 		}
-		return t.ascend(n.right, start, visit, fn)
+		return t.ascend(n.right, start, visit, fn, comps)
 	}
-	return t.ascend(n.right, start, visit, fn)
+	return t.ascend(n.right, start, visit, fn, comps)
 }
 
 // Min returns the smallest key and its tuples, or nil for an empty tree.

@@ -234,3 +234,34 @@ func TestDeleteEntryRemovesOneDuplicate(t *testing.T) {
 		}
 	}
 }
+
+// TestConcurrentReadsCountComparisons: readers sharing a tree (sessions
+// probing one index under shared intents) count every comparison, race
+// free: two goroutines' searches and walks add up to twice one
+// goroutine's.
+func TestConcurrentReadsCountComparisons(t *testing.T) {
+	var tr Tree
+	for i := int64(0); i < 1000; i++ {
+		tr.Insert(key(i), tup(i))
+	}
+	read := func() {
+		for i := int64(0); i < 200; i++ {
+			if got := tr.Search(key(i*5), nil); len(got) != 1 {
+				panic("search missed")
+			}
+			n := 0
+			tr.Ascend(key(i), nil, func([]byte, []tuple.Tuple) bool { n++; return n < 3 })
+		}
+	}
+	tr.ResetComparisons()
+	read()
+	one := tr.Comparisons()
+	tr.ResetComparisons()
+	done := make(chan struct{})
+	go func() { read(); close(done) }()
+	read()
+	<-done
+	if got := tr.Comparisons(); got != 2*one {
+		t.Fatalf("two concurrent readers counted %d comparisons, want %d", got, 2*one)
+	}
+}

@@ -13,6 +13,7 @@ package btree
 import (
 	"bytes"
 	"fmt"
+	"sync/atomic"
 
 	"mmdb/internal/page"
 	"mmdb/internal/tuple"
@@ -94,7 +95,8 @@ type interior struct {
 func (n *interior) nodeID() NodeID { return n.id }
 
 // Tree is a B+-tree over fixed-width tuples keyed by an order-preserving
-// byte string. Duplicate keys are allowed. Not safe for concurrent use.
+// byte string. Duplicate keys are allowed. Reads (Search, AscendRange) may
+// run concurrently with each other; a mutation needs the tree to itself.
 type Tree struct {
 	cfg       Config
 	root      treeNode
@@ -103,7 +105,7 @@ type Tree struct {
 	leaves    int
 	interiors int
 	nextPage  NodeID
-	comps     int64
+	comps     atomic.Int64
 	kw, ew    int // key width and leaf entry width (key + tuple)
 }
 
@@ -143,10 +145,10 @@ func (t *Tree) Height() int { return t.height }
 
 // Comparisons returns the number of key comparisons since construction or
 // the last ResetComparisons.
-func (t *Tree) Comparisons() int64 { return t.comps }
+func (t *Tree) Comparisons() int64 { return t.comps.Load() }
 
 // ResetComparisons zeroes the comparison counter.
-func (t *Tree) ResetComparisons() { t.comps = 0 }
+func (t *Tree) ResetComparisons() { t.comps.Store(0) }
 
 func (t *Tree) newLeaf() *leaf {
 	t.leaves++
@@ -162,8 +164,12 @@ func (t *Tree) newInterior() *interior {
 	return &interior{id: id}
 }
 
-func (t *Tree) compare(a, b []byte) int {
-	t.comps++
+// compare counts one key comparison in *n, the calling operation's tally.
+// Each exported operation adds its tally to the tree's counter once, as
+// it returns, so concurrent readers never write a shared word per
+// comparison.
+func compare(n *int64, a, b []byte) int {
+	*n++
 	return bytes.Compare(a, b)
 }
 
@@ -194,11 +200,11 @@ func (t *Tree) removeEntries(l *leaf, i, j int) {
 
 // searchLeaf is searchKeys over a leaf's packed keys, counting the same
 // comparisons.
-func (t *Tree) searchLeaf(l *leaf, key []byte, lower bool) int {
+func (t *Tree) searchLeaf(l *leaf, key []byte, lower bool, n *int64) int {
 	lo, hi := 0, l.n
 	for lo < hi {
 		mid := (lo + hi) / 2
-		c := t.compare(t.key(l, mid), key)
+		c := compare(n, t.key(l, mid), key)
 		if c < 0 || (!lower && c == 0) {
 			lo = mid + 1
 		} else {
@@ -226,7 +232,9 @@ func (t *Tree) Insert(key []byte, tup tuple.Tuple) {
 		t.tuples = 1
 		return
 	}
-	split, sepKey := t.insert(t.root, key, tup)
+	var n int64
+	split, sepKey := t.insert(t.root, key, tup, &n)
+	t.comps.Add(n)
 	t.tuples++
 	if split != nil {
 		r := t.newInterior()
@@ -239,10 +247,10 @@ func (t *Tree) Insert(key []byte, tup tuple.Tuple) {
 
 // insert descends to the leaf, inserting; on split it returns the new right
 // sibling and the separator key (smallest key of the right sibling).
-func (t *Tree) insert(n treeNode, key []byte, tup tuple.Tuple) (treeNode, []byte) {
+func (t *Tree) insert(n treeNode, key []byte, tup tuple.Tuple, comps *int64) (treeNode, []byte) {
 	switch n := n.(type) {
 	case *leaf:
-		i := t.searchLeaf(n, key, false)
+		i := t.searchLeaf(n, key, false, comps)
 		n.data = append(n.data, make([]byte, t.ew)...)
 		copy(n.data[(i+1)*t.ew:], n.data[i*t.ew:])
 		t.put(n, i, key, tup)
@@ -262,8 +270,8 @@ func (t *Tree) insert(n treeNode, key []byte, tup tuple.Tuple) (treeNode, []byte
 		n.next = right
 		return right, bytes.Clone(t.key(right, 0))
 	case *interior:
-		ci := t.childIndex(n, key)
-		split, sepKey := t.insert(n.children[ci], key, tup)
+		ci := t.childIndex(n, key, comps)
+		split, sepKey := t.insert(n.children[ci], key, tup, comps)
 		if split == nil {
 			return nil, nil
 		}
@@ -292,11 +300,11 @@ func (t *Tree) insert(n treeNode, key []byte, tup tuple.Tuple) (treeNode, []byte
 // searchKeys binary-searches keys for key. With lower=true it returns the
 // first index i with keys[i] >= key; otherwise the first i with
 // keys[i] > key. Comparisons are counted.
-func (t *Tree) searchKeys(keys [][]byte, key []byte, lower bool) int {
+func (t *Tree) searchKeys(keys [][]byte, key []byte, lower bool, n *int64) int {
 	lo, hi := 0, len(keys)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		c := t.compare(keys[mid], key)
+		c := compare(n, keys[mid], key)
 		if c < 0 || (!lower && c == 0) {
 			lo = mid + 1
 		} else {
@@ -309,8 +317,8 @@ func (t *Tree) searchKeys(keys [][]byte, key []byte, lower bool) int {
 // childIndex returns which child of n covers key. Keys equal to a separator
 // descend left; searches compensate by scanning forward along the leaf
 // chain, so duplicates that straddle a split are still found.
-func (t *Tree) childIndex(n *interior, key []byte) int {
-	return t.searchKeys(n.keys, key, true)
+func (t *Tree) childIndex(n *interior, key []byte, comps *int64) int {
+	return t.searchKeys(n.keys, key, true, comps)
 }
 
 // Search returns all tuples stored under key, as views into the tree that
@@ -320,6 +328,8 @@ func (t *Tree) Search(key []byte, visit VisitFunc) []tuple.Tuple {
 	if t.root == nil {
 		return nil
 	}
+	var comps int64
+	defer func() { t.comps.Add(comps) }()
 	n := t.root
 	for {
 		if visit != nil {
@@ -329,14 +339,14 @@ func (t *Tree) Search(key []byte, visit VisitFunc) []tuple.Tuple {
 		if !ok {
 			break
 		}
-		n = in.children[t.childIndex(in, key)]
+		n = in.children[t.childIndex(in, key, &comps)]
 	}
 	l := n.(*leaf)
 	var out []tuple.Tuple
-	i := t.searchLeaf(l, key, true)
+	i := t.searchLeaf(l, key, true, &comps)
 	for {
 		for ; i < l.n; i++ {
-			if t.compare(t.key(l, i), key) != 0 {
+			if compare(&comps, t.key(l, i), key) != 0 {
 				return out
 			}
 			out = append(out, t.tup(l, i))
@@ -360,6 +370,8 @@ func (t *Tree) AscendRange(start []byte, visit VisitFunc, fn func(key []byte, tu
 	if t.root == nil {
 		return
 	}
+	var comps int64
+	defer func() { t.comps.Add(comps) }()
 	n := t.root
 	for {
 		if visit != nil {
@@ -372,13 +384,13 @@ func (t *Tree) AscendRange(start []byte, visit VisitFunc, fn func(key []byte, tu
 		if start == nil {
 			n = in.children[0]
 		} else {
-			n = in.children[t.childIndex(in, start)]
+			n = in.children[t.childIndex(in, start, &comps)]
 		}
 	}
 	l := n.(*leaf)
 	i := 0
 	if start != nil {
-		i = t.searchLeaf(l, start, true)
+		i = t.searchLeaf(l, start, true, &comps)
 	}
 	for {
 		for ; i < l.n; i++ {
@@ -404,11 +416,13 @@ func (t *Tree) Delete(key []byte) int {
 	if t.root == nil {
 		return 0
 	}
+	var comps int64
+	defer func() { t.comps.Add(comps) }()
 	removed := 0
-	for l := t.leafFor(key); l != nil; l = l.next {
-		i := t.searchLeaf(l, key, true)
+	for l := t.leafFor(key, &comps); l != nil; l = l.next {
+		i := t.searchLeaf(l, key, true, &comps)
 		j := i
-		for j < l.n && t.compare(t.key(l, j), key) == 0 {
+		for j < l.n && compare(&comps, t.key(l, j), key) == 0 {
 			j++
 		}
 		if j > i {
@@ -430,9 +444,11 @@ func (t *Tree) DeleteEntry(key []byte, tup tuple.Tuple) bool {
 	if t.root == nil {
 		return false
 	}
-	for l := t.leafFor(key); l != nil; l = l.next {
-		for i := t.searchLeaf(l, key, true); i < l.n; i++ {
-			if t.compare(t.key(l, i), key) != 0 {
+	var comps int64
+	defer func() { t.comps.Add(comps) }()
+	for l := t.leafFor(key, &comps); l != nil; l = l.next {
+		for i := t.searchLeaf(l, key, true, &comps); i < l.n; i++ {
+			if compare(&comps, t.key(l, i), key) != 0 {
 				return false
 			}
 			if bytes.Equal(t.tup(l, i), tup) {
@@ -446,14 +462,14 @@ func (t *Tree) DeleteEntry(key []byte, tup tuple.Tuple) bool {
 }
 
 // leafFor descends to the leftmost leaf that can hold key.
-func (t *Tree) leafFor(key []byte) *leaf {
+func (t *Tree) leafFor(key []byte, comps *int64) *leaf {
 	n := t.root
 	for {
 		in, ok := n.(*interior)
 		if !ok {
 			return n.(*leaf)
 		}
-		n = in.children[t.childIndex(in, key)]
+		n = in.children[t.childIndex(in, key, comps)]
 	}
 }
 

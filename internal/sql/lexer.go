@@ -79,7 +79,13 @@ func lex(src string) ([]token, *Error) {
 				}
 				toks = append(toks, token{tokFloat, text, start})
 			} else {
-				if _, err := strconv.ParseInt(text, 10, 64); err != nil {
+				// A literal's '-' is a token of its own; after one, the
+				// magnitude may be 2^63 (math.MinInt64 fits int64).
+				signed := text
+				if n := len(toks); n > 0 && toks[n-1].kind == tokSymbol && toks[n-1].text == "-" {
+					signed = "-" + text
+				}
+				if _, err := strconv.ParseInt(signed, 10, 64); err != nil {
 					return nil, errf(ErrLex, start, "integer literal %q overflows int64", text)
 				}
 				toks = append(toks, token{tokInt, text, start})

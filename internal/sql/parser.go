@@ -369,10 +369,11 @@ func (p *parser) literal() (Literal, *Error) {
 	switch t.kind {
 	case tokInt:
 		p.next()
-		v, _ := strconv.ParseInt(t.text, 10, 64)
+		text := t.text
 		if neg {
-			v = -v
+			text = "-" + text // the lexer admits 2^63 only here
 		}
+		v, _ := strconv.ParseInt(text, 10, 64)
 		return Literal{Kind: LitInt, I: v, Pos: start}, nil
 	case tokFloat:
 		p.next()

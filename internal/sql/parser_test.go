@@ -2,6 +2,7 @@ package sql
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 )
@@ -148,6 +149,16 @@ func TestParseLiterals(t *testing.T) {
 	}
 }
 
+// TestParseIntLiteralBounds: both ends of int64 parse (§2.4: a literal
+// must fit int64, and math.MinInt64's magnitude alone does not).
+func TestParseIntLiteralBounds(t *testing.T) {
+	s := mustSelect(t, "SELECT * FROM emp WHERE a >= -9223372036854775808 AND a <= 9223372036854775807")
+	and := s.Where.(*AndExpr)
+	if lo, hi := and.L.(*CmpExpr).Lit.I, and.R.(*CmpExpr).Lit.I; lo != math.MinInt64 || hi != math.MaxInt64 {
+		t.Fatalf("bounds parsed as %d, %d", lo, hi)
+	}
+}
+
 // TestParseInsert covers §3.2.
 func TestParseInsert(t *testing.T) {
 	stmt, err := Parse("INSERT INTO emp VALUES (1, 10, 52000), (2, 20, 61000)")
@@ -199,6 +210,8 @@ func TestParseErrors(t *testing.T) {
 		{"SELECT * FROM emp WHERE name = 'unterminated", ErrLex, "unterminated"},
 		{"SELECT #id FROM emp", ErrLex, "illegal character"},
 		{"SELECT * FROM emp LIMIT 99999999999999999999", ErrLex, "overflows"},
+		{"SELECT * FROM emp WHERE a = 9223372036854775808", ErrLex, "overflows"},
+		{"SELECT * FROM emp WHERE a = -9223372036854775809", ErrLex, "overflows"},
 		{"SELECT * FROM emp WHERE a ! 1", ErrLex, "stray"},
 		// §7.2 syntax
 		{"SELECT FROM emp", ErrSyntax, "expected"},

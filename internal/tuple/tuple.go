@@ -301,6 +301,12 @@ func (s *Schema) KeyBytes(t Tuple, i int) []byte {
 	return t[off : off+s.fields[i].width()]
 }
 
+// IntKey returns the key bytes of an Int64 field holding v (KeyBytes'
+// encoding, which orders bytewise as the values order numerically).
+func IntKey(v int64) []byte {
+	return binary.BigEndian.AppendUint64(nil, uint64(v)^(1<<63))
+}
+
 // CompareField orders two tuples by field i without decoding.
 func (s *Schema) CompareField(a, b Tuple, i int) int {
 	return bytes.Compare(s.KeyBytes(a, i), s.KeyBytes(b, i))

@@ -3,6 +3,7 @@ package mmdb
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -181,25 +182,54 @@ func TestLookupViaIndexAndScan(t *testing.T) {
 	}
 }
 
-func TestAscendRange(t *testing.T) {
+// TestSQLRangeProbe: a range WHERE on an indexed int64 column probes the
+// index — one random read per page holding a row instead of the scan's
+// sequential pass — and returns exactly the rows, in the order, that the
+// scan returns; a range too wide to pay for its random reads still scans.
+func TestSQLRangeProbe(t *testing.T) {
 	db := openTestDB(t)
-	emp, _ := loadCompany(t, db, 50, 5)
-	if err := emp.AscendRange("id", IntValue(0), func(Tuple) bool { return true }); err == nil {
-		t.Fatal("range scan without index succeeded")
+	emp, _ := loadCompany(t, db, 200, 5)
+	probed := []string{
+		"SELECT id, name FROM emp WHERE id >= 195",
+		"SELECT id, name FROM emp WHERE id >= 150 AND id < 160",
+		"SELECT id, name FROM emp WHERE id = 190 OR id = 7",
+		"SELECT id, name FROM emp WHERE id > 197 OR id <= 1",
+		"SELECT id, name FROM emp WHERE id > 150 AND id < 150",
+	}
+	const wide = "SELECT id, name FROM emp WHERE id >= 10"
+	scanned := map[string][][]Value{}
+	for _, q := range append(probed, wide) {
+		res, err := db.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c := res.Counters; c.SeqIOs != int64(emp.NumPages()) || c.RandIOs != 0 {
+			t.Fatalf("%s without an index: %v, want a scan of %d pages", q, c, emp.NumPages())
+		}
+		scanned[q] = res.Values()
 	}
 	if err := emp.CreateIndex("id", BTree); err != nil {
 		t.Fatal(err)
 	}
-	var ids []int64
-	err := emp.AscendRange("id", IntValue(45), func(tp Tuple) bool {
-		ids = append(ids, emp.Schema().Int(tp, 0))
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
+	for _, q := range append(probed, wide) {
+		res, err := db.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Values(); !reflect.DeepEqual(got, scanned[q]) {
+			t.Fatalf("%s: probe returned %v, scan %v", q, got, scanned[q])
+		}
+		c := res.Counters
+		if q == wide {
+			if c.SeqIOs != int64(emp.NumPages()) || c.RandIOs != 0 {
+				t.Fatalf("%s: %v, want the scan", q, c)
+			}
+		} else if c.SeqIOs != 0 || c.RandIOs > 2 {
+			t.Fatalf("%s: %v, want at most two random page reads", q, c)
+		}
 	}
-	if len(ids) != 5 || ids[0] != 45 || ids[4] != 49 {
-		t.Fatalf("range ids %v", ids)
+	if ids := scanned[probed[0]]; len(ids) != 5 || ids[0][0].I != 195 || ids[4][0].I != 199 {
+		t.Fatalf("id >= 195: %v", ids)
 	}
 }
 

@@ -195,8 +195,10 @@ func (r *Relation) Lookup(column string, v Value) ([]Tuple, error) {
 }
 
 // deleteWhere removes every row matching p, returning the count; a nil p
-// removes every row. Each victim's slot is freed in place and its entry
-// deleted from every index; no other row moves.
+// removes every row. The victims are found by the reads' access path
+// (readWhere), uncharged; each victim's slot is freed in place, in
+// storage order, and its entry deleted from every index; no other row
+// moves.
 func (r *Relation) deleteWhere(p expr.Predicate) (int64, error) {
 	var removed int64
 	err := r.withIntent(lock.Exclusive, func() error {
@@ -204,11 +206,9 @@ func (r *Relation) deleteWhere(p expr.Predicate) (int64, error) {
 		w := schema.Width()
 		var rids []heap.RID
 		var rows []byte // the victims, packed: index keys come from here
-		err := f.ScanRIDs(simio.Uncharged, func(rid heap.RID, t tuple.Tuple) bool {
-			if p == nil || p.Eval(t) {
-				rids = append(rids, rid)
-				rows = append(rows, t...)
-			}
+		err := readWhere(r.rel, f, newFilter(p), r.db.opts.Params, nil, func(rid heap.RID, t Tuple) bool {
+			rids = append(rids, rid)
+			rows = append(rows, t...)
 			return true
 		})
 		if err != nil {
@@ -235,33 +235,4 @@ func (r *Relation) deleteWhere(p expr.Predicate) (int64, error) {
 		return nil
 	})
 	return removed, err
-}
-
-// AscendRange walks rows with column >= start in key order until fn
-// returns false, via the column's index.
-func (r *Relation) AscendRange(column string, start Value, fn func(Tuple) bool) error {
-	schema := r.Schema()
-	col := schema.FieldIndex(column)
-	if col < 0 {
-		return fmt.Errorf("mmdb: relation %q has no column %q", r.Name(), column)
-	}
-	probe := make(Tuple, schema.Width())
-	if err := schema.Set(probe, col, start); err != nil {
-		return err
-	}
-	return r.withIntent(lock.Shared, func() error {
-		ix, ok := r.rel.Index(col)
-		if !ok {
-			return fmt.Errorf("mmdb: no index on %s.%s (range scans need one)", r.Name(), column)
-		}
-		var err error
-		ix.Ascend(schema.KeyBytes(probe, col), func(_ []byte, rid heap.RID) bool {
-			var t Tuple
-			if t, err = r.rel.File.Fetch(rid); err != nil {
-				return false
-			}
-			return fn(t)
-		})
-		return err
-	})
 }

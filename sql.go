@@ -255,28 +255,36 @@ func aggValue(g agg.Group, f agg.Func) Value {
 	}
 }
 
-// scan is the single-table source: a charged sequential scan, or the §3.4
+// read is table i's access path (readWhere) under its WHERE, charged to
+// the session: fn sees the passing rows in storage order until it
+// returns false.
+func (r *selectRun) read(i int, fn func(Tuple) bool) error {
+	s := r.s
+	rels, files, err := s.lockAndView(r.b.Tables[i].Name)
+	if err != nil {
+		return err
+	}
+	return readWhere(rels[0], files[0], newFilter(r.b.Preds[i]), s.clock.Params(), s.clock,
+		func(_ heap.RID, t Tuple) bool { return fn(t) })
+}
+
+// scan is the single-table source: the table's access path, or the §3.4
 // external sort when ORDER BY is present — ordering happens before
 // projection because the sort column need not be projected, and the
 // WHERE is applied to the sorted stream.
 func (r *selectRun) scan() error {
 	b, s := r.b, r.s
 	r.src[0] = b.Tables[0].Schema
-	f := newFilter(b.Preds[0])
-	collect := func(t Tuple) bool {
-		if !f.pass(s.clock, t) {
-			return true
-		}
-		r.emit(t, nil)
-		// Without a sort, a satisfied LIMIT stops the scan early.
-		return r.err == nil && (b.OrderCol >= 0 || b.Limit < 0 || int64(len(r.rows)) < b.Limit)
+	if b.OrderCol < 0 {
+		return r.read(0, func(t Tuple) bool {
+			r.emit(t, nil)
+			// Without a sort, a satisfied LIMIT stops the read early.
+			return r.err == nil && (b.Limit < 0 || int64(len(r.rows)) < b.Limit)
+		})
 	}
 	_, files, err := s.lockAndView(b.Tables[0].Name)
 	if err != nil {
 		return err
-	}
-	if b.OrderCol < 0 {
-		return files[0].Scan(simio.Seq, collect)
 	}
 	// The sort reads the base file uncharged and writes its runs as the
 	// sort-merge join does, within the whole grant.
@@ -294,25 +302,32 @@ func (r *selectRun) scan() error {
 	}
 	defer stream.Close()
 	s.db.sorts.record(stats)
+	f := newFilter(b.Preds[0])
 	for {
 		t, ok := stream.Next()
-		if !ok || !collect(t) {
+		if !ok {
 			return stream.Err()
+		}
+		if f.pass(s.clock, t) {
+			if r.emit(t, nil); r.err != nil {
+				return stream.Err()
+			}
 		}
 	}
 }
 
 // filtered returns table i's file for an operator that reads it whole (an
 // aggregate, a join leaf): the base file, or, under a predicate, a copy of
-// the passing rows the statement owns and the returned func drops — a
-// charged scan writing free (§3: intermediates are written uncharged).
+// the passing rows the statement owns and the returned func drops — the
+// table's charged access path writing free (§3: intermediates are written
+// uncharged).
 func (r *selectRun) filtered(i int) (*heap.File, func(), error) {
-	s, tbl, f := r.s, r.b.Tables[i], newFilter(r.b.Preds[i])
-	_, files, err := s.lockAndView(tbl.Name)
-	if err != nil {
-		return nil, nil, err
-	}
-	if f.pred == nil {
+	s, tbl := r.s, r.b.Tables[i]
+	if r.b.Preds[i] == nil {
+		_, files, err := s.lockAndView(tbl.Name)
+		if err != nil {
+			return nil, nil, err
+		}
 		return files[0], func() {}, nil
 	}
 	// A session runs one statement at a time, so its lock-table id and the
@@ -321,14 +336,12 @@ func (r *selectRun) filtered(i int) (*heap.File, func(), error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	scanErr := files[0].Scan(simio.Seq, func(t Tuple) bool {
-		if f.pass(s.clock, t) {
-			err = tmp.Append(t, simio.Uncharged)
-		}
+	readErr := r.read(i, func(t Tuple) bool {
+		err = tmp.Append(t, simio.Uncharged)
 		return err == nil
 	})
 	if err == nil {
-		err = scanErr
+		err = readErr
 	}
 	if err == nil {
 		err = tmp.Flush(simio.Uncharged)
@@ -378,22 +391,15 @@ func (r *selectRun) keyed() error {
 	return nil
 }
 
-// global folds an all-aggregate select list in one charged scan, each
-// aggregate accumulating over its own column. Aggregates of zero rows are
-// 0 (the engine has no NULLs, docs/SQL.md §3.5.2).
+// global folds an all-aggregate select list in one charged read of the
+// table's access path, each aggregate accumulating over its own column.
+// Aggregates of zero rows are 0 (the engine has no NULLs, docs/SQL.md
+// §3.5.2).
 func (r *selectRun) global() error {
 	b, s := r.b, r.s
 	schema := b.Tables[0].Schema
-	f := newFilter(b.Preds[0])
-	_, files, err := s.lockAndView(b.Tables[0].Name)
-	if err != nil {
-		return err
-	}
 	groups := make([]agg.Group, len(b.Aggs))
-	err = files[0].Scan(simio.Seq, func(t Tuple) bool {
-		if !f.pass(s.clock, t) {
-			return true
-		}
+	err := r.read(0, func(t Tuple) bool {
 		// One comparison per accumulated aggregate, mirroring the
 		// grouped path's per-tuple group-table charge.
 		s.clock.Comps(int64(len(b.Aggs)))

@@ -81,20 +81,15 @@ func dmlDelete(rng *rand.Rand, maxID int64) (string, func([3]int64) bool) {
 // non-unique dept), at widths 1 and 4. After every statement: SELECT
 // returns exactly the reference's rows in storage order, Lookup on every
 // key agrees with the reference (so with a scan), and NumTuples is the
-// live count.
+// live count. An indexed table also runs every statement on an unindexed
+// twin, and after each one a batch of SELECTs whose WHERE the index may
+// serve (oracleProbes) must return the twin's rows in the twin's order.
 func TestSQLDMLOracle(t *testing.T) {
 	for _, width := range []int{1, 4} {
 		for _, kind := range []string{"none", "btree", "avl"} {
 			t.Run(fmt.Sprintf("%s/w%d", kind, width), func(t *testing.T) {
-				db := MustOpen(Options{PageSize: 256, MemoryPages: 8, Parallelism: width})
-				rel, err := db.CreateRelation("t", MustSchema(
-					Field{Name: "id", Kind: Int64},
-					Field{Name: "dept", Kind: Int64},
-					Field{Name: "v", Kind: Int64},
-				))
-				if err != nil {
-					t.Fatal(err)
-				}
+				db, rel := openDMLOracleDB(t, width)
+				var twin *Database
 				if kind != "none" {
 					ix := map[string]IndexKind{"btree": BTree, "avl": AVL}[kind]
 					for _, col := range []string{"id", "dept"} {
@@ -102,10 +97,26 @@ func TestSQLDMLOracle(t *testing.T) {
 							t.Fatal(err)
 						}
 					}
+					twin, _ = openDMLOracleDB(t, width)
 				}
 				rng := rand.New(rand.NewSource(int64(36 + width)))
+				qrng := rand.New(rand.NewSource(int64(40 + width)))
 				ref := &dmlRef{}
 				var nextID int64
+				var probed int
+				query := func(at, q string) *SQLResult {
+					t.Helper()
+					res, err := db.Query(q)
+					if err != nil {
+						t.Fatalf("%s: %s: %v", at, q, err)
+					}
+					if twin != nil {
+						if _, err := twin.Query(q); err != nil {
+							t.Fatalf("%s: %s on the twin: %v", at, q, err)
+						}
+					}
+					return res
+				}
 				for step := 0; step < 400; step++ {
 					var stmt string
 					if rng.Intn(10) < 7 {
@@ -121,9 +132,7 @@ func TestSQLDMLOracle(t *testing.T) {
 							vals = append(vals, fmt.Sprintf("(%d, %d, %d)", row[0], row[1], row[2]))
 						}
 						stmt = "INSERT INTO t VALUES " + strings.Join(vals, ", ")
-						if _, err := db.Query(stmt); err != nil {
-							t.Fatalf("step %d: %s: %v", step, stmt, err)
-						}
+						query(fmt.Sprintf("step %d", step), stmt)
 					} else {
 						where, pred := dmlDelete(rng, nextID)
 						if where == "" && rng.Intn(4) != 0 {
@@ -134,15 +143,96 @@ func TestSQLDMLOracle(t *testing.T) {
 							stmt += " WHERE " + where
 						}
 						want := ref.delete(pred)
-						res, err := db.Query(stmt)
-						if err != nil || res.Affected != want {
-							t.Fatalf("step %d: %s: affected %v, want %d (%v)", step, stmt, res, want, err)
+						if res := query(fmt.Sprintf("step %d", step), stmt); res.Affected != want {
+							t.Fatalf("step %d: %s: affected %d, want %d", step, stmt, res.Affected, want)
 						}
 					}
-					checkDMLOracle(t, db, rel, ref, fmt.Sprintf("step %d (%s)", step, stmt))
+					at := fmt.Sprintf("step %d (%s)", step, stmt)
+					checkDMLOracle(t, db, rel, ref, at)
+					if twin == nil {
+						continue
+					}
+					for _, q := range oracleProbes(qrng, nextID) {
+						got, want := query(at, q), mustQuery(t, twin, q)
+						if !reflect.DeepEqual(got.Values(), want.Values()) {
+							t.Fatalf("%s: %s returned %v\nthe unindexed twin %v", at, q, got.Values(), want.Values())
+						}
+						if got.Counters.RandIOs > 0 {
+							probed++
+						}
+					}
+				}
+				if twin != nil && probed == 0 {
+					t.Fatal("no SELECT probed the index")
 				}
 			})
 		}
+	}
+}
+
+// openDMLOracleDB opens the oracle's database: the table t it mutates and
+// a five-row table d that t.dept joins.
+func openDMLOracleDB(t *testing.T, width int) (*Database, *Relation) {
+	t.Helper()
+	db := MustOpen(Options{PageSize: 256, MemoryPages: 8, Parallelism: width})
+	rel, err := db.CreateRelation("t", MustSchema(
+		Field{Name: "id", Kind: Int64},
+		Field{Name: "dept", Kind: Int64},
+		Field{Name: "v", Kind: Int64},
+	))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.CreateRelation("d", MustSchema(
+		Field{Name: "id", Kind: Int64},
+		Field{Name: "w", Kind: Int64},
+	)); err != nil {
+		t.Fatal(err)
+	}
+	mustQuery(t, db, "INSERT INTO d VALUES (0, 10), (1, 11), (2, 12), (3, 13), (4, 14)")
+	return db, rel
+}
+
+func mustQuery(t *testing.T, db *Database, q string) *SQLResult {
+	t.Helper()
+	res, err := db.Query(q)
+	if err != nil {
+		t.Fatalf("%s: %v", q, err)
+	}
+	return res
+}
+
+// oracleProbes is one batch of SELECTs over t whose WHERE an index on id
+// or dept may serve: every comparison, AND ranges, an empty range, the
+// int64 bounds, ORs with and without an unindexed branch, NOT and !=,
+// under each single-table source (scan, global and grouped aggregates,
+// a join's filtered leaf) and LIMIT.
+func oracleProbes(rng *rand.Rand, maxID int64) []string {
+	a, b := rng.Int63n(maxID+2)-1, rng.Int63n(maxID+2)-1
+	lo, hi := min(a, b), max(a, b)
+	d := rng.Int63n(6)
+	const cols = "SELECT id, dept, v FROM t WHERE "
+	return []string{
+		cols + fmt.Sprintf("id = %d", a),
+		cols + fmt.Sprintf("id < %d", a),
+		cols + fmt.Sprintf("id <= %d", a),
+		cols + fmt.Sprintf("id > %d", a),
+		cols + fmt.Sprintf("id >= %d", a),
+		cols + fmt.Sprintf("id >= %d AND id < %d", lo, hi),
+		cols + fmt.Sprintf("id > %d AND id < %d", hi, lo),
+		cols + "id >= -9223372036854775808 AND id <= 9223372036854775807",
+		cols + "id < -9223372036854775808 OR id > 9223372036854775807",
+		cols + fmt.Sprintf("id = %d OR id = %d", a, b),
+		cols + fmt.Sprintf("id = %d OR v < 50", a),
+		cols + fmt.Sprintf("NOT (id = %d)", a),
+		cols + fmt.Sprintf("id != %d", a),
+		cols + fmt.Sprintf("dept = %d", d),
+		cols + fmt.Sprintf("dept = %d AND id > %d", d, a),
+		cols + fmt.Sprintf("dept >= %d OR id = %d", d, a),
+		cols + fmt.Sprintf("id > %d LIMIT 2", a),
+		fmt.Sprintf("SELECT COUNT(*), SUM(v) FROM t WHERE id < %d", a),
+		fmt.Sprintf("SELECT dept, COUNT(*) FROM t WHERE id >= %d GROUP BY dept", a),
+		fmt.Sprintf("SELECT t.id, d.w FROM t JOIN d ON t.dept = d.id WHERE t.id <= %d", a),
 	}
 }
 

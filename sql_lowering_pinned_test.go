@@ -88,3 +88,17 @@ var pinnedSelects = []pinnedSelect{
 	{"SELECT emp.id, proj.id, city FROM emp JOIN dept ON emp.dept = dept.id JOIN proj ON proj.dept = dept.id WHERE salary >= 45000 AND hours > 20 ORDER BY emp.id DESC", 438, "[600 5 city4]", "[15 36 city0]", Counters{Comps: 1108, Hashes: 297, Moves: 191, Swaps: 0, SeqIOs: 156, RandIOs: 0}, 1569817000},
 	{"SELECT emp.id, proj.id, city FROM emp JOIN dept ON emp.dept = dept.id JOIN proj ON proj.dept = dept.id WHERE salary >= 45000 AND hours > 20 ORDER BY emp.id DESC LIMIT 7", 7, "[600 5 city4]", "[599 4 city3]", Counters{Comps: 1108, Hashes: 297, Moves: 191, Swaps: 0, SeqIOs: 156, RandIOs: 0}, 1569817000},
 }
+
+// pinnedProbes is what the §2 access path bills on newLoweringDB once
+// emp.id carries a B+-tree (600 entries, so ⌈log2 n⌉ = 10 comparisons per
+// descent; 100 pages): a point, a narrow range and the two-key OR probe —
+// their walk's comparisons, one random read per page holding a row and
+// the filter per fetched row — while the wide range walks until its price
+// passes the scan's, then scans, billing the abandoned walk's comparisons
+// on top of the scan the unindexed table bills.
+var pinnedProbes = []pinnedSelect{
+	{"SELECT id, salary FROM emp WHERE id = 300", 1, "[300 42630]", "[300 42630]", Counters{Comps: 13, Hashes: 0, Moves: 0, Swaps: 0, SeqIOs: 0, RandIOs: 1}, 25039000},
+	{"SELECT id, salary FROM emp WHERE id >= 100 AND id < 110", 10, "[100 40630]", "[109 43960]", Counters{Comps: 41, Hashes: 0, Moves: 0, Swaps: 0, SeqIOs: 0, RandIOs: 3}, 75123000},
+	{"SELECT id, salary FROM emp WHERE id = 300 OR id = 17", 2, "[17 45920]", "[300 42630]", Counters{Comps: 28, Hashes: 0, Moves: 0, Swaps: 0, SeqIOs: 0, RandIOs: 2}, 50084000},
+	{"SELECT id, salary FROM emp WHERE id > 100", 500, "[101 41000]", "[600 45630]", Counters{Comps: 847, Hashes: 0, Moves: 0, Swaps: 0, SeqIOs: 100, RandIOs: 0}, 1002541000},
+}

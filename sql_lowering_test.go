@@ -156,6 +156,28 @@ func TestSQLSelectLoweringPinned(t *testing.T) {
 	}
 }
 
+// TestSQLProbeLoweringPinned: the probe's bill, exact and the same at
+// widths 1 and 4.
+func TestSQLProbeLoweringPinned(t *testing.T) {
+	for _, width := range []int{1, 4} {
+		db := newLoweringDBWidth(t, width)
+		emp, err := db.Relation("emp")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := emp.CreateIndex("id", BTree); err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range pinnedProbes {
+			if got := observeSelect(t, db, want.q); got != want {
+				c := got.counters
+				t.Errorf("width %d drifted from the pinned probe; got:\n\t{%q, %d, %q, %q, Counters{Comps: %d, Hashes: %d, Moves: %d, Swaps: %d, SeqIOs: %d, RandIOs: %d}, %d},",
+					width, want.q, got.rows, got.first, got.last, c.Comps, c.Hashes, c.Moves, c.Swaps, c.SeqIOs, c.RandIOs, int64(got.elapsed))
+			}
+		}
+	}
+}
+
 // TestSQLSelectLeavesNothingBehind: a SELECT's intermediates are its own
 // files — after it returns, the simulated disk and the catalog hold
 // exactly what they held before.
@@ -224,9 +246,11 @@ func TestSelectConcurrentWithDelete(t *testing.T) {
 // TestSQLAllocBudget bounds allocations per statement for the shapes
 // bench/gen.go issues, at the values measured at commit 96883dc (the
 // lowering's per-tuple path must stay as lean as the closures it
-// replaced); the join's is the value measured once joins were planned,
-// the delete's the value measured once DELETE freed slots in place (a
-// full heap rewrite plus index rebuild cost 3 274).
+// replaced); the join's is the value measured once joins were planned.
+// The indexed point and the delete run on the table indexed by id, at
+// the values measured once the index served their WHERE (the delete's
+// victim scan cost 145 with slots freed in place, 3 274 with a full heap
+// rewrite plus index rebuild).
 // Allocation counts are meaningless under the race detector.
 func TestSQLAllocBudget(t *testing.T) {
 	if raceEnabled {
@@ -264,6 +288,18 @@ func TestSQLAllocBudget(t *testing.T) {
 	if err := emp.CreateIndex("id", BTree); err != nil {
 		t.Fatal(err)
 	}
+	// indexed point: the point shape once the index serves it, a probe
+	// reading one page instead of a scan reading 100.
+	const pointBudget = 67
+	got := testing.AllocsPerRun(20, func() {
+		if _, err := db.Query("SELECT id, salary FROM emp WHERE id = 300"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > pointBudget {
+		t.Errorf("indexed point: %.0f allocs per statement, budget %d", got, pointBudget)
+	}
+
 	var victims []Tuple
 	for _, id := range []int64{301, 300} {
 		rows, err := emp.Lookup("id", IntValue(id))
@@ -272,8 +308,8 @@ func TestSQLAllocBudget(t *testing.T) {
 		}
 		victims = append(victims, rows[0])
 	}
-	const budget = 145
-	got := allocsPerRunAfter(20, func() {
+	const budget = 65
+	got = allocsPerRunAfter(20, func() {
 		for _, v := range victims {
 			if err := emp.InsertTuple(v); err != nil {
 				t.Fatal(err)
