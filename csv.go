@@ -6,12 +6,13 @@ import (
 	"io"
 	"strconv"
 
+	"mmdb/internal/lock"
 	"mmdb/internal/simio"
 	"mmdb/internal/tuple"
 )
 
-// ExportCSV writes the relation as CSV. With header, the first row carries
-// the column names.
+// ExportCSV writes the relation as CSV, under a shared intent. With
+// header, the first row carries the column names.
 func (r *Relation) ExportCSV(w io.Writer, header bool) error {
 	cw := csv.NewWriter(w)
 	schema := r.Schema()
@@ -24,12 +25,16 @@ func (r *Relation) ExportCSV(w io.Writer, header bool) error {
 			return err
 		}
 	}
-	err := r.rel.File.Scan(simio.Uncharged, func(t tuple.Tuple) bool {
-		row := make([]string, schema.NumFields())
-		for i := range row {
-			row[i] = schema.Get(t, i).String()
-		}
-		return cw.Write(row) == nil
+	// The scan reads the stored pages in place: hold the shared intent
+	// that keeps writers off them.
+	err := r.withIntent(lock.Shared, func() error {
+		return r.rel.File.Scan(simio.Uncharged, func(t tuple.Tuple) bool {
+			row := make([]string, schema.NumFields())
+			for i := range row {
+				row[i] = schema.Get(t, i).String()
+			}
+			return cw.Write(row) == nil
+		})
 	})
 	if err != nil {
 		return err

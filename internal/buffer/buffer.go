@@ -150,9 +150,10 @@ func (p *Pool) Touch(key PageKey) bool {
 // to page n of space and, on a buffer fault, performs the actual disk read
 // with bounded virtual-time retry for injected transient faults
 // (fault.Retry). A hit reads the page uncharged — the page is memory
-// resident, the disk is not touched. It returns the page data, whether the
-// access faulted, and the (retry-exhausted or permanent) error if the
-// device could not serve the read.
+// resident, the disk is not touched. It returns the page data (the stored
+// image, simio.Space.Read's, not a copy), whether the access faulted, and
+// the (retry-exhausted or permanent) error if the device could not serve
+// the read.
 func (p *Pool) ReadThrough(space *simio.Space, n int, a simio.Access) ([]byte, bool, error) {
 	key := PageKey{Space: space.Name(), Page: n}
 	p.stats.Accesses++

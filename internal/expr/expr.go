@@ -1,8 +1,9 @@
 // Package expr implements typed selection predicates over tuples:
-// column-versus-constant comparisons composed with AND/OR/NOT. Predicates
-// evaluate against encoded tuples and carry enough structure for the
-// §4 planner to estimate their selectivity (via catalog histograms or
-// System R's textbook defaults).
+// column-versus-constant comparisons composed with AND/OR/NOT. A
+// predicate is evaluated by compiling it (Compile) into a test over
+// encoded tuples, and carries enough structure for the §4 planner to
+// estimate its selectivity (via catalog histograms or System R's
+// textbook defaults) and bound an index walk (Ranges).
 package expr
 
 import (
@@ -44,14 +45,14 @@ func (o Op) String() string {
 	}
 }
 
-// Predicate is a boolean expression over one relation's tuples.
+// Predicate is a boolean expression over one relation's tuples; Compile
+// evaluates it.
 type Predicate interface {
-	// Eval reports whether t satisfies the predicate.
-	Eval(t tuple.Tuple) bool
 	// String renders the predicate.
 	String() string
-	// Walk visits every comparison leaf (for selectivity estimation).
-	Walk(fn func(c *Comparison))
+	// Leaves counts the comparison leaves: what one evaluation costs on
+	// §2's clock, in comparisons.
+	Leaves() int64
 }
 
 // Comparison is a leaf: column <op> constant.
@@ -79,75 +80,35 @@ func NewComparison(schema *tuple.Schema, col int, op Op, v tuple.Value) (*Compar
 	return &Comparison{schema: schema, Col: col, Op: op, Value: v}, nil
 }
 
-// Eval implements Predicate.
-func (c *Comparison) Eval(t tuple.Tuple) bool {
-	cmp := tuple.Compare(c.schema.Get(t, c.Col), c.Value)
-	switch c.Op {
-	case Eq:
-		return cmp == 0
-	case Ne:
-		return cmp != 0
-	case Lt:
-		return cmp < 0
-	case Le:
-		return cmp <= 0
-	case Gt:
-		return cmp > 0
-	case Ge:
-		return cmp >= 0
-	default:
-		panic("expr: invalid operator")
-	}
-}
-
 // String implements Predicate.
 func (c *Comparison) String() string {
 	return fmt.Sprintf("%s %v %v", c.schema.Field(c.Col).Name, c.Op, c.Value)
 }
 
-// Walk implements Predicate.
-func (c *Comparison) Walk(fn func(*Comparison)) { fn(c) }
+// Leaves implements Predicate.
+func (c *Comparison) Leaves() int64 { return 1 }
 
 type and struct{ kids []Predicate }
 
-func (a *and) Eval(t tuple.Tuple) bool {
-	for _, k := range a.kids {
-		if !k.Eval(t) {
-			return false
-		}
-	}
-	return true
-}
 func (a *and) String() string { return joinKids(a.kids, " AND ") }
-func (a *and) Walk(fn func(*Comparison)) {
-	for _, k := range a.kids {
-		k.Walk(fn)
-	}
-}
+func (a *and) Leaves() int64  { return leaves(a.kids) }
 
 type or struct{ kids []Predicate }
 
-func (o *or) Eval(t tuple.Tuple) bool {
-	for _, k := range o.kids {
-		if k.Eval(t) {
-			return true
-		}
-	}
-	return false
-}
 func (o *or) String() string { return joinKids(o.kids, " OR ") }
-func (o *or) Walk(fn func(*Comparison)) {
-	for _, k := range o.kids {
-		k.Walk(fn)
-	}
-}
+func (o *or) Leaves() int64  { return leaves(o.kids) }
 
 type not struct{ kid Predicate }
 
-func (n *not) Eval(t tuple.Tuple) bool { return !n.kid.Eval(t) }
-func (n *not) String() string          { return "NOT (" + n.kid.String() + ")" }
-func (n *not) Walk(fn func(*Comparison)) {
-	n.kid.Walk(fn)
+func (n *not) String() string { return "NOT (" + n.kid.String() + ")" }
+func (n *not) Leaves() int64  { return n.kid.Leaves() }
+
+func leaves(ps []Predicate) int64 {
+	n := int64(0)
+	for _, p := range ps {
+		n += p.Leaves()
+	}
+	return n
 }
 
 // And conjoins predicates (true for none).
@@ -174,9 +135,8 @@ var TrueP Predicate = &truePred{}
 
 type truePred struct{}
 
-func (*truePred) Eval(tuple.Tuple) bool  { return true }
-func (*truePred) String() string         { return "TRUE" }
-func (*truePred) Walk(func(*Comparison)) {}
+func (*truePred) String() string { return "TRUE" }
+func (*truePred) Leaves() int64  { return 0 }
 
 func joinKids(ps []Predicate, sep string) string {
 	parts := make([]string, len(ps))

@@ -42,12 +42,12 @@ func TestComparisonOperators(t *testing.T) {
 	}
 	for _, tc := range cases {
 		c := cmp(t, 0, tc.op, tuple.IntValue(tc.v))
-		if got := c.Eval(r); got != tc.want {
+		if got := Compile(c, schema)(r); got != tc.want {
 			t.Errorf("5 %v %d = %v", tc.op, tc.v, got)
 		}
 	}
 	sc := cmp(t, 1, Eq, tuple.StringValue("hello"))
-	if !sc.Eval(r) {
+	if !Compile(sc, schema)(r) {
 		t.Error("string equality failed")
 	}
 }
@@ -74,7 +74,7 @@ func TestCompositesMatchBooleanAlgebra(t *testing.T) {
 		bnot := Not(band)
 		wantAnd := a >= lo && a <= hi
 		wantOr := a >= lo || a <= hi
-		return band.Eval(r) == wantAnd && bor.Eval(r) == wantOr && bnot.Eval(r) == !wantAnd
+		return Compile(band, schema)(r) == wantAnd && Compile(bor, schema)(r) == wantOr && Compile(bnot, schema)(r) == !wantAnd
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -92,12 +92,10 @@ func TestStringRendering(t *testing.T) {
 	}
 }
 
-func TestWalkVisitsEveryLeaf(t *testing.T) {
-	p := Or(And(cmp(t, 0, Eq, tuple.IntValue(1)), cmp(t, 0, Lt, tuple.IntValue(9))), Not(cmp(t, 1, Eq, tuple.StringValue("q"))))
-	n := 0
-	p.Walk(func(*Comparison) { n++ })
-	if n != 3 {
-		t.Fatalf("walked %d leaves", n)
+func TestLeavesCountsEveryLeaf(t *testing.T) {
+	p := Or(And(cmp(t, 0, Eq, tuple.IntValue(1)), cmp(t, 0, Lt, tuple.IntValue(9))), Not(cmp(t, 1, Eq, tuple.StringValue("q"))), TrueP)
+	if n := p.Leaves(); n != 3 {
+		t.Fatalf("counted %d leaves", n)
 	}
 }
 

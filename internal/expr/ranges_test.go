@@ -85,7 +85,7 @@ func TestRangesSuperset(t *testing.T) {
 		}
 		for _, v := range vals {
 			for _, s := range []string{"a", "b"} {
-				if !p.Eval(row(v, s)) || !ok {
+				if !eval(p, row(v, s)) || !ok {
 					continue
 				}
 				in := false

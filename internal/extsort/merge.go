@@ -67,10 +67,12 @@ func (s *sliceStream) Close() error {
 
 // runCursor reads one run a page at a time (one buffer page per run, as in
 // §3.4 step 2). Page reads are charged as random IO. Served tuples are
-// views into the page copy simio.Space.Read hands back, which stays valid
-// after the cursor advances; only the file's live append buffer (never hit
-// in practice — runs are flushed before merging) needs a defensive clone.
-// The run file is dropped as soon as the cursor exhausts it.
+// views into the run's stored page (heap.File.ReadPage), which stays valid
+// after the cursor advances: a run is never written after its flush, and
+// dropping it only unlinks its pages. Only the file's live append buffer
+// (never hit in practice — runs are flushed before merging) needs a
+// defensive clone. The run file is dropped as soon as the cursor exhausts
+// it.
 type runCursor struct {
 	file *heap.File
 	page int

@@ -307,10 +307,18 @@ func (f *File) writeCur(a simio.Access) error {
 	return nil
 }
 
-// ReadPage returns the n-th page of the file. The append buffer, while it
-// holds tuples no write has reached, is addressable as page NumPages()-1
-// and never charges IO. Like writeCur, injected transient faults are
-// absorbed by bounded retry. The page may hold dead slots; Scan skips them.
+// ReadPage returns the n-th page of the file: the stored page image, not
+// a copy (simio.Space.Read). The append buffer, while it holds tuples no
+// write has reached, is addressable as page NumPages()-1 and never charges
+// IO. Like writeCur, injected transient faults are absorbed by bounded
+// retry. The page may hold dead slots; Scan skips them.
+//
+// The page stays as it is while no one mutates the file: a base
+// relation's reader holds a shared intent and its writers an exclusive
+// one, and a temporary file (a sort run, a hash partition) is written
+// only before it is read. A Flush after appends rewrites the last page in
+// place, and Insert refills freed slots in place, so a view must not be
+// held across a mutation, and the caller must never write through it.
 func (f *File) ReadPage(n int, a simio.Access) (page.TuplePage, error) {
 	flushed := f.space.NumPages()
 	if f.dirty && n == flushed-1 {
@@ -336,16 +344,63 @@ func (f *File) ReadPage(n int, a simio.Access) (page.TuplePage, error) {
 
 // Scan iterates every live tuple in file order, reading each page with
 // the given access kind, until fn returns false. The tuple views passed to
-// fn are only valid during the call; Clone to retain.
+// fn point into the stored pages (ReadPage): they stay valid only while
+// the file is not mutated, so Clone a tuple that outlives the caller's
+// intent or the call.
 func (f *File) Scan(a simio.Access, fn func(t tuple.Tuple) bool) error {
 	return f.ScanRange(0, f.NumPages(), a, fn)
 }
 
 // ScanRange iterates the live tuples of pages [start, end) in file order,
 // until fn returns false. The chunked sort's formation workers each scan
-// their own disjoint page range concurrently; like Scan, the tuple views
-// passed to fn are only valid during the call.
+// their own disjoint page range concurrently; the tuple views are Scan's.
 func (f *File) ScanRange(start, end int, a simio.Access, fn func(t tuple.Tuple) bool) error {
+	return f.scan(start, end, a, func(_ RID, t tuple.Tuple) bool { return fn(t) })
+}
+
+// ScanRIDs is Scan that also passes each tuple's address.
+func (f *File) ScanRIDs(a simio.Access, fn func(rid RID, t tuple.Tuple) bool) error {
+	return f.scan(0, f.NumPages(), a, fn)
+}
+
+// scan calls fn with each live slot's address and tuple view on pages
+// [start, end), until fn returns false.
+func (f *File) scan(start, end int, a simio.Access, fn func(rid RID, t tuple.Tuple) bool) error {
+	return f.ScanPages(start, end, a, func(p Page) bool {
+		for j, n := 0, p.Count(); j < n; j++ {
+			if p.Live(j) && !fn(RID{Page: p.N, Slot: int32(j)}, p.At(j)) {
+				return false
+			}
+		}
+		return true
+	})
+}
+
+// Page is one page of a scan: its number, its image (ReadPage's view of
+// the stored page) and which of its slots are live.
+type Page struct {
+	page.TuplePage
+	N     int32
+	width int
+	dead  []uint64
+}
+
+// Live reports whether slot j holds a live tuple.
+func (p Page) Live(j int) bool { return !isDead(p.dead, j) }
+
+// At is slot j's tuple view, for j below Count: Tuple without its range
+// check, which a scan's per-row loop need not repeat.
+func (p Page) At(j int) tuple.Tuple {
+	off := page.SlotOffset(j, p.width)
+	return p.Bytes()[off : off+p.width : off+p.width]
+}
+
+// ScanPages is the one page walk every scan wraps: it reads pages [start,
+// end) in file order with access a and calls fn with each, until fn
+// returns false. A reader that works a page at a time (the engine's
+// filtered read, which charges its predicate per page) walks the slots
+// itself, skipping those that are not Live.
+func (f *File) ScanPages(start, end int, a simio.Access, fn func(p Page) bool) error {
 	if n := f.NumPages(); end > n {
 		end = n
 	}
@@ -354,42 +409,12 @@ func (f *File) ScanRange(start, end int, a simio.Access, fn func(t tuple.Tuple) 
 		if err != nil {
 			return err
 		}
-		dead := f.deadSlots(i)
-		for j, n := 0, p.Count(); j < n; j++ {
-			if dead != nil && isDead(dead, j) {
-				continue
-			}
-			if !fn(p.Tuple(j)) {
-				return nil
-			}
+		var dead []uint64
+		if len(f.dead) > 0 {
+			dead = f.dead[int32(i)]
 		}
-	}
-	return nil
-}
-
-// deadSlots returns page i's dead-slot bitmap, nil when it has none.
-func (f *File) deadSlots(i int) []uint64 {
-	if len(f.dead) == 0 {
-		return nil
-	}
-	return f.dead[int32(i)]
-}
-
-// ScanRIDs is Scan that also passes each tuple's address.
-func (f *File) ScanRIDs(a simio.Access, fn func(rid RID, t tuple.Tuple) bool) error {
-	for i, n := 0, f.NumPages(); i < n; i++ {
-		p, err := f.ReadPage(i, a)
-		if err != nil {
-			return err
-		}
-		dead := f.deadSlots(i)
-		for j, n := 0, p.Count(); j < n; j++ {
-			if isDead(dead, j) {
-				continue
-			}
-			if !fn(RID{Page: int32(i), Slot: int32(j)}, p.Tuple(j)) {
-				return nil
-			}
+		if !fn(Page{TuplePage: p, N: int32(i), width: f.schema.Width(), dead: dead}) {
+			return nil
 		}
 	}
 	return nil

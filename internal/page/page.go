@@ -104,7 +104,7 @@ func (p TuplePage) Tuple(i int) tuple.Tuple {
 		panic(fmt.Sprintf("page: tuple index %d out of range [0,%d)", i, p.Count()))
 	}
 	off := SlotOffset(i, p.width)
-	return tuple.Tuple(p.data[off : off+p.width])
+	return tuple.Tuple(p.data[off : off+p.width : off+p.width])
 }
 
 // Set overwrites the i-th tuple in place.

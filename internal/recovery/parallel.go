@@ -171,6 +171,8 @@ func Recover(in Input) (*store.Store, Info, error) {
 			if p == 0 {
 				access = simio.Rand // seek to the segment file
 			}
+			// The image is the stored page: segments are append-only,
+			// and decoding copies each record out of it.
 			img, err := sp.Read(p, access)
 			if err != nil {
 				return err

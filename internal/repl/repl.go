@@ -252,6 +252,8 @@ func (r *Replica) deliver(frames [][]byte) {
 		if p == r.nextRead {
 			access = simio.Rand
 		}
+		// The image is the stored page: the relay is append-only, and
+		// decoding copies each record out of it.
 		img, err := view.Read(p, access)
 		if err != nil {
 			panic(fmt.Sprintf("repl: relay read: %v", err))

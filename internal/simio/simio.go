@@ -253,19 +253,21 @@ func (s *Space) Write(n int, data []byte, a Access) error {
 	return nil
 }
 
-// Read returns a copy of page n.
+// Read returns page n's stored image, not a copy: the disk is memory
+// resident, so a read is a view of the page, and a later Write or WriteAt
+// of the page shows through it. The caller must not modify the image, and
+// may rely on it only while no one writes the page (docs/ARCHITECTURE.md,
+// "Page lifetime").
 func (s *Space) Read(n int, a Access) ([]byte, error) {
 	if err := s.charge(a); err != nil {
 		return nil, err
 	}
 	s.data.mu.Lock()
+	defer s.data.mu.Unlock()
 	if n < 0 || n >= len(s.data.pages) {
-		s.data.mu.Unlock()
 		return nil, fmt.Errorf("simio: read of page %d of %q (have %d pages)", n, s.name, len(s.data.pages))
 	}
-	out := append([]byte(nil), s.data.pages[n]...)
-	s.data.mu.Unlock()
-	return out, nil
+	return s.data.pages[n], nil
 }
 
 // ReadAt copies len(dst) bytes of page n, starting at byte off, into dst:

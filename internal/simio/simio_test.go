@@ -55,19 +55,22 @@ func TestReadWriteRoundTripAndPadding(t *testing.T) {
 	if len(data) != 256 || string(data[:5]) != "hello" || data[5] != 0 {
 		t.Fatalf("read back %q", data[:8])
 	}
-	// Overwrite with shorter data zero-pads the remainder.
+	// Overwrite with shorter data zero-pads the remainder. Read hands out
+	// the stored image, so the write shows through the earlier read.
 	if err := s.Write(0, []byte("hi"), Uncharged); err != nil {
 		t.Fatal(err)
 	}
-	data, _ = s.Read(0, Uncharged)
 	if string(data[:2]) != "hi" || data[2] != 0 {
-		t.Fatalf("overwrite produced %q", data[:8])
+		t.Fatalf("overwrite produced %q through the earlier read", data[:8])
 	}
-	// Mutating the returned copy must not affect the page.
-	data[0] = 'X'
-	again, _ := s.Read(0, Uncharged)
-	if again[0] != 'h' {
-		t.Fatal("Read returned a shared buffer")
+	if again, _ := s.Read(0, Uncharged); &again[0] != &data[0] {
+		t.Fatal("Read returned a copy, not the stored page")
+	}
+	if err := s.WriteAt(0, 1, []byte("o"), Uncharged); err != nil {
+		t.Fatal(err)
+	}
+	if string(data[:3]) != "ho\x00" {
+		t.Fatalf("WriteAt produced %q through the earlier read", data[:8])
 	}
 }
 

@@ -206,7 +206,7 @@ func (r *Relation) deleteWhere(p expr.Predicate) (int64, error) {
 		w := schema.Width()
 		var rids []heap.RID
 		var rows []byte // the victims, packed: index keys come from here
-		err := readWhere(r.rel, f, newFilter(p), r.db.opts.Params, nil, func(rid heap.RID, t Tuple) bool {
+		err := readWhere(r.rel, f, newFilter(p, schema), r.db.opts.Params, nil, func(rid heap.RID, t Tuple) bool {
 			rids = append(rids, rid)
 			rows = append(rows, t...)
 			return true

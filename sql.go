@@ -145,13 +145,29 @@ type selectRun struct {
 	out *Schema
 
 	// emit reads output column i from field cols[i].Col of its first
-	// (Table 0) or second (Table 1) argument, laid out per src[Table].
-	src  [2]*Schema
-	cols []sqlfront.Output
+	// (Table 0) or second (Table 1) argument, laid out per src[Table];
+	// spans is that copy plan, made by layout once src is known.
+	src     [2]*Schema
+	cols    []sqlfront.Output
+	spans   []span
+	spanBuf [4]span // spans' backing for a short select list
 
-	rows      []Tuple
-	err       error // an emit error; scans stop on it
+	// The result rows, packed in emission order into chunks that row
+	// carves them from, n rows in all; results cuts them into rows.
+	chunks    [][]byte
+	chunk0    [1][]byte // chunks' backing until a second chunk
+	n         int
+	err       error // an aggRow error
 	ascending bool  // rows arrive in ascending ORDER BY / group-key order
+}
+
+// span is one output column's bytes: width bytes at off in the source
+// row of table, copied to at in the result row. A string's bytes past its
+// first NUL are cleared, so a result row is the canonical encoding of the
+// value Schema.Get reads from the source.
+type span struct {
+	table, off, width, at int
+	str                   bool
 }
 
 func (s *Session) execSelect(b *sqlfront.BoundSelect) (*SQLResult, error) {
@@ -160,6 +176,7 @@ func (s *Session) execSelect(b *sqlfront.BoundSelect) (*SQLResult, error) {
 		return nil, err
 	}
 	r := &selectRun{s: s, b: b, out: out, cols: b.Cols}
+	r.chunks = r.chunk0[:0]
 	switch {
 	case b.GroupBy >= 0:
 		err = r.keyed()
@@ -177,7 +194,7 @@ func (s *Session) execSelect(b *sqlfront.BoundSelect) (*SQLResult, error) {
 		return nil, err
 	}
 
-	rows := r.rows
+	rows := r.results()
 	switch {
 	case r.ascending:
 		if b.Desc {
@@ -201,28 +218,76 @@ func (s *Session) execSelect(b *sqlfront.BoundSelect) (*SQLResult, error) {
 	return &SQLResult{Schema: out, Rows: rows}, nil
 }
 
-// emit projects one source row, or one joined (left, right) pair, into a
-// fresh result tuple.
-func (r *selectRun) emit(t0, t1 Tuple) {
-	out := make(Tuple, r.out.Width())
+// layout plans emit's copies from src[0] and src[1]. An output column
+// has its source column's kind and width (resultSchema), so projecting
+// is copying bytes.
+func (r *selectRun) layout() {
+	r.spans = r.spanBuf[:0]
 	for i, c := range r.cols {
-		t, schema := t0, r.src[0]
-		if c.Table == 1 {
-			t, schema = t1, r.src[1]
+		src := r.src[c.Table]
+		r.spans = append(r.spans, span{table: c.Table, off: src.Offset(c.Col), width: src.FieldWidth(c.Col),
+			at: r.out.Offset(i), str: src.Field(c.Col).Kind == tuple.String})
+	}
+}
+
+// emit projects one source row, or one joined (left, right) pair, into a
+// result row. The sources are views into pages, the result a copy.
+func (r *selectRun) emit(t0, t1 Tuple) {
+	out := r.row()
+	for _, sp := range r.spans {
+		t := t0
+		if sp.table == 1 {
+			t = t1
 		}
-		if err := r.out.Set(out, i, schema.Get(t, c.Col)); err != nil {
-			r.err = err
-			return
+		dst := out[sp.at : sp.at+sp.width]
+		copy(dst, t[sp.off:])
+		if sp.str {
+			if j := bytes.IndexByte(dst, 0); j >= 0 {
+				clear(dst[j:])
+			}
 		}
 	}
-	r.rows = append(r.rows, out)
+}
+
+// row returns the next result row, zeroed, carved from the statement's
+// chunks: each chunk holds twice the rows of the last, up to 64 KB, so n
+// rows cost O(log n) allocations rather than n.
+func (r *selectRun) row() Tuple {
+	w := r.out.Width()
+	last := len(r.chunks) - 1
+	if last < 0 || cap(r.chunks[last])-len(r.chunks[last]) < w {
+		rows := 16
+		if last >= 0 {
+			rows = min(2*cap(r.chunks[last])/w, max(1, 64<<10/w))
+		}
+		r.chunks = append(r.chunks, make([]byte, 0, rows*w))
+		last++
+	}
+	c := r.chunks[last]
+	r.chunks[last] = c[:len(c)+w]
+	r.n++
+	return Tuple(c[len(c) : len(c)+w])
+}
+
+// results cuts the chunks into the result rows, in emission order. A
+// row's capacity ends at its own last byte, so appending to one cannot
+// reach the next.
+func (r *selectRun) results() []Tuple {
+	w := r.out.Width()
+	rows := make([]Tuple, 0, r.n)
+	for _, c := range r.chunks {
+		for off := 0; off < len(c); off += w {
+			rows = append(rows, Tuple(c[off:off+w:off+w]))
+		}
+	}
+	return rows
 }
 
 // aggRow appends one aggregate output row: the key under the group column
 // (a grouped select list projects at most that), then aggregate i read
 // off gs[i] — or off gs[0] when the aggregates share one group.
 func (r *selectRun) aggRow(key Value, gs []agg.Group) {
-	out := make(Tuple, r.out.Width())
+	out := r.row()
 	n := len(r.b.Cols)
 	for i := 0; i < n && r.err == nil; i++ {
 		r.err = r.out.Set(out, i, key)
@@ -236,7 +301,6 @@ func (r *selectRun) aggRow(key Value, gs []agg.Group) {
 			r.err = r.out.Set(out, n+j, aggValue(g, a.Func))
 		}
 	}
-	r.rows = append(r.rows, out)
 }
 
 // aggValue renders one aggregate of a finished group in its output kind.
@@ -257,14 +321,16 @@ func aggValue(g agg.Group, f agg.Func) Value {
 
 // read is table i's access path (readWhere) under its WHERE, charged to
 // the session: fn sees the passing rows in storage order until it
-// returns false.
-func (r *selectRun) read(i int, fn func(Tuple) bool) error {
-	s := r.s
-	rels, files, err := s.lockAndView(r.b.Tables[i].Name)
+// returns false, and each costs fold comparisons more (filter.fold).
+func (r *selectRun) read(i int, fold int64, fn func(Tuple) bool) error {
+	s, tbl := r.s, r.b.Tables[i]
+	rels, files, err := s.lockAndView(tbl.Name)
 	if err != nil {
 		return err
 	}
-	return readWhere(rels[0], files[0], newFilter(r.b.Preds[i]), s.clock.Params(), s.clock,
+	f := newFilter(r.b.Preds[i], tbl.Schema)
+	f.fold = fold
+	return readWhere(rels[0], files[0], f, s.clock.Params(), s.clock,
 		func(_ heap.RID, t Tuple) bool { return fn(t) })
 }
 
@@ -275,11 +341,12 @@ func (r *selectRun) read(i int, fn func(Tuple) bool) error {
 func (r *selectRun) scan() error {
 	b, s := r.b, r.s
 	r.src[0] = b.Tables[0].Schema
+	r.layout()
 	if b.OrderCol < 0 {
-		return r.read(0, func(t Tuple) bool {
+		return r.read(0, 0, func(t Tuple) bool {
 			r.emit(t, nil)
 			// Without a sort, a satisfied LIMIT stops the read early.
-			return r.err == nil && (b.Limit < 0 || int64(len(r.rows)) < b.Limit)
+			return b.Limit < 0 || int64(r.n) < b.Limit
 		})
 	}
 	_, files, err := s.lockAndView(b.Tables[0].Name)
@@ -302,16 +369,17 @@ func (r *selectRun) scan() error {
 	}
 	defer stream.Close()
 	s.db.sorts.record(stats)
-	f := newFilter(b.Preds[0])
+	f := newFilter(b.Preds[0], r.src[0])
+	var examined int64
+	defer func() { f.charge(s.clock, examined, 0) }()
 	for {
 		t, ok := stream.Next()
 		if !ok {
 			return stream.Err()
 		}
-		if f.pass(s.clock, t) {
-			if r.emit(t, nil); r.err != nil {
-				return stream.Err()
-			}
+		examined++
+		if f.pass(t) {
+			r.emit(t, nil)
 		}
 	}
 }
@@ -336,7 +404,7 @@ func (r *selectRun) filtered(i int) (*heap.File, func(), error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	readErr := r.read(i, func(t Tuple) bool {
+	readErr := r.read(i, 0, func(t Tuple) bool {
 		err = tmp.Append(t, simio.Uncharged)
 		return err == nil
 	})
@@ -384,7 +452,6 @@ func (r *selectRun) keyed() error {
 	}
 	sort.Slice(groups, func(i, j int) bool { return tuple.Compare(groups[i].Key, groups[j].Key) < 0 })
 	r.ascending = true
-	r.rows = make([]Tuple, 0, len(groups))
 	for i := range groups {
 		r.aggRow(groups[i].Key, groups[i:i+1])
 	}
@@ -396,13 +463,12 @@ func (r *selectRun) keyed() error {
 // Aggregates of zero rows are 0 (the engine has no NULLs, docs/SQL.md
 // §3.5.2).
 func (r *selectRun) global() error {
-	b, s := r.b, r.s
+	b := r.b
 	schema := b.Tables[0].Schema
 	groups := make([]agg.Group, len(b.Aggs))
-	err := r.read(0, func(t Tuple) bool {
-		// One comparison per accumulated aggregate, mirroring the
-		// grouped path's per-tuple group-table charge.
-		s.clock.Comps(int64(len(b.Aggs)))
+	// One comparison per accumulated aggregate, mirroring the grouped
+	// path's per-tuple group-table charge, billed with the read's.
+	err := r.read(0, int64(len(b.Aggs)), func(t Tuple) bool {
 		for i, a := range b.Aggs {
 			g := &groups[i]
 			var v int64
@@ -470,6 +536,7 @@ func (r *selectRun) planned() error {
 	}
 	return planner.Execute(q, p, spec, func(left, right *heap.File) (join.Emit, error) {
 		r.src[0], r.src[1] = left.Schema(), right.Schema()
+		r.layout()
 		return r.emit, nil
 	})
 }

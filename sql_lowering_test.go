@@ -244,13 +244,12 @@ func TestSelectConcurrentWithDelete(t *testing.T) {
 }
 
 // TestSQLAllocBudget bounds allocations per statement for the shapes
-// bench/gen.go issues, at the values measured at commit 96883dc (the
-// lowering's per-tuple path must stay as lean as the closures it
-// replaced); the join's is the value measured once joins were planned.
-// The indexed point and the delete run on the table indexed by id, at
-// the values measured once the index served their WHERE (the delete's
-// victim scan cost 145 with slots freed in place, 3 274 with a full heap
-// rewrite plus index rebuild).
+// bench/gen.go issues, at the values measured once reads took pages in
+// place, compiled their WHERE and carved result rows from chunks, plus a
+// margin of two or three. The indexed point and the delete run on the
+// table indexed by id. The unfiltered projection runs on the scan fixture
+// (20 000 rows): its rows cost O(log n) allocations, not one each (20 183
+// per statement when each row was its own allocation).
 // Allocation counts are meaningless under the race detector.
 func TestSQLAllocBudget(t *testing.T) {
 	if raceEnabled {
@@ -261,11 +260,11 @@ func TestSQLAllocBudget(t *testing.T) {
 		shape, q string
 		budget   float64
 	}{
-		{"point", "SELECT id, salary FROM emp WHERE id = 300", 157},
-		{"fetch", "SELECT * FROM emp WHERE dept = 3", 331},
-		{"join", "SELECT proj.id, emp.salary FROM proj JOIN emp ON proj.dept = emp.id WHERE proj.hours < 50", 334},
-		{"group", "SELECT dept, COUNT(*), SUM(salary) FROM emp GROUP BY dept ORDER BY dept", 204},
-		{"topk", "SELECT id, salary FROM emp WHERE salary >= 43000 ORDER BY salary DESC LIMIT 20", 1395},
+		{"point", "SELECT id, salary FROM emp WHERE id = 300", 58},
+		{"fetch", "SELECT * FROM emp WHERE dept = 3", 58},
+		{"join", "SELECT proj.id, emp.salary FROM proj JOIN emp ON proj.dept = emp.id WHERE proj.hours < 50", 197},
+		{"group", "SELECT dept, COUNT(*), SUM(salary) FROM emp GROUP BY dept ORDER BY dept", 100},
+		{"topk", "SELECT id, salary FROM emp WHERE salary >= 43000 ORDER BY salary DESC LIMIT 20", 893},
 	} {
 		got := testing.AllocsPerRun(20, func() {
 			if _, err := db.Query(c.q); err != nil {
@@ -290,7 +289,7 @@ func TestSQLAllocBudget(t *testing.T) {
 	}
 	// indexed point: the point shape once the index serves it, a probe
 	// reading one page instead of a scan reading 100.
-	const pointBudget = 67
+	const pointBudget = 66
 	got := testing.AllocsPerRun(20, func() {
 		if _, err := db.Query("SELECT id, salary FROM emp WHERE id = 300"); err != nil {
 			t.Fatal(err)
@@ -322,6 +321,18 @@ func TestSQLAllocBudget(t *testing.T) {
 	})
 	if got > budget {
 		t.Errorf("delete: %.0f allocs per statement, budget %d", got, budget)
+	}
+
+	// all: every row of the scan fixture, projected.
+	const allBudget = 64
+	scan := newScanDB(t)
+	got = testing.AllocsPerRun(5, func() {
+		if res, err := scan.Query("SELECT id FROM emp"); err != nil || len(res.Rows) != scanRows {
+			t.Fatalf("all: %v", err)
+		}
+	})
+	if got > allBudget {
+		t.Errorf("all: %.0f allocs per statement, budget %d", got, allBudget)
 	}
 }
 

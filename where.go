@@ -11,7 +11,6 @@ import (
 	"mmdb/internal/cost"
 	"mmdb/internal/expr"
 	"mmdb/internal/heap"
-	"mmdb/internal/page"
 	"mmdb/internal/simio"
 	"mmdb/internal/tuple"
 )
@@ -50,37 +49,38 @@ func (db *Database) BuildHistogram(relation, column string, buckets int) error {
 	return err
 }
 
-// filter is a predicate with its evaluation charge: one comparison per
-// leaf (min 1), counted once. Every charged predicate evaluation in the
-// engine (a SQL WHERE) goes through pass.
+// filter is a table's WHERE, compiled once per statement, with its
+// evaluation charge: one comparison per leaf (min 1) for every row it
+// examines. A read adds the charge up and bills it once per page
+// (readWhere), or once per statement on the sorted stream (scan), so the
+// clock sees the same totals as a per-row charge at every exit — a LIMIT
+// stop, a consumer that stops, a read error mid-scan.
 type filter struct {
 	pred   expr.Predicate
+	test   func(Tuple) bool // pred compiled; nil passes every row for free
 	leaves int64
+	// fold is what the consumer of the passing rows charges per row, in
+	// comparisons (a global aggregate's accumulators), billed with the
+	// filter's own charge.
+	fold int64
 }
 
-func newFilter(p expr.Predicate) filter {
+func newFilter(p expr.Predicate, schema *Schema) filter {
 	if p == nil {
 		return filter{}
 	}
-	n := int64(0)
-	p.Walk(func(*expr.Comparison) { n++ })
-	if n == 0 {
-		n = 1
-	}
-	return filter{pred: p, leaves: n}
+	return filter{pred: p, test: expr.Compile(p, schema), leaves: max(p.Leaves(), 1)}
 }
 
-// pass charges the evaluation to clock (unless it is nil) and reports
-// whether t satisfies the predicate; the nil predicate passes everything
-// for free.
-func (f filter) pass(clock *cost.Clock, t Tuple) bool {
-	if f.pred == nil {
-		return true
+// pass reports whether t satisfies the predicate.
+func (f filter) pass(t Tuple) bool { return f.test == nil || f.test(t) }
+
+// charge bills examined rows, of which passed went to the consumer, to
+// clock (unless it is nil).
+func (f filter) charge(clock *cost.Clock, examined, passed int64) {
+	if n := f.leaves*examined + f.fold*passed; clock != nil && n > 0 {
+		clock.Comps(n)
 	}
-	if clock != nil {
-		clock.Comps(f.leaves)
-	}
-	return f.pred.Eval(t)
 }
 
 // readWhere is the access path of every single-table read: it calls fn,
@@ -91,7 +91,10 @@ func (f filter) pass(clock *cost.Clock, t Tuple) bool {
 // scan if it is cheaper under params (probe). Either way the rows, and
 // their order, are the scan's. A nil clock charges nothing, DELETE's
 // convention; otherwise the scan reads sequentially, the probe reads each
-// distinct page once at random, and the walk charges its comparisons.
+// distinct page once at random, the walk charges its comparisons, and f
+// charges each page's rows when the read leaves the page. The rows fn
+// sees are views into the stored pages (heap.File.ReadPage), valid while
+// the caller holds its intent on rel.
 func readWhere(rel *catalog.Relation, file *heap.File, f filter, params cost.Params, clock *cost.Clock, fn func(heap.RID, Tuple) bool) error {
 	scan, fetch := simio.Seq, simio.Rand
 	if clock == nil {
@@ -102,24 +105,49 @@ func readWhere(rel *catalog.Relation, file *heap.File, f filter, params cost.Par
 		clock.Comps(walked)
 	}
 	if !probed {
-		return file.ScanRIDs(scan, func(rid heap.RID, t Tuple) bool {
-			return !f.pass(clock, t) || fn(rid, t)
+		return file.ScanPages(0, file.NumPages(), scan, func(p heap.Page) bool {
+			var examined, passed int64
+			more := true
+			for j, n := 0, p.Count(); j < n && more; j++ {
+				if !p.Live(j) {
+					continue
+				}
+				t := p.At(j)
+				if examined++; f.pass(t) {
+					passed++
+					more = fn(heap.RID{Page: p.N, Slot: int32(j)}, t)
+				}
+			}
+			f.charge(clock, examined, passed)
+			return more
 		})
 	}
 	slices.SortFunc(rids, heap.RID.Compare)
-	var pg page.TuplePage
-	at := int32(-1)
-	for _, rid := range rids {
-		if rid.Page != at {
-			var err error
-			if pg, err = file.ReadPage(int(rid.Page), fetch); err != nil {
-				return err
-			}
-			at = rid.Page
+	for len(rids) > 0 {
+		n := 1 // rids[:n] are on one page
+		for n < len(rids) && rids[n].Page == rids[0].Page {
+			n++
 		}
-		if t := pg.Tuple(int(rid.Slot)); f.pass(clock, t) && !fn(rid, t) {
+		p, err := file.ReadPage(int(rids[0].Page), fetch)
+		if err != nil {
+			return err
+		}
+		var examined, passed int64
+		more := true
+		for _, rid := range rids[:n] {
+			t := p.Tuple(int(rid.Slot))
+			if examined++; f.pass(t) {
+				passed++
+				if more = fn(rid, t); !more {
+					break
+				}
+			}
+		}
+		f.charge(clock, examined, passed)
+		if !more {
 			return nil
 		}
+		rids = rids[n:]
 	}
 	return nil
 }
@@ -178,6 +206,9 @@ type indexWalk struct {
 
 	rids         []heap.RID
 	comps, pages int64
+
+	lo, hi [8]byte // the range being walked, as index keys
+	over   bool    // the walk passed budget
 }
 
 func (w *indexWalk) price() time.Duration {
@@ -191,24 +222,29 @@ func (w *indexWalk) run(ix catalog.Index, ranges []expr.Range) bool {
 		if w.comps += descent; w.price() > w.budget {
 			return false
 		}
-		hi, over := tuple.IntKey(r.Hi), false
-		ix.Ascend(tuple.IntKey(r.Lo), func(key []byte, rid heap.RID) bool {
-			if w.comps++; bytes.Compare(key, hi) > 0 {
-				return false
-			}
-			w.rids = append(w.rids, rid)
-			if i, bit := rid.Page/64, uint64(1)<<(rid.Page%64); w.seen[i]&bit == 0 {
-				w.seen[i] |= bit
-				w.pages++
-			}
-			over = w.price() > w.budget
-			return !over
-		})
-		if over {
+		copy(w.lo[:], tuple.IntKey(r.Lo))
+		copy(w.hi[:], tuple.IntKey(r.Hi))
+		ix.Ascend(w.lo[:], w.visit)
+		if w.over {
 			return false
 		}
 	}
 	return true
+}
+
+// visit takes one index entry of the range being walked: false ends the
+// range, or the walk once it passes budget.
+func (w *indexWalk) visit(key []byte, rid heap.RID) bool {
+	if w.comps++; bytes.Compare(key, w.hi[:]) > 0 {
+		return false
+	}
+	w.rids = append(w.rids, rid)
+	if i, bit := rid.Page/64, uint64(1)<<(rid.Page%64); w.seen[i]&bit == 0 {
+		w.seen[i] |= bit
+		w.pages++
+	}
+	w.over = w.price() > w.budget
+	return !w.over
 }
 
 // ceilLog2 is ⌈log2 n⌉, §2's comparisons per descent of an n-entry index.
