@@ -10,35 +10,40 @@
 // in memory, which is why the paper's sort-merge curve improves above
 // |M| = |S|*F.
 //
-// # Parallel execution
+// # Chunks and parallel execution
 //
-// A sort has two independent knobs, mirroring the hash joins' GraceParts
-// vs Parallelism split:
+// There is one pipeline; a sort has two independent knobs over it,
+// mirroring the hash joins' GraceParts vs Parallelism split:
 //
 //   - Config.Chunks is the *plan*: the input's pages are split into that
 //     many contiguous ranges, each sorted by replacement selection with
-//     MemTuples/Chunks queue slots into its own run namespace, and the
-//     chunk streams are combined by a merge tree whose root fans in one
-//     stream per chunk. Chunks determines the virtual counters (more,
+//     MemTuples/Chunks queue slots into its own run namespace. A chunk
+//     whose range fits its queue writes no run: its selection tree is its
+//     stream, popped as the consumer pulls. Any other chunk's stream
+//     merges its runs. More than one chunk adds a root merge that fans in
+//     one stream per chunk; with one chunk (Chunks <= 1) the chunk's
+//     stream is the sort's. Chunks determines the virtual counters (more,
 //     shorter runs; an extra merge level) and must not depend on the
 //     worker count.
 //   - Config.Parallelism is the *schedule*: how many exec.Pool workers
-//     form chunks concurrently, and whether the merge tree's interior
-//     nodes run eagerly on their own goroutines (bounded channels) or are
-//     pulled lazily inline. For a fixed plan the charged counters are
+//     form chunks concurrently, and whether the root's children run
+//     eagerly on their own goroutines (bounded channels) or are pulled
+//     lazily inline. For a fixed plan the charged counters are
 //     bit-identical at every width — per-chunk work does not change and
 //     counter addition commutes — so Parallelism trades wall-clock time
 //     only, never the paper's accounting.
 //
-// Chunks <= 1 is exactly the original serial algorithm: one replacement-
-// selection queue, flat merge passes, a single selection tree, and lazy
-// (consumption-driven) merge IO. Chunked streams instead charge the full
-// merge cost: abandoning one early and calling Close finishes the
-// remaining run reads so the totals stay schedule-independent.
+// A one-chunk stream charges as the consumer pulls: abandoning it early
+// and calling Close reads no more run pages and pops no more tuples, which
+// is the serial sort the paper prices and what sort-merge's merging join,
+// which stops at the end of either input, is charged. A multi-chunk
+// stream's Close finishes every chunk stream instead, so its totals do not
+// depend on how far the consumer or the pumps got.
 package extsort
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 
 	"mmdb/internal/exec"
@@ -49,9 +54,10 @@ import (
 
 // Stream yields tuples in non-decreasing key order. After Next returns
 // ok=false, Err reports any underlying failure. Close releases the sort's
-// temporary run files and must be called (it is idempotent); on a chunked
-// stream it also completes any remaining run reads so the charged counters
-// never depend on how far the consumer got or on worker scheduling.
+// temporary run files and must be called (it is idempotent); on a
+// multi-chunk stream it also finishes every chunk stream so the charged
+// counters never depend on how far the consumer got or on worker
+// scheduling.
 type Stream interface {
 	Next() (tuple.Tuple, bool)
 	Err() error
@@ -63,7 +69,7 @@ type Stats struct {
 	Runs        int  // number of initial runs formed (across all chunks)
 	FinalRuns   int  // runs merged by the on-the-fly merge (across all chunks)
 	MergePasses int  // deepest chain of intermediate merge passes (0 under the paper's |M| >= sqrt(|S|*F) assumption)
-	Chunks      int  // run-formation chunks (1 = the classic single queue)
+	Chunks      int  // run-formation chunks
 	InMemory    bool // true when no run files were needed
 }
 
@@ -71,9 +77,8 @@ type Stats struct {
 func (s *Stats) add(o Stats) {
 	s.Runs += o.Runs
 	s.FinalRuns += o.FinalRuns
-	if o.MergePasses > s.MergePasses {
-		s.MergePasses = o.MergePasses
-	}
+	s.MergePasses = max(s.MergePasses, o.MergePasses)
+	s.InMemory = s.InMemory && o.InMemory
 }
 
 // Config describes one sort execution (see the package comment for the
@@ -82,17 +87,17 @@ type Config struct {
 	Col       int          // sort column
 	MemTuples int          // priority-queue memory, in tuples (>= 2)
 	MaxFanout int          // bound on simultaneously open runs; <= 0 means unlimited
-	Prefix    string       // temporary run files are named Prefix[.cN].run.K
+	Prefix    string       // temporary run files are named Prefix.cN.run.K
 	Input     simio.Access // access kind charged for the input scan
 	// Chunks splits run formation into that many page-range chunks, each
-	// with MemTuples/Chunks queue slots. 0 or 1 means the classic single
-	// queue. Chunks is clamped so every chunk keeps at least 2 slots and
-	// at least one input page.
+	// with MemTuples/Chunks queue slots. 0 or 1 means one chunk: a single
+	// queue and no root merge. Chunks is clamped so every chunk keeps at
+	// least 2 slots and at least one input page.
 	Chunks int
-	// Parallelism bounds the formation worker goroutines and switches the
-	// merge tree to eager interior nodes; 0 or 1 means serial inline
-	// execution, a negative value means one worker per CPU. Counters are
-	// identical at every setting for a fixed Chunks.
+	// Parallelism bounds the formation worker goroutines and runs the root
+	// merge's children eagerly; 0 or 1 means serial inline execution, a
+	// negative value means one worker per CPU. Counters are identical at
+	// every setting for a fixed Chunks.
 	Parallelism int
 }
 
@@ -109,59 +114,93 @@ func (c Config) WithMemory(f *heap.File, m int, fudge float64) Config {
 
 // SortWith sorts file f under cfg. The input is scanned with cfg.Input
 // (Uncharged for base relations, per the paper's convention of ignoring
-// the initial read). When the initial runs exceed MaxFanout, intermediate
-// merge passes combine them first — the ">2 phases" case the paper's
-// memory assumption excludes, kept so the operator degrades instead of
-// failing. The returned stream owns the sort's temporary run files; Close
-// it when done (draining to ok=false also releases everything).
+// the initial read). When a chunk's initial runs exceed its share of
+// MaxFanout, intermediate merge passes combine them first — the ">2
+// phases" case the paper's memory assumption excludes, kept so the
+// operator degrades instead of failing. The returned stream owns the
+// sort's temporary run files; Close it when done (draining to ok=false
+// also releases everything).
+//
+// Counters are width-independent by construction: each chunk's formation
+// is a pure function of its page range and slot count, charged to a
+// private worker clock that folds into the base clock at the fan-in
+// barrier (counter addition commutes), and everything after the barrier
+// — priming the merges, the root selection tree, serving the stream —
+// charges the base clock.
 func SortWith(f *heap.File, cfg Config) (Stream, Stats, error) {
 	if cfg.MemTuples < 2 {
 		return nil, Stats{}, fmt.Errorf("extsort: need at least 2 tuples of memory, got %d", cfg.MemTuples)
 	}
 	chunks := planChunks(f, cfg)
-	if chunks > 1 {
-		return sortChunked(f, cfg, chunks)
-	}
-
 	disk := f.Disk()
-	clock := disk.Clock()
-	schema := f.Schema()
-
-	if f.NumTuples() <= int64(cfg.MemTuples) {
-		// Fully in-memory: heap-sort via the same counting priority queue.
-		q := newKQueue(clock, kindKey, int(f.NumTuples()))
-		err := f.Scan(cfg.Input, func(t tuple.Tuple) bool {
-			q.Push(item{key: schema.KeyBytes(t, cfg.Col), tup: t.Clone()})
-			return true
-		})
-		if err != nil {
-			return nil, Stats{}, err
-		}
-		return &memStream{q: q}, Stats{Runs: 1, Chunks: 1, InMemory: true}, nil
-	}
-
-	runs, err := formRuns(f, cfg.Col, cfg.MemTuples, cfg.Prefix, cfg.Input)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	stats := Stats{Runs: len(runs), Chunks: 1}
+	baseClock := disk.Clock()
+	slots := cfg.MemTuples / chunks // planChunks keeps this >= 2
+	// Per-chunk fanout budget: the merges hold one buffer page per open
+	// run in every chunk, so dividing MaxFanout keeps the total at most
+	// MaxFanout pages — up to a floor of 2.
+	fanout := 0
 	if cfg.MaxFanout > 1 {
-		for len(runs) > cfg.MaxFanout {
-			runs, err = mergePass(runs, cfg.Col, cfg.MaxFanout, fmt.Sprintf("%s.m%d", cfg.Prefix, stats.MergePasses))
-			if err != nil {
-				dropAll(runs)
-				return nil, Stats{}, err
-			}
-			stats.MergePasses++
+		fanout = max(2, cfg.MaxFanout/chunks)
+	}
+
+	np := f.NumPages()
+	results := make([]chunk, chunks)
+	err := exec.NewPool(cfg.Parallelism).ForEach(context.Background(), chunks, func(_ context.Context, i int) error {
+		prefix := fmt.Sprintf("%s.c%d", cfg.Prefix, i)
+		return results[i].form(f, i*np/chunks, (i+1)*np/chunks, cfg.Col, slots, fanout, prefix, cfg.Input)
+	})
+
+	// Fan-in barrier: fold every worker clock that ran, in chunk order.
+	// On success this is where the chunk counters become globally visible;
+	// on error it keeps the global clock consistent with the IO that
+	// actually happened before cleanup.
+	for i := range results {
+		if results[i].clock != nil {
+			baseClock.Charge(results[i].clock.Counters())
 		}
 	}
-	stats.FinalRuns = len(runs)
-	ms, err := mergeRuns(runs, cfg.Col)
-	if err != nil {
-		dropAll(runs)
+	streams := make([]Stream, 0, chunks)
+	fail := func(err error) (Stream, Stats, error) {
+		for _, s := range streams {
+			s.Close()
+		}
+		for i := range results {
+			dropAll(results[i].runs)
+		}
 		return nil, Stats{}, err
 	}
-	return ms, stats, nil
+	if err != nil {
+		return fail(err)
+	}
+
+	stats := Stats{Chunks: chunks, InMemory: true}
+	for i := range results {
+		stats.add(results[i].stats)
+		s, err := results[i].stream(disk, cfg.Col)
+		if err != nil {
+			return fail(err)
+		}
+		streams = append(streams, s)
+	}
+	if chunks == 1 {
+		return streams[0], stats, nil
+	}
+	// The root finishes its children on Close: with more than one worker
+	// each runs eagerly in a pump, which drains it when stopped; at width
+	// 1 the root pulls it inline, and drainOnClose finishes it. Charges
+	// are identical either way.
+	for i, s := range streams {
+		if exec.Workers(cfg.Parallelism) > 1 {
+			streams[i] = newBatchPumpStream(s, pumpBuffer)
+		} else {
+			streams[i] = drainOnClose{s}
+		}
+	}
+	root, err := newMergeStream(streams, f.Schema(), cfg.Col, baseClock)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	return root, stats, nil
 }
 
 // planChunks clamps the configured chunk count to the plan-determined
@@ -169,20 +208,7 @@ func SortWith(f *heap.File, cfg Config) (Stream, Stats, error) {
 // The result depends only on the input and the memory budget, never on
 // Parallelism, which is what keeps counters width-independent.
 func planChunks(f *heap.File, cfg Config) int {
-	chunks := cfg.Chunks
-	if chunks < 2 {
-		return 1
-	}
-	if max := cfg.MemTuples / 2; chunks > max {
-		chunks = max
-	}
-	if np := f.NumPages(); chunks > np {
-		chunks = np
-	}
-	if chunks < 1 {
-		chunks = 1
-	}
-	return chunks
+	return max(1, min(cfg.Chunks, cfg.MemTuples/2, f.NumPages()))
 }
 
 // dropAll removes a set of run files, tolerating nils.
@@ -211,21 +237,19 @@ func mergePass(runs []*heap.File, col, fanout int, prefix string) ([]*heap.File,
 		return nil, err
 	}
 	for i := 0; i < len(runs); i += fanout {
-		j := i + fanout
-		if j > len(runs) {
-			j = len(runs)
-		}
-		group := runs[i:j]
+		group := runs[i:min(i+fanout, len(runs))]
 		if len(group) == 1 {
 			next = append(next, group[0])
-			runs[i] = nil // owned by next now
+			group[0] = nil // owned by next now
 			continue
 		}
+		disk, schema := group[0].Disk(), group[0].Schema()
 		ms, err := mergeRuns(group, col)
+		clear(group) // owned by the merge now, which drops them
 		if err != nil {
 			return fail(nil, nil, err)
 		}
-		out, err := heap.Create(group[0].Disk(), fmt.Sprintf("%s.%d", prefix, len(next)), group[0].Schema())
+		out, err := heap.Create(disk, fmt.Sprintf("%s.%d", prefix, len(next)), schema)
 		if err != nil {
 			return fail(ms, nil, err)
 		}
@@ -245,36 +269,19 @@ func mergePass(runs []*heap.File, col, fanout int, prefix string) ([]*heap.File,
 			return fail(ms, out, err)
 		}
 		ms.Close() // drops the group's (already exhausted) run files
-		for k := i; k < j; k++ {
-			runs[k] = nil
-		}
 		next = append(next, out)
 	}
 	return next, nil
 }
 
-// formRuns performs replacement selection with a queue of memTuples
-// elements, writing each run to its own heap file with sequential IO.
-// Run files are created lazily (on first emit) and dropped on error.
-func formRuns(f *heap.File, col int, memTuples int, prefix string, inputAccess simio.Access) ([]*heap.File, error) {
-	runs, sorted, err := replacementSelect(f, 0, f.NumPages(), col, memTuples, prefix, inputAccess, false)
-	if err != nil {
-		return nil, err
-	}
-	if sorted != nil {
-		// Unreachable from Sort (the in-memory case is handled before
-		// formRuns), but keep formRuns total.
-		panic("extsort: formRuns produced an in-memory result")
-	}
-	return runs, nil
-}
-
 // replacementSelect runs Knuth's algorithm 5.4.1R over pages [start, end)
-// of f with a queue of slots elements. When allowMem is set and the whole
-// range fits the queue, no run file is written and the sorted tuples are
-// returned in memory instead — the chunked sort's per-chunk shortcut.
-// On error, every run file created so far is dropped.
-func replacementSelect(f *heap.File, start, end, col, slots int, prefix string, inputAccess simio.Access, allowMem bool) ([]*heap.File, []tuple.Tuple, error) {
+// of f with a queue of slots elements. When the whole range fits the
+// queue, no run file is written and the filled queue is returned instead,
+// to be popped in key order (every element is in run 0). The queued
+// tuples are views of f's pages, which stay as they are while the sort's
+// caller holds f (docs/ARCHITECTURE.md, "Page lifetime"). On error, every
+// run file created so far is dropped.
+func replacementSelect(f *heap.File, start, end, col, slots int, prefix string, inputAccess simio.Access) ([]*heap.File, *kqueue, error) {
 	disk := f.Disk()
 	clock := disk.Clock()
 	schema := f.Schema()
@@ -315,8 +322,7 @@ func replacementSelect(f *heap.File, start, end, col, slots int, prefix string, 
 
 	var err error
 	scanErr := f.ScanRange(start, end, inputAccess, func(t tuple.Tuple) bool {
-		tc := t.Clone() // the scan's tuple view is reused; retain a copy
-		it := item{run: curRun, key: schema.KeyBytes(tc, col), tup: tc}
+		it := item{run: curRun, key: schema.KeyBytes(t, col), tup: t}
 		if q.Len() < slots {
 			q.Push(it)
 			return true
@@ -326,7 +332,7 @@ func replacementSelect(f *heap.File, start, end, col, slots int, prefix string, 
 		// emitted after the smallest queued key; otherwise it waits for
 		// the next run. One comparison, as in Knuth's algorithm 5.4.1R.
 		clock.Comps(1)
-		if compareKeys(it.key, top.key) >= 0 {
+		if bytes.Compare(it.key, top.key) >= 0 {
 			it.run = top.run
 		} else {
 			it.run = top.run + 1
@@ -342,14 +348,8 @@ func replacementSelect(f *heap.File, start, end, col, slots int, prefix string, 
 		dropAll(runs)
 		return nil, nil, scanErr
 	}
-	if allowMem && out == nil {
-		// The whole range fit the queue: drain it in memory, run-then-key
-		// order (every element is in run 0, so this is key order).
-		sorted := make([]tuple.Tuple, 0, q.Len())
-		for q.Len() > 0 {
-			sorted = append(sorted, q.Pop().tup)
-		}
-		return nil, sorted, nil
+	if out == nil {
+		return nil, q, nil
 	}
 	for q.Len() > 0 {
 		if err := emit(q.Pop()); err != nil {
@@ -357,20 +357,9 @@ func replacementSelect(f *heap.File, start, end, col, slots int, prefix string, 
 			return nil, nil, err
 		}
 	}
-	if out != nil {
-		if err := out.Flush(simio.Seq); err != nil {
-			dropAll(runs)
-			return nil, nil, err
-		}
+	if err := out.Flush(simio.Seq); err != nil {
+		dropAll(runs)
+		return nil, nil, err
 	}
 	return runs, nil, nil
 }
-
-// compareKeys is lexicographic with shorter-is-smaller length tie-break —
-// exactly bytes.Compare, which replaced the original byte loop (same
-// results, so same charges; the SIMD-backed compare is a pure wall-time
-// win).
-func compareKeys(a, b []byte) int { return bytes.Compare(a, b) }
-
-// workers normalizes the config's Parallelism to a worker count.
-func (c Config) workers() int { return exec.Workers(c.Parallelism) }

@@ -185,17 +185,16 @@ func leftover(f *heap.File) []string {
 }
 
 // TestCloseReleasesRunFiles: however much of the stream the consumer
-// reads, Close leaves no temporary run files behind — for the classic
-// plan, the chunked plan, and a fully drained stream (cursors drop their
-// files at EOF).
+// reads, Close leaves no temporary run files behind — for one chunk, four
+// chunks, and a fully drained stream (cursors drop their files at EOF).
 func TestCloseReleasesRunFiles(t *testing.T) {
 	cases := []struct {
 		name    string
 		chunks  int
 		consume int
 	}{
-		{"classic-abandoned", 1, 3},
-		{"classic-drained", 1, -1},
+		{"one-chunk-abandoned", 1, 3},
+		{"one-chunk-drained", 1, -1},
 		{"chunked-abandoned", 4, 3},
 		{"chunked-drained", 4, -1},
 	}
@@ -253,34 +252,6 @@ func TestErrorPathDropsRunFiles(t *testing.T) {
 			if extra := leftover(f); len(extra) > 0 {
 				t.Fatalf("chunks=%d failAfter=%d: leaked %v", chunks, failAfter, extra)
 			}
-		}
-	}
-}
-
-// TestClassicPathUnchanged pins the compat wrapper: SortWith with zero
-// Chunks/Parallelism charges exactly what the pre-parallel Sort charged
-// (same code path), so the seed's accounting is untouched.
-func TestClassicPathUnchanged(t *testing.T) {
-	gotKeys, gotStats, gotCounters := sortOnce(t,
-		Config{Col: 0, MemTuples: 100, MaxFanout: 0, Prefix: "t", Input: simio.Uncharged},
-		2000, 4, -1)
-	f := makeFile(t, 2000, 1<<40, 4)
-	clock := f.Disk().Clock()
-	clock.Reset()
-	s, stats, err := SortWith(f, Config{MemTuples: 100, Prefix: "t", Input: simio.Uncharged})
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys := drain(t, s)
-	if stats != gotStats {
-		t.Fatalf("stats diverge: %+v vs %+v", stats, gotStats)
-	}
-	if c := clock.Counters(); c != gotCounters {
-		t.Fatalf("counters diverge: %+v vs %+v", c, gotCounters)
-	}
-	for i := range keys {
-		if keys[i] != gotKeys[i] {
-			t.Fatalf("order diverges at %d", i)
 		}
 	}
 }

@@ -137,18 +137,6 @@ func (f *File) NumPages() int {
 	return n
 }
 
-// Buffered returns the number of tuples on the page ReadPage serves from
-// the append buffer — zero for any file that has been Flushed and not
-// appended to since. Readers that serve tuple views (the sort's run
-// cursors) use it to tell whether a page aliases the live buffer and must
-// be cloned.
-func (f *File) Buffered() int {
-	if f.onDisk && !f.dirty {
-		return 0
-	}
-	return f.cur.Count()
-}
-
 // TuplesPerPage returns the page capacity in tuples (the paper's ||R||/|R|).
 func (f *File) TuplesPerPage() int { return f.cur.Capacity() }
 
@@ -380,20 +368,12 @@ func (f *File) scan(start, end int, a simio.Access, fn func(rid RID, t tuple.Tup
 // the stored page) and which of its slots are live.
 type Page struct {
 	page.TuplePage
-	N     int32
-	width int
-	dead  []uint64
+	N    int32
+	dead []uint64
 }
 
 // Live reports whether slot j holds a live tuple.
 func (p Page) Live(j int) bool { return !isDead(p.dead, j) }
-
-// At is slot j's tuple view, for j below Count: Tuple without its range
-// check, which a scan's per-row loop need not repeat.
-func (p Page) At(j int) tuple.Tuple {
-	off := page.SlotOffset(j, p.width)
-	return p.Bytes()[off : off+p.width : off+p.width]
-}
 
 // ScanPages is the one page walk every scan wraps: it reads pages [start,
 // end) in file order with access a and calls fn with each, until fn
@@ -413,7 +393,7 @@ func (f *File) ScanPages(start, end int, a simio.Access, fn func(p Page) bool) e
 		if len(f.dead) > 0 {
 			dead = f.dead[int32(i)]
 		}
-		if !fn(Page{TuplePage: p, N: int32(i), width: f.schema.Width(), dead: dead}) {
+		if !fn(Page{TuplePage: p, N: int32(i), dead: dead}) {
 			return nil
 		}
 	}

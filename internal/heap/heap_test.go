@@ -253,6 +253,17 @@ func TestInsertDeleteReusesSlots(t *testing.T) {
 	}
 }
 
+// servedFromBuffer reports whether ReadPage serves f's last page from the
+// append buffer rather than from the stored page.
+func servedFromBuffer(t *testing.T, f *File) bool {
+	t.Helper()
+	p, err := f.ReadPage(f.NumPages()-1, simio.Uncharged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &p.Bytes()[0] == &f.cur.Bytes()[0]
+}
+
 // TestFlushKeepsFillingTailPage: Flush writes the partial tail page in
 // place and later appends keep filling it, so a file flushed after every
 // tuple occupies the same pages as one flushed once.
@@ -263,13 +274,13 @@ func TestFlushKeepsFillingTailPage(t *testing.T) {
 		if err := f.Append(keyed(k), simio.Seq); err != nil {
 			t.Fatal(err)
 		}
-		if f.Buffered() == 0 {
+		if !servedFromBuffer(t, f) {
 			t.Fatalf("tuple %d not served from the append buffer", k)
 		}
 		if err := f.Flush(simio.Seq); err != nil {
 			t.Fatal(err)
 		}
-		if f.Buffered() != 0 {
+		if servedFromBuffer(t, f) {
 			t.Fatalf("flushed tail still reads from the buffer")
 		}
 	}

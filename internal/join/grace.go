@@ -205,7 +205,7 @@ func chunkedJoin(spec Spec, rf, sf *heap.File, level uint32, capacity int, emit 
 		var idx int64
 		err := rf.Scan(simio.Seq, func(t tuple.Tuple) bool {
 			if idx >= start && idx < end {
-				table.Insert(hasher.Hash(rSchema.KeyBytes(t, spec.RCol)), t.Clone())
+				table.Insert(hasher.Hash(rSchema.KeyBytes(t, spec.RCol)), t)
 			}
 			idx++
 			return idx < end

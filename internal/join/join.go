@@ -98,12 +98,12 @@ type Spec struct {
 	Parallelism int
 	// SortChunks is sort-merge's decomposition plan: each relation sort
 	// splits run formation into this many page-range chunks (each with a
-	// proportional share of the queue memory) combined by a merge tree.
+	// proportional share of the queue memory) combined by a root merge.
 	// Like GraceParts it changes the virtual counters — more, shorter
 	// runs; an extra selection-tree level — and is therefore a plan knob,
 	// deliberately separate from Parallelism: a chunked plan charges
 	// identical counters whether 1 or 8 workers execute it. 0 or 1 means
-	// the classic single-queue sort.
+	// one chunk: a single queue and no root merge.
 	SortChunks int
 }
 

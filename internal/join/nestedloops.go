@@ -16,7 +16,7 @@ func nestedLoops(spec Spec, emit Emit) error {
 	ss := spec.S.Schema()
 	var rTuples []tuple.Tuple
 	err := spec.R.Scan(simio.Uncharged, func(t tuple.Tuple) bool {
-		rTuples = append(rTuples, t.Clone())
+		rTuples = append(rTuples, t)
 		return true
 	})
 	if err != nil {

@@ -102,10 +102,9 @@ func (p hashPass) run(spec Spec, emit Emit, res *Result) (rParts, sParts []hashj
 		if b == 0 {
 			h = hasher.Hash(rSchema.KeyBytes(t, spec.RCol))
 		}
-		c := t.Clone()
-		table.Insert(h, c)
+		table.Insert(h, t)
 		if p.live {
-			kept = append(kept, c)
+			kept = append(kept, t)
 			if shrunk() {
 				err = spill()
 			}

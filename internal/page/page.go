@@ -75,9 +75,6 @@ func (p TuplePage) setCount(n int) {
 	binary.BigEndian.PutUint32(p.data, uint32(n))
 }
 
-// Full reports whether the page has no free slot.
-func (p TuplePage) Full() bool { return p.Count() >= p.Capacity() }
-
 // Reset empties the page.
 func (p TuplePage) Reset() {
 	p.setCount(0)
@@ -107,6 +104,13 @@ func (p TuplePage) Tuple(i int) tuple.Tuple {
 	return tuple.Tuple(p.data[off : off+p.width : off+p.width])
 }
 
+// At is slot i's tuple view, for i below Count: Tuple without its range
+// check, for a per-row loop that already knows the page's count.
+func (p TuplePage) At(i int) tuple.Tuple {
+	off := SlotOffset(i, p.width)
+	return tuple.Tuple(p.data[off : off+p.width : off+p.width])
+}
+
 // Set overwrites the i-th tuple in place.
 func (p TuplePage) Set(i int, t tuple.Tuple) {
 	if len(t) != p.width {
@@ -117,13 +121,3 @@ func (p TuplePage) Set(i int, t tuple.Tuple) {
 
 // SlotOffset returns the byte offset of slot i in the page image.
 func SlotOffset(i, width int) int { return headerSize + i*width }
-
-// Tuples returns views of all tuples on the page.
-func (p TuplePage) Tuples() []tuple.Tuple {
-	n := p.Count()
-	out := make([]tuple.Tuple, n)
-	for i := 0; i < n; i++ {
-		out[i] = p.Tuple(i)
-	}
-	return out
-}

@@ -32,16 +32,16 @@ func TestAppendAndRead(t *testing.T) {
 			t.Fatal("appended beyond capacity")
 		}
 	}
-	if n != p.Capacity() || !p.Full() {
+	if n != p.Capacity() || p.Count() != n {
 		t.Fatalf("filled %d of %d", n, p.Capacity())
 	}
 	for i := 0; i < n; i++ {
 		if got := p.Tuple(i); got[0] != byte(i) {
 			t.Fatalf("tuple %d = %x", i, got[0])
 		}
-	}
-	if got := len(p.Tuples()); got != n {
-		t.Fatalf("Tuples() = %d", got)
+		if got := p.At(i); got[0] != byte(i) || len(got) != 20 || cap(got) != 20 {
+			t.Fatalf("At(%d) = %x (len %d, cap %d)", i, got[0], len(got), cap(got))
+		}
 	}
 	p.Reset()
 	if p.Count() != 0 {
