@@ -80,7 +80,7 @@ func runSortCase(t *testing.T, nR, nS int, domain int64, m, chunks, parallelism 
 // of the hash-join determinism test: with the SortChunks plan pinned, the
 // whole Result — counters, virtual time, run counts, per-relation sort
 // stats — must be bit-identical at widths 1, 2 and 8, and the match
-// multiset unchanged. Chunks=1 additionally pins the classic serial plan
+// multiset unchanged. Chunks=1 additionally pins the one-chunk plan
 // under a parallel pool.
 func TestParallelSortMergeMatchesSerialExactly(t *testing.T) {
 	cases := []struct {
