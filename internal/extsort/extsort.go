@@ -275,18 +275,19 @@ func mergePass(runs []*heap.File, col, fanout int, prefix string) ([]*heap.File,
 }
 
 // replacementSelect runs Knuth's algorithm 5.4.1R over pages [start, end)
-// of f with a queue of slots elements. When the whole range fits the
-// queue, no run file is written and the filled queue is returned instead,
-// to be popped in key order (every element is in run 0). The queued
-// tuples are views of f's pages, which stay as they are while the sort's
-// caller holds f (docs/ARCHITECTURE.md, "Page lifetime"). On error, every
-// run file created so far is dropped.
+// of f with a queue of slots elements, allocated for no more than the
+// range's tuples. When the whole range fits the queue, no run file is
+// written and the filled queue is returned instead, to be popped in key
+// order (every element is in run 0). The queued tuples are views of f's
+// pages, which stay as they are while the sort's caller holds f
+// (docs/ARCHITECTURE.md, "Page lifetime"). On error, every run file
+// created so far is dropped.
 func replacementSelect(f *heap.File, start, end, col, slots int, prefix string, inputAccess simio.Access) ([]*heap.File, *kqueue, error) {
 	disk := f.Disk()
 	clock := disk.Clock()
 	schema := f.Schema()
 
-	q := newKQueue(clock, kindRunThenKey, slots)
+	q := newKQueue(clock, kindRunThenKey, min(slots, (end-start)*f.TuplesPerPage()))
 	var runs []*heap.File
 	var out *heap.File
 	curRun := 0

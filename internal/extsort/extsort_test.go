@@ -88,6 +88,29 @@ func TestInMemorySort(t *testing.T) {
 	}
 }
 
+// TestQueueSizedByInput: a grant far larger than the input must not size
+// the selection tree; its capacity is bounded by the input's tuples.
+func TestQueueSizedByInput(t *testing.T) {
+	f := makeFile(t, 1000, 1<<40, 3)
+	perPage := f.TuplesPerPage()
+	if f.NumPages() < 3 {
+		t.Fatalf("fixture has %d pages, want at least 3", f.NumPages())
+	}
+	runs, q, err := replacementSelect(f, 0, 3, 0, 1<<16, "t", simio.Uncharged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(runs) != 0 || q == nil {
+		t.Fatalf("3 pages under a large grant wrote %d runs", len(runs))
+	}
+	if q.Len() != 3*perPage {
+		t.Fatalf("queue holds %d tuples, want %d", q.Len(), 3*perPage)
+	}
+	if n, a := cap(q.nodes), cap(q.arena); n > 3*perPage || a > 3*perPage {
+		t.Fatalf("queue capacity %d nodes, %d items for a %d-tuple input", n, a, 3*perPage)
+	}
+}
+
 func TestExternalSortFormsRunsOfTwiceMemory(t *testing.T) {
 	const n = 5000
 	const mem = 250
