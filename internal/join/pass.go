@@ -212,7 +212,6 @@ type prober struct {
 	keyOf func(tuple.Tuple) []byte
 	emit  Emit
 	batch []hashjoin.Keyed
-	buf   []byte // backs the batch's tuple copies; reused across flushes
 }
 
 func newProber(table *hashjoin.KernelTable, schema *tuple.Schema, col int, emit Emit) *prober {
@@ -222,16 +221,14 @@ func newProber(table *hashjoin.KernelTable, schema *tuple.Schema, col int, emit 
 		keyOf: func(t tuple.Tuple) []byte { return schema.KeyBytes(t, col) },
 		emit:  emit,
 		batch: make([]hashjoin.Keyed, 0, n),
-		buf:   make([]byte, 0, n*schema.Width()),
 	}
 }
 
-// add queues one probe tuple, sweeping the batch when it fills. Scan
-// callbacks hand out transient views, so the tuple is copied into buf.
+// add queues one probe tuple, sweeping the batch when it fills. The tuple
+// is queued as the scan's view: a scanned page stays as it is while its
+// file is not written (docs/ARCHITECTURE.md, "Page lifetime").
 func (p *prober) add(h uint64, t tuple.Tuple) {
-	off := len(p.buf)
-	p.buf = append(p.buf, t...)
-	p.batch = append(p.batch, hashjoin.Keyed{Hash: h, Tuple: p.buf[off:len(p.buf):len(p.buf)]})
+	p.batch = append(p.batch, hashjoin.Keyed{Hash: h, Tuple: t})
 	if len(p.batch) == cap(p.batch) {
 		p.flush()
 	}
@@ -243,5 +240,5 @@ func (p *prober) flush() {
 	p.table.ProbeBatch(p.batch, p.keyOf, func(i int, m tuple.Tuple) {
 		p.emit(m, p.batch[i].Tuple)
 	})
-	p.batch, p.buf = p.batch[:0], p.buf[:0]
+	p.batch = p.batch[:0]
 }
