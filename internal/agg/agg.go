@@ -95,11 +95,10 @@ type Spec struct {
 	// Parallelism bounds the worker goroutines used to aggregate spilled
 	// hash partitions concurrently (the partitions are disjoint in group
 	// keys, so their group tables never interact). 0 or 1 means serial,
-	// negative means GOMAXPROCS. Counters are identical at every
-	// setting; the order of Groups is unspecified either way (the group
-	// table is a Go map, whose iteration order is randomized) — parallel
-	// merging adds no ordering nondeterminism of its own, since spilled
-	// partitions are concatenated in partition-index order.
+	// negative means GOMAXPROCS. Counters and the order of Groups are
+	// identical at every setting: each group table emits its groups in
+	// the order their keys first appear in its input, and spilled
+	// partitions follow the resident groups in partition-index order.
 	Parallelism int
 }
 
@@ -158,77 +157,71 @@ func (s Spec) value(schema *tuple.Schema, t tuple.Tuple) int64 {
 	return schema.Int(t, s.ValueCol)
 }
 
-// groupsPerPage estimates how many group cells fit one page; a group cell
-// is a key plus four counters.
+// groupsPerPage estimates how many groups fit one page; a group is a key
+// plus four counters.
 func groupsPerPage(spec Spec) int {
 	schema := spec.Input.Schema()
-	cell := schema.FieldWidth(spec.GroupCol) + 32
-	return spec.Input.Disk().PageSize() / cell
+	size := schema.FieldWidth(spec.GroupCol) + 32
+	return spec.Input.Disk().PageSize() / size
 }
 
 func aggregate(spec Spec, in *heap.File, access simio.Access, level uint32, res *Result) error {
 	clock := in.Disk().Clock()
 	schema := in.Schema()
-	capacity := int(float64(spec.M*groupsPerPage(spec)) / spec.F)
-	if capacity < 1 {
-		capacity = 1
-	}
+	capacity := max(1, int(float64(spec.M*groupsPerPage(spec))/spec.F))
 	hasher := hashjoin.NewFastHasher(clock, level)
 
-	type cell struct {
-		g    Group
-		key  []byte
-		hash uint64
-	}
-	table := make(map[uint64][]*cell)
-	var count int
+	// The group table is the engine's hash table over records of the group
+	// key and the index of its Group in res.Groups, so groups come out in
+	// first-appearance order. It starts empty and grows (uncharged) as
+	// groups arrive; the records are carved from arenas that double.
+	keyField := schema.Field(spec.GroupCol)
+	keyField.Name = "key"
+	recSchema := tuple.MustSchema(keyField, tuple.Field{Name: "group", Kind: tuple.Int64})
+	table := hashjoin.NewKernelTable(clock, recSchema, 0, 0)
+	var arena []byte
 
 	// Overflow partitions are created lazily on first overflow.
 	var parts *hashjoin.Partitioner
 	var splitter *hashjoin.Splitter
-	b := 0
 
 	scanErr := in.Scan(access, func(t tuple.Tuple) bool {
 		key := schema.KeyBytes(t, spec.GroupCol)
 		h := hasher.Hash(key)
 		// Probe the group table (one comparison per candidate, as in the
 		// join probes).
-		for _, c := range table[h] {
-			clock.Comps(1)
-			if string(c.key) == string(key) {
-				v := spec.value(schema, t)
-				c.g.Count++
-				c.g.Sum += v
-				if v < c.g.Min {
-					c.g.Min = v
-				}
-				if v > c.g.Max {
-					c.g.Max = v
-				}
-				return true
-			}
-		}
-		if count < capacity {
+		if rec := table.Find(h, key); rec != nil {
+			g := &res.Groups[recSchema.Int(rec, 1)]
 			v := spec.value(schema, t)
-			clock.Moves(1)
-			table[h] = append(table[h], &cell{
-				g:   Group{Key: schema.Get(t, spec.GroupCol), Count: 1, Sum: v, Min: v, Max: v},
-				key: append([]byte(nil), key...),
-			})
-			count++
+			g.Count++
+			g.Sum += v
+			if v < g.Min {
+				g.Min = v
+			}
+			if v > g.Max {
+				g.Max = v
+			}
+			return true
+		}
+		if n := table.Len(); n < capacity {
+			w := recSchema.Width()
+			if len(arena)+w > cap(arena) {
+				arena = make([]byte, 0, w*min(capacity-n, max(64, n)))
+			}
+			rec := arena[len(arena) : len(arena)+w : len(arena)+w]
+			arena = arena[:len(arena)+w]
+			copy(rec, key)
+			_ = recSchema.Set(rec, 1, tuple.IntValue(int64(len(res.Groups))))
+			table.Insert(h, rec)
+			v := spec.value(schema, t)
+			res.Groups = append(res.Groups, Group{Key: schema.Get(t, spec.GroupCol), Count: 1, Sum: v, Min: v, Max: v})
 			return true
 		}
 		// Result exceeds memory ("probably a very unlikely event", §3.9):
 		// spill the tuple to a hash partition for a later pass.
 		var err error
 		if parts == nil {
-			b = spec.M - 1
-			if b < 1 {
-				b = 1
-			}
-			if b > 64 {
-				b = 64
-			}
+			b := min(max(spec.M-1, 1), 64)
 			splitter = hashjoin.Uniform(b)
 			flush := simio.Rand
 			if b == 1 {
@@ -246,12 +239,6 @@ func aggregate(spec Spec, in *heap.File, access simio.Access, level uint32, res 
 	})
 	if scanErr != nil {
 		return scanErr
-	}
-
-	for _, bucket := range table {
-		for _, c := range bucket {
-			res.Groups = append(res.Groups, c.g)
-		}
 	}
 
 	if parts == nil {
@@ -300,7 +287,8 @@ func aggregate(spec Spec, in *heap.File, access simio.Access, level uint32, res 
 // aggregate with no value column, so a column of any kind is held to the
 // memory grant, spills to hash partitions when its values overflow it, and
 // aggregates those partitions on up to parallelism workers. Values come
-// back in the aggregate's group order.
+// back in the aggregate's group order: first appearance, then spilled
+// partitions in partition order.
 func Distinct(in *heap.File, col int, m int, f float64, parallelism int) ([]tuple.Value, error) {
 	res, err := run(Spec{Input: in, GroupCol: col, ValueCol: -1, M: m, F: f, Parallelism: parallelism})
 	if err != nil {

@@ -99,6 +99,28 @@ func TestOnePassAggregate(t *testing.T) {
 	}
 }
 
+// TestGroupsInFirstAppearanceOrder: a one-pass aggregate returns its
+// groups in the order their keys first appear in the input.
+func TestGroupsInFirstAppearanceOrder(t *testing.T) {
+	var rows [][2]int64
+	for i := int64(0); i < 3000; i++ {
+		rows = append(rows, [2]int64{(i * 7919) % 1000, i})
+	}
+	res, err := Hash(Spec{Input: load(t, env(), "r", rows), GroupCol: 0, ValueCol: 1, M: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Passes != 1 {
+		t.Fatalf("expected one pass, got %d", res.Passes)
+	}
+	checkGroups(t, res.Groups, rows)
+	for i, g := range res.Groups {
+		if want := rows[i][0]; g.Key.I != want {
+			t.Fatalf("group %d has key %d, want %d (first appearance)", i, g.Key.I, want)
+		}
+	}
+}
+
 func TestOverflowSpillsAndRecurses(t *testing.T) {
 	disk := env()
 	var rows [][2]int64

@@ -1,13 +1,12 @@
 package agg
 
 // Parallel aggregation determinism: spilled hash partitions aggregated at
-// Parallelism=8 must produce the same groups and bit-identical counters as
-// the serial run (the partitions hold disjoint keys and counter addition
+// Parallelism=8 must produce the same groups, in the same order, and
+// bit-identical counters as the serial run (the partitions hold disjoint keys and counter addition
 // commutes). Run under -race this also exercises the worker pool against
 // the shared clock and disk.
 
 import (
-	"sort"
 	"testing"
 
 	"mmdb/internal/cost"
@@ -19,10 +18,6 @@ func spillRows(n, groups int64) [][2]int64 {
 		rows = append(rows, [2]int64{i % groups, i})
 	}
 	return rows
-}
-
-func sortGroups(gs []Group) {
-	sort.Slice(gs, func(i, j int) bool { return gs[i].Key.I < gs[j].Key.I })
 }
 
 func TestParallelSpillMatchesSerialExactly(t *testing.T) {
@@ -54,8 +49,11 @@ func TestParallelSpillMatchesSerialExactly(t *testing.T) {
 	}
 	checkGroups(t, parallel.Groups, rows)
 
-	sortGroups(serial.Groups)
-	sortGroups(parallel.Groups)
+	// Groups come out in the same order at every width: each table's in
+	// first-appearance order, spilled partitions in partition order.
+	if len(parallel.Groups) != len(serial.Groups) {
+		t.Fatalf("%d groups in parallel, %d serially", len(parallel.Groups), len(serial.Groups))
+	}
 	for i := range serial.Groups {
 		if serial.Groups[i] != parallel.Groups[i] {
 			t.Fatalf("group %d diverges: parallel %+v, serial %+v", i, parallel.Groups[i], serial.Groups[i])
@@ -77,7 +75,6 @@ func TestParallelDistinctMatchesSerial(t *testing.T) {
 		for i, v := range vals {
 			out[i] = v.I
 		}
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 		return out
 	}
 

@@ -1,5 +1,8 @@
 // The hash table: §3.3's accounting over a radix-partitioned
-// open-addressing layout that keeps each probed region cache-resident.
+// open-addressing layout that keeps each probed region cache-resident. It
+// is the engine's one hash table: the hash joins build and probe it
+// (join/pass.go), and the aggregate keeps its groups in it (agg.aggregate
+// finds a tuple's group with Find and inserts a new one on a miss).
 //
 // The charge discipline is the paper's, and is pinned by tests against a
 // chained reference table (reference_test.go):
@@ -7,6 +10,8 @@
 //   - Insert charges exactly one move.
 //   - Probe charges one comparison per stored entry whose full 64-bit hash
 //     equals the probe hash; mismatched hashes are skipped without charge.
+//   - Find charges the same way, but stops at the first key match: one
+//     comparison per full-hash entry up to and including it.
 //   - Equal-hash entries are visited in insertion order: under linear
 //     probing with no deletions, a later insert with the same home slot
 //     always lands strictly later on the probe path (every earlier slot it
@@ -178,18 +183,35 @@ func (t *KernelTable) grow(p *kpart) {
 // to h), charging one comparison per full-hash match, in insertion order.
 func (t *KernelTable) Probe(h uint64, key []byte, fn func(tuple.Tuple)) {
 	p := &t.parts[t.partIndex(h)]
-	for i := h & p.mask; ; i = (i + 1) & p.mask {
+	for i, tup := t.match(p, h&p.mask, h, key); tup != nil; i, tup = t.match(p, i, h, key) {
+		fn(tup)
+	}
+}
+
+// Find returns the first stored tuple whose key equals key (which hashed to
+// h), or nil, charging one comparison per full-hash match examined, up to
+// and including the one it returns.
+func (t *KernelTable) Find(h uint64, key []byte) tuple.Tuple {
+	p := &t.parts[t.partIndex(h)]
+	_, tup := t.match(p, h&p.mask, h, key)
+	return tup
+}
+
+// match walks p's probe path from slot i to the first stored tuple whose
+// key equals key and returns it with the slot after it, or nil at the
+// first empty slot, charging one comparison per full-hash match.
+func (t *KernelTable) match(p *kpart, i, h uint64, key []byte) (uint64, tuple.Tuple) {
+	for ; ; i = (i + 1) & p.mask {
 		s := p.slots[i]
 		if s.ref == 0 {
-			return
+			return i, nil
 		}
 		if s.hash != h {
 			continue
 		}
 		t.clock.Comps(1)
-		e := &p.entries[s.ref-1]
-		if bytes.Equal(t.schema.KeyBytes(e.tup, t.col), key) {
-			fn(e.tup)
+		if e := &p.entries[s.ref-1]; bytes.Equal(t.schema.KeyBytes(e.tup, t.col), key) {
+			return (i + 1) & p.mask, e.tup
 		}
 	}
 }
@@ -197,14 +219,7 @@ func (t *KernelTable) Probe(h uint64, key []byte, fn func(tuple.Tuple)) {
 // BatchSize is the probe-vector length that keeps a batch's per-part groups
 // long enough to amortize bringing each sub-table into cache.
 func (t *KernelTable) BatchSize() int {
-	n := 4 * len(t.parts)
-	if n < 256 {
-		n = 256
-	}
-	if n > 4096 {
-		n = 4096
-	}
-	return n
+	return min(max(4*len(t.parts), 256), 4096)
 }
 
 // ProbeBatch probes a vector of pre-hashed keys: it groups the batch by

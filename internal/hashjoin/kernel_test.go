@@ -167,3 +167,33 @@ func TestRadixProbeBatchMatchesSequential(t *testing.T) {
 		}
 	}
 }
+
+// TestFindChargesUpToFirstMatch pins Find's charge on colliding hashes:
+// one comparison per full-hash entry up to and including the first key
+// match, in insertion order, and every full-hash entry on a miss.
+func TestFindChargesUpToFirstMatch(t *testing.T) {
+	schema := kvSchema()
+	clock := cost.NewClock(cost.DefaultParams())
+	kernel := NewKernelTable(clock, schema, 0, 0)
+	const h = 42 // every key collides
+	for i, k := range []int64{7, 3, 3, 9} {
+		kernel.Insert(h, schema.MustEncode(tuple.IntValue(k), tuple.IntValue(int64(i))))
+	}
+	kernel.Insert(h+1, schema.MustEncode(tuple.IntValue(5), tuple.IntValue(4)))
+	for _, c := range []struct {
+		k     int64
+		seq   int64 // -1: no match
+		comps int64
+	}{{7, 0, 1}, {3, 1, 2}, {9, 3, 4}, {5, -1, 4}, {8, -1, 4}} {
+		before := clock.Counters()
+		got := kernel.Find(h, key(c.k))
+		comps := clock.Counters().Sub(before).Comps
+		seq := int64(-1)
+		if got != nil {
+			seq = schema.Int(got, 1)
+		}
+		if seq != c.seq || comps != c.comps {
+			t.Errorf("Find(%d): entry %d for %d comps, want entry %d for %d", c.k, seq, comps, c.seq, c.comps)
+		}
+	}
+}
