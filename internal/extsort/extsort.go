@@ -33,6 +33,11 @@
 //     counter addition commutes — so Parallelism trades wall-clock time
 //     only, never the paper's accounting.
 //
+// The sort has one clock, the one its input's disk charges: the workers
+// share it, every page IO lands on it directly, and each selection tree
+// tallies its comparisons and swaps and adds them to it once per pull
+// (kernel.go), so sharing it costs no per-comparison contention.
+//
 // A one-chunk stream charges as the consumer pulls: abandoning it early
 // and calling Close reads no more run pages and pops no more tuples, which
 // is the serial sort the paper prices and what sort-merge's merging join,
@@ -121,19 +126,16 @@ func (c Config) WithMemory(f *heap.File, m int, fudge float64) Config {
 // sort's temporary run files; Close it when done (draining to ok=false
 // also releases everything).
 //
-// Counters are width-independent by construction: each chunk's formation
-// is a pure function of its page range and slot count, charged to a
-// private worker clock that folds into the base clock at the fan-in
-// barrier (counter addition commutes), and everything after the barrier
-// — priming the merges, the root selection tree, serving the stream —
-// charges the base clock.
+// The whole sort charges one clock, the one f's disk charges: chunk
+// workers read f and write their runs on f's disk, and their selection
+// trees flush their tallies to it. Counters are width-independent by
+// construction: each chunk's formation is a pure function of its page
+// range and slot count, and counter addition commutes.
 func SortWith(f *heap.File, cfg Config) (Stream, Stats, error) {
 	if cfg.MemTuples < 2 {
 		return nil, Stats{}, fmt.Errorf("extsort: need at least 2 tuples of memory, got %d", cfg.MemTuples)
 	}
 	chunks := planChunks(f, cfg)
-	disk := f.Disk()
-	baseClock := disk.Clock()
 	slots := cfg.MemTuples / chunks // planChunks keeps this >= 2
 	// Per-chunk fanout budget: the merges hold one buffer page per open
 	// run in every chunk, so dividing MaxFanout keeps the total at most
@@ -149,16 +151,6 @@ func SortWith(f *heap.File, cfg Config) (Stream, Stats, error) {
 		prefix := fmt.Sprintf("%s.c%d", cfg.Prefix, i)
 		return results[i].form(f, i*np/chunks, (i+1)*np/chunks, cfg.Col, slots, fanout, prefix, cfg.Input)
 	})
-
-	// Fan-in barrier: fold every worker clock that ran, in chunk order.
-	// On success this is where the chunk counters become globally visible;
-	// on error it keeps the global clock consistent with the IO that
-	// actually happened before cleanup.
-	for i := range results {
-		if results[i].clock != nil {
-			baseClock.Charge(results[i].clock.Counters())
-		}
-	}
 	streams := make([]Stream, 0, chunks)
 	fail := func(err error) (Stream, Stats, error) {
 		for _, s := range streams {
@@ -176,7 +168,7 @@ func SortWith(f *heap.File, cfg Config) (Stream, Stats, error) {
 	stats := Stats{Chunks: chunks, InMemory: true}
 	for i := range results {
 		stats.add(results[i].stats)
-		s, err := results[i].stream(disk, cfg.Col)
+		s, err := results[i].stream(cfg.Col)
 		if err != nil {
 			return fail(err)
 		}
@@ -196,7 +188,7 @@ func SortWith(f *heap.File, cfg Config) (Stream, Stats, error) {
 			streams[i] = drainOnClose{s}
 		}
 	}
-	root, err := newMergeStream(streams, f.Schema(), cfg.Col, baseClock)
+	root, err := newMergeStream(streams, f.Schema(), cfg.Col, f.Disk().Clock())
 	if err != nil {
 		return nil, Stats{}, err
 	}
@@ -284,10 +276,10 @@ func mergePass(runs []*heap.File, col, fanout int, prefix string) ([]*heap.File,
 // created so far is dropped.
 func replacementSelect(f *heap.File, start, end, col, slots int, prefix string, inputAccess simio.Access) ([]*heap.File, *kqueue, error) {
 	disk := f.Disk()
-	clock := disk.Clock()
 	schema := f.Schema()
 
-	q := newKQueue(clock, kindRunThenKey, min(slots, (end-start)*f.TuplesPerPage()))
+	q := newKQueue(disk.Clock(), kindRunThenKey, min(slots, (end-start)*f.TuplesPerPage()))
+	defer q.charge()
 	var runs []*heap.File
 	var out *heap.File
 	curRun := 0
@@ -332,7 +324,7 @@ func replacementSelect(f *heap.File, start, end, col, slots int, prefix string, 
 		// The incoming tuple joins the current run if it can still be
 		// emitted after the smallest queued key; otherwise it waits for
 		// the next run. One comparison, as in Knuth's algorithm 5.4.1R.
-		clock.Comps(1)
+		q.comps++
 		if bytes.Compare(it.key, top.key) >= 0 {
 			it.run = top.run
 		} else {

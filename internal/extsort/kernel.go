@@ -1,9 +1,20 @@
-// The sort's counting selection tree: a binary min-heap that charges one
+// The sort's counting selection tree: a binary min-heap that counts one
 // comparison per key compare and one swap per element movement. The paper's
 // priority-queue terms — (comp+swap) per level per insertion — fall out of
 // counting the actual sift operations. The sift paths, the short-circuit
-// order in siftDown and the charges are pinned by tests against the seed's
-// item-array heap (pqueue_test.go). The physical layout is cache-conscious:
+// order in siftDown and the counts are pinned by tests against the seed's
+// item-array heap (pqueue_test.go).
+//
+// The charge discipline is tally, then charge(): the queue counts in two
+// plain fields and charge() adds them to its clock, which the sort's
+// workers share. Each queue has one owner at a time, and the owner
+// flushes at its stream boundaries — once per replacement-selection call
+// (also on error), once after a merge primes its queue, and once per
+// memStream/mergeStream Next — so an abandoned stream is billed exactly
+// what it consumed, at one atomic add per counter per pull instead of one
+// per comparison.
+//
+// The physical layout is cache-conscious:
 //
 //   - Heap nodes are flat 16-byte {prefix, run, ref} records instead of
 //     56-byte items carrying two slice headers. A sift swap moves one
@@ -66,6 +77,8 @@ type kqueue struct {
 	nodes []knode
 	arena []item
 	free  []int32
+	// comps and swaps are counted but not yet charged to clock.
+	comps, swaps int64
 	// keyLen/short track whether every key seen so far has the same length
 	// <= 8 bytes; then equal prefixes imply equal keys and the fallback
 	// byte compare is skipped entirely (Int64 sort keys always qualify).
@@ -128,14 +141,22 @@ func (q *kqueue) less(a, b *knode) bool {
 		if a.run != b.run {
 			return a.run < b.run
 		}
-		q.clock.Comps(1)
+		q.comps++
 		return q.cmp(a, b) < 0
 	}
-	q.clock.Comps(1)
+	q.comps++
 	if c := q.cmp(a, b); c != 0 {
 		return c < 0
 	}
 	return a.run < b.run
+}
+
+// charge adds the tallied comparisons and swaps to the clock and zeroes
+// the tally.
+func (q *kqueue) charge() {
+	q.clock.Comps(q.comps)
+	q.clock.Swaps(q.swaps)
+	q.comps, q.swaps = 0, 0
 }
 
 func (q *kqueue) alloc(it item) int32 {
@@ -168,7 +189,7 @@ func (q *kqueue) Push(it item) {
 		if !q.less(&q.nodes[i], &q.nodes[parent]) {
 			break
 		}
-		q.clock.Swaps(1)
+		q.swaps++
 		q.nodes[i], q.nodes[parent] = q.nodes[parent], q.nodes[i]
 		i = parent
 	}
@@ -215,7 +236,7 @@ func (q *kqueue) siftDown(i int) {
 		if !q.less(&q.nodes[child], &q.nodes[i]) {
 			return
 		}
-		q.clock.Swaps(1)
+		q.swaps++
 		q.nodes[i], q.nodes[child] = q.nodes[child], q.nodes[i]
 		i = child
 	}

@@ -14,7 +14,8 @@ import (
 
 // TestSortKernelQueueMatchesPQueue drives the reference heap and the
 // engine's queue through an identical randomized op sequence for both
-// orderings and requires identical pop results and bit-identical counters.
+// orderings and requires identical pop results and bit-identical counters
+// once the queue has charged its tally.
 func TestSortKernelQueueMatchesPQueue(t *testing.T) {
 	for _, kind := range []lessKind{kindRunThenKey, kindKey} {
 		t.Run(fmt.Sprintf("kind=%d", kind), func(t *testing.T) {
@@ -51,6 +52,7 @@ func TestSortKernelQueueMatchesPQueue(t *testing.T) {
 					}
 				}
 			}
+			kq.charge()
 			if c1, c2 := pc.Counters(), kc.Counters(); c1 != c2 {
 				t.Fatalf("counters diverge:\npqueue %+v\nkqueue %+v", c1, c2)
 			}
@@ -60,7 +62,8 @@ func TestSortKernelQueueMatchesPQueue(t *testing.T) {
 
 // TestSortKernelPrefixFallback exercises keys longer than the 8-byte
 // in-node prefix and keys of mixed lengths, where the queue must fall back
-// to full byte compares without drifting from the reference heap.
+// to full byte compares without drifting from the reference heap (compared
+// once the queue has charged its tally).
 func TestSortKernelPrefixFallback(t *testing.T) {
 	longKey := func(k int) []byte {
 		// 12-byte keys sharing an 8-byte prefix for k in the same bucket.
@@ -93,6 +96,7 @@ func TestSortKernelPrefixFallback(t *testing.T) {
 			t.Fatalf("pop %d: got %v / %v want %v", i, a.key, b.key, keys[i])
 		}
 	}
+	kq.charge()
 	if c1, c2 := pc.Counters(), kc.Counters(); c1 != c2 {
 		t.Fatalf("counters diverge:\npqueue %+v\nkqueue %+v", c1, c2)
 	}

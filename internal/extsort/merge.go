@@ -26,7 +26,9 @@ func (s *memStream) Next() (tuple.Tuple, bool) {
 	if s.q == nil || s.q.Len() == 0 {
 		return nil, false
 	}
-	return s.q.Pop().tup, true
+	t := s.q.Pop().tup
+	s.q.charge()
+	return t, true
 }
 
 func (s *memStream) Err() error { return nil }
@@ -92,8 +94,9 @@ func (c *runCursor) Close() error {
 // mergeStream is the n-way merge of §3.4 driven by a counting selection
 // tree over child streams: a chunk's runs, a merge pass's group, or the
 // root's one stream per chunk. Comparisons and sifts charge the clock it
-// was built with. Ties break toward the lower child index, which makes the
-// output order of equal keys deterministic.
+// was built with, once when the queue is primed and once per Next. Ties
+// break toward the lower child index, which makes the output order of
+// equal keys deterministic.
 type mergeStream struct {
 	col      int
 	schema   *tuple.Schema
@@ -119,6 +122,7 @@ func mergeRuns(runs []*heap.File, col int) (*mergeStream, error) {
 // It owns the children: on error it closes them all.
 func newMergeStream(children []Stream, schema *tuple.Schema, col int, clock *cost.Clock) (*mergeStream, error) {
 	m := &mergeStream{col: col, schema: schema, children: children, q: newKQueue(clock, kindKey, len(children))}
+	defer m.q.charge()
 	for i, c := range children {
 		if t, ok := c.Next(); ok {
 			m.q.Push(item{run: i, key: schema.KeyBytes(t, col), tup: t})
@@ -142,6 +146,7 @@ func (m *mergeStream) Next() (tuple.Tuple, bool) {
 	} else if err := c.Err(); err != nil {
 		m.err = err
 	}
+	m.q.charge()
 	return it.tup, true
 }
 

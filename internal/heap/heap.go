@@ -103,8 +103,8 @@ func MustCreate(disk *simio.Disk, name string, schema *tuple.Schema) *File {
 func (f *File) Schema() *tuple.Schema { return f.schema }
 
 // OnDisk returns a handle on the same heap file whose IO charges through d
-// — normally a View of the file's own disk (per-session cost accounting)
-// or the base disk when re-homing a session-produced file. Handles share
+// — a View of the file's own disk, for a concurrent statement's private
+// cost accounting (a session's, or an experiment query's). Handles share
 // the page storage, the append buffer and the live-slot map; the caller
 // must ensure at most one handle mutates the file, and never concurrently
 // with reads through the others (the engine's relation-level S/X locks

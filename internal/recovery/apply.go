@@ -98,12 +98,11 @@ func (a *Applier) advance() error {
 		cut++
 	}
 	if cut > 0 {
-		_, _, err := replayByPage(a.pool, a.st, a.clock, a.pending[:cut], func(recs []wal.Record, clk *cost.Clock) (int, int, error) {
+		_, _, err := replayByPage(a.pool, a.st, a.clock, a.pending[:cut], func(recs []wal.Record) (int, int, error) {
 			for _, r := range recs {
 				if err := a.st.Apply(r.Rec, r.New); err != nil {
 					return 0, 0, fmt.Errorf("apply LSN %d: %w", r.LSN, err)
 				}
-				clk.Moves(1)
 			}
 			return len(recs), 0, nil
 		})

@@ -1,10 +1,10 @@
 // Crash recovery (§5.5–§5.6): the log survives a crash as bounded segment
 // files per device plus a commit.meta durable position. Recovery scans
-// only the segments at or beyond the published horizon, fans the scan and
-// the page-partitioned redo/undo over an exec pool, and charges every
-// worker's virtual work to a private cost.Clock folded into the main
-// clock at each barrier — so the replay counters (and therefore the
-// virtual recovery time) are bit-identical at every Parallelism width.
+// only the segments at or beyond the published horizon and fans the scan
+// and the page-partitioned redo/undo over an exec pool. Every worker
+// charges the one recovery clock — the scan disk's — and counter addition
+// commutes, so the replay counters (and therefore the virtual recovery
+// time) are bit-identical at every Parallelism width.
 package recovery
 
 import (
@@ -65,15 +65,14 @@ type Input struct {
 
 // scanTask identifies one segment to read and decode.
 type scanTask struct {
-	dev int // index into in.Devices
-	seg int // index into that device's Segments
+	dev int          // index into in.Devices
+	sp  *simio.Space // the segment, installed on the scan disk
 }
 
 // scanResult is one segment's decoded records.
 type scanResult struct {
 	recs   []wal.Record
 	intact bool
-	clk    *cost.Clock
 }
 
 // Recover rebuilds the database from a crash image.
@@ -132,7 +131,7 @@ func Recover(in Input) (*store.Store, Info, error) {
 	// below the horizon without touching their pages.
 	var tasks []scanTask
 	for di, d := range in.Devices {
-		for si, s := range d.Segments {
+		for _, s := range d.Segments {
 			if horizon > 0 && s.LastLSN > 0 && wal.LSN(s.LastLSN) < horizon {
 				info.SegmentsSkipped++
 				continue
@@ -146,26 +145,19 @@ func Recover(in Input) (*store.Store, Info, error) {
 					return nil, info, fmt.Errorf("recovery: install segment: %w", err)
 				}
 			}
-			tasks = append(tasks, scanTask{dev: di, seg: si})
+			tasks = append(tasks, scanTask{dev: di, sp: sp})
 		}
 	}
 
-	// 2. Parallel segment scan: each task opens its segment (one random IO
-	// for the seek), streams the pages sequentially, and decodes them with
-	// the per-record checksums cutting at the first torn record. Charges
-	// land on a per-task clock.
+	// 2. Parallel segment scan: each task reads its segment (the first page
+	// a random IO, for the seek; the rest sequential) and decodes the pages
+	// with the per-record checksums cutting at the first torn record. The
+	// reads charge the scan disk's clock.
 	results := make([]scanResult, len(tasks))
 	pool := exec.NewPool(in.Parallelism)
 	err = pool.ForEach(context.Background(), len(tasks), func(ctx context.Context, i int) error {
-		t := tasks[i]
-		s := in.Devices[t.dev].Segments[t.seg]
-		clk := cost.NewClock(params)
-		view := disk.View(clk)
-		sp, err := view.Open(seglog.SegmentSpace(in.Devices[t.dev].Device, s.Index))
-		if err != nil {
-			return err
-		}
-		res := scanResult{intact: true, clk: clk}
+		sp := tasks[i].sp
+		res := scanResult{intact: true}
 		for p := 0; p < sp.NumPages(); p++ {
 			access := simio.Seq
 			if p == 0 {
@@ -189,15 +181,6 @@ func Recover(in Input) (*store.Store, Info, error) {
 	})
 	if err != nil {
 		return nil, info, fmt.Errorf("recovery: segment scan: %w", err)
-	}
-
-	// Barrier: fold the scan clocks into the main clock in task order.
-	// Counter addition commutes, so the totals are independent of which
-	// worker ran which task — bit-identical at every width.
-	for _, r := range results {
-		if r.clk != nil {
-			clock.Charge(r.clk.Counters())
-		}
 	}
 
 	// 3. Assemble fragments: one per scanned segment. A device's segments
@@ -265,7 +248,7 @@ func Recover(in Input) (*store.Store, Info, error) {
 	// 6–7. Replay, partitioned by store page: per page, redo every update
 	// at or beyond the start point (and the horizon floor) in LSN order,
 	// then undo the unresolved updates in reverse.
-	info.Redone, info.Undone, err = replayByPage(pool, st, clock, merged, func(recs []wal.Record, clk *cost.Clock) (redone, undone int, err error) {
+	info.Redone, info.Undone, err = replayByPage(pool, st, clock, merged, func(recs []wal.Record) (redone, undone int, err error) {
 		for _, r := range recs {
 			if in.HaveStart && r.LSN < in.StartLSN {
 				continue
@@ -276,7 +259,6 @@ func Recover(in Input) (*store.Store, Info, error) {
 			if err := st.Apply(r.Rec, r.New); err != nil {
 				return 0, 0, fmt.Errorf("redo LSN %d: %w", r.LSN, err)
 			}
-			clk.Moves(1)
 			redone++
 		}
 		for j := len(recs) - 1; j >= 0; j-- {
@@ -290,7 +272,6 @@ func Recover(in Input) (*store.Store, Info, error) {
 			if err := st.Apply(r.Rec, r.Old); err != nil {
 				return 0, 0, fmt.Errorf("undo LSN %d: %w", r.LSN, err)
 			}
-			clk.Moves(1)
 			undone++
 		}
 		return redone, undone, nil
@@ -308,12 +289,12 @@ func Recover(in Input) (*store.Store, Info, error) {
 // store page and runs apply over each page's updates on the pool. Updates
 // to different pages touch disjoint byte ranges and store.Apply is a pure
 // copy, so buckets never race; within a bucket the global LSN order is
-// preserved by construction. Each bucket charges a private clock, folded
-// into clock in page order at the barrier — counter addition commutes, so
-// the totals are bit-identical at every width. It returns the summed
-// counts apply reported.
+// preserved by construction. It returns the summed counts apply reported
+// and, after the barrier, charges clock one move per applied record; on
+// error it charges no move. The moves are a function of the log alone, so
+// they are bit-identical at every width.
 func replayByPage(pool *exec.Pool, st *store.Store, clock *cost.Clock, log []wal.Record,
-	apply func(recs []wal.Record, clk *cost.Clock) (redone, undone int, err error)) (redone, undone int, err error) {
+	apply func(recs []wal.Record) (redone, undone int, err error)) (redone, undone int, err error) {
 	buckets := make(map[int][]wal.Record)
 	for _, r := range log {
 		if r.Type != wal.Update {
@@ -329,24 +310,20 @@ func replayByPage(pool *exec.Pool, st *store.Store, clock *cost.Clock, log []wal
 	}
 	sort.Ints(pageIDs)
 
-	type result struct {
-		redone, undone int
-		clk            *cost.Clock
-	}
+	type result struct{ redone, undone int }
 	results := make([]result, len(pageIDs))
 	err = pool.ForEach(context.Background(), len(pageIDs), func(ctx context.Context, i int) error {
-		clk := cost.NewClock(clock.Params())
-		r, u, err := apply(buckets[pageIDs[i]], clk)
-		results[i] = result{redone: r, undone: u, clk: clk}
+		r, u, err := apply(buckets[pageIDs[i]])
+		results[i] = result{redone: r, undone: u}
 		return err
 	})
 	if err != nil {
 		return 0, 0, err
 	}
 	for _, r := range results {
-		clock.Charge(r.clk.Counters())
 		redone += r.redone
 		undone += r.undone
 	}
+	clock.Moves(int64(redone + undone))
 	return redone, undone, nil
 }

@@ -93,8 +93,8 @@ func TestSegmentedRecoveryMatchesSerial(t *testing.T) {
 
 func TestReplayCountersIdenticalAcrossWidths(t *testing.T) {
 	// The replay's cost counters — and therefore its virtual recovery
-	// time — must be bit-identical at every pool width: per-worker clocks
-	// are folded at the barriers and counter addition commutes.
+	// time — must be bit-identical at every pool width: every worker
+	// charges the one recovery clock and counter addition commutes.
 	in, _ := buildSegmentedCrash(t)
 	var baseStore *store.Store
 	var baseInfo Info

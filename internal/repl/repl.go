@@ -71,12 +71,11 @@ type Replica struct {
 	cursor  *wal.Cursor
 	applier *recovery.Applier
 
-	// The relay disk models the replica's local log device: delivered
+	// The relay space models the replica's local log device: delivered
 	// frames are appended (uncharged: the network delivered them), then
-	// read back and decoded through a per-delivery clock and disk view,
-	// exactly like recovery's segment scan.
+	// read back and decoded, charging relayClock, exactly like recovery's
+	// segment scan.
 	relayClock *cost.Clock
-	relayDisk  *simio.Disk
 	relaySpace *simio.Space
 	nextRead   int
 
@@ -125,15 +124,13 @@ func NewShipper(cfg Config) (*Shipper, error) {
 // the primary's geometry).
 func (s *Shipper) AddReplica(name string, st *store.Store) *Replica {
 	clk := cost.NewClock(s.cfg.Params)
-	disk := simio.NewDisk(clk, s.pageSize)
 	r := &Replica{
 		name:       name,
 		shipper:    s,
 		cursor:     s.cfg.Log.NewCursor(0),
 		applier:    recovery.NewApplier(st, s.cfg.Parallelism, s.cfg.Params),
 		relayClock: clk,
-		relayDisk:  disk,
-		relaySpace: disk.MustCreate("relay/" + name),
+		relaySpace: simio.NewDisk(clk, s.pageSize).MustCreate("relay/" + name),
 	}
 	s.replicas = append(s.replicas, r)
 	return r
@@ -229,9 +226,8 @@ func (r *Replica) breakLink() {
 }
 
 // deliver lands a shipment on the replica: frames are appended to the
-// relay space, read back through a per-delivery clock + disk view with
-// the recovery scan idiom (first page a seek, the rest sequential),
-// CRC-decoded, and folded into the applier.
+// relay space, read back with the recovery scan idiom (first page a seek,
+// the rest sequential), CRC-decoded, and folded into the applier.
 func (r *Replica) deliver(frames [][]byte) {
 	if r.broken {
 		return
@@ -241,20 +237,15 @@ func (r *Replica) deliver(frames [][]byte) {
 			panic(fmt.Sprintf("repl: relay append: %v", err))
 		}
 	}
-	clk := cost.NewClock(r.shipper.cfg.Params)
-	view, err := r.relayDisk.View(clk).Open(r.relaySpace.Name())
-	if err != nil {
-		panic(fmt.Sprintf("repl: relay open: %v", err))
-	}
 	var recs []wal.Record
-	for p := r.nextRead; p < view.NumPages(); p++ {
+	for p := r.nextRead; p < r.relaySpace.NumPages(); p++ {
 		access := simio.Seq
 		if p == r.nextRead {
 			access = simio.Rand
 		}
 		// The image is the stored page: the relay is append-only, and
 		// decoding copies each record out of it.
-		img, err := view.Read(p, access)
+		img, err := r.relaySpace.Read(p, access)
 		if err != nil {
 			panic(fmt.Sprintf("repl: relay read: %v", err))
 		}
@@ -267,8 +258,7 @@ func (r *Replica) deliver(frames [][]byte) {
 		}
 		recs = append(recs, page...)
 	}
-	r.nextRead = view.NumPages()
-	r.relayClock.Charge(clk.Counters())
+	r.nextRead = r.relaySpace.NumPages()
 	if err := r.applier.Ingest(recs); err != nil {
 		panic(fmt.Sprintf("repl: %s: %v", r.name, err))
 	}

@@ -50,7 +50,8 @@ func (a Access) String() string {
 // layer gives every admitted query its own view + clock, which is what
 // keeps per-query counters bit-identical under concurrency — each query's
 // charges land on its private clock and are merged into the global one at
-// session close.
+// session close. Views are per concurrent statement only: an operator's
+// parallel workers share its one clock rather than each charging a view.
 type Disk struct {
 	store *diskStore
 	clock *cost.Clock
