@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"mmdb/internal/catalog"
 	"mmdb/internal/expr"
 	"mmdb/internal/lock"
 	"mmdb/internal/simio"
@@ -935,16 +934,12 @@ func (c *Cluster) Rejoin(ctx context.Context) error {
 	// under the exclusive intent) before the locks grant.
 	p := c.prim.Load()
 	names := p.db.cat.Names()
-	txn := p.db.locks.NextID()
-	resources := make([]uint64, len(names))
-	for i, n := range names {
-		resources[i] = catalog.ResourceID(n)
-	}
-	if _, err := p.db.locks.AcquireAll(ctx, txn, resources, lock.Shared); err != nil {
+	unlock, err := p.db.lockRelations(ctx, lock.Shared, names...)
+	if err != nil {
 		return fail(fmt.Errorf("freezing the primary snapshot: %w", err))
 	}
 	if err := c.copyRelations(p.db, db, names); err != nil {
-		p.db.locks.Release(txn)
+		unlock()
 		return fail(fmt.Errorf("copying the snapshot: %w", err))
 	}
 
@@ -959,7 +954,7 @@ func (c *Cluster) Rejoin(ctx context.Context) error {
 	r.floor = c.seq
 	started := c.startLocked(r)
 	c.mu.Unlock()
-	p.db.locks.Release(txn)
+	unlock()
 	if !started {
 		return fail(errors.New("cluster is closed"))
 	}

@@ -157,31 +157,18 @@ type Stats struct {
 	Distinct      map[int]int64 // distinct values per column (computed on demand)
 }
 
-// shardCount is the number of independently locked registry stripes. Name
-// lookups hash to a stripe, so concurrent queries touching different
-// relations (and usually even the same one — lookups only take read locks)
-// never contend on a single catalog mutex.
-const shardCount = 16
-
-type catShard struct {
+// Catalog is the registry: one map behind one RW lock, safe for
+// concurrent lookups, creates, adopts and drops. Lookups take only the
+// read lock.
+type Catalog struct {
+	disk *simio.Disk
 	mu   sync.RWMutex
 	rels map[string]*Relation
 }
 
-// Catalog is the registry, sharded behind striped RW locks: safe for
-// concurrent lookups, creates, adopts and drops.
-type Catalog struct {
-	disk   *simio.Disk
-	shards [shardCount]catShard
-}
-
 // New creates an empty catalog on disk.
 func New(disk *simio.Disk) *Catalog {
-	c := &Catalog{disk: disk}
-	for i := range c.shards {
-		c.shards[i].rels = make(map[string]*Relation)
-	}
-	return c
+	return &Catalog{disk: disk, rels: make(map[string]*Relation)}
 }
 
 // Disk returns the underlying disk.
@@ -196,47 +183,43 @@ func ResourceID(name string) uint64 {
 	return h.Sum64()
 }
 
-func (c *Catalog) shardOf(name string) *catShard {
-	return &c.shards[ResourceID(name)%shardCount]
-}
-
 // Create registers a new empty relation.
 func (c *Catalog) Create(name string, schema *tuple.Schema) (*Relation, error) {
-	sh := c.shardOf(name)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, ok := sh.rels[name]; ok {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.rels[name]; ok {
 		return nil, fmt.Errorf("catalog: relation %q already exists", name)
 	}
 	f, err := heap.Create(c.disk, name, schema)
 	if err != nil {
 		return nil, err
 	}
-	r := &Relation{Name: name, File: f, indexes: make(map[int]Index)}
-	sh.rels[name] = r
-	return r, nil
+	return c.register(f), nil
 }
 
 // Adopt registers an existing heap file (e.g. one produced by the workload
 // generator).
 func (c *Catalog) Adopt(f *heap.File) (*Relation, error) {
-	sh := c.shardOf(f.Name())
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, ok := sh.rels[f.Name()]; ok {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.rels[f.Name()]; ok {
 		return nil, fmt.Errorf("catalog: relation %q already exists", f.Name())
 	}
+	return c.register(f), nil
+}
+
+// register adds f's relation; the caller holds the write lock.
+func (c *Catalog) register(f *heap.File) *Relation {
 	r := &Relation{Name: f.Name(), File: f, indexes: make(map[int]Index)}
-	sh.rels[f.Name()] = r
-	return r, nil
+	c.rels[f.Name()] = r
+	return r
 }
 
 // Get looks a relation up.
 func (c *Catalog) Get(name string) (*Relation, error) {
-	sh := c.shardOf(name)
-	sh.mu.RLock()
-	r, ok := sh.rels[name]
-	sh.mu.RUnlock()
+	c.mu.RLock()
+	r, ok := c.rels[name]
+	c.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("catalog: relation %q does not exist", name)
 	}
@@ -245,31 +228,27 @@ func (c *Catalog) Get(name string) (*Relation, error) {
 
 // Names returns the registered relation names in sorted order.
 func (c *Catalog) Names() []string {
+	c.mu.RLock()
 	var out []string
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.RLock()
-		for n := range sh.rels {
-			out = append(out, n)
-		}
-		sh.mu.RUnlock()
+	for n := range c.rels {
+		out = append(out, n)
 	}
+	c.mu.RUnlock()
 	sort.Strings(out)
 	return out
 }
 
-// Drop removes a relation and its storage.
+// Drop removes a relation and its storage. The storage goes under the
+// lock, so a Create of the same name that follows the Drop finds the name
+// free on the disk too.
 func (c *Catalog) Drop(name string) error {
-	sh := c.shardOf(name)
-	sh.mu.Lock()
-	r, ok := sh.rels[name]
-	if ok {
-		delete(sh.rels, name)
-	}
-	sh.mu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	r, ok := c.rels[name]
 	if !ok {
 		return fmt.Errorf("catalog: relation %q does not exist", name)
 	}
+	delete(c.rels, name)
 	r.File.Drop()
 	return nil
 }

@@ -2,6 +2,10 @@ package catalog
 
 import (
 	"bytes"
+	"fmt"
+	"sort"
+	"strings"
+	"sync"
 	"testing"
 
 	"mmdb/internal/cost"
@@ -133,5 +137,60 @@ func TestStats(t *testing.T) {
 	}
 	if d := s.Distinct[0]; d < 30 || d > 40 {
 		t.Fatalf("distinct(key) = %d, domain 40", d)
+	}
+}
+
+// TestCatalogConcurrentUse runs Create, Get, Names and Drop from several
+// goroutines over overlapping names (run it under -race). Every failure
+// must be the registry's own verdict on the name, never the disk's: a
+// Create that follows a Drop finds the name free in the catalog and on the
+// disk alike. At the end no relation's storage is left behind.
+func TestCatalogConcurrentUse(t *testing.T) {
+	disk, c := env()
+	names := []string{"a", "b", "c", "d"}
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 300; i++ {
+				name := names[(g+i)%len(names)]
+				var err error
+				switch (g*7 + i) % 4 {
+				case 0:
+					_, err = c.Create(name, schema())
+				case 1:
+					var r *Relation
+					if r, err = c.Get(name); err == nil && r.Name != name {
+						err = fmt.Errorf("Get(%q) returned %q", name, r.Name)
+					}
+				case 2:
+					got := c.Names()
+					if !sort.StringsAreSorted(got) || len(got) > len(names) {
+						err = fmt.Errorf("Names() = %v", got)
+					}
+				case 3:
+					err = c.Drop(name)
+				}
+				if err != nil && !strings.HasPrefix(err.Error(), "catalog: relation") {
+					errs <- err
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	for _, name := range c.Names() {
+		if err := c.Drop(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if left := disk.Spaces(); len(left) != 0 {
+		t.Fatalf("spaces left after dropping every relation: %v", left)
 	}
 }

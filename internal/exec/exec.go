@@ -10,6 +10,12 @@
 // fan-in. A pool with one worker executes inline, in index order, with no
 // goroutines at all, which is what makes Parallelism=1 runs behave exactly
 // like the original serial engine.
+//
+// Its fan-outs are the operators' only concurrency: every call waits for
+// the tasks it started, so an operator is fork-join and holds no goroutine
+// once the call that started its workers returns — not while a stream it
+// handed out is open, nor after. No operator package has a go statement
+// of its own (docs/ARCHITECTURE.md, "Operators are fork-join").
 package exec
 
 import (

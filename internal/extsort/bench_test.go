@@ -9,10 +9,10 @@ import (
 
 // BenchmarkSortWith drains an external sort of a 20 000-tuple input 20×
 // its queue (runs written, then merged) at one chunk and at four, serial
-// schedule, and at four chunks formed by two workers with the root's
-// children pumped eagerly — the path whose workers share the sort's one
-// clock. The input is built once; each iteration sorts it afresh and
-// Close drops the runs.
+// schedule, and at four chunks formed by two workers — the path whose
+// workers share the sort's one clock; the root pulls its children inline
+// at every width. The input is built once; each iteration sorts it afresh
+// and Close drops the runs.
 func BenchmarkSortWith(b *testing.B) {
 	f := makeFile(b, 20000, 1<<40, 5)
 	for _, tc := range []struct{ chunks, width int }{{1, 0}, {4, 0}, {4, 2}} {

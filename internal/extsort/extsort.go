@@ -26,9 +26,9 @@
 //     shorter runs; an extra merge level) and must not depend on the
 //     worker count.
 //   - Config.Parallelism is the *schedule*: how many exec.Pool workers
-//     form chunks concurrently, and whether the root's children run
-//     eagerly on their own goroutines (bounded channels) or are pulled
-//     lazily inline. For a fixed plan the charged counters are
+//     form chunks concurrently. The fan-out finishes before SortWith
+//     returns, and the root pulls its children inline at every width, so
+//     the width picks no code. For a fixed plan the charged counters are
 //     bit-identical at every width — per-chunk work does not change and
 //     counter addition commutes — so Parallelism trades wall-clock time
 //     only, never the paper's accounting.
@@ -43,7 +43,7 @@
 // is the serial sort the paper prices and what sort-merge's merging join,
 // which stops at the end of either input, is charged. A multi-chunk
 // stream's Close finishes every chunk stream instead, so its totals do not
-// depend on how far the consumer or the pumps got.
+// depend on how far the consumer got.
 package extsort
 
 import (
@@ -61,8 +61,7 @@ import (
 // ok=false, Err reports any underlying failure. Close releases the sort's
 // temporary run files and must be called (it is idempotent); on a
 // multi-chunk stream it also finishes every chunk stream so the charged
-// counters never depend on how far the consumer got or on worker
-// scheduling.
+// counters never depend on how far the consumer got.
 type Stream interface {
 	Next() (tuple.Tuple, bool)
 	Err() error
@@ -99,10 +98,9 @@ type Config struct {
 	// queue and no root merge. Chunks is clamped so every chunk keeps at
 	// least 2 slots and at least one input page.
 	Chunks int
-	// Parallelism bounds the formation worker goroutines and runs the root
-	// merge's children eagerly; 0 or 1 means serial inline execution, a
-	// negative value means one worker per CPU. Counters are identical at
-	// every setting for a fixed Chunks.
+	// Parallelism bounds the formation workers; 0 or 1 means serial inline
+	// execution, a negative value means one worker per CPU. Counters are
+	// identical at every setting for a fixed Chunks.
 	Parallelism int
 }
 
@@ -128,9 +126,11 @@ func (c Config) WithMemory(f *heap.File, m int, fudge float64) Config {
 //
 // The whole sort charges one clock, the one f's disk charges: chunk
 // workers read f and write their runs on f's disk, and their selection
-// trees flush their tallies to it. Counters are width-independent by
-// construction: each chunk's formation is a pure function of its page
-// range and slot count, and counter addition commutes.
+// trees flush their tallies to it. The workers are done when SortWith
+// returns; the stream starts no goroutine, and the root merge pulls every
+// chunk stream inline. Counters are width-independent by construction:
+// each chunk's formation is a pure function of its page range and slot
+// count, and counter addition commutes.
 func SortWith(f *heap.File, cfg Config) (Stream, Stats, error) {
 	if cfg.MemTuples < 2 {
 		return nil, Stats{}, fmt.Errorf("extsort: need at least 2 tuples of memory, got %d", cfg.MemTuples)
@@ -177,16 +177,11 @@ func SortWith(f *heap.File, cfg Config) (Stream, Stats, error) {
 	if chunks == 1 {
 		return streams[0], stats, nil
 	}
-	// The root finishes its children on Close: with more than one worker
-	// each runs eagerly in a pump, which drains it when stopped; at width
-	// 1 the root pulls it inline, and drainOnClose finishes it. Charges
-	// are identical either way.
+	// The root pulls its children inline, and drainOnClose finishes each
+	// on Close, so a multi-chunk bill does not depend on where the
+	// consumer stopped.
 	for i, s := range streams {
-		if exec.Workers(cfg.Parallelism) > 1 {
-			streams[i] = newBatchPumpStream(s, pumpBuffer)
-		} else {
-			streams[i] = drainOnClose{s}
-		}
+		streams[i] = drainOnClose{s}
 	}
 	root, err := newMergeStream(streams, f.Schema(), cfg.Col, f.Disk().Clock())
 	if err != nil {

@@ -120,7 +120,7 @@ func TestSortKernelIdenticalToClassic(t *testing.T) {
 		{40, 1, 1, -1, cost.Counters{Comps: 320, Swaps: 157}, Stats{Runs: 1, Chunks: 1, InMemory: true}},                                                       // in-memory
 		{900, 1, 1, -1, cost.Counters{Comps: 12352, Swaps: 6624, SeqIOs: 79, RandIOs: 79}, Stats{Runs: 8, FinalRuns: 8, Chunks: 1}},                            // one chunk, external
 		{900, 4, 1, -1, cost.Counters{Comps: 10491, Swaps: 5329, SeqIOs: 253, RandIOs: 253}, Stats{Runs: 32, FinalRuns: 8, MergePasses: 2, Chunks: 4}},         // chunked, serial schedule
-		{900, 4, 4, -1, cost.Counters{Comps: 10491, Swaps: 5329, SeqIOs: 253, RandIOs: 253}, Stats{Runs: 32, FinalRuns: 8, MergePasses: 2, Chunks: 4}},         // chunked, parallel pumps
+		{900, 4, 4, -1, cost.Counters{Comps: 10491, Swaps: 5329, SeqIOs: 253, RandIOs: 253}, Stats{Runs: 32, FinalRuns: 8, MergePasses: 2, Chunks: 4}},         // chunked, parallel formation
 		{2000, 64, 4, -1, cost.Counters{Comps: 30420, Swaps: 14555, SeqIOs: 1297, RandIOs: 1297}, Stats{Runs: 531, FinalRuns: 64, MergePasses: 4, Chunks: 32}}, // very wide root (deep-merge satellite rung)
 		{40, 1, 1, 10, cost.Counters{Comps: 163, Swaps: 82}, Stats{Runs: 1, Chunks: 1, InMemory: true}},                                                        // in-memory, abandoned: only the pops taken
 		{900, 1, 1, 10, cost.Counters{Comps: 7266, Swaps: 4108, SeqIOs: 79, RandIOs: 8}, Stats{Runs: 8, FinalRuns: 8, Chunks: 1}},                              // external, abandoned: run reads only as consumed

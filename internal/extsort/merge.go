@@ -2,7 +2,6 @@ package extsort
 
 import (
 	"fmt"
-	"sync"
 
 	"mmdb/internal/cost"
 	"mmdb/internal/heap"
@@ -10,11 +9,6 @@ import (
 	"mmdb/internal/simio"
 	"mmdb/internal/tuple"
 )
-
-// pumpBuffer is the channel depth of each eager root child, in tuples.
-// Deep enough to decouple the root from chunk-stream latency, shallow
-// enough to keep read-ahead (and thus retained pages) small.
-const pumpBuffer = 128
 
 // memStream serves an in-memory chunk: it pops the chunk's selection tree
 // as the consumer pulls, charging each pop's sift then.
@@ -154,7 +148,7 @@ func (m *mergeStream) Err() error { return m.err }
 
 // Close closes every child. Run cursors drop their runs unread, so a
 // merge over runs charges only what was consumed; the root's children are
-// wrapped to finish themselves first (drainOnClose, batchPumpStream).
+// wrapped to finish themselves first (drainOnClose).
 func (m *mergeStream) Close() error {
 	if m.closed {
 		return m.err
@@ -183,107 +177,4 @@ func (d drainOnClose) Close() error {
 		return err
 	}
 	return d.Stream.Close()
-}
-
-// pumpBatch is how many tuples a batched pump moves per channel operation.
-const pumpBatch = 32
-
-// batchPumpStream runs a root child eagerly: a goroutine pulls the inner
-// stream and sends through a bounded channel, so chunk merges make
-// progress while the root is busy elsewhere. Tuples cross the channel in
-// pumpBatch-sized slices, amortizing the per-tuple channel synchronization
-// that would dominate a wide root. On Close (or when
-// the inner stream is exhausted) the pump finishes reading the inner stream
-// before closing it, keeping charges independent of where the consumer
-// stopped and of scheduling.
-type batchPumpStream struct {
-	ch   chan []tuple.Tuple
-	cur  []tuple.Tuple
-	pos  int
-	stop chan struct{}
-	done chan struct{}
-	once sync.Once
-	err  error
-}
-
-func newBatchPumpStream(inner Stream, buf int) *batchPumpStream {
-	depth := buf / pumpBatch
-	if depth < 1 {
-		depth = 1
-	}
-	p := &batchPumpStream{
-		ch:   make(chan []tuple.Tuple, depth),
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-	}
-	go func() {
-		batch := make([]tuple.Tuple, 0, pumpBatch)
-		stopped := false
-		send := func() bool {
-			select {
-			case p.ch <- batch:
-				batch = make([]tuple.Tuple, 0, pumpBatch)
-				return true
-			case <-p.stop:
-				return false
-			}
-		}
-		for !stopped {
-			t, ok := inner.Next()
-			if !ok {
-				break
-			}
-			batch = append(batch, t)
-			if len(batch) == pumpBatch {
-				stopped = !send()
-			}
-		}
-		if stopped {
-			// Consumer abandoned the stream: finish the inner reads so the
-			// charged counters stay schedule-independent.
-			for {
-				if _, ok := inner.Next(); !ok {
-					break
-				}
-			}
-		} else if len(batch) > 0 {
-			send()
-		}
-		p.err = inner.Err()
-		inner.Close()
-		close(p.done)
-		close(p.ch)
-	}()
-	return p
-}
-
-func (p *batchPumpStream) Next() (tuple.Tuple, bool) {
-	if p.pos < len(p.cur) {
-		t := p.cur[p.pos]
-		p.pos++
-		return t, true
-	}
-	b, ok := <-p.ch
-	if !ok {
-		return nil, false
-	}
-	p.cur, p.pos = b, 1
-	return b[0], true
-}
-
-// Err reports the inner stream's error once the pump has finished; while
-// the pump is still running there is no error to report yet.
-func (p *batchPumpStream) Err() error {
-	select {
-	case <-p.done:
-		return p.err
-	default:
-		return nil
-	}
-}
-
-func (p *batchPumpStream) Close() error {
-	p.once.Do(func() { close(p.stop) })
-	<-p.done
-	return p.err
 }

@@ -2,9 +2,11 @@ package extsort
 
 import (
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"mmdb/internal/cost"
 	"mmdb/internal/fault"
@@ -253,5 +255,47 @@ func TestErrorPathDropsRunFiles(t *testing.T) {
 				t.Fatalf("chunks=%d failAfter=%d: leaked %v", chunks, failAfter, extra)
 			}
 		}
+	}
+}
+
+// settleGoroutines polls runtime.NumGoroutine for up to a second until it
+// is at most want, and reports the last count it read.
+func settleGoroutines(want int) int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(time.Second); n > want && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(5 * time.Millisecond)
+	}
+	return n
+}
+
+// TestSortIsForkJoin pins the operators' concurrency rule on the sort: the
+// formation workers are an exec.Pool fan-out that finishes before SortWith
+// returns, and the root merge pulls its chunk streams inline, so a
+// parallel multi-chunk stream holds no goroutine while it is open or after
+// Close.
+func TestSortIsForkJoin(t *testing.T) {
+	f := makeFile(t, 20000, 1<<40, 51)
+	before := runtime.NumGoroutine()
+	s, stats, err := SortWith(f, Config{Col: 0, MemTuples: 1000, MaxFanout: 16,
+		Prefix: "g", Input: simio.Uncharged, Chunks: 4, Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Chunks != 4 || stats.InMemory {
+		t.Fatalf("stats %+v, want four external chunks", stats)
+	}
+	for i := 0; i < 10; i++ {
+		if _, ok := s.Next(); !ok {
+			t.Fatalf("stream ended after %d tuples", i)
+		}
+	}
+	if n := settleGoroutines(before); n > before {
+		t.Fatalf("mid-stream: %d goroutines, %d before SortWith", n, before)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := settleGoroutines(before); n > before {
+		t.Fatalf("after Close: %d goroutines, %d before SortWith", n, before)
 	}
 }

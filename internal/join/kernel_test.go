@@ -85,8 +85,8 @@ func checkPinned(t *testing.T, width int, want pinned, seq []string, set, serial
 
 // TestRadixKernelJoinsIdentical pins every join shape to the counters and
 // the serial emission order the classic layout produced: with the plan
-// knobs fixed, the hash table, hasher, prober, selection tree and pumps
-// must charge those exact counters at every schedule width, produce the
+// knobs fixed, the hash table, hasher, prober and selection tree must
+// charge those exact counters at every schedule width, produce the
 // same matches, and at width 1 the exact same emission sequence. An
 // all-resident hybrid join is one pass with nothing to fan out, so its
 // emission sequence is pinned at every width (ordered).

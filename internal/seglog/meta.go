@@ -3,6 +3,7 @@ package seglog
 import (
 	"encoding/binary"
 	"hash/crc32"
+	"sort"
 	"time"
 )
 
@@ -57,75 +58,61 @@ func DecodeCommitPos(buf []byte) (CommitPos, bool) {
 	}, true
 }
 
-// metaSlot is one of the two ping-pong commit.meta slots. A slot is
-// rewritten in place; because writes alternate slots, at most one slot is
-// ever mid-write, and the other still holds a valid (older-epoch)
-// position. The reader arbitrates by CRC validity then highest epoch.
-type metaSlot struct {
-	img     []byte
-	start   time.Duration
-	done    time.Duration
-	written bool
+// metaWrite is one commit.meta slot rewrite: the image it puts on the
+// medium and its service window on the device's meta lane. Rewrite i
+// (epoch i+1) goes to slot (i+1)%2, so the two ping-pong slots alternate
+// and at most one is ever mid-write; the reader arbitrates by CRC
+// validity, then highest epoch.
+type metaWrite struct {
+	img []byte
+	Window
 }
 
 // metaState tracks the dual-slot commit.meta file of one device.
 type metaState struct {
-	slots     [2]metaSlot
-	epoch     uint64
-	last      CommitPos // last content issued (dedup)
-	haveLast  bool
-	busyUntil time.Duration
-	windows   []Window
-	writes    int64
+	writes   []metaWrite // every rewrite issued, in issue order
+	last     CommitPos   // last content issued (dedup)
+	haveLast bool
 }
 
 // publish issues a meta slot rewrite for pos if it differs from the last
-// issued content. Writes are serviced serially on the device's meta lane.
+// issued content. Writes are serviced serially on the device's meta lane,
+// so a rewrite may be queued behind earlier ones and start later than now.
 func (m *metaState) publish(now time.Duration, pos CommitPos, writeTime time.Duration) {
 	if m.haveLast && pos.Seg == m.last.Seg && pos.Off == m.last.Off &&
 		pos.Durable == m.last.Durable && pos.Horizon == m.last.Horizon {
 		return
 	}
-	m.epoch++
-	pos.Epoch = m.epoch
+	pos.Epoch = uint64(len(m.writes)) + 1
 	m.last, m.haveLast = pos, true
 	start := now
-	if m.busyUntil > start {
-		start = m.busyUntil
+	if n := len(m.writes); n > 0 {
+		start = max(start, m.writes[n-1].Done)
 	}
-	done := start + writeTime
-	m.busyUntil = done
-	m.slots[m.epoch%2] = metaSlot{img: EncodeCommitPos(pos), start: start, done: done, written: true}
-	m.windows = append(m.windows, Window{Start: start, Done: done})
-	m.writes++
+	m.writes = append(m.writes, metaWrite{img: EncodeCommitPos(pos), Window: Window{Start: start, Done: start + writeTime}})
 }
 
-// durable arbitrates the two slots as seen by a crash at time t: a slot
-// whose write completed contributes its full image; a slot mid-write at t
-// contributes only the written prefix (which fails the CRC). The valid
-// candidate with the highest epoch wins. ok=false means no valid slot —
-// the device never published, and recovery must scan from the start.
+// durable arbitrates the two slots as seen by a crash at time t. A slot
+// holds the last rewrite that started on it before t; a rewrite that had
+// not finished by t is torn and left only the prefix its progress wrote,
+// which fails the CRC. A rewrite queued but not started by t is not on the
+// medium and hides nothing. Rewrites start in issue order and alternate
+// slots, so the slots hold the last rewrite started before t and the one
+// issued just before it. The valid one with the higher epoch wins.
+// ok=false means no valid slot — the device never published, and recovery
+// must scan from the start.
 func (m *metaState) durable(t time.Duration) (CommitPos, bool) {
-	var best CommitPos
-	found := false
-	for _, s := range m.slots {
-		if !s.written || s.start >= t {
-			continue
-		}
-		img := s.img
-		if s.done > t {
-			// Torn slot rewrite: only a prefix proportional to the write's
-			// progress reached the medium.
-			frac := float64(t-s.start) / float64(s.done-s.start)
+	k := sort.Search(len(m.writes), func(i int) bool { return m.writes[i].Start >= t })
+	for i := k - 1; i >= max(0, k-2); i-- {
+		w := m.writes[i]
+		img := w.img
+		if w.Done > t {
+			frac := float64(t-w.Start) / float64(w.Done-w.Start)
 			img = img[:int(frac*float64(len(img)))]
 		}
-		pos, ok := DecodeCommitPos(img)
-		if !ok {
-			continue
-		}
-		if !found || pos.Epoch > best.Epoch {
-			best, found = pos, true
+		if pos, ok := DecodeCommitPos(img); ok {
+			return pos, true
 		}
 	}
-	return best, found
+	return CommitPos{}, false
 }

@@ -196,9 +196,8 @@ func (d *Dir) durablePos(now time.Duration) (seg, off, lsn uint64) {
 // position intact.
 func (d *Dir) Publish(now time.Duration, horizon uint64) {
 	seg, off, lsn := d.durablePos(now)
-	before := d.meta.writes
 	d.meta.publish(now, CommitPos{Seg: seg, Off: off, Durable: lsn, Horizon: horizon}, d.writeTime)
-	d.stats.MetaWrites += d.meta.writes - before
+	d.stats.MetaWrites = int64(len(d.meta.writes))
 }
 
 // DeleteBelow deletes leading segments that are full, fully durable by
@@ -509,7 +508,11 @@ func (d *Dir) RotationWindows() []Window {
 
 // MetaWindows returns the commit.meta slot rewrite intervals.
 func (d *Dir) MetaWindows() []Window {
-	return append([]Window(nil), d.meta.windows...)
+	var out []Window
+	for _, w := range d.meta.writes {
+		out = append(out, w.Window)
+	}
+	return out
 }
 
 // CompactionWindows returns the compaction install intervals.

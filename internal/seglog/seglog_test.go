@@ -221,3 +221,33 @@ func TestAbortCompactionMarksConsidered(t *testing.T) {
 		t.Fatal("truncation still pinned after abort")
 	}
 }
+
+// TestMetaQueuedRewriteKeepsFinishedImage: a rewrite queued behind the
+// meta lane is not on the medium until it starts, so it must not hide the
+// finished image its slot still holds. At a crash time t a slot holds the
+// last rewrite that started on it before t, torn if it had not finished.
+func TestMetaQueuedRewriteKeepsFinishedImage(t *testing.T) {
+	for _, tc := range []struct {
+		publishes int
+		crash     time.Duration
+		want      uint64 // epoch
+	}{
+		// Epoch 1 on slot 1 over [25,35] ms, epoch 2 on slot 0 over
+		// [35,45] ms (torn at 40), epoch 3 queued on slot 1 for [45,55] ms.
+		{3, 40 * ms, 1},
+		// Epochs 1–5 over [25,75] ms: at 60 ms epoch 4 (slot 0) is torn,
+		// epoch 3 (slot 1) finished at 55 ms, epoch 5 has not started.
+		{5, 60 * ms, 3},
+	} {
+		d := NewDir("log0", 2, 10*ms)
+		appendN(d, 4, 1, 0)
+		for i := 0; i < tc.publishes; i++ {
+			d.Publish(time.Duration(25+i)*ms, uint64(i+1))
+		}
+		v := d.DurableView(tc.crash, false)
+		if !v.HavePos || v.Pos.Epoch != tc.want || v.Pos.Horizon != tc.want {
+			t.Errorf("%d publishes, crash at %v: pos %+v have=%v, want epoch and horizon %d",
+				tc.publishes, tc.crash, v.Pos, v.HavePos, tc.want)
+		}
+	}
+}
