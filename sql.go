@@ -334,10 +334,10 @@ func (r *selectRun) read(i int, fold int64, fn func(Tuple) bool) error {
 		func(_ heap.RID, t Tuple) bool { return fn(t) })
 }
 
-// scan is the single-table source: the table's access path, or the §3.4
-// external sort when ORDER BY is present — ordering happens before
-// projection because the sort column need not be projected, and the
-// WHERE is applied to the sorted stream.
+// scan is the single-table source: the table's access path, or, when
+// ORDER BY is present, the §3.4 external sort over the rows that path
+// keeps (filtered) — ordering happens before projection because the sort
+// column need not be projected.
 func (r *selectRun) scan() error {
 	b, s := r.b, r.s
 	r.src[0] = b.Tables[0].Schema
@@ -349,46 +349,41 @@ func (r *selectRun) scan() error {
 			return b.Limit < 0 || int64(r.n) < b.Limit
 		})
 	}
-	_, files, err := s.lockAndView(b.Tables[0].Name)
+	input, drop, err := r.filtered(0)
 	if err != nil {
 		return err
 	}
-	// The sort reads the base file uncharged and writes its runs as the
+	defer drop()
+	// The sort reads its input uncharged and writes its runs as the
 	// sort-merge join does, within the whole grant.
 	r.ascending = true
-	stream, stats, err := extsort.SortWith(files[0], extsort.Config{
+	stream, stats, err := extsort.SortWith(input, extsort.Config{
 		Col: b.OrderCol,
 		// A session runs one statement at a time, so its lock-table id
 		// names the run files uniquely across sessions.
 		Prefix:      fmt.Sprintf("sql.orderby.%d", s.txn),
 		Input:       simio.Uncharged,
 		Parallelism: s.db.opts.Parallelism,
-	}.WithMemory(files[0], s.grant.Pages(), s.db.opts.Params.F))
+	}.WithMemory(input, s.grant.Pages(), s.db.opts.Params.F))
 	if err != nil {
 		return err
 	}
 	defer stream.Close()
 	s.db.sorts.record(stats)
-	f := newFilter(b.Preds[0], r.src[0])
-	var examined int64
-	defer func() { f.charge(s.clock, examined, 0) }()
 	for {
 		t, ok := stream.Next()
 		if !ok {
 			return stream.Err()
 		}
-		examined++
-		if f.pass(t) {
-			r.emit(t, nil)
-		}
+		r.emit(t, nil)
 	}
 }
 
-// filtered returns table i's file for an operator that reads it whole (an
-// aggregate, a join leaf): the base file, or, under a predicate, a copy of
-// the passing rows the statement owns and the returned func drops — the
-// table's charged access path writing free (§3: intermediates are written
-// uncharged).
+// filtered returns table i's file for an operator that reads it whole (a
+// sort, an aggregate, a join leaf): the base file, or, under a predicate,
+// a copy of the passing rows the statement owns and the returned func
+// drops — the table's charged access path writing free (§3:
+// intermediates are written uncharged).
 func (r *selectRun) filtered(i int) (*heap.File, func(), error) {
 	s, tbl := r.s, r.b.Tables[i]
 	if r.b.Preds[i] == nil {

@@ -157,7 +157,10 @@ func TestSQLDMLOracle(t *testing.T) {
 						if !reflect.DeepEqual(got.Values(), want.Values()) {
 							t.Fatalf("%s: %s returned %v\nthe unindexed twin %v", at, q, got.Values(), want.Values())
 						}
-						if got.Counters.RandIOs > 0 {
+						// The twin sorts the same rows as a spilled ORDER BY
+						// does, billing the same random run reads, so only a
+						// probe's fetches make the difference.
+						if got.Counters.RandIOs > want.Counters.RandIOs {
 							probed++
 						}
 					}
@@ -205,8 +208,10 @@ func mustQuery(t *testing.T, db *Database, q string) *SQLResult {
 // oracleProbes is one batch of SELECTs over t whose WHERE an index on id
 // or dept may serve: every comparison, AND ranges, an empty range, the
 // int64 bounds, ORs with and without an unindexed branch, NOT and !=,
-// under each single-table source (scan, global and grouped aggregates,
-// a join's filtered leaf) and LIMIT.
+// under each single-table source (scan, ORDER BY's sort, global and
+// grouped aggregates, a join's filtered leaf) and LIMIT. A probe and a
+// scan feed the sort the same rows in storage order, so equal sort keys
+// tie alike on both tables.
 func oracleProbes(rng *rand.Rand, maxID int64) []string {
 	a, b := rng.Int63n(maxID+2)-1, rng.Int63n(maxID+2)-1
 	lo, hi := min(a, b), max(a, b)
@@ -230,6 +235,9 @@ func oracleProbes(rng *rand.Rand, maxID int64) []string {
 		cols + fmt.Sprintf("dept = %d AND id > %d", d, a),
 		cols + fmt.Sprintf("dept >= %d OR id = %d", d, a),
 		cols + fmt.Sprintf("id > %d LIMIT 2", a),
+		cols + fmt.Sprintf("id >= %d AND id < %d ORDER BY v", lo, hi),
+		cols + fmt.Sprintf("id >= %d ORDER BY v DESC LIMIT 5", a),
+		cols + fmt.Sprintf("dept = %d ORDER BY id DESC", d),
 		fmt.Sprintf("SELECT COUNT(*), SUM(v) FROM t WHERE id < %d", a),
 		fmt.Sprintf("SELECT dept, COUNT(*) FROM t WHERE id >= %d GROUP BY dept", a),
 		fmt.Sprintf("SELECT t.id, d.w FROM t JOIN d ON t.dept = d.id WHERE t.id <= %d", a),

@@ -9,7 +9,10 @@ package mmdb
 // an unfiltered three-table join no longer re-reads its materialized
 // output, and a filtered three-table join charges its leaf scans and, now
 // that the live grant reaches the planner, spills where it used to overrun
-// the 8-page grant.
+// the 8-page grant. The filtered ORDER BY rows were re-pinned when the
+// single-table sort began reading its table's access path: it sorts the
+// 299 rows the WHERE keeps, written to a statement-owned copy, instead of
+// filtering all 600 after sorting them.
 var pinnedSelects = []pinnedSelect{
 	{"SELECT id, name FROM emp", 600, "[1 n00]", "[600 n16]", Counters{Comps: 0, Hashes: 0, Moves: 0, Swaps: 0, SeqIOs: 100, RandIOs: 0}, 1000000000},
 	{"SELECT id, name FROM emp LIMIT 7", 7, "[1 n00]", "[7 n06]", Counters{Comps: 0, Hashes: 0, Moves: 0, Swaps: 0, SeqIOs: 2, RandIOs: 0}, 20000000},
@@ -19,10 +22,10 @@ var pinnedSelects = []pinnedSelect{
 	{"SELECT id, name FROM emp ORDER BY salary DESC LIMIT 7", 7, "[228 n15]", "[390 n18]", Counters{Comps: 7371, Hashes: 0, Moves: 0, Swaps: 3631, SeqIOs: 104, RandIOs: 104}, 3879973000},
 	{"SELECT id, name FROM emp WHERE salary >= 43000 AND id != 17", 299, "[10 n09]", "[600 n16]", Counters{Comps: 1200, Hashes: 0, Moves: 0, Swaps: 0, SeqIOs: 100, RandIOs: 0}, 1003600000},
 	{"SELECT id, name FROM emp WHERE salary >= 43000 AND id != 17 LIMIT 7", 7, "[10 n09]", "[16 n15]", Counters{Comps: 32, Hashes: 0, Moves: 0, Swaps: 0, SeqIOs: 3, RandIOs: 0}, 30096000},
-	{"SELECT id, name FROM emp WHERE salary >= 43000 AND id != 17 ORDER BY salary", 299, "[301 n35]", "[228 n15]", Counters{Comps: 8571, Hashes: 0, Moves: 0, Swaps: 3631, SeqIOs: 104, RandIOs: 104}, 3883573000},
-	{"SELECT id, name FROM emp WHERE salary >= 43000 AND id != 17 ORDER BY salary LIMIT 7", 7, "[301 n35]", "[139 n32]", Counters{Comps: 8571, Hashes: 0, Moves: 0, Swaps: 3631, SeqIOs: 104, RandIOs: 104}, 3883573000},
-	{"SELECT id, name FROM emp WHERE salary >= 43000 AND id != 17 ORDER BY salary DESC", 299, "[228 n15]", "[301 n35]", Counters{Comps: 8571, Hashes: 0, Moves: 0, Swaps: 3631, SeqIOs: 104, RandIOs: 104}, 3883573000},
-	{"SELECT id, name FROM emp WHERE salary >= 43000 AND id != 17 ORDER BY salary DESC LIMIT 7", 7, "[228 n15]", "[390 n18]", Counters{Comps: 8571, Hashes: 0, Moves: 0, Swaps: 3631, SeqIOs: 104, RandIOs: 104}, 3883573000},
+	{"SELECT id, name FROM emp WHERE salary >= 43000 AND id != 17 ORDER BY salary", 299, "[301 n35]", "[228 n15]", Counters{Comps: 4364, Hashes: 0, Moves: 0, Swaps: 1598, SeqIOs: 153, RandIOs: 53}, 2963972000},
+	{"SELECT id, name FROM emp WHERE salary >= 43000 AND id != 17 ORDER BY salary LIMIT 7", 7, "[301 n35]", "[139 n32]", Counters{Comps: 4364, Hashes: 0, Moves: 0, Swaps: 1598, SeqIOs: 153, RandIOs: 53}, 2963972000},
+	{"SELECT id, name FROM emp WHERE salary >= 43000 AND id != 17 ORDER BY salary DESC", 299, "[228 n15]", "[301 n35]", Counters{Comps: 4364, Hashes: 0, Moves: 0, Swaps: 1598, SeqIOs: 153, RandIOs: 53}, 2963972000},
+	{"SELECT id, name FROM emp WHERE salary >= 43000 AND id != 17 ORDER BY salary DESC LIMIT 7", 7, "[228 n15]", "[390 n18]", Counters{Comps: 4364, Hashes: 0, Moves: 0, Swaps: 1598, SeqIOs: 153, RandIOs: 53}, 2963972000},
 	{"SELECT dept FROM emp GROUP BY dept", 7, "[1]", "[7]", Counters{Comps: 593, Hashes: 600, Moves: 7, Swaps: 0, SeqIOs: 0, RandIOs: 0}, 7319000},
 	{"SELECT dept FROM emp GROUP BY dept LIMIT 7", 7, "[1]", "[7]", Counters{Comps: 593, Hashes: 600, Moves: 7, Swaps: 0, SeqIOs: 0, RandIOs: 0}, 7319000},
 	{"SELECT dept FROM emp GROUP BY dept ORDER BY dept", 7, "[1]", "[7]", Counters{Comps: 593, Hashes: 600, Moves: 7, Swaps: 0, SeqIOs: 0, RandIOs: 0}, 7319000},

@@ -16,7 +16,14 @@ const scanRows = 20000
 // B+-tree on id (which no dept WHERE can use).
 func newScanDB(tb testing.TB) *Database {
 	tb.Helper()
-	db := MustOpen(Options{})
+	return newScanDBWidth(tb, 0)
+}
+
+// newScanDBWidth is newScanDB with its operators fanned out over
+// parallelism workers.
+func newScanDBWidth(tb testing.TB, parallelism int) *Database {
+	tb.Helper()
+	db := MustOpen(Options{Parallelism: parallelism})
 	emp, err := db.CreateRelation("emp", MustSchema(
 		Field{Name: "id", Kind: Int64},
 		Field{Name: "dept", Kind: Int64},

@@ -52,7 +52,7 @@ func (db *Database) BuildHistogram(relation, column string, buckets int) error {
 // filter is a table's WHERE, compiled once per statement, with its
 // evaluation charge: one comparison per leaf (min 1) for every row it
 // examines. A read adds the charge up and bills it once per page
-// (readWhere), or once per statement on the sorted stream (scan), so the
+// (readWhere, the one place a single-table WHERE is evaluated), so the
 // clock sees the same totals as a per-row charge at every exit — a LIMIT
 // stop, a consumer that stops, a read error mid-scan.
 type filter struct {
